@@ -12,7 +12,7 @@ use crate::skeleton::{Skeleton, SkeletonConfig};
 use crate::transition::{MineConfig, TransitionGraph};
 use concrete::{ExecutionLog, Location};
 use sir::Module;
-use statsym_telemetry::{names, FieldValue, Recorder, Span, NOOP};
+use statsym_telemetry::{names, spearman_milli, FieldValue, Recorder, Span, NOOP};
 use std::time::Duration;
 use symex::{Engine, EngineConfig, EngineStats, FoundVulnerability, SchedulerKind};
 
@@ -94,58 +94,6 @@ pub fn split_worker_budget(total: usize, candidates: usize) -> (usize, usize) {
     let cand = total.min(candidates.max(1));
     let state = total / cand;
     (cand, if state > 1 { state } else { 0 })
-}
-
-/// Spearman rank correlation between candidate rank order (the slice
-/// index: rank 0 first) and per-attempt cost, in per-mille (ρ × 1000,
-/// rounded). A positive value means the statistical ranking predicted
-/// cost well — better-ranked candidates really were cheaper to attempt.
-/// Tied costs get average ranks. `None` when fewer than two attempts or
-/// when every cost ties (the correlation is undefined, and the
-/// zero-vs-absent convention says emit nothing rather than a fake 0).
-///
-/// ```
-/// use statsym_core::pipeline::rank_cost_corr_milli;
-/// assert_eq!(rank_cost_corr_milli(&[10, 20, 30]), Some(1000));
-/// assert_eq!(rank_cost_corr_milli(&[30, 20, 10]), Some(-1000));
-/// assert_eq!(rank_cost_corr_milli(&[5, 5]), None);
-/// assert_eq!(rank_cost_corr_milli(&[5]), None);
-/// ```
-pub fn rank_cost_corr_milli(costs: &[u64]) -> Option<i64> {
-    let n = costs.len();
-    if n < 2 {
-        return None;
-    }
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| costs[i]);
-    let mut cost_rank = vec![0f64; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && costs[idx[j + 1]] == costs[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0;
-        for &k in &idx[i..=j] {
-            cost_rank[k] = avg;
-        }
-        i = j + 1;
-    }
-    // Candidate ranks are 0..n-1 with no ties; average cost ranks keep
-    // the same mean, so one centered pass computes the correlation.
-    let mean = (n as f64 - 1.0) / 2.0;
-    let (mut num, mut dx, mut dy) = (0f64, 0f64, 0f64);
-    for (r, &cr) in cost_rank.iter().enumerate() {
-        let x = r as f64 - mean;
-        let y = cr - mean;
-        num += x * y;
-        dx += x * x;
-        dy += y * y;
-    }
-    if dy == 0.0 {
-        return None;
-    }
-    Some((num / (dx * dy).sqrt() * 1000.0).round() as i64)
 }
 
 /// Emits one `calib.candidate` record: the statistical prediction for a
@@ -445,7 +393,7 @@ impl StatSym {
                 rec.gauge_max(names::CALIB_WINNER_RANK, w as i64 + 1);
             }
             let costs: Vec<u64> = attempts.iter().map(|a| a.stats.exec.steps).collect();
-            if let Some(corr) = rank_cost_corr_milli(&costs) {
+            if let Some(corr) = spearman_milli(&costs) {
                 rec.gauge_max(names::CALIB_RANK_COST_CORR, corr);
             }
         }

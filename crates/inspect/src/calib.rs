@@ -14,49 +14,8 @@
 //! catching ranking regressions that still find the vulnerability,
 //! just at a higher rank than they should.
 
-use statsym_telemetry::{names, CalibCandidate, TraceEvent, TraceSummary};
-
-/// Spearman rank correlation between candidate rank order (slice index)
-/// and per-attempt cost, in per-mille. Tied costs get average ranks;
-/// `None` when fewer than two attempts or when every cost ties. This is
-/// the same statistic `statsym-core` derives the
-/// `calib.rank_cost_corr_milli` gauge from (duplicated here because the
-/// inspect library depends only on the telemetry crate — the core test
-/// suite cross-checks the two).
-pub fn spearman_milli(costs: &[u64]) -> Option<i64> {
-    let n = costs.len();
-    if n < 2 {
-        return None;
-    }
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| costs[i]);
-    let mut cost_rank = vec![0f64; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && costs[idx[j + 1]] == costs[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0;
-        for &k in &idx[i..=j] {
-            cost_rank[k] = avg;
-        }
-        i = j + 1;
-    }
-    let mean = (n as f64 - 1.0) / 2.0;
-    let (mut num, mut dx, mut dy) = (0f64, 0f64, 0f64);
-    for (r, &cr) in cost_rank.iter().enumerate() {
-        let x = r as f64 - mean;
-        let y = cr - mean;
-        num += x * y;
-        dx += x * x;
-        dy += y * y;
-    }
-    if dy == 0.0 {
-        return None;
-    }
-    Some((num / (dx * dy).sqrt() * 1000.0).round() as i64)
-}
+use crate::RunView;
+use statsym_telemetry::{names, render_calib_table, spearman_milli, CalibCandidate, TraceSummary};
 
 /// One pipeline run's worth of calibration records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,27 +42,21 @@ impl Run {
 /// are attempted — and portfolio buffers spliced — in rank order), so a
 /// record whose rank does not exceed its predecessor's starts a new
 /// run. A single-run trace yields exactly one entry.
-pub fn runs(events: &[TraceEvent]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::new();
-    for c in TraceSummary::from_events(events).calib {
-        match out.last_mut() {
-            Some(run) if c.rank > run.candidates.last().map_or(0, |p| p.rank) => {
-                run.candidates.push(c);
-            }
-            _ => out.push(Run {
-                candidates: vec![c],
-            }),
-        }
-    }
-    out
+pub fn runs(records: &[CalibCandidate]) -> Vec<Run> {
+    records
+        .chunk_by(|a, b| a.rank < b.rank)
+        .map(|run| Run {
+            candidates: run.to_vec(),
+        })
+        .collect()
 }
 
 /// Renders the predicted-vs-actual calibration table.
-pub fn calib(events: &[TraceEvent], json: bool) -> String {
-    let runs = runs(events);
-    let s = TraceSummary::from_events(events);
+pub fn calib(view: &RunView, json: bool) -> String {
+    let runs = &view.calib_runs;
+    let s = &view.summary;
     if json {
-        return render_json(&runs, &s);
+        return render_json(runs, s);
     }
     if runs.is_empty() {
         return "no calib.candidate records in trace (recorded before calibration?)\n".to_string();
@@ -114,23 +67,7 @@ pub fn calib(events: &[TraceEvent], json: bool) -> String {
         if runs.len() > 1 {
             out.push_str(&format!("run {}:\n", i + 1));
         }
-        out.push_str(&format!(
-            "  {:>4}  {:>11}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>5}\n",
-            "rank", "score_milli", "path_len", "steps", "forks", "snodes", "solver_us", "found"
-        ));
-        for c in &run.candidates {
-            out.push_str(&format!(
-                "  {:>4}  {:>11}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>5}\n",
-                c.rank,
-                c.score_milli,
-                c.path_len,
-                c.steps,
-                c.forks,
-                c.snodes,
-                c.solver_us,
-                if c.found { "yes" } else { "no" }
-            ));
-        }
+        render_calib_table(&mut out, &run.candidates);
         match run.winner_rank() {
             Some(w) => out.push_str(&format!("  winner rank: {w}\n")),
             None => out.push_str("  winner rank: - (no attempt found the vulnerability)\n"),
@@ -163,18 +100,7 @@ fn render_json(runs: &[Run], s: &TraceSummary) -> String {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"rank\":{},\"score_milli\":{},\"path_len\":{},\"steps\":{},\
-                 \"forks\":{},\"snodes\":{},\"solver_us\":{},\"found\":{}}}",
-                c.rank,
-                c.score_milli,
-                c.path_len,
-                c.steps,
-                c.forks,
-                c.snodes,
-                c.solver_us,
-                u64::from(c.found)
-            ));
+            c.push_json(&mut out);
         }
         out.push(']');
         if let Some(w) = run.winner_rank() {
@@ -203,8 +129,8 @@ fn render_json(runs: &[Run], s: &TraceSummary) -> String {
 /// Returns a message when any run's correlation falls below
 /// `min_milli`, or when no run has a defined correlation at all (a
 /// trace with nothing to gate must fail loudly, not pass silently).
-pub fn gate(events: &[TraceEvent], min_milli: i64) -> Result<(), String> {
-    let runs = runs(events);
+pub fn gate(view: &RunView, min_milli: i64) -> Result<(), String> {
+    let runs = &view.calib_runs;
     let mut gated = 0usize;
     for (i, run) in runs.iter().enumerate() {
         if let Some(c) = run.corr_milli() {
@@ -231,7 +157,11 @@ pub fn gate(events: &[TraceEvent], min_milli: i64) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use statsym_telemetry::FieldValue;
+    use statsym_telemetry::{FieldValue, TraceEvent};
+
+    fn empty() -> RunView {
+        RunView::from_events(Vec::new())
+    }
 
     fn cand(rank: u64, steps: u64, found: bool) -> TraceEvent {
         TraceEvent::Event {
@@ -250,17 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn spearman_matches_core_semantics() {
-        assert_eq!(spearman_milli(&[10, 20, 30]), Some(1000));
-        assert_eq!(spearman_milli(&[30, 20, 10]), Some(-1000));
-        assert_eq!(spearman_milli(&[5, 5]), None);
-        assert_eq!(spearman_milli(&[5]), None);
-        assert_eq!(spearman_milli(&[]), None);
-        // Ties get average ranks: monotone but tied in the middle.
-        assert_eq!(spearman_milli(&[1, 2, 2, 3]), Some(949));
-    }
-
-    #[test]
     fn rank_reset_starts_a_new_run() {
         let events = vec![
             cand(1, 10, false),
@@ -269,7 +188,7 @@ mod tests {
             cand(2, 20, false),
             cand(3, 10, true),
         ];
-        let rs = runs(&events);
+        let rs = &RunView::from_events(events).calib_runs;
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].candidates.len(), 2);
         assert_eq!(rs[1].candidates.len(), 3);
@@ -289,18 +208,19 @@ mod tests {
                 value: 2,
             },
         ];
-        let text = calib(&events, false);
+        let view = RunView::from_events(events);
+        let text = calib(&view, false);
         assert!(text.contains("rank"), "{text}");
         assert!(text.contains("winner rank: 2"), "{text}");
         assert!(text.contains("rank-vs-cost corr: 1000 milli"), "{text}");
         assert!(text.contains("recorded winner_rank gauge: 2"), "{text}");
-        assert_eq!(text, calib(&events, false));
+        assert_eq!(text, calib(&view, false));
     }
 
     #[test]
     fn json_is_stable_and_parseable() {
-        let events = vec![cand(1, 10, false), cand(2, 30, true)];
-        let json = calib(&events, true);
+        let view = RunView::from_events(vec![cand(1, 10, false), cand(2, 30, true)]);
+        let json = calib(&view, true);
         assert!(
             json.starts_with("{\"runs\":[{\"candidates\":[{\"rank\":1,"),
             "{json}"
@@ -310,25 +230,25 @@ mod tests {
             "{json}"
         );
         crate::numjson::flatten(&json).unwrap();
-        assert_eq!(json, calib(&events, true));
+        assert_eq!(json, calib(&view, true));
         // Empty trace: still a valid document.
-        assert_eq!(calib(&[], true), "{\"runs\":[]}\n");
+        assert_eq!(calib(&empty(), true), "{\"runs\":[]}\n");
     }
 
     #[test]
     fn gate_fails_below_floor_and_on_ungateable_traces() {
-        let good = vec![cand(1, 10, true), cand(2, 30, false)];
+        let good = RunView::from_events(vec![cand(1, 10, true), cand(2, 30, false)]);
         assert!(gate(&good, 500).is_ok());
-        let bad = vec![cand(1, 30, false), cand(2, 10, true)];
+        let bad = RunView::from_events(vec![cand(1, 30, false), cand(2, 10, true)]);
         let err = gate(&bad, 500).unwrap_err();
         assert!(err.contains("-1000"), "{err}");
         // No run with a defined correlation: the gate must not pass.
-        assert!(gate(&[], 0).is_err());
-        assert!(gate(&[cand(1, 10, true)], 0).is_err());
+        assert!(gate(&empty(), 0).is_err());
+        assert!(gate(&RunView::from_events(vec![cand(1, 10, true)]), 0).is_err());
     }
 
     #[test]
     fn empty_trace_is_reported() {
-        assert!(calib(&[], false).contains("no calib.candidate"));
+        assert!(calib(&empty(), false).contains("no calib.candidate"));
     }
 }

@@ -11,6 +11,8 @@
 //! reached at all. The `--min <pct>` gate turns the aggregate into a CI
 //! check (exit 1 below the floor).
 
+use crate::report::percent;
+use crate::RunView;
 use statsym_telemetry::{names, FieldValue, TraceEvent};
 
 /// Classification of one candidate-path node within one attempt, in
@@ -40,19 +42,29 @@ impl NodeStatus {
     }
 }
 
-/// The reconstructed coverage of one candidate attempt.
+/// One candidate attempt, reconstructed from its `candidate.attempt`
+/// span, the `candidate.node` events inside it, and the paired
+/// `candidate.result` event.
 #[derive(Debug, Clone)]
-pub struct AttemptCoverage {
+pub struct Attempt {
     /// Candidate rank (the `index` field of `candidate.result`), or the
-    /// attempt's position in the trace when the result is missing.
+    /// attempt's position among attempts of its kind when the result is
+    /// missing.
     pub rank: u64,
     /// Whether this attempt verified the fault.
     pub found: bool,
+    /// Executor steps spent, from the result event.
+    pub steps: u64,
+    /// Span duration in trace ticks.
+    pub ticks: u64,
+    /// True for attempts merged under `portfolio.overshoot.`: work the
+    /// sequential loop would never have done.
+    pub overshoot: bool,
     /// Per-node statuses, indexed by candidate-path node.
     pub nodes: Vec<NodeStatus>,
 }
 
-impl AttemptCoverage {
+impl Attempt {
     /// Nodes engaged at all (everything but `NeverReached`).
     pub fn covered(&self) -> usize {
         self.nodes
@@ -66,39 +78,54 @@ fn field<'e>(fields: &'e [(String, FieldValue)], key: &str) -> Option<&'e FieldV
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+/// `Some(false)` when `name` is `base`, `Some(true)` when it is the
+/// overshoot copy merged under `portfolio.overshoot.`, else `None`.
+fn overshoot_of(name: &str, base: &str) -> Option<bool> {
+    match name.strip_prefix(names::PORTFOLIO_OVERSHOOT_PREFIX) {
+        Some(copy) => (copy == base).then_some(true),
+        None => (name == base).then_some(false),
+    }
+}
+
 /// Folds `candidate.attempt` spans, their `candidate.node` events, and
-/// the paired `candidate.result` events into per-attempt coverage.
-/// Overshoot attempts (renamed under `portfolio.overshoot.`) are
-/// excluded, matching the sequential-equivalent accounting everywhere
-/// else.
-pub fn attempt_coverage(events: &[TraceEvent]) -> Vec<AttemptCoverage> {
-    // Open attempt span ids; node events outside any attempt are
-    // ignored. Portfolio merges keep each worker's span contiguous, so
-    // a stack suffices.
-    let mut open: Vec<u64> = Vec::new();
-    let mut out: Vec<AttemptCoverage> = Vec::new();
-    // Statuses collected for the innermost open attempt.
-    let mut current: Vec<NodeStatus> = Vec::new();
-    // Attempts closed but not yet matched to their result event.
+/// the paired `candidate.result` events into per-attempt records, in
+/// the order the attempts closed. Attempts still open at the end of
+/// the trace are left out.
+pub fn attempts(events: &[TraceEvent]) -> Vec<Attempt> {
+    // Open attempt spans: (span id, open tick, overshoot, node statuses).
+    // Portfolio merges keep each worker's spans contiguous, so node
+    // events belong to the innermost open attempt.
+    let mut open: Vec<(u64, u64, bool, Vec<NodeStatus>)> = Vec::new();
+    let mut out: Vec<Attempt> = Vec::new();
+    // Attempts closed but not yet matched to their result event — each
+    // worker emits the result right after its span closes, and
+    // rank-ordered merging preserves that adjacency.
     let mut unmatched: Vec<usize> = Vec::new();
     for ev in events {
         match ev {
-            TraceEvent::SpanOpen { id, name, .. } if name == names::CANDIDATE_ATTEMPT => {
-                open.push(*id);
-                current.clear();
+            TraceEvent::SpanOpen { t, id, name, .. } => {
+                if let Some(overshoot) = overshoot_of(name, names::CANDIDATE_ATTEMPT) {
+                    open.push((*id, *t, overshoot, Vec::new()));
+                }
             }
-            TraceEvent::SpanClose { id, .. } if open.last() == Some(id) => {
-                open.pop();
-                unmatched.push(out.len());
-                out.push(AttemptCoverage {
-                    rank: out.len() as u64,
-                    found: false,
-                    nodes: std::mem::take(&mut current),
-                });
+            TraceEvent::SpanClose { t, id } => {
+                if let Some(pos) = open.iter().rposition(|o| o.0 == *id) {
+                    let (_, opened, overshoot, nodes) = open.remove(pos);
+                    unmatched.push(out.len());
+                    out.push(Attempt {
+                        rank: out.iter().filter(|a| a.overshoot == overshoot).count() as u64,
+                        found: false,
+                        steps: 0,
+                        ticks: t.saturating_sub(opened),
+                        overshoot,
+                        nodes,
+                    });
+                }
             }
-            TraceEvent::Event { name, fields, .. }
-                if name == names::CANDIDATE_NODE && !open.is_empty() =>
-            {
+            TraceEvent::Event { name, fields, .. } if name == names::CANDIDATE_NODE => {
+                let Some((_, _, _, current)) = open.last_mut() else {
+                    continue;
+                };
                 let Some(node) = field(fields, "node").and_then(FieldValue::as_u64) else {
                     continue;
                 };
@@ -116,17 +143,27 @@ pub fn attempt_coverage(events: &[TraceEvent]) -> Vec<AttemptCoverage> {
                 };
                 current[node] = current[node].max(status);
             }
-            TraceEvent::Event { name, fields, .. } if name == names::CANDIDATE_RESULT => {
-                if let Some(at) = unmatched.pop() {
-                    let a = &mut out[at];
-                    if let Some(rank) = field(fields, "index").and_then(FieldValue::as_u64) {
-                        a.rank = rank;
-                    }
-                    a.found = field(fields, "found").and_then(FieldValue::as_str) == Some("true");
-                    if let Some(len) = field(fields, "path_len").and_then(FieldValue::as_u64) {
-                        if a.nodes.len() < len as usize {
-                            a.nodes.resize(len as usize, NodeStatus::NeverReached);
-                        }
+            TraceEvent::Event { name, fields, .. } => {
+                let Some(overshoot) = overshoot_of(name, names::CANDIDATE_RESULT) else {
+                    continue;
+                };
+                let Some(k) = unmatched
+                    .iter()
+                    .rposition(|&at| out[at].overshoot == overshoot)
+                else {
+                    continue;
+                };
+                let a = &mut out[unmatched.remove(k)];
+                if let Some(rank) = field(fields, "index").and_then(FieldValue::as_u64) {
+                    a.rank = rank;
+                }
+                a.found = field(fields, "found").and_then(FieldValue::as_str) == Some("true");
+                a.steps = field(fields, "steps")
+                    .and_then(FieldValue::as_u64)
+                    .unwrap_or(0);
+                if let Some(len) = field(fields, "path_len").and_then(FieldValue::as_u64) {
+                    if a.nodes.len() < len as usize {
+                        a.nodes.resize(len as usize, NodeStatus::NeverReached);
                     }
                 }
             }
@@ -136,17 +173,27 @@ pub fn attempt_coverage(events: &[TraceEvent]) -> Vec<AttemptCoverage> {
     out
 }
 
-/// Aggregate covered / total node counts over all attempts.
-pub fn totals(attempts: &[AttemptCoverage]) -> (usize, usize) {
-    let covered = attempts.iter().map(AttemptCoverage::covered).sum();
+/// The ranked attempts whose coverage the view reports: overshoot
+/// attempts are excluded, matching the sequential-equivalent
+/// accounting everywhere else.
+fn ranked(view: &RunView) -> Vec<Attempt> {
+    let mut all = attempts(&view.events);
+    all.retain(|a| !a.overshoot);
+    all
+}
+
+/// Aggregate covered / total node counts over all attempts, and the
+/// engaged percentage.
+pub fn totals(attempts: &[Attempt]) -> (usize, usize, f64) {
+    let covered = attempts.iter().map(Attempt::covered).sum();
     let total = attempts.iter().map(|a| a.nodes.len()).sum();
-    (covered, total)
+    (covered, total, percent(covered as u64, total as u64))
 }
 
 /// Renders the coverage maps. `min_pct` (the `--min` gate) is echoed in
 /// the verdict line; [`gate`] decides the exit code.
-pub fn coverage(events: &[TraceEvent], min_pct: Option<f64>) -> String {
-    let attempts = attempt_coverage(events);
+pub fn coverage(view: &RunView, min_pct: Option<f64>) -> String {
+    let attempts = ranked(view);
     if attempts.is_empty() {
         return "no candidate attempts in trace\n".to_string();
     }
@@ -167,8 +214,7 @@ pub fn coverage(events: &[TraceEvent], min_pct: Option<f64>) -> String {
             map,
         ));
     }
-    let (covered, total) = totals(&attempts);
-    let pct = percent(covered, total);
+    let (covered, total, pct) = totals(&attempts);
     out.push_str(&format!(
         "\n  overall: {covered}/{total} candidate-path nodes engaged ({pct:.1}%)\n"
     ));
@@ -182,17 +228,8 @@ pub fn coverage(events: &[TraceEvent], min_pct: Option<f64>) -> String {
 }
 
 /// Whether the trace passes the `--min` coverage gate.
-pub fn gate(events: &[TraceEvent], min_pct: f64) -> bool {
-    let (covered, total) = totals(&attempt_coverage(events));
-    percent(covered, total) >= min_pct
-}
-
-fn percent(covered: usize, total: usize) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * covered as f64 / total as f64
-    }
+pub fn gate(view: &RunView, min_pct: f64) -> bool {
+    totals(&ranked(view)).2 >= min_pct
 }
 
 #[cfg(test)]
@@ -233,9 +270,9 @@ mod tests {
         node_event(&rec, 2, 1, "ok"); // a later state gets through
         rec.span_close(sp);
         result_event(&rec, 3, 6, true);
-        let events = rec.finish();
+        let view = RunView::from_events(rec.finish());
 
-        let attempts = attempt_coverage(&events);
+        let attempts = ranked(&view);
         assert_eq!(attempts.len(), 1);
         let a = &attempts[0];
         assert_eq!(a.rank, 3);
@@ -251,7 +288,7 @@ mod tests {
                 NodeStatus::NeverReached,
             ]
         );
-        let text = coverage(&events, Some(40.0));
+        let text = coverage(&view, Some(40.0));
         assert!(text.contains("rank 3"), "{text}");
         assert!(text.contains("[+##...]"), "{text}");
         assert!(
@@ -259,8 +296,8 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("gate: pass"), "{text}");
-        assert!(gate(&events, 40.0));
-        assert!(!gate(&events, 60.0));
+        assert!(gate(&view, 40.0));
+        assert!(!gate(&view, 60.0));
     }
 
     #[test]
@@ -271,7 +308,7 @@ mod tests {
         node_event(&rec, 0, 1, "kill");
         rec.span_close(sp);
         result_event(&rec, 0, 1, false);
-        let attempts = attempt_coverage(&rec.finish());
+        let attempts = attempts(&rec.finish());
         assert_eq!(attempts[0].nodes, vec![NodeStatus::Conflicted]);
         // Conflicted still counts as engaged: the executor got there.
         assert_eq!(attempts[0].covered(), 1);
@@ -279,6 +316,9 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        assert_eq!(coverage(&[], None), "no candidate attempts in trace\n");
+        assert_eq!(
+            coverage(&RunView::from_events(Vec::new()), None),
+            "no candidate attempts in trace\n"
+        );
     }
 }

@@ -11,7 +11,8 @@
 
 use std::collections::BTreeMap;
 
-use statsym_telemetry::{names, TraceEvent, TraceSummary};
+use crate::RunView;
+use statsym_telemetry::{names, TraceEvent};
 
 /// Renders the end-to-end story of the candidate at 1-based `rank`.
 ///
@@ -19,8 +20,8 @@ use statsym_telemetry::{names, TraceEvent, TraceSummary};
 ///
 /// Returns a message when the trace has no `calib.candidate` record for
 /// that rank (recorded without calibration, or rank out of range).
-pub fn explain(events: &[TraceEvent], rank: u64) -> Result<String, String> {
-    let s = TraceSummary::from_events(events);
+pub fn explain(view: &RunView, rank: u64) -> Result<String, String> {
+    let s = &view.summary;
     let cand = s.calib.iter().find(|c| c.rank == rank).ok_or_else(|| {
         format!(
             "no calib.candidate record for rank {rank} \
@@ -71,7 +72,7 @@ pub fn explain(events: &[TraceEvent], rank: u64) -> Result<String, String> {
     let mut sites: BTreeMap<(&str, &str, &str), (u64, u64, u64)> = BTreeMap::new();
     let mut locs: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     let mut last: Option<&TraceEvent> = None;
-    for ev in events {
+    for ev in &view.events {
         if let TraceEvent::Query {
             loc,
             rank: r,
@@ -169,8 +170,8 @@ mod tests {
         }
     }
 
-    fn sample() -> Vec<TraceEvent> {
-        vec![
+    fn sample() -> RunView {
+        RunView::from_events(vec![
             calib_event(1, 4200, 50, false),
             calib_event(2, 3100, 120, true),
             query(1, "main:3", "sat", 4),
@@ -185,7 +186,7 @@ mod tests {
                 name: names::CALIB_RANK_COST_CORR.into(),
                 value: -1000,
             },
-        ]
+        ])
     }
 
     #[test]
@@ -230,7 +231,8 @@ mod tests {
 
     #[test]
     fn missing_provenance_is_flagged_not_fatal() {
-        let text = explain(&[calib_event(1, 10, 5, false)], 1).unwrap();
+        let view = RunView::from_events(vec![calib_event(1, 10, 5, false)]);
+        let text = explain(&view, 1).unwrap();
         assert!(text.contains("no query provenance"), "{text}");
     }
 }

@@ -8,7 +8,7 @@
 //! back into per-node totals: a transition's delta is billed to the
 //! state it names, a `fork`'s delta to the forking parent (the fork
 //! site is the parent's frontier), and a `root`'s delta to the new root
-//! (engine setup). `tree`, `flame`, and `watch` all render off this one
+//! (engine setup). `tree` (text and flame) and `watch` render off this one
 //! model.
 
 use statsym_telemetry::{lineage_op, TraceEvent};

@@ -13,7 +13,8 @@
 //! emits collapsed stacks (`func;line weight`) compatible with
 //! inferno / speedscope / flamegraph.pl.
 
-use statsym_telemetry::{names, push_json_str, TraceEvent, TraceSummary};
+use crate::RunView;
+use statsym_telemetry::{names, push_json_str};
 
 /// Output format of the hotspots view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +87,9 @@ pub fn parse_metric(s: &str) -> Result<usize, String> {
         })
 }
 
-/// Renders the per-source-line cost table for a parsed trace.
-pub fn hotspots(events: &[TraceEvent], opts: &Opts) -> String {
-    let locs = TraceSummary::from_events(events).attr_locs();
+/// Renders the per-source-line cost table for a loaded trace.
+pub fn hotspots(view: &RunView, opts: &Opts) -> String {
+    let locs = view.summary.attr_locs();
     if locs.is_empty() {
         return match opts.format {
             Format::Json => "{\"metric\":\"steps\",\"total\":0,\"locs\":[]}\n".to_string(),
@@ -118,20 +119,10 @@ pub fn hotspots(events: &[TraceEvent], opts: &Opts) -> String {
     rows.retain(|(_, d)| share(d[metric]) >= opts.min_millipct);
 
     match opts.format {
-        Format::Flame => {
-            // Collapsed stacks sort lexicographically, like `flame`.
-            let mut stacks: Vec<(String, u64)> = rows
-                .iter()
-                .filter(|(_, d)| d[metric] > 0)
-                .map(|(loc, d)| (loc.replacen(':', ";", 1), d[metric]))
-                .collect();
-            stacks.sort();
-            let mut out = String::new();
-            for (stack, weight) in stacks {
-                out.push_str(&format!("{stack} {weight}\n"));
-            }
-            out
-        }
+        Format::Flame => crate::tree::collapsed(
+            rows.iter()
+                .map(|(loc, d)| (loc.replacen(':', ";", 1), d[metric])),
+        ),
         Format::Json => {
             let mut s = String::with_capacity(256);
             s.push_str(&format!(
@@ -192,6 +183,7 @@ pub fn hotspots(events: &[TraceEvent], opts: &Opts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statsym_telemetry::TraceEvent;
 
     fn counter(name: &str, value: u64) -> TraceEvent {
         TraceEvent::Counter {
@@ -200,8 +192,8 @@ mod tests {
         }
     }
 
-    fn sample() -> Vec<TraceEvent> {
-        vec![
+    fn sample() -> RunView {
+        RunView::from_events(vec![
             counter("attr.main:3.steps", 60),
             counter("attr.main:3.nodes", 5),
             counter("attr.convert:7.steps", 30),
@@ -209,7 +201,7 @@ mod tests {
             counter("attr.exit:0.steps", 10),
             // Overshoot rename prefix: excluded from the canonical map.
             counter("portfolio.overshoot.attr.main:3.steps", 999),
-        ]
+        ])
     }
 
     #[test]
@@ -279,9 +271,11 @@ mod tests {
 
     #[test]
     fn empty_trace_is_reported_per_format() {
-        assert!(hotspots(&[], &Opts::default()).contains("no attr.*"));
+        assert!(
+            hotspots(&RunView::from_events(Vec::new()), &Opts::default()).contains("no attr.*")
+        );
         let json = hotspots(
-            &[],
+            &RunView::from_events(Vec::new()),
             &Opts {
                 format: Format::Json,
                 ..Opts::default()
@@ -289,7 +283,7 @@ mod tests {
         );
         assert_eq!(json, "{\"metric\":\"steps\",\"total\":0,\"locs\":[]}\n");
         let flame = hotspots(
-            &[],
+            &RunView::from_events(Vec::new()),
             &Opts {
                 format: Format::Flame,
                 ..Opts::default()

@@ -1,17 +1,20 @@
 //! Trace analytics for StatSym JSONL traces (`statsym-inspect`).
 //!
-//! Views over a recorded run:
+//! Every trace view reads one [`RunView`]: the trace is parsed once
+//! (strictly unless `--allow-truncated`), summarized once, and each
+//! view renders a section of it.
 //!
-//! * [`report`](mod@crate) — the Table II/III-style run report
-//!   ([`statsym_telemetry::TraceSummary::render`]).
-//! * [`diff`] — per-phase / per-counter deltas between two traces (or
-//!   two numeric JSON reports such as `BENCH_portfolio.json`), with a
-//!   configurable regression threshold. The CI perf gate.
-//! * [`critical`] — which candidate attempt bounded the wall time of a
-//!   portfolio run, and how much of the total work was wasted on
-//!   attempts that did not produce the winning path.
-//! * [`top`] — the solver hot-spot profile from the per-callsite
-//!   `solver.site.*` counters and query-latency histograms.
+//! * [`report`] — the Table II/III-style run report
+//!   ([`statsym_telemetry::TraceSummary::render`]) plus the solver
+//!   callsites that did the work and the candidate attempts that
+//!   bounded the run (Table IV, Fig. 7).
+//! * [`tree`] — the exploration forest of a `--lineage` trace
+//!   ([`forest`] rebuilds it from the `state` event stream) with
+//!   suspend-cause annotations and per-subtree work rollups, or, with
+//!   `--format flame`, the same forest as collapsed stacks.
+//! * [`coverage`] — candidate-path node coverage maps (reached /
+//!   predicate-conjoined / conflicted / never-reached per rank), with a
+//!   `--min` CI gate.
 //! * [`hotspots`] — the per-source-line cost table from `attr.*`
 //!   attribution counters (`--attribution` traces), with flame-
 //!   compatible and cmp-gateable JSON output.
@@ -22,16 +25,11 @@
 //!   `calib.candidate` records, with a `--min-corr` CI gate on the
 //!   rank-vs-cost correlation.
 //!
-//! Over `--lineage` traces ([`forest`] rebuilds the exploration tree
-//! from the `state` event stream):
+//! Comparisons and live views:
 //!
-//! * [`tree`] — the exploration forest with suspend-cause annotations
-//!   and per-subtree work rollups.
-//! * [`coverage`] — candidate-path node coverage maps (reached /
-//!   predicate-conjoined / conflicted / never-reached per rank), with a
-//!   `--min` CI gate.
-//! * [`flame`] — collapsed-stack flamegraph export of solver effort
-//!   keyed by fork lineage.
+//! * [`diff`] — per-phase / per-counter deltas between two traces (or
+//!   two numeric JSON reports such as `BENCH_portfolio.json`), with a
+//!   configurable regression threshold. The CI perf gate.
 //! * [`watch`] — a live dashboard that tails a growing trace file.
 //! * [`live`] — the same dashboard fed by `--stream` telemetry sockets
 //!   (any number of concurrent runs), with `--record` teeing each
@@ -52,88 +50,90 @@
 //!
 //! Traces are loaded with the *strict* parser: unbalanced or duplicate
 //! spans are rejected with line-numbered errors rather than silently
-//! skewing the analytics. `watch` (and `report --allow-truncated`) use
-//! the truncation-tolerant variant, which additionally accepts exactly
-//! one half-written trailing line.
+//! skewing the analytics. `--allow-truncated` (and continuous `watch`)
+//! use the truncation-tolerant variant, which additionally accepts
+//! exactly one half-written trailing line.
 
 pub mod calib;
 pub mod coverage;
-pub mod critical;
 pub mod diff;
 pub mod explain;
-pub mod flame;
 pub mod forest;
 pub mod history;
 pub mod hotspots;
 pub mod live;
 pub mod numjson;
+pub mod report;
 pub mod scrape;
 pub mod tail;
-pub mod top;
 pub mod tree;
 pub mod trend;
 pub mod watch;
 
+use std::cell::OnceCell;
+
+use forest::Forest;
 use statsym_telemetry::{parse_trace_strict, parse_trace_truncated, TraceEvent, TraceSummary};
 
-/// Reads and strictly parses a JSONL trace, prefixing errors with the
-/// file path (`path:line: reason`).
-///
-/// # Errors
-///
-/// Returns a rendered error for unreadable files and for malformed or
-/// structurally invalid (unbalanced / duplicate-span) traces.
-pub fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read trace: {e}"))?;
-    parse_trace_strict(&text).map_err(|e| format!("{path}:{}: {}", e.line, e.reason))
+/// One loaded trace and what the trace views derive from it. Every
+/// field is derived from `events` at construction, so treat a view as
+/// read-only.
+#[derive(Debug)]
+pub struct RunView {
+    /// The parsed events, in trace order.
+    pub events: Vec<TraceEvent>,
+    /// Whether a half-written trailing line was dropped (only possible
+    /// when loaded with `allow_truncated`).
+    pub truncated: bool,
+    /// The run digest: spans, metrics, query rollups, calibration.
+    pub summary: TraceSummary,
+    /// The `calib.candidate` records split into pipeline runs.
+    pub calib_runs: Vec<calib::Run>,
+    forest: OnceCell<Forest>,
 }
 
-/// [`load_trace`] with the truncation-tolerant parser: accepts exactly
-/// one half-written trailing line (and spans/states still open), as a
-/// live or crash-cut trace has. Returns the events and whether a
-/// partial tail line was dropped.
-///
-/// # Errors
-///
-/// Returns a rendered error for unreadable files and for interior
-/// corruption.
-pub fn load_trace_truncated(path: &str) -> Result<(Vec<TraceEvent>, bool), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read trace: {e}"))?;
-    parse_trace_truncated(&text).map_err(|e| format!("{path}:{}: {}", e.line, e.reason))
-}
+impl RunView {
+    /// Reads and parses the trace at `path`. Strict by default;
+    /// `allow_truncated` (the `--allow-truncated` flag) accepts exactly
+    /// one half-written trailing line and spans/states still open, as a
+    /// live or crash-cut trace has.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rendered error (`path:line: reason`) for unreadable
+    /// files and for malformed or structurally invalid traces.
+    pub fn load(path: &str, allow_truncated: bool) -> Result<RunView, String> {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read trace: {e}"))?;
+        let parsed = if allow_truncated {
+            parse_trace_truncated(&text)
+        } else {
+            parse_trace_strict(&text).map(|events| (events, false))
+        };
+        let (events, truncated) = parsed.map_err(|e| format!("{path}:{}: {}", e.line, e.reason))?;
+        Ok(RunView {
+            truncated,
+            ..RunView::from_events(events)
+        })
+    }
 
-/// Renders the run report for the trace at `path`. `allow_truncated`
-/// switches to the tolerant parser (the `--allow-truncated` flag), for
-/// reporting on traces cut short by a crash or still being written.
-///
-/// # Errors
-///
-/// Propagates [`load_trace`] / [`load_trace_truncated`] failures.
-pub fn report(path: &str, allow_truncated: bool) -> Result<String, String> {
-    let events = if allow_truncated {
-        load_trace_truncated(path)?.0
-    } else {
-        load_trace(path)?
-    };
-    Ok(TraceSummary::from_events(&events).render())
-}
+    /// A view over already-parsed events.
+    pub fn from_events(events: Vec<TraceEvent>) -> RunView {
+        let summary = TraceSummary::from_events(&events);
+        let calib_runs = calib::runs(&summary.calib);
+        RunView {
+            events,
+            truncated: false,
+            summary,
+            calib_runs,
+            forest: OnceCell::new(),
+        }
+    }
 
-/// The machine-readable run report: one JSON object with stable key
-/// order ([`statsym_telemetry::TraceSummary::render_json`]), newline
-/// terminated. Same parser contract as [`report`].
-///
-/// # Errors
-///
-/// Propagates [`load_trace`] / [`load_trace_truncated`] failures.
-pub fn report_json(path: &str, allow_truncated: bool) -> Result<String, String> {
-    let events = if allow_truncated {
-        load_trace_truncated(path)?.0
-    } else {
-        load_trace(path)?
-    };
-    let mut out = TraceSummary::from_events(&events).render_json();
-    out.push('\n');
-    Ok(out)
+    /// The exploration forest of the trace's `state` lineage events,
+    /// built on first use.
+    pub fn forest(&self) -> &Forest {
+        self.forest
+            .get_or_init(|| Forest::from_events(&self.events))
+    }
 }

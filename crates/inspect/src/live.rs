@@ -14,7 +14,8 @@
 
 use crate::tail::{Backoff, Screen};
 use crate::watch::dashboard;
-use statsym_telemetry::{StreamFrame, SummaryBuilder, TraceEvent, TRACE_VERSION};
+use crate::RunView;
+use statsym_telemetry::{StreamFrame, TraceEvent, TRACE_VERSION};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -48,9 +49,6 @@ struct RunState {
     name: String,
     /// Parsed trace events (frames excluded).
     events: Vec<TraceEvent>,
-    /// Incremental summary (kept for `--runs` CI mode and future use;
-    /// the dashboard itself renders from `events`).
-    summary: SummaryBuilder,
     /// Drop count from the end frame, once seen.
     ended: Option<u64>,
     /// The connection hung up (with or without an end frame).
@@ -64,7 +62,6 @@ impl RunState {
         RunState {
             name: format!("stream-{ordinal}"),
             events: Vec::new(),
-            summary: SummaryBuilder::default(),
             ended: None,
             closed: false,
             record: None,
@@ -183,7 +180,7 @@ fn render(order: &[usize], runs: &HashMap<usize, RunState>) -> String {
             (None, false) => String::new(),
         };
         out.push_str(&format!("== run {}{status} ==\n", run.name));
-        out.push_str(&dashboard(&run.events, false).text);
+        out.push_str(&dashboard(&RunView::from_events(run.events.clone())).text);
         out.push('\n');
     }
     if order.is_empty() {
@@ -284,13 +281,12 @@ pub fn live(addr: &str, opts: &LiveOpts) -> i32 {
                             }
                         }
                         None => {
-                            // A trace line: tee verbatim, then aggregate.
+                            // A trace line: tee verbatim, then keep the event.
                             if let Some(w) = run.record.as_mut() {
                                 let _ = w.write_all(line.as_bytes());
                                 let _ = w.write_all(b"\n");
                             }
                             if let Ok(ev) = TraceEvent::parse_line(&line) {
-                                run.summary.push(&ev);
                                 run.events.push(ev);
                             }
                         }

@@ -1,24 +1,6 @@
 //! `statsym-inspect` — trace analytics over StatSym JSONL traces.
 //!
-//! ```text
-//! statsym-inspect report <trace.jsonl> [--format text|json] [--allow-truncated]
-//! statsym-inspect diff <old> <new> [--threshold <pct>%] [--ignore <prefix>]... [--min-delta <n>]
-//! statsym-inspect critical-path <trace.jsonl>
-//! statsym-inspect top <trace.jsonl> [--limit <n>]
-//! statsym-inspect tree <trace.jsonl> [--allow-truncated]
-//! statsym-inspect coverage <trace.jsonl> [--min <pct>]
-//! statsym-inspect flame <trace.jsonl> [--metric solver-nodes|solver-us|steps] [--allow-truncated]
-//! statsym-inspect hotspots <trace.jsonl> [--metric <dim>] [--top <n>] [--min-pct <pct>] [--format text|json|flame]
-//! statsym-inspect explain <trace.jsonl> <rank>
-//! statsym-inspect calib <trace.jsonl> [--format text|json] [--min-corr <milli>]
-//! statsym-inspect watch <trace.jsonl> [--interval <ms>] [--once] [--allow-truncated] [--no-color]
-//! statsym-inspect live <addr> [--record <dir>] [--runs <n>] [--quiet] [--interval <ms>] [--no-color]
-//! statsym-inspect history <archive> [--source <s>] [--run <r>] [--limit <n>]
-//! statsym-inspect history add <archive> [--from-trace <t>] [--inflate <metric=pct>]... [--repeat <n>] ...
-//! statsym-inspect trend <archive> [--window <n>] [--sigma <z>] [--min-delta <n>] [--metric <prefix>]... [--gate]
-//! statsym-inspect regress <archive> <metric> [--window <n>] [--sigma <z>] [--min-delta <n>]
-//! statsym-inspect scrape <addr>
-//! ```
+//! Run it without arguments for the command list (`USAGE` below).
 //!
 //! Exit codes: 0 success (and no regressions), 1 `diff` found at least
 //! one regression, `trend --gate` found a windowed regression,
@@ -28,8 +10,7 @@
 
 use statsym_inspect::diff::{diff_files, parse_threshold, DiffConfig};
 use statsym_inspect::{
-    calib, coverage, critical, explain, flame, history, hotspots, live, load_trace,
-    load_trace_truncated, report, report_json, scrape, top, tree, trend, watch,
+    calib, coverage, explain, history, hotspots, live, report, scrape, tree, trend, watch, RunView,
 };
 use statsym_telemetry::manifest;
 
@@ -37,29 +18,23 @@ const USAGE: &str = "\
 usage: statsym-inspect <command> [args]
 
 commands:
-  report <trace.jsonl> [--format text|json] [--allow-truncated]
-      Render the run report (phases, counters, gauges, histograms).
-      --format json emits one machine-readable JSON object with stable
-      key order. --allow-truncated accepts a trace cut short mid-line.
-  diff <old> <new> [--threshold <pct>%] [--ignore <prefix>]... [--min-delta <n>]
-      Compare two traces (or two numeric JSON reports). Exits 1 when a
-      metric grew past the threshold (default 10%).
-  critical-path <trace.jsonl>
-      Show which candidate attempt bounded the run and the wasted-work
-      ratio of a portfolio execution.
-  top <trace.jsonl> [--limit <n>]
-      Rank solver callsites by search nodes (per-site profile).
-  tree <trace.jsonl> [--allow-truncated]
+  Views of one trace file. Each also accepts --allow-truncated, which
+  reads a trace cut short mid-line (a live or crash-cut run) instead of
+  exiting 2:
+
+  report <trace.jsonl> [--format text|json]
+      Render the run report (phases, counters, gauges, histograms,
+      solver callsites by search nodes, and the candidate attempts with
+      the one that bounded the run). --format json emits one
+      machine-readable JSON object with stable key order.
+  tree <trace.jsonl> [--format text|flame] [--metric solver-nodes|solver-us|steps]
       Render the exploration tree of a --lineage trace: fork structure,
-      suspend causes, per-subtree solver rollups. --allow-truncated
-      accepts a trace cut short mid-line (live or crash-cut runs).
+      suspend causes, per-subtree solver rollups. --format flame emits
+      collapsed stacks of --metric (default solver-nodes) keyed by fork
+      lineage (inferno / speedscope / flamegraph.pl compatible).
   coverage <trace.jsonl> [--min <pct>]
       Candidate-path node coverage per rank (reached / conjoined /
       conflicted / never reached). Exits 1 below the --min floor.
-  flame <trace.jsonl> [--metric solver-nodes|solver-us|steps] [--allow-truncated]
-      Collapsed-stack flamegraph of solver effort keyed by fork
-      lineage (inferno / speedscope / flamegraph.pl compatible).
-      --allow-truncated accepts a trace cut short mid-line.
   hotspots <trace.jsonl> [--metric <dim>] [--top <n>] [--min-pct <pct>] [--format text|json|flame]
       Per-source-line cost table from an --attribution trace: steps,
       forks, suspensions, solver queries/nodes/µs billed to the MiniC
@@ -77,12 +52,18 @@ commands:
       next to real attempt cost, the winning rank, and the Spearman
       rank-vs-cost correlation (per-mille). --min-corr exits 1 when a
       run correlates below the floor (or nothing is gateable).
-  watch <trace.jsonl> [--interval <ms>] [--once] [--allow-truncated] [--no-color]
+  watch <trace.jsonl> [--interval <ms>] [--once] [--no-color]
       Live dashboard tailing a growing --lineage trace; exits when the
       run's final metrics appear. Polling backs off adaptively while
       the file is idle. With --once, the trace is parsed strictly (like
       report) unless --allow-truncated is given. --no-color appends
       plain frames with no ANSI escapes (CI logs, pipes).
+
+  Comparisons, live streams and run history:
+
+  diff <old> <new> [--threshold <pct>%] [--ignore <prefix>]... [--min-delta <n>]
+      Compare two traces (or two numeric JSON reports). Exits 1 when a
+      metric grew past the threshold (default 10%).
   live <addr> [--record <dir>] [--runs <n>] [--quiet] [--interval <ms>] [--no-color]
       Stream-fed dashboard: listens on a tcp host:port (or a unix
       socket path containing '/') for --stream telemetry from any
@@ -132,266 +113,13 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("report") => {
-            let mut allow_truncated = false;
-            let mut json = false;
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--allow-truncated" => allow_truncated = true,
-                    "--format" => match it.next().map(String::as_str) {
-                        Some("text") => json = false,
-                        Some("json") => json = true,
-                        _ => usage_exit("--format requires `text` or `json`"),
-                    },
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(
-                &rest,
-                "report <trace.jsonl> [--format text|json] [--allow-truncated]",
-            );
-            let rendered = if json {
-                report_json(&path, allow_truncated)
-            } else {
-                report(&path, allow_truncated)
-            };
-            match rendered {
-                Ok(text) => {
-                    print!("{text}");
-                    0
-                }
-                Err(e) => fail(&e),
-            }
+        Some(
+            cmd @ ("report" | "tree" | "coverage" | "hotspots" | "explain" | "calib" | "watch"),
+        ) => {
+            let (rest, allow_truncated) = take_flag(&args[1..], "--allow-truncated");
+            trace_view(cmd, &rest, allow_truncated)
         }
         Some("diff") => run_diff(&args[1..]),
-        Some("critical-path") => {
-            let [path] = positional::<1>(&args[1..], "critical-path <trace.jsonl>");
-            match load_trace(&path) {
-                Ok(events) => {
-                    print!("{}", critical::critical_path(&events));
-                    0
-                }
-                Err(e) => fail(&e),
-            }
-        }
-        Some("top") => {
-            let mut limit = 16usize;
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--limit" => match it.next().map(|n| n.parse::<usize>()) {
-                        Some(Ok(n)) if n >= 1 => limit = n,
-                        _ => usage_exit("--limit requires a positive integer"),
-                    },
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(&rest, "top <trace.jsonl> [--limit <n>]");
-            match load_trace(&path) {
-                Ok(events) => {
-                    print!("{}", top::top(&events, limit));
-                    0
-                }
-                Err(e) => fail(&e),
-            }
-        }
-        Some("tree") => {
-            let (rest, allow_truncated) = take_flag(&args[1..], "--allow-truncated");
-            let [path] = positional::<1>(&rest, "tree <trace.jsonl> [--allow-truncated]");
-            match load_events(&path, allow_truncated) {
-                Ok(events) => {
-                    print!("{}", tree::tree(&events));
-                    0
-                }
-                Err(e) => fail(&e),
-            }
-        }
-        Some("coverage") => {
-            let mut min = None;
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--min" => match it.next().map(|n| n.parse::<f64>()) {
-                        Some(Ok(v)) if (0.0..=100.0).contains(&v) => min = Some(v),
-                        _ => usage_exit("--min requires a percentage in 0..=100"),
-                    },
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(&rest, "coverage <trace.jsonl> [--min <pct>]");
-            match load_trace(&path) {
-                Ok(events) => {
-                    print!("{}", coverage::coverage(&events, min));
-                    match min {
-                        Some(m) if !coverage::gate(&events, m) => 1,
-                        _ => 0,
-                    }
-                }
-                Err(e) => fail(&e),
-            }
-        }
-        Some("flame") => {
-            let mut metric = flame::Metric::SolverNodes;
-            let mut allow_truncated = false;
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--metric" => match it.next() {
-                        Some(m) => match flame::Metric::parse(m) {
-                            Ok(v) => metric = v,
-                            Err(e) => usage_exit(&e),
-                        },
-                        None => usage_exit("--metric requires a value"),
-                    },
-                    "--allow-truncated" => allow_truncated = true,
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(
-                &rest,
-                "flame <trace.jsonl> [--metric <m>] [--allow-truncated]",
-            );
-            match load_events(&path, allow_truncated) {
-                Ok(events) => {
-                    print!("{}", flame::flame(&events, metric));
-                    0
-                }
-                Err(e) => fail(&e),
-            }
-        }
-        Some("hotspots") => {
-            let mut opts = hotspots::Opts::default();
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--metric" => match it.next() {
-                        Some(m) => match hotspots::parse_metric(m) {
-                            Ok(v) => opts.metric = v,
-                            Err(e) => usage_exit(&e),
-                        },
-                        None => usage_exit("--metric requires a value"),
-                    },
-                    "--top" => match it.next().map(|n| n.parse::<usize>()) {
-                        Some(Ok(n)) if n >= 1 => opts.top = n,
-                        _ => usage_exit("--top requires a positive integer"),
-                    },
-                    "--min-pct" => match it.next().map(|n| n.parse::<f64>()) {
-                        Some(Ok(v)) if (0.0..=100.0).contains(&v) => {
-                            opts.min_millipct = (v * 10.0).round() as u64;
-                        }
-                        _ => usage_exit("--min-pct requires a percentage in 0..=100"),
-                    },
-                    "--format" => match it.next() {
-                        Some(f) => match hotspots::Format::parse(f) {
-                            Ok(v) => opts.format = v,
-                            Err(e) => usage_exit(&e),
-                        },
-                        None => usage_exit("--format requires text, json or flame"),
-                    },
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(
-                &rest,
-                "hotspots <trace.jsonl> [--metric <dim>] [--top <n>] \
-                 [--min-pct <pct>] [--format text|json|flame]",
-            );
-            match load_trace(&path) {
-                Ok(events) => {
-                    print!("{}", hotspots::hotspots(&events, &opts));
-                    0
-                }
-                Err(e) => fail(&e),
-            }
-        }
-        Some("explain") => {
-            let [path, rank] = positional::<2>(&args[1..], "explain <trace.jsonl> <rank>");
-            let rank: u64 = match rank.parse() {
-                Ok(r) => r,
-                Err(_) => usage_exit("explain requires a numeric 1-based rank"),
-            };
-            match load_trace(&path) {
-                Ok(events) => match explain::explain(&events, rank) {
-                    Ok(text) => {
-                        print!("{text}");
-                        0
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        1
-                    }
-                },
-                Err(e) => fail(&e),
-            }
-        }
-        Some("calib") => {
-            let mut json = false;
-            let mut min_corr = None;
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--format" => match it.next().map(String::as_str) {
-                        Some("text") => json = false,
-                        Some("json") => json = true,
-                        _ => usage_exit("--format requires `text` or `json`"),
-                    },
-                    "--min-corr" => match it.next().map(|n| n.parse::<i64>()) {
-                        Some(Ok(v)) if (-1000..=1000).contains(&v) => min_corr = Some(v),
-                        _ => usage_exit("--min-corr requires a per-mille value in -1000..=1000"),
-                    },
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(
-                &rest,
-                "calib <trace.jsonl> [--format text|json] [--min-corr <milli>]",
-            );
-            match load_trace(&path) {
-                Ok(events) => {
-                    print!("{}", calib::calib(&events, json));
-                    match min_corr.map(|m| calib::gate(&events, m)) {
-                        Some(Err(e)) => {
-                            eprintln!("error: {e}");
-                            1
-                        }
-                        _ => 0,
-                    }
-                }
-                Err(e) => fail(&e),
-            }
-        }
-        Some("watch") => {
-            let mut interval = 500u64;
-            let mut once = false;
-            let mut allow_truncated = false;
-            let mut no_color = false;
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--interval" => match it.next().map(|n| n.parse::<u64>()) {
-                        Some(Ok(ms)) if ms >= 1 => interval = ms,
-                        _ => usage_exit("--interval requires a positive millisecond count"),
-                    },
-                    "--once" => once = true,
-                    "--allow-truncated" => allow_truncated = true,
-                    "--no-color" => no_color = true,
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(
-                &rest,
-                "watch <trace.jsonl> [--interval <ms>] [--once] [--allow-truncated] [--no-color]",
-            );
-            watch::watch(&path, interval, once, allow_truncated, no_color)
-        }
         Some("live") => {
             let mut opts = live::LiveOpts {
                 interval_ms: 500,
@@ -437,34 +165,209 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Loads a trace under the flagged parser contract: strict by default,
-/// tolerant with `--allow-truncated`.
-fn load_events(
-    path: &str,
-    allow_truncated: bool,
-) -> Result<Vec<statsym_telemetry::TraceEvent>, String> {
-    if allow_truncated {
-        Ok(load_trace_truncated(path)?.0)
-    } else {
-        load_trace(path)
+/// Runs one command over a single trace file. `--allow-truncated`, the
+/// one flag they all share, is already split out of `args`; every
+/// trace view then reads the file once, as a [`RunView`].
+fn trace_view(cmd: &str, args: &[String], allow_truncated: bool) -> i32 {
+    let load = |path: &str| match RunView::load(path, allow_truncated) {
+        Ok(view) => view,
+        Err(e) => fail(&e),
+    };
+    let mut rest = Vec::new();
+    let mut it = args.iter();
+    match cmd {
+        "report" => {
+            let mut json = false;
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--format" => json = json_format(it.next()),
+                    _ => rest.push(a.clone()),
+                }
+            }
+            let [path] = positional::<1>(
+                &rest,
+                "report <trace.jsonl> [--format text|json] [--allow-truncated]",
+            );
+            let view = load(&path);
+            if json {
+                println!("{}", view.summary.render_json());
+            } else {
+                print!("{}", report::report(&view));
+            }
+            0
+        }
+        "tree" => {
+            let mut flame = false;
+            let mut metric = None;
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--format" => match it.next().map(String::as_str) {
+                        Some("text") => flame = false,
+                        Some("flame") => flame = true,
+                        _ => usage_exit("--format requires `text` or `flame`"),
+                    },
+                    "--metric" => match it.next() {
+                        Some(m) => match tree::Metric::parse(m) {
+                            Ok(v) => metric = Some(v),
+                            Err(e) => usage_exit(&e),
+                        },
+                        None => usage_exit("--metric requires a value"),
+                    },
+                    _ => rest.push(a.clone()),
+                }
+            }
+            let [path] = positional::<1>(
+                &rest,
+                "tree <trace.jsonl> [--format text|flame] [--metric <m>] [--allow-truncated]",
+            );
+            let text = match (flame, metric) {
+                (false, None) => tree::tree(&load(&path)),
+                (false, Some(_)) => usage_exit("--metric applies to --format flame"),
+                (true, m) => tree::flame(&load(&path), m.unwrap_or(tree::Metric::SolverNodes)),
+            };
+            print!("{text}");
+            0
+        }
+        "coverage" => {
+            let mut min = None;
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--min" => match it.next().map(|n| n.parse::<f64>()) {
+                        Some(Ok(v)) if (0.0..=100.0).contains(&v) => min = Some(v),
+                        _ => usage_exit("--min requires a percentage in 0..=100"),
+                    },
+                    _ => rest.push(a.clone()),
+                }
+            }
+            let [path] = positional::<1>(
+                &rest,
+                "coverage <trace.jsonl> [--min <pct>] [--allow-truncated]",
+            );
+            let view = load(&path);
+            print!("{}", coverage::coverage(&view, min));
+            i32::from(min.is_some_and(|m| !coverage::gate(&view, m)))
+        }
+        "hotspots" => {
+            let mut opts = hotspots::Opts::default();
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--metric" => match it.next() {
+                        Some(m) => match hotspots::parse_metric(m) {
+                            Ok(v) => opts.metric = v,
+                            Err(e) => usage_exit(&e),
+                        },
+                        None => usage_exit("--metric requires a value"),
+                    },
+                    "--top" => match it.next().map(|n| n.parse::<usize>()) {
+                        Some(Ok(n)) if n >= 1 => opts.top = n,
+                        _ => usage_exit("--top requires a positive integer"),
+                    },
+                    "--min-pct" => match it.next().map(|n| n.parse::<f64>()) {
+                        Some(Ok(v)) if (0.0..=100.0).contains(&v) => {
+                            opts.min_millipct = (v * 10.0).round() as u64;
+                        }
+                        _ => usage_exit("--min-pct requires a percentage in 0..=100"),
+                    },
+                    "--format" => match it.next() {
+                        Some(f) => match hotspots::Format::parse(f) {
+                            Ok(v) => opts.format = v,
+                            Err(e) => usage_exit(&e),
+                        },
+                        None => usage_exit("--format requires text, json or flame"),
+                    },
+                    _ => rest.push(a.clone()),
+                }
+            }
+            let [path] = positional::<1>(
+                &rest,
+                "hotspots <trace.jsonl> [--metric <dim>] [--top <n>] \
+                 [--min-pct <pct>] [--format text|json|flame] [--allow-truncated]",
+            );
+            print!("{}", hotspots::hotspots(&load(&path), &opts));
+            0
+        }
+        "explain" => {
+            let [path, rank] =
+                positional::<2>(args, "explain <trace.jsonl> <rank> [--allow-truncated]");
+            let rank: u64 = rank
+                .parse()
+                .unwrap_or_else(|_| usage_exit("explain requires a numeric 1-based rank"));
+            match explain::explain(&load(&path), rank) {
+                Ok(text) => {
+                    print!("{text}");
+                    0
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    1
+                }
+            }
+        }
+        "calib" => {
+            let mut json = false;
+            let mut min_corr = None;
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--format" => json = json_format(it.next()),
+                    "--min-corr" => match it.next().map(|n| n.parse::<i64>()) {
+                        Some(Ok(v)) if (-1000..=1000).contains(&v) => min_corr = Some(v),
+                        _ => usage_exit("--min-corr requires a per-mille value in -1000..=1000"),
+                    },
+                    _ => rest.push(a.clone()),
+                }
+            }
+            let [path] = positional::<1>(
+                &rest,
+                "calib <trace.jsonl> [--format text|json] [--min-corr <milli>] [--allow-truncated]",
+            );
+            let view = load(&path);
+            print!("{}", calib::calib(&view, json));
+            match min_corr.map(|m| calib::gate(&view, m)) {
+                Some(Err(e)) => {
+                    eprintln!("error: {e}");
+                    1
+                }
+                _ => 0,
+            }
+        }
+        "watch" => {
+            let mut interval = 500u64;
+            let mut once = false;
+            let mut no_color = false;
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--interval" => match it.next().map(|n| n.parse::<u64>()) {
+                        Some(Ok(ms)) if ms >= 1 => interval = ms,
+                        _ => usage_exit("--interval requires a positive millisecond count"),
+                    },
+                    "--once" => once = true,
+                    "--no-color" => no_color = true,
+                    _ => rest.push(a.clone()),
+                }
+            }
+            let [path] = positional::<1>(
+                &rest,
+                "watch <trace.jsonl> [--interval <ms>] [--once] [--allow-truncated] [--no-color]",
+            );
+            watch::watch(&path, interval, once, allow_truncated, no_color)
+        }
+        _ => unreachable!("main dispatches only trace commands here"),
+    }
+}
+
+/// Parses a `--format text|json` value: true for JSON.
+fn json_format(value: Option<&String>) -> bool {
+    match value.map(String::as_str) {
+        Some("text") => false,
+        Some("json") => true,
+        _ => usage_exit("--format requires `text` or `json`"),
     }
 }
 
 /// Splits one boolean flag out of `args`.
 fn take_flag(args: &[String], flag: &str) -> (Vec<String>, bool) {
-    let mut found = false;
-    let rest = args
-        .iter()
-        .filter(|a| {
-            if a.as_str() == flag {
-                found = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
+    let rest: Vec<String> = args.iter().filter(|a| *a != flag).cloned().collect();
+    let found = rest.len() < args.len();
     (rest, found)
 }
 

@@ -18,6 +18,7 @@ pub fn flatten(text: &str) -> Result<Vec<(String, f64)>, (usize, String)> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let mut out = Vec::new();
     p.skip_ws();
@@ -30,9 +31,15 @@ pub fn flatten(text: &str) -> Result<Vec<(String, f64)>, (usize, String)> {
     Ok(out)
 }
 
+/// Deepest object/array nesting accepted: the walk is recursive, so
+/// deeper input is refused before it can exhaust the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects/arrays currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -61,8 +68,8 @@ impl Parser<'_> {
 
     fn value(&mut self, path: String, out: &mut Vec<(String, f64)>) -> Result<(), (usize, String)> {
         match self.peek() {
-            Some(b'{') => self.object(path, out),
-            Some(b'[') => self.array(path, out),
+            Some(b'{') => self.nested(|p| p.object(path, out)),
+            Some(b'[') => self.nested(|p| p.array(path, out)),
             Some(b'"') => self.string().map(|_| ()),
             Some(b't') => self.literal("true"),
             Some(b'f') => self.literal("false"),
@@ -74,6 +81,21 @@ impl Parser<'_> {
             }
             _ => Err((self.pos, "expected a JSON value".into())),
         }
+    }
+
+    /// Runs `parse` on an object or array one nesting level deeper,
+    /// refusing to go past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<(), (usize, String)>,
+    ) -> Result<(), (usize, String)> {
+        if self.depth == MAX_DEPTH {
+            return Err((self.pos, format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        parse(self)?;
+        self.depth -= 1;
+        Ok(())
     }
 
     fn object(

@@ -1,13 +1,63 @@
 //! `statsym-inspect tree`: render the exploration tree of a
 //! `--lineage` trace, one tree per engine run, with suspend-cause
 //! annotations and per-subtree work rollups.
+//!
+//! `--format flame` renders the same forest as a collapsed-stack
+//! flamegraph of where solver effort (or executor steps) went, keyed by
+//! fork lineage: each state's stack is the chain of SIR locations where
+//! it and its ancestors were forked, root first, and the weight is the
+//! work billed directly to that state. The output is the standard
+//! collapsed-stack format (`frame;frame;frame weight`, one line per
+//! unique stack, lexicographically sorted for determinism), which
+//! `inferno`, speedscope, and `flamegraph.pl` all accept as-is.
+
+use std::collections::{BTreeMap, HashMap};
 
 use crate::forest::{Forest, Status, Work};
-use statsym_telemetry::TraceEvent;
+use crate::RunView;
 
-/// Renders the exploration forest of a parsed trace.
-pub fn tree(events: &[TraceEvent]) -> String {
-    let forest = Forest::from_events(events);
+/// Which per-state weight the flamegraph plots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Solver search-tree nodes (the default: deterministic and the
+    /// best proxy for solver effort under the step clock).
+    SolverNodes,
+    /// Solver wall-clock µs (all zeros under the deterministic step
+    /// clock — record with `--clock wall` to use this).
+    SolverUs,
+    /// Executor steps.
+    Steps,
+}
+
+impl Metric {
+    /// Parses the `--metric` flag value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message for unknown metrics.
+    pub fn parse(s: &str) -> Result<Metric, String> {
+        match s {
+            "solver-nodes" => Ok(Metric::SolverNodes),
+            "solver-us" => Ok(Metric::SolverUs),
+            "steps" => Ok(Metric::Steps),
+            other => Err(format!(
+                "unknown metric `{other}`; use solver-nodes, solver-us, or steps"
+            )),
+        }
+    }
+
+    fn of(self, w: Work) -> u64 {
+        match self {
+            Metric::SolverNodes => w.snodes,
+            Metric::SolverUs => w.solver_us,
+            Metric::Steps => w.steps,
+        }
+    }
+}
+
+/// Renders the exploration forest of a loaded trace.
+pub fn tree(view: &RunView) -> String {
+    let forest = view.forest();
     if forest.nodes.is_empty() {
         return "no lineage events in trace (record with --trace <path> --lineage)\n".to_string();
     }
@@ -40,7 +90,7 @@ pub fn tree(events: &[TraceEvent]) -> String {
                 String::new()
             },
         ));
-        render_node(&forest, &subtree, root, "", true, 0, &mut out);
+        render_node(forest, &subtree, root, "", true, 0, &mut out);
     }
     out
 }
@@ -127,11 +177,50 @@ fn work_label(w: Work) -> String {
     s
 }
 
+/// Renders the forest as collapsed-stack lines (`--format flame`).
+pub fn flame(view: &RunView, metric: Metric) -> String {
+    let forest = view.forest();
+    // Walk each tree root-first so every node sees its ancestors'
+    // frames already joined; introduction order guarantees parents
+    // come before children in `nodes`.
+    let mut frames: Vec<String> = Vec::with_capacity(forest.nodes.len());
+    let mut parent_of: HashMap<u64, usize> = HashMap::new();
+    let mut stacks = Vec::with_capacity(forest.nodes.len());
+    for (at, n) in forest.nodes.iter().enumerate() {
+        parent_of.insert(n.id, at);
+        let stack = match parent_of.get(&n.parent) {
+            Some(&p) if n.parent != 0 => format!("{};{}", frames[p], n.birth_loc),
+            _ => n.birth_loc.clone(),
+        };
+        stacks.push((stack.clone(), metric.of(n.own)));
+        frames.push(stack);
+    }
+    collapsed(stacks)
+}
+
+/// The collapsed-stack format every flamegraph export uses: one
+/// `stack weight` line per unique stack, identical stacks summed,
+/// zero weights dropped, lexicographically sorted for determinism.
+pub(crate) fn collapsed(stacks: impl IntoIterator<Item = (String, u64)>) -> String {
+    let mut merged: BTreeMap<String, u64> = BTreeMap::new();
+    for (stack, weight) in stacks {
+        if weight > 0 {
+            *merged.entry(stack).or_default() += weight;
+        }
+    }
+    merged
+        .iter()
+        .map(|(stack, weight)| format!("{stack} {weight}\n"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use statsym_telemetry::lineage_op;
+    use statsym_telemetry::{lineage_op, TraceEvent};
 
+    /// A lineage event billing `steps` executor steps and, for every
+    /// ten steps, one solver node.
     fn state(op: &str, id: u64, par: u64, loc: &str, steps: u64) -> TraceEvent {
         TraceEvent::State {
             t: 0,
@@ -142,7 +231,7 @@ mod tests {
             hops: 0,
             depth: 0,
             steps,
-            snodes: 0,
+            snodes: steps / 10,
             sus: 0,
         }
     }
@@ -159,7 +248,7 @@ mod tests {
             state(lineage_op::FAULT, 3, 0, "vul:b2", 4),
             state(lineage_op::EXIT, 1, 0, "exit", 1),
         ];
-        let text = tree(&events);
+        let text = tree(&RunView::from_events(events));
         assert!(text.contains("1 run(s), 3 states"), "{text}");
         assert!(text.contains("#1 main:b0 [exit]"), "{text}");
         assert!(
@@ -174,6 +263,35 @@ mod tests {
 
     #[test]
     fn no_lineage_message() {
-        assert!(tree(&[]).contains("no lineage events"));
+        assert!(tree(&RunView::from_events(Vec::new())).contains("no lineage events"));
+    }
+
+    #[test]
+    fn flame_stacks_follow_fork_lineage_and_merge() {
+        // Solver nodes are a tenth of the steps.
+        let view = RunView::from_events(vec![
+            state(lineage_op::ROOT, 1, 0, "main:b0", 0),
+            state(lineage_op::FORK, 2, 1, "main:b2", 50), // billed to #1
+            state(lineage_op::FORK, 3, 2, "g:b1", 70),    // billed to #2
+            state(lineage_op::EXIT, 3, 0, "exit", 20),
+            state(lineage_op::EXIT, 2, 0, "exit", 10),
+            state(lineage_op::EXIT, 1, 0, "exit", 40),
+            // Second run re-uses the same root loc: stacks merge.
+            state(lineage_op::ROOT, 4, 0, "main:b0", 30),
+        ]);
+        let text = flame(&view, Metric::SolverNodes);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            vec![
+                "main:b0 12",             // #1: 5+4, plus #4's 3
+                "main:b0;main:b2 8",      // #2: 7 fork + 1 exit
+                "main:b0;main:b2;g:b1 2", // #3
+            ]
+        );
+        let steps = flame(&view, Metric::Steps);
+        assert!(steps.contains("main:b0;main:b2;g:b1 20"), "{steps}");
+        // Zero weights are dropped: the step clock records no solver µs.
+        assert_eq!(flame(&view, Metric::SolverUs), "");
     }
 }

@@ -15,8 +15,9 @@
 //! ([`dashboard`]), so it is unit-testable without a filesystem or a
 //! terminal; the polling loop ([`watch`]) owns all the I/O.
 
-use crate::forest::{Forest, Status, Work};
-use statsym_telemetry::{names, parse_trace_truncated, TraceEvent};
+use crate::forest::{Status, Work};
+use crate::RunView;
+use statsym_telemetry::{names, TraceEvent};
 
 /// One rendered dashboard frame plus the run-ended flag.
 #[derive(Debug)]
@@ -28,9 +29,9 @@ pub struct Frame {
     pub done: bool,
 }
 
-/// Builds a dashboard frame from a parsed (possibly truncated) trace.
-pub fn dashboard(events: &[TraceEvent], truncated: bool) -> Frame {
-    let forest = Forest::from_events(events);
+/// Builds a dashboard frame from a loaded (possibly truncated) trace.
+pub fn dashboard(view: &RunView) -> Frame {
+    let (events, forest, s) = (&view.events, view.forest(), &view.summary);
     let mut total = Work::default();
     for n in &forest.nodes {
         total = total.plus(n.own);
@@ -51,43 +52,28 @@ pub fn dashboard(events: &[TraceEvent], truncated: bool) -> Frame {
         }
     }
 
-    let mut attempts_open = 0u64;
-    let mut attempts_closed = 0u64;
-    let mut found = 0u64;
-    let mut counters: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    let mut open_ids: Vec<u64> = Vec::new();
-    for ev in events {
-        match ev {
-            TraceEvent::SpanOpen { id, name, .. } if name == names::CANDIDATE_ATTEMPT => {
-                attempts_open += 1;
-                open_ids.push(*id);
-            }
-            TraceEvent::SpanClose { id, .. } if open_ids.contains(id) => {
-                open_ids.retain(|o| o != id);
-                attempts_closed += 1;
-            }
-            TraceEvent::Event { name, fields, .. } if name == names::CANDIDATE_RESULT => {
-                let hit = fields
-                    .iter()
-                    .find(|(k, _)| k == "found")
-                    .and_then(|(_, v)| v.as_str());
-                if hit == Some("true") {
-                    found += 1;
-                }
-            }
-            TraceEvent::Counter { name, value } => {
-                counters.insert(name.as_str(), *value);
-            }
-            _ => {}
-        }
-    }
-    let done = !counters.is_empty();
+    let started = events
+        .iter()
+        .filter(
+            |e| matches!(e, TraceEvent::SpanOpen { name, .. } if name == names::CANDIDATE_ATTEMPT),
+        )
+        .count();
+    let finished: Vec<_> = crate::coverage::attempts(events)
+        .into_iter()
+        .filter(|a| !a.overshoot)
+        .collect();
+    let found = finished.iter().filter(|a| a.found).count();
+    let done = !s.counters.is_empty();
 
     let mut out = String::new();
     out.push_str(&format!(
         "StatSym watch — {} event(s){}{}\n\n",
         events.len(),
-        if truncated { ", partial tail line" } else { "" },
+        if view.truncated {
+            ", partial tail line"
+        } else {
+            ""
+        },
         if done { ", run complete" } else { ", running" },
     ));
     out.push_str(&format!(
@@ -120,16 +106,12 @@ pub fn dashboard(events: &[TraceEvent], truncated: bool) -> Frame {
         total.steps, total.snodes, total.solver_us,
     ));
     out.push_str(&format!(
-        "  attempts  {:>8} started {:>7} finished    {found:>5} found\n",
-        attempts_open, attempts_closed,
+        "  attempts  {started:>8} started {:>7} finished    {found:>5} found\n",
+        finished.len(),
     ));
     if done {
-        let queries = counters.get(names::SOLVER_QUERIES).copied().unwrap_or(0);
-        let hits = counters.get(names::SOLVER_CACHE_HITS).copied().unwrap_or(0)
-            + counters
-                .get(names::SOLVER_SHARED_HITS)
-                .copied()
-                .unwrap_or(0);
+        let queries = s.counter(names::SOLVER_QUERIES);
+        let hits = s.counter(names::SOLVER_CACHE_HITS) + s.counter(names::SOLVER_SHARED_HITS);
         let rate = if queries + hits == 0 {
             0.0
         } else {
@@ -162,56 +144,33 @@ pub fn watch(
     allow_truncated: bool,
     no_color: bool,
 ) -> i32 {
-    let make_screen = || {
-        if no_color {
-            crate::tail::Screen::plain()
-        } else {
-            crate::tail::Screen::new()
-        }
+    let mut screen = if no_color {
+        crate::tail::Screen::plain()
+    } else {
+        crate::tail::Screen::new()
     };
-    if once && !allow_truncated {
-        // One strict frame, same acceptance rules as `report`.
-        let events = match crate::load_trace(path) {
-            Ok(ev) => ev,
+    let mut backoff = crate::tail::Backoff::new(interval_ms);
+    let mut last_len: Option<u64> = None;
+    loop {
+        let len = std::fs::metadata(path).map(|m| m.len()).ok();
+        let view = match RunView::load(path, allow_truncated || !once) {
+            Ok(view) => view,
             Err(e) => {
                 eprintln!("error: {e}");
                 return 2;
             }
         };
-        let mut screen = make_screen();
-        screen.draw(&dashboard(&events, false).text);
-        return 0;
-    }
-    let mut screen = make_screen();
-    let mut backoff = crate::tail::Backoff::new(interval_ms);
-    let mut last_len: Option<u64> = None;
-    loop {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {path}: cannot read trace: {e}");
-                return 2;
-            }
-        };
-        let (events, truncated) = match parse_trace_truncated(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {path}:{}: {}", e.line, e.reason);
-                return 2;
-            }
-        };
-        let frame = dashboard(&events, truncated);
+        let frame = dashboard(&view);
         screen.draw(&frame.text);
         if frame.done || once {
             return 0;
         }
-        let grown = last_len != Some(text.len() as u64);
-        last_len = Some(text.len() as u64);
-        let delay = if grown {
+        let delay = if last_len != len {
             backoff.active()
         } else {
             backoff.idle()
         };
+        last_len = len;
         std::thread::sleep(delay);
     }
 }
@@ -262,7 +221,10 @@ mod tests {
             state(lineage_op::FORK, 2, 1, 1),
             state(lineage_op::SUSPEND_TAU, 2, 1, 3),
         ];
-        let frame = dashboard(&events, true);
+        let frame = dashboard(&RunView {
+            truncated: true,
+            ..RunView::from_events(events)
+        });
         assert!(!frame.done);
         assert!(frame.text.contains("partial tail line"), "{}", frame.text);
         assert!(frame.text.contains(", running"), "{}", frame.text);
@@ -292,7 +254,7 @@ mod tests {
         );
         rec.counter_add(names::SOLVER_QUERIES, 30);
         rec.counter_add(names::SOLVER_CACHE_HITS, 10);
-        let frame = dashboard(&rec.finish(), false);
+        let frame = dashboard(&RunView::from_events(rec.finish()));
         assert!(frame.done);
         assert!(frame.text.contains("run complete"), "{}", frame.text);
         assert!(frame.text.contains("1 found"), "{}", frame.text);

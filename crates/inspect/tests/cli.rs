@@ -150,7 +150,9 @@ fn usage_errors_exit_two() {
         &["frobnicate"][..],
         &["diff", "only-one-file"][..],
         &["diff", "a", "b", "--threshold", "nope"][..],
-        &["top", "x", "--limit", "0"][..],
+        &["tree", "x", "--format", "flame", "--metric", "bogus"][..],
+        &["tree", "x", "--metric", "steps"][..],
+        &["report", "x", "--limit", "1"][..],
     ] {
         let out = inspect(args);
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
@@ -272,9 +274,9 @@ fn diff_threshold_boundary_is_strict_and_nan_is_rejected() {
 }
 
 #[test]
-fn critical_path_and_top_render_fixture() {
+fn report_shows_attempts_and_solver_callsites() {
     let base = fixture("base.jsonl");
-    let out = inspect(&["critical-path", base.to_str().unwrap()]);
+    let out = inspect(&["report", base.to_str().unwrap()]);
     assert!(out.status.success());
     let text = stdout(&out);
     assert!(
@@ -282,10 +284,6 @@ fn critical_path_and_top_render_fixture() {
         "{text}"
     );
     assert!(text.contains("bounding attempt: rank 0"), "{text}");
-
-    let out = inspect(&["top", base.to_str().unwrap()]);
-    assert!(out.status.success());
-    let text = stdout(&out);
     assert!(text.contains("feasibility"), "{text}");
     assert!(text.contains("94.0% attributed"), "{text}");
 }
@@ -346,7 +344,7 @@ fn coverage_matches_golden_on_pinned_testkit_seed() {
 }
 
 #[test]
-fn tree_flame_and_watch_render_lineage_trace() {
+fn tree_and_watch_render_lineage_trace() {
     let dir = std::env::temp_dir().join(format!("statsym-inspect-lin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace = lineage_trace(&dir);
@@ -358,7 +356,7 @@ fn tree_flame_and_watch_render_lineage_trace() {
     assert!(text.contains("└─"), "{text}");
     assert!(text.contains("subtree"), "{text}");
 
-    let out = inspect(&["flame", trace.to_str().unwrap()]);
+    let out = inspect(&["tree", trace.to_str().unwrap(), "--format", "flame"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
     assert!(!text.is_empty(), "flame output empty");
@@ -368,7 +366,14 @@ fn tree_flame_and_watch_render_lineage_trace() {
         weight.parse::<u64>().expect("numeric weight");
     }
     // steps weights differ from the solver-node default.
-    let out = inspect(&["flame", trace.to_str().unwrap(), "--metric", "steps"]);
+    let out = inspect(&[
+        "tree",
+        trace.to_str().unwrap(),
+        "--format",
+        "flame",
+        "--metric",
+        "steps",
+    ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert_ne!(stdout(&out), text);
 
@@ -528,32 +533,69 @@ fn malformed_provenance_events_are_rejected() {
 fn watch_once_matches_report_on_truncated_traces() {
     let dir = std::env::temp_dir().join(format!("statsym-inspect-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    // A mid-write trace: valid meta line, then half an event line.
+    // A mid-write trace: valid meta line, one calibration record (so
+    // `explain 1` has something to explain), then half an event line.
     let cut = temp_trace(
         &dir,
         "cut.jsonl",
-        "{\"k\":\"meta\",\"clock\":\"steps\",\"version\":1}\n{\"k\":\"event\",\"t\":0,\"na",
+        "{\"k\":\"meta\",\"clock\":\"steps\",\"version\":1}\n\
+         {\"k\":\"event\",\"t\":0,\"name\":\"calib.candidate\",\"fields\":{\"rank\":1,\
+         \"score_milli\":4200,\"path_len\":3,\"steps\":100,\"forks\":2,\"snodes\":600,\
+         \"found\":0}}\n{\"k\":\"event\",\"t\":0,\"na",
     );
     let path = cut.to_str().unwrap();
+    let views: [&[&str]; 9] = [
+        &["report", path],
+        &["report", path, "--format", "json"],
+        &["tree", path],
+        &["tree", path, "--format", "flame"],
+        &["coverage", path],
+        &["hotspots", path],
+        &["explain", path, "1"],
+        &["calib", path],
+        &["watch", path, "--once"],
+    ];
 
-    // Strict by default: both commands reject the torn tail with exit 2.
-    for args in [&["report", path][..], &["watch", path, "--once"][..]] {
+    // Strict by default: every view rejects the torn tail with exit 2.
+    for args in views {
         let out = inspect(args);
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
-        assert!(!stderr(&out).is_empty(), "args: {args:?}");
+        assert!(stderr(&out).contains(":3:"), "args: {args:?}");
     }
-    // --allow-truncated: both accept it with exit 0.
-    for args in [
-        &["report", path, "--allow-truncated"][..],
-        &["watch", path, "--once", "--allow-truncated"][..],
-    ] {
-        let out = inspect(args);
+    // --allow-truncated: every view accepts it with exit 0.
+    for args in views {
+        let args = [args, &["--allow-truncated"]].concat();
+        let out = inspect(&args);
         assert_eq!(
             out.status.code(),
             Some(0),
             "args: {args:?} {}",
             stderr(&out)
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_json_is_a_parse_error_not_a_crash() {
+    let dir = std::env::temp_dir().join(format!("statsym-inspect-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = format!("{{\"k\":{}\n", "[".repeat(100_000));
+    let trace = temp_trace(
+        &dir,
+        "deep.jsonl",
+        &format!("{{\"k\":\"meta\",\"clock\":\"steps\",\"version\":1}}\n{deep}"),
+    );
+    let json = temp_trace(&dir, "deep.json", &deep);
+    let archive = temp_trace(&dir, "history.jsonl", &deep);
+    for args in [
+        &["report", trace.to_str().unwrap()][..],
+        &["diff", json.to_str().unwrap(), json.to_str().unwrap()][..],
+        &["history", archive.to_str().unwrap()][..],
+    ] {
+        let out = inspect(args);
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        assert!(stderr(&out).contains("nesting"), "{}", stderr(&out));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

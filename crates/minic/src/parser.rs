@@ -34,18 +34,44 @@ pub fn parse_program(src: &str) -> Result<Program> {
 /// Returns the first lexical or syntactic error.
 pub fn parse_program_unchecked(src: &str) -> Result<Program> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut program = parser.program()?;
     program.source = src.to_owned();
     Ok(program)
 }
 
+/// Deepest nesting of statements and expressions the parser accepts.
+/// Parsing is recursive descent, so deeper input is refused with an
+/// error before it can exhaust the stack.
+const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Statements and expressions currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `parse` one nesting level deeper, refusing to go past
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::new(
+                self.span(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -204,7 +230,7 @@ impl Parser {
         self.expect(&TokenKind::LBrace)?;
         let mut stmts = Vec::new();
         while !self.eat(&TokenKind::RBrace) {
-            stmts.push(self.stmt()?);
+            stmts.push(self.nested(Self::stmt)?);
         }
         Ok(Block { stmts })
     }
@@ -299,7 +325,7 @@ impl Parser {
         let else_blk = if self.eat(&TokenKind::KwElse) {
             if self.peek() == &TokenKind::KwIf {
                 // `else if` sugar: wrap the nested if in a one-statement block.
-                let nested = self.if_stmt()?;
+                let nested = self.nested(Self::if_stmt)?;
                 Some(Block {
                     stmts: vec![nested],
                 })
@@ -320,7 +346,7 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -398,7 +424,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Minus => {
                 self.bump();
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 Ok(Expr {
                     kind: ExprKind::Un {
                         op: UnOp::Neg,
@@ -409,7 +435,7 @@ impl Parser {
             }
             TokenKind::Bang => {
                 self.bump();
-                let operand = self.unary_expr()?;
+                let operand = self.nested(Self::unary_expr)?;
                 Ok(Expr {
                     kind: ExprKind::Un {
                         op: UnOp::Not,
@@ -545,6 +571,52 @@ mod tests {
     #[test]
     fn rejects_top_level_statement() {
         assert!(parse_program("let x: int = 1;").is_err());
+    }
+
+    /// A `main` whose `let` initializer is `1` inside 100 000 `open`
+    /// prefixes and `close` suffixes: far past the nesting limit.
+    fn deeply_nested(open: &str, close: &str) -> String {
+        let n = 100_000;
+        format!(
+            "fn main() {{ let x: int = {}1{}; }}",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    }
+
+    fn assert_too_deep(src: &str) {
+        let err = parse_program(src).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn deep_parentheses_are_a_parse_error() {
+        assert_too_deep(&deeply_nested("(", ")"));
+        // Nesting up to the limit still parses (the `let` statement and
+        // its initializer take two of the levels).
+        let n = MAX_NESTING - 2;
+        let src = format!(
+            "fn main() {{ let x: int = {}1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        );
+        parse_program(&src).unwrap();
+    }
+
+    #[test]
+    fn deep_unary_chains_are_a_parse_error() {
+        assert_too_deep(&deeply_nested("-", ""));
+        assert_too_deep(&deeply_nested("!", ""));
+    }
+
+    #[test]
+    fn deep_blocks_are_a_parse_error() {
+        let n = 100_000;
+        assert_too_deep(&format!(
+            "fn main() {{ {}return;{} }}",
+            "if (true) { ".repeat(n),
+            " }".repeat(n)
+        ));
     }
 
     #[test]

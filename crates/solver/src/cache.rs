@@ -19,9 +19,7 @@
 //!
 //! [`SharedCache`] is the concurrent implementation: N mutex-guarded
 //! shards indexed by the low bits of the fingerprint, with lock-free
-//! hit/miss/contention counters. [`LocalVerdictCache`] is the
-//! single-threaded implementation of the same trait, for callers that
-//! want cross-attempt reuse without threads.
+//! hit/miss/contention counters.
 
 use crate::solve::{Model, SatResult};
 use std::collections::{HashMap, VecDeque};
@@ -404,34 +402,6 @@ impl Default for UnsatCache {
     }
 }
 
-/// Single-threaded [`QueryCache`]: one plain map behind a `RefCell`.
-/// Useful for cross-attempt verdict reuse without spawning workers.
-#[derive(Debug, Default)]
-pub struct LocalVerdictCache {
-    map: std::cell::RefCell<HashMap<u64, CachedVerdict>>,
-}
-
-impl LocalVerdictCache {
-    /// Creates an empty cache.
-    pub fn new() -> LocalVerdictCache {
-        LocalVerdictCache::default()
-    }
-}
-
-impl QueryCache for LocalVerdictCache {
-    fn lookup(&self, key: u64) -> Option<CachedVerdict> {
-        self.map.borrow().get(&key).copied()
-    }
-
-    fn publish(&self, key: u64, verdict: CachedVerdict) {
-        self.map.borrow_mut().insert(key, verdict);
-    }
-
-    fn entries(&self) -> usize {
-        self.map.borrow().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,15 +461,6 @@ mod tests {
             };
             assert_eq!(cache.lookup(key), Some(want));
         }
-    }
-
-    #[test]
-    fn local_cache_implements_the_trait() {
-        let c = LocalVerdictCache::new();
-        assert_eq!(c.lookup(1), None);
-        c.publish(1, CachedVerdict::Sat);
-        assert_eq!(c.lookup(1), Some(CachedVerdict::Sat));
-        assert_eq!(c.entries(), 1);
     }
 
     #[test]

@@ -39,8 +39,7 @@ pub mod solve;
 pub mod term;
 
 pub use cache::{
-    CachedVerdict, LocalVerdictCache, QueryCache, SharedCache, SharedCacheStats, UcAnswer,
-    UnsatCache, UnsatCacheStats,
+    CachedVerdict, QueryCache, SharedCache, SharedCacheStats, UcAnswer, UnsatCache, UnsatCacheStats,
 };
 pub use interval::Interval;
 pub use solve::{Model, SatResult, Solver, SolverConfig, SolverStats};

@@ -340,7 +340,7 @@ impl Solver {
     /// query. Besides the global latency histogram, the query lands in
     /// the per-site hot-spot profile: `solver.site.<site>.queries` and
     /// `.nodes` counters plus a `.query_us` latency histogram
-    /// (wall-clock traces only). `statsym-inspect top` renders these.
+    /// (wall-clock traces only). `statsym-inspect report` renders these.
     pub fn check_traced_at(
         &mut self,
         ctx: &TermCtx,

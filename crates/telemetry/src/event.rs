@@ -890,10 +890,16 @@ pub(crate) mod json {
         }
     }
 
+    /// Deepest object/array nesting accepted. The reader is recursive,
+    /// so deeper input is refused before it can exhaust the stack; the
+    /// canonical formats nest at most a few levels.
+    pub const MAX_DEPTH: usize = 128;
+
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -907,6 +913,8 @@ pub(crate) mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Objects/arrays currently open around `pos`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -940,8 +948,8 @@ pub(crate) mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.keyword("true", Value::Bool(true)),
                 Some(b'f') => self.keyword("false", Value::Bool(false)),
@@ -949,6 +957,24 @@ pub(crate) mod json {
                 Some(b'-') | Some(b'0'..=b'9') => self.number(),
                 other => Err(format!("unexpected byte {other:?} at {}", self.pos)),
             }
+        }
+
+        /// Runs `parse` on an object or array one nesting level deeper,
+        /// refusing to go past [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let v = parse(self);
+            self.depth -= 1;
+            v
         }
 
         fn keyword(&mut self, kw: &str, v: Value) -> Result<Value, String> {

@@ -40,8 +40,8 @@ pub use recorder::{
     SharedBuf, Span, TraceBuffer, NOOP, TRACE_VERSION,
 };
 pub use report::{
-    CalibCandidate, HistStat, SpanStat, SummaryBuilder, TraceSummary, REPORT_KIND,
-    REPORT_SCHEMA_VERSION,
+    render_calib_table, spearman_milli, CalibCandidate, HistStat, SpanStat, SummaryBuilder,
+    TraceSummary, REPORT_KIND, REPORT_SCHEMA_VERSION,
 };
 pub use stream::{
     EventSink, FanoutRecorder, FileSink, MemSink, SharedEvents, StreamFrame, StreamSink,
@@ -171,8 +171,8 @@ pub mod names {
     /// query with the site that issued it (`feasibility`, `concretize`,
     /// `fault_model`, `report_model`), and the solver emits
     /// `solver.site.<site>.queries`, `.nodes`, and a `.query_us`
-    /// latency histogram under this prefix. `statsym-inspect top`
-    /// renders them as the hot-spot profile.
+    /// latency histogram under this prefix. `statsym-inspect report`
+    /// renders them as its solver-callsites section.
     pub const SOLVER_SITE_PREFIX: &str = "solver.site.";
 
     /// Span: one portfolio (parallel candidate) execution.

@@ -140,6 +140,101 @@ impl CalibCandidate {
         }
         c
     }
+
+    /// Appends the record as one JSON object (stable key order,
+    /// integers only) — the candidate form both the JSON run report and
+    /// `statsym-inspect calib --format json` emit.
+    pub fn push_json(&self, s: &mut String) {
+        s.push_str(&format!(
+            "{{\"rank\":{},\"score_milli\":{},\"path_len\":{},\"steps\":{},\
+             \"forks\":{},\"snodes\":{},\"solver_us\":{},\"found\":{}}}",
+            self.rank,
+            self.score_milli,
+            self.path_len,
+            self.steps,
+            self.forks,
+            self.snodes,
+            self.solver_us,
+            u64::from(self.found)
+        ));
+    }
+}
+
+/// Renders calibration records as the predicted-vs-actual table: a
+/// header row, then one fixed-width row per record. The run report and
+/// `statsym-inspect calib` both print it.
+pub fn render_calib_table(out: &mut String, candidates: &[CalibCandidate]) {
+    out.push_str(&format!(
+        "  {:>4}  {:>11}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>5}\n",
+        "rank", "score_milli", "path_len", "steps", "forks", "snodes", "solver_us", "found"
+    ));
+    for c in candidates {
+        out.push_str(&format!(
+            "  {:>4}  {:>11}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>5}\n",
+            c.rank,
+            c.score_milli,
+            c.path_len,
+            c.steps,
+            c.forks,
+            c.snodes,
+            c.solver_us,
+            if c.found { "yes" } else { "no" }
+        ));
+    }
+}
+
+/// Spearman rank correlation between candidate rank order (the slice
+/// index: rank 0 first) and per-attempt cost, in per-mille (ρ × 1000,
+/// rounded). A positive value means the statistical ranking predicted
+/// cost well — better-ranked candidates really were cheaper to attempt.
+/// Tied costs get average ranks. `None` when fewer than two attempts or
+/// when every cost ties (the correlation is undefined, and the
+/// zero-vs-absent convention says emit nothing rather than a fake 0).
+/// The pipeline derives the [`names::CALIB_RANK_COST_CORR`] gauge from
+/// it; `statsym-inspect calib` recomputes it per run from the records.
+///
+/// ```
+/// use statsym_telemetry::spearman_milli;
+/// assert_eq!(spearman_milli(&[10, 20, 30]), Some(1000));
+/// assert_eq!(spearman_milli(&[30, 20, 10]), Some(-1000));
+/// assert_eq!(spearman_milli(&[5, 5]), None);
+/// assert_eq!(spearman_milli(&[5]), None);
+/// ```
+pub fn spearman_milli(costs: &[u64]) -> Option<i64> {
+    let n = costs.len();
+    if n < 2 {
+        return None;
+    }
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.sort_by_key(|&i| costs[i]);
+    let mut cost_rank = vec![0f64; n];
+    let mut i = 0;
+    while i < n {
+        let mut j = i;
+        while j + 1 < n && costs[idx[j + 1]] == costs[idx[i]] {
+            j += 1;
+        }
+        let avg = (i + j) as f64 / 2.0;
+        for &k in &idx[i..=j] {
+            cost_rank[k] = avg;
+        }
+        i = j + 1;
+    }
+    // Candidate ranks are 0..n-1 with no ties; average cost ranks keep
+    // the same mean, so one centered pass computes the correlation.
+    let mean = (n as f64 - 1.0) / 2.0;
+    let (mut num, mut dx, mut dy) = (0f64, 0f64, 0f64);
+    for (r, &cr) in cost_rank.iter().enumerate() {
+        let x = r as f64 - mean;
+        let y = cr - mean;
+        num += x * y;
+        dx += x * x;
+        dy += y * y;
+    }
+    if dy == 0.0 {
+        return None;
+    }
+    Some((num / (dx * dy).sqrt() * 1000.0).round() as i64)
 }
 
 /// `(site, verdict, cache)` key of one query-provenance rollup row.
@@ -433,23 +528,7 @@ impl TraceSummary {
 
         if !self.calib.is_empty() {
             out.push_str("\ncalibration (predicted vs actual):\n");
-            out.push_str(&format!(
-                "  {:>4}  {:>11}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>5}\n",
-                "rank", "score_milli", "path_len", "steps", "forks", "snodes", "solver_us", "found"
-            ));
-            for c in &self.calib {
-                out.push_str(&format!(
-                    "  {:>4}  {:>11}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>5}\n",
-                    c.rank,
-                    c.score_milli,
-                    c.path_len,
-                    c.steps,
-                    c.forks,
-                    c.snodes,
-                    c.solver_us,
-                    if c.found { "yes" } else { "no" }
-                ));
-            }
+            render_calib_table(&mut out, &self.calib);
         }
         out
     }
@@ -558,18 +637,7 @@ impl TraceSummary {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
-                "{{\"rank\":{},\"score_milli\":{},\"path_len\":{},\"steps\":{},\
-                 \"forks\":{},\"snodes\":{},\"solver_us\":{},\"found\":{}}}",
-                c.rank,
-                c.score_milli,
-                c.path_len,
-                c.steps,
-                c.forks,
-                c.snodes,
-                c.solver_us,
-                u64::from(c.found)
-            ));
+            c.push_json(&mut s);
         }
         s.push(']');
         if let Some(w) = self.gauge(names::CALIB_WINNER_RANK) {
@@ -820,6 +888,13 @@ mod tests {
         assert!(text.contains("solver queries (site / verdict / cache):"));
         assert!(text.contains("feasibility / sat / search"));
         assert!(text.contains("calibration (predicted vs actual):"));
+    }
+
+    #[test]
+    fn spearman_averages_tied_costs() {
+        assert_eq!(spearman_milli(&[]), None);
+        // Monotone but tied in the middle.
+        assert_eq!(spearman_milli(&[1, 2, 2, 3]), Some(949));
     }
 
     #[test]
