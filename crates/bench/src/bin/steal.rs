@@ -1,20 +1,19 @@
 //! Steal-mode scaling bench: breaks the portfolio's 2-worker plateau
-//! with solver-side independence slicing + unsat caching and the
-//! work-stealing intra-candidate executor, emitting `BENCH_steal.json`.
+//! with the work-stealing intra-candidate executor on top of the
+//! solver's independence slicing, emitting `BENCH_steal.json`.
 //!
 //! Two workloads:
 //!
 //! * **grep late-ranked hit** — the `BENCH_portfolio.json` workload
 //!   (decoy candidates ranked ahead of the real one). The portfolio
 //!   plateaus near the slowest single attempt because candidate-level
-//!   parallelism is exhausted; the sweep here layers constraint
-//!   slicing and a shared unsat cache on top, which collapse the decoy
-//!   attempts' redundant solver search.
+//!   parallelism is exhausted; the sweep here moves surplus workers
+//!   inside the engines as state workers.
 //! * **fork-heavy loop** — a single engine on a symbolically-bounded
 //!   loop with variable-disjoint constraint families, sweeping the
 //!   work-stealing executor's `state_workers` 1→8. The timed runs
 //!   report the executor-vs-solver wall breakdown and the
-//!   `solver.indep.*` / `solver.ucache.*` counters; the traced runs
+//!   `solver.indep.*` counters; the traced runs
 //!   assert byte-identical traces at every swept worker count.
 //!
 //! Pass `--out <path>` to redirect the JSON report (default
@@ -27,12 +26,11 @@
 use bench::{statsym_config, PAPER_SEED};
 use benchapps::{generate_corpus, CorpusSpec};
 use concrete::Measure;
-use solver::{SolverConfig, UnsatCache};
+use solver::SolverConfig;
 use statsym_core::pipeline::{StatSym, StatSymConfig};
 use statsym_core::portfolio::run_portfolio;
 use statsym_core::{AnalysisReport, CandidatePath, GuidanceConfig, PathNode, PredOp};
 use statsym_telemetry::{render_trace, Clock, MemRecorder, NOOP};
-use std::sync::Arc;
 use std::time::Instant;
 use symex::{Engine, EngineConfig, EngineStats, RunOutcome};
 
@@ -46,10 +44,9 @@ const SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// The fork-heavy loop workload: a symbolically-bounded loop (every
 /// iteration forks on the bound), two variable-disjoint branch families
 /// inside the body (slicing splits their conjunctions into independent
-/// components), and a repeatedly-revisited infeasible branch whose
-/// first unsat verdict answers all later supersets via the unsat
-/// cache. Fault-free, so every run drains the full path space and the
-/// measured work is schedule-independent.
+/// components), and an infeasible branch (`a > 60` under `a < 50`)
+/// that every iteration refutes again. Fault-free, so every run drains
+/// the full path space and the measured work is schedule-independent.
 const FORK_HEAVY: &str = r#"
     fn main() {
         let n: int = input_int("n");
@@ -75,12 +72,10 @@ fn grep_config(workers: usize) -> StatSymConfig {
     let base = statsym_config();
     StatSymConfig {
         workers,
-        share_unsat_cache: true,
         auto_split_workers: true,
         engine: EngineConfig {
             max_steps: MAX_STEPS,
             solver: SolverConfig {
-                slice: true,
                 time_queries: true,
                 ..SolverConfig::default()
             },
@@ -137,9 +132,6 @@ struct Row {
     indep_queries: u64,
     indep_components: u64,
     indep_comp_hits: u64,
-    ucache_sub_hits: u64,
-    ucache_sup_hits: u64,
-    ucache_stores: u64,
 }
 
 impl Row {
@@ -147,8 +139,7 @@ impl Row {
         format!(
             "    {{\"{label}\": {}, \"wall_s\": {:.4}, \"speedup\": {:.3}, \
              \"executor_us\": {}, \"solver_us\": {}, \
-             \"indep_queries\": {}, \"indep_components\": {}, \"indep_comp_hits\": {}, \
-             \"ucache_sub_hits\": {}, \"ucache_sup_hits\": {}, \"ucache_stores\": {}}}",
+             \"indep_queries\": {}, \"indep_components\": {}, \"indep_comp_hits\": {}}}",
             self.workers,
             self.wall_s,
             baseline_s / self.wall_s,
@@ -157,9 +148,6 @@ impl Row {
             self.indep_queries,
             self.indep_components,
             self.indep_comp_hits,
-            self.ucache_sub_hits,
-            self.ucache_sup_hits,
-            self.ucache_stores,
         )
     }
 }
@@ -176,9 +164,6 @@ fn sum_stats(stats: &[&EngineStats], wall_s: f64, workers: usize) -> Row {
         indep_queries: f(|s| s.solver.indep_queries),
         indep_components: f(|s| s.solver.indep_components),
         indep_comp_hits: f(|s| s.solver.indep_comp_hits),
-        ucache_sub_hits: f(|s| s.solver.ucache_sub_hits),
-        ucache_sup_hits: f(|s| s.solver.ucache_sup_hits),
-        ucache_stores: f(|s| s.solver.ucache_stores),
     }
 }
 
@@ -186,7 +171,6 @@ fn fork_heavy_engine_config(state_workers: usize, timed: bool) -> EngineConfig {
     EngineConfig {
         state_workers,
         solver: SolverConfig {
-            slice: true,
             time_queries: timed,
             ..SolverConfig::default()
         },
@@ -263,7 +247,7 @@ fn main() {
 
     // Plain sequential baseline — the exact configuration
     // BENCH_portfolio.json reports as `sequential_wall_s`, for
-    // cross-report comparability (no slicing, no unsat cache).
+    // cross-report comparability (no query timing, no worker split).
     let plain = StatSymConfig {
         engine: EngineConfig {
             max_steps: MAX_STEPS,
@@ -326,11 +310,9 @@ fn main() {
         let refs: Vec<&EngineStats> = stats.iter().collect();
         let row = sum_stats(&refs, wall, w);
         println!(
-            "  workers {w}: {wall:.3}s, speedup {:.2}x, solver {}us, \
-             ucache sub-hits {}, sliced components {}",
+            "  workers {w}: {wall:.3}s, speedup {:.2}x, solver {}us, sliced components {}",
             seq_wall / wall,
             row.solver_us,
-            row.ucache_sub_hits,
             row.indep_components,
         );
         grep_rows.push(row);
@@ -344,9 +326,7 @@ fn main() {
     for &w in &sweep {
         let mut best: Option<(f64, EngineStats)> = None;
         for _ in 0..repeat {
-            let ucache = Arc::new(UnsatCache::default());
             let mut eng = Engine::new(&module, fork_heavy_engine_config(w, true));
-            eng.set_unsat_cache(ucache);
             let start = Instant::now();
             let report = eng.run();
             let wall = start.elapsed().as_secs_f64();
@@ -368,14 +348,10 @@ fn main() {
             row.indep_queries > 0 && row.indep_components > 0,
             "state_workers={w}: slicing must engage on the fork-heavy workload"
         );
-        assert!(
-            row.ucache_stores > 0 && row.ucache_sub_hits > 0,
-            "state_workers={w}: the unsat cache must engage on the fork-heavy workload"
-        );
         println!(
             "  fork-heavy state_workers {w}: {wall:.3}s, executor {}us, solver {}us, \
-             indep components {}, ucache sub-hits {}",
-            row.executor_us, row.solver_us, row.indep_components, row.ucache_sub_hits,
+             indep components {}",
+            row.executor_us, row.solver_us, row.indep_components,
         );
         fh_rows.push(row);
     }

@@ -49,15 +49,6 @@ pub struct StatSymConfig {
     /// (e.g. byte-reproducible trace comparisons). Has no effect at
     /// `workers == 1`.
     pub share_cache: bool,
-    /// In portfolio mode, additionally share unsat cores and reusable
-    /// models between workers through one `solver::UnsatCache`.
-    /// Verdicts stay sound (superset models are verified before being
-    /// served), but a served model can be a *different* valid witness
-    /// than local search would produce, so this is off by default: the
-    /// portfolio's sequential-equivalence guarantee extends to the
-    /// reported triggering input. Turn it on when throughput matters
-    /// more than witness reproducibility.
-    pub share_unsat_cache: bool,
     /// Let the pipeline move surplus portfolio workers inside the
     /// engines as state workers via [`split_worker_budget`] — the cure
     /// for the portfolio plateau when candidates are fewer than
@@ -144,7 +135,6 @@ impl Default for StatSymConfig {
             workers: 1,
             cancel_on_found: true,
             share_cache: true,
-            share_unsat_cache: false,
             auto_split_workers: false,
         }
     }
@@ -423,14 +413,6 @@ impl StatSym {
         let mut attempts = Vec::new();
         let mut found = None;
         let mut candidate_used = None;
-        // `share_unsat_cache` applies to the sequential loop too: ranked
-        // candidates overlap heavily, and an unsat core learned on one
-        // attempt prunes the next attempt's search outright.
-        let unsat = self
-            .config
-            .share_unsat_cache
-            .then(|| std::sync::Arc::new(solver::UnsatCache::default()));
-
         // The sequential loop runs when the portfolio level has nothing
         // to parallelize (one candidate, or workers == 1). Under
         // `auto_split_workers`, a worker budget that cannot be spent
@@ -457,9 +439,6 @@ impl StatSym {
             let hook = GuidedHook::new(path.clone(), self.config.guidance);
             let mut engine = Engine::with_hook(module, engine_config, Box::new(hook));
             engine.set_recorder(rec);
-            if let Some(uc) = &unsat {
-                engine.set_unsat_cache(uc.clone());
-            }
             for (name, value) in pins {
                 engine.pin_input(name.clone(), value.clone());
             }

@@ -48,7 +48,7 @@ use crate::candidate::CandidatePath;
 use crate::guidance::GuidedHook;
 use crate::pipeline::{CandidateAttempt, StatSymConfig};
 use sir::Module;
-use solver::{QueryCache, SharedCache, SharedCacheStats, UnsatCache};
+use solver::{QueryCache, SharedCache, SharedCacheStats};
 use statsym_telemetry::{names, BufferedRecorder, FieldValue, Recorder, TraceBuffer};
 use symex::{outcome_label, Engine, EngineConfig, EngineReport};
 use symex::{FoundVulnerability, RunOutcome, SchedulerKind};
@@ -115,12 +115,6 @@ pub fn run_portfolio_with_cache(
 ) -> PortfolioOutcome {
     let n = paths.len();
     let workers = config.workers.min(n).max(1);
-    // Optional cross-worker unsat-core/model sharing: sound but able to
-    // substitute a different valid witness, hence opt-in (see
-    // `StatSymConfig::share_unsat_cache`).
-    let unsat = config
-        .share_unsat_cache
-        .then(|| Arc::new(UnsatCache::default()));
     // Two-level budget split (see `pipeline::split_worker_budget`):
     // surplus workers beyond the candidate count run inside each
     // engine as state workers when the pipeline opted in.
@@ -184,9 +178,6 @@ pub fn run_portfolio_with_cache(
                     }
                     if config.share_cache {
                         engine.set_shared_cache(shared.clone());
-                    }
-                    if let Some(uc) = &unsat {
-                        engine.set_unsat_cache(uc.clone());
                     }
                     if config.cancel_on_found {
                         engine.set_cancel_token(tokens[rank].clone());

@@ -336,7 +336,7 @@ mod tests {
         let enabled = counter_trace(&[
             ("solver.indep.queries", 0),
             ("solver.indep.components", 0),
-            ("solver.ucache.hits", 0),
+            ("solver.indep.component_hits", 0),
             ("solver.queries", 40),
         ]);
         let disabled = counter_trace(&[("solver.queries", 40)]);
@@ -355,8 +355,8 @@ mod tests {
     /// distinguishes "feature idle" from "feature missing".
     #[test]
     fn present_at_zero_growth_is_inf_regression_not_schema() {
-        let idle = counter_trace(&[("solver.ucache.hits", 0), ("attr.lines", 0)]);
-        let busy = counter_trace(&[("solver.ucache.hits", 9), ("attr.lines", 12)]);
+        let idle = counter_trace(&[("solver.indep.component_hits", 0), ("attr.lines", 0)]);
+        let busy = counter_trace(&[("solver.indep.component_hits", 9), ("attr.lines", 12)]);
         let d = diff_metrics(&idle, &busy, &cfg(10.0));
         assert_eq!(d.regressions, 2, "{}", d.rendered);
         assert!(d.rendered.contains("+inf%"));

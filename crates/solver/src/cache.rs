@@ -1,17 +1,21 @@
 //! Query caches: the abstraction the solver consults before (and
 //! publishes to after) running the decision procedure.
 //!
-//! The solver keeps two layers:
+//! The solver keeps exactly two memo layers:
 //!
 //! 1. a **private** per-`Solver` map from query fingerprint to the full
-//!    [`SatResult`] (models included) — exactly the behavior of the
-//!    original single-threaded cache;
+//!    [`SatResult`] (models included);
 //! 2. an optional injected [`QueryCache`] holding *model-free verdicts*
 //!    only, so it can safely be shared across engines: `TermId`/`VarId`
 //!    spaces are per-`TermCtx`, so a `Model` (a `VarId → i64` map) from
 //!    one engine is meaningless — and unsound to reuse — in another.
 //!    The query fingerprint ([`crate::TermCtx::query_fingerprint`]) is
 //!    structural, so fingerprints *do* agree across contexts.
+//!
+//! Independence slicing uses the same two layers: each
+//! variable-disjoint component is stored under its own fingerprint as
+//! well as the whole query's, so a later query that shares a component
+//! finds it in the private cache without a fresh search.
 //!
 //! `Unknown` results are never published: they encode a local budget
 //! exhaustion, not a fact about the constraints, and sharing them could
@@ -21,8 +25,8 @@
 //! shards indexed by the low bits of the fingerprint, with lock-free
 //! hit/miss/contention counters.
 
-use crate::solve::{Model, SatResult};
-use std::collections::{HashMap, VecDeque};
+use crate::solve::SatResult;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, TryLockError};
 
@@ -178,230 +182,6 @@ impl QueryCache for SharedCache {
     }
 }
 
-/// What the unsat/counterexample cache can answer for a query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UcAnswer {
-    /// A cached unsat core is a sub-multiset of the query's conjuncts:
-    /// the query is unsatisfiable (adding conjuncts never helps).
-    Unsat,
-    /// A cached model came from a *superset* of the query's conjuncts,
-    /// so it is a *candidate* model for the query. The caller MUST
-    /// verify `model.satisfies(...)` against the actual constraints
-    /// before serving it: the match is on structural hashes, and the
-    /// model's `VarId`s may belong to a different `TermCtx`.
-    Sat(Model),
-}
-
-/// Traffic counters for [`UnsatCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UnsatCacheStats {
-    /// Lookups performed.
-    pub lookups: u64,
-    /// Lookups answered `Unsat` via subset matching.
-    pub sub_hits: u64,
-    /// Lookups that returned a candidate model via superset matching
-    /// (the caller may still reject it after verification).
-    pub sup_candidates: u64,
-    /// Entries accepted by `store`.
-    pub stores: u64,
-    /// Entries rejected by `store` (empty, too wide, or duplicate).
-    pub store_rejects: u64,
-    /// Entries currently held.
-    pub entries: u64,
-}
-
-#[derive(Debug, Clone)]
-enum UcKind {
-    Unsat,
-    Sat(Model),
-}
-
-#[derive(Debug, Clone)]
-struct UcEntry {
-    /// Sorted structural hashes of the entry's conjuncts (a multiset).
-    hashes: Vec<u64>,
-    kind: UcKind,
-}
-
-/// An unsat-core / counterexample cache layered on top of the verdict
-/// caches: where [`QueryCache`] only answers *exact* fingerprint
-/// matches, this cache exploits the partial order on conjunct sets.
-///
-/// Each entry is the sorted multiset of *structural hashes* of a
-/// query's conjuncts, tagged with its definitive outcome:
-///
-/// * **Unsat entries** act as unsat cores: any query whose conjunct
-///   multiset is a *superset* of a cached unsat entry is itself unsat
-///   (conjunction is monotone — adding constraints never makes an
-///   unsatisfiable set satisfiable). Subset matching is sound even
-///   across `TermCtx`s because structural hashes are context-free.
-/// * **Sat entries** carry the model that satisfied them: any query
-///   whose conjunct multiset is a *subset* of a cached sat entry is a
-///   weakening of it, so the stored model is a candidate. Hash
-///   collisions and cross-context `VarId`s make this half advisory
-///   only — the caller must concretely verify the model before serving
-///   it (see [`UcAnswer::Sat`]).
-///
-/// Contents are completion-order dependent, so a shared `UnsatCache`
-/// (like the shared [`QueryCache`] with models disabled) is a perf
-/// feature: runs that must be byte-reproducible across worker counts
-/// keep it private per solver clone or disabled.
-///
-/// Bounded FIFO: at most `cap` entries, each at most `MAX_WIDTH`
-/// conjuncts wide (wide entries are poor generalizers and make the
-/// linear scan expensive).
-#[derive(Debug)]
-pub struct UnsatCache {
-    entries: Mutex<VecDeque<UcEntry>>,
-    cap: usize,
-    lookups: AtomicU64,
-    sub_hits: AtomicU64,
-    sup_candidates: AtomicU64,
-    stores: AtomicU64,
-    store_rejects: AtomicU64,
-}
-
-impl UnsatCache {
-    /// Widest conjunct multiset worth caching.
-    pub const MAX_WIDTH: usize = 96;
-
-    /// Default entry capacity.
-    pub const DEFAULT_CAP: usize = 256;
-
-    /// Creates a cache bounded to `cap` entries (minimum 1).
-    pub fn new(cap: usize) -> UnsatCache {
-        UnsatCache {
-            entries: Mutex::new(VecDeque::new()),
-            cap: cap.max(1),
-            lookups: AtomicU64::new(0),
-            sub_hits: AtomicU64::new(0),
-            sup_candidates: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            store_rejects: AtomicU64::new(0),
-        }
-    }
-
-    /// `true` iff sorted multiset `small` is contained in sorted
-    /// multiset `big` (two-pointer walk; duplicates count).
-    fn subset(small: &[u64], big: &[u64]) -> bool {
-        if small.len() > big.len() {
-            return false;
-        }
-        let mut j = 0;
-        for &h in small {
-            loop {
-                if j == big.len() {
-                    return false;
-                }
-                let b = big[j];
-                j += 1;
-                if b == h {
-                    break;
-                }
-                if b > h {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Answers for a query whose conjuncts hash (sorted) to `hashes`.
-    ///
-    /// Unsat subset matches win over sat superset candidates: a subset
-    /// match is a proof, a superset match is only a hint.
-    pub fn lookup(&self, hashes: &[u64]) -> Option<UcAnswer> {
-        debug_assert!(hashes.windows(2).all(|w| w[0] <= w[1]), "hashes sorted");
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if hashes.is_empty() {
-            return None;
-        }
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut candidate = None;
-        for e in entries.iter() {
-            match &e.kind {
-                UcKind::Unsat => {
-                    if Self::subset(&e.hashes, hashes) {
-                        self.sub_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(UcAnswer::Unsat);
-                    }
-                }
-                UcKind::Sat(m) => {
-                    if candidate.is_none() && Self::subset(hashes, &e.hashes) {
-                        candidate = Some(m.clone());
-                    }
-                }
-            }
-        }
-        drop(entries);
-        candidate.map(|m| {
-            self.sup_candidates.fetch_add(1, Ordering::Relaxed);
-            UcAnswer::Sat(m)
-        })
-    }
-
-    /// Records a definitively-unsat conjunct multiset.
-    pub fn store_unsat(&self, mut hashes: Vec<u64>) {
-        hashes.sort_unstable();
-        self.store(UcEntry {
-            hashes,
-            kind: UcKind::Unsat,
-        });
-    }
-
-    /// Records a satisfiable conjunct multiset together with the model
-    /// that satisfied it.
-    pub fn store_sat(&self, mut hashes: Vec<u64>, model: Model) {
-        hashes.sort_unstable();
-        self.store(UcEntry {
-            hashes,
-            kind: UcKind::Sat(model),
-        });
-    }
-
-    fn store(&self, entry: UcEntry) {
-        if entry.hashes.is_empty() || entry.hashes.len() > Self::MAX_WIDTH {
-            self.store_rejects.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let dup = entries.iter().any(|e| {
-            e.hashes == entry.hashes
-                && matches!(
-                    (&e.kind, &entry.kind),
-                    (UcKind::Unsat, UcKind::Unsat) | (UcKind::Sat(_), UcKind::Sat(_))
-                )
-        });
-        if dup {
-            self.store_rejects.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if entries.len() == self.cap {
-            entries.pop_front();
-        }
-        entries.push_back(entry);
-        self.stores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the traffic counters.
-    pub fn stats(&self) -> UnsatCacheStats {
-        UnsatCacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            sub_hits: self.sub_hits.load(Ordering::Relaxed),
-            sup_candidates: self.sup_candidates.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            store_rejects: self.store_rejects.load(Ordering::Relaxed),
-            entries: self.entries.lock().unwrap_or_else(|e| e.into_inner()).len() as u64,
-        }
-    }
-}
-
-impl Default for UnsatCache {
-    fn default() -> UnsatCache {
-        UnsatCache::new(Self::DEFAULT_CAP)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,74 +241,6 @@ mod tests {
             };
             assert_eq!(cache.lookup(key), Some(want));
         }
-    }
-
-    #[test]
-    fn ucache_subset_matching_is_multiset_aware() {
-        let c = UnsatCache::new(8);
-        c.store_unsat(vec![3, 1]);
-        // {1,3} ⊆ {1,2,3}: unsat.
-        assert_eq!(c.lookup(&[1, 2, 3]), Some(UcAnswer::Unsat));
-        // Exact match counts as subset.
-        assert_eq!(c.lookup(&[1, 3]), Some(UcAnswer::Unsat));
-        // {1,3} ⊄ {1,2}: no answer.
-        assert_eq!(c.lookup(&[1, 2]), None);
-        // Duplicates count: an entry needing two 1s does not match a
-        // query with one.
-        c.store_unsat(vec![7, 7]);
-        assert_eq!(c.lookup(&[7, 8]), None);
-        assert_eq!(c.lookup(&[7, 7, 8]), Some(UcAnswer::Unsat));
-        let s = c.stats();
-        assert_eq!(s.sub_hits, 3);
-        assert_eq!(s.stores, 2);
-    }
-
-    #[test]
-    fn ucache_superset_model_is_candidate_only() {
-        let c = UnsatCache::new(8);
-        c.store_sat(vec![10, 20, 30], Model::default());
-        // Query {10,20} ⊆ entry {10,20,30}: candidate model returned.
-        assert_eq!(c.lookup(&[10, 20]), Some(UcAnswer::Sat(Model::default())));
-        // Query {10,40} ⊄ entry: nothing.
-        assert_eq!(c.lookup(&[10, 40]), None);
-        // Unsat subset match beats a sat superset candidate.
-        c.store_unsat(vec![10]);
-        assert_eq!(c.lookup(&[10, 20]), Some(UcAnswer::Unsat));
-        let s = c.stats();
-        assert_eq!(s.sup_candidates, 1);
-        assert_eq!(s.sub_hits, 1);
-    }
-
-    #[test]
-    fn ucache_bounds_and_dedup() {
-        let c = UnsatCache::new(2);
-        // Empty and too-wide entries are rejected.
-        c.store_unsat(vec![]);
-        c.store_unsat(vec![1; UnsatCache::MAX_WIDTH + 1]);
-        assert_eq!(c.stats().entries, 0);
-        assert_eq!(c.stats().store_rejects, 2);
-        // Duplicate multiset of the same kind is rejected...
-        c.store_unsat(vec![5, 6]);
-        c.store_unsat(vec![6, 5]);
-        assert_eq!(c.stats().entries, 1);
-        // ...but the same multiset with the other kind is a new entry.
-        c.store_sat(vec![5, 6], Model::default());
-        assert_eq!(c.stats().entries, 2);
-        // FIFO eviction at capacity: the oldest entry leaves.
-        c.store_unsat(vec![9]);
-        let s = c.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(c.lookup(&[5, 6, 7]), None, "unsat {{5,6}} was evicted");
-        assert_eq!(c.lookup(&[1, 9]), Some(UcAnswer::Unsat));
-    }
-
-    #[test]
-    fn ucache_empty_query_answers_nothing() {
-        let c = UnsatCache::new(4);
-        c.store_sat(vec![1], Model::default());
-        // ∅ is a subset of every sat entry, but an empty conjunction is
-        // trivially sat and never reaches the cache; guard anyway.
-        assert_eq!(c.lookup(&[]), None);
     }
 
     #[test]

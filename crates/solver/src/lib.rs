@@ -6,12 +6,15 @@
 //! conjunctions of *atomic comparisons* over integer terms (MiniC's
 //! `&&`/`||` are lowered to control flow), so the solver implements:
 //!
-//! 1. **Interval (bounds) propagation** — HC4-style revise over the term
+//! 1. **Constraint-independence slicing** — split each conjunction into
+//!    components that share no variables and decide each one separately,
+//!    memoised under its own fingerprint (KLEE's default optimisation);
+//! 2. **Interval (bounds) propagation** — HC4-style revise over the term
 //!    DAG until fixpoint, which alone decides the vast majority of the
 //!    byte/threshold constraints symbolic string exploration generates;
-//! 2. **Backtracking search** — branch on the smallest unfixed domain
+//! 3. **Backtracking search** — branch on the smallest unfixed domain
 //!    with a node budget, for the residual cases;
-//! 3. **Model extraction** — a concrete assignment for every variable,
+//! 4. **Model extraction** — a concrete assignment for every variable,
 //!    verified by concrete evaluation before being returned.
 //!
 //! # Example
@@ -38,9 +41,7 @@ pub mod interval;
 pub mod solve;
 pub mod term;
 
-pub use cache::{
-    CachedVerdict, QueryCache, SharedCache, SharedCacheStats, UcAnswer, UnsatCache, UnsatCacheStats,
-};
+pub use cache::{CachedVerdict, QueryCache, SharedCache, SharedCacheStats};
 pub use interval::Interval;
 pub use solve::{Model, SatResult, Solver, SolverConfig, SolverStats};
 pub use term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};

@@ -1,6 +1,6 @@
 //! The decision procedure: interval propagation + backtracking search.
 
-use crate::cache::{CachedVerdict, QueryCache, UcAnswer, UnsatCache};
+use crate::cache::{CachedVerdict, QueryCache};
 use crate::interval::Interval;
 use crate::term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};
 use std::collections::HashMap;
@@ -14,15 +14,6 @@ pub struct SolverConfig {
     pub max_rounds: usize,
     /// Maximum search-tree nodes before giving up with `Unknown`.
     pub max_nodes: u64,
-    /// Constraint-independence slicing: partition each query's conjuncts
-    /// into components that share no variables and decide each component
-    /// separately (component verdicts and models land in the private
-    /// cache, so sibling queries that extend one component reuse the
-    /// others for free). Off by default: slicing can decide a query
-    /// whose whole-conjunction search would exhaust its node budget, so
-    /// enabling it may turn `Unknown` into a definitive verdict and
-    /// thereby change exploration against pinned legacy baselines.
-    pub slice: bool,
     /// Accumulate `query_us` even when no recorder is attached, so
     /// untraced bench runs still get an executor-vs-solver wall
     /// breakdown. Off by default (the historical behavior: untraced
@@ -35,7 +26,6 @@ impl Default for SolverConfig {
         SolverConfig {
             max_rounds: 64,
             max_nodes: 50_000,
-            slice: false,
             time_queries: false,
         }
     }
@@ -79,18 +69,6 @@ pub struct SolverStats {
     /// Sliced components answered from the private cache instead of a
     /// fresh search.
     pub indep_comp_hits: u64,
-    /// Unsat-cache hits: a cached unsat core was a subset of the query.
-    pub ucache_sub_hits: u64,
-    /// Unsat-cache hits: a cached model of a superset query verified
-    /// against this query and was served.
-    pub ucache_sup_hits: u64,
-    /// Superset candidate models that failed verification (the entry
-    /// constrained different conjuncts; never served).
-    pub ucache_sup_rejects: u64,
-    /// Definitive results published to the unsat cache.
-    pub ucache_stores: u64,
-    /// Unsat-cache lookups that found no usable entry.
-    pub ucache_misses: u64,
 }
 
 /// A satisfying assignment for the variables that appear in the query.
@@ -177,7 +155,7 @@ impl SatResult {
 /// shared verdict cache (see [`crate::cache`]).
 ///
 /// `Clone` duplicates the private cache and stats and shares the
-/// injected caches — the work-stealing executor clones the parent
+/// injected cache — the work-stealing executor clones the parent
 /// task's solver at every fork, so sibling states inherit the path
 /// prefix's cached verdicts and every per-task counter stays a pure
 /// function of the fork lineage (schedule-independent).
@@ -187,7 +165,6 @@ pub struct Solver {
     stats: SolverStats,
     cache: HashMap<u64, SatResult>,
     shared: Option<Arc<dyn QueryCache + Send + Sync>>,
-    ucache: Option<Arc<UnsatCache>>,
     prov: Prov,
 }
 
@@ -213,7 +190,6 @@ impl std::fmt::Debug for Solver {
             .field("stats", &self.stats)
             .field("cache_len", &self.cache.len())
             .field("shared", &self.shared.is_some())
-            .field("ucache", &self.ucache.is_some())
             .finish()
     }
 }
@@ -232,37 +208,11 @@ impl Solver {
         self.stats
     }
 
-    /// Clears the query cache (e.g. between unrelated programs).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Injects a shared verdict cache, consulted on private-cache misses
     /// and fed every definitive local result. See [`crate::cache`] for
     /// the soundness rules (model-free verdicts only, never `Unknown`).
     pub fn set_query_cache(&mut self, cache: Arc<dyn QueryCache + Send + Sync>) {
         self.shared = Some(cache);
-    }
-
-    /// The injected shared verdict cache, if any (so owners can thread
-    /// it into further solvers they spawn).
-    pub fn query_cache(&self) -> Option<Arc<dyn QueryCache + Send + Sync>> {
-        self.shared.clone()
-    }
-
-    /// Injects an unsat-core / counterexample cache, consulted after the
-    /// private cache and fed every definitive search result. Contents
-    /// are shared across threads and therefore schedule-dependent: a hit
-    /// can decide a query whose local search would have returned
-    /// `Unknown`, so attach one only on perf runs, never on runs that
-    /// must be byte-reproducible. See [`crate::cache::UnsatCache`].
-    pub fn set_unsat_cache(&mut self, cache: Arc<UnsatCache>) {
-        self.ucache = Some(cache);
-    }
-
-    /// The injected unsat cache, if any.
-    pub fn unsat_cache(&self) -> Option<Arc<UnsatCache>> {
-        self.ucache.clone()
     }
 
     /// Approximate memory footprint of the cache, in entries.
@@ -414,6 +364,9 @@ impl Solver {
         result
     }
 
+    /// The one decision path: private cache, then the injected shared
+    /// cache, then independence slicing, and a whole-conjunction search
+    /// only when the query is a single component.
     fn check_inner(
         &mut self,
         ctx: &TermCtx,
@@ -428,45 +381,11 @@ impl Solver {
             return SatResult::Sat(Model::default());
         }
         let key = ctx.query_fingerprint(constraints);
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(hit) = self.cache.get(&key).cloned() {
             self.stats.cache_hits += 1;
             self.prov.last_cache = qd::PRIVATE;
-            match hit {
-                SatResult::Sat(_) => self.stats.sat += 1,
-                SatResult::Unsat => self.stats.unsat += 1,
-                SatResult::Unknown => self.stats.unknown += 1,
-            }
-            return hit.clone();
-        }
-        if let Some(uc) = self.ucache.clone() {
-            let hashes = sorted_hashes(ctx, constraints);
-            match uc.lookup(&hashes) {
-                Some(UcAnswer::Unsat) => {
-                    // Some cached unsat core is a sub-multiset of this
-                    // conjunction: the conjunction is unsat.
-                    self.stats.ucache_sub_hits += 1;
-                    self.stats.unsat += 1;
-                    self.prov.last_cache = qd::UCACHE_SUB;
-                    self.cache.insert(key, SatResult::Unsat);
-                    return SatResult::Unsat;
-                }
-                Some(UcAnswer::Sat(model)) => {
-                    // A model of a superset query may satisfy this one;
-                    // verification is the soundness guard (the entry's
-                    // extra conjuncts never relax anything, but its
-                    // VarIds may come from another context, so check
-                    // concretely before serving).
-                    if model.satisfies(ctx, constraints) {
-                        self.stats.ucache_sup_hits += 1;
-                        self.stats.sat += 1;
-                        self.prov.last_cache = qd::UCACHE_SUP;
-                        self.cache.insert(key, SatResult::Sat(model.clone()));
-                        return SatResult::Sat(model);
-                    }
-                    self.stats.ucache_sup_rejects += 1;
-                }
-                None => self.stats.ucache_misses += 1,
-            }
+            self.count_verdict(&hit);
+            return hit;
         }
         if let Some(shared) = &self.shared {
             match shared.lookup(key) {
@@ -496,39 +415,18 @@ impl Solver {
                 Some(CachedVerdict::Sat) | None => self.stats.shared_misses += 1,
             }
         }
-        if self.config.slice && constraints.len() > 1 {
-            if let Some(result) = self.check_sliced(ctx, constraints, key) {
+        let result = match self.check_sliced(ctx, constraints) {
+            Some(result) => {
                 self.prov.last_cache = qd::SLICED;
-                return result;
+                self.store(key, &result);
+                result
             }
-        }
-        self.prov.last_cache = qd::SEARCH;
-
-        let mut search = Search {
-            ctx,
-            constraints,
-            config: self.config,
-            nodes: 0,
-            rounds: 0,
-            backtracks: 0,
-            budget_hit: false,
+            None => {
+                self.prov.last_cache = qd::SEARCH;
+                self.search(ctx, constraints, key)
+            }
         };
-        let result = search.run();
-        self.stats.nodes += search.nodes;
-        self.stats.propagation_rounds += search.rounds;
-        self.stats.backtracks += search.backtracks;
-        match &result {
-            SatResult::Sat(_) => self.stats.sat += 1,
-            SatResult::Unsat => self.stats.unsat += 1,
-            SatResult::Unknown => self.stats.unknown += 1,
-        }
-        self.cache.insert(key, result.clone());
-        if let Some(shared) = &self.shared {
-            if let Some(verdict) = CachedVerdict::from_result(&result) {
-                shared.publish(key, verdict);
-            }
-        }
-        self.store_ucache(ctx, constraints, &result);
+        self.count_verdict(&result);
         result
     }
 
@@ -544,12 +442,7 @@ impl Solver {
     /// reads variables of its own component). Any unsat component
     /// refutes the whole. An `Unknown` component makes the whole
     /// `Unknown` unless some other component is unsat.
-    fn check_sliced(
-        &mut self,
-        ctx: &TermCtx,
-        constraints: &[Constraint],
-        key: u64,
-    ) -> Option<SatResult> {
+    fn check_sliced(&mut self, ctx: &TermCtx, constraints: &[Constraint]) -> Option<SatResult> {
         fn find(parent: &mut [usize], mut i: usize) -> usize {
             while parent[i] != i {
                 parent[i] = parent[parent[i]];
@@ -558,6 +451,9 @@ impl Solver {
             i
         }
         let n = constraints.len();
+        if n < 2 {
+            return None;
+        }
         let mut parent: Vec<usize> = (0..n).collect();
         let mut owner: HashMap<VarId, usize> = HashMap::new();
         for (i, c) in constraints.iter().enumerate() {
@@ -600,53 +496,39 @@ impl Solver {
         let mut unknown = false;
         for comp in &components {
             match self.solve_component(ctx, comp) {
-                SatResult::Unsat => {
-                    // The unsat component refutes the whole query. No
-                    // whole-query ucache store: the component entry
-                    // (already stored, and narrower) subsumes it.
-                    self.stats.unsat += 1;
-                    self.cache.insert(key, SatResult::Unsat);
-                    if let Some(shared) = &self.shared {
-                        shared.publish(key, CachedVerdict::Unsat);
-                    }
-                    return Some(SatResult::Unsat);
-                }
+                SatResult::Unsat => return Some(SatResult::Unsat),
                 SatResult::Unknown => unknown = true,
-                SatResult::Sat(m) => merged.extend(m.values.iter().map(|(v, x)| (*v, *x))),
+                SatResult::Sat(m) => merged.extend(m.values),
             }
         }
         if unknown {
-            self.stats.unknown += 1;
-            self.cache.insert(key, SatResult::Unknown);
             return Some(SatResult::Unknown);
         }
         let model = Model { values: merged };
         debug_assert!(model.satisfies(ctx, constraints));
-        self.stats.sat += 1;
-        self.cache.insert(key, SatResult::Sat(model.clone()));
-        if let Some(shared) = &self.shared {
-            shared.publish(key, CachedVerdict::Sat);
-        }
-        self.store_ucache(ctx, constraints, &SatResult::Sat(model.clone()));
         Some(SatResult::Sat(model))
     }
 
-    /// Decides one variable-disjoint component, going through the
-    /// private cache under the component's own fingerprint and feeding
-    /// definitive component results to the shared and unsat caches (so
-    /// sibling queries that extend one component reuse the others for
-    /// free). Per-query verdict counters are NOT touched here — the
-    /// enclosing query counts once; only work counters and
-    /// `indep_comp_hits` accumulate.
+    /// Decides one variable-disjoint component through the private cache
+    /// under the component's own fingerprint, so sibling queries that
+    /// extend one component reuse the others for free. Per-query verdict
+    /// counters are NOT touched here — the enclosing query counts once;
+    /// only work counters and `indep_comp_hits` accumulate.
     fn solve_component(&mut self, ctx: &TermCtx, comp: &[Constraint]) -> SatResult {
         let ck = ctx.query_fingerprint(comp);
         if let Some(hit) = self.cache.get(&ck) {
             self.stats.indep_comp_hits += 1;
             return hit.clone();
         }
+        self.search(ctx, comp, ck)
+    }
+
+    /// Runs the whole-conjunction search over `constraints`, accumulates
+    /// its work counters, and stores the result under `key`.
+    fn search(&mut self, ctx: &TermCtx, constraints: &[Constraint], key: u64) -> SatResult {
         let mut search = Search {
             ctx,
-            constraints: comp,
+            constraints,
             config: self.config,
             nodes: 0,
             rounds: 0,
@@ -657,43 +539,26 @@ impl Solver {
         self.stats.nodes += search.nodes;
         self.stats.propagation_rounds += search.rounds;
         self.stats.backtracks += search.backtracks;
-        self.cache.insert(ck, result.clone());
-        if let Some(shared) = &self.shared {
-            if let Some(verdict) = CachedVerdict::from_result(&result) {
-                shared.publish(ck, verdict);
-            }
-        }
-        self.store_ucache(ctx, comp, &result);
+        self.store(key, &result);
         result
     }
 
-    /// Publishes a definitive result to the unsat cache, if attached:
-    /// `Unsat` conjunct multisets act as unsat cores, `Sat` ones carry
-    /// their model for superset reuse. `Unknown` is never published.
-    fn store_ucache(&mut self, ctx: &TermCtx, constraints: &[Constraint], result: &SatResult) {
-        let Some(uc) = &self.ucache else { return };
-        match result {
-            SatResult::Unsat => {
-                uc.store_unsat(sorted_hashes(ctx, constraints));
-                self.stats.ucache_stores += 1;
-            }
-            SatResult::Sat(m) => {
-                uc.store_sat(sorted_hashes(ctx, constraints), m.clone());
-                self.stats.ucache_stores += 1;
-            }
-            SatResult::Unknown => {}
+    /// Memoises `result` under `key` in the private cache and publishes
+    /// definitive verdicts to the shared cache, if one is attached.
+    fn store(&mut self, key: u64, result: &SatResult) {
+        self.cache.insert(key, result.clone());
+        if let (Some(shared), Some(verdict)) = (&self.shared, CachedVerdict::from_result(result)) {
+            shared.publish(key, verdict);
         }
     }
-}
 
-/// Structural hashes of each conjunct, sorted — the multiset key the
-/// unsat cache matches on. Structural hashes are context-free, so the
-/// multiset is comparable across `TermCtx`s (models are not, which is
-/// why sat reuse re-verifies).
-fn sorted_hashes(ctx: &TermCtx, constraints: &[Constraint]) -> Vec<u64> {
-    let mut v: Vec<u64> = constraints.iter().map(|c| ctx.constraint_hash(c)).collect();
-    v.sort_unstable();
-    v
+    fn count_verdict(&mut self, result: &SatResult) {
+        match result {
+            SatResult::Sat(_) => self.stats.sat += 1,
+            SatResult::Unsat => self.stats.unsat += 1,
+            SatResult::Unknown => self.stats.unknown += 1,
+        }
+    }
 }
 
 struct Search<'a> {
@@ -1325,10 +1190,7 @@ mod tests {
             Constraint::new(CmpOp::Eq, x, c5),
             Constraint::new(CmpOp::Eq, y, c9),
         ];
-        let mut sliced = Solver::with_config(SolverConfig {
-            slice: true,
-            ..SolverConfig::default()
-        });
+        let mut sliced = Solver::default();
         match sliced.check(&ctx, &cs) {
             SatResult::Sat(m) => {
                 assert!(m.satisfies(&ctx, &cs));
@@ -1366,10 +1228,7 @@ mod tests {
             Constraint::new(CmpOp::Lt, y, c5),
             Constraint::new(CmpOp::Lt, c10, y),
         ];
-        let mut sliced = Solver::with_config(SolverConfig {
-            slice: true,
-            ..SolverConfig::default()
-        });
+        let mut sliced = Solver::default();
         assert_eq!(sliced.check(&ctx, &cs), SatResult::Unsat);
         let s = sliced.stats();
         assert_eq!(s.indep_queries, 1);
@@ -1378,7 +1237,7 @@ mod tests {
     }
 
     #[test]
-    fn slicing_matches_unsliced_verdicts() {
+    fn slicing_matches_whole_conjunction_search() {
         let mut ctx = TermCtx::new();
         let x = ctx.new_var("x", 0, 255);
         let y = ctx.new_var("y", 0, 255);
@@ -1407,119 +1266,28 @@ mod tests {
                 Constraint::new(CmpOp::Eq, z, c5),
             ],
         ];
+        let mut solver = Solver::default();
         for cs in &queries {
-            let mut plain = Solver::default();
-            let mut sliced = Solver::with_config(SolverConfig {
-                slice: true,
-                ..SolverConfig::default()
-            });
-            let a = plain.check(&ctx, cs);
-            let b = sliced.check(&ctx, cs);
-            assert_eq!(a.is_sat(), b.is_sat(), "{cs:?}");
-            assert_eq!(a.is_unsat(), b.is_unsat(), "{cs:?}");
-            if let SatResult::Sat(m) = &b {
+            // The whole-conjunction search (the path `check` takes for
+            // single-component queries) is the reference.
+            let want = Search {
+                ctx: &ctx,
+                constraints: cs,
+                config: SolverConfig::default(),
+                nodes: 0,
+                rounds: 0,
+                backtracks: 0,
+                budget_hit: false,
+            }
+            .run();
+            let got = solver.check(&ctx, cs);
+            assert_eq!(want.is_sat(), got.is_sat(), "{cs:?}");
+            assert_eq!(want.is_unsat(), got.is_unsat(), "{cs:?}");
+            if let SatResult::Sat(m) = &got {
                 assert!(m.satisfies(&ctx, cs), "sliced model must verify: {cs:?}");
             }
         }
-    }
-
-    #[test]
-    fn ucache_subset_answers_unsat_without_search() {
-        use crate::cache::UnsatCache;
-        use std::sync::Arc;
-        let mut ctx = TermCtx::new();
-        let x = ctx.new_var("x", 0, 255);
-        let c5 = ctx.int(5);
-        let c10 = ctx.int(10);
-        let core = [
-            Constraint::new(CmpOp::Lt, x, c5),
-            Constraint::new(CmpOp::Lt, c10, x),
-        ];
-        let uc = Arc::new(UnsatCache::default());
-        let mut a = Solver::default();
-        a.set_unsat_cache(uc.clone());
-        assert_eq!(a.check(&ctx, &core), SatResult::Unsat);
-        assert_eq!(a.stats().ucache_stores, 1);
-
-        // A *superset* query on a fresh solver (cold private cache) is
-        // answered by subset matching, with zero search nodes.
-        let y = ctx.new_var("y", 0, 255);
-        let mut wider = core.to_vec();
-        wider.push(Constraint::new(CmpOp::Eq, y, c5));
-        let mut b = Solver::default();
-        b.set_unsat_cache(uc);
-        assert_eq!(b.check(&ctx, &wider), SatResult::Unsat);
-        assert_eq!(b.stats().ucache_sub_hits, 1);
-        assert_eq!(b.stats().nodes, 0, "no local search on a subset hit");
-    }
-
-    #[test]
-    fn ucache_superset_model_reuse_verifies_before_serving() {
-        use crate::cache::UnsatCache;
-        use std::sync::Arc;
-        let mut ctx = TermCtx::new();
-        let x = ctx.new_var("x", 0, 255);
-        let y = ctx.new_var("y", 0, 255);
-        let c5 = ctx.int(5);
-        let c9 = ctx.int(9);
-        let both = [
-            Constraint::new(CmpOp::Eq, x, c5),
-            Constraint::new(CmpOp::Eq, y, c9),
-        ];
-        let uc = Arc::new(UnsatCache::default());
-        let mut a = Solver::default();
-        a.set_unsat_cache(uc.clone());
-        assert!(a.check(&ctx, &both).is_sat());
-
-        // The subset query {x == 5} reuses the superset entry's model.
-        let sub = [Constraint::new(CmpOp::Eq, x, c5)];
-        let mut b = Solver::default();
-        b.set_unsat_cache(uc);
-        match b.check(&ctx, &sub) {
-            SatResult::Sat(m) => {
-                assert!(m.satisfies(&ctx, &sub));
-                assert_eq!(m.value_of(x, &ctx), Some(5));
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        assert_eq!(b.stats().ucache_sup_hits, 1);
-        assert_eq!(b.stats().nodes, 0, "no local search on a verified reuse");
-    }
-
-    #[test]
-    fn ucache_never_serves_unverified_model_across_slices() {
-        use crate::cache::UnsatCache;
-        use std::sync::Arc;
-        let mut ctx = TermCtx::new();
-        let x = ctx.new_var("x", 0, 255);
-        let c10 = ctx.int(10);
-        // Query: 10 <= x.
-        let cs = [Constraint::new(CmpOp::Le, c10, x)];
-        // Poison the cache with a superset entry whose model violates
-        // the query (as if it came from a different conjunct slice or a
-        // colliding context): hashes = query's hash + one extra, model
-        // assigns x = 3.
-        let uc = Arc::new(UnsatCache::default());
-        let h = ctx.constraint_hash(&cs[0]);
-        let bad = Model {
-            values: HashMap::from([(var_of(&ctx, x), 3)]),
-        };
-        uc.store_sat(vec![h, h ^ 0xdead], bad);
-        let mut solver = Solver::default();
-        solver.set_unsat_cache(uc);
-        match solver.check(&ctx, &cs) {
-            SatResult::Sat(m) => {
-                // The poisoned model was rejected by verification and a
-                // real search produced a correct one.
-                assert!(m.satisfies(&ctx, &cs));
-                assert!(m.value_of(x, &ctx).unwrap() >= 10);
-            }
-            other => panic!("expected sat, got {other:?}"),
-        }
-        let s = solver.stats();
-        assert_eq!(s.ucache_sup_rejects, 1, "{s:?}");
-        assert_eq!(s.ucache_sup_hits, 0);
-        assert!(s.nodes > 0, "rejection must fall through to search");
+        assert_eq!(solver.stats().indep_queries, 4, "every query splits");
     }
 
     #[test]

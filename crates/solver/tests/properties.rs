@@ -202,3 +202,125 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Independence slicing vs brute force: conjunctions over 2–4 variables
+// whose atoms often touch disjoint variables, so `check` splits them.
+// ---------------------------------------------------------------------
+
+/// A random conjunction over `domains.len()` variables; each atom is
+/// (op, shape, first var, second var, const).
+#[derive(Debug, Clone)]
+struct MultiVar {
+    domains: Vec<(i64, i64)>,
+    atoms: Vec<(u8, u8, usize, usize, i64)>,
+}
+
+fn multi_var() -> impl Strategy<Value = MultiVar> {
+    (
+        proptest::collection::vec((-4i64..=4, 0i64..=7), 2..5),
+        proptest::collection::vec((0u8..4, 0u8..4, 0usize..4, 0usize..4, -8i64..=8), 1..7),
+    )
+        .prop_map(|(doms, atoms)| {
+            let n = doms.len();
+            MultiVar {
+                domains: doms.into_iter().map(|(lo, w)| (lo, lo + w)).collect(),
+                atoms: atoms
+                    .into_iter()
+                    .map(|(op, shape, a, b, k)| (op, shape, a % n, b % n, k))
+                    .collect(),
+            }
+        })
+}
+
+fn cmp_op(op: u8) -> CmpOp {
+    match op {
+        0 => CmpOp::Eq,
+        1 => CmpOp::Ne,
+        2 => CmpOp::Lt,
+        _ => CmpOp::Le,
+    }
+}
+
+/// The atom's left-hand side over concrete variable values.
+fn multi_lhs(shape: u8, a: i64, b: i64) -> i64 {
+    match shape {
+        0 => a,
+        1 => a + b,
+        2 => a - b,
+        _ => 2 * a,
+    }
+}
+
+fn build_multi(ctx: &mut TermCtx, p: &MultiVar) -> Vec<Constraint> {
+    let vars: Vec<TermId> = p
+        .domains
+        .iter()
+        .enumerate()
+        .map(|(i, &(lo, hi))| ctx.new_var(format!("v{i}"), lo, hi))
+        .collect();
+    p.atoms
+        .iter()
+        .map(|&(op, shape, a, b, k)| {
+            let (va, vb) = (vars[a], vars[b]);
+            let lhs = match shape {
+                0 => va,
+                1 => ctx.add(va, vb),
+                2 => ctx.sub(va, vb),
+                _ => {
+                    let two = ctx.int(2);
+                    ctx.mul(va, two)
+                }
+            };
+            let c = ctx.int(k);
+            Constraint::new(cmp_op(op), lhs, c)
+        })
+        .collect()
+}
+
+/// Enumerates every assignment in the product of the domains.
+fn multi_brute_force_sat(p: &MultiVar) -> bool {
+    let mut vals: Vec<i64> = p.domains.iter().map(|&(lo, _)| lo).collect();
+    loop {
+        if p.atoms
+            .iter()
+            .all(|&(op, shape, a, b, k)| cmp_op(op).concrete(multi_lhs(shape, vals[a], vals[b]), k))
+        {
+            return true;
+        }
+        // Odometer increment; done once every digit has wrapped.
+        let mut i = 0;
+        loop {
+            if i == vals.len() {
+                return false;
+            }
+            if vals[i] < p.domains[i].1 {
+                vals[i] += 1;
+                break;
+            }
+            vals[i] = p.domains[i].0;
+            i += 1;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn sliced_check_agrees_with_brute_force(p in multi_var()) {
+        let mut ctx = TermCtx::new();
+        let cs = build_multi(&mut ctx, &p);
+        let mut solver = Solver::default();
+        match solver.check(&ctx, &cs) {
+            SatResult::Sat(model) => {
+                prop_assert!(multi_brute_force_sat(&p), "solver sat, brute force unsat: {p:?}");
+                prop_assert!(model.satisfies(&ctx, &cs), "model fails the query: {p:?}");
+            }
+            SatResult::Unsat => {
+                prop_assert!(!multi_brute_force_sat(&p), "solver unsat, brute force sat: {p:?}");
+            }
+            SatResult::Unknown => prop_assert!(false, "unknown on a tiny domain: {p:?}"),
+        }
+    }
+}

@@ -9,9 +9,7 @@ use crate::state::{CondList, State};
 use crate::value::SymValue;
 use concrete::{Fault, InputValue, Location};
 use sir::{InputId, Module};
-use solver::{
-    Constraint, QueryCache, SatResult, Solver, SolverConfig, SolverStats, TermCtx, UnsatCache,
-};
+use solver::{Constraint, QueryCache, SatResult, Solver, SolverConfig, SolverStats, TermCtx};
 use statsym_telemetry::{lineage_op, names, ClockMode, FieldValue, Recorder, NOOP};
 use std::collections::HashMap;
 use std::fmt;
@@ -322,16 +320,6 @@ impl<'m> Engine<'m> {
     /// run.
     pub fn set_shared_cache(&mut self, cache: Arc<dyn QueryCache + Send + Sync>) {
         self.solver.set_query_cache(cache);
-    }
-
-    /// Injects a shared unsat/counterexample cache (see
-    /// `solver::ucache`): unsat cores prune supersets of known-unsat
-    /// conjunct sets, and cached models are re-checked against subset
-    /// queries before any search. Sharing is sound (a hit never changes
-    /// a verdict) but makes *hit counts* schedule-dependent, so leave it
-    /// off for byte-identical trace comparisons.
-    pub fn set_unsat_cache(&mut self, cache: Arc<UnsatCache>) {
-        self.solver.set_unsat_cache(cache);
     }
 
     /// Attaches a telemetry recorder. The engine wraps each run in an
@@ -1016,14 +1004,14 @@ pub fn record_run_telemetry(
         names::SOLVER_BACKTRACKS,
         sv.backtracks - solver_before.backtracks,
     );
-    // Independence-slicing and unsat-cache counters follow the
-    // zero-vs-absent convention: emitted only when the run actually
-    // exercised the feature, so traces of runs with slicing/ucache off
-    // are byte-identical to pre-feature traces. The gate is per
-    // *family*, not per counter: once a family is exercised, all of its
-    // counters are emitted — zeros included — so a legitimate zero
-    // (e.g. no component hits despite sliced queries) reads as `0` in
-    // `inspect diff`, not as a schema change.
+    // Independence-slicing counters follow the zero-vs-absent
+    // convention: emitted only when some query of the run actually
+    // split, so runs whose queries are all single-component carry no
+    // `solver.indep.*` lines. The gate is per *family*, not per counter:
+    // once any query splits, all of its counters are emitted — zeros
+    // included — so a legitimate zero (e.g. no component hits despite
+    // sliced queries) reads as `0` in `inspect diff`, not as a schema
+    // change.
     let indep = [
         (
             names::SOLVER_INDEP_QUERIES,
@@ -1042,36 +1030,6 @@ pub fn record_run_telemetry(
     ];
     if sv.indep_queries > solver_before.indep_queries {
         for (name, delta) in indep {
-            rec.counter_add(name, delta);
-        }
-    }
-    let ucache = [
-        (
-            names::SOLVER_UCACHE_SUB_HITS,
-            sv.ucache_sub_hits
-                .saturating_sub(solver_before.ucache_sub_hits),
-        ),
-        (
-            names::SOLVER_UCACHE_SUP_HITS,
-            sv.ucache_sup_hits
-                .saturating_sub(solver_before.ucache_sup_hits),
-        ),
-        (
-            names::SOLVER_UCACHE_SUP_REJECTS,
-            sv.ucache_sup_rejects
-                .saturating_sub(solver_before.ucache_sup_rejects),
-        ),
-        (
-            names::SOLVER_UCACHE_STORES,
-            sv.ucache_stores.saturating_sub(solver_before.ucache_stores),
-        ),
-        (
-            names::SOLVER_UCACHE_MISSES,
-            sv.ucache_misses.saturating_sub(solver_before.ucache_misses),
-        ),
-    ];
-    if ucache.iter().any(|&(_, delta)| delta > 0) {
-        for (name, delta) in ucache {
             rec.counter_add(name, delta);
         }
     }
@@ -1818,40 +1776,38 @@ mod tests {
         }
     "#;
 
-    #[test]
-    fn disabled_solver_features_emit_no_counters() {
-        // Zero-vs-absent: a run with slicing off and no unsat cache
-        // must not mention either counter family at all — its trace is
-        // byte-identical to one from a build that predates the features.
-        let (_, trace) = attr_run(INDEP_SRC, EngineConfig::default());
-        assert!(!trace.contains("solver.indep."), "{trace}");
-        assert!(!trace.contains("solver.ucache."), "{trace}");
-
-        // Slicing on: the indep family appears, ucache stays absent.
-        let mut cfg = EngineConfig::default();
-        cfg.solver.slice = true;
-        let (_, trace) = attr_run(INDEP_SRC, cfg);
-        assert!(
-            trace.contains("\"name\":\"solver.indep.queries\""),
-            "{trace}"
-        );
-        assert!(!trace.contains("solver.ucache."), "{trace}");
-
-        // Unsat cache attached: the ucache family appears (misses at
-        // minimum), indep stays absent with slicing off.
-        use statsym_telemetry::{Clock, MemRecorder};
-        let p = minic::parse_program(INDEP_SRC).unwrap();
-        let m = sir::lower(&p).unwrap();
-        let rec = MemRecorder::new(Clock::steps());
-        {
-            let mut eng = Engine::new(&m, EngineConfig::default());
-            eng.set_unsat_cache(Arc::new(UnsatCache::new(1024)));
-            eng.set_recorder(&rec);
-            eng.run();
+    // One symbolic input: every query is a single component.
+    const SINGLE_SRC: &str = r#"
+        fn main() {
+            let b: buf[8];
+            let i: int = input_int("i");
+            if (i > 2) {
+                if (i < 6) {
+                    buf_set(b, i, 1);
+                }
+            }
         }
-        let trace = statsym_telemetry::render_trace(&rec.finish());
-        assert!(trace.contains("\"name\":\"solver.ucache."), "{trace}");
+    "#;
+
+    #[test]
+    fn indep_counters_follow_zero_vs_absent() {
+        // No query splits: the `solver.indep.*` family is absent.
+        let (_, trace) = attr_run(SINGLE_SRC, EngineConfig::default());
+        assert!(trace.contains("\"name\":\"solver.queries\""), "{trace}");
         assert!(!trace.contains("solver.indep."), "{trace}");
+
+        // Some query splits: the whole family appears, zeros included.
+        let (_, trace) = attr_run(INDEP_SRC, EngineConfig::default());
+        for name in [
+            names::SOLVER_INDEP_QUERIES,
+            names::SOLVER_INDEP_COMPONENTS,
+            names::SOLVER_INDEP_COMP_HITS,
+        ] {
+            assert!(
+                trace.contains(&format!("\"name\":\"{name}\"")),
+                "{name}: {trace}"
+            );
+        }
     }
 
     #[test]

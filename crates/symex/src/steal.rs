@@ -36,9 +36,11 @@
 //! The byte-identity bar is steal(1) == steal(N) for a fixed
 //! `steal_slice`; the legacy loop (`state_workers = 0`) remains the
 //! reference implementation with its own (also deterministic) traces.
-//! Cross-task *shared* solver caches (`set_shared_cache` /
-//! `set_unsat_cache`) keep verdicts sound but make hit *counts*
-//! schedule-dependent; leave them off when comparing traces.
+//! A cross-task *shared* solver cache (`set_shared_cache`) keeps
+//! verdicts sound but makes hit *counts* schedule-dependent; leave it
+//! off when comparing traces. Each task's private cache (independence
+//! slicing's component entries included) is cloned at every fork, so
+//! it stays a pure function of the fork lineage.
 //!
 //! Steal mode ignores [`crate::SchedulerKind`]: exploration order is
 //! the fork-tree pre-order (a DFS). Guidance still applies — suspension
@@ -154,12 +156,14 @@ struct SegRecord {
     end: SegEnd,
 }
 
-fn solver_delta(now: &SolverStats, base: &SolverStats) -> SolverStats {
-    let mut d = SolverStats::default();
-    macro_rules! sub {
-        ($($f:ident),* $(,)?) => { $( d.$f = now.$f.saturating_sub(base.$f); )* };
+/// Applies `f` field-wise to two solver counter snapshots. The struct
+/// literal is exhaustive, so a new `SolverStats` field fails to compile
+/// here until it is listed.
+fn solver_zip(a: &SolverStats, b: &SolverStats, f: impl Fn(u64, u64) -> u64) -> SolverStats {
+    macro_rules! zip {
+        ($($f:ident),* $(,)?) => { SolverStats { $( $f: f(a.$f, b.$f), )* } };
     }
-    sub!(
+    zip!(
         queries,
         sat,
         unsat,
@@ -174,40 +178,15 @@ fn solver_delta(now: &SolverStats, base: &SolverStats) -> SolverStats {
         indep_queries,
         indep_components,
         indep_comp_hits,
-        ucache_sub_hits,
-        ucache_sup_hits,
-        ucache_sup_rejects,
-        ucache_stores,
-        ucache_misses,
-    );
-    d
+    )
+}
+
+fn solver_delta(now: &SolverStats, base: &SolverStats) -> SolverStats {
+    solver_zip(now, base, u64::saturating_sub)
 }
 
 fn solver_accum(into: &mut SolverStats, d: &SolverStats) {
-    macro_rules! add {
-        ($($f:ident),* $(,)?) => { $( into.$f += d.$f; )* };
-    }
-    add!(
-        queries,
-        sat,
-        unsat,
-        unknown,
-        cache_hits,
-        shared_hits,
-        shared_misses,
-        nodes,
-        propagation_rounds,
-        backtracks,
-        query_us,
-        indep_queries,
-        indep_components,
-        indep_comp_hits,
-        ucache_sub_hits,
-        ucache_sup_hits,
-        ucache_sup_rejects,
-        ucache_stores,
-        ucache_misses,
-    );
+    *into = solver_zip(into, d, |a, b| a + b);
 }
 
 fn exec_accum(into: &mut ExecStats, d: &ExecStats) {
@@ -1332,24 +1311,24 @@ mod tests {
         let base = SolverStats {
             queries: 5,
             nodes: 100,
-            ucache_stores: 2,
+            indep_components: 2,
             ..Default::default()
         };
         let mut now = base;
         now.queries = 9;
         now.nodes = 150;
-        now.ucache_stores = 3;
+        now.indep_components = 3;
         now.indep_queries = 4;
         let d = solver_delta(&now, &base);
         assert_eq!(d.queries, 4);
         assert_eq!(d.nodes, 50);
-        assert_eq!(d.ucache_stores, 1);
+        assert_eq!(d.indep_components, 1);
         assert_eq!(d.indep_queries, 4);
         let mut acc = base;
         solver_accum(&mut acc, &d);
         assert_eq!(acc.queries, now.queries);
         assert_eq!(acc.nodes, now.nodes);
-        assert_eq!(acc.ucache_stores, now.ucache_stores);
+        assert_eq!(acc.indep_components, now.indep_components);
         assert_eq!(acc.indep_queries, now.indep_queries);
     }
 

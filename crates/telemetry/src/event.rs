@@ -288,12 +288,6 @@ pub mod query_disposition {
     pub const EMPTY: &str = "empty";
     /// Answered by the solver's private per-engine query cache.
     pub const PRIVATE: &str = "private";
-    /// Answered by an unsat-cache *subset* hit (a cached unsat core is
-    /// contained in this query).
-    pub const UCACHE_SUB: &str = "ucache.sub";
-    /// Answered by an unsat-cache *superset* hit (a cached sat model
-    /// verified against this query).
-    pub const UCACHE_SUP: &str = "ucache.sup";
     /// Answered by the cross-worker shared cache.
     pub const SHARED: &str = "shared";
     /// Solved by independence slicing into ≥ 2 components.
@@ -302,9 +296,7 @@ pub mod query_disposition {
     pub const SEARCH: &str = "search";
 
     /// Every known disposition, cheapest first.
-    pub const ALL: &[&str] = &[
-        EMPTY, PRIVATE, UCACHE_SUB, UCACHE_SUP, SHARED, SLICED, SEARCH,
-    ];
+    pub const ALL: &[&str] = &[EMPTY, PRIVATE, SHARED, SLICED, SEARCH];
 
     /// Every known verdict.
     pub const VERDICTS: &[&str] = &["sat", "unsat", "unknown"];
@@ -1175,7 +1167,7 @@ mod tests {
             rank: 2,
             site: "feasibility".into(),
             verdict: "unsat".into(),
-            cache: query_disposition::UCACHE_SUB.into(),
+            cache: query_disposition::SLICED.into(),
             nodes: 44,
             us: 0,
         });

@@ -157,16 +157,6 @@ pub mod names {
     pub const SOLVER_INDEP_COMPONENTS: &str = "solver.indep.components";
     /// Sliced components answered from the private cache.
     pub const SOLVER_INDEP_COMP_HITS: &str = "solver.indep.component_hits";
-    /// Unsat-cache hits via cached-unsat-core subset matching.
-    pub const SOLVER_UCACHE_SUB_HITS: &str = "solver.ucache.subset_hits";
-    /// Unsat-cache hits via verified superset-model reuse.
-    pub const SOLVER_UCACHE_SUP_HITS: &str = "solver.ucache.superset_hits";
-    /// Superset candidate models that failed verification.
-    pub const SOLVER_UCACHE_SUP_REJECTS: &str = "solver.ucache.superset_rejects";
-    /// Definitive results published to the unsat cache.
-    pub const SOLVER_UCACHE_STORES: &str = "solver.ucache.stores";
-    /// Unsat-cache lookups that found no usable entry.
-    pub const SOLVER_UCACHE_MISSES: &str = "solver.ucache.misses";
     /// Prefix for per-callsite solver profiles: the engine tags each
     /// query with the site that issued it (`feasibility`, `concretize`,
     /// `fault_model`, `report_model`), and the solver emits
