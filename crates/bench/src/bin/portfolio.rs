@@ -115,8 +115,8 @@ fn main() {
                 eprintln!(
                     "usage: [--out <path>] [--decoys <n>] \
                      [--trace <path>] [--clock steps|wall] [--workers <n>] [--lineage] \
-                     [--attr] [--no-share-cache] [--history <dir>] [--expose <addr>] \
-                     [--crash-dir <dir>] [--panic-after <steps>]"
+                     [--attr] [--no-share-cache] [--history <dir>] [--crash-dir <dir>] \
+                     [--panic-after <steps>]"
                 );
                 std::process::exit(2);
             }

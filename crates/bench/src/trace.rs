@@ -1,23 +1,19 @@
-//! `--trace <path>` / `--stream <addr>` / `--clock steps|wall` support
-//! for the bench binaries: every table/figure binary can export a
-//! structured JSONL trace of the run it just printed — to a file, to a
-//! live `statsym-inspect live` consumer, or both at once.
+//! `--trace <path>` / `--clock steps|wall` support for the bench
+//! binaries: every table/figure binary can export a structured JSONL
+//! trace of the run it just printed. The file is the one trace
+//! transport: it is flushed after every lineage event, so
+//! `statsym-inspect watch` can tail it while the run is still going.
 //!
 //! With `--clock steps` the trace is stamped with the engine's logical
 //! step counter instead of wall-clock time, making the file
-//! byte-reproducible across runs under a fixed seed. Fan-out is handled
-//! by [`FanoutRecorder`]: the file and the stream see the same event
-//! lines, so a stream recorded by `statsym-inspect live --record` is
-//! byte-identical to the `--trace` file.
+//! byte-reproducible across runs under a fixed seed.
 //!
-//! The observability layer adds four more shared flags:
+//! The observability layer adds three more shared flags:
 //!
 //! * `--history <dir|file.jsonl>` — fold the finished trace into a
 //!   [`RunManifest`](statsym_telemetry::manifest::RunManifest) and
 //!   append it to the content-addressed run-history archive
 //!   (`results/history/` by convention). Requires `--trace`.
-//! * `--expose <addr>` — serve live Prometheus-text metrics snapshots
-//!   on a TCP address or Unix socket (`statsym-inspect scrape` client).
 //! * `--crash-dir <dir>` — arm a panic hook that writes a diagnostic
 //!   bundle (panic message, config, reproduce command, partial trace,
 //!   crash manifest) under `<dir>/<run>/` if the run dies.
@@ -26,14 +22,13 @@
 
 use statsym_telemetry::crash::{CrashContext, CrashGuard};
 use statsym_telemetry::manifest::{self, ManifestMeta, RunManifest};
-use statsym_telemetry::{Clock, FanoutRecorder, FileSink, Recorder, StreamSink, NOOP};
+use statsym_telemetry::{Clock, FileRecorder, Recorder, NOOP};
 
 /// Command-line trace options for a bench binary.
 #[derive(Debug)]
 pub struct TraceSink {
     path: Option<String>,
-    streamed: bool,
-    rec: Option<FanoutRecorder>,
+    rec: Option<FileRecorder>,
     workers: Option<usize>,
     lineage: bool,
     attr: bool,
@@ -48,19 +43,18 @@ pub struct TraceSink {
 fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: [--trace <path>] [--stream <addr>] [--clock steps|wall] [--workers <n>] \
-         [--lineage] [--attr] [--no-share-cache] [--history <dir>] [--expose <addr>] \
-         [--crash-dir <dir>] [--panic-after <steps>]"
+        "usage: [--trace <path>] [--clock steps|wall] [--workers <n>] [--lineage] [--attr] \
+         [--no-share-cache] [--history <dir>] [--crash-dir <dir>] [--panic-after <steps>]"
     );
     std::process::exit(2);
 }
 
 impl TraceSink {
-    /// Parses `--trace <path>`, `--stream <addr>`, `--clock steps|wall`,
-    /// and `--workers <n>` from the process arguments. Defaults to the
-    /// deterministic step clock so fixed-seed runs produce byte-identical
-    /// trace files, and to a single worker (the sequential candidate
-    /// loop).
+    /// Parses `--trace <path>`, `--clock steps|wall`, `--workers <n>`
+    /// and the other shared flags from the process arguments. Defaults
+    /// to the deterministic step clock so fixed-seed runs produce
+    /// byte-identical trace files, and to a single worker (the
+    /// sequential candidate loop).
     ///
     /// Exits with status 2 (and a usage message on stderr) on a
     /// malformed command line, an unrecognized flag, or an unwritable
@@ -76,30 +70,22 @@ impl TraceSink {
     }
 
     /// Pulls the shared trace/observability flags (`--trace`,
-    /// `--stream`, `--clock`, `--workers`, `--lineage`, `--attr`,
-    /// `--no-share-cache`, `--history`, `--expose`, `--crash-dir`,
-    /// `--panic-after`) out of `args`, leaving every unrecognized
-    /// argument in place for the caller to parse — how binaries combine
-    /// their own flags with the shared trace options.
+    /// `--clock`, `--workers`, `--lineage`, `--attr`, `--no-share-cache`,
+    /// `--history`, `--crash-dir`, `--panic-after`) out of `args`,
+    /// leaving every unrecognized argument in place for the caller to
+    /// parse — how binaries combine their own flags with the shared
+    /// trace options.
     ///
-    /// `--stream` dials a `statsym-inspect live` listener (TCP
-    /// `host:port`, or a Unix socket path containing `/`), retrying for
-    /// a few seconds so a consumer started in parallel wins the race.
-    /// The stream's run id is the `--trace` file stem (or `bench`
-    /// without `--trace`).
-    ///
-    /// Exits with status 2 on a malformed trace flag, an unwritable
-    /// trace path, or an unreachable stream address.
+    /// Exits with status 2 on a malformed trace flag or an unwritable
+    /// trace path.
     pub fn extract(args: &mut Vec<String>) -> TraceSink {
         let mut path = None;
-        let mut stream = None;
         let mut wall = false;
         let mut workers = None;
         let mut lineage = false;
         let mut attr = false;
         let mut share_cache = true;
         let mut history = None;
-        let mut expose = None;
         let mut crash_dir = None;
         let mut panic_after = None;
         let mut rest = Vec::new();
@@ -109,10 +95,6 @@ impl TraceSink {
                 "--trace" => match it.next() {
                     Some(p) => path = Some(p),
                     None => usage_exit("--trace requires a file path"),
-                },
-                "--stream" => match it.next() {
-                    Some(addr) => stream = Some(addr),
-                    None => usage_exit("--stream requires an address (host:port or socket path)"),
                 },
                 "--clock" => match it.next().as_deref() {
                     Some("steps") => wall = false,
@@ -134,10 +116,6 @@ impl TraceSink {
                     Some(dir) => history = Some(dir),
                     None => usage_exit("--history requires a directory or .jsonl file"),
                 },
-                "--expose" => match it.next() {
-                    Some(addr) => expose = Some(addr),
-                    None => usage_exit("--expose requires an address (host:port or socket path)"),
-                },
                 "--crash-dir" => match it.next() {
                     Some(dir) => crash_dir = Some(dir),
                     None => usage_exit("--crash-dir requires a directory"),
@@ -151,45 +129,24 @@ impl TraceSink {
             }
         }
         *args = rest;
-        // The run id names the recorded stream on the consumer side and
-        // the manifest/crash-bundle entries: the trace file stem, so
-        // `live --record` writes the same file name the run itself would.
+        // The run id names the manifest and crash-bundle entries: the
+        // trace file stem.
         let run = path
             .as_deref()
             .and_then(|p| std::path::Path::new(p).file_stem())
             .and_then(|s| s.to_str())
             .unwrap_or("bench")
             .to_string();
-        let rec = if path.is_some() || stream.is_some() || expose.is_some() {
+        let rec = path.as_deref().map(|p| {
             let clock = if wall { Clock::wall() } else { Clock::steps() };
-            let mut fan = FanoutRecorder::new(clock);
-            if let Some(p) = path.as_deref() {
-                let file = FileSink::create(p)
-                    .unwrap_or_else(|e| usage_exit(&format!("cannot open {p}: {e}")));
-                fan.add_sink(Box::new(file));
-            }
-            if let Some(addr) = stream.as_deref() {
-                let sink = StreamSink::connect(addr, &run)
-                    .unwrap_or_else(|e| usage_exit(&format!("cannot reach {addr}: {e}")));
-                fan.add_sink(Box::new(sink));
-            }
-            if let Some(addr) = expose.as_deref() {
-                let bound = fan
-                    .expose(addr, &run)
-                    .unwrap_or_else(|e| usage_exit(&format!("cannot expose on {addr}: {e}")));
-                eprintln!("metrics exposed on {bound}");
-            }
-            Some(fan)
-        } else {
-            None
-        };
+            FileRecorder::create(p, clock)
+                .unwrap_or_else(|e| usage_exit(&format!("cannot open {p}: {e}")))
+        });
         if lineage && rec.is_none() {
-            usage_exit("--lineage requires --trace or --stream (lineage events go into the trace)");
+            usage_exit("--lineage requires --trace (lineage events go into the trace)");
         }
         if attr && rec.is_none() {
-            usage_exit(
-                "--attr requires --trace or --stream (attribution events go into the trace)",
-            );
+            usage_exit("--attr requires --trace (attribution events go into the trace)");
         }
         if history.is_some() && path.is_none() {
             usage_exit("--history requires --trace (the manifest is folded from the trace file)");
@@ -214,7 +171,6 @@ impl TraceSink {
         });
         TraceSink {
             path,
-            streamed: stream.is_some(),
             rec,
             workers,
             lineage,
@@ -269,7 +225,7 @@ impl TraceSink {
     }
 
     /// The run id (trace file stem, `bench` without `--trace`) stamped
-    /// into manifests, crash bundles, and stream hello frames.
+    /// into manifests and crash bundles.
     pub fn run(&self) -> &str {
         &self.run
     }
@@ -292,9 +248,8 @@ impl TraceSink {
         }
     }
 
-    /// The recorder to thread through the experiment: the fan-out
-    /// recorder when `--trace` / `--stream` / `--expose` was given, the
-    /// no-op recorder otherwise.
+    /// The recorder to thread through the experiment: the trace-file
+    /// recorder when `--trace` was given, the no-op recorder otherwise.
     pub fn recorder(&self) -> &dyn Recorder {
         match &self.rec {
             Some(r) => r,
@@ -302,28 +257,21 @@ impl TraceSink {
         }
     }
 
-    /// Flushes the trace (appending the final metrics snapshot and the
-    /// stream's end-of-run frame), appends the run manifest to the
-    /// history archive when `--history` was given, disarms the crash
-    /// hook, and reports where everything was written.
+    /// Flushes the trace (appending the final metrics snapshot), appends
+    /// the run manifest to the history archive when `--history` was
+    /// given, disarms the crash hook, and reports where everything was
+    /// written.
     ///
     /// # Panics
     ///
-    /// Panics if the trace file or stream could not be written in full,
+    /// Panics if the trace file could not be written in full,
     /// or if the manifest could not be folded or appended.
     pub fn finish(self) {
-        if let Some(rec) = self.rec {
-            let path = self.path.clone().unwrap_or_default();
+        if let (Some(rec), Some(p)) = (self.rec, &self.path) {
             rec.finish()
-                .unwrap_or_else(|e| panic!("failed to write trace {path}: {e}"));
-            if let Some(p) = &self.path {
-                eprintln!("trace written to {p}");
-            }
-            if self.streamed {
-                eprintln!("trace streamed");
-            }
+                .unwrap_or_else(|e| panic!("failed to write trace {p}: {e}"));
+            eprintln!("trace written to {p}");
             if let Some(history) = &self.history {
-                let p = self.path.as_deref().expect("--history requires --trace");
                 let text = std::fs::read_to_string(p)
                     .unwrap_or_else(|e| panic!("cannot re-read trace {p}: {e}"));
                 let m = RunManifest::from_trace(&text, &self.meta).unwrap_or_else(|e| {

@@ -32,7 +32,7 @@
 //!   is what the byte-reproducible-trace tests rely on.
 //!
 //! **Concurrent recording (DESIGN.md §10).** Each worker owns a private
-//! [`BufferedRecorder`] and the engine records into it natively — the
+//! [`MemRecorder`] and the engine records into it natively — the
 //! same spans, events, counters, and histograms a sequential attempt
 //! would record, including per-callsite solver profiles and anything a
 //! cancelled run did before it stopped. After the join, the main thread
@@ -49,7 +49,7 @@ use crate::guidance::GuidedHook;
 use crate::pipeline::{CandidateAttempt, StatSymConfig};
 use sir::Module;
 use solver::{QueryCache, SharedCache, SharedCacheStats};
-use statsym_telemetry::{names, BufferedRecorder, FieldValue, Recorder, TraceBuffer};
+use statsym_telemetry::{names, Clock, FieldValue, MemRecorder, Recorder, TraceBuffer};
 use symex::{outcome_label, Engine, EngineConfig, EngineReport};
 use symex::{FoundVulnerability, RunOutcome, SchedulerKind};
 
@@ -168,7 +168,7 @@ pub fn run_portfolio_with_cache(
                 };
                 // The worker's private recorder: the engine records into
                 // it exactly as it would into the main-thread sink.
-                let wrec = record.then(|| BufferedRecorder::new(clock_mode));
+                let wrec = record.then(|| MemRecorder::new(Clock::with_mode(clock_mode)));
                 let attempt_span = wrec.as_ref().map(|w| w.span_open(names::CANDIDATE_ATTEMPT));
                 let report = {
                     let hook = GuidedHook::new(paths[rank].clone(), config.guidance);
@@ -253,7 +253,7 @@ pub fn run_portfolio_with_cache(
                 }
                 *slots[rank].lock().expect("portfolio worker panicked") = Some(WorkerDone {
                     report,
-                    trace: wrec.map(BufferedRecorder::finish),
+                    trace: wrec.map(MemRecorder::into_buffer),
                     cancel_latency,
                 });
             });

@@ -31,13 +31,9 @@
 //!   two numeric JSON reports such as `BENCH_portfolio.json`), with a
 //!   configurable regression threshold. The CI perf gate.
 //! * [`watch`] — a live dashboard that tails a growing trace file.
-//! * [`live`] — the same dashboard fed by `--stream` telemetry sockets
-//!   (any number of concurrent runs), with `--record` teeing each
-//!   stream back to a byte-identical trace file.
 //!
 //! Over the persistent run-history archive
-//! ([`statsym_telemetry::manifest`]) and the metrics exposition
-//! endpoint:
+//! ([`statsym_telemetry::manifest`]):
 //!
 //! * [`history`] — list/filter the archive, and `history add` for
 //!   appending records without running a workload (the CI synthetic-
@@ -45,8 +41,6 @@
 //! * [`trend`] — windowed median/MAD drift analysis of the last run vs
 //!   its predecessors, with a `--gate` CI exit code; `regress` isolates
 //!   the first archive run that broke a metric.
-//! * [`scrape`] — one-shot client for a run's `--expose` Prometheus
-//!   text-format endpoint.
 //!
 //! Traces are loaded with the *strict* parser: unbalanced or duplicate
 //! spans are rejected with line-numbered errors rather than silently
@@ -61,10 +55,8 @@ pub mod explain;
 pub mod forest;
 pub mod history;
 pub mod hotspots;
-pub mod live;
 pub mod numjson;
 pub mod report;
-pub mod scrape;
 pub mod tail;
 pub mod tree;
 pub mod trend;
@@ -96,7 +88,7 @@ impl RunView {
     /// Reads and parses the trace at `path`. Strict by default;
     /// `allow_truncated` (the `--allow-truncated` flag) accepts exactly
     /// one half-written trailing line and spans/states still open, as a
-    /// live or crash-cut trace has.
+    /// running or crash-cut trace has.
     ///
     /// # Errors
     ///

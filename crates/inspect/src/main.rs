@@ -10,7 +10,7 @@
 
 use statsym_inspect::diff::{diff_files, parse_threshold, DiffConfig};
 use statsym_inspect::{
-    calib, coverage, explain, history, hotspots, live, report, scrape, tree, trend, watch, RunView,
+    calib, coverage, explain, history, hotspots, report, tree, trend, watch, RunView,
 };
 use statsym_telemetry::manifest;
 
@@ -19,8 +19,8 @@ usage: statsym-inspect <command> [args]
 
 commands:
   Views of one trace file. Each also accepts --allow-truncated, which
-  reads a trace cut short mid-line (a live or crash-cut run) instead of
-  exiting 2:
+  reads a trace cut short mid-line (a running or crash-cut run) instead
+  of exiting 2:
 
   report <trace.jsonl> [--format text|json]
       Render the run report (phases, counters, gauges, histograms,
@@ -53,25 +53,18 @@ commands:
       rank-vs-cost correlation (per-mille). --min-corr exits 1 when a
       run correlates below the floor (or nothing is gateable).
   watch <trace.jsonl> [--interval <ms>] [--once] [--no-color]
-      Live dashboard tailing a growing --lineage trace; exits when the
-      run's final metrics appear. Polling backs off adaptively while
-      the file is idle. With --once, the trace is parsed strictly (like
-      report) unless --allow-truncated is given. --no-color appends
-      plain frames with no ANSI escapes (CI logs, pipes).
+      Live dashboard tailing a growing --lineage trace (the recorder
+      flushes after every lineage event); exits when the run's final
+      metrics appear. Polling backs off adaptively while the file is
+      idle. With --once, the trace is parsed strictly (like report)
+      unless --allow-truncated is given. --no-color appends plain
+      frames with no ANSI escapes (CI logs, pipes).
 
-  Comparisons, live streams and run history:
+  Comparisons and run history:
 
   diff <old> <new> [--threshold <pct>%] [--ignore <prefix>]... [--min-delta <n>]
       Compare two traces (or two numeric JSON reports). Exits 1 when a
       metric grew past the threshold (default 10%).
-  live <addr> [--record <dir>] [--runs <n>] [--quiet] [--interval <ms>] [--no-color]
-      Stream-fed dashboard: listens on a tcp host:port (or a unix
-      socket path containing '/') for --stream telemetry from any
-      number of concurrent runs. --record tees each stream into
-      <dir>/<run>.jsonl, byte-identical to the run's own trace file.
-      --runs exits after <n> streams end (for CI); exits nonzero if a
-      stream hangs up without its end-of-run frame. --no-color appends
-      plain frames with no ANSI escapes.
   history <archive> [--source <s>] [--run <r>] [--limit <n>]
       List the manifest records of a run-history archive (a directory
       holding history.jsonl, or the file itself) in append order.
@@ -93,10 +86,6 @@ commands:
       First-bad-run isolation: baselines <metric> over the earliest
       --window runs and reports the first run deviating beyond the
       robust threshold.
-  scrape <addr>
-      One-shot client for a run's --expose metrics endpoint: prints the
-      Prometheus text-format snapshot between the stream's hello and
-      end frames.
 ";
 
 fn usage_exit(msg: &str) -> ! {
@@ -120,45 +109,9 @@ fn main() {
             trace_view(cmd, &rest, allow_truncated)
         }
         Some("diff") => run_diff(&args[1..]),
-        Some("live") => {
-            let mut opts = live::LiveOpts {
-                interval_ms: 500,
-                ..live::LiveOpts::default()
-            };
-            let mut rest = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--record" => match it.next() {
-                        Some(dir) => opts.record = Some(dir.clone()),
-                        None => usage_exit("--record requires a directory"),
-                    },
-                    "--runs" => match it.next().map(|n| n.parse::<u64>()) {
-                        Some(Ok(n)) if n >= 1 => opts.runs = Some(n),
-                        _ => usage_exit("--runs requires a positive count"),
-                    },
-                    "--quiet" => opts.quiet = true,
-                    "--interval" => match it.next().map(|n| n.parse::<u64>()) {
-                        Some(Ok(ms)) if ms >= 1 => opts.interval_ms = ms,
-                        _ => usage_exit("--interval requires a positive millisecond count"),
-                    },
-                    "--no-color" => opts.no_color = true,
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [addr] = positional::<1>(
-                &rest,
-                "live <addr> [--record <dir>] [--runs <n>] [--quiet] [--interval <ms>] [--no-color]",
-            );
-            live::live(&addr, &opts)
-        }
         Some("history") => run_history(&args[1..]),
         Some("trend") => run_trend(&args[1..]),
         Some("regress") => run_regress(&args[1..]),
-        Some("scrape") => {
-            let [addr] = positional::<1>(&args[1..], "scrape <addr>");
-            scrape::scrape(&addr)
-        }
         Some(other) => usage_exit(&format!("unknown command `{other}`")),
         None => usage_exit("missing command"),
     };

@@ -176,7 +176,7 @@ pub(crate) fn percent(part: u64, whole: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use statsym_telemetry::{BufferedRecorder, Clock, ClockMode, FieldValue, MemRecorder};
+    use statsym_telemetry::{Clock, FieldValue, MemRecorder};
     use statsym_telemetry::{Recorder, TraceEvent};
 
     fn counter(name: &str, value: u64) -> TraceEvent {
@@ -270,13 +270,13 @@ mod tests {
         let root = rec.span_open(names::PORTFOLIO);
         rec.counter_add(names::PORTFOLIO_WORKERS, 4);
         for (i, steps, found) in [(0u64, 100u64, false), (1, 40, true)] {
-            let w = BufferedRecorder::new(ClockMode::Steps);
+            let w = MemRecorder::new(Clock::steps());
             record_attempt(&w, i, steps, found);
-            rec.merge_buffer(&w.finish(), None);
+            rec.merge_buffer(&w.into_buffer(), None);
         }
-        let w = BufferedRecorder::new(ClockMode::Steps);
+        let w = MemRecorder::new(Clock::steps());
         record_attempt(&w, 2, 60, false);
-        rec.merge_buffer(&w.finish(), Some(names::PORTFOLIO_OVERSHOOT_PREFIX));
+        rec.merge_buffer(&w.into_buffer(), Some(names::PORTFOLIO_OVERSHOOT_PREFIX));
         rec.span_close(root);
 
         let text = render(rec.finish());

@@ -1,9 +1,8 @@
-//! The shared tail/render loop used by the `watch` (file-polling) and
-//! `live` (stream-fed) dashboards.
+//! The tail/render loop of the `watch` dashboard.
 //!
-//! Both commands redraw a full-screen text frame whenever their source
-//! changed and sleep otherwise. [`Backoff`] owns the sleep policy: the
-//! delay starts at the configured interval and doubles while the source
+//! `watch` redraws a full-screen text frame whenever the trace file
+//! changed and sleeps otherwise. [`Backoff`] owns the sleep policy: the
+//! delay starts at the configured interval and doubles while the file
 //! is idle (a finished-but-unclosed run stops burning a fixed-rate
 //! poll), snapping back to the base interval on the first sign of new
 //! data. [`Screen`] owns the ANSI redraw protocol (clear once, then

@@ -7,9 +7,10 @@
 //! half-written last line is expected mid-run), and redraws a summary
 //! in place. Metrics (`Counter`/`Gauge`/`Hist` lines) are only flushed
 //! at the end of a run, so their appearance doubles as the done signal:
-//! `watch` prints a final frame and exits 0. (The stream-fed `live`
-//! dashboard does not need this heuristic — a stream carries an
-//! explicit end-of-run frame.)
+//! `watch` prints a final frame and exits 0. A run that crashed leaves
+//! no metrics; its crash bundle's `trace.partial.jsonl` and `"crashed"`
+//! manifest say so, and `watch --once --allow-truncated` renders the
+//! partial trace.
 //!
 //! The rendering is a pure function of the parsed events
 //! ([`dashboard`]), so it is unit-testable without a filesystem or a

@@ -599,91 +599,3 @@ fn deeply_nested_json_is_a_parse_error_not_a_crash() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
-
-/// Connects to `path`, retrying while the `live` listener starts up.
-#[cfg(unix)]
-fn connect_unix_retrying(path: &Path) -> std::os::unix::net::UnixStream {
-    for _ in 0..200 {
-        if let Ok(s) = std::os::unix::net::UnixStream::connect(path) {
-            return s;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    panic!("live listener never came up at {}", path.display());
-}
-
-#[cfg(unix)]
-#[test]
-fn live_record_tees_a_stream_byte_identical_to_the_trace_file() {
-    use std::io::Write as _;
-
-    let dir = std::env::temp_dir().join(format!("statsym-inspect-live-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace = lineage_trace(&dir);
-    let sock = dir.join("live.sock");
-    let rec_dir = dir.join("rec");
-
-    let mut live = Command::new(env!("CARGO_BIN_EXE_statsym-inspect"))
-        .args([
-            "live",
-            sock.to_str().unwrap(),
-            "--record",
-            rec_dir.to_str().unwrap(),
-            "--runs",
-            "1",
-            "--quiet",
-            "--interval",
-            "10",
-        ])
-        .spawn()
-        .expect("live spawns");
-
-    // Frame the recorded trace exactly as a StreamSink would: hello,
-    // verbatim event lines, end.
-    let body = std::fs::read_to_string(&trace).unwrap();
-    let mut conn = connect_unix_retrying(&sock);
-    conn.write_all(b"{\"s\":\"hello\",\"version\":1,\"run\":\"lineage\"}\n")
-        .unwrap();
-    conn.write_all(body.as_bytes()).unwrap();
-    conn.write_all(b"{\"s\":\"end\",\"dropped\":0}\n").unwrap();
-    drop(conn);
-
-    let status = live.wait().expect("live exits");
-    assert_eq!(status.code(), Some(0));
-    let recorded = std::fs::read_to_string(rec_dir.join("lineage.jsonl")).expect("recorded file");
-    assert_eq!(recorded, body, "recorded stream must be byte-identical");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[cfg(unix)]
-#[test]
-fn live_exits_nonzero_when_a_stream_dies_without_its_end_frame() {
-    use std::io::Write as _;
-
-    let dir = std::env::temp_dir().join(format!("statsym-inspect-lost-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let sock = dir.join("live.sock");
-    let mut live = Command::new(env!("CARGO_BIN_EXE_statsym-inspect"))
-        .args([
-            "live",
-            sock.to_str().unwrap(),
-            "--runs",
-            "1",
-            "--quiet",
-            "--interval",
-            "10",
-        ])
-        .spawn()
-        .expect("live spawns");
-
-    let mut conn = connect_unix_retrying(&sock);
-    conn.write_all(b"{\"s\":\"hello\",\"version\":1,\"run\":\"doomed\"}\n")
-        .unwrap();
-    conn.write_all(b"{\"k\":\"meta\",\"clock\":\"steps\",\"version\":1}\n")
-        .unwrap();
-    drop(conn); // hang up before the end frame
-
-    let status = live.wait().expect("live exits");
-    assert_eq!(status.code(), Some(1), "lost stream must fail the run");
-    std::fs::remove_dir_all(&dir).ok();
-}

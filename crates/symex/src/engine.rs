@@ -954,7 +954,7 @@ pub fn outcome_label(outcome: &RunOutcome) -> &'static str {
 /// solver.
 ///
 /// This is called by [`Engine::run`] itself; portfolio workers get it
-/// for free by pointing the engine at their private `BufferedRecorder`
+/// for free by pointing the engine at their private `MemRecorder`
 /// (the buffers are merged into the main trace after the join, so no
 /// replay step exists anymore).
 pub fn record_run_telemetry(

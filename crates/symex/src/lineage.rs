@@ -18,7 +18,7 @@
 //!   [`Recorder::alloc_state_id`], never taken from the engine's
 //!   internal ids. Engine ids are assigned eagerly at fork sites and
 //!   skip numbers for pruned children; trace ids are dense, which is
-//!   what lets `BufferedRecorder` merges remap them with a plain base
+//!   what lets worker-buffer merges remap them with a plain base
 //!   offset.
 //!
 //! Work attribution is differential: each event carries the steps,

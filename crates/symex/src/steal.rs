@@ -25,7 +25,7 @@
 //!   fork-lineage key (`root = [0]`, child *i* of `k` = `k + [i]`), and
 //!   the walker commits segments in DFS pre-order over that tree — a
 //!   pure function of the program, independent of which worker ran
-//!   what. Workers record into private [`BufferedRecorder`]s; buffers
+//!   what. Workers record into private [`MemRecorder`]s; buffers
 //!   are spliced into the real trace only at commit.
 //! * **Boundary-checked budgets.** The deterministic budget dimensions
 //!   (`max_steps`, `max_states`) are enforced by the walker at segment
@@ -64,7 +64,7 @@ use concrete::{Fault, InputValue};
 use sir::{InputId, Module};
 use solver::{Model, SatResult, Solver, SolverStats, TermCtx};
 use statsym_telemetry::{
-    lineage_op, names, BufferedRecorder, ClockMode, LineageEvent, Recorder, TraceBuffer, NOOP,
+    lineage_op, names, Clock, ClockMode, LineageEvent, MemRecorder, Recorder, TraceBuffer, NOOP,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -298,7 +298,9 @@ fn run_segment(
         mut state,
         mut solver,
     } = task;
-    let buf = sc.traced.then(|| BufferedRecorder::new(sc.clock_mode));
+    let buf = sc
+        .traced
+        .then(|| MemRecorder::new(Clock::with_mode(sc.clock_mode)));
     let rec: &dyn Recorder = match &buf {
         Some(b) => b,
         None => &NOOP,
@@ -502,7 +504,7 @@ fn run_segment(
         exec,
         solver: solver_delta(&solver.stats(), &sv0),
         locals_used,
-        buffer: buf.map(|b| b.finish()),
+        buffer: buf.map(MemRecorder::into_buffer),
         lineage: lineage.take_captured(),
         start_loc,
         start_hops,
@@ -1142,7 +1144,7 @@ pub(crate) fn run_steal(eng: &mut Engine<'_>) -> Option<EngineReport> {
     let mut boot_solver = eng.solver.clone();
     let boot_record = {
         let res = &mut worker_res[0];
-        let buf = traced.then(|| BufferedRecorder::new(clock_mode));
+        let buf = traced.then(|| MemRecorder::new(Clock::with_mode(clock_mode)));
         let brec: &dyn Recorder = match &buf {
             Some(b) => b,
             None => &NOOP,
@@ -1181,7 +1183,7 @@ pub(crate) fn run_steal(eng: &mut Engine<'_>) -> Option<EngineReport> {
             exec,
             solver: solver_delta(&boot_solver.stats(), &sv0),
             locals_used: next_local,
-            buffer: buf.map(|b| b.finish()),
+            buffer: buf.map(MemRecorder::into_buffer),
             lineage: lineage.take_captured(),
             start_loc,
             start_hops,

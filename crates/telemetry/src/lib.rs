@@ -22,12 +22,10 @@
 mod clock;
 pub mod crash;
 mod event;
-pub mod expose;
 pub mod manifest;
 mod metrics;
 mod recorder;
 mod report;
-mod stream;
 
 pub use clock::{Clock, ClockMode};
 pub use event::{
@@ -36,16 +34,12 @@ pub use event::{
 };
 pub use metrics::{bucket_of, Hist, Metrics, HIST_BUCKETS};
 pub use recorder::{
-    BufferedRecorder, FileRecorder, LineageEvent, MemRecorder, NoopRecorder, QueryEvent, Recorder,
-    SharedBuf, Span, TraceBuffer, NOOP, TRACE_VERSION,
+    FileRecorder, LineageEvent, MemRecorder, NoopRecorder, QueryEvent, Recorder, SharedBuf, Span,
+    TraceBuffer, NOOP, TRACE_VERSION,
 };
 pub use report::{
-    render_calib_table, spearman_milli, CalibCandidate, HistStat, SpanStat, SummaryBuilder,
-    TraceSummary, REPORT_KIND, REPORT_SCHEMA_VERSION,
-};
-pub use stream::{
-    EventSink, FanoutRecorder, FileSink, MemSink, SharedEvents, StreamFrame, StreamSink,
-    STREAM_QUEUE_CAPACITY,
+    render_calib_table, spearman_milli, CalibCandidate, HistStat, SpanStat, TraceSummary,
+    REPORT_KIND, REPORT_SCHEMA_VERSION,
 };
 
 /// Well-known span and metric names used across the workspace, kept in
@@ -196,11 +190,6 @@ pub mod names {
     pub const MONITOR_SAMPLED: &str = "monitor.records_sampled";
     /// Monitor records dropped at sampling rate p.
     pub const MONITOR_DROPPED: &str = "monitor.records_dropped";
-
-    /// Events a live stream sink discarded under backpressure (only
-    /// materialized when nonzero, so zero-drop streamed traces stay
-    /// byte-identical to unstreamed ones).
-    pub const STREAM_DROPPED: &str = crate::stream::STREAM_DROPPED;
 
     /// Periodic budget progress event (emitted at the engine's
     /// every-8192-steps checkpoint cadence while a resource budget is

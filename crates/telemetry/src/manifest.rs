@@ -37,7 +37,7 @@ pub const MANIFEST_KIND: &str = "statsym.manifest";
 pub const HISTORY_FILE: &str = "history.jsonl";
 
 /// Metric-name prefixes excluded from manifests: these are shaped by
-/// scheduling (worker counts, cancellation races, stream backpressure),
+/// scheduling (worker counts, cancellation races, telemetry bookkeeping),
 /// not by the workload, and would break the byte-identity guarantee.
 pub const SCHEDULING_PREFIXES: [&str; 2] = ["portfolio.", "telemetry."];
 
@@ -493,7 +493,7 @@ mod tests {
         rec.tick(10);
         rec.counter_add(names::SYMEX_STEPS, 91);
         rec.counter_add(names::PORTFOLIO_WORKERS, 4);
-        rec.counter_add("telemetry.stream.dropped", 3);
+        rec.counter_add("telemetry.recorder.events", 3);
         rec.gauge_max(names::CALIB_WINNER_RANK, 3);
         rec.gauge_max(names::SYMEX_PEAK_LIVE_STATES, 7);
         rec.span_close(sp);
@@ -505,7 +505,7 @@ mod tests {
         let m = RunManifest::from_events(&sample_events(), &sample_meta());
         assert_eq!(m.counters.get("symex.steps"), Some(&91));
         assert!(!m.counters.contains_key("portfolio.workers"));
-        assert!(!m.counters.contains_key("telemetry.stream.dropped"));
+        assert!(!m.counters.contains_key("telemetry.recorder.events"));
         assert_eq!(m.winner_rank, 3);
         assert_eq!(m.budget, "none");
         assert_eq!(m.clock, "steps");

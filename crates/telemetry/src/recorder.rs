@@ -8,13 +8,14 @@
 //! * [`NoopRecorder`] — a ZST that discards everything; `enabled()`
 //!   returns `false` so callers can skip field construction entirely.
 //! * [`MemRecorder`] — buffers events in memory; `finish()` hands back
-//!   the full event list (with the metrics snapshot appended).
+//!   the full event list (with the metrics snapshot appended), and
+//!   `into_buffer()` a mergeable [`TraceBuffer`] for worker threads.
 //! * [`FileRecorder`] — streams canonical JSONL, one event per line,
 //!   to any `Write` sink (usually a file opened via `create`).
 
 use std::cell::{Cell, RefCell};
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -133,7 +134,7 @@ pub trait Recorder {
     }
 
     /// The clock mode this recorder stamps events with. Portfolio
-    /// workers use this to build matching [`BufferedRecorder`]s.
+    /// workers use this to build matching worker [`MemRecorder`]s.
     fn clock_mode(&self) -> ClockMode {
         ClockMode::Steps
     }
@@ -184,16 +185,16 @@ impl Recorder for NoopRecorder {
 /// State shared by the real recorders: clock, span bookkeeping, and
 /// the metrics registry.
 #[derive(Debug)]
-pub(crate) struct SinkCore {
-    pub(crate) clock: Clock,
-    pub(crate) next_span: Cell<u64>,
-    pub(crate) next_state: Cell<u64>,
-    pub(crate) stack: RefCell<Vec<u64>>,
-    pub(crate) metrics: Metrics,
+struct SinkCore {
+    clock: Clock,
+    next_span: Cell<u64>,
+    next_state: Cell<u64>,
+    stack: RefCell<Vec<u64>>,
+    metrics: Metrics,
 }
 
 impl SinkCore {
-    pub(crate) fn new(clock: Clock) -> SinkCore {
+    fn new(clock: Clock) -> SinkCore {
         SinkCore {
             clock,
             next_span: Cell::new(1),
@@ -203,13 +204,13 @@ impl SinkCore {
         }
     }
 
-    pub(crate) fn alloc_state(&self) -> u64 {
+    fn alloc_state(&self) -> u64 {
         let id = self.next_state.get();
         self.next_state.set(id + 1);
         id
     }
 
-    pub(crate) fn state_event(&self, ev: &LineageEvent<'_>) -> TraceEvent {
+    fn state_event(&self, ev: &LineageEvent<'_>) -> TraceEvent {
         TraceEvent::State {
             t: self.clock.now(),
             op: ev.op.to_string(),
@@ -230,7 +231,7 @@ impl SinkCore {
         }
     }
 
-    pub(crate) fn query_event(&self, ev: &QueryEvent<'_>) -> TraceEvent {
+    fn query_event(&self, ev: &QueryEvent<'_>) -> TraceEvent {
         TraceEvent::Query {
             t: self.clock.now(),
             sid: ev.sid,
@@ -250,14 +251,14 @@ impl SinkCore {
         }
     }
 
-    pub(crate) fn meta_event(&self) -> TraceEvent {
+    fn meta_event(&self) -> TraceEvent {
         TraceEvent::Meta {
             clock: self.clock.label().to_string(),
             version: TRACE_VERSION,
         }
     }
 
-    pub(crate) fn open(&self, name: &str) -> (SpanId, TraceEvent) {
+    fn open(&self, name: &str) -> (SpanId, TraceEvent) {
         let id = self.next_span.get();
         self.next_span.set(id + 1);
         let parent = self.stack.borrow().last().copied().unwrap_or(0);
@@ -271,7 +272,7 @@ impl SinkCore {
         (SpanId(id), ev)
     }
 
-    pub(crate) fn close(&self, id: SpanId) -> Option<TraceEvent> {
+    fn close(&self, id: SpanId) -> Option<TraceEvent> {
         if id == SpanId::NONE {
             return None;
         }
@@ -287,7 +288,7 @@ impl SinkCore {
         })
     }
 
-    pub(crate) fn point(&self, name: &str, fields: &[(&str, FieldValue)]) -> TraceEvent {
+    fn point(&self, name: &str, fields: &[(&str, FieldValue)]) -> TraceEvent {
         TraceEvent::Event {
             t: self.clock.now(),
             name: name.to_string(),
@@ -302,7 +303,7 @@ impl SinkCore {
     /// §10). Rewrites a worker buffer into this sink's id/parent/time
     /// frame and folds its metrics in; returns the rewritten events for
     /// the caller to append to its output.
-    pub(crate) fn splice(&self, buf: &TraceBuffer, prefix: Option<&str>) -> Vec<TraceEvent> {
+    fn splice(&self, buf: &TraceBuffer, prefix: Option<&str>) -> Vec<TraceEvent> {
         let offset = self.clock.now();
         // Worker ids started at 1; remap id x -> base + (x - 1) so the
         // merged trace never reuses an id this sink already issued.
@@ -422,8 +423,9 @@ impl SinkCore {
     }
 }
 
-/// The finished contents of a [`BufferedRecorder`]: plain data, `Send`,
-/// carried from a worker thread back to the main thread for merging.
+/// The finished contents of a worker's [`MemRecorder`]
+/// ([`MemRecorder::into_buffer`]): plain data, `Send`, carried from a
+/// worker thread back to the main thread for merging.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     /// Span/event stream in recording order, ids local to this buffer
@@ -443,122 +445,16 @@ pub struct TraceBuffer {
     pub hists: Vec<(String, Hist)>,
 }
 
-/// A private per-worker recorder for concurrent tracing (DESIGN.md
-/// §10).
-///
-/// Each portfolio worker owns one `BufferedRecorder` outright — no
-/// locks, no sharing — records into it exactly as the sequential loop
-/// records into the main sink, then ships the resulting
-/// [`TraceBuffer`] (plain `Send` data) back for a deterministic
-/// rank-ordered [`Recorder::merge_buffer`] on the main thread.
-///
-/// Unlike [`MemRecorder`] it emits no meta event (the merged trace
-/// already has one) and its span ids / timestamps are buffer-local
-/// until [`SinkCore::splice`] rewrites them.
-#[derive(Debug)]
-pub struct BufferedRecorder {
-    core: SinkCore,
-    events: RefCell<Vec<TraceEvent>>,
-}
-
-impl BufferedRecorder {
-    /// A fresh buffer stamping events with a clock of the given mode
-    /// (match the destination recorder via [`Recorder::clock_mode`]).
-    pub fn new(mode: ClockMode) -> BufferedRecorder {
-        BufferedRecorder {
-            core: SinkCore::new(Clock::with_mode(mode)),
-            events: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Read-only access to the metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
-    }
-
-    /// Consumes the recorder into its mergeable buffer.
-    pub fn finish(self) -> TraceBuffer {
-        TraceBuffer {
-            events: self.events.into_inner(),
-            spans_used: self.core.next_span.get() - 1,
-            states_used: self.core.next_state.get() - 1,
-            end_tick: self.core.clock.now(),
-            counters: self.core.metrics.dump_counters(),
-            gauges: self.core.metrics.dump_gauges(),
-            hists: self.core.metrics.dump_hists(),
-        }
-    }
-}
-
-impl Recorder for BufferedRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn span_open(&self, name: &str) -> SpanId {
-        let (id, ev) = self.core.open(name);
-        self.events.borrow_mut().push(ev);
-        id
-    }
-
-    fn span_close(&self, id: SpanId) {
-        if let Some(ev) = self.core.close(id) {
-            self.events.borrow_mut().push(ev);
-        }
-    }
-
-    fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
-        let ev = self.core.point(name, fields);
-        self.events.borrow_mut().push(ev);
-    }
-
-    fn counter_add(&self, name: &str, delta: u64) {
-        self.core.metrics.counter_add(name, delta);
-    }
-
-    fn gauge_max(&self, name: &str, v: i64) {
-        self.core.metrics.gauge_max(name, v);
-    }
-
-    fn observe(&self, name: &str, v: u64) {
-        self.core.metrics.observe(name, v);
-    }
-
-    fn observe_wall(&self, name: &str, d: Duration) {
-        if !self.core.clock.is_deterministic() {
-            self.core.metrics.observe(name, d.as_micros() as u64);
-        }
-    }
-
-    fn tick(&self, delta: u64) {
-        self.core.clock.advance(delta);
-    }
-
-    fn alloc_state_id(&self) -> u64 {
-        self.core.alloc_state()
-    }
-
-    fn state(&self, ev: &LineageEvent<'_>) {
-        let ev = self.core.state_event(ev);
-        self.events.borrow_mut().push(ev);
-    }
-
-    fn query(&self, ev: &QueryEvent<'_>) {
-        let ev = self.core.query_event(ev);
-        self.events.borrow_mut().push(ev);
-    }
-
-    fn clock_mode(&self) -> ClockMode {
-        self.core.clock.mode()
-    }
-
-    fn merge_buffer(&self, buf: &TraceBuffer, prefix: Option<&str>) {
-        let spliced = self.core.splice(buf, prefix);
-        self.events.borrow_mut().extend(spliced);
-    }
-}
-
 /// A recorder that buffers the whole trace in memory.
+///
+/// It is also the private per-worker recorder for concurrent tracing
+/// (DESIGN.md §10): each portfolio worker or steal segment owns one
+/// outright — no locks, no sharing — records into it exactly as the
+/// sequential loop records into the main sink, then ships
+/// [`MemRecorder::into_buffer`] (plain `Send` data) back for a
+/// deterministic rank-ordered [`Recorder::merge_buffer`] on the main
+/// thread. Span ids and timestamps stay buffer-local until
+/// [`SinkCore::splice`] rewrites them.
 #[derive(Debug)]
 pub struct MemRecorder {
     core: SinkCore,
@@ -591,6 +487,23 @@ impl MemRecorder {
         let mut events = self.events.into_inner();
         events.extend(self.core.metrics.snapshot());
         events
+    }
+
+    /// Consumes the recorder into a mergeable buffer: the events without
+    /// the meta event (the destination trace already has one), with the
+    /// metrics carried out of band.
+    pub fn into_buffer(self) -> TraceBuffer {
+        let mut events = self.events.into_inner();
+        events.remove(0);
+        TraceBuffer {
+            events,
+            spans_used: self.core.next_span.get() - 1,
+            states_used: self.core.next_state.get() - 1,
+            end_tick: self.core.clock.now(),
+            counters: self.core.metrics.dump_counters(),
+            gauges: self.core.metrics.dump_gauges(),
+            hists: self.core.metrics.dump_hists(),
+        }
     }
 }
 
@@ -662,17 +575,26 @@ impl Recorder for MemRecorder {
     }
 }
 
-/// A recorder that streams canonical JSONL to a `Write` sink.
+/// A recorder that streams canonical JSONL to a `Write` sink, one event
+/// per line.
 ///
-/// Since the fan-out layer landed this is a single-sink
-/// [`FanoutRecorder`](crate::FanoutRecorder) over a
-/// [`FileSink`](crate::FileSink) — kept as a named type because it is
-/// the canonical "trace to a file" recorder everywhere. Writes are
-/// best-effort while the run is in flight; the first I/O error is
-/// remembered and surfaced by [`FileRecorder::finish`].
-#[derive(Debug)]
+/// Writes are best-effort while the run is in flight; the first I/O
+/// error is latched and surfaced by [`FileRecorder::finish`]. The
+/// writer is flushed after the meta line and after every lineage event,
+/// so a growing trace is tailable mid-run (`statsym-inspect watch`).
 pub struct FileRecorder {
-    inner: crate::stream::FanoutRecorder,
+    core: SinkCore,
+    out: RefCell<BufWriter<Box<dyn Write>>>,
+    error: RefCell<Option<io::Error>>,
+}
+
+impl std::fmt::Debug for FileRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FileRecorder")
+            .field("core", &self.core)
+            .field("error", &self.error)
+            .finish_non_exhaustive()
+    }
 }
 
 impl FileRecorder {
@@ -688,18 +610,54 @@ impl FileRecorder {
 
     /// Wraps an arbitrary writer (used by tests to trace into memory).
     pub fn from_writer(w: Box<dyn Write>, clock: Clock) -> FileRecorder {
-        let inner = crate::stream::FanoutRecorder::new(clock)
-            .with_sink(Box::new(crate::stream::FileSink::from_writer(w)));
-        FileRecorder { inner }
+        let rec = FileRecorder {
+            core: SinkCore::new(clock),
+            out: RefCell::new(BufWriter::new(w)),
+            error: RefCell::new(None),
+        };
+        rec.write(&rec.core.meta_event());
+        rec.flush();
+        rec
     }
 
-    /// Flushes the metrics snapshot and the underlying writer.
+    /// Runs one write-side operation unless an earlier one failed,
+    /// latching the first I/O error for [`FileRecorder::finish`].
+    fn io(&self, op: impl FnOnce(&mut BufWriter<Box<dyn Write>>) -> io::Result<()>) {
+        let mut error = self.error.borrow_mut();
+        if error.is_none() {
+            if let Err(e) = op(&mut self.out.borrow_mut()) {
+                *error = Some(e);
+            }
+        }
+    }
+
+    /// Writes one canonical line.
+    fn write(&self, ev: &TraceEvent) {
+        let line = ev.to_json_line();
+        self.io(|out| {
+            out.write_all(line.as_bytes())?;
+            out.write_all(b"\n")
+        });
+    }
+
+    /// Makes buffered lines visible to readers of the file.
+    fn flush(&self) {
+        self.io(|out| out.flush());
+    }
+
+    /// Writes the metrics snapshot and flushes the underlying writer.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error hit at any point during the trace.
     pub fn finish(self) -> io::Result<()> {
-        self.inner.finish()
+        for ev in self.core.metrics.snapshot() {
+            self.write(&ev);
+        }
+        if let Some(e) = self.error.into_inner() {
+            return Err(e);
+        }
+        self.out.into_inner().flush()
     }
 }
 
@@ -709,55 +667,69 @@ impl Recorder for FileRecorder {
     }
 
     fn span_open(&self, name: &str) -> SpanId {
-        self.inner.span_open(name)
+        let (id, ev) = self.core.open(name);
+        self.write(&ev);
+        id
     }
 
     fn span_close(&self, id: SpanId) {
-        self.inner.span_close(id);
+        if let Some(ev) = self.core.close(id) {
+            self.write(&ev);
+        }
     }
 
     fn event(&self, name: &str, fields: &[(&str, FieldValue)]) {
-        self.inner.event(name, fields);
+        self.write(&self.core.point(name, fields));
     }
 
     fn counter_add(&self, name: &str, delta: u64) {
-        self.inner.counter_add(name, delta);
+        self.core.metrics.counter_add(name, delta);
     }
 
     fn gauge_max(&self, name: &str, v: i64) {
-        self.inner.gauge_max(name, v);
+        self.core.metrics.gauge_max(name, v);
     }
 
     fn observe(&self, name: &str, v: u64) {
-        self.inner.observe(name, v);
+        self.core.metrics.observe(name, v);
     }
 
     fn observe_wall(&self, name: &str, d: Duration) {
-        self.inner.observe_wall(name, d);
+        if !self.core.clock.is_deterministic() {
+            self.core.metrics.observe(name, d.as_micros() as u64);
+        }
     }
 
     fn tick(&self, delta: u64) {
-        self.inner.tick(delta);
+        self.core.clock.advance(delta);
     }
 
     fn alloc_state_id(&self) -> u64 {
-        self.inner.alloc_state_id()
+        self.core.alloc_state()
     }
 
     fn state(&self, ev: &LineageEvent<'_>) {
-        self.inner.state(ev);
+        self.write(&self.core.state_event(ev));
+        // Keep tailing consumers current: `statsym-inspect watch` sees a
+        // growing trace mid-run.
+        self.flush();
     }
 
     fn query(&self, ev: &QueryEvent<'_>) {
-        self.inner.query(ev);
+        // No flush: queries are far too frequent for per-event flushing;
+        // a tailing consumer catches up at the next lineage event or at
+        // finish().
+        self.write(&self.core.query_event(ev));
     }
 
     fn clock_mode(&self) -> ClockMode {
-        self.inner.clock_mode()
+        self.core.clock.mode()
     }
 
     fn merge_buffer(&self, buf: &TraceBuffer, prefix: Option<&str>) {
-        self.inner.merge_buffer(buf, prefix);
+        for ev in self.core.splice(buf, prefix) {
+            self.write(&ev);
+        }
     }
 }
 
@@ -910,8 +882,62 @@ mod tests {
         ));
     }
 
+    fn root_lineage() -> LineageEvent<'static> {
+        LineageEvent {
+            op: crate::lineage_op::ROOT,
+            id: 1,
+            parent: 0,
+            loc: "main:b0",
+            hops: 0,
+            depth: 0,
+            steps: 0,
+            snodes: 0,
+            solver_us: 0,
+        }
+    }
+
+    #[test]
+    fn file_recorder_flushes_meta_and_lineage_for_tailing_readers() {
+        let buf = SharedBuf::new();
+        let rec = FileRecorder::from_writer(Box::new(buf.clone()), Clock::steps());
+        let meta = "{\"k\":\"meta\",\"clock\":\"steps\",\"version\":1}\n";
+        assert_eq!(String::from_utf8(buf.contents()).unwrap(), meta);
+        // Span lines stay buffered until the next lineage event.
+        let s = rec.span_open("candidate.attempt");
+        assert_eq!(buf.contents().len(), meta.len());
+        rec.alloc_state_id();
+        rec.state(&root_lineage());
+        let text = String::from_utf8(buf.contents()).unwrap();
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert!(parse_trace(&text).is_ok(), "{text}");
+        rec.span_close(s);
+        rec.finish().unwrap();
+    }
+
+    #[test]
+    fn file_recorder_latches_first_error_until_finish() {
+        struct FailingWriter;
+        impl Write for FailingWriter {
+            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        // The flushes after the meta line and the state event push
+        // buffered bytes into the failing writer mid-run; the first
+        // error must surface at finish().
+        let rec = FileRecorder::from_writer(Box::new(FailingWriter), Clock::steps());
+        rec.alloc_state_id();
+        rec.state(&root_lineage());
+        let err = rec.finish().unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+    }
+
     fn worker_buffer() -> TraceBuffer {
-        let w = BufferedRecorder::new(ClockMode::Steps);
+        let w = MemRecorder::new(Clock::steps());
         let s = w.span_open("candidate.attempt");
         w.tick(10);
         let inner = w.span_open("engine.run");
@@ -921,7 +947,7 @@ mod tests {
         w.counter_add("engine.steps", 10);
         w.gauge_max("peak", 4);
         w.observe("lat", 3);
-        w.finish()
+        w.into_buffer()
     }
 
     #[test]
@@ -1003,7 +1029,7 @@ mod tests {
 
     #[test]
     fn merged_trace_matches_inline_recording() {
-        // Recording through a BufferedRecorder + merge must be
+        // Recording through a worker MemRecorder + merge must be
         // byte-identical to recording the same calls inline.
         let inline = MemRecorder::new(Clock::steps());
         let root = inline.span_open("portfolio");
@@ -1015,12 +1041,12 @@ mod tests {
 
         let merged = MemRecorder::new(Clock::steps());
         let root = merged.span_open("portfolio");
-        let w = BufferedRecorder::new(merged.clock_mode());
+        let w = MemRecorder::new(Clock::with_mode(merged.clock_mode()));
         let s = w.span_open("candidate.attempt");
         w.tick(10);
         w.counter_add("engine.steps", 10);
         w.span_close(s);
-        merged.merge_buffer(&w.finish(), None);
+        merged.merge_buffer(&w.into_buffer(), None);
         merged.span_close(root);
 
         assert_eq!(inline.finish(), merged.finish());
@@ -1065,7 +1091,7 @@ mod tests {
     }
 
     fn lineage_buffer() -> TraceBuffer {
-        let w = BufferedRecorder::new(ClockMode::Steps);
+        let w = MemRecorder::new(Clock::steps());
         let root = w.alloc_state_id();
         w.state(&LineageEvent {
             op: crate::lineage_op::ROOT,
@@ -1090,7 +1116,7 @@ mod tests {
             snodes: 2,
             solver_us: 0,
         });
-        w.finish()
+        w.into_buffer()
     }
 
     #[test]
@@ -1129,7 +1155,7 @@ mod tests {
         });
 
         let merged = MemRecorder::new(Clock::steps());
-        let w = BufferedRecorder::new(merged.clock_mode());
+        let w = MemRecorder::new(Clock::with_mode(merged.clock_mode()));
         let id = w.alloc_state_id();
         w.state(&LineageEvent {
             op: crate::lineage_op::ROOT,
@@ -1142,7 +1168,7 @@ mod tests {
             snodes: 0,
             solver_us: 0,
         });
-        merged.merge_buffer(&w.finish(), None);
+        merged.merge_buffer(&w.into_buffer(), None);
 
         assert_eq!(inline.finish(), merged.finish());
     }
@@ -1196,12 +1222,12 @@ mod tests {
 
         let merged = MemRecorder::new(Clock::steps());
         let root = merged.span_open("portfolio");
-        let w = BufferedRecorder::new(merged.clock_mode());
+        let w = MemRecorder::new(Clock::with_mode(merged.clock_mode()));
         let s = w.span_open("candidate.attempt");
         w.tick(4);
         w.query(&query_ev(0));
         w.span_close(s);
-        merged.merge_buffer(&w.finish(), None);
+        merged.merge_buffer(&w.into_buffer(), None);
         merged.span_close(root);
 
         assert_eq!(inline.finish(), merged.finish());
@@ -1211,10 +1237,10 @@ mod tests {
     fn merge_offsets_query_time_but_not_sid() {
         let rec = MemRecorder::new(Clock::steps());
         rec.tick(100);
-        let w = BufferedRecorder::new(ClockMode::Steps);
+        let w = MemRecorder::new(Clock::steps());
         w.tick(4);
         w.query(&query_ev(0));
-        rec.merge_buffer(&w.finish(), Some("portfolio.overshoot."));
+        rec.merge_buffer(&w.into_buffer(), Some("portfolio.overshoot."));
         let events = rec.finish();
         // t offset by the merge point; sid untouched; no rename.
         assert!(matches!(

@@ -265,131 +265,99 @@ pub struct TraceSummary {
     pub calib: Vec<CalibCandidate>,
 }
 
-/// Incremental [`TraceSummary`] construction: feed events one at a time
-/// as they arrive (a tailed file, a live stream) and read the digest at
-/// any cut point. `SummaryBuilder` over a full event list is exactly
-/// [`TraceSummary::from_events`] — the batch entry point delegates here.
-#[derive(Debug, Default)]
-pub struct SummaryBuilder {
-    summary: TraceSummary,
-    /// Per-open-span bookkeeping: id -> (name index, open tick, depth).
-    open: HashMap<u64, (usize, u64, usize)>,
-    depth_of: HashMap<u64, usize>,
-    name_index: HashMap<String, usize>,
-    event_index: HashMap<String, usize>,
-    query_index: HashMap<QueryKey, usize>,
-}
-
-impl SummaryBuilder {
-    /// An empty builder.
-    pub fn new() -> SummaryBuilder {
-        SummaryBuilder::default()
-    }
-
-    /// Folds one event into the summary.
-    pub fn push(&mut self, ev: &TraceEvent) {
-        let summary = &mut self.summary;
-        match ev {
-            TraceEvent::Meta { clock, .. } => summary.clock = clock.clone(),
-            TraceEvent::SpanOpen {
-                t,
-                id,
-                parent,
-                name,
-            } => {
-                let depth = if *parent == 0 {
-                    0
-                } else {
-                    self.depth_of.get(parent).map_or(0, |d| d + 1)
-                };
-                self.depth_of.insert(*id, depth);
-                let idx = *self.name_index.entry(name.clone()).or_insert_with(|| {
-                    summary.spans.push(SpanStat {
-                        name: name.clone(),
-                        depth,
-                        count: 0,
-                        total_ticks: 0,
-                    });
-                    summary.spans.len() - 1
-                });
-                summary.spans[idx].count += 1;
-                self.open.insert(*id, (idx, *t, depth));
-            }
-            TraceEvent::SpanClose { t, id } => {
-                if let Some((idx, opened, _)) = self.open.remove(id) {
-                    summary.spans[idx].total_ticks += t.saturating_sub(opened);
-                }
-            }
-            TraceEvent::Event { name, fields, .. } => {
-                let idx = *self.event_index.entry(name.clone()).or_insert_with(|| {
-                    summary.event_counts.push((name.clone(), 0));
-                    summary.event_counts.len() - 1
-                });
-                summary.event_counts[idx].1 += 1;
-                if name == names::CALIB_CANDIDATE {
-                    summary.calib.push(CalibCandidate::from_fields(fields));
-                }
-            }
-            TraceEvent::Counter { name, value } => {
-                summary.counters.push((name.clone(), *value));
-            }
-            TraceEvent::Gauge { name, value } => {
-                summary.gauges.push((name.clone(), *value));
-            }
-            TraceEvent::Hist {
-                name,
-                count,
-                sum,
-                buckets,
-            } => {
-                summary.hists.push(HistStat {
-                    name: name.clone(),
-                    count: *count,
-                    sum: *sum,
-                    buckets: buckets.clone(),
-                });
-            }
-            TraceEvent::State { .. } => {}
-            TraceEvent::Query {
-                site,
-                verdict,
-                cache,
-                nodes,
-                us,
-                ..
-            } => {
-                let key = (site.clone(), verdict.clone(), cache.clone());
-                let idx = *self.query_index.entry(key.clone()).or_insert_with(|| {
-                    summary.query_stats.push((key, (0, 0, 0)));
-                    summary.query_stats.len() - 1
-                });
-                let (count, total_nodes, total_us) = &mut summary.query_stats[idx].1;
-                *count += 1;
-                *total_nodes += nodes;
-                *total_us += us;
-            }
-        }
-    }
-
-    /// The digest of everything pushed so far.
-    pub fn summary(&self) -> &TraceSummary {
-        &self.summary
-    }
-
-    /// Consumes the builder into the final digest.
-    pub fn finish(self) -> TraceSummary {
-        self.summary
-    }
-}
-
 impl TraceSummary {
     /// Builds a summary from a parsed event stream.
     pub fn from_events(events: &[TraceEvent]) -> TraceSummary {
-        let mut b = SummaryBuilder::new();
+        let mut summary = TraceSummary::default();
+        // Per-open-span bookkeeping: id -> (name index, open tick).
+        let mut open: HashMap<u64, (usize, u64)> = HashMap::new();
+        let mut depth_of: HashMap<u64, usize> = HashMap::new();
+        let mut name_index: HashMap<String, usize> = HashMap::new();
+        let mut event_index: HashMap<String, usize> = HashMap::new();
+        let mut query_index: HashMap<QueryKey, usize> = HashMap::new();
         for ev in events {
-            b.push(ev);
+            match ev {
+                TraceEvent::Meta { clock, .. } => summary.clock = clock.clone(),
+                TraceEvent::SpanOpen {
+                    t,
+                    id,
+                    parent,
+                    name,
+                } => {
+                    let depth = if *parent == 0 {
+                        0
+                    } else {
+                        depth_of.get(parent).map_or(0, |d| d + 1)
+                    };
+                    depth_of.insert(*id, depth);
+                    let idx = *name_index.entry(name.clone()).or_insert_with(|| {
+                        summary.spans.push(SpanStat {
+                            name: name.clone(),
+                            depth,
+                            count: 0,
+                            total_ticks: 0,
+                        });
+                        summary.spans.len() - 1
+                    });
+                    summary.spans[idx].count += 1;
+                    open.insert(*id, (idx, *t));
+                }
+                TraceEvent::SpanClose { t, id } => {
+                    if let Some((idx, opened)) = open.remove(id) {
+                        summary.spans[idx].total_ticks += t.saturating_sub(opened);
+                    }
+                }
+                TraceEvent::Event { name, fields, .. } => {
+                    let idx = *event_index.entry(name.clone()).or_insert_with(|| {
+                        summary.event_counts.push((name.clone(), 0));
+                        summary.event_counts.len() - 1
+                    });
+                    summary.event_counts[idx].1 += 1;
+                    if name == names::CALIB_CANDIDATE {
+                        summary.calib.push(CalibCandidate::from_fields(fields));
+                    }
+                }
+                TraceEvent::Counter { name, value } => {
+                    summary.counters.push((name.clone(), *value));
+                }
+                TraceEvent::Gauge { name, value } => {
+                    summary.gauges.push((name.clone(), *value));
+                }
+                TraceEvent::Hist {
+                    name,
+                    count,
+                    sum,
+                    buckets,
+                } => {
+                    summary.hists.push(HistStat {
+                        name: name.clone(),
+                        count: *count,
+                        sum: *sum,
+                        buckets: buckets.clone(),
+                    });
+                }
+                TraceEvent::State { .. } => {}
+                TraceEvent::Query {
+                    site,
+                    verdict,
+                    cache,
+                    nodes,
+                    us,
+                    ..
+                } => {
+                    let key = (site.clone(), verdict.clone(), cache.clone());
+                    let idx = *query_index.entry(key.clone()).or_insert_with(|| {
+                        summary.query_stats.push((key, (0, 0, 0)));
+                        summary.query_stats.len() - 1
+                    });
+                    let (count, total_nodes, total_us) = &mut summary.query_stats[idx].1;
+                    *count += 1;
+                    *total_nodes += nodes;
+                    *total_us += us;
+                }
+            }
         }
-        b.finish()
+        summary
     }
 
     /// Total ticks of the named span (0 if absent).
@@ -737,23 +705,6 @@ mod tests {
         assert!(a.contains("mean"));
         assert!(a.contains("p50"));
         assert!(a.contains("p99"));
-    }
-
-    #[test]
-    fn incremental_builder_matches_batch_summary() {
-        let events = sample_events();
-        let mut b = SummaryBuilder::new();
-        for ev in &events {
-            b.push(ev);
-        }
-        assert_eq!(b.summary(), &TraceSummary::from_events(&events));
-        // A prefix digest is readable at any cut point.
-        let mut partial = SummaryBuilder::new();
-        for ev in &events[..3] {
-            partial.push(ev);
-        }
-        assert_eq!(partial.summary(), &TraceSummary::from_events(&events[..3]));
-        assert_eq!(b.finish(), TraceSummary::from_events(&events));
     }
 
     #[test]

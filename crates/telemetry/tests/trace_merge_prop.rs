@@ -1,6 +1,6 @@
 //! Property test for worker-buffer splice/merge (DESIGN.md §10).
 //!
-//! Portfolio workers record into private `BufferedRecorder`s whose span
+//! Portfolio workers record into private `MemRecorder`s whose span
 //! ids and timestamps are buffer-local; `merge_buffer` splices them
 //! into the destination trace. The invariant under test: for *any*
 //! shape of worker span trees merged in *any* rank order — including
@@ -13,8 +13,8 @@ use proptest::{any, collection, proptest};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use statsym_telemetry::{
-    lineage_op, parse_trace_strict, render_trace, BufferedRecorder, Clock, ClockMode, FieldValue,
-    LineageEvent, MemRecorder, Recorder, TraceBuffer, TraceEvent,
+    lineage_op, parse_trace_strict, render_trace, Clock, FieldValue, LineageEvent, MemRecorder,
+    Recorder, TraceBuffer, TraceEvent,
 };
 
 /// Records a random span tree (spans, point events, ticks, counters,
@@ -91,11 +91,11 @@ fn record_tree(
 /// Builds one worker buffer from a seed and returns it with its
 /// recorded point-event and counter totals.
 fn worker_buffer(seed: u64) -> (TraceBuffer, usize, u64) {
-    let rec = BufferedRecorder::new(ClockMode::Steps);
+    let rec = MemRecorder::new(Clock::steps());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut budget = rng.random_range(0..40usize);
     record_tree(&rec, &mut rng, 0, &mut budget, &mut Vec::new());
-    let buf = rec.finish();
+    let buf = rec.into_buffer();
     let points = buf
         .events
         .iter()
@@ -138,11 +138,11 @@ proptest! {
                 // Two-level splice: worker buffer into an intermediate
                 // buffer, intermediate into main.
                 _ => {
-                    let mid = BufferedRecorder::new(ClockMode::Steps);
+                    let mid = MemRecorder::new(Clock::steps());
                     let wrap = mid.span_open("relay");
                     mid.merge_buffer(buf, None);
                     mid.span_close(wrap);
-                    main.merge_buffer(&mid.finish(), None);
+                    main.merge_buffer(&mid.into_buffer(), None);
                 }
             }
             // Main-thread activity interleaved between merges must not

@@ -1,10 +1,10 @@
-//! The strict readers of untrusted telemetry input — trace JSONL, run
-//! manifests, and stream frames — return errors on malformed input and
-//! never panic or overflow the stack, however deeply the input nests.
+//! The strict readers of untrusted telemetry input — trace JSONL and run
+//! manifests — return errors on malformed input and never panic or
+//! overflow the stack, however deeply the input nests.
 
 use proptest::{any, collection, prop_oneof, proptest, Strategy};
 use statsym_telemetry::manifest::RunManifest;
-use statsym_telemetry::{parse_trace_strict, parse_trace_truncated, StreamFrame};
+use statsym_telemetry::{parse_trace_strict, parse_trace_truncated};
 
 /// One line nesting `depth` unclosed arrays inside an object, the shape
 /// that used to overflow the recursive JSON reader.
@@ -36,13 +36,6 @@ fn deeply_nested_manifest_is_a_line_numbered_error() {
     assert!(err.reason.contains("nesting"), "{err}");
 }
 
-#[test]
-fn deeply_nested_stream_line_is_not_a_frame() {
-    assert_eq!(StreamFrame::parse(&deep_line(100_000)), None);
-    let balanced = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
-    assert_eq!(StreamFrame::parse(&balanced), None);
-}
-
 /// A valid trace to corrupt: every line kind the strict parser knows.
 const VALID: &str = "\
 {\"k\":\"meta\",\"clock\":\"steps\",\"version\":1}
@@ -53,7 +46,6 @@ const VALID: &str = "\
 {\"k\":\"event\",\"t\":3,\"name\":\"candidate.result\",\"fields\":{\"index\":0,\"found\":\"true\"}}
 {\"k\":\"counter\",\"name\":\"solver.queries\",\"value\":1}
 {\"k\":\"hist\",\"name\":\"solver.query_us\",\"count\":1,\"sum\":3,\"buckets\":[[2,1]]}
-{\"s\":\"hello\",\"version\":1,\"run\":\"r\"}
 ";
 
 /// Fragments that assemble into JSON-shaped soup.
@@ -97,7 +89,6 @@ proptest! {
         let _ = parse_trace_truncated(&text);
         for (i, line) in text.lines().enumerate() {
             let _ = RunManifest::parse_line(line, i + 1);
-            let _ = StreamFrame::parse(line);
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Fleet-observability contracts (DESIGN.md §17): the run-history
 //! manifest must be byte-identical no matter how the run was scheduled,
 //! and a crashing engine must still leave a usable diagnostic trail —
-//! a complete crash bundle on disk and a well-formed terminal `end`
-//! frame on any attached telemetry stream.
+//! a complete crash bundle on disk whose partial trace still parses.
 
 use statsym::concrete::{ExecutionLog, InputValue, VmConfig};
 use statsym::core::pipeline::{config_fingerprint, StatSym, StatSymConfig};
@@ -10,22 +9,9 @@ use statsym::sir::Module;
 use statsym::symex::EngineConfig;
 use statsym::telemetry::crash::{CrashContext, CrashGuard};
 use statsym::telemetry::manifest::{ManifestMeta, RunManifest};
-use statsym::telemetry::{Clock, MemRecorder, StreamFrame, NOOP};
-use std::sync::{Arc, Mutex};
-
-/// Thread-safe byte sink standing in for a live `--stream` socket.
-#[derive(Clone, Default)]
-struct SyncBuf(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for SyncBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use statsym::telemetry::{
+    parse_trace_truncated, Clock, FileRecorder, MemRecorder, TraceEvent, NOOP,
+};
 
 const SRC: &str = r#"
     global track: int = 0;
@@ -172,10 +158,10 @@ fn sequential_fallback_agrees_on_workload_metrics() {
 /// A forced engine panic (the `--panic-after` chaos knob) must leave
 /// the full diagnostic trail: the panic hook writes a complete crash
 /// bundle (panic text, config, reproduce line, partial trace, crashed
-/// manifest), and dropping the streaming recorder during unwind still
-/// emits a parseable terminal `end` frame after the `hello`.
+/// manifest), and the partial trace it copies is a readable trace that
+/// opens with the meta line.
 #[test]
-fn engine_panic_yields_crash_bundle_and_stream_end_frame() {
+fn engine_panic_yields_crash_bundle_and_readable_partial_trace() {
     let m = module();
     let logs = corpus(&m);
     let analysis = StatSym::new(config(1, 0)).analyze(&logs);
@@ -200,14 +186,9 @@ fn engine_panic_yields_crash_bundle_and_stream_end_frame() {
         },
     });
 
-    // Stream the run into a shared buffer, as `--stream` would into a
-    // live socket; the trace file doubles as the bundle's partial trace.
-    let buf = SyncBuf::default();
-    let stream = statsym::telemetry::StreamSink::from_writer(Box::new(buf.clone()), "obs-drill");
-    let file = statsym::telemetry::FileSink::create(&trace_path).unwrap();
-    let mut rec = statsym::telemetry::FanoutRecorder::new(Clock::steps());
-    rec.add_sink(Box::new(file));
-    rec.add_sink(Box::new(stream));
+    // Record to a trace file, as `--trace` does; the bundle copies
+    // whatever of it was flushed when the panic hit.
+    let rec = FileRecorder::create(&trace_path, Clock::steps()).unwrap();
 
     let analysis2 = analysis.clone();
     let module2 = module();
@@ -216,7 +197,6 @@ fn engine_panic_yields_crash_bundle_and_stream_end_frame() {
     }));
     assert!(outcome.is_err(), "panic_after=40 must actually panic");
     guard.disarm();
-    drop(rec); // unwound recorder: flush sinks, emit the end frame
 
     // The bundle is complete: every required member is on disk and the
     // manifest records the crashed disposition.
@@ -242,24 +222,13 @@ fn engine_panic_yields_crash_bundle_and_stream_end_frame() {
         "panic.txt must carry the payload: {panic_txt}"
     );
 
-    // The stream is properly framed: hello first, end last, events (if
-    // any survived the cut) in between — a `live` listener sees a clean
-    // shutdown, not a dangling connection.
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 2, "stream must carry hello + end: {text}");
+    // The partial trace is a trail a reader can follow: it parses with
+    // the truncation-tolerant parser and opens with the meta line.
+    let partial = std::fs::read_to_string(bundle.join("trace.partial.jsonl")).unwrap();
+    let (events, _) = parse_trace_truncated(&partial).unwrap();
     assert!(
-        matches!(StreamFrame::parse(lines[0]), Some(StreamFrame::Hello { ref run, .. }) if run == "obs-drill"),
-        "first frame must be hello: {}",
-        lines[0]
-    );
-    assert!(
-        matches!(
-            StreamFrame::parse(lines[lines.len() - 1]),
-            Some(StreamFrame::End { .. })
-        ),
-        "last frame must be end: {}",
-        lines[lines.len() - 1]
+        matches!(events.first(), Some(TraceEvent::Meta { clock, .. }) if clock == "steps"),
+        "partial trace must start with the meta line: {partial}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
