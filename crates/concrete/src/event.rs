@@ -6,8 +6,13 @@
 //! (rendered `convert_fileName():enter`, as in the paper's Figure 8);
 //! [`VarId`] is the identity of one logged variable at a location
 //! (rendered `suspect FUNCPARAM` / `track GLOBAL`, as in Table V).
+//!
+//! Names are shared `Arc<str>`s: as in Fjalar's per-program-point
+//! layout, a name exists once per instrumentation site, and every record
+//! logged there holds a clone of it rather than its own copy.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Entry or exit side of a function-boundary instrumentation point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,14 +36,14 @@ impl fmt::Display for FnEvent {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Location {
     /// Function name.
-    pub func: String,
+    pub func: Arc<str>,
     /// Entry or exit.
     pub event: FnEvent,
 }
 
 impl Location {
     /// Creates the entry location for `func`.
-    pub fn enter(func: impl Into<String>) -> Location {
+    pub fn enter(func: impl Into<Arc<str>>) -> Location {
         Location {
             func: func.into(),
             event: FnEvent::Enter,
@@ -46,7 +51,7 @@ impl Location {
     }
 
     /// Creates the exit location for `func`.
-    pub fn leave(func: impl Into<String>) -> Location {
+    pub fn leave(func: impl Into<Arc<str>>) -> Location {
         Location {
             func: func.into(),
             event: FnEvent::Leave,
@@ -98,7 +103,7 @@ pub enum Measure {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId {
     /// Source-level variable name (`ret` for return values).
-    pub name: String,
+    pub name: Arc<str>,
     /// Global / parameter / return value.
     pub role: VarRole,
     /// Value or string-length measurement.
@@ -107,7 +112,7 @@ pub struct VarId {
 
 impl VarId {
     /// Creates a variable identity.
-    pub fn new(name: impl Into<String>, role: VarRole, measure: Measure) -> VarId {
+    pub fn new(name: impl Into<Arc<str>>, role: VarRole, measure: Measure) -> VarId {
         VarId {
             name: name.into(),
             role,

@@ -14,8 +14,9 @@
 //! ret RETURN = 0
 //! ```
 //!
-//! Parsing is strict: malformed lines are reported with their line
-//! number rather than skipped, so corrupted corpora are caught early.
+//! Parsing is strict: malformed lines — including non-finite values
+//! such as `NaN` or `inf` — are reported with their line number rather
+//! than skipped, so corrupted corpora are caught early.
 
 use crate::event::{FnEvent, Location, Measure, VarId, VarRole};
 use crate::fault::{Fault, FaultKind};
@@ -172,7 +173,13 @@ pub fn parse_log(text: &str) -> Result<ExecutionLog, ParseLogError> {
                 .last_mut()
                 .ok_or_else(|| err(lineno, "variable before any location"))?;
             let var = parse_var(var).ok_or_else(|| err(lineno, "bad variable"))?;
-            let value: f64 = value.parse().map_err(|_| err(lineno, "bad value"))?;
+            // Non-finite values would leave Eq. 1's sort order, and so
+            // every threshold, undefined; the monitor never emits them.
+            let value = value
+                .parse::<f64>()
+                .ok()
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| err(lineno, "bad value"))?;
             rec.vars.push((var, value));
         } else {
             return Err(err(lineno, "unrecognized line"));
@@ -194,7 +201,7 @@ fn parse_location(s: &str) -> Option<Location> {
         _ => return None,
     };
     Some(Location {
-        func: func.to_string(),
+        func: func.into(),
         event,
     })
 }
@@ -217,6 +224,7 @@ fn parse_var(s: &str) -> Option<VarId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_log() -> ExecutionLog {
         ExecutionLog {
@@ -285,6 +293,24 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_values() {
+        for value in [
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "+infinity",
+            "Infinity",
+            "1e999",
+        ] {
+            let text = format!("#verdict correct\n@ main():enter\nx GLOBAL = {value}\n");
+            let e = parse_log(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{value}");
+            assert_eq!(e.message, "bad value", "{value}");
+        }
+    }
+
+    #[test]
     fn negative_and_fractional_values_roundtrip() {
         let mut log = sample_log();
         log.records[0].vars[0].1 = -12.5;
@@ -329,5 +355,95 @@ mod tests {
         let run = crate::runner::run_logged(&module, &Default::default(), 1.0, 0).unwrap();
         let text = write_log(&run.log);
         assert_eq!(parse_log(&text).unwrap(), run.log);
+    }
+
+    /// A value spelling: finite, non-finite, or not a number at all.
+    fn value_text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (-100_000i64..=100_000).prop_map(|v| (v as f64 / 16.0).to_string()),
+            prop_oneof![
+                Just("NaN"),
+                Just("-nan"),
+                Just("inf"),
+                Just("-inf"),
+                Just("infinity"),
+                Just("1e999"),
+                Just("-1e999"),
+                Just("0x10"),
+                Just("1.5.2"),
+            ]
+            .prop_map(str::to_string),
+        ]
+    }
+
+    /// One log line: well-formed headers, locations and variables, their
+    /// near misses, and short runs of arbitrary characters.
+    fn line() -> impl Strategy<Value = String> {
+        const JUNK: &str = "@#():= -.len(GLOBAL)é\t0xinfN/";
+        let junk = collection::vec(0..JUNK.chars().count(), 0..12)
+            .prop_map(|ix| ix.into_iter().filter_map(|i| JUNK.chars().nth(i)).collect());
+        prop_oneof![
+            prop_oneof![
+                Just("#verdict correct"),
+                Just("#verdict faulty"),
+                Just("#verdict maybe"),
+                Just("#fault f 3:4 assert-failed"),
+                Just("#fault f 3 div-by-zero"),
+                Just("#fault f x:y buffer-overflow/4/9"),
+                Just("#fault"),
+                Just("@ main():enter"),
+                Just("@ f():leave"),
+                Just("@ f():sideways"),
+                Just("@ "),
+            ]
+            .prop_map(str::to_string),
+            (
+                prop_oneof![
+                    Just("x GLOBAL"),
+                    Just("len(s FUNCPARAM)"),
+                    Just("ret RETURN"),
+                    Just("x LOCAL"),
+                    Just("len(s"),
+                ],
+                value_text()
+            )
+                .prop_map(|(var, value)| format!("{var} = {value}")),
+            junk,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_text_parses_or_errors_without_panicking(
+            lines in collection::vec(line(), 0..12),
+        ) {
+            let text = lines.join("\n");
+            match parse_log(&text) {
+                Ok(log) => prop_assert!(log
+                    .records
+                    .iter()
+                    .flat_map(|r| &r.vars)
+                    .all(|(_, v)| v.is_finite())),
+                Err(e) => prop_assert!(e.line <= lines.len()),
+            }
+        }
+
+        #[test]
+        fn any_value_line_parses_iff_its_value_is_finite(value in value_text()) {
+            let text = format!("#verdict faulty\n@ f():enter\nx GLOBAL = {value}\n");
+            let finite = value.parse::<f64>().is_ok_and(f64::is_finite);
+            match parse_log(&text) {
+                Ok(log) => {
+                    prop_assert!(finite, "{value} accepted");
+                    prop_assert_eq!(log.records[0].vars[0].1, value.parse::<f64>().unwrap());
+                }
+                Err(e) => {
+                    prop_assert!(!finite, "{value} rejected");
+                    prop_assert_eq!((e.line, e.message.as_str()), (3, "bad value"));
+                }
+            }
+        }
     }
 }

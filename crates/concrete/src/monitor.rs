@@ -6,7 +6,7 @@
 //! all globals. Every record is retained with probability `sampling_rate`
 //! (the paper's partial logging). String values are recorded as lengths.
 
-use crate::event::{FnEvent, Location, Measure, VarId, VarRole};
+use crate::event::{Location, Measure, VarId, VarRole};
 use crate::fault::Fault;
 use crate::value::Value;
 use crate::vm::ExecHook;
@@ -14,6 +14,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sir::{FuncBody, GlobalDef};
 use statsym_telemetry::{names, Recorder, NOOP};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One sampled instrumentation record: a location plus the numeric view
 /// of every variable visible there.
@@ -82,6 +84,31 @@ pub struct Monitor<'r> {
     rng: StdRng,
     records: Vec<LogRecord>,
     rec: &'r dyn Recorder,
+    /// Each function's boundary identities, built on its first sampled
+    /// record and shared by every later one.
+    sites: HashMap<String, FuncSite>,
+    /// Global variable names, built on the first sampled record.
+    global_names: Vec<Arc<str>>,
+    /// The name every return value is logged under.
+    ret_name: Arc<str>,
+}
+
+/// The shared identities of one function's instrumentation points.
+struct FuncSite {
+    enter: Location,
+    leave: Location,
+    params: Vec<Arc<str>>,
+}
+
+impl FuncSite {
+    fn new(func: &FuncBody) -> FuncSite {
+        let name: Arc<str> = func.name.as_str().into();
+        FuncSite {
+            enter: Location::enter(name.clone()),
+            leave: Location::leave(name),
+            params: func.params.iter().map(|(p, _)| p.as_str().into()).collect(),
+        }
+    }
 }
 
 impl std::fmt::Debug for Monitor<'_> {
@@ -108,6 +135,9 @@ impl<'r> Monitor<'r> {
             rng: StdRng::seed_from_u64(seed),
             records: Vec::new(),
             rec,
+            sites: HashMap::new(),
+            global_names: Vec::new(),
+            ret_name: "ret".into(),
         }
     }
 
@@ -122,21 +152,41 @@ impl<'r> Monitor<'r> {
         keep
     }
 
-    fn global_vars(globals: &[GlobalDef], gvals: &[Value]) -> Vec<(VarId, f64)> {
-        globals
-            .iter()
-            .zip(gvals)
-            .filter_map(|(def, val)| {
-                val.numeric_view().map(|(num, is_len)| {
-                    let measure = if is_len {
-                        Measure::Length
-                    } else {
-                        Measure::Value
-                    };
-                    (VarId::new(def.name.clone(), VarRole::Global, measure), num)
-                })
-            })
-            .collect()
+    /// Builds `func`'s boundary identities and the names of `globals`
+    /// unless an earlier record already did.
+    fn intern(&mut self, func: &FuncBody, globals: &[GlobalDef]) {
+        if self.global_names.len() != globals.len() {
+            self.global_names = globals.iter().map(|g| g.name.as_str().into()).collect();
+        }
+        if !self.sites.contains_key(&func.name) {
+            self.sites.insert(func.name.clone(), FuncSite::new(func));
+        }
+    }
+
+    /// Builds one record's variables: `own` (parameters or the return
+    /// value), then every global with a numeric view. The vector is
+    /// sized up front: records are the bulk of a corpus's memory.
+    fn record_vars<'a>(
+        own: impl ExactSizeIterator<Item = (&'a Arc<str>, VarRole, &'a Value)>,
+        global_names: &'a [Arc<str>],
+        gvals: &'a [Value],
+    ) -> Vec<(VarId, f64)> {
+        let mut vars = Vec::with_capacity(own.len() + global_names.len());
+        let globals = global_names.iter().zip(gvals);
+        vars.extend(
+            own.chain(globals.map(|(n, v)| (n, VarRole::Global, v)))
+                .filter_map(|(name, role, val)| {
+                    val.numeric_view().map(|(num, is_len)| {
+                        let measure = if is_len {
+                            Measure::Length
+                        } else {
+                            Measure::Value
+                        };
+                        (VarId::new(name.clone(), role, measure), num)
+                    })
+                }),
+        );
+        vars
     }
 
     /// Consumes the collected records into an [`ExecutionLog`], deriving
@@ -167,23 +217,16 @@ impl ExecHook for Monitor<'_> {
         if !self.sample() {
             return;
         }
-        let mut vars = Vec::new();
-        for ((name, _), val) in func.params.iter().zip(args) {
-            if let Some((num, is_len)) = val.numeric_view() {
-                let measure = if is_len {
-                    Measure::Length
-                } else {
-                    Measure::Value
-                };
-                vars.push((VarId::new(name.clone(), VarRole::Param, measure), num));
-            }
-        }
-        vars.extend(Self::global_vars(globals, gvals));
+        self.intern(func, globals);
+        let site = &self.sites[&func.name];
+        let params = site
+            .params
+            .iter()
+            .zip(args)
+            .map(|(n, v)| (n, VarRole::Param, v));
+        let vars = Self::record_vars(params, &self.global_names, gvals);
         self.records.push(LogRecord {
-            loc: Location {
-                func: func.name.clone(),
-                event: FnEvent::Enter,
-            },
+            loc: site.enter.clone(),
             vars,
         });
     }
@@ -198,21 +241,12 @@ impl ExecHook for Monitor<'_> {
         if !self.sample() {
             return;
         }
-        let mut vars = Vec::new();
-        if let Some((num, is_len)) = ret.and_then(|v| v.numeric_view()) {
-            let measure = if is_len {
-                Measure::Length
-            } else {
-                Measure::Value
-            };
-            vars.push((VarId::new("ret", VarRole::Return, measure), num));
-        }
-        vars.extend(Self::global_vars(globals, gvals));
+        self.intern(func, globals);
+        let site = &self.sites[&func.name];
+        let ret = ret.map(|v| (&self.ret_name, VarRole::Return, v));
+        let vars = Self::record_vars(ret.into_iter(), &self.global_names, gvals);
         self.records.push(LogRecord {
-            loc: Location {
-                func: func.name.clone(),
-                event: FnEvent::Leave,
-            },
+            loc: site.leave.clone(),
             vars,
         });
     }
@@ -221,6 +255,7 @@ impl ExecHook for Monitor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::FnEvent;
     use crate::vm::{InputMap, Vm, VmConfig};
 
     fn logged(src: &str, rate: f64, seed: u64) -> ExecutionLog {
@@ -277,6 +312,33 @@ mod tests {
             .vars
             .iter()
             .any(|(v, _)| v.role == VarRole::Return));
+    }
+
+    #[test]
+    fn records_share_location_and_variable_identities() {
+        let log = logged(SRC, 1.0, 1);
+        let at = |loc: Location| -> Vec<&LogRecord> {
+            log.records.iter().filter(|r| r.loc == loc).collect()
+        };
+        let var = |r: &LogRecord, name: &str| -> Arc<str> {
+            let (v, _) = r.vars.iter().find(|(v, _)| &*v.name == name).unwrap();
+            v.name.clone()
+        };
+        let enters = at(Location::enter("step"));
+        let leaves = at(Location::leave("step"));
+        assert!(enters.len() >= 2 && leaves.len() >= 2);
+        // Two records at one location share one function name...
+        assert!(Arc::ptr_eq(&enters[0].loc.func, &enters[1].loc.func));
+        // ...with the function's other boundary...
+        assert!(Arc::ptr_eq(&enters[0].loc.func, &leaves[0].loc.func));
+        // ...and one variable logged in two records shares one name,
+        // for parameters, return values and globals alike.
+        assert!(Arc::ptr_eq(&var(enters[0], "x"), &var(enters[1], "x")));
+        assert!(Arc::ptr_eq(&var(leaves[0], "ret"), &var(leaves[1], "ret")));
+        assert!(Arc::ptr_eq(
+            &var(enters[0], "hits"),
+            &var(leaves[1], "hits")
+        ));
     }
 
     #[test]

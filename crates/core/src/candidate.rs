@@ -250,7 +250,7 @@ mod tests {
     fn forward_detour_replaces_segment() {
         let s = sk(&["a", "b", "c", "fail"]);
         let joined = join(&s, &[fwd(0, 2, &["h"])]);
-        let names: Vec<String> = joined.iter().map(|x| x.func.clone()).collect();
+        let names: Vec<&str> = joined.iter().map(|x| &*x.func).collect();
         assert_eq!(names, vec!["a", "h", "c", "fail"]);
     }
 
@@ -258,7 +258,7 @@ mod tests {
     fn backward_detour_replays_cycle() {
         let s = sk(&["a", "b", "fail"]);
         let joined = join(&s, &[fwd(1, 0, &["h"])]);
-        let names: Vec<String> = joined.iter().map(|x| x.func.clone()).collect();
+        let names: Vec<&str> = joined.iter().map(|x| &*x.func).collect();
         assert_eq!(names, vec!["a", "b", "h", "a", "b", "fail"]);
     }
 
@@ -266,7 +266,7 @@ mod tests {
     fn loop_detour_revisits_anchor() {
         let s = sk(&["a", "b", "fail"]);
         let joined = join(&s, &[fwd(1, 1, &["h"])]);
-        let names: Vec<String> = joined.iter().map(|x| x.func.clone()).collect();
+        let names: Vec<&str> = joined.iter().map(|x| &*x.func).collect();
         assert_eq!(names, vec!["a", "b", "h", "b", "fail"]);
     }
 

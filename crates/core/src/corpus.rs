@@ -3,7 +3,7 @@
 //! index the numeric observations per (location, variable).
 
 use concrete::{ExecutionLog, Location, VarId, Verdict};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Numeric observations of one variable at one location, split by run
 /// verdict.
@@ -43,33 +43,31 @@ impl LogCorpus {
     /// Builds a corpus from annotated logs. Inconclusive runs (resource
     /// limits) are excluded, mirroring the paper's correct/faulty
     /// partition.
+    ///
+    /// Locations and (location, variable) slots are interned by
+    /// borrowing from the logs, so each key is cloned once per distinct
+    /// slot rather than once per observation.
     pub fn build(logs: &[ExecutionLog]) -> LogCorpus {
         let mut corpus = LogCorpus::default();
+        let mut sites = SiteIndex::default();
         let mut last_locs: BTreeMap<Location, usize> = BTreeMap::new();
         let mut fault_locs: BTreeMap<Location, usize> = BTreeMap::new();
-        let mut seen_locs: BTreeMap<Location, ()> = BTreeMap::new();
 
-        for log in logs {
+        for (run, log) in logs.iter().enumerate() {
             let faulty = match log.verdict {
                 Verdict::Correct => false,
                 Verdict::Faulty => true,
                 Verdict::Inconclusive => continue,
             };
-            let trace: Vec<Location> = log.locations().cloned().collect();
             for rec in &log.records {
-                seen_locs.insert(rec.loc.clone(), ());
-                for (var, value) in &rec.vars {
-                    let obs = corpus
-                        .observations
-                        .entry((rec.loc.clone(), var.clone()))
-                        .or_default();
-                    if faulty {
-                        obs.faulty.push(*value);
-                    } else {
-                        obs.correct.push(*value);
-                    }
+                let loc = sites.location(&rec.loc);
+                if faulty && sites.last_run[loc] != Some(run) {
+                    sites.last_run[loc] = Some(run);
+                    sites.faulty_presence[loc] += 1;
                 }
+                sites.observe(loc, &rec.vars, faulty);
             }
+            let trace: Vec<Location> = log.locations().cloned().collect();
             if faulty {
                 corpus.n_faulty += 1;
                 if let Some(last) = trace.last() {
@@ -77,14 +75,8 @@ impl LogCorpus {
                 }
                 if let Some(fault) = &log.fault {
                     *fault_locs
-                        .entry(Location::enter(fault.func.clone()))
+                        .entry(Location::enter(fault.func.as_str()))
                         .or_default() += 1;
-                }
-                let mut unique: Vec<&Location> = trace.iter().collect();
-                unique.sort();
-                unique.dedup();
-                for loc in unique {
-                    *corpus.faulty_presence.entry(loc.clone()).or_default() += 1;
                 }
                 corpus.faulty_traces.push(trace);
             } else {
@@ -105,7 +97,20 @@ impl LogCorpus {
                     .max_by_key(|(loc, n)| (*n, std::cmp::Reverse(loc.clone())))
                     .map(|(loc, _)| loc)
             });
-        corpus.locations = seen_locs.into_keys().collect();
+        corpus.observations = sites
+            .slots
+            .into_iter()
+            .map(|(loc, var, obs)| ((sites.locations[loc].clone(), var.clone()), obs))
+            .collect();
+        corpus.faulty_presence = sites
+            .locations
+            .iter()
+            .zip(sites.faulty_presence)
+            .filter(|&(_, n)| n > 0)
+            .map(|(loc, n)| ((*loc).clone(), n))
+            .collect();
+        corpus.locations = sites.locations.into_iter().cloned().collect();
+        corpus.locations.sort();
         corpus
     }
 
@@ -117,6 +122,74 @@ impl LogCorpus {
     /// Total number of usable runs.
     pub fn n_runs(&self) -> usize {
         self.n_correct + self.n_faulty
+    }
+}
+
+/// Interned locations and (location, variable) slots of one corpus
+/// build, borrowed from the logs it reads.
+#[derive(Default)]
+struct SiteIndex<'a> {
+    /// Location id by location.
+    ids: HashMap<&'a Location, usize>,
+    /// Locations in first-seen order (indexed by location id).
+    locations: Vec<&'a Location>,
+    /// Per location id: the last faulty run that reached it.
+    last_run: Vec<Option<usize>>,
+    /// Per location id: the number of faulty runs that reached it.
+    faulty_presence: Vec<usize>,
+    /// Per location id: the variable list of the last record seen
+    /// there, and the slot of each of its variables.
+    layouts: Vec<(Vec<&'a VarId>, Vec<usize>)>,
+    /// Slot id by (location id, variable).
+    slot_ids: HashMap<(usize, &'a VarId), usize>,
+    /// Slots in first-seen order: location id, variable, observations.
+    slots: Vec<(usize, &'a VarId, Observations)>,
+}
+
+impl<'a> SiteIndex<'a> {
+    /// The id of `loc`, interning it on first sight.
+    fn location(&mut self, loc: &'a Location) -> usize {
+        if let Some(&id) = self.ids.get(loc) {
+            return id;
+        }
+        let id = self.locations.len();
+        self.ids.insert(loc, id);
+        self.locations.push(loc);
+        self.last_run.push(None);
+        self.faulty_presence.push(0);
+        self.layouts.push((Vec::new(), Vec::new()));
+        id
+    }
+
+    /// Appends each of `vars` to its slot at location `loc`, on the
+    /// correct or the faulty side. Records at one location almost always
+    /// log the same variables, so the previous record's layout is reused
+    /// whenever it matches.
+    fn observe(&mut self, loc: usize, vars: &'a [(VarId, f64)], faulty: bool) {
+        let (cached_vars, cached_slots) = &mut self.layouts[loc];
+        let hit = cached_vars.len() == vars.len()
+            && cached_vars.iter().zip(vars).all(|(a, (b, _))| *a == b);
+        if !hit {
+            cached_vars.clear();
+            cached_slots.clear();
+            for (var, _) in vars {
+                let next = self.slots.len();
+                let slot = *self.slot_ids.entry((loc, var)).or_insert(next);
+                if slot == next {
+                    self.slots.push((loc, var, Observations::default()));
+                }
+                cached_vars.push(var);
+                cached_slots.push(slot);
+            }
+        }
+        for (&slot, (_, value)) in cached_slots.iter().zip(vars) {
+            let obs = &mut self.slots[slot].2;
+            if faulty {
+                obs.faulty.push(*value);
+            } else {
+                obs.correct.push(*value);
+            }
+        }
     }
 }
 
@@ -211,5 +284,74 @@ mod tests {
         let corpus = LogCorpus::build(&logs);
         assert_eq!(corpus.locations.len(), 2);
         assert_eq!(corpus.locations[0], Location::enter("a"));
+    }
+
+    #[test]
+    fn faulty_presence_counts_runs_not_records() {
+        let logs = vec![
+            log(
+                Verdict::Faulty,
+                vec![
+                    rec(Location::enter("a"), &[]),
+                    rec(Location::enter("b"), &[]),
+                    rec(Location::enter("a"), &[]),
+                ],
+            ),
+            log(Verdict::Faulty, vec![rec(Location::enter("a"), &[])]),
+            log(Verdict::Correct, vec![rec(Location::enter("c"), &[])]),
+        ];
+        let corpus = LogCorpus::build(&logs);
+        let presence: Vec<(String, usize)> = corpus
+            .faulty_presence
+            .iter()
+            .map(|(loc, n)| (loc.to_string(), *n))
+            .collect();
+        assert_eq!(
+            presence,
+            vec![("a():enter".to_string(), 2), ("b():enter".to_string(), 1)]
+        );
+    }
+
+    #[test]
+    fn changing_variable_lists_at_one_location_keep_their_slots() {
+        // Records at one location whose variable lists differ (one
+        // missing, or in another order) must still file every value
+        // under its own (location, variable).
+        let main = || Location::enter("main");
+        let logs = vec![
+            log(
+                Verdict::Correct,
+                vec![
+                    rec(
+                        main(),
+                        &[("g", VarRole::Global, 1.0), ("h", VarRole::Global, 2.0)],
+                    ),
+                    rec(main(), &[("h", VarRole::Global, 3.0)]),
+                    rec(
+                        main(),
+                        &[("g", VarRole::Global, 4.0), ("h", VarRole::Global, 5.0)],
+                    ),
+                ],
+            ),
+            log(
+                Verdict::Faulty,
+                vec![rec(
+                    main(),
+                    &[("h", VarRole::Global, 6.0), ("g", VarRole::Global, 7.0)],
+                )],
+            ),
+        ];
+        let corpus = LogCorpus::build(&logs);
+        let obs = |name: &str| {
+            corpus
+                .observation(&main(), &VarId::new(name, VarRole::Global, Measure::Value))
+                .unwrap()
+                .clone()
+        };
+        assert_eq!(obs("g").correct, vec![1.0, 4.0]);
+        assert_eq!(obs("g").faulty, vec![7.0]);
+        assert_eq!(obs("h").correct, vec![2.0, 3.0, 5.0]);
+        assert_eq!(obs("h").faulty, vec![6.0]);
+        assert_eq!(corpus.observations.len(), 2);
     }
 }

@@ -173,7 +173,71 @@ fn construct(loc: Location, var: VarId, obs: &Observations) -> Option<Predicate>
 
 /// Finds the threshold/direction minimizing Eq. 1 over all candidate
 /// cut points (midpoints between adjacent distinct observed values).
+///
+/// Both classes are sorted once and every cut is counted by binary
+/// search with the same `>` / `<` comparisons a direct count uses, so
+/// each pair costs O(n log n) instead of O(n²). Cuts are visited in
+/// ascending order, `Gt` before `Lt`, and a later candidate wins only
+/// with a strictly lower error or an equal error and a strictly higher
+/// score.
 fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate {
+    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+    let mut correct = obs.correct.clone();
+    correct.sort_by(by_value);
+    let mut faulty = obs.faulty.clone();
+    faulty.sort_by(by_value);
+    let mut values: Vec<f64> = correct.iter().chain(&faulty).copied().collect();
+    values.sort_by(by_value);
+    values.dedup();
+
+    // Candidate thresholds: midpoints plus sentinels beyond both ends.
+    let cuts = std::iter::once(values[0] - 1.0)
+        .chain(values.windows(2).map(|w| (w[0] + w[1]) / 2.0))
+        .chain(std::iter::once(values[values.len() - 1] + 1.0));
+
+    let n_c = correct.len() as f64;
+    let n_f = faulty.len() as f64;
+    // `!(v > cut)`, not `v <= cut`: a NaN cut (the midpoint of -inf and
+    // +inf) satisfies no comparison, so it must count nothing either way.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    let count = |sorted: &[f64], op: PredOp, cut: f64| match op {
+        PredOp::Gt => sorted.len() - sorted.partition_point(|&v| !(v > cut)),
+        PredOp::Lt => sorted.partition_point(|&v| v < cut),
+    };
+    let mut best: Option<(usize, PredOp, f64, f64)> = None; // (err, op, cut, score)
+
+    for cut in cuts {
+        for op in [PredOp::Gt, PredOp::Lt] {
+            // Eq. 1: correct samples satisfying + faulty samples violating.
+            let sat_c = count(&correct, op, cut);
+            let sat_f = count(&faulty, op, cut);
+            let err = sat_c + (faulty.len() - sat_f);
+            let score = (sat_c as f64 / n_c - sat_f as f64 / n_f).abs();
+            let better = match &best {
+                None => true,
+                Some((be, _, _, bs)) => err < *be || (err == *be && score > *bs),
+            };
+            if better {
+                best = Some((err, op, cut, score));
+            }
+        }
+    }
+
+    let (_, op, threshold, score) = best.expect("at least one cut candidate");
+    Predicate {
+        loc,
+        var,
+        op,
+        threshold,
+        score,
+        support: obs.correct.len().min(obs.faulty.len()),
+    }
+}
+
+/// The direct Eq. 1 search that recounts every observation for every
+/// cut: the oracle the sweep in [`optimal_threshold`] must match.
+#[cfg(test)]
+fn optimal_threshold_brute(loc: Location, var: VarId, obs: &Observations) -> Predicate {
     let mut values: Vec<f64> = obs
         .correct
         .iter()
@@ -183,7 +247,6 @@ fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate
     values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     values.dedup();
 
-    // Candidate thresholds: midpoints plus sentinels beyond both ends.
     let mut cuts = Vec::with_capacity(values.len() + 1);
     cuts.push(values[0] - 1.0);
     for w in values.windows(2) {
@@ -201,7 +264,6 @@ fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate
                 PredOp::Gt => v > cut,
                 PredOp::Lt => v < cut,
             };
-            // Eq. 1: correct samples satisfying + faulty samples violating.
             let err = obs.correct.iter().filter(|&&v| pred(v)).count()
                 + obs.faulty.iter().filter(|&&v| !pred(v)).count();
             let p_c = obs.correct.iter().filter(|&&v| pred(v)).count() as f64 / n_c;
@@ -232,6 +294,7 @@ fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate
 mod tests {
     use super::*;
     use concrete::{Measure, VarRole};
+    use proptest::prelude::*;
 
     fn mk(correct: &[f64], faulty: &[f64]) -> Predicate {
         construct(
@@ -345,5 +408,92 @@ mod tests {
         assert_eq!(preds.top(1).len(), 1);
         assert!(preds.location_score(&Location::enter("f")) >= 1.0 - f64::EPSILON);
         assert_eq!(preds.location_score(&Location::enter("nowhere")), 0.0);
+    }
+
+    /// Observed values mixing the shapes Eq. 1 is sensitive to: heavy
+    /// duplicates, negatives and fractions, infinities, signed zeros,
+    /// and adjacent floats whose midpoint rounds onto an endpoint (or
+    /// overflows, next to `f64::MAX`).
+    fn value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-3i64..=3).prop_map(|v| v as f64),
+            (-1000i64..=1000).prop_map(|v| v as f64 / 8.0),
+            prop_oneof![
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(0.0),
+                Just(-0.0)
+            ],
+            (0usize..4, any::<bool>()).prop_map(|(i, neighbour)| {
+                let base: f64 = [1.0, -3.5, 1e300, f64::MAX][i];
+                if neighbour {
+                    f64::from_bits(base.to_bits() - 1)
+                } else {
+                    base
+                }
+            }),
+        ]
+    }
+
+    fn assert_sweep_matches_oracle(correct: Vec<f64>, faulty: Vec<f64>) {
+        let loc = Location::enter("f");
+        let var = VarId::new("x", VarRole::Param, Measure::Value);
+        let obs = Observations { correct, faulty };
+        let sweep = optimal_threshold(loc.clone(), var.clone(), &obs);
+        let brute = optimal_threshold_brute(loc, var, &obs);
+        prop_assert_eq!(sweep.op, brute.op, "{:?}", obs);
+        prop_assert_eq!(
+            sweep.threshold.to_bits(),
+            brute.threshold.to_bits(),
+            "{:?}",
+            obs
+        );
+        prop_assert_eq!(sweep.score.to_bits(), brute.score.to_bits(), "{:?}", obs);
+        prop_assert_eq!(sweep.support, brute.support, "{:?}", obs);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn sweep_matches_brute_force_oracle(
+            correct in collection::vec(value(), 1..40),
+            faulty in collection::vec(value(), 1..40),
+        ) {
+            assert_sweep_matches_oracle(correct, faulty);
+        }
+
+        #[test]
+        fn sweep_matches_brute_force_oracle_on_single_values(c in value(), f in value()) {
+            assert_sweep_matches_oracle(vec![c], vec![f]);
+        }
+
+        #[test]
+        fn sweep_matches_brute_force_oracle_on_infinities_only(
+            correct in collection::vec(any::<bool>(), 1..6),
+            faulty in collection::vec(any::<bool>(), 1..6),
+        ) {
+            // With no finite value the middle cut is (-inf + inf) / 2 = NaN.
+            let inf = |up: bool| if up { f64::INFINITY } else { f64::NEG_INFINITY };
+            assert_sweep_matches_oracle(
+                correct.into_iter().map(inf).collect(),
+                faulty.into_iter().map(inf).collect(),
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_matches_oracle_on_midpoints_that_round_onto_endpoints() {
+        let up = f64::from_bits(1.0f64.to_bits() + 1);
+        // (1 + next_up(1)) / 2 rounds to 1.0, so the cut equals a value.
+        assert_eq!((1.0 + up) / 2.0, 1.0);
+        assert_sweep_matches_oracle(vec![1.0, 1.0], vec![up]);
+        assert_sweep_matches_oracle(vec![up], vec![1.0, up]);
+        let below_max = f64::from_bits(f64::MAX.to_bits() - 1);
+        assert_sweep_matches_oracle(vec![below_max], vec![f64::MAX, f64::INFINITY]);
+        assert_sweep_matches_oracle(vec![f64::NEG_INFINITY], vec![f64::INFINITY]);
+        // A NaN cut that counted every value as `> NaN` would win here.
+        let inf = f64::INFINITY;
+        assert_sweep_matches_oracle(vec![inf], vec![-inf, inf, inf]);
     }
 }

@@ -33,7 +33,7 @@ fn candidate_paths_span_entry_to_failure() {
                 let first = &path.nodes.first().expect("non-empty").loc;
                 let last = &path.nodes.last().expect("non-empty").loc;
                 assert_eq!(
-                    first.func,
+                    &*first.func,
                     "main",
                     "{} @ {rate}: {}",
                     app.name,
@@ -133,7 +133,7 @@ fn lower_sampling_means_fewer_records_but_analysis_still_converges() {
         prev_records = records;
         let analysis = StatSym::default().analyze(&logs);
         assert_eq!(
-            analysis.failure_location.as_ref().map(|l| l.func.as_str()),
+            analysis.failure_location.as_ref().map(|l| &*l.func),
             Some("stonesoup_handle_taint"),
             "failure inference robust at {rate}"
         );

@@ -298,7 +298,7 @@ pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
     let params = main.params.clone();
     match env.apply_event(
         &mut state,
-        Location::enter(&main.name),
+        Location::enter(main.name.as_str()),
         &params,
         &args,
         None,

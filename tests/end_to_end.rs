@@ -24,7 +24,7 @@ fn check_app(name: &str, expected_fault_func: &str) {
     let statsym = StatSym::new(StatSymConfig::default());
     let analysis = statsym.analyze(&logs);
     assert_eq!(
-        analysis.failure_location.as_ref().map(|l| l.func.as_str()),
+        analysis.failure_location.as_ref().map(|l| &*l.func),
         Some(expected_fault_func),
         "{name}: failure location"
     );
@@ -70,8 +70,8 @@ fn check_app(name: &str, expected_fault_func: &str) {
 
     // The reported trace must be a plausible event sequence: starts at
     // main and ends inside the fault function without leaving it.
-    assert_eq!(found.trace.first().map(|l| l.func.as_str()), Some("main"));
-    assert!(found.trace.iter().any(|l| l.func == expected_fault_func));
+    assert_eq!(found.trace.first().map(|l| &*l.func), Some("main"));
+    assert!(found.trace.iter().any(|l| &*l.func == expected_fault_func));
 }
 
 #[test]
