@@ -1,14 +1,17 @@
-//! Steal-mode scaling bench: breaks the portfolio's 2-worker plateau
-//! with the work-stealing intra-candidate executor on top of the
-//! solver's independence slicing, emitting `BENCH_steal.json`.
+//! Steal-mode scaling bench: the work-stealing intra-candidate executor
+//! on top of the solver's independence slicing, next to the candidate
+//! portfolio, emitting `BENCH_steal.json`.
 //!
 //! Two workloads:
 //!
 //! * **grep late-ranked hit** — the `BENCH_portfolio.json` workload
-//!   (decoy candidates ranked ahead of the real one). The portfolio
-//!   plateaus near the slowest single attempt because candidate-level
-//!   parallelism is exhausted; the sweep here moves surplus workers
-//!   inside the engines as state workers.
+//!   (decoy candidates ranked ahead of the real one), swept over
+//!   portfolio worker counts through the pipeline. Every point,
+//!   including one worker, shares the run's verdict memo across
+//!   candidates; that reuse is work elimination, not concurrency.
+//!   `sequential_wall_s` is the one-worker run without solver query
+//!   timing, the configuration `BENCH_portfolio.json` reports under the
+//!   same name.
 //! * **fork-heavy loop** — a single engine on a symbolically-bounded
 //!   loop with variable-disjoint constraint families, sweeping the
 //!   work-stealing executor's `state_workers` 1→8. The timed runs
@@ -28,7 +31,6 @@ use benchapps::{generate_corpus, CorpusSpec};
 use concrete::Measure;
 use solver::SolverConfig;
 use statsym_core::pipeline::{StatSym, StatSymConfig};
-use statsym_core::portfolio::run_portfolio;
 use statsym_core::{AnalysisReport, CandidatePath, GuidanceConfig, PathNode, PredOp};
 use statsym_telemetry::{render_trace, Clock, MemRecorder, NOOP};
 use std::time::Instant;
@@ -72,7 +74,6 @@ fn grep_config(workers: usize) -> StatSymConfig {
     let base = statsym_config();
     StatSymConfig {
         workers,
-        auto_split_workers: true,
         engine: EngineConfig {
             max_steps: MAX_STEPS,
             solver: SolverConfig {
@@ -245,9 +246,9 @@ fn main() {
     }
     let n_candidates = paths_mut.len();
 
-    // Plain sequential baseline — the exact configuration
+    // Plain one-worker baseline — the exact configuration
     // BENCH_portfolio.json reports as `sequential_wall_s`, for
-    // cross-report comparability (no query timing, no worker split).
+    // cross-report comparability (no query timing).
     let plain = StatSymConfig {
         engine: EngineConfig {
             max_steps: MAX_STEPS,
@@ -259,10 +260,11 @@ fn main() {
         },
         ..statsym_config()
     };
+    let seq_analysis = analysis.clone();
     let seq_start = Instant::now();
     let seq = StatSym::new(plain).run_with_analysis_pinned_traced(
         &app.module,
-        analysis.clone(),
+        seq_analysis,
         &app.pins,
         &NOOP,
     );
@@ -273,37 +275,28 @@ fn main() {
         "steal scaling bench: {} ({n_candidates} candidates, {decoys} decoys, best of {repeat})",
         app.name
     );
-    println!("  plain sequential: {seq_wall:.3}s, winner rank {decoys}");
+    println!("  plain one worker: {seq_wall:.3}s, winner rank {decoys}");
 
     let mut grep_rows: Vec<Row> = Vec::new();
     for &w in &sweep {
         let mut best: Option<(f64, Vec<EngineStats>)> = None;
         for _ in 0..repeat {
-            let cfg = grep_config(w);
+            let run_analysis = analysis.clone();
             let start = Instant::now();
-            let (used, stats) = if w == 1 {
-                let r = StatSym::new(cfg).run_with_analysis_pinned_traced(
-                    &app.module,
-                    analysis.clone(),
-                    &app.pins,
-                    &NOOP,
-                );
-                (
-                    r.candidate_used,
-                    r.attempts.iter().map(|a| a.stats).collect(),
-                )
-            } else {
-                let paths = &analysis.candidates.as_ref().expect("candidates").paths;
-                let o = run_portfolio(&app.module, paths, &cfg, &app.pins, &NOOP);
-                (
-                    o.candidate_used,
-                    o.attempts.iter().map(|a| a.stats).collect(),
-                )
-            };
+            let r = StatSym::new(grep_config(w)).run_with_analysis_pinned_traced(
+                &app.module,
+                run_analysis,
+                &app.pins,
+                &NOOP,
+            );
             let wall = start.elapsed().as_secs_f64();
-            assert_eq!(used, Some(decoys), "workers={w}: same winner required");
+            assert_eq!(
+                r.candidate_used,
+                Some(decoys),
+                "workers={w}: same winner required"
+            );
             if best.as_ref().is_none_or(|(b, _)| wall < *b) {
-                best = Some((wall, stats));
+                best = Some((wall, r.attempts.iter().map(|a| a.stats).collect()));
             }
         }
         let (wall, stats) = best.expect("repeat >= 1");

@@ -15,10 +15,10 @@
 //!    from program entry to the failure point, greedy *detours* to
 //!    high-score predicates off the skeleton, and their ranked joins.
 //! 4. **Statistics-guided symbolic execution** ([`guidance`],
-//!    [`pipeline`]) — a `symex::EventHook` implementing the paper's
-//!    inter-function (τ-hop) and intra-function (predicate constraint)
-//!    guidance, plus the driver that iterates candidate paths until the
-//!    vulnerable path is verified.
+//!    [`pipeline`], [`portfolio`]) — a `symex::EventHook` implementing
+//!    the paper's inter-function (τ-hop) and intra-function (predicate
+//!    constraint) guidance, plus the candidate loop that attempts ranked
+//!    candidate paths until the vulnerable path is verified.
 //!
 //! # Example
 //!
@@ -55,7 +55,7 @@ pub use corpus::LogCorpus;
 pub use detour::{Detour, DetourKind};
 pub use guidance::{GuidanceConfig, GuidedHook};
 pub use multi::MultiReport;
-pub use pipeline::{split_worker_budget, AnalysisReport, StatSym, StatSymConfig, StatSymReport};
+pub use pipeline::{AnalysisReport, StatSym, StatSymConfig, StatSymReport};
 pub use portfolio::{run_portfolio_with_cache, PortfolioOutcome};
 pub use predicate::{PredOp, Predicate, PredicateSet};
 pub use skeleton::Skeleton;

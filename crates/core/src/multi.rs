@@ -12,12 +12,12 @@
 //!    engine and drop that cluster from the corpus;
 //! 4. repeat until no faulty logs remain or an iteration fails.
 
-use crate::guidance::GuidedHook;
 use crate::pipeline::{StatSym, StatSymReport};
 use concrete::ExecutionLog;
 use minic::Span;
 use sir::Module;
-use symex::{Engine, FoundVulnerability, SchedulerKind};
+use statsym_telemetry::NOOP;
+use symex::FoundVulnerability;
 
 /// Result of the iterative multi-vulnerability search.
 #[derive(Debug)]
@@ -65,7 +65,13 @@ impl StatSym {
             corpus.extend(cluster);
 
             let analysis = self.analyze(&corpus);
-            let report = self.run_suppressed(module, analysis, &suppressed);
+            let report = self.run_candidates(
+                module,
+                analysis,
+                &concrete::InputMap::new(),
+                &suppressed,
+                &NOOP,
+            );
             let hit = report.found.clone();
             iterations.push(report);
             match hit {
@@ -82,59 +88,6 @@ impl StatSym {
             iterations,
             found,
             unresolved_faulty_logs: remaining_faulty.len(),
-        }
-    }
-
-    /// Like [`StatSym::run_with_analysis`] but with known fault sites
-    /// suppressed in the engine.
-    fn run_suppressed(
-        &self,
-        module: &Module,
-        analysis: crate::pipeline::AnalysisReport,
-        suppressed: &[(String, Span)],
-    ) -> StatSymReport {
-        use crate::pipeline::CandidateAttempt;
-        let start = std::time::Instant::now();
-        let mut attempts: Vec<CandidateAttempt> = Vec::new();
-        let mut found = None;
-        let mut candidate_used = None;
-        let paths = analysis
-            .candidates
-            .as_ref()
-            .map(|c| c.paths.clone())
-            .unwrap_or_default();
-        for (index, path) in paths.into_iter().enumerate() {
-            let path_len = path.len();
-            let hook = GuidedHook::new(path, self.config().guidance);
-            let engine_config = symex::EngineConfig {
-                scheduler: SchedulerKind::Priority,
-                ..self.config().engine
-            };
-            let mut engine = Engine::with_hook(module, engine_config, Box::new(hook));
-            for (func, span) in suppressed {
-                engine.suppress_fault_site(func.clone(), *span);
-            }
-            let report = engine.run();
-            let hit = report.outcome.is_found();
-            attempts.push(CandidateAttempt {
-                index,
-                path_len,
-                found: hit,
-                wall_time: report.wall_time,
-                stats: report.stats,
-            });
-            if let symex::RunOutcome::Found(f) = report.outcome {
-                found = Some(*f);
-                candidate_used = Some(index);
-                break;
-            }
-        }
-        StatSymReport {
-            analysis,
-            attempts,
-            found,
-            candidate_used,
-            symex_time: start.elapsed(),
         }
     }
 }

@@ -6,15 +6,18 @@
 use crate::candidate::{CandidateConfig, CandidatePath, CandidateSet};
 use crate::corpus::LogCorpus;
 use crate::detour::{find_detours, DetourConfig};
-use crate::guidance::{GuidanceConfig, GuidedHook};
+use crate::guidance::GuidanceConfig;
+use crate::portfolio::{PortfolioOutcome, Run};
 use crate::predicate::PredicateSet;
 use crate::skeleton::{Skeleton, SkeletonConfig};
 use crate::transition::{MineConfig, TransitionGraph};
 use concrete::{ExecutionLog, Location};
 use sir::Module;
-use statsym_telemetry::{names, spearman_milli, FieldValue, Recorder, Span, NOOP};
+use solver::{QueryCache, SharedCache, SharedCacheStats};
+use statsym_telemetry::{names, spearman_milli, Recorder, Span, NOOP};
+use std::sync::Arc;
 use std::time::Duration;
-use symex::{Engine, EngineConfig, EngineStats, FoundVulnerability, SchedulerKind};
+use symex::{EngineConfig, EngineStats, FoundVulnerability, SchedulerKind};
 
 /// Configuration for the whole pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -34,89 +37,23 @@ pub struct StatSymConfig {
     /// the paper's 15-minute per-candidate timeout.
     pub engine: EngineConfig,
     /// Worker threads for the guided execution stage. `1` (the default)
-    /// attempts candidates sequentially in rank order; `> 1` runs the
-    /// ranked candidates as a parallel portfolio (see [`crate::portfolio`])
-    /// with results identical to the sequential path.
+    /// attempts candidates one after another in rank order; `> 1` runs
+    /// the same candidate loop as a parallel portfolio (see
+    /// [`crate::portfolio`]) with results identical to one worker.
     pub workers: usize,
     /// In portfolio mode, cancel in-flight attempts on worse-ranked
     /// candidates once a better-ranked candidate verifies the fault.
     /// Has no effect at `workers == 1`.
     pub cancel_on_found: bool,
-    /// In portfolio mode, share Sat/Unsat solver verdicts between
-    /// workers through one sharded cache. Never changes what a worker
-    /// explores — only how much solver work it spends — so turn it off
-    /// when solver-work counters must be independent of scheduling
-    /// (e.g. byte-reproducible trace comparisons). Has no effect at
-    /// `workers == 1`.
+    /// Give the run one verdict memo that every candidate attempt
+    /// consults and publishes Sat/Unsat verdicts to (built only when
+    /// more than one candidate is ranked). Never changes what an attempt
+    /// explores — only how much solver work it spends. At
+    /// `workers == 1` the memo fills in rank order and its counters are
+    /// deterministic; at `workers > 1` they depend on scheduling, so
+    /// turn sharing off when solver-work counters must be
+    /// byte-reproducible across worker counts.
     pub share_cache: bool,
-    /// Let the pipeline move surplus portfolio workers inside the
-    /// engines as state workers via [`split_worker_budget`] — the cure
-    /// for the portfolio plateau when candidates are fewer than
-    /// workers. Off by default: the work-stealing executor explores in
-    /// its own deterministic order rather than hook-priority order, so
-    /// traces and witnesses can differ from the plain sequential run
-    /// (found faults remain sound and replayable). An explicit
-    /// `engine.state_workers` setting is always respected and
-    /// disables the automatic split.
-    pub auto_split_workers: bool,
-}
-
-/// Splits a total worker budget between the two parallelism levels:
-/// candidate-portfolio workers (outer) and per-engine state workers
-/// (inner, the work-stealing executor; see
-/// `symex::EngineConfig::state_workers`).
-///
-/// Candidates get priority — they are coarser-grained and perfectly
-/// independent — and only the surplus budget moves inside the engines:
-/// with fewer candidates than workers each engine gets
-/// `total / candidates` state workers. An inner share of 1 is reported
-/// as `0` (the sequential legacy executor) because a one-worker steal
-/// run only adds scheduling overhead.
-///
-/// ```
-/// use statsym_core::pipeline::split_worker_budget;
-/// assert_eq!(split_worker_budget(8, 1), (1, 8)); // all budget inside
-/// assert_eq!(split_worker_budget(8, 3), (3, 2)); // surplus moves in
-/// assert_eq!(split_worker_budget(2, 5), (2, 0)); // candidates first
-/// assert_eq!(split_worker_budget(1, 4), (1, 0)); // fully sequential
-/// ```
-pub fn split_worker_budget(total: usize, candidates: usize) -> (usize, usize) {
-    let total = total.max(1);
-    let cand = total.min(candidates.max(1));
-    let state = total / cand;
-    (cand, if state > 1 { state } else { 0 })
-}
-
-/// Emits one `calib.candidate` record: the statistical prediction for a
-/// candidate (1-based rank, milli-scaled score, path length) next to
-/// what its attempt actually cost (steps, forks, solver search nodes,
-/// and — wall-clock traces only — solver µs) and whether it verified
-/// the fault. Consumed by `statsym-inspect calib`/`explain` and the
-/// JSON report's calibration section.
-pub(crate) fn record_calibration(
-    rec: &dyn Recorder,
-    rank: usize,
-    score: f64,
-    path_len: usize,
-    stats: &EngineStats,
-    found: bool,
-) {
-    if !rec.enabled() {
-        return;
-    }
-    let mut fields = vec![
-        ("rank", FieldValue::from(rank as u64 + 1)),
-        ("score_milli", FieldValue::from((score * 1000.0) as i64)),
-        ("path_len", FieldValue::from(path_len)),
-        ("steps", FieldValue::from(stats.exec.steps)),
-        ("forks", FieldValue::from(stats.exec.forks)),
-        ("snodes", FieldValue::from(stats.solver.nodes)),
-    ];
-    if rec.clock_mode() == statsym_telemetry::ClockMode::Wall {
-        fields.push(("solver_us", FieldValue::from(stats.solver.query_us)));
-    }
-    fields.push(("found", FieldValue::from(u64::from(found))));
-    rec.event(names::CALIB_CANDIDATE, &fields);
 }
 
 impl Default for StatSymConfig {
@@ -135,25 +72,23 @@ impl Default for StatSymConfig {
             workers: 1,
             cancel_on_found: true,
             share_cache: true,
-            auto_split_workers: false,
         }
     }
 }
 
 /// Content fingerprint of a pipeline configuration for run manifests.
 ///
-/// Scheduling-only knobs (worker counts, cancellation, budget
-/// splitting, steal tuning) are canonicalized before hashing: they
-/// change how fast a run executes, never what it computes, so the same
-/// workload at 1 and 8 workers carries the same fingerprint and
-/// cross-run analytics can group those runs together. Semantic knobs —
+/// Scheduling-only knobs (worker counts, cancellation, steal tuning)
+/// are canonicalized before hashing: they change how fast a run
+/// executes, never what it computes, so the same workload at 1 and 8
+/// workers carries the same fingerprint and cross-run analytics can
+/// group those runs together. Semantic knobs —
 /// thresholds, budgets, cache sharing (which changes solver-work
 /// counters), chaos injection — all perturb the fingerprint.
 pub fn config_fingerprint(config: &StatSymConfig) -> String {
     let mut canon = *config;
     canon.workers = 1;
     canon.cancel_on_found = true;
-    canon.auto_split_workers = false;
     let engine_defaults = EngineConfig::default();
     canon.engine.state_workers = 0;
     canon.engine.steal_slice = engine_defaults.steal_slice;
@@ -218,6 +153,9 @@ pub struct StatSymReport {
     pub found: Option<FoundVulnerability>,
     /// Index of the successful candidate.
     pub candidate_used: Option<usize>,
+    /// Verdict-memo counters for the guided stage (all zero when the run
+    /// had no memo; see [`StatSymConfig::share_cache`]).
+    pub cache: SharedCacheStats,
     /// Total guided symbolic execution time (Tables II/III).
     pub symex_time: Duration,
 }
@@ -359,6 +297,20 @@ impl StatSym {
         pins: &concrete::InputMap,
         rec: &dyn Recorder,
     ) -> StatSymReport {
+        self.run_candidates(module, analysis, pins, &[], rec)
+    }
+
+    /// The guided stage behind every `run_*` entry point: the candidate
+    /// loop under a `pipeline.symex` span, with `suppressed` fault sites
+    /// (function, span) treated as ordinary path ends in every engine.
+    pub(crate) fn run_candidates(
+        &self,
+        module: &Module,
+        analysis: AnalysisReport,
+        pins: &concrete::InputMap,
+        suppressed: &[(String, minic::Span)],
+        rec: &dyn Recorder,
+    ) -> StatSymReport {
         let outer = Span::start(rec, names::PIPELINE_SYMEX);
 
         // Borrow the ranked candidates in place; only the path actually
@@ -368,15 +320,30 @@ impl StatSym {
             .as_ref()
             .map_or(&[][..], |c| c.paths.as_slice());
 
-        let (attempts, found, candidate_used) = if self.config.workers > 1 && paths.len() > 1 {
-            let out = crate::portfolio::run_portfolio(module, paths, &self.config, pins, rec);
-            (out.attempts, out.found, out.candidate_used)
-        } else {
-            self.run_sequential(module, paths, pins, rec)
-        };
+        // One verdict memo per run, filled by every attempt in rank
+        // order (see `share_cache`). A lone candidate has nothing to
+        // share it with.
+        let memo = (self.config.share_cache && paths.len() > 1).then(|| {
+            let shards = 4 * self.config.workers.min(paths.len());
+            Arc::new(SharedCache::new(shards)) as Arc<dyn QueryCache + Send + Sync>
+        });
+        let PortfolioOutcome {
+            attempts,
+            found,
+            candidate_used,
+            cache,
+        } = Run {
+            module,
+            paths,
+            config: &self.config,
+            pins,
+            suppressed,
+            memo,
+        }
+        .execute(rec);
 
         // Ranking-calibration gauges, derived from the attempts the
-        // sequential loop would have made (overshoot never counts):
+        // one-worker loop makes (overshoot never counts):
         // which rank won, and how well rank order predicted step cost.
         if rec.enabled() {
             if let Some(w) = candidate_used {
@@ -393,87 +360,9 @@ impl StatSym {
             attempts,
             found,
             candidate_used,
+            cache,
             symex_time: outer.finish(),
         }
-    }
-
-    /// The sequential (workers == 1) candidate loop: attempts candidates
-    /// in rank order, stopping at the first verified fault.
-    fn run_sequential(
-        &self,
-        module: &Module,
-        paths: &[CandidatePath],
-        pins: &concrete::InputMap,
-        rec: &dyn Recorder,
-    ) -> (
-        Vec<CandidateAttempt>,
-        Option<FoundVulnerability>,
-        Option<usize>,
-    ) {
-        let mut attempts = Vec::new();
-        let mut found = None;
-        let mut candidate_used = None;
-        // The sequential loop runs when the portfolio level has nothing
-        // to parallelize (one candidate, or workers == 1). Under
-        // `auto_split_workers`, a worker budget that cannot be spent
-        // across candidates moves inside the engine as state workers —
-        // this is what breaks the portfolio's scaling plateau on
-        // single-candidate workloads.
-        let state_workers = if self.config.auto_split_workers
-            && self.config.engine.state_workers == 0
-            && self.config.workers > 1
-        {
-            split_worker_budget(self.config.workers, paths.len()).1
-        } else {
-            self.config.engine.state_workers
-        };
-        for (index, path) in paths.iter().enumerate() {
-            let engine_config = EngineConfig {
-                scheduler: SchedulerKind::Priority,
-                state_workers,
-                candidate_rank: index as u32 + 1,
-                ..self.config.engine
-            };
-            let path_len = path.len();
-            let sp = Span::start(rec, names::CANDIDATE_ATTEMPT);
-            let hook = GuidedHook::new(path.clone(), self.config.guidance);
-            let mut engine = Engine::with_hook(module, engine_config, Box::new(hook));
-            engine.set_recorder(rec);
-            for (name, value) in pins {
-                engine.pin_input(name.clone(), value.clone());
-            }
-            let report = engine.run();
-            let _ = sp.finish();
-            let hit = report.outcome.is_found();
-            rec.event(
-                names::CANDIDATE_RESULT,
-                &[
-                    ("index", FieldValue::from(index)),
-                    ("path_len", FieldValue::from(path_len)),
-                    ("found", FieldValue::from(hit)),
-                    (
-                        "paths_explored",
-                        FieldValue::from(report.stats.paths_explored),
-                    ),
-                    ("steps", FieldValue::from(report.stats.exec.steps)),
-                ],
-            );
-            record_calibration(rec, index, path.score, path_len, &report.stats, hit);
-            attempts.push(CandidateAttempt {
-                index,
-                path_len,
-                found: hit,
-                wall_time: report.wall_time,
-                stats: report.stats,
-            });
-            if let symex::RunOutcome::Found(f) = report.outcome {
-                found = Some(*f);
-                candidate_used = Some(index);
-                break;
-            }
-        }
-
-        (attempts, found, candidate_used)
     }
 }
 
@@ -483,6 +372,7 @@ mod tests {
     use concrete::{run_logged, InputMap, InputValue};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use symex::Engine;
 
     /// A miniature polymorph: option handling noise plus an unchecked
     /// copy of a string input into a fixed 6-byte stack buffer.
@@ -516,7 +406,6 @@ mod tests {
         let mut scaled = base;
         scaled.workers = 8;
         scaled.cancel_on_found = false;
-        scaled.auto_split_workers = true;
         scaled.engine.state_workers = 4;
         scaled.engine.steal_slice = 128;
         scaled.engine.steal_seed = 99;
@@ -882,32 +771,21 @@ mod tests {
     }
 
     #[test]
-    fn split_worker_budget_gives_candidates_priority() {
-        assert_eq!(split_worker_budget(8, 0), (1, 8));
-        assert_eq!(split_worker_budget(8, 1), (1, 8));
-        assert_eq!(split_worker_budget(8, 3), (3, 2));
-        assert_eq!(split_worker_budget(8, 8), (8, 0));
-        assert_eq!(split_worker_budget(6, 4), (4, 0));
-        assert_eq!(split_worker_budget(0, 3), (1, 0));
-        assert_eq!(split_worker_budget(16, 3), (3, 5));
-    }
-
-    #[test]
-    fn surplus_workers_flow_into_the_engine_on_single_candidate_runs() {
+    fn state_workers_run_inside_the_engine_on_single_candidate_runs() {
         let m = module();
         let logs = gen_logs(&m, 30, 1.0, 7);
         let mut analysis = StatSym::default().analyze(&logs);
         analysis.candidates.as_mut().unwrap().paths.truncate(1);
         let seq = StatSym::default().run_with_analysis(&m, analysis.clone());
         let s = seq.found.as_ref().expect("single candidate suffices");
-        // workers > 1 with one candidate cannot portfolio: the budget
-        // must move inside the engine (state_workers = 4) and still
-        // verify the same fault with a replayable witness.
-        let cfg = StatSymConfig {
+        // An explicit state-worker count runs the work-stealing executor
+        // inside the lone candidate's engine, and it must still verify
+        // the same fault with a replayable witness.
+        let mut cfg = StatSymConfig {
             workers: 4,
-            auto_split_workers: true,
             ..StatSymConfig::default()
         };
+        cfg.engine.state_workers = 4;
         let par = StatSym::new(cfg).run_with_analysis(&m, analysis);
         let p = par.found.as_ref().expect("state-parallel run still finds");
         assert_eq!(p.fault.func, s.fault.func);
@@ -915,6 +793,52 @@ mod tests {
         let vm = concrete::Vm::new(&m, concrete::VmConfig::default());
         let replay = vm.run(&p.inputs).unwrap();
         assert!(replay.outcome.is_fault(), "witness must replay concretely");
+    }
+
+    #[test]
+    fn one_worker_reuses_verdicts_across_candidates_deterministically() {
+        use statsym_telemetry::{render_trace, Clock, MemRecorder};
+
+        let m = module();
+        let logs = gen_logs(&m, 30, 1.0, 7);
+        let mut analysis = StatSym::default().analyze(&logs);
+        let cs = analysis.candidates.as_mut().unwrap();
+        cs.paths.insert(0, decoy_candidate());
+        cs.paths.insert(0, decoy_candidate());
+
+        let base = StatSymConfig::default();
+        let cfg = |share_cache| StatSymConfig {
+            share_cache,
+            engine: EngineConfig {
+                max_steps: 95,
+                ..base.engine
+            },
+            ..base
+        };
+        let record = || {
+            let rec = MemRecorder::new(Clock::steps());
+            let report =
+                StatSym::new(cfg(true)).run_with_analysis_traced(&m, analysis.clone(), &rec);
+            (report, render_trace(&rec.finish()))
+        };
+
+        // One thread, one run-scoped memo: the real candidate (rank 3)
+        // answers queries from verdicts the decoys published.
+        let (shared, trace) = record();
+        assert_eq!(shared.candidate_used, Some(2), "decoys must not win");
+        assert!(
+            shared.attempts[2].stats.solver.shared_hits > 0,
+            "rank 3 must reuse the decoys' verdicts"
+        );
+        assert!(shared.cache.hits > 0);
+
+        // The memo only skips solver work: everything exploration-visible
+        // matches the memo-less run, and the memo fills in rank order, so
+        // the step-clock trace is byte-reproducible.
+        let private = StatSym::new(cfg(false)).run_with_analysis(&m, analysis.clone());
+        assert_eq!(private.cache, SharedCacheStats::default());
+        assert_matches_sequential(&private, &shared, "workers=1 with memo");
+        assert_eq!(trace, record().1, "workers-1 memo trace must be stable");
     }
 
     #[test]

@@ -17,27 +17,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A cooperative per-run resource budget. The deterministic dimensions
-/// (`max_steps`, `max_states`) are checked after every executed
-/// instruction; the wall-clock dimensions (`max_solver_us`,
-/// `max_wall_ms`) at every scheduling decision and at the engine's
-/// every-8192-instructions checkpoint. `None` fields are unlimited; the
-/// default is fully unlimited, so attaching a `Budget` never changes a
-/// run that stays under it.
-///
-/// `max_steps` and `max_states` are counted in deterministic units, so
-/// a budget-limited run under the step-count clock still produces
-/// byte-identical traces at any worker count. `max_solver_us` and
-/// `max_wall_ms` meter wall time and are inherently non-reproducible —
-/// use them for operational admission control, not for comparisons.
+/// A cooperative per-run resource budget in deterministic units:
+/// executed instructions and created states, both checked after every
+/// executed instruction. `None` fields are unlimited; the default is
+/// fully unlimited, so attaching a `Budget` never changes a run that
+/// stays under it. Because both dimensions are counted, not timed, a
+/// budget-limited run under the step-count clock still produces
+/// byte-identical traces at any worker count. The one wall-clock limit
+/// is [`EngineConfig::time_budget`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Executor instructions this run may retire.
     pub max_steps: Option<u64>,
-    /// Wall-clock µs this run may spend inside solver queries.
-    pub max_solver_us: Option<u64>,
-    /// Wall-clock ms this run may take end to end.
-    pub max_wall_ms: Option<u64>,
     /// States this run may ever create.
     pub max_states: Option<u64>,
 }
@@ -50,10 +41,7 @@ impl Budget {
 
     /// Whether any dimension is limited.
     pub fn is_limited(&self) -> bool {
-        self.max_steps.is_some()
-            || self.max_solver_us.is_some()
-            || self.max_wall_ms.is_some()
-            || self.max_states.is_some()
+        self.max_steps.is_some() || self.max_states.is_some()
     }
 }
 
@@ -451,12 +439,10 @@ impl<'m> Engine<'m> {
         let mut in_flight: usize = 0;
         let mut in_flight_mem: usize = 0;
 
-        // Explicit resource budget. The deterministic dimensions (steps,
-        // states) are enforced per executed instruction so the trip point
-        // is exact and reproducible; the wall-clock dimensions only at
-        // checkpoint cadence. All budget telemetry is gated on a budget
-        // actually being set, so unlimited runs emit byte-identical
-        // traces to builds that predate budgets.
+        // Explicit resource budget, enforced per executed instruction so
+        // the trip point is exact and reproducible. All budget telemetry
+        // is gated on a budget actually being set, so unlimited runs
+        // emit byte-identical traces to builds that predate budgets.
         let budget = self.config.budget;
         let limited = budget.is_limited();
         let budget_telemetry = limited && rec.enabled();
@@ -491,27 +477,6 @@ impl<'m> Engine<'m> {
                     stats.peak_live_states = stats
                         .peak_live_states
                         .max(sched.len() + suspended.len() + in_flight);
-                }};
-            }
-
-            // True when a wall-clock budget dimension is over its limit.
-            // The deterministic dimensions only trip at the per-step
-            // check inside the inner loop, where an in-flight state
-            // exists to carry the terminal lineage disposition; a run
-            // whose final state completes exactly on budget is reported
-            // Completed, not budget_exceeded — the budget only interrupts
-            // pending work.
-            macro_rules! wall_tripped {
-                () => {{
-                    budget.max_solver_us.is_some_and(|m| {
-                        env.solver
-                            .stats()
-                            .query_us
-                            .saturating_sub(solver_before.query_us)
-                            > m
-                    }) || budget
-                        .max_wall_ms
-                        .is_some_and(|m| start.elapsed().as_millis() as u64 > m)
                 }};
             }
 
@@ -606,11 +571,6 @@ impl<'m> Engine<'m> {
                         );
                     }
                 }
-                if limited && wall_tripped!() {
-                    rec.counter_add(names::BUDGET_EXCEEDED, 1);
-                    budget_note!();
-                    break LoopEnd::Exhausted(ExhaustionReason::Budget);
-                }
                 if cancelled() {
                     break LoopEnd::Exhausted(ExhaustionReason::Cancelled);
                 }
@@ -664,9 +624,11 @@ impl<'m> Engine<'m> {
                 // stays the same tree node.
                 let exec_id = state.id;
                 let step_end = loop {
-                    // Deterministic budget dimensions trip mid-state at
-                    // an exact instruction count: the in-flight state
-                    // gets the terminal `budget_exceeded` disposition.
+                    // The budget trips mid-state at an exact instruction
+                    // count: the in-flight state gets the terminal
+                    // `budget_exceeded` disposition. A run whose final
+                    // state completes exactly on budget is reported
+                    // Completed — the budget only interrupts pending work.
                     if limited && det_tripped(env.stats.steps, *env.next_state_id + 1) {
                         rec.tick(env.stats.steps - last_tick);
                         last_tick = env.stats.steps;
@@ -678,12 +640,6 @@ impl<'m> Engine<'m> {
                     if env.stats.steps.is_multiple_of(8192) {
                         rec.tick(env.stats.steps - last_tick);
                         last_tick = env.stats.steps;
-                        if limited && wall_tripped!() {
-                            env.lineage_event(lineage_op::BUDGET_EXCEEDED, &state, None);
-                            rec.counter_add(names::BUDGET_EXCEEDED, 1);
-                            budget_note!();
-                            break 'outer LoopEnd::Exhausted(ExhaustionReason::Budget);
-                        }
                         budget_note!();
                         if cancelled() {
                             break 'outer LoopEnd::Exhausted(ExhaustionReason::Cancelled);
@@ -1390,7 +1346,6 @@ mod tests {
         let budget = Budget {
             max_steps: Some(1000),
             max_states: Some(100),
-            ..Budget::default()
         };
         let (r1, ev1) = budget_run(LONG_LOOP, budget);
         let (r2, ev2) = budget_run(LONG_LOOP, budget);

@@ -27,8 +27,8 @@
 //!   pure function of the program, independent of which worker ran
 //!   what. Workers record into private [`MemRecorder`]s; buffers
 //!   are spliced into the real trace only at commit.
-//! * **Boundary-checked budgets.** The deterministic budget dimensions
-//!   (`max_steps`, `max_states`) are enforced by the walker at segment
+//! * **Boundary-checked budgets.** The budget dimensions (`max_steps`,
+//!   `max_states`, both deterministic) are enforced by the walker at segment
 //!   boundaries against globally-ordered committed counts, so the trip
 //!   point is a function of the committed prefix, not of wall-clock
 //!   interleaving. A segment that would overrun is *not* merged.
@@ -226,7 +226,6 @@ struct PhaseShared {
     start: Instant,
     cancel: Option<Arc<AtomicBool>>,
     time_budget: Option<Duration>,
-    max_wall_ms: Option<u64>,
 }
 
 impl PhaseShared {
@@ -245,11 +244,6 @@ impl PhaseShared {
             Some(ExhaustionReason::Cancelled)
         } else if self.time_budget.is_some_and(|tb| self.start.elapsed() > tb) {
             Some(ExhaustionReason::Time)
-        } else if self
-            .max_wall_ms
-            .is_some_and(|m| self.start.elapsed().as_millis() as u64 > m)
-        {
-            Some(ExhaustionReason::Budget)
         } else {
             None
         };
@@ -675,16 +669,6 @@ impl Walker<'_> {
         }
     }
 
-    fn wall_tripped(&self) -> bool {
-        self.budget
-            .max_solver_us
-            .is_some_and(|m| self.solver.query_us > m)
-            || self
-                .budget
-                .max_wall_ms
-                .is_some_and(|m| self.start.elapsed().as_millis() as u64 > m)
-    }
-
     /// Deterministic budget trip at a segment boundary: the offending
     /// segment is *not* merged, so committed counters and the trace
     /// clock reflect only the committed prefix.
@@ -777,8 +761,8 @@ impl Walker<'_> {
     /// Commits one in-order segment: budget pre-check, buffer splice,
     /// lineage replay, counter accumulation, end application, rails.
     fn commit(&mut self, r: SegRecord) {
-        // Deterministic budget dimensions trip *before* the merge, on
-        // globally-ordered committed counts.
+        // The budget trips *before* the merge, on globally-ordered
+        // committed counts.
         if self.limited {
             let would_steps = self.exec.steps + r.exec.steps;
             let would_states = 1 + self.fresh_states + r.locals_used;
@@ -803,14 +787,6 @@ impl Walker<'_> {
         }
 
         self.budget_note();
-        if self.limited && self.wall_tripped() {
-            self.rec.counter_add(names::BUDGET_EXCEEDED, 1);
-            let steps = self.exec.steps;
-            let states = 1 + self.fresh_states;
-            self.note_budget_values(steps, states);
-            self.end = Some(WalkEnd::Exhausted(ExhaustionReason::Budget));
-            return;
-        }
         if self.cancelled() {
             self.end = Some(WalkEnd::Exhausted(ExhaustionReason::Cancelled));
             return;
@@ -1250,7 +1226,6 @@ pub(crate) fn run_steal(eng: &mut Engine<'_>) -> Option<EngineReport> {
             start,
             cancel: eng.cancel.clone(),
             time_budget: config.time_budget,
-            max_wall_ms: config.budget.max_wall_ms,
         };
         run_phase(
             &sc,

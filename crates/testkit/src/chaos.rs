@@ -306,13 +306,21 @@ pub fn check_chaos(program: &Program, seed: u64) -> Result<OracleOutcome, String
     let chaos_cache: Arc<dyn QueryCache + Send + Sync> =
         Arc::new(ChaosCache::new(Arc::new(SharedCache::new(8)), schedule));
     let pins = concrete::InputMap::new();
-    let out = run_portfolio_with_cache(&module, &paths, &par_config, &pins, &NOOP, chaos_cache);
+    let out = run_portfolio_with_cache(
+        &module,
+        &paths,
+        &par_config,
+        &pins,
+        &NOOP,
+        Some(chaos_cache),
+    );
 
     let par = StatSymReport {
         analysis,
         attempts: out.attempts,
         found: out.found,
         candidate_used: out.candidate_used,
+        cache: out.cache,
         symex_time: std::time::Duration::ZERO,
     };
     compare_pipeline_reports(&seq, &par, &format!("chaos portfolio {schedule:?}"))

@@ -541,8 +541,8 @@ fn completeness(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
 
 /// Portfolio-vs-sequential identity at 2 and 4 workers. Candidate lists
 /// with a single path are padded with a duplicate so the portfolio
-/// actually engages (the pipeline falls back to the sequential loop for
-/// single-candidate lists).
+/// actually engages (a lone candidate runs the one-worker loop at any
+/// worker count).
 fn portfolio(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
     let module = lower(program)?;
     let exhaustive = Engine::new(&module, budget()).run();
