@@ -8,7 +8,9 @@
 //!
 //! 1. **Constraint-independence slicing** — split each conjunction into
 //!    components that share no variables and decide each one separately,
-//!    memoised under its own fingerprint (KLEE's default optimisation);
+//!    memoised under its own fingerprint (KLEE's default optimisation).
+//!    A [`Partition`] carries the split incrementally, so a path
+//!    condition that grows by one conjunct is never re-partitioned;
 //! 2. **Interval (bounds) propagation** — HC4-style revise over the term
 //!    DAG until fixpoint, which alone decides the vast majority of the
 //!    byte/threshold constraints symbolic string exploration generates;
@@ -38,10 +40,12 @@
 
 pub mod cache;
 pub mod interval;
+pub mod partition;
 pub mod solve;
 pub mod term;
 
 pub use cache::{CachedVerdict, QueryCache, SharedCache, SharedCacheStats};
 pub use interval::Interval;
+pub use partition::{Component, Partition, Segment};
 pub use solve::{Model, SatResult, Solver, SolverConfig, SolverStats};
 pub use term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};

@@ -2,6 +2,7 @@
 
 use crate::cache::{CachedVerdict, QueryCache};
 use crate::interval::Interval;
+use crate::partition::{Component, Partition};
 use crate::term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -273,7 +274,8 @@ impl Solver {
         constraints: &[Constraint],
         rec: &dyn statsym_telemetry::Recorder,
     ) -> SatResult {
-        self.dispatch_traced(ctx, constraints, rec, true, None)
+        let query = Partition::of(ctx, constraints);
+        self.dispatch_traced(ctx, &query, rec, true, None)
     }
 
     /// [`Solver::check_sat`] with per-query latency telemetry.
@@ -283,39 +285,44 @@ impl Solver {
         constraints: &[Constraint],
         rec: &dyn statsym_telemetry::Recorder,
     ) -> SatResult {
-        self.dispatch_traced(ctx, constraints, rec, false, None)
+        let query = Partition::of(ctx, constraints);
+        self.dispatch_traced(ctx, &query, rec, false, None)
     }
 
-    /// [`Solver::check_traced`] tagged with the callsite issuing the
-    /// query. Besides the global latency histogram, the query lands in
-    /// the per-site hot-spot profile: `solver.site.<site>.queries` and
-    /// `.nodes` counters plus a `.query_us` latency histogram
-    /// (wall-clock traces only). `statsym-inspect report` renders these.
-    pub fn check_traced_at(
+    /// Decides an already partitioned conjunction (the symbolic
+    /// executor's carried path condition), tagged with the callsite
+    /// issuing the query. Besides the global latency histogram, the
+    /// query lands in the per-site hot-spot profile:
+    /// `solver.site.<site>.queries` and `.nodes` counters plus a
+    /// `.query_us` latency histogram (wall-clock traces only).
+    /// `statsym-inspect report` renders these. Answers, models and
+    /// counters equal [`Solver::check_traced`] on
+    /// [`Partition::conjuncts`].
+    pub fn check_at(
         &mut self,
         ctx: &TermCtx,
-        constraints: &[Constraint],
+        query: &Partition,
         rec: &dyn statsym_telemetry::Recorder,
         site: &'static str,
     ) -> SatResult {
-        self.dispatch_traced(ctx, constraints, rec, true, Some(site))
+        self.dispatch_traced(ctx, query, rec, true, Some(site))
     }
 
-    /// [`Solver::check_sat_traced`] tagged with the issuing callsite.
-    pub fn check_sat_traced_at(
+    /// [`Solver::check_at`] without a model: see [`Solver::check_sat`].
+    pub fn check_sat_at(
         &mut self,
         ctx: &TermCtx,
-        constraints: &[Constraint],
+        query: &Partition,
         rec: &dyn statsym_telemetry::Recorder,
         site: &'static str,
     ) -> SatResult {
-        self.dispatch_traced(ctx, constraints, rec, false, Some(site))
+        self.dispatch_traced(ctx, query, rec, false, Some(site))
     }
 
     fn dispatch_traced(
         &mut self,
         ctx: &TermCtx,
-        constraints: &[Constraint],
+        query: &Partition,
         rec: &dyn statsym_telemetry::Recorder,
         needs_model: bool,
         site: Option<&'static str>,
@@ -323,15 +330,15 @@ impl Solver {
         if !rec.enabled() {
             if self.config.time_queries {
                 let start = std::time::Instant::now();
-                let result = self.check_inner(ctx, constraints, needs_model);
+                let result = self.check_inner(ctx, query, needs_model);
                 self.stats.query_us += start.elapsed().as_micros() as u64;
                 return result;
             }
-            return self.check_inner(ctx, constraints, needs_model);
+            return self.check_inner(ctx, query, needs_model);
         }
         let nodes_before = self.stats.nodes;
         let start = std::time::Instant::now();
-        let result = self.check_inner(ctx, constraints, needs_model);
+        let result = self.check_inner(ctx, query, needs_model);
         let elapsed = start.elapsed();
         self.stats.query_us += elapsed.as_micros() as u64;
         rec.observe_wall(statsym_telemetry::names::SOLVER_QUERY_US, elapsed);
@@ -367,20 +374,15 @@ impl Solver {
     /// The one decision path: private cache, then the injected shared
     /// cache, then independence slicing, and a whole-conjunction search
     /// only when the query is a single component.
-    fn check_inner(
-        &mut self,
-        ctx: &TermCtx,
-        constraints: &[Constraint],
-        needs_model: bool,
-    ) -> SatResult {
+    fn check_inner(&mut self, ctx: &TermCtx, query: &Partition, needs_model: bool) -> SatResult {
         use statsym_telemetry::query_disposition as qd;
         self.stats.queries += 1;
-        if constraints.is_empty() {
+        if query.is_empty() {
             self.stats.sat += 1;
             self.prov.last_cache = qd::EMPTY;
             return SatResult::Sat(Model::default());
         }
-        let key = ctx.query_fingerprint(constraints);
+        let key = query.fingerprint();
         if let Some(hit) = self.cache.get(&key).cloned() {
             self.stats.cache_hits += 1;
             self.prov.last_cache = qd::PRIVATE;
@@ -415,26 +417,32 @@ impl Solver {
                 Some(CachedVerdict::Sat) | None => self.stats.shared_misses += 1,
             }
         }
-        let result = match self.check_sliced(ctx, constraints) {
-            Some(result) => {
+        let result = match query.components() {
+            [whole] => {
+                self.prov.last_cache = qd::SEARCH;
+                self.search(ctx, whole, key)
+            }
+            comps => {
                 self.prov.last_cache = qd::SLICED;
+                let result = self.check_sliced(ctx, comps);
+                debug_assert!(match &result {
+                    SatResult::Sat(m) => m.satisfies(ctx, &query.conjuncts()),
+                    _ => true,
+                });
                 self.store(key, &result);
                 result
-            }
-            None => {
-                self.prov.last_cache = qd::SEARCH;
-                self.search(ctx, constraints, key)
             }
         };
         self.count_verdict(&result);
         result
     }
 
-    /// Constraint-independence slicing: partitions the conjuncts into
-    /// components that share no variables (union-find over conjunct
-    /// indices) and decides each component separately. Returns `None`
-    /// when the query is a single component, in which case the caller
-    /// falls back to the whole-conjunction search.
+    /// Constraint-independence slicing: decides each variable-disjoint
+    /// component separately, through the private cache under the
+    /// component's own fingerprint, so sibling queries that extend one
+    /// component reuse the others for free. Per-query verdict counters
+    /// are NOT touched here — the enclosing query counts once; only work
+    /// counters and `indep_comp_hits` accumulate.
     ///
     /// Soundness: components are variable-disjoint, so the conjunction
     /// is satisfiable iff every component is, and the union of the
@@ -442,100 +450,43 @@ impl Solver {
     /// reads variables of its own component). Any unsat component
     /// refutes the whole. An `Unknown` component makes the whole
     /// `Unknown` unless some other component is unsat.
-    fn check_sliced(&mut self, ctx: &TermCtx, constraints: &[Constraint]) -> Option<SatResult> {
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let n = constraints.len();
-        if n < 2 {
-            return None;
-        }
-        let mut parent: Vec<usize> = (0..n).collect();
-        let mut owner: HashMap<VarId, usize> = HashMap::new();
-        for (i, c) in constraints.iter().enumerate() {
-            for t in [c.lhs, c.rhs] {
-                for v in ctx.vars_of(t) {
-                    match owner.entry(v) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            let a = find(&mut parent, *e.get());
-                            let b = find(&mut parent, i);
-                            if a != b {
-                                parent[b] = a;
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(i);
-                        }
-                    }
-                }
-            }
-        }
-        // Components ordered by first conjunct occurrence; conjuncts
-        // keep their original relative order within each component —
-        // both matter for determinism of stats and fingerprints.
-        let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut components: Vec<Vec<Constraint>> = Vec::new();
-        for (i, c) in constraints.iter().enumerate() {
-            let root = find(&mut parent, i);
-            let slot = *comp_of_root.entry(root).or_insert_with(|| {
-                components.push(Vec::new());
-                components.len() - 1
-            });
-            components[slot].push(*c);
-        }
-        if components.len() < 2 {
-            return None;
-        }
+    fn check_sliced(&mut self, ctx: &TermCtx, comps: &[Arc<Component>]) -> SatResult {
         self.stats.indep_queries += 1;
-        self.stats.indep_components += components.len() as u64;
+        self.stats.indep_components += comps.len() as u64;
         let mut merged: HashMap<VarId, i64> = HashMap::new();
         let mut unknown = false;
-        for comp in &components {
-            match self.solve_component(ctx, comp) {
-                SatResult::Unsat => return Some(SatResult::Unsat),
+        for comp in comps {
+            let ck = comp.fingerprint();
+            if self.cache.contains_key(&ck) {
+                self.stats.indep_comp_hits += 1;
+            } else {
+                self.search(ctx, comp, ck);
+            }
+            match &self.cache[&ck] {
+                SatResult::Unsat => return SatResult::Unsat,
                 SatResult::Unknown => unknown = true,
-                SatResult::Sat(m) => merged.extend(m.values),
+                SatResult::Sat(m) => merged.extend(&m.values),
             }
         }
         if unknown {
-            return Some(SatResult::Unknown);
+            return SatResult::Unknown;
         }
-        let model = Model { values: merged };
-        debug_assert!(model.satisfies(ctx, constraints));
-        Some(SatResult::Sat(model))
+        SatResult::Sat(Model { values: merged })
     }
 
-    /// Decides one variable-disjoint component through the private cache
-    /// under the component's own fingerprint, so sibling queries that
-    /// extend one component reuse the others for free. Per-query verdict
-    /// counters are NOT touched here — the enclosing query counts once;
-    /// only work counters and `indep_comp_hits` accumulate.
-    fn solve_component(&mut self, ctx: &TermCtx, comp: &[Constraint]) -> SatResult {
-        let ck = ctx.query_fingerprint(comp);
-        if let Some(hit) = self.cache.get(&ck) {
-            self.stats.indep_comp_hits += 1;
-            return hit.clone();
-        }
-        self.search(ctx, comp, ck)
-    }
-
-    /// Runs the whole-conjunction search over `constraints`, accumulates
+    /// Runs the whole-conjunction search over one component, accumulates
     /// its work counters, and stores the result under `key`.
-    fn search(&mut self, ctx: &TermCtx, constraints: &[Constraint], key: u64) -> SatResult {
+    fn search(&mut self, ctx: &TermCtx, comp: &Component, key: u64) -> SatResult {
         let mut search = Search {
             ctx,
-            constraints,
+            constraints: comp.conjuncts(),
             config: self.config,
             nodes: 0,
             rounds: 0,
             backtracks: 0,
             budget_hit: false,
         };
-        let result = search.run();
+        let result = search.run(comp.vars());
         self.stats.nodes += search.nodes;
         self.stats.propagation_rounds += search.rounds;
         self.stats.backtracks += search.backtracks;
@@ -581,15 +532,10 @@ enum PropOutcome {
 }
 
 impl<'a> Search<'a> {
-    fn run(&mut self) -> SatResult {
-        let mut domains: Domains = HashMap::new();
-        for c in self.constraints {
-            for t in [c.lhs, c.rhs] {
-                for v in self.ctx.vars_of(t) {
-                    domains.entry(v).or_insert_with(|| self.ctx.var_domain(v));
-                }
-            }
-        }
+    /// Searches for a model over `vars`, the variables the constraints
+    /// read.
+    fn run(&mut self, vars: &[VarId]) -> SatResult {
+        let domains: Domains = vars.iter().map(|&v| (v, self.ctx.var_domain(v))).collect();
         match self.search(domains) {
             Some(model) => SatResult::Sat(model),
             None if self.budget_hit => SatResult::Unknown,
@@ -1270,6 +1216,13 @@ mod tests {
         for cs in &queries {
             // The whole-conjunction search (the path `check` takes for
             // single-component queries) is the reference.
+            let mut vars: Vec<VarId> = cs
+                .iter()
+                .flat_map(|c| [c.lhs, c.rhs])
+                .flat_map(|t| ctx.vars_of(t).to_vec())
+                .collect();
+            vars.sort_unstable();
+            vars.dedup();
             let want = Search {
                 ctx: &ctx,
                 constraints: cs,
@@ -1279,7 +1232,7 @@ mod tests {
                 backtracks: 0,
                 budget_hit: false,
             }
-            .run();
+            .run(&vars);
             let got = solver.check(&ctx, cs);
             assert_eq!(want.is_sat(), got.is_sat(), "{cs:?}");
             assert_eq!(want.is_unsat(), got.is_unsat(), "{cs:?}");
@@ -1297,12 +1250,13 @@ mod tests {
         let x = ctx.new_var("x", 0, 9);
         let c5 = ctx.int(5);
         let cs = [Constraint::new(CmpOp::Eq, x, c5)];
+        let q = Partition::of(&ctx, &cs);
         let rec = MemRecorder::new(Clock::steps());
         let mut solver = Solver::default();
         solver.set_provenance(2);
         solver.set_query_origin(7, "convert:4");
-        solver.check_traced_at(&ctx, &cs, &rec, "feasibility");
-        solver.check_traced_at(&ctx, &cs, &rec, "feasibility");
+        solver.check_at(&ctx, &q, &rec, "feasibility");
+        solver.check_at(&ctx, &q, &rec, "feasibility");
         solver.check_traced(&ctx, &[], &rec);
         let queries: Vec<_> = rec
             .events()
@@ -1348,7 +1302,7 @@ mod tests {
         // Without set_provenance, no query events are emitted.
         let rec2 = MemRecorder::new(Clock::steps());
         let mut plain = Solver::default();
-        plain.check_traced_at(&ctx, &cs, &rec2, "feasibility");
+        plain.check_at(&ctx, &q, &rec2, "feasibility");
         assert!(rec2
             .events()
             .iter()

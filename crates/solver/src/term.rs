@@ -4,7 +4,7 @@ use crate::interval::Interval;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Id of an interned term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -143,6 +143,77 @@ fn combine2(tag: u64, a: u64, b: u64) -> u64 {
     )
 }
 
+/// The commutative fold behind query fingerprints: a sum and a rotated
+/// xor of per-constraint structural hashes, plus the conjunct count.
+/// Folding is order-independent and extends in O(1), so a partition can
+/// carry one per component and one for the whole query.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Fold {
+    sum: u64,
+    xor: u64,
+    len: u64,
+}
+
+impl Fold {
+    /// Folds in one constraint hash.
+    #[inline]
+    pub(crate) fn add(&mut self, h: u64) {
+        self.sum = self.sum.wrapping_add(h);
+        self.xor ^= h.rotate_left(17);
+        self.len += 1;
+    }
+
+    /// Folds in every hash another fold has seen.
+    #[inline]
+    pub(crate) fn merge(&mut self, other: Fold) {
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.xor ^= other.xor;
+        self.len += other.len;
+    }
+
+    /// The fingerprint of the folded conjunction.
+    #[inline]
+    pub(crate) fn fingerprint(self) -> u64 {
+        mix64(self.sum ^ self.xor.wrapping_mul(0x9e3779b97f4a7c15)).wrapping_add(self.len)
+    }
+}
+
+/// One interned term: the term, its structural hash and its variable
+/// set (sorted, deduplicated), all computed once at intern time.
+#[derive(Debug, Clone)]
+struct Entry {
+    term: Term,
+    hash: u64,
+    vars: Arc<[VarId]>,
+}
+
+/// The shared empty variable set of constants and variable-free terms.
+fn no_vars() -> Arc<[VarId]> {
+    static EMPTY: OnceLock<Arc<[VarId]>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::from(Vec::new())))
+}
+
+/// The sorted union of two sorted variable sets, sharing an operand's
+/// allocation when the union equals it (`x + 1`, `x * x`, ...).
+fn union_vars(a: &Arc<[VarId]>, b: &Arc<[VarId]>) -> Arc<[VarId]> {
+    if b.is_empty() || Arc::ptr_eq(a, b) {
+        return Arc::clone(a);
+    }
+    if a.is_empty() {
+        return Arc::clone(b);
+    }
+    let mut out: Vec<VarId> = a.iter().chain(b.iter()).copied().collect();
+    out.sort_unstable();
+    out.dedup();
+    if out.len() == a.len() {
+        Arc::clone(a)
+    } else if out.len() == b.len() {
+        Arc::clone(b)
+    } else {
+        Arc::from(out)
+    }
+}
+
 /// The append-only term store shared by every handle cloned from one
 /// root context. All published state lives behind one mutex; readers
 /// never take it on the hot path because each handle keeps a flat local
@@ -155,8 +226,8 @@ struct Store {
 
 #[derive(Debug, Default)]
 struct StoreTail {
-    /// `(term, structural hash)` per id, in interning order.
-    terms: Vec<(Term, u64)>,
+    /// One entry per id, in interning order.
+    terms: Vec<Entry>,
     intern: HashMap<Term, TermId>,
     vars: Vec<VarInfo>,
     /// Structural hash per variable, parallel to `vars`.
@@ -167,7 +238,7 @@ struct StoreTail {
 /// memo so repeat constructions skip the store lock entirely.
 #[derive(Debug, Default)]
 struct LocalView {
-    terms: Vec<(Term, u64)>,
+    terms: Vec<Entry>,
     vars: Vec<VarInfo>,
     var_hashes: Vec<u64>,
     memo: HashMap<Term, TermId>,
@@ -195,7 +266,8 @@ struct LocalView {
 /// contexts that intern structurally identical terms — the property the
 /// cross-engine shared solver cache relies on. Hashes are computed
 /// incrementally at intern time (children are already interned), so
-/// fingerprinting a query is allocation- and traversal-free.
+/// fingerprinting a query is allocation- and traversal-free. Each term's
+/// variable set ([`TermCtx::vars_of`]) is computed at intern time too.
 #[derive(Debug)]
 pub struct TermCtx {
     store: Arc<Store>,
@@ -270,11 +342,11 @@ impl TermCtx {
         {
             let l = self.local.borrow();
             if i < l.terms.len() {
-                return l.terms[i].0;
+                return l.terms[i].term;
             }
         }
         self.refresh();
-        self.local.borrow().terms[i].0
+        self.local.borrow().terms[i].term
     }
 
     /// Variable metadata (owned; the handle snapshot may grow under it).
@@ -318,34 +390,19 @@ impl TermCtx {
         self.local.borrow().var_hashes[i]
     }
 
-    /// All variables appearing in `t` (deduplicated, unordered).
-    pub fn vars_of(&self, t: TermId) -> Vec<VarId> {
-        let mut out = Vec::new();
-        let mut stack = vec![t];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            match self.term(id) {
-                Term::Const(_) => {}
-                Term::Var(v) => {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-                Term::Add(a, b)
-                | Term::Sub(a, b)
-                | Term::Mul(a, b)
-                | Term::Div(a, b)
-                | Term::Rem(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Term::Neg(a) => stack.push(a),
+    /// All variables appearing in `t`, sorted and deduplicated. The set
+    /// is computed once when `t` is interned, so this is a lookup.
+    #[inline]
+    pub fn vars_of(&self, t: TermId) -> Arc<[VarId]> {
+        let i = t.index();
+        {
+            let l = self.local.borrow();
+            if i < l.terms.len() {
+                return Arc::clone(&l.terms[i].vars);
             }
         }
-        out
+        self.refresh();
+        Arc::clone(&self.local.borrow().terms[i].vars)
     }
 
     fn intern(&mut self, t: Term) -> TermId {
@@ -354,14 +411,19 @@ impl TermCtx {
         }
         // Hash before taking the store lock: children are interned, so
         // this only reads (and possibly refreshes) the local snapshot.
-        let h = self.structural_hash(t);
+        let hash = self.structural_hash(t);
+        let vars = self.term_vars(t);
         let id = {
             let mut tail = self.store.tail.lock().unwrap_or_else(|e| e.into_inner());
             match tail.intern.get(&t) {
                 Some(&id) => id,
                 None => {
                     let id = TermId(tail.terms.len() as u32);
-                    tail.terms.push((t, h));
+                    tail.terms.push(Entry {
+                        term: t,
+                        hash,
+                        vars,
+                    });
                     tail.intern.insert(t, id);
                     id
                 }
@@ -389,6 +451,20 @@ impl TermCtx {
         }
     }
 
+    /// Variable set of a term whose children are already interned.
+    fn term_vars(&self, t: Term) -> Arc<[VarId]> {
+        match t {
+            Term::Const(_) => no_vars(),
+            Term::Var(v) => Arc::from(vec![v]),
+            Term::Add(a, b)
+            | Term::Sub(a, b)
+            | Term::Mul(a, b)
+            | Term::Div(a, b)
+            | Term::Rem(a, b) => union_vars(&self.vars_of(a), &self.vars_of(b)),
+            Term::Neg(a) => self.vars_of(a),
+        }
+    }
+
     /// Precomputed structural hash of an interned term. Two terms hash
     /// equal iff they are structurally identical (modulo 64-bit
     /// collisions), even across different `TermCtx` instances.
@@ -398,11 +474,11 @@ impl TermCtx {
         {
             let l = self.local.borrow();
             if i < l.terms.len() {
-                return l.terms[i].1;
+                return l.terms[i].hash;
             }
         }
         self.refresh();
-        self.local.borrow().terms[i].1
+        self.local.borrow().terms[i].hash
     }
 
     /// Structural hash of one constraint atom.
@@ -418,17 +494,14 @@ impl TermCtx {
     /// Order-independent fingerprint of a conjunction of constraints:
     /// a commutative fold (sum ⊕ xor, plus the length) of per-constraint
     /// structural hashes. No allocation, no sorting — O(n) lookups into
-    /// precomputed hashes. Used as the solver's query-cache key, both
-    /// private and shared.
+    /// precomputed hashes. The solver's query-cache key, private and
+    /// shared; a [`crate::Partition`] carries the same fold incrementally.
     pub fn query_fingerprint(&self, constraints: &[Constraint]) -> u64 {
-        let mut sum = 0u64;
-        let mut xor = 0u64;
+        let mut fold = Fold::default();
         for c in constraints {
-            let h = self.constraint_hash(c);
-            sum = sum.wrapping_add(h);
-            xor ^= h.rotate_left(17);
+            fold.add(self.constraint_hash(c));
         }
-        mix64(sum ^ xor.wrapping_mul(0x9e3779b97f4a7c15)).wrapping_add(constraints.len() as u64)
+        fold.fingerprint()
     }
 
     /// Creates a fresh variable with domain `[lo, hi]` and returns its

@@ -5,7 +5,7 @@ use crate::executor::{initial_state, step, Disposition, ExecEnv, ExecStats, Step
 use crate::hook::{EventHook, NoGuidance};
 use crate::lineage::{Lineage, WorkSnapshot};
 use crate::scheduler::{build_scheduler, SchedulerKind};
-use crate::state::{CondList, State};
+use crate::state::State;
 use crate::value::SymValue;
 use concrete::{Fault, InputValue, Location};
 use sir::{InputId, Module};
@@ -529,7 +529,6 @@ impl<'m> Engine<'m> {
             // reported with made-up inputs.
             macro_rules! confirm_model {
                 ($state:expr) => {{
-                    let constraints = $state.path.to_vec();
                     // The confirmation query runs outside step(), so it
                     // gets its own pre/post bracket: the solver work is
                     // billed to (and its provenance stamped with) the
@@ -537,9 +536,9 @@ impl<'m> Engine<'m> {
                     let pre = attr
                         .active()
                         .then(|| attr.pre_step(env.module, &$state, env.solver, env.stats));
-                    let res =
-                        env.solver
-                            .check_traced_at(env.ctx, &constraints, rec, "report_model");
+                    let res = env
+                        .solver
+                        .check_at(env.ctx, $state.cond.hard(), rec, "report_model");
                     if let Some(pre) = pre {
                         attr.post_step(pre, &env.solver.stats(), env.stats);
                     }
@@ -601,7 +600,7 @@ impl<'m> Engine<'m> {
                     for mut s in suspended.drain(..) {
                         env.lineage_event(lineage_op::RESUME, &s, None);
                         s.guidance_off = true;
-                        s.soft = CondList::new();
+                        s.cond = s.cond.without_soft();
                         sched.push(s, i64::MAX);
                     }
                     rec.counter_add(names::SYMEX_RESUME, resumed);
@@ -842,7 +841,7 @@ impl<'m> Engine<'m> {
         model: solver::Model,
         inputs_map: &HashMap<InputId, SymValue>,
     ) -> FoundVulnerability {
-        let constraints = state.path.to_vec();
+        let constraints = state.cond.hard().conjuncts();
         let mut inputs = concrete::InputMap::new();
         for (i, def) in self.module.inputs.iter().enumerate() {
             let id = InputId(i as u32);

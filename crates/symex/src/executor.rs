@@ -8,7 +8,7 @@ use crate::value::{BoolVal, SymBuf, SymStr, SymValue};
 use concrete::{Fault, FaultKind, Location, MAX_ALLOC};
 use minic::{BinOp, Span};
 use sir::{ConstValue, FuncId, InputId, InputKind, Inst, Module, Reg, Terminator};
-use solver::{CmpOp, Constraint, SatResult, Solver, TermCtx, TermId};
+use solver::{CmpOp, Constraint, Partition, SatResult, Segment, Solver, TermCtx, TermId};
 use statsym_telemetry::{lineage_op, names, FieldValue, Recorder};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -148,29 +148,21 @@ impl<'e> ExecEnv<'e> {
     /// Model-free (`check_sat_traced`), so shared-cache `Sat` verdicts
     /// can answer it — `Sat` and `Unknown` are interchangeable here,
     /// which is what makes verdict sharing exploration-invariant.
-    fn feasible(&mut self, cons: &[Constraint]) -> bool {
+    fn feasible(&mut self, query: &Partition) -> bool {
         !self
             .solver
-            .check_sat_traced_at(self.ctx, cons, self.rec, "feasibility")
+            .check_sat_at(self.ctx, query, self.rec, "feasibility")
             .is_unsat()
-    }
-
-    fn feasible_state(&mut self, state: &State) -> bool {
-        let cons = state.all_constraints();
-        self.feasible(&cons)
     }
 
     /// Classifies a candidate child: active, suspended (violates soft
     /// constraints only), or pruned (`None`).
     fn classify(&mut self, state: &State) -> Option<Disposition> {
-        if self.feasible_state(state) {
+        if self.feasible(state.cond.all()) {
             return Some(Disposition::Active);
         }
-        if !state.soft.is_empty() {
-            let hard = state.path.to_vec();
-            if self.feasible(&hard) {
-                return Some(Disposition::Suspended);
-            }
+        if state.cond.soft_len() > 0 && self.feasible(state.cond.hard()) {
+            return Some(Disposition::Suspended);
         }
         None
     }
@@ -212,11 +204,10 @@ impl<'e> ExecEnv<'e> {
         let conj = result.constraints.len();
         let injected = !result.constraints.is_empty();
         for c in result.constraints {
-            state.soft = state.soft.push(c);
+            state.cond.push_soft(self.ctx, c);
         }
-        if injected && !self.feasible_state(state) {
-            let hard = state.path.to_vec();
-            return if self.feasible(&hard) {
+        if injected && !self.feasible(state.cond.all()) {
+            return if self.feasible(state.cond.hard()) {
                 self.note_candidate_node(matched, &loc, conj, "conflict");
                 self.stats.suspended += 1;
                 self.rec.counter_add(names::SYMEX_SUSPEND_PREDICATE, 1);
@@ -252,8 +243,7 @@ fn dummy_state() -> State {
         frames: Vec::new(),
         globals: Vec::new(),
         heap: Vec::new(),
-        path: crate::state::CondList::new(),
-        soft: crate::state::CondList::new(),
+        cond: crate::state::PathCond::new(),
         trace: crate::state::TraceList::default(),
         depth: 0,
         meta: crate::state::StateMeta::default(),
@@ -276,8 +266,7 @@ pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
         frames: Vec::new(),
         globals,
         heap: Vec::new(),
-        path: crate::state::CondList::new(),
-        soft: crate::state::CondList::new(),
+        cond: crate::state::PathCond::new(),
         trace: crate::state::TraceList::default(),
         depth: 0,
         meta: crate::state::StateMeta::default(),
@@ -524,10 +513,9 @@ fn exec_inst(env: &mut ExecEnv<'_>, mut state: State, inst: Inst, span: Span) ->
                     // Failing side.
                     let mut bad = state.clone();
                     bad.id = env.fresh_id();
-                    bad.path = bad.path.push(atom.negate());
+                    bad.cond.push_hard(env.ctx, atom.negate());
                     bad.depth += 1;
-                    let bad_hard = bad.path.to_vec();
-                    if env.feasible(&bad_hard) {
+                    if env.feasible(bad.cond.hard()) {
                         let fault = env.fault(&bad, FaultKind::AssertFailed, span);
                         children.push(ForkChild {
                             state: bad,
@@ -538,7 +526,7 @@ fn exec_inst(env: &mut ExecEnv<'_>, mut state: State, inst: Inst, span: Span) ->
                     }
                     // Passing side.
                     let mut ok = state;
-                    ok.path = ok.path.push(atom);
+                    ok.cond.push_hard(env.ctx, atom);
                     ok.depth += 1;
                     match env.classify(&ok) {
                         Some(d) => children.push(ForkChild {
@@ -585,14 +573,13 @@ fn exec_bin(
             let div_zero = Constraint::new(CmpOp::Eq, tb, zero);
             if env.ctx.as_const(tb).is_none() {
                 // Divisor is symbolic: fork a fault child if it can be 0.
-                let mut cons = state.all_constraints();
-                cons.push(div_zero);
-                if env.feasible(&cons) {
+                let query = state.cond.all().with(env.ctx, Segment::Extra, div_zero);
+                if env.feasible(&query) {
                     env.stats.forks += 1;
                     let mut children = Vec::new();
                     let mut bad = state.clone();
                     bad.id = env.fresh_id();
-                    bad.path = bad.path.push(div_zero);
+                    bad.cond.push_hard(env.ctx, div_zero);
                     bad.depth += 1;
                     let fault = env.fault(&bad, FaultKind::DivByZero, span);
                     children.push(ForkChild {
@@ -600,7 +587,7 @@ fn exec_bin(
                         disposition: Disposition::Fault(fault),
                     });
                     let mut ok = state;
-                    ok.path = ok.path.push(div_zero.negate());
+                    ok.cond.push_hard(env.ctx, div_zero.negate());
                     ok.depth += 1;
                     let t = if op == Div {
                         env.ctx.div(ta, tb)
@@ -762,18 +749,18 @@ fn bounds_checked_common(
     for violation in [too_big, negative] {
         let mut bad = state.clone();
         bad.id = env.fresh_id();
-        bad.path = bad.path.push(violation);
+        bad.cond.push_hard(env.ctx, violation);
         bad.depth += 1;
-        let hard = bad.path.to_vec();
-        if env.feasible(&hard) {
+        if env.feasible(bad.cond.hard()) {
             // Resolve a concrete violating index for the report.
-            let model_idx = match env
-                .solver
-                .check_traced_at(env.ctx, &hard, env.rec, "fault_model")
-            {
-                SatResult::Sat(m) => m.value_of(idx_t, env.ctx).unwrap_or(cap),
-                _ => cap,
-            };
+            let model_idx =
+                match env
+                    .solver
+                    .check_at(env.ctx, bad.cond.hard(), env.rec, "fault_model")
+                {
+                    SatResult::Sat(m) => m.value_of(idx_t, env.ctx).unwrap_or(cap),
+                    _ => cap,
+                };
             let kind = oob_kind(cap, model_idx, inclusive, dynamic);
             let fault = env.fault(&bad, kind, span);
             children.push(ForkChild {
@@ -793,17 +780,18 @@ fn bounds_checked_common(
         Constraint::new(CmpOp::Lt, idx_t, cap_t)
     };
     let mut ok = state;
-    ok.path = ok.path.push(lower).push(upper);
+    ok.cond.push_hard(env.ctx, lower);
+    ok.cond.push_hard(env.ctx, upper);
     ok.depth += 1;
-    let cons = ok.all_constraints();
     match env
         .solver
-        .check_traced_at(env.ctx, &cons, env.rec, "concretize")
+        .check_at(env.ctx, ok.cond.all(), env.rec, "concretize")
     {
         SatResult::Sat(model) => {
             let i = model.value_of(idx_t, env.ctx).unwrap_or(0).clamp(0, cap);
             let point = env.ctx.int(i);
-            ok.path = ok.path.push(Constraint::new(CmpOp::Eq, idx_t, point));
+            ok.cond
+                .push_hard(env.ctx, Constraint::new(CmpOp::Eq, idx_t, point));
             env.stats.concretizations += 1;
             apply(env.ctx, &mut ok, i as usize);
             children.push(ForkChild {
@@ -899,13 +887,12 @@ fn exec_alloc(
     for (violation, fallback) in [(too_big, MAX_ALLOC + 1), (negative, -1)] {
         let mut bad = state.clone();
         bad.id = env.fresh_id();
-        bad.path = bad.path.push(violation);
+        bad.cond.push_hard(env.ctx, violation);
         bad.depth += 1;
-        let hard = bad.path.to_vec();
-        if env.feasible(&hard) {
+        if env.feasible(bad.cond.hard()) {
             let req = match env
                 .solver
-                .check_traced_at(env.ctx, &hard, env.rec, "fault_model")
+                .check_at(env.ctx, bad.cond.hard(), env.rec, "fault_model")
             {
                 SatResult::Sat(m) => m.value_of(size_t, env.ctx).unwrap_or(fallback),
                 _ => fallback,
@@ -924,12 +911,12 @@ fn exec_alloc(
     let lower = Constraint::new(CmpOp::Le, zero, size_t);
     let upper = Constraint::new(CmpOp::Le, size_t, max_t);
     let mut ok = state;
-    ok.path = ok.path.push(lower).push(upper);
+    ok.cond.push_hard(env.ctx, lower);
+    ok.cond.push_hard(env.ctx, upper);
     ok.depth += 1;
-    let cons = ok.all_constraints();
     match env
         .solver
-        .check_traced_at(env.ctx, &cons, env.rec, "concretize")
+        .check_at(env.ctx, ok.cond.all(), env.rec, "concretize")
     {
         SatResult::Sat(model) => {
             let n = model
@@ -937,7 +924,8 @@ fn exec_alloc(
                 .unwrap_or(0)
                 .clamp(0, MAX_ALLOC);
             let point = env.ctx.int(n);
-            ok.path = ok.path.push(Constraint::new(CmpOp::Eq, size_t, point));
+            ok.cond
+                .push_hard(env.ctx, Constraint::new(CmpOp::Eq, size_t, point));
             env.stats.concretizations += 1;
             alloc_cells(env, &mut ok, n);
             children.push(ForkChild {
@@ -985,15 +973,15 @@ fn exec_format(env: &mut ExecEnv<'_>, state: State, fmt: Reg, span: Span) -> Ste
     let zero = env.ctx.int(0);
     let pct = env.ctx.int(i64::from(b'%'));
     let mut children = Vec::new();
-    let mut prefix = state.path.clone();
+    let mut prefix = state.cond.clone();
     for k in 0..=sym.cap() {
         if k < sym.cap() {
             // Fault child: first interesting byte is a `%` at offset k.
             let mut bad = state.clone();
             bad.id = env.fresh_id();
             bad.depth += 1;
-            bad.path = prefix.push(Constraint::new(CmpOp::Eq, sym.bytes[k], pct));
-            if env.feasible(&bad.path.to_vec()) {
+            bad.cond = prefix.with_hard(env.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], pct));
+            if env.feasible(bad.cond.hard()) {
                 let fault = env.fault(&bad, FaultKind::FormatString { idx: k as i64 }, span);
                 children.push(ForkChild {
                     state: bad,
@@ -1007,8 +995,8 @@ fn exec_format(env: &mut ExecEnv<'_>, state: State, fmt: Reg, span: Span) -> Ste
         let mut ok = state.clone();
         ok.id = env.fresh_id();
         ok.depth += 1;
-        ok.path = if k < sym.cap() {
-            prefix.push(Constraint::new(CmpOp::Eq, sym.bytes[k], zero))
+        ok.cond = if k < sym.cap() {
+            prefix.with_hard(env.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], zero))
         } else {
             prefix.clone()
         };
@@ -1020,9 +1008,8 @@ fn exec_format(env: &mut ExecEnv<'_>, state: State, fmt: Reg, span: Span) -> Ste
             None => env.stats.pruned += 1,
         }
         if k < sym.cap() {
-            prefix = prefix
-                .push(Constraint::new(CmpOp::Ne, sym.bytes[k], zero))
-                .push(Constraint::new(CmpOp::Ne, sym.bytes[k], pct));
+            prefix.push_hard(env.ctx, Constraint::new(CmpOp::Ne, sym.bytes[k], zero));
+            prefix.push_hard(env.ctx, Constraint::new(CmpOp::Ne, sym.bytes[k], pct));
         }
     }
     StepResult::Fork(children)
@@ -1060,13 +1047,13 @@ fn exec_strlen(env: &mut ExecEnv<'_>, state: State, dst: Reg, s: Reg) -> StepRes
     env.stats.forks += 1;
     let zero = env.ctx.int(0);
     let mut children = Vec::new();
-    let mut prefix = state.path.clone();
+    let mut prefix = state.cond.clone();
     for len in 0..=sym.cap() {
         let mut child = state.clone();
         child.id = env.fresh_id();
         child.depth += 1;
-        child.path = if len < sym.cap() {
-            prefix.push(Constraint::new(CmpOp::Eq, sym.bytes[len], zero))
+        child.cond = if len < sym.cap() {
+            prefix.with_hard(env.ctx, Constraint::new(CmpOp::Eq, sym.bytes[len], zero))
         } else {
             prefix.clone()
         };
@@ -1082,7 +1069,7 @@ fn exec_strlen(env: &mut ExecEnv<'_>, state: State, dst: Reg, s: Reg) -> StepRes
             None => env.stats.pruned += 1,
         }
         if len < sym.cap() {
-            prefix = prefix.push(Constraint::new(CmpOp::Ne, sym.bytes[len], zero));
+            prefix.push_hard(env.ctx, Constraint::new(CmpOp::Ne, sym.bytes[len], zero));
         }
     }
     StepResult::Fork(children)
@@ -1180,7 +1167,7 @@ fn exec_term(env: &mut ExecEnv<'_>, mut state: State, term: Terminator, span: Sp
                     for (target, constraint) in [(then_bb, atom), (else_bb, atom.negate())] {
                         let mut child = state.clone();
                         child.id = env.fresh_id();
-                        child.path = child.path.push(constraint);
+                        child.cond.push_hard(env.ctx, constraint);
                         child.depth += 1;
                         {
                             let f = child.frame_mut();

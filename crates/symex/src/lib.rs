@@ -53,5 +53,5 @@ pub use engine::{
 pub use executor::ExecStats;
 pub use hook::{EventCtx, EventHook, GuidanceResult, NoGuidance};
 pub use scheduler::{Scheduler, SchedulerKind};
-pub use state::{CondList, State, StateMeta, TraceList};
+pub use state::{PathCond, State, StateMeta, TraceList};
 pub use value::{BoolVal, SymBuf, SymStr, SymValue};

@@ -279,7 +279,7 @@ pub(crate) fn victim_order(workers: usize, me: usize, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{CondList, StateMeta, TraceList};
+    use crate::state::{PathCond, StateMeta, TraceList};
 
     fn mk_state(id: u64) -> State {
         State {
@@ -287,8 +287,7 @@ mod tests {
             frames: Vec::new(),
             globals: Vec::new(),
             heap: Vec::new(),
-            path: CondList::new(),
-            soft: CondList::new(),
+            cond: PathCond::new(),
             trace: TraceList::default(),
             depth: 0,
             meta: StateMeta::default(),

@@ -3,62 +3,80 @@
 use crate::value::{SymBuf, SymValue};
 use concrete::Location;
 use sir::{BlockId, FuncId, Reg};
-use solver::Constraint;
+use solver::{Constraint, Partition, Segment, TermCtx};
 use std::sync::Arc;
 
-/// A persistent (structurally shared) list of path constraints. Forked
-/// children share their parent's prefix, so appending is O(1) and does
-/// not copy the path condition.
+/// A state's path condition: the hard constraints (branch decisions
+/// taken) and the soft ones injected by statistical guidance, carried as
+/// two independence partitions so no feasibility query re-partitions.
+///
+/// `hard` holds the path; `all` holds the path followed by the soft
+/// constraints — the query that decides whether a state stays active.
+/// Both are persistent: cloning is O(1), and forked children never see
+/// each other's pushes.
 #[derive(Debug, Clone, Default)]
-pub struct CondList {
-    head: Option<Arc<CondNode>>,
-    len: usize,
+pub struct PathCond {
+    hard: Partition,
+    all: Partition,
 }
 
-#[derive(Debug)]
-struct CondNode {
-    c: Constraint,
-    parent: Option<Arc<CondNode>>,
-}
-
-impl CondList {
+impl PathCond {
     /// The empty condition.
-    pub fn new() -> CondList {
-        CondList::default()
+    pub fn new() -> PathCond {
+        PathCond::default()
     }
 
-    /// Number of conjuncts.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Records a branch decision. It joins the hard segment of both
+    /// partitions, so in `all` it sorts before every soft constraint.
+    pub fn push_hard(&mut self, ctx: &TermCtx, c: Constraint) {
+        self.hard.push(ctx, Segment::Hard, c);
+        if self.soft_len() == 0 {
+            self.all = self.hard.clone();
+        } else {
+            self.all.push(ctx, Segment::Hard, c);
+        }
     }
 
-    /// True when no constraints have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns a new list with `c` appended (the receiver is unchanged).
+    /// A copy with the branch decision `c` recorded.
     #[must_use]
-    pub fn push(&self, c: Constraint) -> CondList {
-        CondList {
-            head: Some(Arc::new(CondNode {
-                c,
-                parent: self.head.clone(),
-            })),
-            len: self.len + 1,
+    pub fn with_hard(&self, ctx: &TermCtx, c: Constraint) -> PathCond {
+        let mut cond = self.clone();
+        cond.push_hard(ctx, c);
+        cond
+    }
+
+    /// Records a guidance constraint.
+    pub fn push_soft(&mut self, ctx: &TermCtx, c: Constraint) {
+        self.all.push(ctx, Segment::Soft, c);
+    }
+
+    /// A copy without soft constraints (a resumed state runs unguided).
+    #[must_use]
+    pub fn without_soft(&self) -> PathCond {
+        PathCond {
+            hard: self.hard.clone(),
+            all: self.hard.clone(),
         }
     }
 
-    /// Collects the conjuncts, oldest first.
-    pub fn to_vec(&self) -> Vec<Constraint> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut cur = self.head.as_deref();
-        while let Some(node) = cur {
-            out.push(node.c);
-            cur = node.parent.as_deref();
-        }
-        out.reverse();
-        out
+    /// The hard constraints alone.
+    pub fn hard(&self) -> &Partition {
+        &self.hard
+    }
+
+    /// The hard constraints followed by the soft ones.
+    pub fn all(&self) -> &Partition {
+        &self.all
+    }
+
+    /// Number of hard constraints.
+    pub fn hard_len(&self) -> usize {
+        self.hard.len()
+    }
+
+    /// Number of soft constraints.
+    pub fn soft_len(&self) -> usize {
+        self.all.segment_len(Segment::Soft)
     }
 }
 
@@ -149,11 +167,11 @@ pub struct State {
     pub globals: Vec<SymValue>,
     /// Buffer heap (cloned on fork; buffers are mutable).
     pub heap: Vec<SymBuf>,
-    /// Hard path constraints (branch decisions taken).
-    pub path: CondList,
-    /// Soft constraints injected by statistical guidance. Violating them
-    /// suspends a state instead of killing it (paper footnote 1).
-    pub soft: CondList,
+    /// Path condition: hard constraints (branch decisions taken) plus
+    /// soft constraints injected by statistical guidance. Violating soft
+    /// constraints suspends a state instead of killing it (paper
+    /// footnote 1).
+    pub cond: PathCond,
     /// Function-boundary event trace.
     pub trace: TraceList,
     /// Branch (fork) depth.
@@ -185,14 +203,6 @@ impl State {
         self.frames.last_mut().expect("state has an active frame")
     }
 
-    /// All constraints relevant to feasibility: hard path conditions
-    /// followed by soft guidance constraints.
-    pub fn all_constraints(&self) -> Vec<Constraint> {
-        let mut v = self.path.to_vec();
-        v.extend(self.soft.to_vec());
-        v
-    }
-
     /// Approximate resident size in bytes, used for the engine's memory
     /// budget (the paper's KLEE runs fail by exhausting memory).
     pub fn est_bytes(&self) -> usize {
@@ -204,7 +214,7 @@ impl State {
         let heap: usize = self.heap.iter().map(|b| 16 + b.cells.len() * 4).sum();
         let globals: usize = self.globals.iter().map(SymValue::est_bytes).sum();
         // Persistent lists are shared; attribute one node to this state.
-        let conds = 48 + self.path.len() * 2 + self.soft.len() * 2;
+        let conds = 48 + self.cond.hard_len() * 2 + self.cond.soft_len() * 2;
         regs + heap + globals + conds + 128
     }
 }
@@ -212,24 +222,105 @@ impl State {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use solver::{CmpOp, Constraint, TermCtx};
+    use solver::CmpOp;
+
+    /// Conjuncts of every component, in component order.
+    fn layout(p: &Partition) -> Vec<Vec<Constraint>> {
+        p.components()
+            .iter()
+            .map(|k| k.conjuncts().to_vec())
+            .collect()
+    }
 
     #[test]
-    fn condlist_is_persistent() {
+    fn forked_children_never_see_each_others_pushes() {
         let mut ctx = TermCtx::new();
         let x = ctx.new_var("x", 0, 9);
+        let y = ctx.new_var("y", 0, 9);
         let c0 = ctx.int(0);
         let c1 = ctx.int(1);
         let a = Constraint::new(CmpOp::Ne, x, c0);
         let b = Constraint::new(CmpOp::Eq, x, c1);
+        let s = Constraint::new(CmpOp::Lt, y, c1);
 
-        let base = CondList::new().push(a);
-        let left = base.push(b);
-        let right = base.push(b.negate());
-        assert_eq!(base.to_vec(), vec![a]);
-        assert_eq!(left.to_vec(), vec![a, b]);
-        assert_eq!(right.to_vec(), vec![a, b.negate()]);
-        assert_eq!(left.len(), 2);
+        let mut base = PathCond::new();
+        base.push_hard(&ctx, a);
+        base.push_soft(&ctx, s);
+        let left = base.with_hard(&ctx, b);
+        let mut right = base.with_hard(&ctx, b.negate());
+        right.push_soft(&ctx, a);
+        assert_eq!(base.hard().conjuncts(), vec![a]);
+        assert_eq!(base.all().conjuncts(), vec![a, s]);
+        assert_eq!(left.hard().conjuncts(), vec![a, b]);
+        assert_eq!(left.all().conjuncts(), vec![a, b, s]);
+        assert_eq!(right.hard().conjuncts(), vec![a, b.negate()]);
+        assert_eq!(right.all().conjuncts(), vec![a, b.negate(), s, a]);
+        assert_eq!((left.hard_len(), left.soft_len()), (2, 1));
+        assert_eq!((right.hard_len(), right.soft_len()), (2, 2));
+        assert_eq!(
+            left.hard().fingerprint(),
+            ctx.query_fingerprint(&[a, b]),
+            "the carried fold is the fingerprint of the flattened path"
+        );
+    }
+
+    #[test]
+    fn without_soft_restores_the_hard_partition() {
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 9);
+        let y = ctx.new_var("y", 0, 9);
+        let c3 = ctx.int(3);
+        let sum = ctx.add(x, y);
+        let mut cond = PathCond::new();
+        cond.push_hard(&ctx, Constraint::new(CmpOp::Lt, x, c3));
+        cond.push_hard(&ctx, Constraint::new(CmpOp::Lt, y, c3));
+        // The soft conjunct joins both hard components into one.
+        cond.push_soft(&ctx, Constraint::new(CmpOp::Eq, sum, c3));
+        assert_eq!(cond.hard().components().len(), 2);
+        assert_eq!(cond.all().components().len(), 1);
+
+        let resumed = cond.without_soft();
+        assert_eq!(resumed.soft_len(), 0);
+        assert_eq!(layout(resumed.all()), layout(cond.hard()));
+        assert_eq!(resumed.all().fingerprint(), cond.hard().fingerprint());
+        assert_eq!(layout(resumed.hard()), layout(cond.hard()));
+        // The original keeps its soft constraint.
+        assert_eq!(cond.soft_len(), 1);
+    }
+
+    #[test]
+    fn hard_push_after_soft_pushes_sorts_before_them() {
+        // The thttpd shape: guidance injects soft constraints, then the
+        // state keeps branching. Each new hard conjunct must land where
+        // the flattened query `hard ++ soft` puts it.
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 99);
+        let y = ctx.new_var("y", 0, 99);
+        let z = ctx.new_var("z", 0, 99);
+        let k = ctx.int(50);
+        let hx = Constraint::new(CmpOp::Lt, x, k);
+        let sy = Constraint::new(CmpOp::Lt, y, k);
+        let sx = Constraint::new(CmpOp::Ne, x, k);
+        let hz = Constraint::new(CmpOp::Le, z, k);
+        let hy = Constraint::new(CmpOp::Le, k, y);
+        let mut cond = PathCond::new();
+        cond.push_hard(&ctx, hx);
+        cond.push_soft(&ctx, sy);
+        cond.push_soft(&ctx, sx);
+        cond.push_hard(&ctx, hz);
+        cond.push_hard(&ctx, hy);
+
+        let flat = vec![hx, hz, hy, sy, sx];
+        assert_eq!(cond.all().conjuncts(), flat);
+        // Components by first position: {hx, sx}, {hz}, {hy, sy}; the y
+        // component starts at the hard `hy`, so it sorts before the soft
+        // `sy` inside it and after `hz` among components.
+        assert_eq!(
+            layout(cond.all()),
+            vec![vec![hx, sx], vec![hz], vec![hy, sy]]
+        );
+        assert_eq!(cond.all().fingerprint(), ctx.query_fingerprint(&flat));
+        assert_eq!(cond.hard().conjuncts(), vec![hx, hz, hy]);
     }
 
     #[test]
@@ -247,8 +338,8 @@ mod tests {
 
     #[test]
     fn empty_lists() {
-        assert!(CondList::new().is_empty());
-        assert!(CondList::new().to_vec().is_empty());
+        assert!(PathCond::new().all().is_empty());
+        assert!(PathCond::new().hard().conjuncts().is_empty());
         assert!(TraceList::default().to_vec().is_empty());
     }
 }

@@ -58,7 +58,7 @@ use crate::executor::{
 use crate::hook::EventHook;
 use crate::lineage::{state_loc, CapturedLin, Lineage, WorkSnapshot};
 use crate::scheduler::{victim_order, StealQueues};
-use crate::state::{CondList, State};
+use crate::state::State;
 use crate::value::{SymStr, SymValue};
 use concrete::{Fault, InputValue};
 use sir::{InputId, Module};
@@ -520,7 +520,6 @@ fn run_segment(
 /// committing to a Found outcome (same contract as the legacy loop's
 /// `confirm_model!`).
 fn confirm(env: &mut ExecEnv<'_>, attr: &mut StepAttr, state: &State) -> Option<Model> {
-    let constraints = state.path.to_vec();
     // Outside step(): the confirmation query gets its own attribution
     // bracket, billed to the faulting state's final source location.
     let pre = attr
@@ -528,7 +527,7 @@ fn confirm(env: &mut ExecEnv<'_>, attr: &mut StepAttr, state: &State) -> Option<
         .then(|| attr.pre_step(env.module, state, env.solver, env.stats));
     let res = env
         .solver
-        .check_traced_at(env.ctx, &constraints, env.rec, "report_model");
+        .check_at(env.ctx, state.cond.hard(), env.rec, "report_model");
     if let Some(pre) = pre {
         attr.post_step(pre, &env.solver.stats(), env.stats);
     }
@@ -1025,7 +1024,7 @@ fn resume_tasks(
             });
         }
         s.guidance_off = true;
-        s.soft = CondList::new();
+        s.cond = s.cond.without_soft();
         walker.nodes.insert(new_key.clone(), info);
         keys.push(new_key.clone());
         tasks.push(Task {
