@@ -8,8 +8,8 @@
 //! (rendered `suspect FUNCPARAM` / `track GLOBAL`, as in Table V).
 //!
 //! Names are shared `Arc<str>`s: as in Fjalar's per-program-point
-//! layout, a name exists once per instrumentation site, and every record
-//! logged there holds a clone of it rather than its own copy.
+//! layout, they live once, in the [`crate::SiteTable`] a corpus's logs
+//! share, and records refer to them by site id.
 
 use std::fmt;
 use std::sync::Arc;

@@ -12,7 +12,9 @@
 //! parameters, and return values, each record retained with a tunable
 //! sampling probability (the paper's partial logging, §III-B). String
 //! values are logged as lengths, mirroring the paper's privacy-preserving
-//! transformation.
+//! transformation. The [`records`] module stores the logs by column: a
+//! site id per record and a flat value column, over a site table shared
+//! by every log of one corpus.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@ pub mod event;
 pub mod fault;
 pub mod logfile;
 pub mod monitor;
+pub mod records;
 pub mod runner;
 pub mod value;
 pub mod vm;
@@ -49,7 +52,8 @@ pub mod vm;
 pub use event::{FnEvent, Location, Measure, VarId, VarRole};
 pub use fault::{Fault, FaultKind, MAX_ALLOC};
 pub use logfile::{parse_log, write_log, ParseLogError};
-pub use monitor::{ExecutionLog, LogRecord, Monitor, Verdict};
+pub use monitor::{ExecutionLog, Monitor, Verdict};
+pub use records::{Record, Records, Site, SiteTable};
 pub use runner::{run_logged, run_logged_traced, run_logged_with, LoggedRun};
 pub use value::{InputValue, Value};
 pub use vm::{ExecHook, InputMap, NoHook, Outcome, RunResult, Vm, VmConfig, VmError};

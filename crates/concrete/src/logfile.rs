@@ -20,7 +20,8 @@
 
 use crate::event::{FnEvent, Location, Measure, VarId, VarRole};
 use crate::fault::{Fault, FaultKind};
-use crate::monitor::{ExecutionLog, LogRecord, Verdict};
+use crate::monitor::{ExecutionLog, Verdict};
+use crate::records::RecordsBuilder;
 use minic::Span;
 use std::fmt;
 
@@ -62,8 +63,8 @@ pub fn write_log(log: &ExecutionLog) -> String {
         ));
     }
     for rec in &log.records {
-        out.push_str(&format!("@ {}\n", rec.loc));
-        for (var, value) in &rec.vars {
+        out.push_str(&format!("@ {}\n", rec.loc()));
+        for (var, value) in rec.vars() {
             out.push_str(&format!("{var} = {value}\n"));
         }
     }
@@ -125,7 +126,9 @@ pub fn parse_log(text: &str) -> Result<ExecutionLog, ParseLogError> {
     };
     let mut verdict = None;
     let mut fault: Option<Fault> = None;
-    let mut records: Vec<LogRecord> = Vec::new();
+    let mut records = RecordsBuilder::default();
+    // The record being read: its location and (variable, value) lines.
+    let mut current: Option<(Location, Vec<(VarId, f64)>)> = None;
 
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -164,13 +167,13 @@ pub fn parse_log(text: &str) -> Result<ExecutionLog, ParseLogError> {
                 ),
             });
         } else if let Some(loc) = line.strip_prefix("@ ") {
-            records.push(LogRecord {
-                loc: parse_location(loc).ok_or_else(|| err(lineno, "bad location"))?,
-                vars: Vec::new(),
-            });
+            let loc = parse_location(loc).ok_or_else(|| err(lineno, "bad location"))?;
+            if let Some((loc, vars)) = current.replace((loc, Vec::new())) {
+                records.push(loc, vars);
+            }
         } else if let Some((var, value)) = line.split_once(" = ") {
-            let rec = records
-                .last_mut()
+            let (_, vars) = current
+                .as_mut()
                 .ok_or_else(|| err(lineno, "variable before any location"))?;
             let var = parse_var(var).ok_or_else(|| err(lineno, "bad variable"))?;
             // Non-finite values would leave Eq. 1's sort order, and so
@@ -180,14 +183,17 @@ pub fn parse_log(text: &str) -> Result<ExecutionLog, ParseLogError> {
                 .ok()
                 .filter(|v| v.is_finite())
                 .ok_or_else(|| err(lineno, "bad value"))?;
-            rec.vars.push((var, value));
+            vars.push((var, value));
         } else {
             return Err(err(lineno, "unrecognized line"));
         }
     }
+    if let Some((loc, vars)) = current {
+        records.push(loc, vars);
+    }
 
     Ok(ExecutionLog {
-        records,
+        records: records.finish(),
         verdict: verdict.ok_or_else(|| err(0, "missing #verdict header"))?,
         fault,
     })
@@ -224,26 +230,32 @@ fn parse_var(s: &str) -> Option<VarId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::Records;
     use proptest::prelude::*;
 
     fn sample_log() -> ExecutionLog {
+        sample_log_with(517.0)
+    }
+
+    /// The sample log with `original` as its first value.
+    fn sample_log_with(original: f64) -> ExecutionLog {
         ExecutionLog {
-            records: vec![
-                LogRecord {
-                    loc: Location::enter("convert_fileName"),
-                    vars: vec![
+            records: Records::from_rows([
+                (
+                    Location::enter("convert_fileName"),
+                    vec![
                         (
                             VarId::new("original", VarRole::Param, Measure::Length),
-                            517.0,
+                            original,
                         ),
                         (VarId::new("track", VarRole::Global, Measure::Value), 3.0),
                     ],
-                },
-                LogRecord {
-                    loc: Location::leave("main"),
-                    vars: vec![(VarId::new("ret", VarRole::Return, Measure::Value), 0.0)],
-                },
-            ],
+                ),
+                (
+                    Location::leave("main"),
+                    vec![(VarId::new("ret", VarRole::Return, Measure::Value), 0.0)],
+                ),
+            ]),
             verdict: Verdict::Faulty,
             fault: Some(Fault {
                 kind: FaultKind::BufferOverflow { cap: 512, idx: 513 },
@@ -264,10 +276,7 @@ mod tests {
     #[test]
     fn roundtrip_correct_log_without_fault() {
         let log = ExecutionLog {
-            records: vec![LogRecord {
-                loc: Location::enter("main"),
-                vars: vec![],
-            }],
+            records: Records::from_rows([(Location::enter("main"), vec![])]),
             verdict: Verdict::Correct,
             fault: None,
         };
@@ -312,10 +321,10 @@ mod tests {
 
     #[test]
     fn negative_and_fractional_values_roundtrip() {
-        let mut log = sample_log();
-        log.records[0].vars[0].1 = -12.5;
+        let log = sample_log_with(-12.5);
         let parsed = parse_log(&write_log(&log)).unwrap();
-        assert_eq!(parsed.records[0].vars[0].1, -12.5);
+        assert_eq!(parsed.records.values()[0], -12.5);
+        assert_eq!(parsed, log);
     }
 
     #[test]
@@ -412,8 +421,65 @@ mod tests {
         ]
     }
 
+    /// A random log: records at a few locations whose variable lists
+    /// change from record to record (some missing, reordered or
+    /// repeated), with finite values.
+    fn random_log() -> impl Strategy<Value = ExecutionLog> {
+        let loc = (0..3usize, any::<bool>()).prop_map(|(f, enter)| {
+            let func = ["main", "f", "g"][f];
+            if enter {
+                Location::enter(func)
+            } else {
+                Location::leave(func)
+            }
+        });
+        let var = (0..3usize, 0..3usize, any::<bool>()).prop_map(|(name, role, len)| {
+            let role = [VarRole::Global, VarRole::Param, VarRole::Return][role];
+            let measure = if len { Measure::Length } else { Measure::Value };
+            VarId::new(["a", "b", "ret"][name], role, measure)
+        });
+        let value = (-100_000i64..=100_000).prop_map(|v| v as f64 / 16.0);
+        let record = (loc, collection::vec((var, value), 0..4));
+        let verdict = prop_oneof![
+            Just(Verdict::Correct),
+            Just(Verdict::Faulty),
+            Just(Verdict::Inconclusive),
+        ];
+        let fault = prop_oneof![
+            Just(None),
+            (1u32..500, 1u32..80).prop_map(|(line, col)| Some(Fault {
+                kind: FaultKind::AssertFailed,
+                func: "f".into(),
+                span: Span::new(line, col),
+            })),
+        ];
+        (collection::vec(record, 0..10), verdict, fault).prop_map(|(rows, verdict, fault)| {
+            ExecutionLog {
+                records: Records::from_rows(rows),
+                verdict,
+                fault,
+            }
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn random_logs_roundtrip_with_changing_variable_lists(log in random_log()) {
+            let parsed = parse_log(&write_log(&log)).unwrap();
+            prop_assert_eq!(&parsed, &log);
+            // Record by record: the same location, variables and values.
+            let rows = |l: &ExecutionLog| -> Vec<(Location, Vec<(VarId, f64)>)> {
+                l.records
+                    .iter()
+                    .map(|r| (r.loc().clone(), r.vars().map(|(v, x)| (v.clone(), x)).collect()))
+                    .collect()
+            };
+            prop_assert_eq!(rows(&parsed), rows(&log));
+            // One site per distinct (location, variable list), as built.
+            prop_assert_eq!(parsed.records.table().len(), log.records.table().len());
+        }
 
         #[test]
         fn arbitrary_text_parses_or_errors_without_panicking(
@@ -421,11 +487,7 @@ mod tests {
         ) {
             let text = lines.join("\n");
             match parse_log(&text) {
-                Ok(log) => prop_assert!(log
-                    .records
-                    .iter()
-                    .flat_map(|r| &r.vars)
-                    .all(|(_, v)| v.is_finite())),
+                Ok(log) => prop_assert!(log.records.values().iter().all(|v| v.is_finite())),
                 Err(e) => prop_assert!(e.line <= lines.len()),
             }
         }
@@ -437,7 +499,7 @@ mod tests {
             match parse_log(&text) {
                 Ok(log) => {
                     prop_assert!(finite, "{value} accepted");
-                    prop_assert_eq!(log.records[0].vars[0].1, value.parse::<f64>().unwrap());
+                    prop_assert_eq!(log.records.values()[0], value.parse::<f64>().unwrap());
                 }
                 Err(e) => {
                     prop_assert!(!finite, "{value} rejected");

@@ -5,27 +5,21 @@
 //! and all global variables; at each exit it records the return value and
 //! all globals. Every record is retained with probability `sampling_rate`
 //! (the paper's partial logging). String values are recorded as lengths.
+//!
+//! Records are columnar ([`Records`]): the monitor pushes the site id of
+//! the function boundary (`2 * FuncId` on entry, `+ 1` on exit, see
+//! [`SiteTable::of`]) and the numeric values, and nothing else.
 
-use crate::event::{Location, Measure, VarId, VarRole};
+use crate::event::Location;
 use crate::fault::Fault;
+use crate::records::{Records, SiteTable};
 use crate::value::Value;
 use crate::vm::ExecHook;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sir::{FuncBody, GlobalDef};
+use sir::{FuncBody, FuncId, GlobalDef, Module};
 use statsym_telemetry::{names, Recorder, NOOP};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One sampled instrumentation record: a location plus the numeric view
-/// of every variable visible there.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogRecord {
-    /// The instrumentation point.
-    pub loc: Location,
-    /// Logged variables and their numeric values.
-    pub vars: Vec<(VarId, f64)>,
-}
 
 /// Whether a run was correct or faulty — the paper's partition of the
 /// log corpus (§V-A).
@@ -43,7 +37,7 @@ pub enum Verdict {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionLog {
     /// Sampled records in execution order.
-    pub records: Vec<LogRecord>,
+    pub records: Records,
     /// Correct / faulty annotation (the paper annotates each log file).
     pub verdict: Verdict,
     /// The detected fault, for faulty runs.
@@ -59,7 +53,7 @@ impl ExecutionLog {
     /// The sequence of sampled locations (the event trace used for
     /// transition mining).
     pub fn locations(&self) -> impl Iterator<Item = &Location> {
-        self.records.iter().map(|r| &r.loc)
+        self.records.iter().map(|r| r.loc())
     }
 }
 
@@ -82,40 +76,23 @@ impl ExecutionLog {
 pub struct Monitor<'r> {
     sampling_rate: f64,
     rng: StdRng,
-    records: Vec<LogRecord>,
+    /// The module's sites; empty until the run starts, unless given.
+    table: Arc<SiteTable>,
+    /// Each kept record's site id.
+    sites: Vec<u32>,
+    /// Each kept record's values, back to back.
+    values: Vec<f64>,
     rec: &'r dyn Recorder,
-    /// Each function's boundary identities, built on its first sampled
-    /// record and shared by every later one.
-    sites: HashMap<String, FuncSite>,
-    /// Global variable names, built on the first sampled record.
-    global_names: Vec<Arc<str>>,
-    /// The name every return value is logged under.
-    ret_name: Arc<str>,
-}
-
-/// The shared identities of one function's instrumentation points.
-struct FuncSite {
-    enter: Location,
-    leave: Location,
-    params: Vec<Arc<str>>,
-}
-
-impl FuncSite {
-    fn new(func: &FuncBody) -> FuncSite {
-        let name: Arc<str> = func.name.as_str().into();
-        FuncSite {
-            enter: Location::enter(name.clone()),
-            leave: Location::leave(name),
-            params: func.params.iter().map(|(p, _)| p.as_str().into()).collect(),
-        }
-    }
+    /// Records kept and dropped, added to `rec` once, on drop.
+    sampled: u64,
+    dropped: u64,
 }
 
 impl std::fmt::Debug for Monitor<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
             .field("sampling_rate", &self.sampling_rate)
-            .field("records", &self.records.len())
+            .field("records", &self.sites.len())
             .finish_non_exhaustive()
     }
 }
@@ -128,134 +105,137 @@ impl<'r> Monitor<'r> {
     }
 
     /// Like [`Monitor::new`] with a telemetry recorder: every record
-    /// attempt is counted as sampled or dropped.
+    /// attempt is counted as sampled or dropped. The monitor builds the
+    /// module's [`SiteTable`] when the run starts.
     pub fn traced(sampling_rate: f64, seed: u64, rec: &dyn Recorder) -> Monitor<'_> {
+        Monitor::sharing(Arc::default(), sampling_rate, seed, rec)
+    }
+
+    /// Like [`Monitor::traced`] over a prebuilt `table`, which must be
+    /// [`SiteTable::of`] the module the monitored VM runs. Every log of
+    /// a corpus collected this way shares one table.
+    pub fn sharing(
+        table: Arc<SiteTable>,
+        sampling_rate: f64,
+        seed: u64,
+        rec: &dyn Recorder,
+    ) -> Monitor<'_> {
         Monitor {
             sampling_rate: sampling_rate.clamp(0.0, 1.0),
             rng: StdRng::seed_from_u64(seed),
-            records: Vec::new(),
+            table,
+            sites: Vec::new(),
+            values: Vec::new(),
             rec,
-            sites: HashMap::new(),
-            global_names: Vec::new(),
-            ret_name: "ret".into(),
+            sampled: 0,
+            dropped: 0,
         }
     }
 
     fn sample(&mut self) -> bool {
         let keep = self.sampling_rate >= 1.0 || self.rng.random_bool(self.sampling_rate);
-        let name = if keep {
-            names::MONITOR_SAMPLED
+        if keep {
+            self.sampled += 1;
         } else {
-            names::MONITOR_DROPPED
-        };
-        self.rec.counter_add(name, 1);
+            self.dropped += 1;
+        }
         keep
     }
 
-    /// Builds `func`'s boundary identities and the names of `globals`
-    /// unless an earlier record already did.
-    fn intern(&mut self, func: &FuncBody, globals: &[GlobalDef]) {
-        if self.global_names.len() != globals.len() {
-            self.global_names = globals.iter().map(|g| g.name.as_str().into()).collect();
-        }
-        if !self.sites.contains_key(&func.name) {
-            self.sites.insert(func.name.clone(), FuncSite::new(func));
-        }
-    }
-
-    /// Builds one record's variables: `own` (parameters or the return
-    /// value), then every global with a numeric view. The vector is
-    /// sized up front: records are the bulk of a corpus's memory.
-    fn record_vars<'a>(
-        own: impl ExactSizeIterator<Item = (&'a Arc<str>, VarRole, &'a Value)>,
-        global_names: &'a [Arc<str>],
-        gvals: &'a [Value],
-    ) -> Vec<(VarId, f64)> {
-        let mut vars = Vec::with_capacity(own.len() + global_names.len());
-        let globals = global_names.iter().zip(gvals);
-        vars.extend(
-            own.chain(globals.map(|(n, v)| (n, VarRole::Global, v)))
-                .filter_map(|(name, role, val)| {
-                    val.numeric_view().map(|(num, is_len)| {
-                        let measure = if is_len {
-                            Measure::Length
-                        } else {
-                            Measure::Value
-                        };
-                        (VarId::new(name.clone(), role, measure), num)
-                    })
-                }),
+    /// Appends a record at `site` logging the numeric view of `own`
+    /// (parameters or the return value), then of every global.
+    fn push<'a>(&mut self, site: u32, own: impl Iterator<Item = &'a Value>, gvals: &'a [Value]) {
+        let before = self.values.len();
+        self.values.extend(
+            own.chain(gvals)
+                .filter_map(|v| v.numeric_view().map(|(num, _)| num)),
         );
-        vars
+        debug_assert_eq!(
+            self.values.len() - before,
+            self.table.site(site).vars.len(),
+            "well-typed values fill the site's static layout"
+        );
+        self.sites.push(site);
     }
 
     /// Consumes the collected records into an [`ExecutionLog`], deriving
     /// the verdict from `outcome`.
-    pub fn finish_with(self, outcome: &crate::vm::Outcome) -> ExecutionLog {
+    pub fn finish_with(mut self, outcome: &crate::vm::Outcome) -> ExecutionLog {
         use crate::vm::Outcome;
         let (verdict, fault) = match outcome {
             Outcome::Exit(_) => (Verdict::Correct, None),
             Outcome::Fault(f) => (Verdict::Faulty, Some(f.clone())),
             Outcome::StepLimit => (Verdict::Inconclusive, None),
         };
+        // A log lives as long as its corpus: give back the growth slack.
+        self.sites.shrink_to_fit();
+        self.values.shrink_to_fit();
         ExecutionLog {
-            records: self.records,
+            records: Records::from_parts(
+                self.table.clone(),
+                std::mem::take(&mut self.sites),
+                std::mem::take(&mut self.values),
+            ),
             verdict,
             fault,
         }
     }
 }
 
+/// Adds the sampled and dropped counts to the recorder, so a run that
+/// stops with an error counts the same as one that finishes.
+impl Drop for Monitor<'_> {
+    fn drop(&mut self) {
+        for (name, n) in [
+            (names::MONITOR_SAMPLED, self.sampled),
+            (names::MONITOR_DROPPED, self.dropped),
+        ] {
+            if n > 0 {
+                self.rec.counter_add(name, n);
+            }
+        }
+    }
+}
+
 impl ExecHook for Monitor<'_> {
+    fn on_start(&mut self, module: &Module) {
+        if self.table.is_empty() {
+            self.table = SiteTable::of(module);
+        }
+        debug_assert_eq!(self.table.len(), 2 * module.funcs.len());
+    }
+
     fn on_enter(
         &mut self,
-        func: &FuncBody,
+        id: FuncId,
+        _: &FuncBody,
         args: &[Value],
-        globals: &[GlobalDef],
+        _: &[GlobalDef],
         gvals: &[Value],
     ) {
-        if !self.sample() {
-            return;
+        if self.sample() {
+            self.push(2 * id.0, args.iter(), gvals);
         }
-        self.intern(func, globals);
-        let site = &self.sites[&func.name];
-        let params = site
-            .params
-            .iter()
-            .zip(args)
-            .map(|(n, v)| (n, VarRole::Param, v));
-        let vars = Self::record_vars(params, &self.global_names, gvals);
-        self.records.push(LogRecord {
-            loc: site.enter.clone(),
-            vars,
-        });
     }
 
     fn on_exit(
         &mut self,
-        func: &FuncBody,
+        id: FuncId,
+        _: &FuncBody,
         ret: Option<&Value>,
-        globals: &[GlobalDef],
+        _: &[GlobalDef],
         gvals: &[Value],
     ) {
-        if !self.sample() {
-            return;
+        if self.sample() {
+            self.push(2 * id.0 + 1, ret.into_iter(), gvals);
         }
-        self.intern(func, globals);
-        let site = &self.sites[&func.name];
-        let ret = ret.map(|v| (&self.ret_name, VarRole::Return, v));
-        let vars = Self::record_vars(ret.into_iter(), &self.global_names, gvals);
-        self.records.push(LogRecord {
-            loc: site.leave.clone(),
-            vars,
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FnEvent;
+    use crate::event::{FnEvent, Measure, VarRole};
     use crate::vm::{InputMap, Vm, VmConfig};
 
     fn logged(src: &str, rate: f64, seed: u64) -> ExecutionLog {
@@ -284,7 +264,7 @@ mod tests {
         let enters = log
             .records
             .iter()
-            .filter(|r| r.loc.event == FnEvent::Enter)
+            .filter(|r| r.loc().event == FnEvent::Enter)
             .count();
         let leaves = log.records.len() - enters;
         assert_eq!(enters, leaves);
@@ -298,47 +278,17 @@ mod tests {
         let step_enter = log
             .records
             .iter()
-            .find(|r| r.loc == Location::enter("step"))
+            .find(|r| *r.loc() == Location::enter("step"))
             .unwrap();
-        let names: Vec<String> = step_enter.vars.iter().map(|(v, _)| v.to_string()).collect();
+        let names: Vec<String> = step_enter.vars().map(|(v, _)| v.to_string()).collect();
         assert!(names.contains(&"x FUNCPARAM".to_string()));
         assert!(names.contains(&"hits GLOBAL".to_string()));
         let step_leave = log
             .records
             .iter()
-            .find(|r| r.loc == Location::leave("step"))
+            .find(|r| *r.loc() == Location::leave("step"))
             .unwrap();
-        assert!(step_leave
-            .vars
-            .iter()
-            .any(|(v, _)| v.role == VarRole::Return));
-    }
-
-    #[test]
-    fn records_share_location_and_variable_identities() {
-        let log = logged(SRC, 1.0, 1);
-        let at = |loc: Location| -> Vec<&LogRecord> {
-            log.records.iter().filter(|r| r.loc == loc).collect()
-        };
-        let var = |r: &LogRecord, name: &str| -> Arc<str> {
-            let (v, _) = r.vars.iter().find(|(v, _)| &*v.name == name).unwrap();
-            v.name.clone()
-        };
-        let enters = at(Location::enter("step"));
-        let leaves = at(Location::leave("step"));
-        assert!(enters.len() >= 2 && leaves.len() >= 2);
-        // Two records at one location share one function name...
-        assert!(Arc::ptr_eq(&enters[0].loc.func, &enters[1].loc.func));
-        // ...with the function's other boundary...
-        assert!(Arc::ptr_eq(&enters[0].loc.func, &leaves[0].loc.func));
-        // ...and one variable logged in two records shares one name,
-        // for parameters, return values and globals alike.
-        assert!(Arc::ptr_eq(&var(enters[0], "x"), &var(enters[1], "x")));
-        assert!(Arc::ptr_eq(&var(leaves[0], "ret"), &var(leaves[1], "ret")));
-        assert!(Arc::ptr_eq(
-            &var(enters[0], "hits"),
-            &var(leaves[1], "hits")
-        ));
+        assert!(step_leave.vars().any(|(v, _)| v.role == VarRole::Return));
     }
 
     #[test]
@@ -385,6 +335,29 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_counts_records_of_a_run_that_errors() {
+        use statsym_telemetry::{names, Clock, MemRecorder};
+
+        // `main` and `step` are entered and `step` left before the
+        // missing input stops the run.
+        let p = minic::parse_program(
+            r#"
+            fn step(x: int) -> int { return x + 1; }
+            fn main() -> int { let y: int = step(1); return input_int("n") + y; }
+            "#,
+        )
+        .unwrap();
+        let m = sir::lower(&p).unwrap();
+        let vm = Vm::new(&m, VmConfig::default());
+        let rec = MemRecorder::new(Clock::steps());
+        let mut mon = Monitor::traced(1.0, 1, &rec);
+        assert!(vm.run_hooked(&InputMap::new(), &mut mon).is_err());
+        drop(mon);
+        assert_eq!(rec.metrics().counter(names::MONITOR_SAMPLED), Some(3));
+        assert_eq!(rec.metrics().counter(names::MONITOR_DROPPED), None);
+    }
+
+    #[test]
     fn string_params_logged_as_lengths() {
         let log = logged(
             r#"
@@ -397,10 +370,10 @@ mod tests {
         let rec = log
             .records
             .iter()
-            .find(|r| r.loc == Location::enter("consume"))
+            .find(|r| *r.loc() == Location::enter("consume"))
             .unwrap();
-        let (var, val) = &rec.vars[0];
+        let (var, val) = rec.vars().next().unwrap();
         assert_eq!(var.measure, Measure::Length);
-        assert_eq!(*val, 4.0);
+        assert_eq!(val, 4.0);
     }
 }

@@ -121,7 +121,7 @@ mod tests {
             .log
             .records
             .iter()
-            .filter(|r| &*r.loc.func == "overflow")
+            .filter(|r| &*r.loc().func == "overflow")
             .count();
         assert_eq!(enters, 1);
     }

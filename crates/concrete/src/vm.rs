@@ -96,16 +96,27 @@ pub struct RunResult {
 /// (and tests) hook into. Mirrors Fjalar's instrumentation of function
 /// entries and exits.
 pub trait ExecHook {
-    /// Called when `func` is entered with `args` (parallel to
-    /// `func.params`). `globals`/`gvals` are the module's global
-    /// definitions and their current values.
-    fn on_enter(&mut self, func: &FuncBody, args: &[Value], globals: &[GlobalDef], gvals: &[Value]);
+    /// Called once before `module`'s `main` is entered.
+    fn on_start(&mut self, _module: &Module) {}
 
-    /// Called when `func` returns `ret`. A faulting function never
-    /// triggers `on_exit`, matching the paper's observation that the
-    /// monitor cannot capture the return of a crashed function.
+    /// Called when function `id` (body `func`) is entered with `args`
+    /// (parallel to `func.params`). `globals`/`gvals` are the module's
+    /// global definitions and their current values.
+    fn on_enter(
+        &mut self,
+        id: FuncId,
+        func: &FuncBody,
+        args: &[Value],
+        globals: &[GlobalDef],
+        gvals: &[Value],
+    );
+
+    /// Called when function `id` returns `ret`. A faulting function
+    /// never triggers `on_exit`, matching the paper's observation that
+    /// the monitor cannot capture the return of a crashed function.
     fn on_exit(
         &mut self,
+        id: FuncId,
         func: &FuncBody,
         ret: Option<&Value>,
         globals: &[GlobalDef],
@@ -118,8 +129,16 @@ pub trait ExecHook {
 pub struct NoHook;
 
 impl ExecHook for NoHook {
-    fn on_enter(&mut self, _: &FuncBody, _: &[Value], _: &[GlobalDef], _: &[Value]) {}
-    fn on_exit(&mut self, _: &FuncBody, _: Option<&Value>, _: &[GlobalDef], _: &[Value]) {}
+    fn on_enter(&mut self, _: FuncId, _: &FuncBody, _: &[Value], _: &[GlobalDef], _: &[Value]) {}
+    fn on_exit(
+        &mut self,
+        _: FuncId,
+        _: &FuncBody,
+        _: Option<&Value>,
+        _: &[GlobalDef],
+        _: &[Value],
+    ) {
+    }
 }
 
 /// The concrete interpreter over a lowered module.
@@ -227,6 +246,7 @@ enum Flow {
 impl<'m, 'h> Interp<'m, 'h> {
     fn run(mut self) -> Result<RunResult, VmError> {
         let main_id = self.module.main;
+        self.hook.on_start(self.module);
         let main = self.module.func(main_id);
         let args: Vec<Value> = main.params.iter().map(|(_, ty)| default_for(*ty)).collect();
         self.push_frame(main_id, args, None);
@@ -256,7 +276,7 @@ impl<'m, 'h> Interp<'m, 'h> {
             regs[i] = a.clone();
         }
         self.hook
-            .on_enter(body, &args, &self.module.globals, &self.globals);
+            .on_enter(func, body, &args, &self.module.globals, &self.globals);
         self.stack.push(Frame {
             func,
             block: body.entry(),
@@ -511,8 +531,13 @@ impl<'m, 'h> Interp<'m, 'h> {
                 let frame = self.stack.last().unwrap();
                 let ret = r.map(|r| frame.regs[r.index()].clone());
                 let body = self.module.func(frame.func);
-                self.hook
-                    .on_exit(body, ret.as_ref(), &self.module.globals, &self.globals);
+                self.hook.on_exit(
+                    frame.func,
+                    body,
+                    ret.as_ref(),
+                    &self.module.globals,
+                    &self.globals,
+                );
                 let ret_dst = frame.ret_dst;
                 self.stack.pop();
                 match self.stack.last_mut() {
@@ -844,11 +869,28 @@ mod tests {
     fn hook_sees_enter_and_exit_events() {
         struct Spy(Vec<String>);
         impl ExecHook for Spy {
-            fn on_enter(&mut self, f: &FuncBody, _: &[Value], _: &[GlobalDef], _: &[Value]) {
-                self.0.push(format!("enter {}", f.name));
+            fn on_start(&mut self, m: &Module) {
+                self.0.push(format!("start {}", m.funcs.len()));
             }
-            fn on_exit(&mut self, f: &FuncBody, _: Option<&Value>, _: &[GlobalDef], _: &[Value]) {
-                self.0.push(format!("leave {}", f.name));
+            fn on_enter(
+                &mut self,
+                id: FuncId,
+                f: &FuncBody,
+                _: &[Value],
+                _: &[GlobalDef],
+                _: &[Value],
+            ) {
+                self.0.push(format!("enter {} {id}", f.name));
+            }
+            fn on_exit(
+                &mut self,
+                id: FuncId,
+                f: &FuncBody,
+                _: Option<&Value>,
+                _: &[GlobalDef],
+                _: &[Value],
+            ) {
+                self.0.push(format!("leave {} {id}", f.name));
             }
         }
         let p =
@@ -857,9 +899,16 @@ mod tests {
         let vm = Vm::new(&m, VmConfig::default());
         let mut spy = Spy(Vec::new());
         vm.run_hooked(&InputMap::new(), &mut spy).unwrap();
+        let id = |name: &str| m.func_id(name).unwrap();
         assert_eq!(
             spy.0,
-            vec!["enter main", "enter inner", "leave inner", "leave main"]
+            vec![
+                "start 2".to_string(),
+                format!("enter main {}", id("main")),
+                format!("enter inner {}", id("inner")),
+                format!("leave inner {}", id("inner")),
+                format!("leave main {}", id("main")),
+            ]
         );
     }
 
@@ -867,10 +916,24 @@ mod tests {
     fn faulting_function_emits_no_leave() {
         struct Spy(Vec<String>);
         impl ExecHook for Spy {
-            fn on_enter(&mut self, f: &FuncBody, _: &[Value], _: &[GlobalDef], _: &[Value]) {
+            fn on_enter(
+                &mut self,
+                _: FuncId,
+                f: &FuncBody,
+                _: &[Value],
+                _: &[GlobalDef],
+                _: &[Value],
+            ) {
                 self.0.push(format!("enter {}", f.name));
             }
-            fn on_exit(&mut self, f: &FuncBody, _: Option<&Value>, _: &[GlobalDef], _: &[Value]) {
+            fn on_exit(
+                &mut self,
+                _: FuncId,
+                f: &FuncBody,
+                _: Option<&Value>,
+                _: &[GlobalDef],
+                _: &[Value],
+            ) {
                 self.0.push(format!("leave {}", f.name));
             }
         }

@@ -9,9 +9,10 @@
 //! same observation.
 
 use crate::predicate::{PredOp, Predicate, PredicateSet};
-use concrete::{ExecutionLog, Location, Verdict};
+use concrete::{ExecutionLog, Location, Site, SiteTable, Verdict};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A conjunction of two simple predicates at one location.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,25 +114,40 @@ fn eval(p: &Predicate, value: f64) -> bool {
 
 /// `|P(a ∧ b | C) − P(a ∧ b | F)|` over records at `loc` that observe
 /// both variables. `None` when either side has no paired records.
+///
+/// Each site of a log's table is resolved once to the columns of `a`
+/// and `b` (the first of each in its variable list), and re-resolved
+/// only when a log brings another table.
 fn joint_score(logs: &[ExecutionLog], loc: &Location, a: &Predicate, b: &Predicate) -> Option<f64> {
     let mut counts = [(0usize, 0usize); 2]; // [correct, faulty] = (sat, total)
+
+    // The columns of `a` and `b` per site of `table`, if at `loc`.
+    let mut table: Option<&Arc<SiteTable>> = None;
+    let mut columns: Vec<Option<(usize, usize)>> = Vec::new();
     for log in logs {
         let class = match log.verdict {
             Verdict::Correct => 0,
             Verdict::Faulty => 1,
             Verdict::Inconclusive => continue,
         };
+        let sites = log.records.table();
+        if !table.is_some_and(|t| Arc::ptr_eq(t, sites)) {
+            let resolve = |site: &Site| {
+                if site.loc != *loc {
+                    return None;
+                }
+                let col = |var| site.vars.iter().position(|v| v == var);
+                Some((col(&a.var)?, col(&b.var)?))
+            };
+            columns = sites.iter().map(resolve).collect();
+            table = Some(sites);
+        }
         for rec in &log.records {
-            if rec.loc != *loc {
-                continue;
-            }
-            let va = rec.vars.iter().find(|(v, _)| *v == a.var).map(|(_, x)| *x);
-            let vb = rec.vars.iter().find(|(v, _)| *v == b.var).map(|(_, x)| *x);
-            let (Some(va), Some(vb)) = (va, vb) else {
+            let Some((ia, ib)) = columns[rec.id as usize] else {
                 continue;
             };
             counts[class].1 += 1;
-            if eval(a, va) && eval(b, vb) {
+            if eval(a, rec.values[ia]) && eval(b, rec.values[ib]) {
                 counts[class].0 += 1;
             }
         }
@@ -148,7 +164,7 @@ fn joint_score(logs: &[ExecutionLog], loc: &Location, a: &Predicate, b: &Predica
 mod tests {
     use super::*;
     use crate::corpus::LogCorpus;
-    use concrete::{LogRecord, Measure, VarId, VarRole};
+    use concrete::{Measure, Records, VarId, VarRole};
 
     /// Builds a corpus where neither x nor y separates classes alone,
     /// but (x > σ && y > σ) does: faulty runs have both high, correct
@@ -158,10 +174,7 @@ mod tests {
         let vx = VarId::new("x", VarRole::Param, Measure::Value);
         let vy = VarId::new("y", VarRole::Param, Measure::Value);
         let mk = |verdict, x: f64, y: f64| ExecutionLog {
-            records: vec![LogRecord {
-                loc: loc.clone(),
-                vars: vec![(vx.clone(), x), (vy.clone(), y)],
-            }],
+            records: Records::from_rows([(loc.clone(), [(vx.clone(), x), (vy.clone(), y)])]),
             verdict,
             fault: None,
         };
@@ -203,10 +216,7 @@ mod tests {
         let vx = VarId::new("x", VarRole::Param, Measure::Value);
         let vy = VarId::new("y", VarRole::Param, Measure::Value);
         let mk = |verdict, x: f64, y: f64| ExecutionLog {
-            records: vec![LogRecord {
-                loc: loc.clone(),
-                vars: vec![(vx.clone(), x), (vy.clone(), y)],
-            }],
+            records: Records::from_rows([(loc.clone(), [(vx.clone(), x), (vy.clone(), y)])]),
             verdict,
             fault: None,
         };
@@ -237,5 +247,36 @@ mod tests {
         for c in &compound.ranked {
             assert_ne!(c.lhs.var, c.rhs.var);
         }
+    }
+
+    #[test]
+    fn shared_and_per_log_tables_score_alike() {
+        // Generated logs share one site table; parsed copies each hold
+        // their own. Compounds are scored per record either way.
+        use benchapps::{all_apps, generate_corpus, CorpusSpec};
+        use concrete::{parse_log, write_log};
+        let spec = CorpusSpec {
+            n_correct: 30,
+            n_faulty: 30,
+            ..CorpusSpec::default()
+        };
+        let mut found = 0;
+        for app in all_apps() {
+            let shared = generate_corpus(&app, spec);
+            let own: Vec<ExecutionLog> = shared
+                .iter()
+                .map(|l| parse_log(&write_log(l)).unwrap())
+                .collect();
+            let simple = PredicateSet::build(&LogCorpus::build(&shared));
+            let expected = CompoundSet::build(&shared, &simple, 4).ranked;
+            assert_eq!(
+                CompoundSet::build(&own, &simple, 4).ranked,
+                expected,
+                "{}",
+                app.name
+            );
+            found += expected.len();
+        }
+        assert!(found > 0, "some app yields a compound");
     }
 }

@@ -2,8 +2,10 @@
 //! Figure 5): partition runs into correct and faulty executions and
 //! index the numeric observations per (location, variable).
 
-use concrete::{ExecutionLog, Location, VarId, Verdict};
+use concrete::{ExecutionLog, Location, SiteTable, VarId, Verdict};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Numeric observations of one variable at one location, split by run
 /// verdict.
@@ -16,7 +18,7 @@ pub struct Observations {
 }
 
 /// A preprocessed corpus of execution logs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogCorpus {
     /// Number of correct runs (with at least one record).
     pub n_correct: usize,
@@ -44,12 +46,17 @@ impl LogCorpus {
     /// limits) are excluded, mirroring the paper's correct/faulty
     /// partition.
     ///
-    /// Locations and (location, variable) slots are interned by
-    /// borrowing from the logs, so each key is cloned once per distinct
-    /// slot rather than once per observation.
+    /// Each (site table, site) pair is resolved once to its location and
+    /// the (location, variable) slots of its variables; every record
+    /// then appends its values straight to those slots, and nothing is
+    /// hashed per record. Logs from one corpus generation share one
+    /// table, so each site is resolved once for the whole corpus; logs
+    /// with their own tables (parsed or hand-built) resolve each of
+    /// their sites once per log. Keys are borrowed from the tables and
+    /// cloned once per distinct slot.
     pub fn build(logs: &[ExecutionLog]) -> LogCorpus {
         let mut corpus = LogCorpus::default();
-        let mut sites = SiteIndex::default();
+        let mut index = SiteIndex::default();
         let mut last_locs: BTreeMap<Location, usize> = BTreeMap::new();
         let mut fault_locs: BTreeMap<Location, usize> = BTreeMap::new();
 
@@ -59,15 +66,27 @@ impl LogCorpus {
                 Verdict::Faulty => true,
                 Verdict::Inconclusive => continue,
             };
-            for rec in &log.records {
-                let loc = sites.location(&rec.loc);
-                if faulty && sites.last_run[loc] != Some(run) {
-                    sites.last_run[loc] = Some(run);
-                    sites.faulty_presence[loc] += 1;
+            let table = index.table(log.records.table());
+            let mut values = log.records.values();
+            let mut trace = Vec::with_capacity(log.records.len());
+            for &site in log.records.site_ids() {
+                let (loc, slots) = index.site(table, site);
+                if faulty && index.last_run[loc] != Some(run) {
+                    index.last_run[loc] = Some(run);
+                    index.faulty_presence[loc] += 1;
                 }
-                sites.observe(loc, &rec.vars, faulty);
+                let (vals, rest) = values.split_at(slots.len());
+                values = rest;
+                for (&slot, &value) in index.slot_list[slots].iter().zip(vals) {
+                    let obs = &mut index.slots[slot].2;
+                    if faulty {
+                        obs.faulty.push(value);
+                    } else {
+                        obs.correct.push(value);
+                    }
+                }
+                trace.push(index.locations[loc].clone());
             }
-            let trace: Vec<Location> = log.locations().cloned().collect();
             if faulty {
                 corpus.n_faulty += 1;
                 if let Some(last) = trace.last() {
@@ -97,19 +116,19 @@ impl LogCorpus {
                     .max_by_key(|(loc, n)| (*n, std::cmp::Reverse(loc.clone())))
                     .map(|(loc, _)| loc)
             });
-        corpus.observations = sites
+        corpus.observations = index
             .slots
             .into_iter()
-            .map(|(loc, var, obs)| ((sites.locations[loc].clone(), var.clone()), obs))
+            .map(|(loc, var, obs)| ((index.locations[loc].clone(), var.clone()), obs))
             .collect();
-        corpus.faulty_presence = sites
+        corpus.faulty_presence = index
             .locations
             .iter()
-            .zip(sites.faulty_presence)
+            .zip(index.faulty_presence)
             .filter(|&(_, n)| n > 0)
             .map(|(loc, n)| ((*loc).clone(), n))
             .collect();
-        corpus.locations = sites.locations.into_iter().cloned().collect();
+        corpus.locations = index.locations.into_iter().cloned().collect();
         corpus.locations.sort();
         corpus
     }
@@ -125,92 +144,93 @@ impl LogCorpus {
     }
 }
 
+/// A site resolved for one corpus build: its location id and the range
+/// of `SiteIndex::slot_list` holding the slot of each of its variables.
+type Resolved = (usize, Range<usize>);
+
 /// Interned locations and (location, variable) slots of one corpus
-/// build, borrowed from the logs it reads.
+/// build, borrowed from the site tables of the logs it reads.
 #[derive(Default)]
 struct SiteIndex<'a> {
+    /// Table id by table address.
+    table_ids: HashMap<*const SiteTable, usize>,
+    /// Per table id: the table and each of its sites once resolved.
+    tables: Vec<(&'a SiteTable, Vec<Option<Resolved>>)>,
     /// Location id by location.
-    ids: HashMap<&'a Location, usize>,
+    location_ids: HashMap<&'a Location, usize>,
     /// Locations in first-seen order (indexed by location id).
     locations: Vec<&'a Location>,
     /// Per location id: the last faulty run that reached it.
     last_run: Vec<Option<usize>>,
     /// Per location id: the number of faulty runs that reached it.
     faulty_presence: Vec<usize>,
-    /// Per location id: the variable list of the last record seen
-    /// there, and the slot of each of its variables.
-    layouts: Vec<(Vec<&'a VarId>, Vec<usize>)>,
     /// Slot id by (location id, variable).
     slot_ids: HashMap<(usize, &'a VarId), usize>,
+    /// The slots of every resolved site's variables, site after site.
+    slot_list: Vec<usize>,
     /// Slots in first-seen order: location id, variable, observations.
     slots: Vec<(usize, &'a VarId, Observations)>,
 }
 
 impl<'a> SiteIndex<'a> {
-    /// The id of `loc`, interning it on first sight.
-    fn location(&mut self, loc: &'a Location) -> usize {
-        if let Some(&id) = self.ids.get(loc) {
-            return id;
+    /// The id of `table`, registering it on first sight.
+    fn table(&mut self, table: &'a Arc<SiteTable>) -> usize {
+        let next = self.tables.len();
+        let id = *self.table_ids.entry(Arc::as_ptr(table)).or_insert(next);
+        if id == next {
+            self.tables.push((table, vec![None; table.len()]));
         }
-        let id = self.locations.len();
-        self.ids.insert(loc, id);
-        self.locations.push(loc);
-        self.last_run.push(None);
-        self.faulty_presence.push(0);
-        self.layouts.push((Vec::new(), Vec::new()));
         id
     }
 
-    /// Appends each of `vars` to its slot at location `loc`, on the
-    /// correct or the faulty side. Records at one location almost always
-    /// log the same variables, so the previous record's layout is reused
-    /// whenever it matches.
-    fn observe(&mut self, loc: usize, vars: &'a [(VarId, f64)], faulty: bool) {
-        let (cached_vars, cached_slots) = &mut self.layouts[loc];
-        let hit = cached_vars.len() == vars.len()
-            && cached_vars.iter().zip(vars).all(|(a, (b, _))| *a == b);
-        if !hit {
-            cached_vars.clear();
-            cached_slots.clear();
-            for (var, _) in vars {
-                let next = self.slots.len();
-                let slot = *self.slot_ids.entry((loc, var)).or_insert(next);
-                if slot == next {
-                    self.slots.push((loc, var, Observations::default()));
-                }
-                cached_vars.push(var);
-                cached_slots.push(slot);
-            }
+    /// Site `site` of table `table`: its location id and slot range,
+    /// interning its location and slots on first sight.
+    fn site(&mut self, table: usize, site: u32) -> Resolved {
+        let (sites, resolved): &(&'a SiteTable, _) = &self.tables[table];
+        if let Some(r) = &resolved[site as usize] {
+            return r.clone();
         }
-        for (&slot, (_, value)) in cached_slots.iter().zip(vars) {
-            let obs = &mut self.slots[slot].2;
-            if faulty {
-                obs.faulty.push(*value);
-            } else {
-                obs.correct.push(*value);
-            }
+        let site_ref = sites.site(site);
+        let next = self.locations.len();
+        let loc = *self.location_ids.entry(&site_ref.loc).or_insert(next);
+        if loc == next {
+            self.locations.push(&site_ref.loc);
+            self.last_run.push(None);
+            self.faulty_presence.push(0);
         }
+        let start = self.slot_list.len();
+        for var in &site_ref.vars {
+            let next = self.slots.len();
+            let slot = *self.slot_ids.entry((loc, var)).or_insert(next);
+            if slot == next {
+                self.slots.push((loc, var, Observations::default()));
+            }
+            self.slot_list.push(slot);
+        }
+        let r = (loc, start..self.slot_list.len());
+        self.tables[table].1[site as usize] = Some(r.clone());
+        r
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use concrete::{LogRecord, Measure, VarRole};
+    use concrete::{Measure, Records, VarRole};
 
-    fn rec(loc: Location, vars: &[(&str, VarRole, f64)]) -> LogRecord {
-        LogRecord {
-            loc,
-            vars: vars
-                .iter()
-                .map(|(n, r, v)| (VarId::new(*n, *r, Measure::Value), *v))
-                .collect(),
-        }
+    type Row = (Location, Vec<(VarId, f64)>);
+
+    fn rec(loc: Location, vars: &[(&str, VarRole, f64)]) -> Row {
+        let vars = vars
+            .iter()
+            .map(|(n, r, v)| (VarId::new(*n, *r, Measure::Value), *v))
+            .collect();
+        (loc, vars)
     }
 
-    fn log(verdict: Verdict, records: Vec<LogRecord>) -> ExecutionLog {
+    fn log(verdict: Verdict, records: Vec<Row>) -> ExecutionLog {
         ExecutionLog {
-            records,
+            records: Records::from_rows(records),
             verdict,
             fault: None,
         }
@@ -353,5 +373,43 @@ mod tests {
         assert_eq!(obs("h").correct, vec![2.0, 3.0, 5.0]);
         assert_eq!(obs("h").faulty, vec![6.0]);
         assert_eq!(corpus.observations.len(), 2);
+    }
+
+    #[test]
+    fn shared_table_build_matches_per_log_table_build() {
+        // Generated logs share one site table; parsing each written log
+        // gives it its own. Both builds, and a build over a mix of the
+        // two, must agree in every field.
+        use benchapps::{all_apps, generate_corpus, parser_apps, CorpusSpec};
+        use concrete::{parse_log, write_log};
+        for app in all_apps().into_iter().chain(parser_apps()) {
+            for rate in [1.0, 0.3] {
+                let spec = CorpusSpec {
+                    n_correct: 15,
+                    n_faulty: 15,
+                    sampling_rate: rate,
+                    seed: 11,
+                };
+                let shared = generate_corpus(&app, spec);
+                let own: Vec<ExecutionLog> = shared
+                    .iter()
+                    .map(|l| parse_log(&write_log(l)).unwrap())
+                    .collect();
+                let mixed: Vec<ExecutionLog> = shared
+                    .iter()
+                    .zip(&own)
+                    .enumerate()
+                    .map(|(i, (s, o))| if i % 3 == 0 { o.clone() } else { s.clone() })
+                    .collect();
+                let expected = LogCorpus::build(&shared);
+                let what = format!("{} @ {rate}", app.name);
+                assert!(
+                    expected.n_runs() > 0 && !expected.observations.is_empty(),
+                    "{what}"
+                );
+                assert_eq!(LogCorpus::build(&own), expected, "{what}");
+                assert_eq!(LogCorpus::build(&mixed), expected, "{what}");
+            }
+        }
     }
 }

@@ -155,7 +155,7 @@ mod tests {
     use super::*;
     use crate::corpus::LogCorpus;
     use crate::transition::MineConfig;
-    use concrete::{ExecutionLog, LogRecord, Measure, VarId, VarRole, Verdict};
+    use concrete::{ExecutionLog, Measure, Records, VarId, VarRole, Verdict};
 
     fn l(name: &str) -> Location {
         Location::enter(name)
@@ -170,13 +170,12 @@ mod tests {
                 1.0
             };
             logs.push(ExecutionLog {
-                records: hot
-                    .iter()
-                    .map(|name| LogRecord {
-                        loc: l(name),
-                        vars: vec![(VarId::new("x", VarRole::Param, Measure::Value), v)],
-                    })
-                    .collect(),
+                records: Records::from_rows(hot.iter().map(|name| {
+                    (
+                        l(name),
+                        [(VarId::new("x", VarRole::Param, Measure::Value), v)],
+                    )
+                })),
                 verdict,
                 fault: None,
             });

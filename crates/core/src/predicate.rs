@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn ranking_prefers_supported_predicates_over_degenerate() {
         use crate::corpus::LogCorpus;
-        use concrete::{ExecutionLog, LogRecord, Verdict};
+        use concrete::{ExecutionLog, Records, Verdict};
         let var_real = VarId::new("n", VarRole::Param, Measure::Value);
         let var_deg = VarId::new("only_correct", VarRole::Global, Measure::Value);
         let mk_log = |verdict: Verdict, n: f64, with_deg: bool| {
@@ -385,10 +385,7 @@ mod tests {
                 vars.push((var_deg.clone(), 0.0));
             }
             ExecutionLog {
-                records: vec![LogRecord {
-                    loc: Location::enter("f"),
-                    vars,
-                }],
+                records: Records::from_rows([(Location::enter("f"), vars)]),
                 verdict,
                 fault: None,
             }

@@ -28,6 +28,9 @@ for w in grep-full thttpd-30 grep-decoys small-apps; do
     "solver.queries": $l.metrics."solver.queries".value,
     "solver.nodes": $l.metrics."solver.nodes".value,
     "solver.propagation_rounds": $l.metrics."solver.propagation_rounds".value,
+    "concrete.records_per_job": $l.metrics."concrete.records_per_job".value,
+    "core.predicates": $l.metrics."core.predicates".value,
+    "core.candidates": $l.metrics."core.candidates".value,
     "core.winner_rank": $l.metrics."core.winner_rank".value
   }}'
 done | jq -s 'add'
