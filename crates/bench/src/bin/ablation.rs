@@ -21,16 +21,12 @@ use symex::{Engine, EngineConfig, RunOutcome, SchedulerKind};
 fn main() {
     let mut sink = TraceSink::from_args();
     // The ablations sweep many configs; fingerprint the paper baseline
-    // they all perturb.
-    let base = bench::statsym_config();
-    sink.set_manifest_meta(
-        PAPER_SEED,
-        &statsym_core::pipeline::config_fingerprint(&base),
-        &format!("{base:#?}"),
-    );
-    let sink = sink;
-    tau_sensitivity(sink.recorder());
-    scheduler_ablation(sink.recorder());
+    // they all perturb. They drive engines one candidate at a time, so
+    // of the execution flags only the engine ones apply (`--lineage`,
+    // `--attr`, `--panic-after`).
+    sink.configure(bench::statsym_config(), PAPER_SEED);
+    tau_sensitivity(&sink);
+    scheduler_ablation(&sink);
     compound_predicates(sink.recorder());
     sink.finish();
 }
@@ -44,7 +40,8 @@ fn spec() -> CorpusSpec {
     }
 }
 
-fn tau_sensitivity(rec: &dyn Recorder) {
+fn tau_sensitivity(sink: &TraceSink) {
+    let rec = sink.recorder();
     let app = benchapps::thttpd();
     let logs = generate_corpus_traced(&app, spec(), rec);
     let mut table = Table::new(
@@ -76,11 +73,11 @@ fn tau_sensitivity(rec: &dyn Recorder) {
                 let hook = GuidedHook::new(path.clone(), statsym.config().guidance);
                 let mut engine = Engine::with_hook(
                     &app.module,
-                    EngineConfig {
+                    sink.engine_config(EngineConfig {
                         scheduler: SchedulerKind::Priority,
                         time_budget: Some(Duration::from_secs(20)),
                         ..EngineConfig::default()
-                    },
+                    }),
                     Box::new(hook),
                 );
                 engine.set_recorder(rec);
@@ -108,7 +105,7 @@ fn tau_sensitivity(rec: &dyn Recorder) {
     println!("{}", table.render());
 }
 
-fn scheduler_ablation(rec: &dyn Recorder) {
+fn scheduler_ablation(sink: &TraceSink) {
     let mut table = Table::new(
         "Ablation B: pure-baseline scheduler comparison (64 MiB modeled budget)",
         &["Benchmark", "BFS", "DFS", "Random", "Coverage"],
@@ -123,14 +120,14 @@ fn scheduler_ablation(rec: &dyn Recorder) {
         ] {
             let mut engine = Engine::new(
                 &app.module,
-                EngineConfig {
+                sink.engine_config(EngineConfig {
                     scheduler,
                     memory_budget: DEFAULT_MEMORY_BUDGET,
                     time_budget: Some(Duration::from_secs(30)),
                     ..EngineConfig::default()
-                },
+                }),
             );
-            engine.set_recorder(rec);
+            engine.set_recorder(sink.recorder());
             for (n, v) in &app.pins {
                 engine.pin_input(n.clone(), v.clone());
             }

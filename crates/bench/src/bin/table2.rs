@@ -1,69 +1,26 @@
 //! Regenerates **Table II**: number of detours and time breakdown
 //! (statistical analysis vs guided symbolic execution) at 100% sampling.
 //!
-//! Pass `--workers <n>` to run the guided execution stage as a parallel
-//! candidate portfolio (identical results, lower wall time), and
-//! `--trace <path>` to export a structured JSONL trace of the run
-//! (and `--clock wall` to stamp it with wall-clock time instead of the
-//! deterministic step counter). `--lineage` additionally records the
-//! per-state exploration tree for `statsym-inspect
-//! tree|coverage|flame|watch`.
+//! Takes the shared flags of [`bench::TraceSink`]: `--trace <path>`
+//! exports a structured JSONL trace of the run (`--clock wall` stamps
+//! it with wall-clock time instead of the deterministic step counter),
+//! `--lineage` records the per-state exploration tree for
+//! `statsym-inspect tree|coverage|flame|watch`, `--attr` the
+//! per-source-line costs for `hotspots|explain`, and `--workers <n>`
+//! runs the guided execution stage as a candidate portfolio with
+//! identical results.
 
-use bench::{guided_config, run_statsym_opts_traced, GuidedRunOpts, Table, TraceSink, PAPER_SEED};
-use statsym_core::pipeline::config_fingerprint;
+use bench::{breakdown_table, statsym_config, TraceSink, PAPER_SEED};
 
 fn main() {
     let mut sink = TraceSink::from_args();
-    let cfg = guided_config(&GuidedRunOpts {
-        workers: sink.workers(),
-        lineage: sink.lineage(),
-        attr: sink.attr(),
-        share_cache: sink.share_cache(),
-    });
-    sink.set_manifest_meta(PAPER_SEED, &config_fingerprint(&cfg), &format!("{cfg:#?}"));
-    print_breakdown(
+    let cfg = sink.configure(statsym_config(), PAPER_SEED);
+    let table = breakdown_table(
         1.0,
         "TABLE II: detours and time breakdown, sampling rate 100%",
-        &sink,
+        cfg,
+        sink.recorder(),
     );
-    sink.finish();
-}
-
-pub fn print_breakdown(rate: f64, title: &str, sink: &TraceSink) {
-    let mut table = Table::new(
-        title,
-        &[
-            "Benchmark",
-            "detours",
-            "candidates",
-            "stat time(sec)",
-            "symex time(sec)",
-            "found",
-        ],
-    );
-    for app in benchapps::all_apps() {
-        let r = run_statsym_opts_traced(
-            &app,
-            rate,
-            PAPER_SEED,
-            100,
-            100,
-            GuidedRunOpts {
-                workers: sink.workers(),
-                lineage: sink.lineage(),
-                attr: sink.attr(),
-                share_cache: sink.share_cache(),
-            },
-            sink.recorder(),
-        );
-        table.row(&[
-            app.name.to_string(),
-            r.report.analysis.n_detours().to_string(),
-            r.report.analysis.n_candidates().to_string(),
-            format!("{:.3}", r.report.analysis.analysis_time.as_secs_f64()),
-            format!("{:.3}", r.report.symex_time.as_secs_f64()),
-            r.report.found.is_some().to_string(),
-        ]);
-    }
     println!("{}", table.render());
+    sink.finish();
 }

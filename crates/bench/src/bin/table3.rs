@@ -1,62 +1,21 @@
 //! Regenerates **Table III**: number of detours and time breakdown at
 //! 30% sampling.
 //!
-//! Pass `--workers <n>` to run the guided execution stage as a parallel
-//! candidate portfolio (identical results, lower wall time), and
-//! `--trace <path>` to export a structured JSONL trace of the run
-//! (and `--clock wall` for wall-clock stamps). `--lineage` additionally
-//! records the per-state exploration tree for `statsym-inspect
-//! tree|coverage|flame|watch`.
+//! Takes the shared flags of [`bench::TraceSink`] (`--trace`,
+//! `--clock`, `--lineage`, `--attr`, `--workers`, ...), as `table2`
+//! does.
 
-use bench::{guided_config, run_statsym_opts_traced, GuidedRunOpts, Table, TraceSink, PAPER_SEED};
-use statsym_core::pipeline::config_fingerprint;
+use bench::{breakdown_table, statsym_config, TraceSink, PAPER_SEED};
 
 fn main() {
     let mut sink = TraceSink::from_args();
-    let cfg = guided_config(&GuidedRunOpts {
-        workers: sink.workers(),
-        lineage: sink.lineage(),
-        attr: sink.attr(),
-        share_cache: sink.share_cache(),
-    });
-    sink.set_manifest_meta(PAPER_SEED, &config_fingerprint(&cfg), &format!("{cfg:#?}"));
-    let sink = sink;
-    let rate = 0.3;
-    let mut table = Table::new(
+    let cfg = sink.configure(statsym_config(), PAPER_SEED);
+    let table = breakdown_table(
+        0.3,
         "TABLE III: detours and time breakdown, sampling rate 30%",
-        &[
-            "Benchmark",
-            "detours",
-            "candidates",
-            "stat time(sec)",
-            "symex time(sec)",
-            "found",
-        ],
+        cfg,
+        sink.recorder(),
     );
-    for app in benchapps::all_apps() {
-        let r = run_statsym_opts_traced(
-            &app,
-            rate,
-            PAPER_SEED,
-            100,
-            100,
-            GuidedRunOpts {
-                workers: sink.workers(),
-                lineage: sink.lineage(),
-                attr: sink.attr(),
-                share_cache: sink.share_cache(),
-            },
-            sink.recorder(),
-        );
-        table.row(&[
-            app.name.to_string(),
-            r.report.analysis.n_detours().to_string(),
-            r.report.analysis.n_candidates().to_string(),
-            format!("{:.3}", r.report.analysis.analysis_time.as_secs_f64()),
-            format!("{:.3}", r.report.symex_time.as_secs_f64()),
-            r.report.found.is_some().to_string(),
-        ]);
-    }
     println!("{}", table.render());
     sink.finish();
 }

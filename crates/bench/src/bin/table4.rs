@@ -3,30 +3,19 @@
 //! 30% sampling. Pure runs that exhaust the memory budget print
 //! `Failed`, as in the paper.
 //!
-//! Pass `--workers <n>` to run the guided execution stage as a parallel
-//! candidate portfolio (identical results, lower wall time), and
-//! `--trace <path>` to export a structured JSONL trace of the run
-//! (and `--clock wall` for wall-clock stamps). `--lineage` additionally
-//! records the per-state exploration tree for `statsym-inspect
-//! tree|coverage|flame|watch`.
+//! Takes the shared flags of [`bench::TraceSink`] (`--trace`,
+//! `--clock`, `--lineage`, `--attr`, `--workers`, ...), as `table2`
+//! does; the engine flags reach the pure runs too.
 
 use bench::{
-    guided_config, pure_engine_config, run_pure_traced, run_statsym_opts_traced, GuidedRunOpts,
-    Table, TraceSink, DEFAULT_SAMPLING, PAPER_SEED,
+    pure_engine_config, run_pure_traced, run_statsym_traced, statsym_config, Table, TraceSink,
+    DEFAULT_SAMPLING, PAPER_SEED,
 };
-use statsym_core::pipeline::config_fingerprint;
-use symex::{EngineConfig, RunOutcome};
+use symex::RunOutcome;
 
 fn main() {
     let mut sink = TraceSink::from_args();
-    let cfg = guided_config(&GuidedRunOpts {
-        workers: sink.workers(),
-        lineage: sink.lineage(),
-        attr: sink.attr(),
-        share_cache: sink.share_cache(),
-    });
-    sink.set_manifest_meta(PAPER_SEED, &config_fingerprint(&cfg), &format!("{cfg:#?}"));
-    let sink = sink;
+    let cfg = sink.configure(statsym_config(), PAPER_SEED);
     let mut table = Table::new(
         "TABLE IV: paths explored and time before finding the bug (30% sampling)",
         &[
@@ -38,18 +27,13 @@ fn main() {
         ],
     );
     for app in benchapps::all_apps() {
-        let guided = run_statsym_opts_traced(
+        let guided = run_statsym_traced(
             &app,
             DEFAULT_SAMPLING,
             PAPER_SEED,
             100,
             100,
-            GuidedRunOpts {
-                workers: sink.workers(),
-                lineage: sink.lineage(),
-                attr: sink.attr(),
-                share_cache: sink.share_cache(),
-            },
+            cfg,
             sink.recorder(),
         );
         assert!(
@@ -57,19 +41,16 @@ fn main() {
             "StatSym must find the bug in {}",
             app.name
         );
-        let pure_config = EngineConfig {
-            lineage: sink.lineage(),
-            attribution: sink.attr(),
-            provenance: sink.attr(),
-            ..pure_engine_config()
+        let pure = run_pure_traced(
+            &app,
+            sink.engine_config(pure_engine_config()),
+            sink.recorder(),
+        );
+        let pure_time = match &pure.report.outcome {
+            RunOutcome::Found(_) => format!("{:.2}", pure.report.wall_time.as_secs_f64()),
+            RunOutcome::Exhausted(r) => format!("Failed ({r})"),
+            RunOutcome::Completed => "Completed (no bug?)".to_string(),
         };
-        let pure = run_pure_traced(&app, pure_config, sink.recorder());
-        let (pure_time, pure_note) = match &pure.report.outcome {
-            RunOutcome::Found(_) => (format!("{:.2}", pure.report.wall_time.as_secs_f64()), ""),
-            RunOutcome::Exhausted(r) => (format!("Failed ({r})"), ""),
-            RunOutcome::Completed => ("Completed (no bug?)".to_string(), ""),
-        };
-        let _ = pure_note;
         table.row(&[
             app.name.to_string(),
             guided.report.total_paths_explored().to_string(),

@@ -1,7 +1,10 @@
 //! Shared experiment runners used by every table/figure binary.
 
+use crate::format::Table;
 use benchapps::{generate_corpus_traced, BenchApp, CorpusSpec};
+use concrete::Measure;
 use statsym_core::pipeline::{StatSym, StatSymConfig, StatSymReport};
+use statsym_core::{AnalysisReport, CandidatePath, PathNode, PredOp};
 use statsym_telemetry::{Recorder, NOOP};
 use std::time::Duration;
 use symex::{Engine, EngineConfig, EngineReport, SchedulerKind};
@@ -72,105 +75,28 @@ pub fn run_statsym_sized(
     n_correct: usize,
     n_faulty: usize,
 ) -> ExperimentResult {
-    run_statsym_traced(app, sampling_rate, seed, n_correct, n_faulty, &NOOP)
+    run_statsym_traced(
+        app,
+        sampling_rate,
+        seed,
+        n_correct,
+        n_faulty,
+        statsym_config(),
+        &NOOP,
+    )
 }
 
-/// [`run_statsym_sized`] with a telemetry recorder threaded through
-/// corpus generation, statistical analysis, and guided execution.
+/// [`run_statsym_sized`] under an explicit pipeline configuration (the
+/// bench binaries pass [`TraceSink::configure`](crate::TraceSink::configure)),
+/// with a telemetry recorder threaded through corpus generation,
+/// statistical analysis, and guided execution.
 pub fn run_statsym_traced(
     app: &BenchApp,
     sampling_rate: f64,
     seed: u64,
     n_correct: usize,
     n_faulty: usize,
-    rec: &dyn Recorder,
-) -> ExperimentResult {
-    run_statsym_workers_traced(app, sampling_rate, seed, n_correct, n_faulty, 1, rec)
-}
-
-/// Execution-stage options the bench binaries expose as shared flags
-/// (`--workers`, `--lineage`, `--attr`, `--no-share-cache`).
-#[derive(Debug, Clone, Copy)]
-pub struct GuidedRunOpts {
-    /// Worker threads for the guided execution stage: `1` runs the
-    /// sequential candidate loop, more runs the candidates as a
-    /// parallel portfolio with identical results.
-    pub workers: usize,
-    /// Emit per-state exploration-tree lineage events into the trace.
-    pub lineage: bool,
-    /// Emit per-source-line `attr.*` cost counters and per-query
-    /// provenance events into the trace (`statsym-inspect
-    /// hotspots|explain`).
-    pub attr: bool,
-    /// Share solver verdicts between portfolio workers. Never changes
-    /// what a worker explores, only how much solver work it spends —
-    /// turn off for schedule-independent solver-work counters.
-    pub share_cache: bool,
-}
-
-impl Default for GuidedRunOpts {
-    fn default() -> Self {
-        GuidedRunOpts {
-            workers: 1,
-            lineage: false,
-            attr: false,
-            share_cache: true,
-        }
-    }
-}
-
-/// [`run_statsym_traced`] with an explicit worker count for the guided
-/// execution stage (the bench binaries expose this as `--workers`).
-pub fn run_statsym_workers_traced(
-    app: &BenchApp,
-    sampling_rate: f64,
-    seed: u64,
-    n_correct: usize,
-    n_faulty: usize,
-    workers: usize,
-    rec: &dyn Recorder,
-) -> ExperimentResult {
-    run_statsym_opts_traced(
-        app,
-        sampling_rate,
-        seed,
-        n_correct,
-        n_faulty,
-        GuidedRunOpts {
-            workers,
-            ..GuidedRunOpts::default()
-        },
-        rec,
-    )
-}
-
-/// The exact pipeline configuration [`run_statsym_opts_traced`] runs
-/// with — exposed so bench binaries can fingerprint it for run
-/// manifests and crash bundles.
-pub fn guided_config(opts: &GuidedRunOpts) -> StatSymConfig {
-    let base = statsym_config();
-    StatSymConfig {
-        workers: opts.workers,
-        share_cache: opts.share_cache,
-        engine: EngineConfig {
-            lineage: opts.lineage,
-            attribution: opts.attr,
-            provenance: opts.attr,
-            ..base.engine
-        },
-        ..base
-    }
-}
-
-/// [`run_statsym_workers_traced`] with the full execution-stage option
-/// set, including lineage tracing.
-pub fn run_statsym_opts_traced(
-    app: &BenchApp,
-    sampling_rate: f64,
-    seed: u64,
-    n_correct: usize,
-    n_faulty: usize,
-    opts: GuidedRunOpts,
+    config: StatSymConfig,
     rec: &dyn Recorder,
 ) -> ExperimentResult {
     let logs = generate_corpus_traced(
@@ -183,7 +109,7 @@ pub fn run_statsym_opts_traced(
         },
         rec,
     );
-    let statsym = StatSym::new(guided_config(&opts));
+    let statsym = StatSym::new(config);
     let analysis = statsym.analyze_traced(&logs, rec);
     // The paper configures required program options for both engines:
     // pin them on every candidate attempt.
@@ -192,6 +118,73 @@ pub fn run_statsym_opts_traced(
         app: app.name,
         n_logs: logs.len(),
         report,
+    }
+}
+
+/// Tables II and III: detours, candidates and the statistics-vs-symex
+/// time breakdown of every paper app at `rate` (100 correct + 100
+/// faulty logs each).
+pub fn breakdown_table(rate: f64, title: &str, config: StatSymConfig, rec: &dyn Recorder) -> Table {
+    let mut table = Table::new(
+        title,
+        &[
+            "Benchmark",
+            "detours",
+            "candidates",
+            "stat time(sec)",
+            "symex time(sec)",
+            "found",
+        ],
+    );
+    for app in benchapps::all_apps() {
+        let r = run_statsym_traced(&app, rate, PAPER_SEED, 100, 100, config, rec);
+        table.row(&[
+            app.name.to_string(),
+            r.report.analysis.n_detours().to_string(),
+            r.report.analysis.n_candidates().to_string(),
+            format!("{:.3}", r.report.analysis.analysis_time.as_secs_f64()),
+            format!("{:.3}", r.report.symex_time.as_secs_f64()),
+            r.report.found.is_some().to_string(),
+        ]);
+    }
+    table
+}
+
+/// Per-candidate step budget for runs with [`decoy`] candidates: a
+/// decoy exhausts it, the real winner does not.
+pub const DECOY_MAX_STEPS: u64 = 60_000;
+
+/// A hopeless candidate to rank ahead of the real ones. Its single node
+/// inverts the analysis' top length separator at the fault function's
+/// entry (`len(buffer) < σ` instead of `> σ`), confining exploration to
+/// the sub-threshold input space. On grep that space is exponentially
+/// large (every char forks the toupper branch), the faulting branch is
+/// suspended on the soft-constraint conflict, and the attempt
+/// deterministically exhausts [`DECOY_MAX_STEPS`] without finding.
+///
+/// # Panics
+///
+/// Panics if the analysis has no failure location or no length
+/// predicate there.
+pub fn decoy(analysis: &AnalysisReport) -> CandidatePath {
+    let failure = analysis
+        .failure_location
+        .clone()
+        .expect("analysis pinpoints the failure");
+    let template = analysis
+        .predicates
+        .ranked
+        .iter()
+        .find(|p| !p.is_degenerate() && p.loc == failure && p.var.measure == Measure::Length)
+        .expect("a length predicate at the failure point");
+    let mut poison = template.clone();
+    poison.op = PredOp::Lt;
+    CandidatePath {
+        nodes: vec![PathNode {
+            loc: failure,
+            predicates: vec![poison],
+        }],
+        score: 9.0,
     }
 }
 

@@ -13,10 +13,9 @@ pub mod format;
 pub mod trace;
 
 pub use experiments::{
-    guided_config, pure_engine_config, run_pure, run_pure_traced, run_statsym,
-    run_statsym_opts_traced, run_statsym_sized, run_statsym_traced, run_statsym_workers_traced,
-    statsym_config, ExperimentResult, GuidedRunOpts, PureResult, DEFAULT_MEMORY_BUDGET,
-    DEFAULT_PURE_TIME_BUDGET, DEFAULT_SAMPLING, PAPER_SEED,
+    breakdown_table, decoy, pure_engine_config, run_pure, run_pure_traced, run_statsym,
+    run_statsym_sized, run_statsym_traced, statsym_config, ExperimentResult, PureResult,
+    DECOY_MAX_STEPS, DEFAULT_MEMORY_BUDGET, DEFAULT_PURE_TIME_BUDGET, DEFAULT_SAMPLING, PAPER_SEED,
 };
 pub use format::Table;
 pub use trace::TraceSink;

@@ -12,24 +12,30 @@
 //!
 //! * `--history <dir|file.jsonl>` — fold the finished trace into a
 //!   [`RunManifest`](statsym_telemetry::manifest::RunManifest) and
-//!   append it to the content-addressed run-history archive
-//!   (`results/history/` by convention). Requires `--trace`.
+//!   append it to the content-addressed run-history archive (e2ebench
+//!   appends to `e2ebench/out/history/`). Requires `--trace`.
 //! * `--crash-dir <dir>` — arm a panic hook that writes a diagnostic
 //!   bundle (panic message, config, reproduce command, partial trace,
 //!   crash manifest) under `<dir>/<run>/` if the run dies.
 //! * `--panic-after <n>` — chaos knob: force an engine panic after `n`
 //!   executed steps, for drilling the crash path end to end.
+//!
+//! The execution flags (`--workers`, `--lineage`, `--attr`,
+//! `--no-share-cache`, `--panic-after`) reach the pipeline through one
+//! function, [`TraceSink::configure`].
 
+use statsym_core::pipeline::{config_fingerprint, StatSymConfig};
 use statsym_telemetry::crash::{CrashContext, CrashGuard};
 use statsym_telemetry::manifest::{self, ManifestMeta, RunManifest};
 use statsym_telemetry::{Clock, FileRecorder, Recorder, NOOP};
+use symex::EngineConfig;
 
 /// Command-line trace options for a bench binary.
 #[derive(Debug)]
 pub struct TraceSink {
     path: Option<String>,
     rec: Option<FileRecorder>,
-    workers: Option<usize>,
+    workers: usize,
     lineage: bool,
     attr: bool,
     share_cache: bool,
@@ -81,7 +87,7 @@ impl TraceSink {
     pub fn extract(args: &mut Vec<String>) -> TraceSink {
         let mut path = None;
         let mut wall = false;
-        let mut workers = None;
+        let mut workers = 1;
         let mut lineage = false;
         let mut attr = false;
         let mut share_cache = true;
@@ -105,7 +111,7 @@ impl TraceSink {
                     None => usage_exit("--clock requires `steps` or `wall`"),
                 },
                 "--workers" => match it.next().map(|n| n.parse::<usize>()) {
-                    Some(Ok(n)) if n >= 1 => workers = Some(n),
+                    Some(Ok(n)) if n >= 1 => workers = n,
                     Some(_) => usage_exit("--workers requires a positive integer"),
                     None => usage_exit("--workers requires a worker count"),
                 },
@@ -184,44 +190,40 @@ impl TraceSink {
         }
     }
 
-    /// Whether `--lineage` was passed: the engine emits per-state
-    /// exploration-tree events into the trace.
-    pub fn lineage(&self) -> bool {
-        self.lineage
+    /// `base` with every shared execution flag applied: `--workers`
+    /// (default 1, the sequential candidate loop), `--no-share-cache`,
+    /// and the engine flags of [`TraceSink::engine_config`]. The one
+    /// place a binary's pipeline configuration picks up the command
+    /// line. Sharing solver verdicts never changes what an attempt
+    /// explores, only how much solver work it spends; turn it off when
+    /// solver-work counters must not depend on scheduling.
+    ///
+    /// The result is also recorded as the run's manifest identity under
+    /// `seed` (see [`TraceSink::set_manifest_meta`]), so call this before
+    /// the engine starts and a crash bundle carries the config.
+    pub fn configure(&mut self, base: StatSymConfig, seed: u64) -> StatSymConfig {
+        let cfg = StatSymConfig {
+            workers: self.workers,
+            share_cache: self.share_cache,
+            engine: self.engine_config(base.engine),
+            ..base
+        };
+        self.set_manifest_meta(seed, &config_fingerprint(&cfg), &format!("{cfg:#?}"));
+        cfg
     }
 
-    /// Whether `--attr` was passed: the engine emits per-source-line
-    /// `attr.*` cost counters and per-query provenance events into the
-    /// trace, for `statsym-inspect hotspots|explain`.
-    pub fn attr(&self) -> bool {
-        self.attr
-    }
-
-    /// Whether solver verdicts are shared between portfolio workers
-    /// (`--no-share-cache` turns sharing off). Sharing never changes
-    /// what a worker explores — only how much solver work it spends —
-    /// so disable it when solver-work counters must be independent of
-    /// scheduling, e.g. for byte-reproducible trace comparisons.
-    pub fn share_cache(&self) -> bool {
-        self.share_cache
-    }
-
-    /// Worker threads for the guided execution stage (`--workers`,
-    /// default 1: the sequential candidate loop).
-    pub fn workers(&self) -> usize {
-        self.workers.unwrap_or(1)
-    }
-
-    /// The worker count only when `--workers` was passed explicitly —
-    /// for binaries whose default is a sweep rather than a single count.
-    pub fn explicit_workers(&self) -> Option<usize> {
-        self.workers
-    }
-
-    /// The chaos threshold from `--panic-after`, for wiring into
-    /// `EngineConfig::panic_after`.
-    pub fn panic_after(&self) -> Option<u64> {
-        self.panic_after
+    /// `base` with the shared engine flags applied: `--lineage`
+    /// (exploration-tree events), `--attr` (per-source-line `attr.*`
+    /// counters and per-query provenance events, for `statsym-inspect
+    /// hotspots|explain`) and `--panic-after` (the chaos knob).
+    pub fn engine_config(&self, base: EngineConfig) -> EngineConfig {
+        EngineConfig {
+            lineage: self.lineage,
+            attribution: self.attr,
+            provenance: self.attr,
+            panic_after: self.panic_after,
+            ..base
+        }
     }
 
     /// The run id (trace file stem, `bench` without `--trace`) stamped

@@ -229,7 +229,7 @@ mod tests {
             json.contains("\"winner_rank\":2,\"corr_milli\":1000"),
             "{json}"
         );
-        crate::numjson::flatten(&json).unwrap();
+        statsym_telemetry::json::parse(&json).unwrap();
         assert_eq!(json, calib(&view, true));
         // Empty trace: still a valid document.
         assert_eq!(calib(&empty(), true), "{\"runs\":[]}\n");

@@ -176,7 +176,7 @@ pub fn attempts(events: &[TraceEvent]) -> Vec<Attempt> {
 /// The ranked attempts whose coverage the view reports: overshoot
 /// attempts are excluded, matching the sequential-equivalent
 /// accounting everywhere else.
-fn ranked(view: &RunView) -> Vec<Attempt> {
+pub fn ranked(view: &RunView) -> Vec<Attempt> {
     let mut all = attempts(&view.events);
     all.retain(|a| !a.overshoot);
     all

@@ -7,14 +7,12 @@
 //! legitimately nondeterministic (shared-cache work, wall-clock noise)
 //! are excluded with `--ignore <prefix>`.
 //!
-//! Both operands must be the same kind of file: canonical JSONL traces
-//! (compared phase-by-phase and counter-by-counter) or plain numeric
-//! JSON reports such as `BENCH_portfolio.json` (compared leaf-by-leaf
-//! via [`crate::numjson`]). A metric present on only one side is
-//! reported as a schema change, never a regression: a vanished counter
-//! is not a "regression to zero", and a new one has no baseline.
+//! Both operands are canonical JSONL traces, compared phase-by-phase
+//! and counter-by-counter; any other file is an error. A metric present
+//! on only one side is reported as a schema change, never a regression:
+//! a vanished counter is not a "regression to zero", and a new one has
+//! no baseline.
 
-use crate::numjson;
 use statsym_telemetry::{parse_trace_strict, TraceEvent, TraceSummary};
 
 /// Diff configuration (thresholds and exclusions).
@@ -184,50 +182,25 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-/// Diffs two files of the same kind (JSONL trace or numeric JSON).
+/// Diffs two JSONL trace files.
 ///
 /// # Errors
 ///
-/// Returns a rendered error when a file is unreadable, malformed, or
-/// the two files are of different kinds.
+/// Returns a rendered error when a file is unreadable or not a valid
+/// trace.
 pub fn diff_files(old_path: &str, new_path: &str, cfg: &DiffConfig) -> Result<DiffReport, String> {
-    let old = load_metrics(old_path)?;
-    let new = load_metrics(new_path)?;
-    match (old, new) {
-        (Loaded::Trace(a), Loaded::Trace(b)) => Ok(diff_metrics(&a, &b, cfg)),
-        (Loaded::Flat(a), Loaded::Flat(b)) => Ok(diff_metrics(&a, &b, cfg)),
-        _ => Err(format!(
-            "{old_path} and {new_path} are different kinds of files \
-             (one JSONL trace, one JSON report)"
-        )),
-    }
+    Ok(diff_metrics(
+        &load_metrics(old_path)?,
+        &load_metrics(new_path)?,
+        cfg,
+    ))
 }
 
-enum Loaded {
-    Trace(Vec<Metric>),
-    Flat(Vec<Metric>),
-}
-
-fn load_metrics(path: &str) -> Result<Loaded, String> {
+fn load_metrics(path: &str) -> Result<Vec<Metric>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-    // A canonical trace is JSONL whose first line is a meta event; a
-    // bench report is one (usually multi-line) JSON document.
-    match parse_trace_strict(&text) {
-        Ok(events) => Ok(Loaded::Trace(trace_metrics(&events))),
-        Err(trace_err) => match numjson::flatten(&text) {
-            Ok(flat) => Ok(Loaded::Flat(
-                // Keys already sorted; tag them so the render reads well.
-                flat.into_iter()
-                    .map(|(k, v)| (format!("value {k}"), v))
-                    .collect(),
-            )),
-            Err((off, reason)) => Err(format!(
-                "{path}: neither a JSONL trace (line {}: {}) nor numeric JSON \
-                 (offset {off}: {reason})",
-                trace_err.line, trace_err.reason
-            )),
-        },
-    }
+    let events = parse_trace_strict(&text)
+        .map_err(|e| format!("{path}:{}: not a JSONL trace: {}", e.line, e.reason))?;
+    Ok(trace_metrics(&events))
 }
 
 #[cfg(test)]

@@ -255,7 +255,7 @@ mod tests {
             json.contains("\"steps\":60") && json.contains("\"share_milli\":600"),
             "{json}"
         );
-        crate::numjson::flatten(&json).unwrap();
+        statsym_telemetry::json::parse(&json).unwrap();
         assert_eq!(json, hotspots(&sample(), &opts));
     }
 

@@ -27,9 +27,8 @@
 //!
 //! Comparisons and live views:
 //!
-//! * [`diff`] — per-phase / per-counter deltas between two traces (or
-//!   two numeric JSON reports such as `BENCH_portfolio.json`), with a
-//!   configurable regression threshold. The CI perf gate.
+//! * [`diff`] — per-phase / per-counter deltas between two traces, with
+//!   a configurable regression threshold.
 //! * [`watch`] — a live dashboard that tails a growing trace file.
 //!
 //! Over the persistent run-history archive
@@ -55,7 +54,6 @@ pub mod explain;
 pub mod forest;
 pub mod history;
 pub mod hotspots;
-pub mod numjson;
 pub mod report;
 pub mod tail;
 pub mod tree;

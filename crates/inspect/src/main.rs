@@ -63,8 +63,8 @@ commands:
   Comparisons and run history:
 
   diff <old> <new> [--threshold <pct>%] [--ignore <prefix>]... [--min-delta <n>]
-      Compare two traces (or two numeric JSON reports). Exits 1 when a
-      metric grew past the threshold (default 10%).
+      Compare two traces. Exits 1 when a metric grew past the threshold
+      (default 10%), 2 when either file is not a trace.
   history <archive> [--source <s>] [--run <r>] [--limit <n>]
       List the manifest records of a run-history archive (a directory
       holding history.jsonl, or the file itself) in append order.

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `statsym-inspect` binary: exit codes, the
-//! golden run report, and the diff gate on both trace and JSON inputs.
+//! golden run report, and the diff gate on trace inputs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -106,30 +106,25 @@ fn diff_ignore_prefixes_suppress_the_gate() {
 }
 
 #[test]
-fn diff_compares_numeric_json_reports() {
+fn diff_rejects_a_non_trace_json_file_with_exit_two() {
     let dir = std::env::temp_dir().join(format!("statsym-inspect-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    std::fs::write(&old, r#"{"wall_s": 1.0, "parallel": [{"wall_s": 0.5}]}"#).unwrap();
-    std::fs::write(&new, r#"{"wall_s": 1.6, "parallel": [{"wall_s": 0.5}]}"#).unwrap();
-    let out = inspect(&[
-        "diff",
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-        "--threshold",
-        "20%",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stdout(&out).contains("value wall_s"), "{}", stdout(&out));
-    let out = inspect(&[
-        "diff",
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-        "--threshold",
-        "100%",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    let report = dir.join("report.json");
+    std::fs::write(&report, r#"{"wall_s": 1.6, "parallel": [{"wall_s": 0.5}]}"#).unwrap();
+    let base = fixture("base.jsonl");
+    for (old, new) in [
+        (report.to_str().unwrap(), report.to_str().unwrap()),
+        (base.to_str().unwrap(), report.to_str().unwrap()),
+    ] {
+        let out = inspect(&["diff", old, new]);
+        assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+        assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+        assert!(
+            stderr(&out).contains("not a JSONL trace"),
+            "{}",
+            stderr(&out)
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,7 +5,8 @@
 //! *byte-identical rendered trace* are invariant under the state-worker
 //! count and the steal seed. These tests generate random fork trees and
 //! check every pair against the 1-worker baseline, then pin down the
-//! guidance-suspension (multi-phase) and budget-trip paths explicitly.
+//! guidance-suspension (multi-phase) and budget-trip paths explicitly,
+//! and the solver's independence-slicing work on a fork-heavy loop.
 
 use statsym_telemetry::{render_trace, Clock, MemRecorder};
 use symex::{
@@ -341,4 +342,56 @@ fn deterministic_budget_trips_identically_at_any_worker_count() {
         assert_eq!(trace, base_trace, "budget trip diverged at {workers}");
         assert_eq!(stats_key(&report), stats_key(&base_report));
     }
+}
+
+/// A symbolically-bounded loop (every iteration forks on the bound)
+/// with two variable-disjoint branch families in the body, which
+/// independence slicing splits into separate components, and an
+/// infeasible branch (`a > 60` under `a < 50`) that every iteration
+/// refutes again. Fault-free, so every run drains the whole path space.
+const FORK_HEAVY: &str = r#"
+    fn main() {
+        let n: int = input_int("n");
+        let a: int = input_int("a");
+        let b: int = input_int("b");
+        let m: int = n;
+        if (m > 7) { m = 7; }
+        let acc: int = 0;
+        let i: int = 0;
+        if (a < 50) {
+            while (i < m) {
+                if (a + i > 40) { acc = acc + 1; } else { acc = acc + 2; }
+                if (b - i < 3) { acc = acc + 3; }
+                if (a > 60) { acc = acc + 99; }
+                i = i + 1;
+            }
+        }
+        assert(acc < 1000);
+    }
+"#;
+
+#[test]
+fn fork_heavy_loop_pins_slicing_work_and_trace_across_state_workers() {
+    let module = sir::lower(&minic::parse_program(FORK_HEAVY).unwrap()).unwrap();
+    let config = |workers: usize| EngineConfig {
+        state_workers: workers,
+        lineage: true,
+        attribution: true,
+        provenance: true,
+        ..EngineConfig::default()
+    };
+    let (base_trace, base_report) = traced_run(&module, config(1), None);
+    assert!(matches!(base_report.outcome, RunOutcome::Completed));
+    let s = &base_report.stats.solver;
+    assert_eq!(
+        (s.indep_queries, s.indep_components, s.indep_comp_hits),
+        (2456, 7358, 4144),
+        "solver.indep.* work on the fork-heavy loop moved"
+    );
+    let (trace, report) = traced_run(&module, config(4), None);
+    assert_eq!(
+        trace, base_trace,
+        "fork-heavy trace diverged at 4 state workers"
+    );
+    assert_eq!(stats_key(&report), stats_key(&base_report));
 }

@@ -824,7 +824,8 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
 /// format (objects, arrays, strings, integers) plus standard escapes
 /// and whitespace tolerance. Floats are intentionally rejected — the
 /// emitter never produces them, and they cannot round-trip bytewise.
-pub(crate) mod json {
+/// Also the one reader `statsym-inspect` checks its JSON views with.
+pub mod json {
     /// A parsed JSON value (integer-only numbers).
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
@@ -845,6 +846,7 @@ pub(crate) mod json {
     }
 
     impl Value {
+        /// The value as a non-negative integer.
         pub fn as_u64(&self) -> Option<u64> {
             match self {
                 Value::Uint(v) => Some(*v),
@@ -852,6 +854,7 @@ pub(crate) mod json {
             }
         }
 
+        /// The value as a signed integer, if it fits.
         pub fn as_i64(&self) -> Option<i64> {
             match self {
                 Value::Uint(v) => i64::try_from(*v).ok(),
@@ -860,6 +863,7 @@ pub(crate) mod json {
             }
         }
 
+        /// The value as a string.
         pub fn as_str(&self) -> Option<&str> {
             match self {
                 Value::Str(s) => Some(s),
@@ -867,6 +871,7 @@ pub(crate) mod json {
             }
         }
 
+        /// The value as an array.
         pub fn as_array(&self) -> Option<&[Value]> {
             match self {
                 Value::Array(v) => Some(v),
@@ -874,6 +879,7 @@ pub(crate) mod json {
             }
         }
 
+        /// The value as an object, keys in document order.
         pub fn as_object(&self) -> Option<&[(String, Value)]> {
             match self {
                 Value::Object(v) => Some(v),
@@ -887,6 +893,11 @@ pub(crate) mod json {
     /// canonical formats nest at most a few levels.
     pub const MAX_DEPTH: usize = 128;
 
+    /// Parses one JSON document (surrounding whitespace allowed).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the byte offset of the first defect.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),

@@ -28,6 +28,7 @@ mod recorder;
 mod report;
 
 pub use clock::{Clock, ClockMode};
+pub use event::json;
 pub use event::{
     lineage_op, parse_trace, parse_trace_strict, parse_trace_truncated, push_json_str,
     query_disposition, render_trace, FieldValue, ParseError, SpanId, TraceEvent,
