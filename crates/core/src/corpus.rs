@@ -1,20 +1,128 @@
 //! Log corpus preprocessing (algorithm steps (a)–(b) in the paper's
 //! Figure 5): partition runs into correct and faulty executions and
-//! index the numeric observations per (location, variable).
+//! count the numeric observations per (location, variable).
 
 use concrete::{ExecutionLog, Location, SiteTable, VarId, Verdict};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Numeric observations of one variable at one location, split by run
-/// verdict.
+/// One run of a (location, variable) slot's sorted values, as in
+/// run-length encoding: a distinct value and how often correct and
+/// faulty executions observed it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Run {
+    /// The value (never NaN, never `-0.0`).
+    pub value: f64,
+    /// Observations of `value` in correct executions.
+    pub correct: usize,
+    /// Observations of `value` in faulty executions.
+    pub faulty: usize,
+}
+
+/// Numeric observations of one variable at one location, as counts per
+/// distinct value: all Eq. 1 and Eq. 2 need.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Observations {
-    /// Values seen in correct executions.
-    pub correct: Vec<f64>,
-    /// Values seen in faulty executions.
-    pub faulty: Vec<f64>,
+    /// Distinct values in ascending `total_cmp` order, with `-0.0`
+    /// folded into `+0.0`.
+    pub runs: Vec<Run>,
+    /// Values seen in correct executions (the sum of `runs[..].correct`).
+    pub n_correct: usize,
+    /// Values seen in faulty executions (the sum of `runs[..].faulty`).
+    pub n_faulty: usize,
+}
+
+/// Counts the values of one slot as they stream in, then yields its
+/// sorted [`Observations`].
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Runs in first-seen order.
+    runs: Vec<Run>,
+    /// Run index by value bits.
+    index: HashMap<u64, usize, BuildHasherDefault<MulShift>>,
+    /// Bits and run index of the last value counted: repeats skip the
+    /// map.
+    last: Option<(u64, usize)>,
+    n_correct: usize,
+    n_faulty: usize,
+}
+
+impl Tally {
+    /// Counts one observation; NaN is skipped and `-0.0` counts as
+    /// `+0.0`.
+    #[inline]
+    pub(crate) fn push(&mut self, value: f64, faulty: bool) {
+        if value.is_nan() {
+            return;
+        }
+        let value = if value == 0.0 { 0.0 } else { value };
+        let bits = value.to_bits();
+        let at = match self.last {
+            Some((last, at)) if last == bits => at,
+            _ => {
+                let next = self.runs.len();
+                let at = *self.index.entry(bits).or_insert(next);
+                if at == next {
+                    self.runs.push(Run {
+                        value,
+                        correct: 0,
+                        faulty: 0,
+                    });
+                }
+                self.last = Some((bits, at));
+                at
+            }
+        };
+        let run = &mut self.runs[at];
+        if faulty {
+            run.faulty += 1;
+            self.n_faulty += 1;
+        } else {
+            run.correct += 1;
+            self.n_correct += 1;
+        }
+    }
+
+    /// The counted observations, runs sorted by value.
+    pub(crate) fn finish(self) -> Observations {
+        let mut runs = self.runs;
+        runs.sort_unstable_by(|a, b| a.value.total_cmp(&b.value));
+        Observations {
+            runs,
+            n_correct: self.n_correct,
+            n_faulty: self.n_faulty,
+        }
+    }
+}
+
+/// Folded multiply-shift hash of one `u64` (value bits). SipHash costs
+/// more than the rest of the count. It gives no protection against
+/// crafted collisions: a log written to collide slows its corpus build
+/// but cannot change the counts.
+#[derive(Default)]
+struct MulShift(u64);
+
+impl Hasher for MulShift {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        // Both halves of the 128-bit product: integral floats keep
+        // their low bits zero, which a plain multiply would pass on to
+        // the bucket index.
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p >> 64) as u64 ^ p as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A preprocessed corpus of execution logs.
@@ -44,16 +152,18 @@ pub struct LogCorpus {
 impl LogCorpus {
     /// Builds a corpus from annotated logs. Inconclusive runs (resource
     /// limits) are excluded, mirroring the paper's correct/faulty
-    /// partition.
+    /// partition. NaN values are skipped: they satisfy no threshold
+    /// predicate and have no place in the value order. Infinities are
+    /// kept, and `-0.0` counts as `+0.0`.
     ///
     /// Each (site table, site) pair is resolved once to its location and
     /// the (location, variable) slots of its variables; every record
-    /// then appends its values straight to those slots, and nothing is
-    /// hashed per record. Logs from one corpus generation share one
-    /// table, so each site is resolved once for the whole corpus; logs
-    /// with their own tables (parsed or hand-built) resolve each of
-    /// their sites once per log. Keys are borrowed from the tables and
-    /// cloned once per distinct slot.
+    /// then counts its values straight into those slots, and no value
+    /// is stored. Logs from one corpus generation share one table, so
+    /// each site is resolved once for the whole corpus; logs with their
+    /// own tables (parsed or hand-built) resolve each of their sites
+    /// once per log. Keys are borrowed from the tables and cloned once
+    /// per distinct slot.
     pub fn build(logs: &[ExecutionLog]) -> LogCorpus {
         let mut corpus = LogCorpus::default();
         let mut index = SiteIndex::default();
@@ -78,12 +188,7 @@ impl LogCorpus {
                 let (vals, rest) = values.split_at(slots.len());
                 values = rest;
                 for (&slot, &value) in index.slot_list[slots].iter().zip(vals) {
-                    let obs = &mut index.slots[slot].2;
-                    if faulty {
-                        obs.faulty.push(value);
-                    } else {
-                        obs.correct.push(value);
-                    }
+                    index.slots[slot].2.push(value, faulty);
                 }
                 trace.push(index.locations[loc].clone());
             }
@@ -119,7 +224,10 @@ impl LogCorpus {
         corpus.observations = index
             .slots
             .into_iter()
-            .map(|(loc, var, obs)| ((index.locations[loc].clone(), var.clone()), obs))
+            .map(|(loc, var, tally)| {
+                let key = (index.locations[loc].clone(), var.clone());
+                (key, tally.finish())
+            })
             .collect();
         corpus.faulty_presence = index
             .locations
@@ -168,8 +276,8 @@ struct SiteIndex<'a> {
     slot_ids: HashMap<(usize, &'a VarId), usize>,
     /// The slots of every resolved site's variables, site after site.
     slot_list: Vec<usize>,
-    /// Slots in first-seen order: location id, variable, observations.
-    slots: Vec<(usize, &'a VarId, Observations)>,
+    /// Slots in first-seen order: location id, variable, value counts.
+    slots: Vec<(usize, &'a VarId, Tally)>,
 }
 
 impl<'a> SiteIndex<'a> {
@@ -203,7 +311,7 @@ impl<'a> SiteIndex<'a> {
             let next = self.slots.len();
             let slot = *self.slot_ids.entry((loc, var)).or_insert(next);
             if slot == next {
-                self.slots.push((loc, var, Observations::default()));
+                self.slots.push((loc, var, Tally::default()));
             }
             self.slot_list.push(slot);
         }
@@ -226,6 +334,14 @@ mod tests {
             .map(|(n, r, v)| (VarId::new(*n, *r, Measure::Value), *v))
             .collect();
         (loc, vars)
+    }
+
+    fn run(value: f64, correct: usize, faulty: usize) -> Run {
+        Run {
+            value,
+            correct,
+            faulty,
+        }
     }
 
     fn log(verdict: Verdict, records: Vec<Row>) -> ExecutionLog {
@@ -262,8 +378,8 @@ mod tests {
                 &VarId::new("g", VarRole::Global, Measure::Value),
             )
             .unwrap();
-        assert_eq!(obs.correct, vec![1.0]);
-        assert_eq!(obs.faulty, vec![9.0]);
+        assert_eq!(obs.runs, vec![run(1.0, 1, 0), run(9.0, 0, 1)]);
+        assert_eq!((obs.n_correct, obs.n_faulty), (1, 1));
     }
 
     #[test]
@@ -368,10 +484,21 @@ mod tests {
                 .unwrap()
                 .clone()
         };
-        assert_eq!(obs("g").correct, vec![1.0, 4.0]);
-        assert_eq!(obs("g").faulty, vec![7.0]);
-        assert_eq!(obs("h").correct, vec![2.0, 3.0, 5.0]);
-        assert_eq!(obs("h").faulty, vec![6.0]);
+        assert_eq!(
+            obs("g").runs,
+            vec![run(1.0, 1, 0), run(4.0, 1, 0), run(7.0, 0, 1)]
+        );
+        assert_eq!((obs("g").n_correct, obs("g").n_faulty), (2, 1));
+        assert_eq!(
+            obs("h").runs,
+            vec![
+                run(2.0, 1, 0),
+                run(3.0, 1, 0),
+                run(5.0, 1, 0),
+                run(6.0, 0, 1)
+            ]
+        );
+        assert_eq!((obs("h").n_correct, obs("h").n_faulty), (3, 1));
         assert_eq!(corpus.observations.len(), 2);
     }
 
@@ -409,6 +536,105 @@ mod tests {
                 );
                 assert_eq!(LogCorpus::build(&own), expected, "{what}");
                 assert_eq!(LogCorpus::build(&mixed), expected, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn repeats_nan_and_signed_zeros_are_counted_per_value() {
+        let x = |v: f64| rec(Location::enter("f"), &[("x", VarRole::Global, v)]);
+        let logs = vec![
+            log(
+                Verdict::Correct,
+                [3.0, 3.0, -0.0, f64::NAN, 3.0, 0.0, f64::INFINITY]
+                    .map(x)
+                    .to_vec(),
+            ),
+            log(
+                Verdict::Faulty,
+                [-0.0, f64::NAN, 3.0, f64::NEG_INFINITY].map(x).to_vec(),
+            ),
+        ];
+        let corpus = LogCorpus::build(&logs);
+        let obs = corpus.observations.values().next().unwrap();
+        assert_eq!(
+            obs.runs,
+            vec![
+                run(f64::NEG_INFINITY, 0, 1),
+                run(0.0, 2, 1),
+                run(3.0, 3, 1),
+                run(f64::INFINITY, 1, 0),
+            ]
+        );
+        assert_eq!(obs.runs[1].value.to_bits(), 0.0f64.to_bits());
+        assert_eq!((obs.n_correct, obs.n_faulty), (6, 3));
+    }
+
+    #[test]
+    fn runs_conserve_every_logged_value() {
+        // Per slot, the runs must be strictly ascending, hold no -0.0,
+        // and count exactly the values the logs' records carry there,
+        // class by class and value by value.
+        use benchapps::{all_apps, generate_corpus, parser_apps, CorpusSpec};
+        type Counts = BTreeMap<u64, (usize, usize)>;
+        for app in all_apps().into_iter().chain(parser_apps()) {
+            for rate in [0.3, 1.0] {
+                let spec = CorpusSpec {
+                    n_correct: 20,
+                    n_faulty: 20,
+                    sampling_rate: rate,
+                    seed: 5,
+                };
+                let logs = generate_corpus(&app, spec);
+                let mut expected: BTreeMap<(Location, VarId), Counts> = BTreeMap::new();
+                for log in &logs {
+                    let faulty = match log.verdict {
+                        Verdict::Correct => false,
+                        Verdict::Faulty => true,
+                        Verdict::Inconclusive => continue,
+                    };
+                    for record in log.records.iter() {
+                        for (var, v) in record.vars() {
+                            let key = (record.loc().clone(), var.clone());
+                            let bits = (if v == 0.0 { 0.0 } else { v }).to_bits();
+                            let n = expected.entry(key).or_default().entry(bits).or_default();
+                            if faulty {
+                                n.1 += 1;
+                            } else {
+                                n.0 += 1;
+                            }
+                        }
+                    }
+                }
+                let corpus = LogCorpus::build(&logs);
+                let what = format!("{} @ {rate}", app.name);
+                assert!(!expected.is_empty(), "{what}");
+                assert_eq!(
+                    corpus.observations.keys().collect::<Vec<_>>(),
+                    expected.keys().collect::<Vec<_>>(),
+                    "{what}"
+                );
+                for (key, obs) in &corpus.observations {
+                    let at = format!("{what}: {} @ {}", key.1, key.0);
+                    assert!(
+                        obs.runs.windows(2).all(|w| w[0].value < w[1].value),
+                        "{at}: runs not strictly ascending"
+                    );
+                    assert!(
+                        obs.runs
+                            .iter()
+                            .all(|r| r.value.to_bits() != (-0.0f64).to_bits()),
+                        "{at}: -0.0 run"
+                    );
+                    let counts: Counts = obs
+                        .runs
+                        .iter()
+                        .map(|r| (r.value.to_bits(), (r.correct, r.faulty)))
+                        .collect();
+                    assert_eq!(counts, expected[key], "{at}");
+                    let (c, f) = counts.values().fold((0, 0), |(c, f), n| (c + n.0, f + n.1));
+                    assert_eq!((obs.n_correct, obs.n_faulty), (c, f), "{at}");
+                }
             }
         }
     }

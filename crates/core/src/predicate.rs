@@ -146,7 +146,7 @@ impl PredicateSet {
 
 /// Constructs the optimal predicate for one (location, variable) pair.
 fn construct(loc: Location, var: VarId, obs: &Observations) -> Option<Predicate> {
-    match (obs.correct.is_empty(), obs.faulty.is_empty()) {
+    match (obs.n_correct == 0, obs.n_faulty == 0) {
         (true, true) => None,
         // Only observed in faulty runs: reaching the location at all
         // indicates fault; `v > -inf` is vacuously true.
@@ -174,44 +174,50 @@ fn construct(loc: Location, var: VarId, obs: &Observations) -> Option<Predicate>
 /// Finds the threshold/direction minimizing Eq. 1 over all candidate
 /// cut points (midpoints between adjacent distinct observed values).
 ///
-/// Both classes are sorted once and every cut is counted by binary
-/// search with the same `>` / `<` comparisons a direct count uses, so
-/// each pair costs O(n log n) instead of O(n²). Cuts are visited in
-/// ascending order, `Gt` before `Lt`, and a later candidate wins only
-/// with a strictly lower error or an equal error and a strictly higher
-/// score.
+/// The runs are the distinct values in ascending order, so prefix sums
+/// of their counts give the correct and faulty observations below every
+/// run, and each cut is counted by binary search over the run values
+/// with the same `>` / `<` comparisons a direct count uses: O(k log k)
+/// per pair in its k distinct values, whatever the observation count.
+/// Cuts are visited in ascending order, `Gt` before `Lt`, and a later
+/// candidate wins only with a strictly lower error or an equal error
+/// and a strictly higher score.
 fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate {
-    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
-    let mut correct = obs.correct.clone();
-    correct.sort_by(by_value);
-    let mut faulty = obs.faulty.clone();
-    faulty.sort_by(by_value);
-    let mut values: Vec<f64> = correct.iter().chain(&faulty).copied().collect();
-    values.sort_by(by_value);
-    values.dedup();
+    let runs = &obs.runs;
+    // below[i]: (correct, faulty) observations of `runs[..i]`.
+    let below: Vec<(usize, usize)> = std::iter::once((0, 0))
+        .chain(runs.iter().scan((0, 0), |(c, f), r| {
+            *c += r.correct;
+            *f += r.faulty;
+            Some((*c, *f))
+        }))
+        .collect();
 
     // Candidate thresholds: midpoints plus sentinels beyond both ends.
-    let cuts = std::iter::once(values[0] - 1.0)
-        .chain(values.windows(2).map(|w| (w[0] + w[1]) / 2.0))
-        .chain(std::iter::once(values[values.len() - 1] + 1.0));
+    let cuts = std::iter::once(runs[0].value - 1.0)
+        .chain(runs.windows(2).map(|w| (w[0].value + w[1].value) / 2.0))
+        .chain(std::iter::once(runs[runs.len() - 1].value + 1.0));
 
-    let n_c = correct.len() as f64;
-    let n_f = faulty.len() as f64;
-    // `!(v > cut)`, not `v <= cut`: a NaN cut (the midpoint of -inf and
-    // +inf) satisfies no comparison, so it must count nothing either way.
+    let (total_c, total_f) = (obs.n_correct, obs.n_faulty);
+    let (n_c, n_f) = (total_c as f64, total_f as f64);
+    // (correct, faulty) observations satisfying `v op cut`. `!(v > cut)`,
+    // not `v <= cut`: a NaN cut (the midpoint of -inf and +inf) satisfies
+    // no comparison, so it must count nothing either way.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    let count = |sorted: &[f64], op: PredOp, cut: f64| match op {
-        PredOp::Gt => sorted.len() - sorted.partition_point(|&v| !(v > cut)),
-        PredOp::Lt => sorted.partition_point(|&v| v < cut),
+    let satisfying = |op: PredOp, cut: f64| match op {
+        PredOp::Gt => {
+            let (c, f) = below[runs.partition_point(|r| !(r.value > cut))];
+            (total_c - c, total_f - f)
+        }
+        PredOp::Lt => below[runs.partition_point(|r| r.value < cut)],
     };
     let mut best: Option<(usize, PredOp, f64, f64)> = None; // (err, op, cut, score)
 
     for cut in cuts {
         for op in [PredOp::Gt, PredOp::Lt] {
             // Eq. 1: correct samples satisfying + faulty samples violating.
-            let sat_c = count(&correct, op, cut);
-            let sat_f = count(&faulty, op, cut);
-            let err = sat_c + (faulty.len() - sat_f);
+            let (sat_c, sat_f) = satisfying(op, cut);
+            let err = sat_c + (total_f - sat_f);
             let score = (sat_c as f64 / n_c - sat_f as f64 / n_f).abs();
             let better = match &best {
                 None => true,
@@ -230,20 +236,63 @@ fn optimal_threshold(loc: Location, var: VarId, obs: &Observations) -> Predicate
         op,
         threshold,
         score,
-        support: obs.correct.len().min(obs.faulty.len()),
+        support: total_c.min(total_f),
     }
 }
 
-/// The direct Eq. 1 search that recounts every observation for every
-/// cut: the oracle the sweep in [`optimal_threshold`] must match.
+/// The Eq. 1 sweep over raw values: each class sorted once, every cut
+/// counted by binary search. An oracle [`optimal_threshold`] must match;
+/// returns `(op, threshold, score, support)`.
 #[cfg(test)]
-fn optimal_threshold_brute(loc: Location, var: VarId, obs: &Observations) -> Predicate {
-    let mut values: Vec<f64> = obs
-        .correct
-        .iter()
-        .chain(obs.faulty.iter())
-        .copied()
-        .collect();
+fn optimal_threshold_sorted(correct: &[f64], faulty: &[f64]) -> (PredOp, f64, f64, usize) {
+    let by_value = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+    let mut correct = correct.to_vec();
+    correct.sort_by(by_value);
+    let mut faulty = faulty.to_vec();
+    faulty.sort_by(by_value);
+    let mut values: Vec<f64> = correct.iter().chain(&faulty).copied().collect();
+    values.sort_by(by_value);
+    values.dedup();
+
+    let cuts = std::iter::once(values[0] - 1.0)
+        .chain(values.windows(2).map(|w| (w[0] + w[1]) / 2.0))
+        .chain(std::iter::once(values[values.len() - 1] + 1.0));
+
+    let n_c = correct.len() as f64;
+    let n_f = faulty.len() as f64;
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    let count = |sorted: &[f64], op: PredOp, cut: f64| match op {
+        PredOp::Gt => sorted.len() - sorted.partition_point(|&v| !(v > cut)),
+        PredOp::Lt => sorted.partition_point(|&v| v < cut),
+    };
+    let mut best: Option<(usize, PredOp, f64, f64)> = None; // (err, op, cut, score)
+
+    for cut in cuts {
+        for op in [PredOp::Gt, PredOp::Lt] {
+            let sat_c = count(&correct, op, cut);
+            let sat_f = count(&faulty, op, cut);
+            let err = sat_c + (faulty.len() - sat_f);
+            let score = (sat_c as f64 / n_c - sat_f as f64 / n_f).abs();
+            let better = match &best {
+                None => true,
+                Some((be, _, _, bs)) => err < *be || (err == *be && score > *bs),
+            };
+            if better {
+                best = Some((err, op, cut, score));
+            }
+        }
+    }
+
+    let (_, op, threshold, score) = best.expect("at least one cut candidate");
+    (op, threshold, score, correct.len().min(faulty.len()))
+}
+
+/// The direct Eq. 1 search over raw values that recounts every
+/// observation for every cut: the second oracle, returning
+/// `(op, threshold, score, support)`.
+#[cfg(test)]
+fn optimal_threshold_brute(correct: &[f64], faulty: &[f64]) -> (PredOp, f64, f64, usize) {
+    let mut values: Vec<f64> = correct.iter().chain(faulty).copied().collect();
     values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     values.dedup();
 
@@ -254,8 +303,8 @@ fn optimal_threshold_brute(loc: Location, var: VarId, obs: &Observations) -> Pre
     }
     cuts.push(values[values.len() - 1] + 1.0);
 
-    let n_c = obs.correct.len() as f64;
-    let n_f = obs.faulty.len() as f64;
+    let n_c = correct.len() as f64;
+    let n_f = faulty.len() as f64;
     let mut best: Option<(usize, PredOp, f64, f64)> = None; // (err, op, cut, score)
 
     for &cut in &cuts {
@@ -264,10 +313,10 @@ fn optimal_threshold_brute(loc: Location, var: VarId, obs: &Observations) -> Pre
                 PredOp::Gt => v > cut,
                 PredOp::Lt => v < cut,
             };
-            let err = obs.correct.iter().filter(|&&v| pred(v)).count()
-                + obs.faulty.iter().filter(|&&v| !pred(v)).count();
-            let p_c = obs.correct.iter().filter(|&&v| pred(v)).count() as f64 / n_c;
-            let p_f = obs.faulty.iter().filter(|&&v| pred(v)).count() as f64 / n_f;
+            let err = correct.iter().filter(|&&v| pred(v)).count()
+                + faulty.iter().filter(|&&v| !pred(v)).count();
+            let p_c = correct.iter().filter(|&&v| pred(v)).count() as f64 / n_c;
+            let p_f = faulty.iter().filter(|&&v| pred(v)).count() as f64 / n_f;
             let score = (p_c - p_f).abs();
             let better = match &best {
                 None => true,
@@ -280,30 +329,31 @@ fn optimal_threshold_brute(loc: Location, var: VarId, obs: &Observations) -> Pre
     }
 
     let (_, op, threshold, score) = best.expect("at least one cut candidate");
-    Predicate {
-        loc,
-        var,
-        op,
-        threshold,
-        score,
-        support: obs.correct.len().min(obs.faulty.len()),
-    }
+    (op, threshold, score, correct.len().min(faulty.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use concrete::{Measure, VarRole};
+    use crate::corpus::{LogCorpus, Tally};
+    use concrete::{ExecutionLog, Measure, Records, VarRole, Verdict};
     use proptest::prelude::*;
 
+    /// The observations of a (value, faulty) stream, counted in order.
+    fn tally(stream: impl IntoIterator<Item = (f64, bool)>) -> Observations {
+        let mut tally = Tally::default();
+        for (v, faulty) in stream {
+            tally.push(v, faulty);
+        }
+        tally.finish()
+    }
+
     fn mk(correct: &[f64], faulty: &[f64]) -> Predicate {
+        let correct = correct.iter().map(|&v| (v, false));
         construct(
             Location::enter("f"),
             VarId::new("x", VarRole::Param, Measure::Value),
-            &Observations {
-                correct: correct.to_vec(),
-                faulty: faulty.to_vec(),
-            },
+            &tally(correct.chain(faulty.iter().map(|&v| (v, true)))),
         )
         .unwrap()
     }
@@ -375,8 +425,6 @@ mod tests {
 
     #[test]
     fn ranking_prefers_supported_predicates_over_degenerate() {
-        use crate::corpus::LogCorpus;
-        use concrete::{ExecutionLog, Records, Verdict};
         let var_real = VarId::new("n", VarRole::Param, Measure::Value);
         let var_deg = VarId::new("only_correct", VarRole::Global, Measure::Value);
         let mk_log = |verdict: Verdict, n: f64, with_deg: bool| {
@@ -432,41 +480,80 @@ mod tests {
         ]
     }
 
-    fn assert_sweep_matches_oracle(correct: Vec<f64>, faulty: Vec<f64>) {
-        let loc = Location::enter("f");
-        let var = VarId::new("x", VarRole::Param, Measure::Value);
-        let obs = Observations { correct, faulty };
-        let sweep = optimal_threshold(loc.clone(), var.clone(), &obs);
-        let brute = optimal_threshold_brute(loc, var, &obs);
-        prop_assert_eq!(sweep.op, brute.op, "{:?}", obs);
-        prop_assert_eq!(
-            sweep.threshold.to_bits(),
-            brute.threshold.to_bits(),
-            "{:?}",
-            obs
+    /// Counts `stream` in order into runs and checks that the run sweep
+    /// equals both raw-value oracles bit for bit.
+    fn assert_sweep_matches_oracles(stream: &[(f64, bool)]) {
+        let correct: Vec<f64> = stream.iter().filter(|s| !s.1).map(|s| s.0).collect();
+        let faulty: Vec<f64> = stream.iter().filter(|s| s.1).map(|s| s.0).collect();
+        let obs = tally(stream.iter().copied());
+        let p = optimal_threshold(
+            Location::enter("f"),
+            VarId::new("x", VarRole::Param, Measure::Value),
+            &obs,
         );
-        prop_assert_eq!(sweep.score.to_bits(), brute.score.to_bits(), "{:?}", obs);
-        prop_assert_eq!(sweep.support, brute.support, "{:?}", obs);
+        let sweep = (p.op, p.threshold.to_bits(), p.score.to_bits(), p.support);
+        for (name, (op, threshold, score, support)) in [
+            ("sorted", optimal_threshold_sorted(&correct, &faulty)),
+            ("brute", optimal_threshold_brute(&correct, &faulty)),
+        ] {
+            let oracle = (op, threshold.to_bits(), score.to_bits(), support);
+            prop_assert_eq!(sweep, oracle, "{} oracle on {:?}", name, stream);
+        }
+    }
+
+    fn assert_sweep_matches_oracle(correct: Vec<f64>, faulty: Vec<f64>) {
+        assert_sweep_matches_oracles(&interleave(&correct, &faulty, &[]));
+    }
+
+    /// Interleaves the two classes in the order `picks` gives (true
+    /// takes the next faulty value while one is left).
+    fn interleave(correct: &[f64], faulty: &[f64], picks: &[bool]) -> Vec<(f64, bool)> {
+        let (mut c, mut f) = (correct.iter(), faulty.iter());
+        let mut stream = Vec::new();
+        for &pick in picks.iter().chain(std::iter::repeat(&false)) {
+            let next = if pick {
+                f.next().map(|&v| (v, true))
+            } else {
+                None
+            };
+            match next.or_else(|| c.next().map(|&v| (v, false))) {
+                Some(item) => stream.push(item),
+                None => break,
+            }
+        }
+        stream.extend(f.map(|&v| (v, true)));
+        stream
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         #[test]
-        fn sweep_matches_brute_force_oracle(
+        fn sweep_matches_oracles(
             correct in collection::vec(value(), 1..40),
             faulty in collection::vec(value(), 1..40),
+            picks in collection::vec(any::<bool>(), 0..80),
         ) {
-            assert_sweep_matches_oracle(correct, faulty);
+            assert_sweep_matches_oracles(&interleave(&correct, &faulty, &picks));
         }
 
         #[test]
-        fn sweep_matches_brute_force_oracle_on_single_values(c in value(), f in value()) {
+        fn sweep_matches_oracles_on_heavy_repeats(
+            correct in collection::vec(-3i64..=3, 1..200),
+            faulty in collection::vec(-3i64..=3, 1..200),
+            picks in collection::vec(any::<bool>(), 0..400),
+        ) {
+            let f = |v: &Vec<i64>| v.iter().map(|&x| x as f64).collect::<Vec<_>>();
+            assert_sweep_matches_oracles(&interleave(&f(&correct), &f(&faulty), &picks));
+        }
+
+        #[test]
+        fn sweep_matches_oracles_on_single_values(c in value(), f in value()) {
             assert_sweep_matches_oracle(vec![c], vec![f]);
         }
 
         #[test]
-        fn sweep_matches_brute_force_oracle_on_infinities_only(
+        fn sweep_matches_oracles_on_infinities_only(
             correct in collection::vec(any::<bool>(), 1..6),
             faulty in collection::vec(any::<bool>(), 1..6),
         ) {
@@ -476,6 +563,85 @@ mod tests {
                 correct.into_iter().map(inf).collect(),
                 faulty.into_iter().map(inf).collect(),
             );
+        }
+
+        #[test]
+        fn ranked_predicates_do_not_depend_on_log_order(
+            rows in collection::vec((nan_or(value()), nan_or(value()), any::<bool>()), 2..24),
+            keys in collection::vec(any::<u64>(), 24),
+        ) {
+            let logs: Vec<ExecutionLog> = rows.iter().map(|&(n, m, f)| one_record(n, m, f)).collect();
+            let mut order: Vec<usize> = (0..logs.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let shuffled: Vec<ExecutionLog> = order.iter().map(|&i| logs[i].clone()).collect();
+            let expected = fingerprint(&logs);
+            prop_assert_eq!(fingerprint(&shuffled), expected.clone(), "{:?}", rows);
+            let mut rotated = logs.clone();
+            rotated.rotate_left(1);
+            prop_assert_eq!(fingerprint(&rotated), expected, "{:?}", rows);
+        }
+    }
+
+    /// `strategy`, NaN, `+0.0` or `-0.0`, one time in four each.
+    fn nan_or(strategy: impl Strategy<Value = f64> + 'static) -> impl Strategy<Value = f64> {
+        prop_oneof![strategy, Just(f64::NAN), Just(0.0), Just(-0.0)]
+    }
+
+    /// A one-record log at `f():enter` logging `n` and `m`.
+    fn one_record(n: f64, m: f64, faulty: bool) -> ExecutionLog {
+        let var = |name: &str| VarId::new(name, VarRole::Param, Measure::Value);
+        ExecutionLog {
+            records: Records::from_rows([(
+                Location::enter("f"),
+                vec![(var("n"), n), (var("m"), m)],
+            )]),
+            verdict: if faulty {
+                Verdict::Faulty
+            } else {
+                Verdict::Correct
+            },
+            fault: None,
+        }
+    }
+
+    /// The ranked predicates of `logs`, floats as bits.
+    fn fingerprint(logs: &[ExecutionLog]) -> Vec<(String, PredOp, u64, u64, usize)> {
+        PredicateSet::build(&LogCorpus::build(logs))
+            .ranked
+            .iter()
+            .map(|p| {
+                let at = format!("{} @ {}", p.var, p.loc);
+                (
+                    at,
+                    p.op,
+                    p.threshold.to_bits(),
+                    p.score.to_bits(),
+                    p.support,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nan_observations_are_skipped() {
+        // The probe that exposed the order dependence: 16 one-record
+        // logs, 3 of them NaN. The NaN logs must add nothing, in any
+        // order.
+        let n: Vec<(f64, bool)> = (1..=13)
+            .map(|i| (i as f64, i % 3 == 0))
+            .chain([(f64::NAN, true), (f64::NAN, false), (f64::NAN, true)])
+            .collect();
+        let logs: Vec<ExecutionLog> = n.iter().map(|&(v, f)| one_record(v, v, f)).collect();
+        let finite: Vec<ExecutionLog> = n
+            .iter()
+            .filter(|(v, _)| !v.is_nan())
+            .map(|&(v, f)| one_record(v, v, f))
+            .collect();
+        let expected = fingerprint(&finite);
+        for k in 0..logs.len() {
+            let mut rotated = logs.clone();
+            rotated.rotate_left(k);
+            assert_eq!(fingerprint(&rotated), expected, "rotation {k}");
         }
     }
 

@@ -47,37 +47,44 @@ fn candidate_paths_span_entry_to_failure() {
 
 #[test]
 fn predicate_thresholds_sit_between_class_ranges() {
+    // A perfectly-scoring predicate must classify every observation:
+    // every run with faulty observations satisfies it, and every run
+    // with correct observations does not.
     for app in all_apps() {
         let logs = generate_corpus(&app, spec(1.0, 23));
         let corpus = statsym_core::LogCorpus::build(&logs);
         let preds = statsym_core::PredicateSet::build(&corpus);
-        for p in preds.top(20) {
-            if p.is_degenerate() {
+        let mut checked = 0;
+        for p in &preds.ranked {
+            if p.is_degenerate() || p.score < 1.0 - f64::EPSILON {
                 continue;
             }
             let obs = corpus
                 .observation(&p.loc, &p.var)
                 .expect("predicate built from observations");
-            // A perfectly-scoring predicate must classify every sample.
-            if p.score >= 1.0 - f64::EPSILON {
-                let sat = |v: f64| match p.op {
-                    statsym_core::PredOp::Gt => v > p.threshold,
-                    statsym_core::PredOp::Lt => v < p.threshold,
-                };
+            let sat = |v: f64| match p.op {
+                statsym_core::PredOp::Gt => v > p.threshold,
+                statsym_core::PredOp::Lt => v < p.threshold,
+            };
+            for run in &obs.runs {
                 assert!(
-                    obs.faulty.iter().all(|&v| sat(v)),
-                    "{}: {} not true on all faulty",
+                    run.faulty == 0 || sat(run.value),
+                    "{}: {} not true on faulty {}",
                     app.name,
-                    p.render()
+                    p.render(),
+                    run.value
                 );
                 assert!(
-                    obs.correct.iter().all(|&v| !sat(v)),
-                    "{}: {} not false on all correct",
+                    run.correct == 0 || !sat(run.value),
+                    "{}: {} not false on correct {}",
                     app.name,
-                    p.render()
+                    p.render(),
+                    run.value
                 );
             }
+            checked += 1;
         }
+        assert!(checked > 0, "{}: no perfectly scoring predicate", app.name);
     }
 }
 
