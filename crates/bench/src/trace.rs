@@ -11,7 +11,7 @@
 //! The observability layer adds three more shared flags:
 //!
 //! * `--history <dir|file.jsonl>` — fold the finished trace into a
-//!   [`RunManifest`](statsym_telemetry::manifest::RunManifest) and
+//!   [`statsym_telemetry::manifest::RunManifest`] and
 //!   append it to the content-addressed run-history archive (e2ebench
 //!   appends to `e2ebench/out/history/`). Requires `--trace`.
 //! * `--crash-dir <dir>` — arm a panic hook that writes a diagnostic

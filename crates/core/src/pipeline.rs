@@ -78,21 +78,18 @@ impl Default for StatSymConfig {
 
 /// Content fingerprint of a pipeline configuration for run manifests.
 ///
-/// Scheduling-only knobs (worker counts, cancellation, steal tuning)
-/// are canonicalized before hashing: they change how fast a run
-/// executes, never what it computes, so the same workload at 1 and 8
-/// workers carries the same fingerprint and cross-run analytics can
-/// group those runs together. Semantic knobs —
+/// Scheduling-only knobs (worker count, cancellation) and the retired
+/// `EngineConfig::state_workers` are canonicalized before hashing: they
+/// change how fast a run executes, never what it computes, so the same
+/// workload at 1 and 8 workers carries the same fingerprint and
+/// cross-run analytics can group those runs together. Semantic knobs —
 /// thresholds, budgets, cache sharing (which changes solver-work
 /// counters), chaos injection — all perturb the fingerprint.
 pub fn config_fingerprint(config: &StatSymConfig) -> String {
     let mut canon = *config;
     canon.workers = 1;
     canon.cancel_on_found = true;
-    let engine_defaults = EngineConfig::default();
     canon.engine.state_workers = 0;
-    canon.engine.steal_slice = engine_defaults.steal_slice;
-    canon.engine.steal_seed = engine_defaults.steal_seed;
     statsym_telemetry::manifest::fnv64_hex(format!("{canon:?}").as_bytes())
 }
 
@@ -407,8 +404,6 @@ mod tests {
         scaled.workers = 8;
         scaled.cancel_on_found = false;
         scaled.engine.state_workers = 4;
-        scaled.engine.steal_slice = 128;
-        scaled.engine.steal_seed = 99;
         assert_eq!(config_fingerprint(&scaled), fp);
 
         // Semantic knobs: each changes the fingerprint.
@@ -768,31 +763,6 @@ mod tests {
             assert!(par_report.found.is_none());
             assert_eq!(seq, par, "workers={workers} trace must be byte-identical");
         }
-    }
-
-    #[test]
-    fn state_workers_run_inside_the_engine_on_single_candidate_runs() {
-        let m = module();
-        let logs = gen_logs(&m, 30, 1.0, 7);
-        let mut analysis = StatSym::default().analyze(&logs);
-        analysis.candidates.as_mut().unwrap().paths.truncate(1);
-        let seq = StatSym::default().run_with_analysis(&m, analysis.clone());
-        let s = seq.found.as_ref().expect("single candidate suffices");
-        // An explicit state-worker count runs the work-stealing executor
-        // inside the lone candidate's engine, and it must still verify
-        // the same fault with a replayable witness.
-        let mut cfg = StatSymConfig {
-            workers: 4,
-            ..StatSymConfig::default()
-        };
-        cfg.engine.state_workers = 4;
-        let par = StatSym::new(cfg).run_with_analysis(&m, analysis);
-        let p = par.found.as_ref().expect("state-parallel run still finds");
-        assert_eq!(p.fault.func, s.fault.func);
-        assert_eq!(par.candidate_used, Some(0));
-        let vm = concrete::Vm::new(&m, concrete::VmConfig::default());
-        let replay = vm.run(&p.inputs).unwrap();
-        assert!(replay.outcome.is_fault(), "witness must replay concretely");
     }
 
     #[test]

@@ -156,23 +156,23 @@ impl SatResult {
 /// shared verdict cache (see [`crate::cache`]).
 ///
 /// `Clone` duplicates the private cache and stats and shares the
-/// injected cache — the work-stealing executor clones the parent
-/// task's solver at every fork, so sibling states inherit the path
-/// prefix's cached verdicts and every per-task counter stays a pure
-/// function of the fork lineage (schedule-independent).
+/// injected cache (the partition bench clones a warmed solver so every
+/// iteration starts from the same cache).
 #[derive(Default, Clone)]
 pub struct Solver {
     config: SolverConfig,
     stats: SolverStats,
+    /// Running query time in ns; `stats.query_us` is derived from it so
+    /// sub-µs queries (cache hits) still add up.
+    query_ns: u64,
     cache: HashMap<u64, SatResult>,
     shared: Option<Arc<dyn QueryCache + Send + Sync>>,
     prov: Prov,
 }
 
 /// Transient provenance context stamped onto query events (see
-/// [`Solver::set_provenance`]). Cloned with the solver at forks, so a
-/// child state inherits its parent's context until the executor updates
-/// it on the next step.
+/// [`Solver::set_provenance`]). The executor updates it before every
+/// step, so each query carries the state and line that issued it.
 #[derive(Default, Clone)]
 struct Prov {
     enabled: bool,
@@ -331,7 +331,7 @@ impl Solver {
             if self.config.time_queries {
                 let start = std::time::Instant::now();
                 let result = self.check_inner(ctx, query, needs_model);
-                self.stats.query_us += start.elapsed().as_micros() as u64;
+                self.add_query_time(start.elapsed());
                 return result;
             }
             return self.check_inner(ctx, query, needs_model);
@@ -340,7 +340,7 @@ impl Solver {
         let start = std::time::Instant::now();
         let result = self.check_inner(ctx, query, needs_model);
         let elapsed = start.elapsed();
-        self.stats.query_us += elapsed.as_micros() as u64;
+        self.add_query_time(elapsed);
         rec.observe_wall(statsym_telemetry::names::SOLVER_QUERY_US, elapsed);
         if self.prov.enabled {
             let verdict = match &result {
@@ -369,6 +369,14 @@ impl Solver {
             rec.observe_wall(&format!("{SOLVER_SITE_PREFIX}{site}.query_us"), elapsed);
         }
         result
+    }
+
+    /// Adds one query's wall time. Summing in ns and converting the total
+    /// keeps `query_us` honest: truncating each query to whole µs would
+    /// count every sub-µs cache hit as zero.
+    fn add_query_time(&mut self, elapsed: std::time::Duration) {
+        self.query_ns += elapsed.as_nanos() as u64;
+        self.stats.query_us = self.query_ns / 1000;
     }
 
     /// The one decision path: private cache, then the injected shared
@@ -1014,6 +1022,32 @@ mod tests {
             .hist(statsym_telemetry::names::SOLVER_QUERY_US)
             .expect("latency histogram present");
         assert_eq!(h.count, 1);
+    }
+
+    #[test]
+    fn query_time_is_not_truncated_per_query() {
+        // Cache hits take well under a microsecond each, so the running
+        // total must be kept below µs resolution to see them at all.
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 9);
+        let c5 = ctx.int(5);
+        let cs = [Constraint::new(CmpOp::Lt, x, c5)];
+        let mut solver = Solver::with_config(SolverConfig {
+            time_queries: true,
+            ..SolverConfig::default()
+        });
+        assert!(solver.check_sat(&ctx, &cs).is_sat());
+        let start = std::time::Instant::now();
+        for _ in 0..10_000 {
+            assert!(solver.check_sat(&ctx, &cs).is_sat());
+        }
+        let outside_us = start.elapsed().as_micros() as u64;
+        assert_eq!(solver.stats().cache_hits, 10_000);
+        let reported = solver.stats().query_us;
+        assert!(
+            reported * 10 >= outside_us,
+            "query_us {reported} is under 10% of the loop's {outside_us} µs"
+        );
     }
 
     #[test]

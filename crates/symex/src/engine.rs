@@ -48,7 +48,9 @@ impl Budget {
 /// Engine resource budgets and policy.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// State selection policy.
+    /// State selection policy of the scheduling loop: which pending
+    /// state [`Engine::run`] steps next. Guided runs use
+    /// [`SchedulerKind::Priority`] with the hook's priorities.
     pub scheduler: SchedulerKind,
     /// Maximum pending states (live set) before giving up.
     pub max_live_states: usize,
@@ -76,29 +78,12 @@ pub struct EngineConfig {
     /// state transition and grow with the exploration tree, not with
     /// the phase structure.
     pub lineage: bool,
-    /// Number of work-stealing state workers for intra-candidate
-    /// parallel execution (see `crate::steal`). `0` (the default) runs
-    /// the classic single-threaded scheduling loop. With `n ≥ 1`, `n`
-    /// worker threads execute state *segments* concurrently while the
-    /// main thread commits their results in a deterministic DFS
-    /// pre-order, so traces and outcomes are byte-identical at any
-    /// worker count. Steal mode ignores [`EngineConfig::scheduler`]
-    /// (exploration order is the deterministic fork-tree pre-order) and
-    /// requires the guidance hook to support
-    /// [`crate::EventHook::clone_hook`]; hooks that return `None` fall
-    /// back to the legacy loop.
+    /// Retired: nothing reads it, and the run-manifest config
+    /// fingerprint zeroes it. It is kept only because the e2ebench
+    /// workload table (`e2ebench/src/workloads.rs`) still assigns it,
+    /// and will be deleted together with that assignment in the next
+    /// change to the benchmark.
     pub state_workers: usize,
-    /// Steal-mode segment length: a worker pauses a state after this
-    /// many executed instructions and requeues it, bounding how long a
-    /// big subtree can monopolize one worker. Affects performance only,
-    /// never trace content — but a different slice produces a different
-    /// (equally valid) segment structure, so compare traces only across
-    /// runs with the same slice.
-    pub steal_slice: u64,
-    /// Seed for the steal-victim order (which queue an idle worker robs
-    /// first). Affects scheduling only; trace content is identical for
-    /// every seed.
-    pub steal_seed: u64,
     /// Emit source-level cost attribution (`attr.<func>:<line>.<dim>`
     /// counters): every step, fork, suspension, solver query, solver
     /// search node, and (wall-clock traces) solver µs is billed to the
@@ -117,8 +102,7 @@ pub struct EngineConfig {
     /// Chaos knob: deliberately panic once the executed step count
     /// reaches this threshold. Exercises the crash-capture path (panic
     /// hook bundles, stream end-frame-on-drop) end to end; `None` (the
-    /// default) never fires. Checked in the legacy scheduling loop
-    /// (`state_workers == 0`), the configuration the crash drill runs.
+    /// default) never fires. Checked at every scheduling decision.
     pub panic_after: Option<u64>,
 }
 
@@ -135,8 +119,6 @@ impl Default for EngineConfig {
             solver: SolverConfig::default(),
             lineage: false,
             state_workers: 0,
-            steal_slice: 2048,
-            steal_seed: 0,
             attribution: false,
             provenance: false,
             candidate_rank: 0,
@@ -257,15 +239,15 @@ pub struct EngineReport {
 
 /// The symbolic execution engine over a SIR module.
 pub struct Engine<'m> {
-    pub(crate) module: &'m Module,
-    pub(crate) config: EngineConfig,
-    pub(crate) ctx: TermCtx,
-    pub(crate) solver: Solver,
-    pub(crate) hook: Box<dyn EventHook + 'm>,
-    pub(crate) pinned: concrete::InputMap,
-    pub(crate) suppressed: Vec<(String, minic::Span)>,
-    pub(crate) rec: &'m dyn Recorder,
-    pub(crate) cancel: Option<Arc<AtomicBool>>,
+    module: &'m Module,
+    config: EngineConfig,
+    ctx: TermCtx,
+    solver: Solver,
+    hook: Box<dyn EventHook + 'm>,
+    pinned: concrete::InputMap,
+    suppressed: Vec<(String, minic::Span)>,
+    rec: &'m dyn Recorder,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl<'m> Engine<'m> {
@@ -345,23 +327,12 @@ impl<'m> Engine<'m> {
 
     /// Explores the program until a fault is found or a budget runs out.
     ///
-    /// With [`EngineConfig::state_workers`] ≥ 1 and a guidance hook that
-    /// supports [`EventHook::clone_hook`], execution runs on the
-    /// work-stealing intra-candidate scheduler (`crate::steal`):
-    /// identical results and byte-identical traces at any worker count,
-    /// but wall-clock scales with workers. Otherwise the classic
-    /// single-threaded loop runs.
+    /// The one scheduling loop: pop the next state from the scheduler,
+    /// step it until it forks, terminates or is suspended by guidance,
+    /// and queue its successors. When only suspended states remain they
+    /// are resumed with guidance off, so the worst case degrades to pure
+    /// symbolic execution.
     pub fn run(&mut self) -> EngineReport {
-        if self.config.state_workers > 0 {
-            if let Some(report) = crate::steal::run_steal(self) {
-                return report;
-            }
-        }
-        self.run_legacy()
-    }
-
-    /// The classic single-threaded scheduling loop.
-    fn run_legacy(&mut self) -> EngineReport {
         let start = Instant::now();
         let rec = self.rec;
         let run_span = rec.span_open(names::ENGINE_RUN);
@@ -834,7 +805,7 @@ impl<'m> Engine<'m> {
 
     /// Builds the final vulnerable-path report from the triggering model
     /// the run loop confirmed at the fault site.
-    pub(crate) fn report(
+    fn report(
         &mut self,
         state: State,
         fault: Fault,
@@ -1762,27 +1733,5 @@ mod tests {
                 "{name}: {trace}"
             );
         }
-    }
-
-    #[test]
-    fn attribution_is_byte_identical_across_state_worker_counts() {
-        let run = |workers: usize| {
-            let cfg = EngineConfig {
-                attribution: true,
-                provenance: true,
-                candidate_rank: 1,
-                lineage: true,
-                state_workers: workers,
-                ..EngineConfig::default()
-            };
-            attr_run(ATTR_SRC, cfg)
-        };
-        let (r1, t1) = run(1);
-        let (r4, t4) = run(4);
-        assert!(r1.outcome.found().is_some());
-        assert_eq!(r1.stats.exec.steps, r4.stats.exec.steps);
-        assert_eq!(t1, t4, "attr/query trace must not depend on worker count");
-        assert!(t1.contains("\"name\":\"attr."));
-        assert!(t1.contains("\"k\":\"query\""));
     }
 }

@@ -1115,31 +1115,6 @@ fn make_input_sym(ctx: &mut TermCtx, def: &sir::InputDef) -> SymValue {
     }
 }
 
-/// Creates the symbolic value for every module input up front, in
-/// definition order, skipping inputs already pinned by the caller.
-///
-/// Steal mode (`EngineConfig::state_workers`) calls this once on the
-/// main thread before spawning workers: lazily creating input variables
-/// at first `Inst::Input` execution would assign solver `VarId`s in a
-/// schedule-dependent order, and the solver's branching heuristic
-/// tie-breaks on `VarId` — so lazy creation would break byte-identical
-/// traces across worker counts. Eager creation in definition order makes
-/// variable ids a function of the module alone.
-pub(crate) fn materialize_inputs(
-    module: &Module,
-    ctx: &mut TermCtx,
-    inputs: &mut HashMap<InputId, SymValue>,
-) {
-    for (i, def) in module.inputs.iter().enumerate() {
-        let id = InputId(i as u32);
-        if inputs.contains_key(&id) {
-            continue;
-        }
-        let v = make_input_sym(ctx, def);
-        inputs.insert(id, v);
-    }
-}
-
 fn exec_term(env: &mut ExecEnv<'_>, mut state: State, term: Terminator, span: Span) -> StepResult {
     match term {
         Terminator::Jump(b) => {

@@ -55,36 +55,13 @@ struct Node {
     parent: u64,
 }
 
-/// One lineage event captured during a steal-mode segment with
-/// *segment-local* state ids. Workers cannot allocate global trace ids
-/// (allocation order would depend on the schedule), so they capture
-/// events verbatim and the walker replays them against the real
-/// recorder in deterministic commit order (see `crate::steal`).
-#[derive(Debug, Clone)]
-pub(crate) struct CapturedLin {
-    pub op: &'static str,
-    pub local_id: u64,
-    pub parent_local: Option<u64>,
-    pub loc: String,
-    pub hops: u32,
-    pub depth: u32,
-    pub steps: u64,
-    pub snodes: u64,
-    pub solver_us: u64,
-}
-
 /// Per-run lineage emitter. Inert (all methods early-return) unless
 /// constructed enabled, so the default engine path pays one branch per
 /// would-be event and allocates nothing.
-///
-/// In *capture* mode ([`Lineage::capture`]) events are buffered as
-/// [`CapturedLin`] records instead of being emitted, and the recorder
-/// passed to [`Lineage::emit`] is never touched.
 pub(crate) struct Lineage {
     on: bool,
     nodes: HashMap<u64, Node>,
     last: WorkSnapshot,
-    captured: Option<Vec<CapturedLin>>,
 }
 
 impl Lineage {
@@ -96,31 +73,7 @@ impl Lineage {
             on,
             nodes: HashMap::new(),
             last: base,
-            captured: None,
         }
-    }
-
-    /// Creates a capturing tracker for one steal-mode segment. The
-    /// executing state is known under local id 0; ids introduced by
-    /// forks within the segment are bound as they appear.
-    pub fn capture(on: bool, base: WorkSnapshot) -> Lineage {
-        let mut lin = Lineage::new(on, base);
-        if on {
-            lin.nodes.insert(
-                0,
-                Node {
-                    trace_id: 0,
-                    parent: 0,
-                },
-            );
-            lin.captured = Some(Vec::new());
-        }
-        lin
-    }
-
-    /// Takes the events captured so far (capture mode only).
-    pub fn take_captured(&mut self) -> Vec<CapturedLin> {
-        self.captured.take().unwrap_or_default()
     }
 
     /// Whether lineage events are being emitted.
@@ -149,42 +102,6 @@ impl Lineage {
         cum: WorkSnapshot,
     ) {
         if !self.on {
-            return;
-        }
-        if let Some(buf) = &mut self.captured {
-            // Capture mode: record the event with its segment-local ids;
-            // the walker translates them to trace ids at replay. The
-            // nodes map still tracks which locals were introduced so the
-            // introduced-before-named invariant is enforced at capture
-            // time (local 0 is pre-seeded by `capture`).
-            if lineage_op::introduces(op) {
-                self.nodes.insert(
-                    local_id,
-                    Node {
-                        trace_id: local_id,
-                        parent: 0,
-                    },
-                );
-            } else if !self.nodes.contains_key(&local_id) {
-                return;
-            }
-            let delta = WorkSnapshot {
-                steps: cum.steps.saturating_sub(self.last.steps),
-                solver_nodes: cum.solver_nodes.saturating_sub(self.last.solver_nodes),
-                solver_us: cum.solver_us.saturating_sub(self.last.solver_us),
-            };
-            self.last = cum;
-            buf.push(CapturedLin {
-                op,
-                local_id,
-                parent_local,
-                loc: loc.to_string(),
-                hops,
-                depth,
-                steps: delta.steps,
-                snodes: delta.solver_nodes,
-                solver_us: delta.solver_us,
-            });
             return;
         }
         let (id, parent) = if lineage_op::introduces(op) {
@@ -326,60 +243,6 @@ mod tests {
                 ("exit", 2, 1, 20, 15),
             ]
         );
-    }
-
-    #[test]
-    fn capture_buffers_locally_without_touching_recorder() {
-        let rec = MemRecorder::new(Clock::steps());
-        let mut lin = Lineage::capture(true, work(10, 0, 0));
-        // Local 0 is pre-seeded; a transition on it is captured.
-        lin.emit(
-            &rec,
-            lineage_op::SUSPEND_BRANCH,
-            0,
-            None,
-            "f:b1",
-            2,
-            1,
-            work(15, 3, 0),
-        );
-        // Fork introduces local 1; a transition on it is captured too.
-        lin.emit(
-            &rec,
-            lineage_op::FORK,
-            1,
-            Some(0),
-            "f:b2",
-            0,
-            2,
-            work(20, 3, 0),
-        );
-        // Unknown local is dropped even in capture mode.
-        lin.emit(
-            &rec,
-            lineage_op::KILL,
-            9,
-            None,
-            "f:b3",
-            0,
-            2,
-            work(21, 3, 0),
-        );
-        let cap = lin.take_captured();
-        assert!(state_events(&rec.finish()).is_empty());
-        let summary: Vec<_> = cap
-            .iter()
-            .map(|c| (c.op, c.local_id, c.parent_local, c.steps, c.snodes))
-            .collect();
-        assert_eq!(
-            summary,
-            vec![
-                ("suspend.branch", 0, None, 5, 3),
-                ("fork", 1, Some(0), 5, 0),
-            ]
-        );
-        // Captured buffer is consumed exactly once.
-        assert!(lin.take_captured().is_empty());
     }
 
     #[test]

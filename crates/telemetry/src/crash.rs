@@ -3,7 +3,7 @@
 //! A run armed with a [`CrashGuard`] captures everything needed to
 //! reproduce and triage a panic: the panic message and location, the
 //! effective config, the exact reproduce command, a copy of the partial
-//! trace, and a [`RunManifest`](crate::manifest::RunManifest) folded
+//! trace, and a [`crate::manifest::RunManifest`] folded
 //! from that partial trace with budget disposition `"crashed"`. The
 //! bundle lands under `<dir>/<run>/` (`results/crash/` by convention).
 //!

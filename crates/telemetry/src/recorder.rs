@@ -448,13 +448,13 @@ pub struct TraceBuffer {
 /// A recorder that buffers the whole trace in memory.
 ///
 /// It is also the private per-worker recorder for concurrent tracing
-/// (DESIGN.md §10): each portfolio worker or steal segment owns one
-/// outright — no locks, no sharing — records into it exactly as the
-/// sequential loop records into the main sink, then ships
+/// (DESIGN.md §10): each portfolio worker owns one outright — no locks,
+/// no sharing — records into it exactly as the sequential loop records
+/// into the main sink, then ships
 /// [`MemRecorder::into_buffer`] (plain `Send` data) back for a
 /// deterministic rank-ordered [`Recorder::merge_buffer`] on the main
 /// thread. Span ids and timestamps stay buffer-local until
-/// [`SinkCore::splice`] rewrites them.
+/// the merge splices the buffer in and rewrites them.
 #[derive(Debug)]
 pub struct MemRecorder {
     core: SinkCore,

@@ -16,7 +16,7 @@
 //! * [`chaos`] injects deterministic solver/cache faults and asserts
 //!   the engine degrades gracefully (suspends or exhausts, never
 //!   panics, never reports a wrong fault);
-//! * [`shrink`] greedily reduces a failing program to a minimal
+//! * [`mod@shrink`] greedily reduces a failing program to a minimal
 //!   reproducer, reported with its seed by [`runner`] and the
 //!   `statsym-testkit` binary.
 //!

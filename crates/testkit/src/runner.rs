@@ -85,7 +85,8 @@ impl std::fmt::Display for SeedFailure {
 /// Aggregate soak result.
 #[derive(Debug, Clone, Default)]
 pub struct RunnerReport {
-    /// Seeds actually executed (may stop early on [`MAX_FAILURES`]).
+    /// Seeds actually executed (the soak stops early after three
+    /// failures).
     pub seeds_run: u64,
     /// Oracle checks that engaged and held.
     pub passes: u64,

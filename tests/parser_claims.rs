@@ -8,8 +8,7 @@
 //!    calibration covers the new families);
 //! 3. the merged telemetry trace is byte-identical across repeated runs
 //!    at 1, 2, and 4 portfolio workers, and the found fault (inputs,
-//!    kind, trace) is identical across worker counts;
-//! 4. the same holds in work-stealing mode across state-worker counts.
+//!    kind, trace) is identical across worker counts.
 
 use statsym::benchapps::{by_name, generate_corpus, BenchApp, CorpusSpec};
 use statsym::concrete::FaultKind;
@@ -41,15 +40,13 @@ fn analysis_for(app: &BenchApp) -> AnalysisReport {
 
 /// Deterministic portfolio config: no cancellation races, no shared
 /// solver cache, so traces are scheduling-independent.
-fn deterministic_config(workers: usize, state_workers: usize) -> StatSymConfig {
-    let mut cfg = StatSymConfig {
+fn deterministic_config(workers: usize) -> StatSymConfig {
+    StatSymConfig {
         workers,
         cancel_on_found: false,
         share_cache: false,
         ..StatSymConfig::default()
-    };
-    cfg.engine.state_workers = state_workers;
-    cfg
+    }
 }
 
 fn traced_run(
@@ -87,8 +84,7 @@ fn pipeline_localizes_every_parser_fault_with_pinned_winner_rank() {
     for (name, fault_func, winner_rank) in CASES {
         let app = by_name(name).unwrap();
         let analysis = analysis_for(&app);
-        let report =
-            StatSym::new(deterministic_config(1, 0)).run_with_analysis(&app.module, analysis);
+        let report = StatSym::new(deterministic_config(1)).run_with_analysis(&app.module, analysis);
         let found = report
             .found
             .as_ref()
@@ -120,8 +116,8 @@ fn parser_traces_are_byte_identical_per_worker_count_and_agree_across() {
         let analysis = analysis_for(&app);
         let mut baseline: Option<StatSymReport> = None;
         for workers in [1usize, 2, 4] {
-            let (a, ra) = traced_run(&app.module, &analysis, deterministic_config(workers, 0));
-            let (b, rb) = traced_run(&app.module, &analysis, deterministic_config(workers, 0));
+            let (a, ra) = traced_run(&app.module, &analysis, deterministic_config(workers));
+            let (b, rb) = traced_run(&app.module, &analysis, deterministic_config(workers));
             assert!(!a.is_empty(), "{name}@{workers}: empty trace");
             assert_eq!(a, b, "{name}@{workers}: trace not byte-identical");
             assert_eq!(ra.candidate_used, rb.candidate_used);
@@ -135,44 +131,6 @@ fn parser_traces_are_byte_identical_per_worker_count_and_agree_across() {
                     assert_eq!(fa.inputs, bf.inputs, "{name}@{workers}: inputs");
                     assert_eq!(fa.fault, bf.fault, "{name}@{workers}: fault");
                     assert_eq!(fa.trace, bf.trace, "{name}@{workers}: call trace");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn steal_mode_parser_runs_are_deterministic_across_state_workers() {
-    for (name, fault_func, _) in CASES {
-        let app = by_name(name).unwrap();
-        let analysis = analysis_for(&app);
-        let mut baseline: Option<StatSymReport> = None;
-        for state_workers in [1usize, 2, 4] {
-            let (a, ra) = traced_run(
-                &app.module,
-                &analysis,
-                deterministic_config(1, state_workers),
-            );
-            let (b, rb) = traced_run(
-                &app.module,
-                &analysis,
-                deterministic_config(1, state_workers),
-            );
-            assert_eq!(
-                a, b,
-                "{name}@steal{state_workers}: trace not byte-identical"
-            );
-            assert_eq!(ra.candidate_used, rb.candidate_used);
-            let fa = ra.found.as_ref().expect("found");
-            assert_eq!(fa.fault.func, fault_func, "{name}@steal{state_workers}");
-            assert!(class_matches(name, &fa.fault.kind));
-            match &baseline {
-                None => baseline = Some(ra),
-                Some(base) => {
-                    let bf = base.found.as_ref().unwrap();
-                    assert_eq!(ra.candidate_used, base.candidate_used);
-                    assert_eq!(fa.inputs, bf.inputs, "{name}@steal{state_workers}");
-                    assert_eq!(fa.fault, bf.fault, "{name}@steal{state_workers}");
                 }
             }
         }
