@@ -2,7 +2,7 @@
 //! 30% sampling.
 //!
 //! Takes the shared flags of [`bench::TraceSink`] (`--trace`,
-//! `--clock`, `--lineage`, `--attr`, `--workers`, ...), as `table2`
+//! `--clock`, `--lineage`, `--attr`, ...), as `table2`
 //! does.
 
 use bench::{breakdown_table, statsym_config, TraceSink, PAPER_SEED};

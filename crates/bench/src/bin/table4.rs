@@ -4,7 +4,7 @@
 //! `Failed`, as in the paper.
 //!
 //! Takes the shared flags of [`bench::TraceSink`] (`--trace`,
-//! `--clock`, `--lineage`, `--attr`, `--workers`, ...), as `table2`
+//! `--clock`, `--lineage`, `--attr`, ...), as `table2`
 //! does; the engine flags reach the pure runs too.
 
 use bench::{

@@ -20,9 +20,8 @@
 //! * `--panic-after <n>` — chaos knob: force an engine panic after `n`
 //!   executed steps, for drilling the crash path end to end.
 //!
-//! The execution flags (`--workers`, `--lineage`, `--attr`,
-//! `--no-share-cache`, `--panic-after`) reach the pipeline through one
-//! function, [`TraceSink::configure`].
+//! The execution flags (`--lineage`, `--attr`, `--panic-after`) reach
+//! the pipeline through one function, [`TraceSink::configure`].
 
 use statsym_core::pipeline::{config_fingerprint, StatSymConfig};
 use statsym_telemetry::crash::{CrashContext, CrashGuard};
@@ -35,10 +34,8 @@ use symex::EngineConfig;
 pub struct TraceSink {
     path: Option<String>,
     rec: Option<FileRecorder>,
-    workers: usize,
     lineage: bool,
     attr: bool,
-    share_cache: bool,
     history: Option<String>,
     panic_after: Option<u64>,
     run: String,
@@ -49,18 +46,17 @@ pub struct TraceSink {
 fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: [--trace <path>] [--clock steps|wall] [--workers <n>] [--lineage] [--attr] \
-         [--no-share-cache] [--history <dir>] [--crash-dir <dir>] [--panic-after <steps>]"
+        "usage: [--trace <path>] [--clock steps|wall] [--lineage] [--attr] [--history <dir>] \
+         [--crash-dir <dir>] [--panic-after <steps>]"
     );
     std::process::exit(2);
 }
 
 impl TraceSink {
-    /// Parses `--trace <path>`, `--clock steps|wall`, `--workers <n>`
-    /// and the other shared flags from the process arguments. Defaults
-    /// to the deterministic step clock so fixed-seed runs produce
-    /// byte-identical trace files, and to a single worker (the
-    /// sequential candidate loop).
+    /// Parses `--trace <path>`, `--clock steps|wall` and the other
+    /// shared flags from the process arguments. Defaults to the
+    /// deterministic step clock so fixed-seed runs produce
+    /// byte-identical trace files.
     ///
     /// Exits with status 2 (and a usage message on stderr) on a
     /// malformed command line, an unrecognized flag, or an unwritable
@@ -76,8 +72,8 @@ impl TraceSink {
     }
 
     /// Pulls the shared trace/observability flags (`--trace`,
-    /// `--clock`, `--workers`, `--lineage`, `--attr`, `--no-share-cache`,
-    /// `--history`, `--crash-dir`, `--panic-after`) out of `args`,
+    /// `--clock`, `--lineage`, `--attr`, `--history`, `--crash-dir`,
+    /// `--panic-after`) out of `args`,
     /// leaving every unrecognized argument in place for the caller to
     /// parse — how binaries combine their own flags with the shared
     /// trace options.
@@ -87,10 +83,8 @@ impl TraceSink {
     pub fn extract(args: &mut Vec<String>) -> TraceSink {
         let mut path = None;
         let mut wall = false;
-        let mut workers = 1;
         let mut lineage = false;
         let mut attr = false;
-        let mut share_cache = true;
         let mut history = None;
         let mut crash_dir = None;
         let mut panic_after = None;
@@ -110,14 +104,8 @@ impl TraceSink {
                     }
                     None => usage_exit("--clock requires `steps` or `wall`"),
                 },
-                "--workers" => match it.next().map(|n| n.parse::<usize>()) {
-                    Some(Ok(n)) if n >= 1 => workers = n,
-                    Some(_) => usage_exit("--workers requires a positive integer"),
-                    None => usage_exit("--workers requires a worker count"),
-                },
                 "--lineage" => lineage = true,
                 "--attr" => attr = true,
-                "--no-share-cache" => share_cache = false,
                 "--history" => match it.next() {
                     Some(dir) => history = Some(dir),
                     None => usage_exit("--history requires a directory or .jsonl file"),
@@ -178,10 +166,8 @@ impl TraceSink {
         TraceSink {
             path,
             rec,
-            workers,
             lineage,
             attr,
-            share_cache,
             history,
             panic_after,
             run,
@@ -190,21 +176,15 @@ impl TraceSink {
         }
     }
 
-    /// `base` with every shared execution flag applied: `--workers`
-    /// (default 1, the sequential candidate loop), `--no-share-cache`,
-    /// and the engine flags of [`TraceSink::engine_config`]. The one
-    /// place a binary's pipeline configuration picks up the command
-    /// line. Sharing solver verdicts never changes what an attempt
-    /// explores, only how much solver work it spends; turn it off when
-    /// solver-work counters must not depend on scheduling.
+    /// `base` with every shared execution flag applied: the engine
+    /// flags of [`TraceSink::engine_config`]. The one place a binary's
+    /// pipeline configuration picks up the command line.
     ///
     /// The result is also recorded as the run's manifest identity under
     /// `seed` (see [`TraceSink::set_manifest_meta`]), so call this before
     /// the engine starts and a crash bundle carries the config.
     pub fn configure(&mut self, base: StatSymConfig, seed: u64) -> StatSymConfig {
         let cfg = StatSymConfig {
-            workers: self.workers,
-            share_cache: self.share_cache,
             engine: self.engine_config(base.engine),
             ..base
         };

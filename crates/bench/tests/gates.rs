@@ -1,11 +1,13 @@
 //! Exact gates on the bench workloads that the trace views judge:
-//! candidate-path coverage, attribution identity across portfolio
-//! worker counts (and the committed `results/ci_attr_baseline.json`),
-//! and the `--panic-after` crash drill through a table binary.
+//! candidate-path coverage, attribution identity across reruns (and
+//! the committed `results/ci_attr_baseline.json`), the shared flags'
+//! usage errors, and the `--panic-after` crash drill through a table
+//! binary.
 //!
 //! Every trace here is recorded under the deterministic step clock, so
 //! the pins are exact: a guidance, ranking or attribution change that
-//! moves them must re-pin them and say why.
+//! moves them must re-pin them and say why. `BLESS=1` rewrites the
+//! attribution baseline.
 
 use bench::{decoy, statsym_config, DECOY_MAX_STEPS, PAPER_SEED};
 use benchapps::{by_name, generate_corpus, BenchApp, CorpusSpec};
@@ -45,14 +47,11 @@ fn attr_projection(view: &RunView) -> String {
 }
 
 /// The decoy workload's configuration: the paper settings with lineage,
-/// attribution and provenance on and verdict sharing off (so solver
-/// work does not depend on scheduling), a step budget the decoys
-/// exhaust, and a large τ that keeps decoy states alive until they
-/// reach the poisoned fault region.
-fn decoy_config(workers: usize) -> StatSymConfig {
+/// attribution and provenance on, a step budget the decoys exhaust, and
+/// a large τ that keeps decoy states alive until they reach the
+/// poisoned fault region.
+fn decoy_config() -> StatSymConfig {
     let mut cfg = statsym_config();
-    cfg.workers = workers;
-    cfg.share_cache = false;
     cfg.engine.max_steps = DECOY_MAX_STEPS;
     cfg.engine.lineage = true;
     cfg.engine.attribution = true;
@@ -79,7 +78,7 @@ fn decoy_workload() -> &'static (BenchApp, AnalysisReport) {
                 seed: PAPER_SEED,
             },
         );
-        let mut analysis = StatSym::new(decoy_config(1)).analyze(&logs);
+        let mut analysis = StatSym::new(decoy_config()).analyze(&logs);
         let d = decoy(&analysis);
         let paths = &mut analysis.candidates.as_mut().expect("candidates").paths;
         for _ in 0..DECOYS {
@@ -89,20 +88,17 @@ fn decoy_workload() -> &'static (BenchApp, AnalysisReport) {
     })
 }
 
-/// One trace of the decoy workload run twice: once on the sequential
-/// candidate loop, then as a portfolio of `workers`.
-fn decoy_trace(workers: usize) -> RunView {
+/// One trace of the decoy workload.
+fn decoy_trace() -> RunView {
     let (app, analysis) = decoy_workload();
     traced(|rec| {
-        for w in [1, workers] {
-            let report = StatSym::new(decoy_config(w)).run_with_analysis_pinned_traced(
-                &app.module,
-                analysis.clone(),
-                &app.pins,
-                rec,
-            );
-            assert_eq!(report.candidate_used, Some(DECOYS), "winner at {w} workers");
-        }
+        let report = StatSym::new(decoy_config()).run_with_analysis_pinned_traced(
+            &app.module,
+            analysis.clone(),
+            &app.pins,
+            rec,
+        );
+        assert_eq!(report.candidate_used, Some(DECOYS), "winner rank");
     })
 }
 
@@ -114,33 +110,32 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn decoy_workload_pins_coverage_and_attribution_across_worker_counts() {
-    let w4 = decoy_trace(4);
+fn decoy_workload_pins_coverage_and_attribution() {
+    let view = decoy_trace();
     // Both decoys conjoin their single poisoned node and the winner
-    // reaches 18 of its 20, in each of the two runs.
-    let attempts = coverage::ranked(&w4);
+    // reaches 18 of its 20.
+    let attempts = coverage::attempts(&view.events);
     let per_rank: Vec<(u64, usize, usize)> = attempts
         .iter()
         .map(|a| (a.rank, a.covered(), a.nodes.len()))
         .collect();
-    let run = [(0, 1, 1), (1, 1, 1), (2, 18, 20)];
-    assert_eq!(per_rank, [run, run].concat());
+    assert_eq!(per_rank, [(0, 1, 1), (1, 1, 1), (2, 18, 20)]);
     let (covered, total, _) = coverage::totals(&attempts);
-    assert_eq!((covered, total), (40, 44));
-    assert!(coverage::gate(&w4, 80.0));
+    assert_eq!((covered, total), (20, 22));
+    assert!(coverage::gate(&view, 80.0));
 
-    // The canonical attr.* counters and calib.candidate records come
-    // from the rank-ordered merge only, so the worker count must not
-    // show in them.
-    let projection = attr_projection(&w4);
-    assert_eq!(attr_projection(&decoy_trace(2)), projection);
+    // The attr.* counters and calib.candidate records, solver work
+    // included, repeat exactly on a rerun: the verdict memo fills in
+    // rank order.
+    let projection = attr_projection(&view);
+    assert_eq!(attr_projection(&decoy_trace()), projection);
 
     // The committed baseline: this projection, then table2's under
-    // `--attr --no-share-cache`, byte for byte.
+    // `--attr`, byte for byte.
     let dir = temp_dir("attr");
     let trace = dir.join("table2.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_table2"))
-        .args(["--attr", "--no-share-cache", "--trace"])
+        .args(["--attr", "--trace"])
         .arg(&trace)
         .output()
         .expect("table2 runs");
@@ -152,12 +147,34 @@ fn decoy_workload_pins_coverage_and_attribution_across_worker_counts() {
     let table2 = view_of(&std::fs::read(&trace).unwrap());
     let baseline =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/ci_attr_baseline.json");
+    let got = projection + &attr_projection(&table2);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&baseline, &got).unwrap();
+    }
     assert_eq!(
-        projection + &attr_projection(&table2),
+        got,
         std::fs::read_to_string(baseline).unwrap(),
         "attribution drifted from results/ci_attr_baseline.json"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn removed_flags_fail_loudly() {
+    // Flags of the retired parallel candidate loop are usage errors,
+    // never silently ignored.
+    for args in [&["--workers", "4"][..], &["--no-share-cache"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+            .args(args)
+            .output()
+            .expect("table2 runs");
+        assert_eq!(out.status.code(), Some(2), "table2 {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown argument"),
+            "table2 {args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -169,14 +186,8 @@ fn parser_apps_engage_every_candidate_path_node() {
         ("urldecode", 2, 2),
         ("base64", 3, 3),
     ];
-    let config = |workers: usize| {
-        let mut cfg = statsym_config();
-        cfg.workers = workers;
-        cfg.cancel_on_found = false;
-        cfg.share_cache = false;
-        cfg.engine.lineage = true;
-        cfg
-    };
+    let mut config = statsym_config();
+    config.engine.lineage = true;
     let view = traced(|rec| {
         for (name, _, _) in CASES {
             let app = by_name(name).expect("parser app");
@@ -189,13 +200,12 @@ fn parser_apps_engage_every_candidate_path_node() {
                     seed: PAPER_SEED,
                 },
             );
-            let analysis = StatSym::new(config(1)).analyze(&logs);
-            let report =
-                StatSym::new(config(2)).run_with_analysis_traced(&app.module, analysis, rec);
+            let analysis = StatSym::new(config).analyze(&logs);
+            let report = StatSym::new(config).run_with_analysis_traced(&app.module, analysis, rec);
             assert_eq!(report.candidate_used, Some(0), "{name}: winner rank");
         }
     });
-    let attempts = coverage::ranked(&view);
+    let attempts = coverage::attempts(&view.events);
     let per_app: Vec<(u64, usize, usize)> = attempts
         .iter()
         .map(|a| (a.rank, a.covered(), a.nodes.len()))

@@ -56,7 +56,6 @@ pub use detour::{Detour, DetourKind};
 pub use guidance::{GuidanceConfig, GuidedHook};
 pub use multi::MultiReport;
 pub use pipeline::{AnalysisReport, StatSym, StatSymConfig, StatSymReport};
-pub use portfolio::{run_portfolio_with_cache, PortfolioOutcome};
 pub use predicate::{PredOp, Predicate, PredicateSet};
 pub use skeleton::Skeleton;
 pub use transition::TransitionGraph;

@@ -36,24 +36,13 @@ pub struct StatSymConfig {
     /// to [`SchedulerKind::Priority`]; `time_budget` plays the role of
     /// the paper's 15-minute per-candidate timeout.
     pub engine: EngineConfig,
-    /// Worker threads for the guided execution stage. `1` (the default)
-    /// attempts candidates one after another in rank order; `> 1` runs
-    /// the same candidate loop as a parallel portfolio (see
-    /// [`crate::portfolio`]) with results identical to one worker.
+    /// Retired: nothing reads it (the candidate loop runs on the
+    /// caller's thread), and the run-manifest config fingerprint zeroes
+    /// it. It is kept only because the e2ebench workload table
+    /// (`e2ebench/src/workloads.rs`) still assigns it, and will be
+    /// deleted together with that assignment in the next change to the
+    /// benchmark.
     pub workers: usize,
-    /// In portfolio mode, cancel in-flight attempts on worse-ranked
-    /// candidates once a better-ranked candidate verifies the fault.
-    /// Has no effect at `workers == 1`.
-    pub cancel_on_found: bool,
-    /// Give the run one verdict memo that every candidate attempt
-    /// consults and publishes Sat/Unsat verdicts to (built only when
-    /// more than one candidate is ranked). Never changes what an attempt
-    /// explores — only how much solver work it spends. At
-    /// `workers == 1` the memo fills in rank order and its counters are
-    /// deterministic; at `workers > 1` they depend on scheduling, so
-    /// turn sharing off when solver-work counters must be
-    /// byte-reproducible across worker counts.
-    pub share_cache: bool,
 }
 
 impl Default for StatSymConfig {
@@ -70,25 +59,19 @@ impl Default for StatSymConfig {
                 ..EngineConfig::default()
             },
             workers: 1,
-            cancel_on_found: true,
-            share_cache: true,
         }
     }
 }
 
 /// Content fingerprint of a pipeline configuration for run manifests.
 ///
-/// Scheduling-only knobs (worker count, cancellation) and the retired
-/// `EngineConfig::state_workers` are canonicalized before hashing: they
-/// change how fast a run executes, never what it computes, so the same
-/// workload at 1 and 8 workers carries the same fingerprint and
-/// cross-run analytics can group those runs together. Semantic knobs —
-/// thresholds, budgets, cache sharing (which changes solver-work
-/// counters), chaos injection — all perturb the fingerprint.
+/// The retired fields `workers` and `EngineConfig::state_workers` are
+/// canonicalized before hashing: nothing reads them, so a run carries
+/// the same fingerprint whatever they hold. Semantic knobs —
+/// thresholds, budgets, chaos injection — all perturb the fingerprint.
 pub fn config_fingerprint(config: &StatSymConfig) -> String {
     let mut canon = *config;
     canon.workers = 1;
-    canon.cancel_on_found = true;
     canon.engine.state_workers = 0;
     statsym_telemetry::manifest::fnv64_hex(format!("{canon:?}").as_bytes())
 }
@@ -151,7 +134,7 @@ pub struct StatSymReport {
     /// Index of the successful candidate.
     pub candidate_used: Option<usize>,
     /// Verdict-memo counters for the guided stage (all zero when the run
-    /// had no memo; see [`StatSymConfig::share_cache`]).
+    /// had no memo: a lone candidate has nothing to share it with).
     pub cache: SharedCacheStats,
     /// Total guided symbolic execution time (Tables II/III).
     pub symex_time: Duration,
@@ -318,12 +301,9 @@ impl StatSym {
             .map_or(&[][..], |c| c.paths.as_slice());
 
         // One verdict memo per run, filled by every attempt in rank
-        // order (see `share_cache`). A lone candidate has nothing to
-        // share it with.
-        let memo = (self.config.share_cache && paths.len() > 1).then(|| {
-            let shards = 4 * self.config.workers.min(paths.len());
-            Arc::new(SharedCache::new(shards)) as Arc<dyn QueryCache + Send + Sync>
-        });
+        // order. A lone candidate has nothing to share it with.
+        let memo = (paths.len() > 1)
+            .then(|| Arc::new(SharedCache::new()) as Arc<dyn QueryCache + Send + Sync>);
         let PortfolioOutcome {
             attempts,
             found,
@@ -339,9 +319,8 @@ impl StatSym {
         }
         .execute(rec);
 
-        // Ranking-calibration gauges, derived from the attempts the
-        // one-worker loop makes (overshoot never counts):
-        // which rank won, and how well rank order predicted step cost.
+        // Ranking-calibration gauges, derived from the attempts: which
+        // rank won, and how well rank order predicted step cost.
         if rec.enabled() {
             if let Some(w) = candidate_used {
                 rec.gauge_max(names::CALIB_WINNER_RANK, w as i64 + 1);
@@ -399,10 +378,9 @@ mod tests {
         let fp = config_fingerprint(&base);
         assert_eq!(fp.len(), 16, "fnv64 hex digest");
 
-        // Deployment-scale knobs: fingerprint-invariant.
+        // Retired knobs: fingerprint-invariant.
         let mut scaled = base;
         scaled.workers = 8;
-        scaled.cancel_on_found = false;
         scaled.engine.state_workers = 4;
         assert_eq!(config_fingerprint(&scaled), fp);
 
@@ -410,9 +388,6 @@ mod tests {
         let mut budget = base;
         budget.engine.max_steps = 12_345;
         assert_ne!(config_fingerprint(&budget), fp);
-        let mut cache = base;
-        cache.share_cache = !cache.share_cache;
-        assert_ne!(config_fingerprint(&cache), fp);
         let mut chaos = base;
         chaos.engine.panic_after = Some(10);
         assert_ne!(config_fingerprint(&chaos), fp);
@@ -570,14 +545,14 @@ mod tests {
         }
     }
 
-    /// Asserts a portfolio report carries the exact result and per-attempt
-    /// metadata of its sequential counterpart. Wall times and solver
-    /// *work* counters (search nodes, cache hits, peak memory) are
-    /// legitimately different — shared verdicts skip local search — but
-    /// everything exploration-visible must match.
-    fn assert_matches_sequential(seq: &StatSymReport, par: &StatSymReport, label: &str) {
-        assert_eq!(par.candidate_used, seq.candidate_used, "{label}");
-        match (&seq.found, &par.found) {
+    /// Asserts two reports carry the exact same result and per-attempt
+    /// metadata. Wall times and solver *work* counters (search nodes,
+    /// cache hits, peak memory) are legitimately different — memoized
+    /// verdicts skip local search — but everything exploration-visible
+    /// must match.
+    fn assert_same_exploration(a: &StatSymReport, b: &StatSymReport, label: &str) {
+        assert_eq!(b.candidate_used, a.candidate_used, "{label}");
+        match (&a.found, &b.found) {
             (None, None) => {}
             (Some(s), Some(p)) => {
                 assert_eq!(p.fault, s.fault, "{label}");
@@ -586,10 +561,10 @@ mod tests {
                 assert_eq!(p.rendered_constraints, s.rendered_constraints, "{label}");
                 assert_eq!(p.depth, s.depth, "{label}");
             }
-            (s, p) => panic!("{label}: found mismatch: seq {s:?} vs par {p:?}"),
+            (s, p) => panic!("{label}: found mismatch: {s:?} vs {p:?}"),
         }
-        assert_eq!(par.attempts.len(), seq.attempts.len(), "{label}");
-        for (p, s) in par.attempts.iter().zip(&seq.attempts) {
+        assert_eq!(b.attempts.len(), a.attempts.len(), "{label}");
+        for (p, s) in b.attempts.iter().zip(&a.attempts) {
             let at = format!("{label}, attempt {}", s.index);
             assert_eq!(p.index, s.index, "{at}");
             assert_eq!(p.path_len, s.path_len, "{at}");
@@ -608,24 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_matches_sequential_when_first_candidate_wins() {
-        let m = module();
-        let logs = gen_logs(&m, 30, 1.0, 7);
-        let analysis = StatSym::default().analyze(&logs);
-        let seq = StatSym::default().run_with_analysis(&m, analysis.clone());
-        assert_eq!(seq.candidate_used, Some(0));
-        for workers in [2, 8] {
-            let cfg = StatSymConfig {
-                workers,
-                ..StatSymConfig::default()
-            };
-            let par = StatSym::new(cfg).run_with_analysis(&m, analysis.clone());
-            assert_matches_sequential(&seq, &par, &format!("workers={workers}"));
-        }
-    }
-
-    #[test]
-    fn portfolio_matches_sequential_on_late_ranked_winner() {
+    fn late_ranked_winner_follows_exhausted_decoys() {
         let m = module();
         let logs = gen_logs(&m, 30, 1.0, 7);
         let mut analysis = StatSym::default().analyze(&logs);
@@ -634,11 +592,9 @@ mod tests {
         cs.paths.insert(0, decoy_candidate());
 
         // Between the guided run's 91 steps and the decoys' 102: decoys
-        // exhaust, the real candidate (rank 2) finds. Step budgets are
-        // deterministic, so every worker count sees identical outcomes.
+        // exhaust, the real candidate (rank 2) finds.
         let base = StatSymConfig::default();
-        let cfg = |workers| StatSymConfig {
-            workers,
+        let cfg = StatSymConfig {
             engine: EngineConfig {
                 max_steps: 95,
                 ..base.engine
@@ -646,60 +602,51 @@ mod tests {
             ..base
         };
 
-        let seq = StatSym::new(cfg(1)).run_with_analysis(&m, analysis.clone());
-        assert_eq!(seq.candidate_used, Some(2), "decoys must not win");
-        assert_eq!(seq.attempts.len(), 3);
-        assert!(!seq.attempts[0].found && !seq.attempts[1].found);
-        for workers in [2, 8] {
-            let par = StatSym::new(cfg(workers)).run_with_analysis(&m, analysis.clone());
-            assert_matches_sequential(&seq, &par, &format!("workers={workers}"));
-        }
+        let report = StatSym::new(cfg).run_with_analysis(&m, analysis);
+        assert_eq!(report.candidate_used, Some(2), "decoys must not win");
+        assert_eq!(report.attempts.len(), 3);
+        assert!(!report.attempts[0].found && !report.attempts[1].found);
+        assert!(report.attempts[2].found);
     }
 
     #[test]
-    fn lineage_traces_merge_to_valid_forest_and_stay_deterministic() {
+    fn lineage_traces_are_valid_forests_and_stay_deterministic() {
         use statsym_telemetry::{parse_trace_strict, render_trace, Clock, MemRecorder};
 
         let m = module();
         let logs = gen_logs(&m, 30, 1.0, 7);
         let base = StatSymConfig::default();
-        let cfg = |workers| StatSymConfig {
-            workers,
+        let cfg = StatSymConfig {
             engine: EngineConfig {
                 lineage: true,
                 ..base.engine
             },
             ..base
         };
-        let analysis = StatSym::new(cfg(1)).analyze(&logs);
-        let record = |workers| {
+        let analysis = StatSym::new(cfg).analyze(&logs);
+        let record = || {
             let rec = MemRecorder::new(Clock::steps());
-            let _ = StatSym::new(cfg(workers)).run_with_analysis_traced(&m, analysis.clone(), &rec);
+            let _ = StatSym::new(cfg).run_with_analysis_traced(&m, analysis.clone(), &rec);
             render_trace(&rec.finish())
         };
 
-        // Under the step clock, a workers-1 lineage trace is
-        // byte-reproducible run to run — the emission layer must not
-        // introduce any nondeterminism.
-        let seq = record(1);
-        assert_eq!(seq, record(1), "workers-1 lineage trace must be stable");
-        let events = parse_trace_strict(&seq).expect("sequential lineage trace is strict-valid");
+        // Under the step clock, a lineage trace is byte-reproducible run
+        // to run — the emission layer must not introduce any
+        // nondeterminism — and satisfies every lineage rule the strict
+        // parser enforces.
+        let trace = record();
+        assert_eq!(trace, record(), "lineage trace must be stable");
+        let events = parse_trace_strict(&trace).expect("lineage trace is strict-valid");
         assert!(
             events
                 .iter()
                 .any(|e| matches!(e, statsym_telemetry::TraceEvent::State { .. })),
             "lineage run must emit state events"
         );
-
-        // A 4-worker portfolio merge must still satisfy every lineage
-        // rule the strict parser enforces: dense remapped ids,
-        // introduction before transition, no orphaned forks.
-        let par = record(4);
-        parse_trace_strict(&par).expect("merged portfolio lineage trace is strict-valid");
     }
 
     #[test]
-    fn budget_killed_runs_are_byte_identical_across_worker_counts() {
+    fn budget_killed_runs_trip_once_per_attempt_and_rerun_identically() {
         use statsym_telemetry::{
             lineage_op, parse_trace_strict, render_trace, Clock, MemRecorder, TraceEvent,
         };
@@ -711,8 +658,7 @@ mod tests {
         // budget kills every attempt mid-state, so no candidate wins and
         // every rank runs to its (deterministic) budget trip.
         let base = StatSymConfig::default();
-        let cfg = |workers| StatSymConfig {
-            workers,
+        let cfg = StatSymConfig {
             engine: EngineConfig {
                 lineage: true,
                 budget: Budget {
@@ -723,15 +669,14 @@ mod tests {
             },
             ..base
         };
-        let analysis = StatSym::new(cfg(1)).analyze(&logs);
-        let record = |workers| {
+        let analysis = StatSym::new(cfg).analyze(&logs);
+        let record = || {
             let rec = MemRecorder::new(Clock::steps());
-            let report =
-                StatSym::new(cfg(workers)).run_with_analysis_traced(&m, analysis.clone(), &rec);
+            let report = StatSym::new(cfg).run_with_analysis_traced(&m, analysis.clone(), &rec);
             (report, render_trace(&rec.finish()))
         };
 
-        let (seq_report, seq) = record(1);
+        let (seq_report, seq) = record();
         assert!(seq_report.found.is_none(), "budget must kill every attempt");
         assert!(!seq_report.attempts.is_empty());
         let events = parse_trace_strict(&seq).expect("budget-killed trace is strict-valid");
@@ -755,18 +700,13 @@ mod tests {
             "budget.exceeded counter reconciles with attempts"
         );
 
-        // A budget trip is pinned to an exact instruction count, so the
-        // portfolio merge reproduces the sequential trace byte for byte
-        // at any worker count.
-        for workers in [2, 4] {
-            let (par_report, par) = record(workers);
-            assert!(par_report.found.is_none());
-            assert_eq!(seq, par, "workers={workers} trace must be byte-identical");
-        }
+        // A budget trip is pinned to an exact instruction count, so a
+        // rerun reproduces the trace byte for byte.
+        assert_eq!(seq, record().1, "budget-killed trace must be stable");
     }
 
     #[test]
-    fn one_worker_reuses_verdicts_across_candidates_deterministically() {
+    fn memo_reuses_verdicts_across_candidates_deterministically() {
         use statsym_telemetry::{render_trace, Clock, MemRecorder};
 
         let m = module();
@@ -777,8 +717,7 @@ mod tests {
         cs.paths.insert(0, decoy_candidate());
 
         let base = StatSymConfig::default();
-        let cfg = |share_cache| StatSymConfig {
-            share_cache,
+        let cfg = StatSymConfig {
             engine: EngineConfig {
                 max_steps: 95,
                 ..base.engine
@@ -787,13 +726,12 @@ mod tests {
         };
         let record = || {
             let rec = MemRecorder::new(Clock::steps());
-            let report =
-                StatSym::new(cfg(true)).run_with_analysis_traced(&m, analysis.clone(), &rec);
+            let report = StatSym::new(cfg).run_with_analysis_traced(&m, analysis.clone(), &rec);
             (report, render_trace(&rec.finish()))
         };
 
-        // One thread, one run-scoped memo: the real candidate (rank 3)
-        // answers queries from verdicts the decoys published.
+        // One run-scoped memo: the real candidate (rank 3) answers
+        // queries from verdicts the decoys published.
         let (shared, trace) = record();
         assert_eq!(shared.candidate_used, Some(2), "decoys must not win");
         assert!(
@@ -803,12 +741,28 @@ mod tests {
         assert!(shared.cache.hits > 0);
 
         // The memo only skips solver work: everything exploration-visible
-        // matches the memo-less run, and the memo fills in rank order, so
-        // the step-clock trace is byte-reproducible.
-        let private = StatSym::new(cfg(false)).run_with_analysis(&m, analysis.clone());
-        assert_eq!(private.cache, SharedCacheStats::default());
-        assert_matches_sequential(&private, &shared, "workers=1 with memo");
-        assert_eq!(trace, record().1, "workers-1 memo trace must be stable");
+        // matches the memo-less loop, and the memo fills in rank order,
+        // so the step-clock trace is byte-reproducible.
+        let outcome = Run {
+            module: &m,
+            paths: &analysis.candidates.as_ref().unwrap().paths,
+            config: &cfg,
+            pins: &InputMap::new(),
+            suppressed: &[],
+            memo: None,
+        }
+        .execute(&NOOP);
+        assert_eq!(outcome.cache, SharedCacheStats::default());
+        let private = StatSymReport {
+            analysis: analysis.clone(),
+            attempts: outcome.attempts,
+            found: outcome.found,
+            candidate_used: outcome.candidate_used,
+            cache: outcome.cache,
+            symex_time: Duration::ZERO,
+        };
+        assert_same_exploration(&private, &shared, "with memo");
+        assert_eq!(trace, record().1, "memo trace must be stable");
     }
 
     #[test]

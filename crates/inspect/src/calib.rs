@@ -39,9 +39,9 @@ impl Run {
 
 /// Splits a trace's `calib.candidate` records into runs. Ranks are
 /// 1-based and strictly increasing within one pipeline run (candidates
-/// are attempted — and portfolio buffers spliced — in rank order), so a
-/// record whose rank does not exceed its predecessor's starts a new
-/// run. A single-run trace yields exactly one entry.
+/// are attempted in rank order), so a record whose rank does not exceed
+/// its predecessor's starts a new run. A single-run trace yields
+/// exactly one entry.
 pub fn runs(records: &[CalibCandidate]) -> Vec<Run> {
     records
         .chunk_by(|a, b| a.rank < b.rank)

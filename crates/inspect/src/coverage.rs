@@ -48,8 +48,7 @@ impl NodeStatus {
 #[derive(Debug, Clone)]
 pub struct Attempt {
     /// Candidate rank (the `index` field of `candidate.result`), or the
-    /// attempt's position among attempts of its kind when the result is
-    /// missing.
+    /// attempt's position in the trace when the result is missing.
     pub rank: u64,
     /// Whether this attempt verified the fault.
     pub found: bool,
@@ -57,9 +56,6 @@ pub struct Attempt {
     pub steps: u64,
     /// Span duration in trace ticks.
     pub ticks: u64,
-    /// True for attempts merged under `portfolio.overshoot.`: work the
-    /// sequential loop would never have done.
-    pub overshoot: bool,
     /// Per-node statuses, indexed by candidate-path node.
     pub nodes: Vec<NodeStatus>,
 }
@@ -78,52 +74,38 @@ fn field<'e>(fields: &'e [(String, FieldValue)], key: &str) -> Option<&'e FieldV
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// `Some(false)` when `name` is `base`, `Some(true)` when it is the
-/// overshoot copy merged under `portfolio.overshoot.`, else `None`.
-fn overshoot_of(name: &str, base: &str) -> Option<bool> {
-    match name.strip_prefix(names::PORTFOLIO_OVERSHOOT_PREFIX) {
-        Some(copy) => (copy == base).then_some(true),
-        None => (name == base).then_some(false),
-    }
-}
-
 /// Folds `candidate.attempt` spans, their `candidate.node` events, and
 /// the paired `candidate.result` events into per-attempt records, in
 /// the order the attempts closed. Attempts still open at the end of
 /// the trace are left out.
 pub fn attempts(events: &[TraceEvent]) -> Vec<Attempt> {
-    // Open attempt spans: (span id, open tick, overshoot, node statuses).
-    // Portfolio merges keep each worker's spans contiguous, so node
+    // Open attempt spans: (span id, open tick, node statuses). Node
     // events belong to the innermost open attempt.
-    let mut open: Vec<(u64, u64, bool, Vec<NodeStatus>)> = Vec::new();
+    let mut open: Vec<(u64, u64, Vec<NodeStatus>)> = Vec::new();
     let mut out: Vec<Attempt> = Vec::new();
-    // Attempts closed but not yet matched to their result event — each
-    // worker emits the result right after its span closes, and
-    // rank-ordered merging preserves that adjacency.
+    // Attempts closed but not yet matched to their result event — the
+    // loop emits the result right after the span closes.
     let mut unmatched: Vec<usize> = Vec::new();
     for ev in events {
         match ev {
-            TraceEvent::SpanOpen { t, id, name, .. } => {
-                if let Some(overshoot) = overshoot_of(name, names::CANDIDATE_ATTEMPT) {
-                    open.push((*id, *t, overshoot, Vec::new()));
-                }
+            TraceEvent::SpanOpen { t, id, name, .. } if name == names::CANDIDATE_ATTEMPT => {
+                open.push((*id, *t, Vec::new()));
             }
             TraceEvent::SpanClose { t, id } => {
                 if let Some(pos) = open.iter().rposition(|o| o.0 == *id) {
-                    let (_, opened, overshoot, nodes) = open.remove(pos);
+                    let (_, opened, nodes) = open.remove(pos);
                     unmatched.push(out.len());
                     out.push(Attempt {
-                        rank: out.iter().filter(|a| a.overshoot == overshoot).count() as u64,
+                        rank: out.len() as u64,
                         found: false,
                         steps: 0,
                         ticks: t.saturating_sub(opened),
-                        overshoot,
                         nodes,
                     });
                 }
             }
             TraceEvent::Event { name, fields, .. } if name == names::CANDIDATE_NODE => {
-                let Some((_, _, _, current)) = open.last_mut() else {
+                let Some((_, _, current)) = open.last_mut() else {
                     continue;
                 };
                 let Some(node) = field(fields, "node").and_then(FieldValue::as_u64) else {
@@ -143,17 +125,11 @@ pub fn attempts(events: &[TraceEvent]) -> Vec<Attempt> {
                 };
                 current[node] = current[node].max(status);
             }
-            TraceEvent::Event { name, fields, .. } => {
-                let Some(overshoot) = overshoot_of(name, names::CANDIDATE_RESULT) else {
+            TraceEvent::Event { name, fields, .. } if name == names::CANDIDATE_RESULT => {
+                let Some(at) = unmatched.pop() else {
                     continue;
                 };
-                let Some(k) = unmatched
-                    .iter()
-                    .rposition(|&at| out[at].overshoot == overshoot)
-                else {
-                    continue;
-                };
-                let a = &mut out[unmatched.remove(k)];
+                let a = &mut out[at];
                 if let Some(rank) = field(fields, "index").and_then(FieldValue::as_u64) {
                     a.rank = rank;
                 }
@@ -173,15 +149,6 @@ pub fn attempts(events: &[TraceEvent]) -> Vec<Attempt> {
     out
 }
 
-/// The ranked attempts whose coverage the view reports: overshoot
-/// attempts are excluded, matching the sequential-equivalent
-/// accounting everywhere else.
-pub fn ranked(view: &RunView) -> Vec<Attempt> {
-    let mut all = attempts(&view.events);
-    all.retain(|a| !a.overshoot);
-    all
-}
-
 /// Aggregate covered / total node counts over all attempts, and the
 /// engaged percentage.
 pub fn totals(attempts: &[Attempt]) -> (usize, usize, f64) {
@@ -193,7 +160,7 @@ pub fn totals(attempts: &[Attempt]) -> (usize, usize, f64) {
 /// Renders the coverage maps. `min_pct` (the `--min` gate) is echoed in
 /// the verdict line; [`gate`] decides the exit code.
 pub fn coverage(view: &RunView, min_pct: Option<f64>) -> String {
-    let attempts = ranked(view);
+    let attempts = attempts(&view.events);
     if attempts.is_empty() {
         return "no candidate attempts in trace\n".to_string();
     }
@@ -229,7 +196,7 @@ pub fn coverage(view: &RunView, min_pct: Option<f64>) -> String {
 
 /// Whether the trace passes the `--min` coverage gate.
 pub fn gate(view: &RunView, min_pct: f64) -> bool {
-    totals(&ranked(view)).2 >= min_pct
+    totals(&attempts(&view.events)).2 >= min_pct
 }
 
 #[cfg(test)]
@@ -272,7 +239,7 @@ mod tests {
         result_event(&rec, 3, 6, true);
         let view = RunView::from_events(rec.finish());
 
-        let attempts = ranked(&view);
+        let attempts = attempts(&view.events);
         assert_eq!(attempts.len(), 1);
         let a = &attempts[0];
         assert_eq!(a.rank, 3);

@@ -87,8 +87,8 @@ fn trace_metrics(events: &[TraceEvent]) -> Vec<Metric> {
 }
 
 /// The metric name without its `phase `/`counter `/… kind tag, for
-/// `--ignore` prefix matching (so `--ignore portfolio` matches the
-/// span, the counters, and the events alike).
+/// `--ignore` prefix matching (so `--ignore solver` matches the
+/// counters and histograms alike).
 fn bare_name(key: &str) -> &str {
     key.split_once(' ').map_or(key, |(_, n)| n)
 }
@@ -249,10 +249,10 @@ mod tests {
 
     #[test]
     fn ignore_prefix_suppresses_regressions() {
-        let old = m(&[("counter portfolio.cache.hits", 10.0)]);
-        let new = m(&[("counter portfolio.cache.hits", 100.0)]);
+        let old = m(&[("counter solver.cache_hits", 10.0)]);
+        let new = m(&[("counter solver.cache_hits", 100.0)]);
         let mut c = cfg(10.0);
-        c.ignore.push("portfolio".into());
+        c.ignore.push("solver".into());
         let d = diff_metrics(&old, &new, &c);
         assert_eq!(d.regressions, 0);
         assert!(d.rendered.contains("[ignored]"));

@@ -55,7 +55,6 @@ pub mod forest;
 pub mod history;
 pub mod hotspots;
 pub mod report;
-pub mod tail;
 pub mod tree;
 pub mod trend;
 pub mod watch;

@@ -10,14 +10,10 @@
 //!   `report_model`), and the solver emits per-site query counts,
 //!   search-node deltas, and — under a wall clock — query-latency
 //!   histograms (`solver.site.<site>.*`). Sites rank by search nodes
-//!   (the scheduling-independent work proxy). Overshoot copies
-//!   (`portfolio.overshoot.solver.site.*`) are their own rows: work the
-//!   sequential loop never did.
-//! * **attempts** — one row per `candidate.attempt` span. Merged
-//!   portfolio buffers keep each worker's own span durations, so the
-//!   longest attempt is the parallel wall-clock bound, the sum of
-//!   attempts is the sequential-equivalent cost, and their ratio is the
-//!   achieved parallelism. Overshoot attempts count toward wasted work.
+//!   (the clock-independent work proxy).
+//! * **attempts** — one row per `candidate.attempt` span, the longest
+//!   attempt's share of the summed attempt time, and the steps spent
+//!   outside the winning attempt.
 
 use std::collections::BTreeMap;
 
@@ -41,15 +37,12 @@ struct Site {
     lat_sum_us: u64,
 }
 
-/// The `(site label, metric)` a per-site solver metric name carries;
-/// overshoot copies get an "overshoot:" label.
+/// The `(site, metric)` a per-site solver metric name carries.
 fn site_metric(name: &str) -> Option<(String, &str)> {
-    let (label, rest) = match name.strip_prefix(names::PORTFOLIO_OVERSHOOT_PREFIX) {
-        Some(copy) => ("overshoot:", copy.strip_prefix(names::SOLVER_SITE_PREFIX)?),
-        None => ("", name.strip_prefix(names::SOLVER_SITE_PREFIX)?),
-    };
-    let (site, metric) = rest.rsplit_once('.')?;
-    Some((format!("{label}{site}"), metric))
+    let (site, metric) = name
+        .strip_prefix(names::SOLVER_SITE_PREFIX)?
+        .rsplit_once('.')?;
+    Some((site.to_string(), metric))
 }
 
 /// Appends the per-callsite solver profile; nothing when the trace
@@ -98,66 +91,44 @@ fn callsites(s: &TraceSummary, out: &mut String) {
         ));
     }
     let total_nodes = s.counter(names::SOLVER_NODES);
-    let attributed: u64 = sites
-        .iter()
-        .filter(|(n, _)| !n.starts_with("overshoot:"))
-        .map(|(_, st)| st.nodes)
-        .sum();
+    let attributed: u64 = sites.iter().map(|(_, st)| st.nodes).sum();
     out.push_str(&format!(
         "  total solver nodes: {total_nodes} ({:.1}% attributed to ranked-attempt sites)\n",
         percent(attributed, total_nodes)
     ));
 }
 
-/// Appends the attempt timeline with the bounding attempt, achieved
-/// parallelism, and wasted work; nothing when the trace has no
-/// candidate attempts.
+/// Appends the attempt timeline with the longest attempt and wasted
+/// work; nothing when the trace has no candidate attempts.
 fn attempts_section(view: &RunView, out: &mut String) {
     let attempts = attempts(&view.events);
-    let Some(bound) = attempts.iter().max_by_key(|a| a.ticks) else {
+    let Some(longest) = attempts.iter().max_by_key(|a| a.ticks) else {
         return;
     };
+    out.push_str(&format!("\nattempts: {} attempt(s)\n", attempts.len()));
     out.push_str(&format!(
-        "\nattempts: {} attempt(s){}\n",
-        attempts.len(),
-        view.summary
-            .counter_opt(names::PORTFOLIO_WORKERS)
-            .map_or(String::new(), |w| format!(" ({w} portfolio workers)")),
-    ));
-    out.push_str(&format!(
-        "  {:<6} {:>10} {:>12} {:>7} {:>10}\n",
-        "rank", "steps", "ticks", "found", "kind"
+        "  {:<6} {:>10} {:>12} {:>7}\n",
+        "rank", "steps", "ticks", "found"
     ));
     for a in &attempts {
         out.push_str(&format!(
-            "  {:<6} {:>10} {:>12} {:>7} {:>10}\n",
+            "  {:<6} {:>10} {:>12} {:>7}\n",
             a.rank,
             a.steps,
             a.ticks,
             if a.found { "yes" } else { "no" },
-            if a.overshoot { "overshoot" } else { "ranked" },
         ));
     }
 
     let total_ticks: u64 = attempts.iter().map(|a| a.ticks).sum();
     let total_steps: u64 = attempts.iter().map(|a| a.steps).sum();
-    let useful_steps: u64 = attempts
-        .iter()
-        .filter(|a| a.found && !a.overshoot)
-        .map(|a| a.steps)
-        .sum();
+    let useful_steps: u64 = attempts.iter().filter(|a| a.found).map(|a| a.steps).sum();
     out.push_str(&format!(
-        "  bounding attempt: rank {} ({} ticks, {:.1}% of summed attempt time)\n",
-        bound.rank,
-        bound.ticks,
-        percent(bound.ticks, total_ticks),
+        "  longest attempt: rank {} ({} ticks, {:.1}% of summed attempt time)\n",
+        longest.rank,
+        longest.ticks,
+        percent(longest.ticks, total_ticks),
     ));
-    if bound.ticks > 0 {
-        out.push_str(&format!(
-            "  parallelism (summed / bounding): {:.2}x\n",
-            total_ticks as f64 / bound.ticks as f64
-        ));
-    }
     out.push_str(&format!(
         "  wasted work: {:.1}% of {total_steps} steps (everything but the winning attempt)\n",
         percent(total_steps - useful_steps, total_steps)
@@ -197,8 +168,6 @@ mod tests {
             counter("solver.site.feasibility.nodes", 900),
             counter("solver.site.concretize.queries", 5),
             counter("solver.site.concretize.nodes", 40),
-            counter("portfolio.overshoot.solver.site.feasibility.queries", 9),
-            counter("portfolio.overshoot.solver.site.feasibility.nodes", 111),
             counter(names::SOLVER_NODES, 1000),
             TraceEvent::Hist {
                 name: "solver.site.feasibility.query_us".into(),
@@ -208,9 +177,8 @@ mod tests {
             },
         ]);
         let feas = text.find("  feasibility ").expect("feasibility row");
-        let over = text.find("overshoot:feasibility").expect("overshoot row");
         let conc = text.find("  concretize ").expect("concretize row");
-        assert!(feas < over && over < conc, "{text}");
+        assert!(feas < conc, "{text}");
         // 900 + 40 attributed out of 1000 total.
         assert!(
             text.contains("(94.0% attributed to ranked-attempt sites)"),
@@ -265,32 +233,19 @@ mod tests {
     }
 
     #[test]
-    fn attempts_show_bound_parallelism_and_waste() {
+    fn attempts_show_longest_and_waste() {
         let rec = MemRecorder::new(Clock::steps());
-        let root = rec.span_open(names::PORTFOLIO);
-        rec.counter_add(names::PORTFOLIO_WORKERS, 4);
-        for (i, steps, found) in [(0u64, 100u64, false), (1, 40, true)] {
-            let w = MemRecorder::new(Clock::steps());
-            record_attempt(&w, i, steps, found);
-            rec.merge_buffer(&w.into_buffer(), None);
+        for (i, steps, found) in [(0u64, 100u64, false), (1, 60, false), (2, 40, true)] {
+            record_attempt(&rec, i, steps, found);
         }
-        let w = MemRecorder::new(Clock::steps());
-        record_attempt(&w, 2, 60, false);
-        rec.merge_buffer(&w.into_buffer(), Some(names::PORTFOLIO_OVERSHOOT_PREFIX));
-        rec.span_close(root);
 
         let text = render(rec.finish());
+        assert!(text.contains("attempts: 3 attempt(s)\n"), "{text}");
         assert!(
-            text.contains("3 attempt(s) (4 portfolio workers)"),
+            text.contains("longest attempt: rank 0 (100 ticks, 50.0% of summed attempt time)"),
             "{text}"
         );
-        assert!(text.contains("bounding attempt: rank 0"), "{text}");
-        // 100 + 40 + 60 = 200 steps total; the winner used 40.
+        // 100 + 60 + 40 = 200 steps total; the winner used 40.
         assert!(text.contains("wasted work: 80.0% of 200 steps"), "{text}");
-        assert!(text.contains("overshoot"), "{text}");
-        assert!(
-            text.contains("parallelism (summed / bounding): 2.00x"),
-            "{text}"
-        );
     }
 }

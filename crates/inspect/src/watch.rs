@@ -14,11 +14,17 @@
 //!
 //! The rendering is a pure function of the parsed events
 //! ([`dashboard`]), so it is unit-testable without a filesystem or a
-//! terminal; the polling loop ([`watch`]) owns all the I/O.
+//! terminal; the polling loop ([`watch`]) owns all the I/O. It redraws
+//! whenever the trace file changed and sleeps otherwise: the delay
+//! starts at the configured interval and doubles while the file is idle
+//! (a finished-but-unclosed run stops burning a fixed-rate poll),
+//! snapping back to the base interval on the first sign of new data.
 
 use crate::forest::{Status, Work};
 use crate::RunView;
 use statsym_telemetry::{names, TraceEvent};
+use std::io::Write as _;
+use std::time::Duration;
 
 /// One rendered dashboard frame plus the run-ended flag.
 #[derive(Debug)]
@@ -59,10 +65,7 @@ pub fn dashboard(view: &RunView) -> Frame {
             |e| matches!(e, TraceEvent::SpanOpen { name, .. } if name == names::CANDIDATE_ATTEMPT),
         )
         .count();
-    let finished: Vec<_> = crate::coverage::attempts(events)
-        .into_iter()
-        .filter(|a| !a.overshoot)
-        .collect();
+    let finished = crate::coverage::attempts(events);
     let found = finished.iter().filter(|a| a.found).count();
     let done = !s.counters.is_empty();
 
@@ -145,12 +148,11 @@ pub fn watch(
     allow_truncated: bool,
     no_color: bool,
 ) -> i32 {
-    let mut screen = if no_color {
-        crate::tail::Screen::plain()
-    } else {
-        crate::tail::Screen::new()
+    let mut screen = Screen {
+        first: true,
+        plain: no_color,
     };
-    let mut backoff = crate::tail::Backoff::new(interval_ms);
+    let mut backoff = Backoff::new(interval_ms);
     let mut last_len: Option<u64> = None;
     loop {
         let len = std::fs::metadata(path).map(|m| m.len()).ok();
@@ -173,6 +175,74 @@ pub fn watch(
         };
         last_len = len;
         std::thread::sleep(delay);
+    }
+}
+
+/// Adaptive poll delay: doubles while idle, resets when active.
+#[derive(Debug)]
+struct Backoff {
+    base_ms: u64,
+    max_ms: u64,
+    cur_ms: u64,
+}
+
+impl Backoff {
+    /// Growth cap as a multiple of the base interval.
+    const MAX_FACTOR: u64 = 8;
+
+    /// A backoff starting (and restarting) at `base_ms` milliseconds.
+    fn new(base_ms: u64) -> Backoff {
+        let base_ms = base_ms.max(1);
+        Backoff {
+            base_ms,
+            max_ms: base_ms.saturating_mul(Self::MAX_FACTOR),
+            cur_ms: base_ms,
+        }
+    }
+
+    /// The delay to sleep after an idle poll; each call doubles the next
+    /// one up to the cap.
+    fn idle(&mut self) -> Duration {
+        let d = Duration::from_millis(self.cur_ms);
+        self.cur_ms = self.cur_ms.saturating_mul(2).min(self.max_ms);
+        d
+    }
+
+    /// The source produced data: snap back to the base interval.
+    fn active(&mut self) -> Duration {
+        self.cur_ms = self.base_ms;
+        Duration::from_millis(self.base_ms)
+    }
+}
+
+/// In-place full-screen redraws over ANSI: `\x1b[2J` once, then
+/// `\x1b[H…\x1b[J` per frame, so refreshes do not flicker. In plain
+/// mode (`--no-color`, for CI logs and pipes) frames are appended
+/// verbatim with no escape codes.
+#[derive(Debug)]
+struct Screen {
+    first: bool,
+    plain: bool,
+}
+
+impl Screen {
+    /// Draws `text` as the whole screen (or, in plain mode, appends the
+    /// frame).
+    fn draw(&mut self, text: &str) {
+        if self.plain {
+            if !self.first {
+                println!();
+            }
+            print!("{text}");
+        } else {
+            if self.first {
+                // Clear once so the first frame starts on a clean screen.
+                print!("\x1b[2J");
+            }
+            print!("\x1b[H{text}\x1b[J");
+        }
+        self.first = false;
+        let _ = std::io::stdout().flush();
     }
 }
 
@@ -261,5 +331,25 @@ mod tests {
         assert!(frame.text.contains("1 found"), "{}", frame.text);
         assert!(frame.text.contains("25.0% hit rate"), "{}", frame.text);
         assert!(frame.text.contains("fault:1"), "{}", frame.text);
+    }
+
+    #[test]
+    fn backoff_doubles_while_idle_and_resets_on_activity() {
+        let mut b = Backoff::new(100);
+        assert_eq!(b.idle(), Duration::from_millis(100));
+        assert_eq!(b.idle(), Duration::from_millis(200));
+        assert_eq!(b.idle(), Duration::from_millis(400));
+        assert_eq!(b.active(), Duration::from_millis(100));
+        assert_eq!(b.idle(), Duration::from_millis(100));
+        for _ in 0..20 {
+            b.idle();
+        }
+        assert_eq!(b.idle(), Duration::from_millis(800), "capped at 8x");
+    }
+
+    #[test]
+    fn zero_interval_is_clamped() {
+        let mut b = Backoff::new(0);
+        assert_eq!(b.idle(), Duration::from_millis(1));
     }
 }

@@ -98,8 +98,6 @@ fn diff_ignore_prefixes_suppress_the_gate() {
         "candidate.attempt",
         "--ignore",
         "pipeline.symex",
-        "--ignore",
-        "portfolio",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
     assert!(stdout(&out).contains("[ignored]"));
@@ -274,11 +272,8 @@ fn report_shows_attempts_and_solver_callsites() {
     let out = inspect(&["report", base.to_str().unwrap()]);
     assert!(out.status.success());
     let text = stdout(&out);
-    assert!(
-        text.contains("2 attempt(s) (4 portfolio workers)"),
-        "{text}"
-    );
-    assert!(text.contains("bounding attempt: rank 0"), "{text}");
+    assert!(text.contains("attempts: 2 attempt(s)\n"), "{text}");
+    assert!(text.contains("longest attempt: rank 0"), "{text}");
     assert!(text.contains("feasibility"), "{text}");
     assert!(text.contains("94.0% attributed"), "{text}");
 }
@@ -300,7 +295,7 @@ fn lineage_trace(dir: &Path) -> PathBuf {
     let program = entry.program();
     let module = sir::lower(&program).expect("corpus entry lowers");
     let logs = mint_logs(&module, &input_spec(&program), entry.seed, None);
-    let mut config = statsym_config(1);
+    let mut config = statsym_config();
     config.engine.lineage = true;
     let rec = MemRecorder::new(Clock::steps());
     let statsym = StatSym::new(config);

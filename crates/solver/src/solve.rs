@@ -337,10 +337,15 @@ impl Solver {
             return self.check_inner(ctx, query, needs_model);
         }
         let nodes_before = self.stats.nodes;
+        let us_before = self.stats.query_us;
         let start = std::time::Instant::now();
         let result = self.check_inner(ctx, query, needs_model);
-        let elapsed = start.elapsed();
-        self.add_query_time(elapsed);
+        self.add_query_time(start.elapsed());
+        // The query's share of the running total, not its own whole µs:
+        // per-query values then telescope to `query_us`, sub-µs cache
+        // hits included.
+        let us = self.stats.query_us - us_before;
+        let elapsed = std::time::Duration::from_micros(us);
         rec.observe_wall(statsym_telemetry::names::SOLVER_QUERY_US, elapsed);
         if self.prov.enabled {
             let verdict = match &result {
@@ -356,7 +361,7 @@ impl Solver {
                 verdict,
                 cache: self.prov.last_cache,
                 nodes: self.stats.nodes - nodes_before,
-                us: elapsed.as_micros() as u64,
+                us,
             });
         }
         if let Some(site) = site {
@@ -1051,6 +1056,41 @@ mod tests {
     }
 
     #[test]
+    fn traced_query_times_sum_to_query_us() {
+        // Provenance `us` and both latency histograms record each
+        // query's share of the ns-summed total, so 10 000 sub-µs cache
+        // hits add up to exactly the reported `query_us`.
+        use statsym_telemetry::{names, Clock, MemRecorder, TraceEvent};
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 9);
+        let c5 = ctx.int(5);
+        let query = Partition::of(&ctx, &[Constraint::new(CmpOp::Lt, x, c5)]);
+        let mut solver = Solver::default();
+        solver.set_provenance(1);
+        let rec = MemRecorder::new(Clock::wall());
+        for _ in 0..10_001 {
+            assert!(solver
+                .check_sat_at(&ctx, &query, &rec, "feasibility")
+                .is_sat());
+        }
+        assert_eq!(solver.stats().cache_hits, 10_000);
+        let total = solver.stats().query_us;
+        assert!(total > 0, "10 000 queries take at least a µs");
+        let hist_sum = |name: &str| rec.metrics().hist(name).expect("histogram").sum;
+        assert_eq!(hist_sum(names::SOLVER_QUERY_US), total);
+        assert_eq!(hist_sum("solver.site.feasibility.query_us"), total);
+        let events = rec.finish();
+        let query_us: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Query { us, .. } => Some(*us),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(query_us, total);
+    }
+
+    #[test]
     fn shared_cache_answers_unsat_across_solvers() {
         use crate::cache::SharedCache;
         use std::sync::Arc;
@@ -1062,7 +1102,7 @@ mod tests {
             Constraint::new(CmpOp::Lt, x, c5),
             Constraint::new(CmpOp::Lt, c10, x),
         ];
-        let shared: Arc<SharedCache> = Arc::new(SharedCache::new(4));
+        let shared: Arc<SharedCache> = Arc::new(SharedCache::new());
         let mut a = Solver::default();
         a.set_query_cache(shared.clone());
         assert_eq!(a.check(&ctx, &cs), SatResult::Unsat);
@@ -1093,7 +1133,7 @@ mod tests {
         let x = ctx.new_var("x", 0, 255);
         let c5 = ctx.int(5);
         let cs = [Constraint::new(CmpOp::Eq, x, c5)];
-        let shared: Arc<SharedCache> = Arc::new(SharedCache::new(1));
+        let shared: Arc<SharedCache> = Arc::new(SharedCache::new());
         let mut a = Solver::default();
         a.set_query_cache(shared.clone());
         assert!(a.check_sat(&ctx, &cs).is_sat());
@@ -1128,7 +1168,7 @@ mod tests {
         let y = ctx.new_var("y", 2, 1_000_000_000);
         let prod = ctx.mul(x, y);
         let target = ctx.int(999_999_937);
-        let shared: Arc<SharedCache> = Arc::new(SharedCache::new(1));
+        let shared: Arc<SharedCache> = Arc::new(SharedCache::new());
         let mut solver = Solver::with_config(SolverConfig {
             max_nodes: 1,
             ..SolverConfig::default()

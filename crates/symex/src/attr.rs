@@ -6,10 +6,8 @@
 //! step itself plus the forks, suspensions, solver queries, solver
 //! search nodes, and (wall-clock traces only) solver µs the step
 //! caused. Totals accumulate in a per-run map and flush as
-//! `attr.<function>:<line>.<dim>` counters. Counters fold by name
-//! across worker-buffer merges and the final counter section dumps
-//! sorted, so per-line totals are byte-identical at any portfolio
-//! worker count.
+//! `attr.<function>:<line>.<dim>` counters. The final counter section
+//! dumps sorted, so per-line totals are byte-identical run to run.
 //!
 //! With [`crate::EngineConfig::provenance`] on, the same pre-step hook
 //! pushes the originating state id and source location into the solver,

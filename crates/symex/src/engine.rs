@@ -13,7 +13,6 @@ use solver::{Constraint, QueryCache, SatResult, Solver, SolverConfig, SolverStat
 use statsym_telemetry::{lineage_op, names, ClockMode, FieldValue, Recorder, NOOP};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,7 +22,7 @@ use std::time::{Duration, Instant};
 /// fully unlimited, so attaching a `Budget` never changes a run that
 /// stays under it. Because both dimensions are counted, not timed, a
 /// budget-limited run under the step-count clock still produces
-/// byte-identical traces at any worker count. The one wall-clock limit
+/// byte-identical traces run to run. The one wall-clock limit
 /// is [`EngineConfig::time_budget`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
@@ -138,9 +137,6 @@ pub enum ExhaustionReason {
     Steps,
     /// Live-state cap exceeded.
     LiveStates,
-    /// An external cancel token was tripped (portfolio execution: a
-    /// better-ranked candidate already reported a find).
-    Cancelled,
     /// The run's explicit [`Budget`] tripped.
     Budget,
 }
@@ -152,7 +148,6 @@ impl fmt::Display for ExhaustionReason {
             ExhaustionReason::Time => f.write_str("timeout"),
             ExhaustionReason::Steps => f.write_str("step budget exhausted"),
             ExhaustionReason::LiveStates => f.write_str("too many live states"),
-            ExhaustionReason::Cancelled => f.write_str("cancelled"),
             ExhaustionReason::Budget => f.write_str("resource budget exceeded"),
         }
     }
@@ -247,7 +242,6 @@ pub struct Engine<'m> {
     pinned: concrete::InputMap,
     suppressed: Vec<(String, minic::Span)>,
     rec: &'m dyn Recorder,
-    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl<'m> Engine<'m> {
@@ -271,17 +265,7 @@ impl<'m> Engine<'m> {
             pinned: concrete::InputMap::new(),
             suppressed: Vec::new(),
             rec: &NOOP,
-            cancel: None,
         }
-    }
-
-    /// Attaches a cooperative cancellation token. The engine polls it at
-    /// every scheduling decision and every 8192 executed instructions
-    /// (the same cadence as the step-budget check); when tripped, the
-    /// run ends promptly with
-    /// `RunOutcome::Exhausted(ExhaustionReason::Cancelled)`.
-    pub fn set_cancel_token(&mut self, token: Arc<AtomicBool>) {
-        self.cancel = Some(token);
     }
 
     /// Injects a shared solver verdict cache (see `solver::cache`):
@@ -377,8 +361,6 @@ impl<'m> Engine<'m> {
                 inputs_map.insert(InputId(i as u32), sym);
             }
         }
-        let cancel = self.cancel.clone();
-        let cancelled = || cancel.as_ref().is_some_and(|t| t.load(Ordering::Relaxed));
         let mut next_id: u64 = 0;
         let mut live_mem: usize = 0;
         let mut mem_by_state: HashMap<u64, usize> = HashMap::new();
@@ -541,9 +523,6 @@ impl<'m> Engine<'m> {
                         );
                     }
                 }
-                if cancelled() {
-                    break LoopEnd::Exhausted(ExhaustionReason::Cancelled);
-                }
                 if let Some(tb) = self.config.time_budget {
                     if start.elapsed() > tb {
                         break LoopEnd::Exhausted(ExhaustionReason::Time);
@@ -611,9 +590,6 @@ impl<'m> Engine<'m> {
                         rec.tick(env.stats.steps - last_tick);
                         last_tick = env.stats.steps;
                         budget_note!();
-                        if cancelled() {
-                            break 'outer LoopEnd::Exhausted(ExhaustionReason::Cancelled);
-                        }
                         if let Some(tb) = self.config.time_budget {
                             if start.elapsed() > tb {
                                 break 'outer LoopEnd::Exhausted(ExhaustionReason::Time);
@@ -864,7 +840,6 @@ pub fn outcome_label(outcome: &RunOutcome) -> &'static str {
         RunOutcome::Exhausted(ExhaustionReason::Time) => "exhausted_time",
         RunOutcome::Exhausted(ExhaustionReason::Memory) => "exhausted_memory",
         RunOutcome::Exhausted(ExhaustionReason::LiveStates) => "exhausted_live_states",
-        RunOutcome::Exhausted(ExhaustionReason::Cancelled) => "cancelled",
         RunOutcome::Exhausted(ExhaustionReason::Budget) => "budget_exceeded",
     }
 }
@@ -879,10 +854,7 @@ pub fn outcome_label(outcome: &RunOutcome) -> &'static str {
 /// is not double-counted. Pass `SolverStats::default()` for a fresh
 /// solver.
 ///
-/// This is called by [`Engine::run`] itself; portfolio workers get it
-/// for free by pointing the engine at their private `MemRecorder`
-/// (the buffers are merged into the main trace after the join, so no
-/// replay step exists anymore).
+/// This is called by [`Engine::run`] itself.
 pub fn record_run_telemetry(
     rec: &dyn Recorder,
     stats: &EngineStats,
@@ -1427,117 +1399,6 @@ mod tests {
             Some(InputValue::Int(v)) => assert!(*v <= 0),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn pre_tripped_cancel_token_exits_before_any_work() {
-        let src = r#"
-            fn main() {
-                let i: int = 0;
-                while (i < 100000) { i = i + 1; }
-            }
-        "#;
-        let p = minic::parse_program(src).unwrap();
-        let m = sir::lower(&p).unwrap();
-        let mut eng = Engine::new(&m, EngineConfig::default());
-        let token = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        eng.set_cancel_token(token);
-        let r = eng.run();
-        assert!(
-            matches!(
-                r.outcome,
-                RunOutcome::Exhausted(ExhaustionReason::Cancelled)
-            ),
-            "got {:?}",
-            r.outcome
-        );
-        // The token is checked before the first scheduler pop: no state
-        // was ever selected, so no instruction ran.
-        assert_eq!(r.stats.exec.steps, 0);
-    }
-
-    #[test]
-    fn cancel_token_interrupts_a_long_straight_line_run() {
-        // A long concrete loop between scheduling points: the inner
-        // every-8192-steps check must observe the token without waiting
-        // for the state to terminate.
-        let src = r#"
-            fn main() {
-                let i: int = 0;
-                while (i < 100000000) { i = i + 1; }
-            }
-        "#;
-        let p = minic::parse_program(src).unwrap();
-        let m = sir::lower(&p).unwrap();
-        let mut eng = Engine::new(&m, EngineConfig::default());
-        let token = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        eng.set_cancel_token(token.clone());
-        let flipper = std::thread::spawn({
-            let token = token.clone();
-            move || {
-                std::thread::sleep(Duration::from_millis(30));
-                token.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-        });
-        let r = eng.run();
-        flipper.join().unwrap();
-        assert!(
-            matches!(
-                r.outcome,
-                RunOutcome::Exhausted(ExhaustionReason::Cancelled)
-            ),
-            "got {:?}",
-            r.outcome
-        );
-        // It made progress, then stopped well short of the loop's end.
-        assert!(r.stats.exec.steps > 0);
-    }
-
-    #[test]
-    fn cancelled_outcome_renders_and_reconciles_in_telemetry() {
-        use statsym_telemetry::{names, Clock, MemRecorder, TraceEvent};
-        let src = r#"
-            fn main() {
-                let i: int = 0;
-                while (i < 100000) { i = i + 1; }
-            }
-        "#;
-        let p = minic::parse_program(src).unwrap();
-        let m = sir::lower(&p).unwrap();
-        let rec = MemRecorder::new(Clock::steps());
-        let stats = {
-            let mut eng = Engine::new(&m, EngineConfig::default());
-            eng.set_recorder(&rec);
-            let token = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-            eng.set_cancel_token(token);
-            eng.run().stats
-        };
-        let events = rec.finish();
-        let outcome = events
-            .iter()
-            .find_map(|e| match e {
-                TraceEvent::Event { name, fields, .. } if name == names::ENGINE_OUTCOME => fields
-                    .iter()
-                    .find(|(k, _)| k == "outcome")
-                    .map(|(_, v)| format!("{v:?}")),
-                _ => None,
-            })
-            .expect("engine.outcome event present");
-        assert!(outcome.contains("cancelled"), "outcome was {outcome}");
-        // Counters still reconcile with the returned EngineStats.
-        let counter = |name: &str| {
-            events
-                .iter()
-                .find_map(|e| match e {
-                    TraceEvent::Counter { name: n, value } if n == name => Some(*value),
-                    _ => None,
-                })
-                .unwrap_or(0)
-        };
-        assert_eq!(counter(names::SYMEX_STEPS), stats.exec.steps);
-        assert_eq!(counter(names::SYMEX_PATHS_EXPLORED), stats.paths_explored);
-        assert_eq!(counter(names::SOLVER_QUERIES), stats.solver.queries);
-        assert_eq!(ExhaustionReason::Cancelled.to_string(), "cancelled");
     }
 
     #[test]

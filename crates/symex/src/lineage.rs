@@ -17,9 +17,7 @@
 //! * trace-level state ids are allocated *at emission* through
 //!   [`Recorder::alloc_state_id`], never taken from the engine's
 //!   internal ids. Engine ids are assigned eagerly at fork sites and
-//!   skip numbers for pruned children; trace ids are dense, which is
-//!   what lets worker-buffer merges remap them with a plain base
-//!   offset.
+//!   skip numbers for pruned children; trace ids are dense.
 //!
 //! Work attribution is differential: each event carries the steps,
 //! solver search nodes, and solver wall-µs accumulated since the

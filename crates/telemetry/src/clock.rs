@@ -54,15 +54,6 @@ impl Clock {
         }
     }
 
-    /// A clock of the given mode (worker threads use this to match the
-    /// mode of the recorder their buffers will be merged into).
-    pub fn with_mode(mode: ClockMode) -> Clock {
-        match mode {
-            ClockMode::Wall => Clock::wall(),
-            ClockMode::Steps => Clock::steps(),
-        }
-    }
-
     /// The clock's mode.
     pub fn mode(&self) -> ClockMode {
         self.mode

@@ -205,7 +205,7 @@ mod tests {
             dir: root.join("crash").to_string_lossy().into_owned(),
             run: "demo".to_string(),
             reproduce: "cargo run -p bench --bin table2 -- --trace run.jsonl".to_string(),
-            config: "workers=2".to_string(),
+            config: "max_steps=40".to_string(),
             trace_path: Some(trace_path.to_string_lossy().into_owned()),
             meta: ManifestMeta {
                 source: "bench".to_string(),

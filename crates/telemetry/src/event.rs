@@ -197,14 +197,13 @@ pub enum TraceEvent {
     /// caches disposed of it. Emitted by the solver dispatch layer when
     /// provenance recording is enabled.
     ///
-    /// `sid` is engine- or segment-local (stable for a deterministic
-    /// schedule but *not* remapped on buffer merges, unlike lineage
-    /// state ids): it identifies the asking state within its enclosing
-    /// attempt, not across the whole trace.
+    /// `sid` is engine-local (unlike lineage state ids): it identifies
+    /// the asking state within its enclosing attempt, not across the
+    /// whole trace.
     Query {
         /// Emission tick.
         t: u64,
-        /// Engine/segment-local id of the state that issued the query.
+        /// Engine-local id of the state that issued the query.
         sid: u64,
         /// Source location (`function:line`) of the instruction that
         /// triggered the query.
@@ -288,7 +287,7 @@ pub mod query_disposition {
     pub const EMPTY: &str = "empty";
     /// Answered by the solver's private per-engine query cache.
     pub const PRIVATE: &str = "private";
-    /// Answered by the cross-worker shared cache.
+    /// Answered by the run's verdict memo (shared by every attempt).
     pub const SHARED: &str = "shared";
     /// Solved by independence slicing into ≥ 2 components.
     pub const SLICED: &str = "sliced";

@@ -36,7 +36,7 @@ pub use event::{
 pub use metrics::{bucket_of, Hist, Metrics, HIST_BUCKETS};
 pub use recorder::{
     FileRecorder, LineageEvent, MemRecorder, NoopRecorder, QueryEvent, Recorder, SharedBuf, Span,
-    TraceBuffer, NOOP, TRACE_VERSION,
+    NOOP, TRACE_VERSION,
 };
 pub use report::{
     render_calib_table, spearman_milli, CalibCandidate, HistStat, SpanStat, TraceSummary,
@@ -160,33 +160,6 @@ pub mod names {
     /// renders them as its solver-callsites section.
     pub const SOLVER_SITE_PREFIX: &str = "solver.site.";
 
-    /// Span: one portfolio (parallel candidate) execution.
-    pub const PORTFOLIO: &str = "portfolio";
-    /// Event: one candidate attempt finished inside a portfolio run.
-    pub const PORTFOLIO_ATTEMPT: &str = "portfolio.attempt";
-    /// Worker threads a portfolio ran with.
-    pub const PORTFOLIO_WORKERS: &str = "portfolio.workers";
-    /// Attempts cancelled because a better-ranked candidate found first.
-    pub const PORTFOLIO_CANCELLED: &str = "portfolio.cancelled";
-    /// Shared-cache hits observed across all portfolio workers.
-    pub const PORTFOLIO_CACHE_HITS: &str = "portfolio.cache.hits";
-    /// Shared-cache misses observed across all portfolio workers.
-    pub const PORTFOLIO_CACHE_MISSES: &str = "portfolio.cache.misses";
-    /// Shared-cache verdicts published across all portfolio workers.
-    pub const PORTFOLIO_CACHE_STORES: &str = "portfolio.cache.stores";
-    /// Shared-cache shard-lock contention events.
-    pub const PORTFOLIO_CACHE_CONTENTION: &str = "portfolio.cache.contention";
-    /// Entries resident in the shared cache at the end of the run.
-    pub const PORTFOLIO_CACHE_ENTRIES: &str = "portfolio.cache.entries";
-    /// Name prefix applied when an overshoot attempt's worker buffer is
-    /// merged into the trace: all of its spans, events, and metrics
-    /// land under this prefix so engine counters still reconcile with
-    /// the reported (sequential-equivalent) attempts.
-    pub const PORTFOLIO_OVERSHOOT_PREFIX: &str = "portfolio.overshoot.";
-    /// Latency (µs) from the cancellation token tripping to the worker
-    /// observing it (wall-clock traces only).
-    pub const PORTFOLIO_CANCEL_LATENCY_US: &str = "portfolio.cancel_latency_us";
-
     /// Monitor records kept at sampling rate p.
     pub const MONITOR_SAMPLED: &str = "monitor.records_sampled";
     /// Monitor records dropped at sampling rate p.
@@ -215,10 +188,8 @@ pub mod names {
     /// fork, suspension, and solver query to the MiniC source line that
     /// caused it and emit `attr.<function>:<line>.<dim>` counters, where
     /// `<dim>` is one of `steps`, `forks`, `suspends`, `queries`,
-    /// `nodes`, or (wall-clock traces only) `us`. Counters fold by name
-    /// across worker-buffer merges, so totals are byte-identical at any
-    /// portfolio/state-worker count. `statsym-inspect hotspots` renders
-    /// them as the per-line cost table.
+    /// `nodes`, or (wall-clock traces only) `us`. `statsym-inspect
+    /// hotspots` renders them as the per-line cost table.
     pub const ATTR_PREFIX: &str = "attr.";
     /// Attribution dimension suffixes, in the column order viewers and
     /// the JSON report print them.

@@ -7,12 +7,11 @@
 //! A manifest folds the run's final metrics — counters, gauges, the
 //! winner rank and budget disposition — together with identity metadata
 //! (workload, seed, git revision, config fingerprint) and a content
-//! hash of the canonical trace. Scheduling-shaped metrics
-//! ([`SCHEDULING_PREFIXES`]: `portfolio.*`, `telemetry.*`) are excluded
-//! from both the fold and the trace hash, so a manifest derived from a
-//! deterministic (steps-clock) trace is **byte-identical at any
-//! portfolio worker or state-worker count** — the property the
-//! byte-identity tests in `tests/observability.rs` pin.
+//! hash of the canonical trace. Telemetry bookkeeping metrics
+//! ([`SCHEDULING_PREFIXES`]: `telemetry.*`) are excluded from both the
+//! fold and the trace hash, so a manifest derived from a deterministic
+//! (steps-clock) trace is **byte-identical from run to run** — the
+//! property the byte-identity test in `tests/observability.rs` pins.
 //!
 //! Records are single canonical JSON lines (fixed key order, integers
 //! only) with a `kind` discriminator and a `schema_version`, parsed by
@@ -37,9 +36,9 @@ pub const MANIFEST_KIND: &str = "statsym.manifest";
 pub const HISTORY_FILE: &str = "history.jsonl";
 
 /// Metric-name prefixes excluded from manifests: these are shaped by
-/// scheduling (worker counts, cancellation races, telemetry bookkeeping),
-/// not by the workload, and would break the byte-identity guarantee.
-pub const SCHEDULING_PREFIXES: [&str; 2] = ["portfolio.", "telemetry."];
+/// telemetry bookkeeping, not by the workload, and would break the
+/// byte-identity guarantee.
+pub const SCHEDULING_PREFIXES: [&str; 1] = ["telemetry."];
 
 /// FNV-1a 64-bit hash — the std-only content address used for manifest
 /// ids, trace content hashes, and config fingerprints.
@@ -492,7 +491,6 @@ mod tests {
         let sp = rec.span_open("pipeline.symex");
         rec.tick(10);
         rec.counter_add(names::SYMEX_STEPS, 91);
-        rec.counter_add(names::PORTFOLIO_WORKERS, 4);
         rec.counter_add("telemetry.recorder.events", 3);
         rec.gauge_max(names::CALIB_WINNER_RANK, 3);
         rec.gauge_max(names::SYMEX_PEAK_LIVE_STATES, 7);
@@ -504,7 +502,6 @@ mod tests {
     fn manifest_folds_and_excludes_scheduling_metrics() {
         let m = RunManifest::from_events(&sample_events(), &sample_meta());
         assert_eq!(m.counters.get("symex.steps"), Some(&91));
-        assert!(!m.counters.contains_key("portfolio.workers"));
         assert!(!m.counters.contains_key("telemetry.recorder.events"));
         assert_eq!(m.winner_rank, 3);
         assert_eq!(m.budget, "none");

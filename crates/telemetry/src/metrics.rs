@@ -55,16 +55,6 @@ impl Hist {
         self.buckets[bucket_of(v)] += 1;
     }
 
-    /// Folds another histogram into this one (counts and sums add
-    /// bucket-wise); used when merging worker trace buffers.
-    pub fn merge(&mut self, other: &Hist) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (slot, &n) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *slot += n;
-        }
-    }
-
     /// The sparse `(bucket, count)` representation used on the wire.
     pub fn sparse(&self) -> Vec<(u32, u64)> {
         self.buckets
@@ -126,17 +116,6 @@ impl Metrics {
         }
     }
 
-    /// Folds a whole histogram into the named registry entry (used when
-    /// merging worker trace buffers).
-    pub fn merge_hist(&self, name: &str, other: &Hist) {
-        let mut map = self.hists.borrow_mut();
-        if let Some(h) = map.get_mut(name) {
-            h.merge(other);
-        } else {
-            map.insert(name.to_string(), other.clone());
-        }
-    }
-
     /// Reads back a counter. `None` means the counter was never
     /// incremented — distinct from an observed zero, so report diffs
     /// can tell "absent" from "0".
@@ -152,33 +131,6 @@ impl Metrics {
     /// Reads back a histogram clone, if ever observed.
     pub fn hist(&self, name: &str) -> Option<Hist> {
         self.hists.borrow().get(name).cloned()
-    }
-
-    /// All counters as `(name, value)` pairs in sorted name order.
-    pub fn dump_counters(&self) -> Vec<(String, u64)> {
-        self.counters
-            .borrow()
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
-    /// All gauges as `(name, value)` pairs in sorted name order.
-    pub fn dump_gauges(&self) -> Vec<(String, i64)> {
-        self.gauges
-            .borrow()
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
-    /// All histograms as `(name, hist)` pairs in sorted name order.
-    pub fn dump_hists(&self) -> Vec<(String, Hist)> {
-        self.hists
-            .borrow()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     /// Dumps every metric as final-value trace events, counters first,
@@ -235,31 +187,6 @@ mod tests {
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 1030);
         assert_eq!(h.sparse(), vec![(0, 1), (2, 2), (11, 1)]);
-    }
-
-    #[test]
-    fn hist_merge_adds_bucketwise() {
-        let mut a = Hist::default();
-        a.observe(3);
-        a.observe(1024);
-        let mut b = Hist::default();
-        b.observe(0);
-        b.observe(3);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.sum, 1030);
-        assert_eq!(a.sparse(), vec![(0, 1), (2, 2), (11, 1)]);
-    }
-
-    #[test]
-    fn merge_hist_creates_or_folds() {
-        let m = Metrics::new();
-        let mut h = Hist::default();
-        h.observe(7);
-        m.merge_hist("lat", &h);
-        m.merge_hist("lat", &h);
-        assert_eq!(m.hist("lat").unwrap().count, 2);
-        assert_eq!(m.dump_hists().len(), 1);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * [`NoopRecorder`] — a ZST that discards everything; `enabled()`
 //!   returns `false` so callers can skip field construction entirely.
 //! * [`MemRecorder`] — buffers events in memory; `finish()` hands back
-//!   the full event list (with the metrics snapshot appended), and
-//!   `into_buffer()` a mergeable [`TraceBuffer`] for worker threads.
+//!   the full event list (with the metrics snapshot appended).
 //! * [`FileRecorder`] — streams canonical JSONL, one event per line,
 //!   to any `Write` sink (usually a file opened via `create`).
 
@@ -21,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use crate::clock::{Clock, ClockMode};
 use crate::event::{FieldValue, SpanId, TraceEvent};
-use crate::metrics::{Hist, Metrics};
+use crate::metrics::Metrics;
 
 /// Trace format version stamped into the meta event.
 pub const TRACE_VERSION: u64 = 1;
@@ -59,7 +58,7 @@ pub struct LineageEvent<'a> {
 /// byte-reproducible.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryEvent<'a> {
-    /// Engine/segment-local id of the state that issued the query.
+    /// Engine-local id of the state that issued the query.
     pub sid: u64,
     /// Source location (`function:line`) of the triggering instruction.
     pub loc: &'a str,
@@ -133,21 +132,10 @@ pub trait Recorder {
         let _ = ev;
     }
 
-    /// The clock mode this recorder stamps events with. Portfolio
-    /// workers use this to build matching worker [`MemRecorder`]s.
+    /// The clock mode this recorder stamps events with (calibration
+    /// records carry wall-measured µs only under a wall clock).
     fn clock_mode(&self) -> ClockMode {
         ClockMode::Steps
-    }
-
-    /// Splices a worker's [`TraceBuffer`] into this trace: span ids are
-    /// remapped past the ids already issued, root spans are re-parented
-    /// under the currently open span, timestamps are offset to "now",
-    /// and the buffer's metrics fold into this recorder's registry.
-    /// With `prefix`, every span/event/metric name is prefixed — how
-    /// overshoot work is kept out of the engine's own counters.
-    /// No-op for recorders without a sink.
-    fn merge_buffer(&self, buf: &TraceBuffer, prefix: Option<&str>) {
-        let _ = (buf, prefix);
     }
 }
 
@@ -298,163 +286,9 @@ impl SinkCore {
                 .collect(),
         }
     }
-
-    /// The merge half of the concurrent-recording protocol (DESIGN.md
-    /// §10). Rewrites a worker buffer into this sink's id/parent/time
-    /// frame and folds its metrics in; returns the rewritten events for
-    /// the caller to append to its output.
-    fn splice(&self, buf: &TraceBuffer, prefix: Option<&str>) -> Vec<TraceEvent> {
-        let offset = self.clock.now();
-        // Worker ids started at 1; remap id x -> base + (x - 1) so the
-        // merged trace never reuses an id this sink already issued.
-        let base = self.next_span.get();
-        self.next_span.set(base + buf.spans_used);
-        // State ids remap exactly like span ids: past everything this
-        // sink already issued, in the buffer's own order — so a
-        // rank-ordered merge reproduces the sequential id sequence.
-        let state_base = self.next_state.get();
-        self.next_state.set(state_base + buf.states_used);
-        let adopt = self.stack.borrow().last().copied().unwrap_or(0);
-        let remap = |id: u64| base + (id - 1);
-        let remap_state = |id: u64| if id == 0 { 0 } else { state_base + (id - 1) };
-        let rename = |name: &str| match prefix {
-            Some(p) => format!("{p}{name}"),
-            None => name.to_string(),
-        };
-
-        let mut out = Vec::with_capacity(buf.events.len());
-        for ev in &buf.events {
-            out.push(match ev {
-                TraceEvent::SpanOpen {
-                    t,
-                    id,
-                    parent,
-                    name,
-                } => TraceEvent::SpanOpen {
-                    t: t + offset,
-                    id: remap(*id),
-                    // Worker root spans become children of whatever
-                    // span is open here (the portfolio span).
-                    parent: if *parent == 0 { adopt } else { remap(*parent) },
-                    name: rename(name),
-                },
-                TraceEvent::SpanClose { t, id } => TraceEvent::SpanClose {
-                    t: t + offset,
-                    id: remap(*id),
-                },
-                TraceEvent::Event { t, name, fields } => TraceEvent::Event {
-                    t: t + offset,
-                    name: rename(name),
-                    fields: fields.clone(),
-                },
-                // Lineage events have no name, so the overshoot prefix
-                // does not apply; attribution to an attempt comes from
-                // stream position inside its candidate.attempt span.
-                TraceEvent::State {
-                    t,
-                    op,
-                    id,
-                    par,
-                    loc,
-                    hops,
-                    depth,
-                    steps,
-                    snodes,
-                    sus,
-                } => TraceEvent::State {
-                    t: t + offset,
-                    op: op.clone(),
-                    id: remap_state(*id),
-                    par: remap_state(*par),
-                    loc: loc.clone(),
-                    hops: *hops,
-                    depth: *depth,
-                    steps: *steps,
-                    snodes: *snodes,
-                    sus: *sus,
-                },
-                // Query provenance: only the timestamp is rewritten.
-                // `sid` is deliberately NOT remapped — it is engine/
-                // segment-local by design (queries outnumber lineage
-                // events by orders of magnitude, and a dense global
-                // remap would force every worker query through the
-                // state-id allocator). Names are not renamed either:
-                // attribution to an overshoot attempt comes from stream
-                // position inside its prefixed span, like lineage.
-                TraceEvent::Query {
-                    t,
-                    sid,
-                    loc,
-                    rank,
-                    site,
-                    verdict,
-                    cache,
-                    nodes,
-                    us,
-                } => TraceEvent::Query {
-                    t: t + offset,
-                    sid: *sid,
-                    loc: loc.clone(),
-                    rank: *rank,
-                    site: site.clone(),
-                    verdict: verdict.clone(),
-                    cache: cache.clone(),
-                    nodes: *nodes,
-                    us: *us,
-                },
-                // Buffers carry metrics out of band, never inline.
-                other => other.clone(),
-            });
-        }
-        // Rank-ordered merge: the next buffer (or main-thread event)
-        // lands after everything this worker recorded.
-        self.clock.advance(buf.end_tick);
-
-        for (name, v) in &buf.counters {
-            self.metrics.counter_add(&rename(name), *v);
-        }
-        for (name, v) in &buf.gauges {
-            self.metrics.gauge_max(&rename(name), *v);
-        }
-        for (name, h) in &buf.hists {
-            self.metrics.merge_hist(&rename(name), h);
-        }
-        out
-    }
-}
-
-/// The finished contents of a worker's [`MemRecorder`]
-/// ([`MemRecorder::into_buffer`]): plain data, `Send`, carried from a
-/// worker thread back to the main thread for merging.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBuffer {
-    /// Span/event stream in recording order, ids local to this buffer
-    /// (starting at 1), timestamps relative to the buffer's own clock.
-    pub events: Vec<TraceEvent>,
-    /// Number of span ids the buffer issued.
-    pub spans_used: u64,
-    /// Number of state ids the buffer issued for lineage events.
-    pub states_used: u64,
-    /// The buffer clock's final tick (total logical time covered).
-    pub end_tick: u64,
-    /// Final counter values, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Final gauge values, sorted by name.
-    pub gauges: Vec<(String, i64)>,
-    /// Final histograms, sorted by name.
-    pub hists: Vec<(String, Hist)>,
 }
 
 /// A recorder that buffers the whole trace in memory.
-///
-/// It is also the private per-worker recorder for concurrent tracing
-/// (DESIGN.md §10): each portfolio worker owns one outright — no locks,
-/// no sharing — records into it exactly as the sequential loop records
-/// into the main sink, then ships
-/// [`MemRecorder::into_buffer`] (plain `Send` data) back for a
-/// deterministic rank-ordered [`Recorder::merge_buffer`] on the main
-/// thread. Span ids and timestamps stay buffer-local until
-/// the merge splices the buffer in and rewrites them.
 #[derive(Debug)]
 pub struct MemRecorder {
     core: SinkCore,
@@ -487,23 +321,6 @@ impl MemRecorder {
         let mut events = self.events.into_inner();
         events.extend(self.core.metrics.snapshot());
         events
-    }
-
-    /// Consumes the recorder into a mergeable buffer: the events without
-    /// the meta event (the destination trace already has one), with the
-    /// metrics carried out of band.
-    pub fn into_buffer(self) -> TraceBuffer {
-        let mut events = self.events.into_inner();
-        events.remove(0);
-        TraceBuffer {
-            events,
-            spans_used: self.core.next_span.get() - 1,
-            states_used: self.core.next_state.get() - 1,
-            end_tick: self.core.clock.now(),
-            counters: self.core.metrics.dump_counters(),
-            gauges: self.core.metrics.dump_gauges(),
-            hists: self.core.metrics.dump_hists(),
-        }
     }
 }
 
@@ -567,11 +384,6 @@ impl Recorder for MemRecorder {
 
     fn clock_mode(&self) -> ClockMode {
         self.core.clock.mode()
-    }
-
-    fn merge_buffer(&self, buf: &TraceBuffer, prefix: Option<&str>) {
-        let spliced = self.core.splice(buf, prefix);
-        self.events.borrow_mut().extend(spliced);
     }
 }
 
@@ -724,12 +536,6 @@ impl Recorder for FileRecorder {
 
     fn clock_mode(&self) -> ClockMode {
         self.core.clock.mode()
-    }
-
-    fn merge_buffer(&self, buf: &TraceBuffer, prefix: Option<&str>) {
-        for ev in self.core.splice(buf, prefix) {
-            self.write(&ev);
-        }
     }
 }
 
@@ -936,122 +742,6 @@ mod tests {
         assert_eq!(err.to_string(), "disk full");
     }
 
-    fn worker_buffer() -> TraceBuffer {
-        let w = MemRecorder::new(Clock::steps());
-        let s = w.span_open("candidate.attempt");
-        w.tick(10);
-        let inner = w.span_open("engine.run");
-        w.event("hit", &[("n", FieldValue::Uint(1))]);
-        w.span_close(inner);
-        w.span_close(s);
-        w.counter_add("engine.steps", 10);
-        w.gauge_max("peak", 4);
-        w.observe("lat", 3);
-        w.into_buffer()
-    }
-
-    #[test]
-    fn buffered_recorder_captures_local_ids_and_ticks() {
-        let buf = worker_buffer();
-        assert_eq!(buf.spans_used, 2);
-        assert_eq!(buf.end_tick, 10);
-        assert_eq!(buf.counters, vec![("engine.steps".into(), 10)]);
-        assert!(matches!(
-            &buf.events[0],
-            TraceEvent::SpanOpen { t: 0, id: 1, parent: 0, name } if name == "candidate.attempt"
-        ));
-    }
-
-    #[test]
-    fn merge_remaps_ids_reparents_and_offsets_time() {
-        let rec = MemRecorder::new(Clock::steps());
-        let root = rec.span_open("portfolio");
-        rec.tick(5);
-        rec.merge_buffer(&worker_buffer(), None);
-        rec.merge_buffer(&worker_buffer(), None);
-        rec.span_close(root);
-
-        let events = rec.finish();
-        // First buffer: ids 2,3 under parent 1, offset 5.
-        assert!(matches!(
-            &events[2],
-            TraceEvent::SpanOpen { t: 5, id: 2, parent: 1, name } if name == "candidate.attempt"
-        ));
-        assert!(matches!(
-            &events[3],
-            TraceEvent::SpanOpen { t: 15, id: 3, parent: 2, name } if name == "engine.run"
-        ));
-        // Second buffer: ids 4,5, offset advanced by first buffer's 10.
-        assert!(matches!(
-            &events[7],
-            TraceEvent::SpanOpen {
-                t: 15,
-                id: 4,
-                parent: 1,
-                ..
-            }
-        ));
-        // Root closes after both buffers' ticks.
-        assert!(matches!(events[12], TraceEvent::SpanClose { t: 25, id: 1 }));
-        // Metrics folded: counters add, gauges max, hists merge.
-        assert!(events.iter().any(
-            |e| matches!(e, TraceEvent::Counter { name, value: 20 } if name == "engine.steps")
-        ));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Gauge { name, value: 4 } if name == "peak")));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Hist { name, count: 2, .. } if name == "lat")));
-    }
-
-    #[test]
-    fn merge_with_prefix_renames_spans_events_and_metrics() {
-        let rec = MemRecorder::new(Clock::steps());
-        rec.merge_buffer(&worker_buffer(), Some("portfolio.overshoot."));
-        let events = rec.finish();
-        assert!(matches!(
-            &events[1],
-            TraceEvent::SpanOpen { name, .. } if name == "portfolio.overshoot.candidate.attempt"
-        ));
-        assert!(events.iter().any(
-            |e| matches!(e, TraceEvent::Event { name, .. } if name == "portfolio.overshoot.hit")
-        ));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::Counter { name, value: 10 } if name == "portfolio.overshoot.engine.steps"
-        )));
-        // The unprefixed counter must NOT exist.
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Counter { name, .. } if name == "engine.steps")));
-    }
-
-    #[test]
-    fn merged_trace_matches_inline_recording() {
-        // Recording through a worker MemRecorder + merge must be
-        // byte-identical to recording the same calls inline.
-        let inline = MemRecorder::new(Clock::steps());
-        let root = inline.span_open("portfolio");
-        let s = inline.span_open("candidate.attempt");
-        inline.tick(10);
-        inline.counter_add("engine.steps", 10);
-        inline.span_close(s);
-        inline.span_close(root);
-
-        let merged = MemRecorder::new(Clock::steps());
-        let root = merged.span_open("portfolio");
-        let w = MemRecorder::new(Clock::with_mode(merged.clock_mode()));
-        let s = w.span_open("candidate.attempt");
-        w.tick(10);
-        w.counter_add("engine.steps", 10);
-        w.span_close(s);
-        merged.merge_buffer(&w.into_buffer(), None);
-        merged.span_close(root);
-
-        assert_eq!(inline.finish(), merged.finish());
-    }
-
     #[test]
     fn state_ids_allocate_and_sus_is_zeroed_under_steps_clock() {
         let rec = MemRecorder::new(Clock::steps());
@@ -1090,89 +780,6 @@ mod tests {
         assert!(matches!(&events[1], TraceEvent::State { sus: 999, .. }));
     }
 
-    fn lineage_buffer() -> TraceBuffer {
-        let w = MemRecorder::new(Clock::steps());
-        let root = w.alloc_state_id();
-        w.state(&LineageEvent {
-            op: crate::lineage_op::ROOT,
-            id: root,
-            parent: 0,
-            loc: "main:b0",
-            hops: 0,
-            depth: 0,
-            steps: 0,
-            snodes: 0,
-            solver_us: 0,
-        });
-        let child = w.alloc_state_id();
-        w.state(&LineageEvent {
-            op: crate::lineage_op::FORK,
-            id: child,
-            parent: root,
-            loc: "main:b1",
-            hops: 0,
-            depth: 1,
-            steps: 5,
-            snodes: 2,
-            solver_us: 0,
-        });
-        w.into_buffer()
-    }
-
-    #[test]
-    fn merge_remaps_state_ids_alongside_span_ids() {
-        let rec = MemRecorder::new(Clock::steps());
-        rec.merge_buffer(&lineage_buffer(), None);
-        rec.merge_buffer(&lineage_buffer(), None);
-        // Next main-thread allocation continues past both buffers.
-        assert_eq!(rec.alloc_state_id(), 5);
-        let events = rec.finish();
-        let ids: Vec<(u64, u64)> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::State { id, par, .. } => Some((*id, *par)),
-                _ => None,
-            })
-            .collect();
-        // Second buffer's local ids 1,2 land past the first's: 3,4.
-        assert_eq!(ids, vec![(1, 0), (2, 1), (3, 0), (4, 3)]);
-    }
-
-    #[test]
-    fn merged_lineage_matches_inline_recording() {
-        let inline = MemRecorder::new(Clock::steps());
-        let root = inline.alloc_state_id();
-        inline.state(&LineageEvent {
-            op: crate::lineage_op::ROOT,
-            id: root,
-            parent: 0,
-            loc: "main:b0",
-            hops: 0,
-            depth: 0,
-            steps: 0,
-            snodes: 0,
-            solver_us: 0,
-        });
-
-        let merged = MemRecorder::new(Clock::steps());
-        let w = MemRecorder::new(Clock::with_mode(merged.clock_mode()));
-        let id = w.alloc_state_id();
-        w.state(&LineageEvent {
-            op: crate::lineage_op::ROOT,
-            id,
-            parent: 0,
-            loc: "main:b0",
-            hops: 0,
-            depth: 0,
-            steps: 0,
-            snodes: 0,
-            solver_us: 0,
-        });
-        merged.merge_buffer(&w.into_buffer(), None);
-
-        assert_eq!(inline.finish(), merged.finish());
-    }
-
     fn query_ev(us: u64) -> QueryEvent<'static> {
         QueryEvent {
             sid: 3,
@@ -1208,45 +815,6 @@ mod tests {
         wall.query(&query_ev(999));
         let events = wall.finish();
         assert!(matches!(&events[1], TraceEvent::Query { us: 999, .. }));
-    }
-
-    #[test]
-    fn merged_query_events_match_inline_recording() {
-        let inline = MemRecorder::new(Clock::steps());
-        let root = inline.span_open("portfolio");
-        let s = inline.span_open("candidate.attempt");
-        inline.tick(4);
-        inline.query(&query_ev(0));
-        inline.span_close(s);
-        inline.span_close(root);
-
-        let merged = MemRecorder::new(Clock::steps());
-        let root = merged.span_open("portfolio");
-        let w = MemRecorder::new(Clock::with_mode(merged.clock_mode()));
-        let s = w.span_open("candidate.attempt");
-        w.tick(4);
-        w.query(&query_ev(0));
-        w.span_close(s);
-        merged.merge_buffer(&w.into_buffer(), None);
-        merged.span_close(root);
-
-        assert_eq!(inline.finish(), merged.finish());
-    }
-
-    #[test]
-    fn merge_offsets_query_time_but_not_sid() {
-        let rec = MemRecorder::new(Clock::steps());
-        rec.tick(100);
-        let w = MemRecorder::new(Clock::steps());
-        w.tick(4);
-        w.query(&query_ev(0));
-        rec.merge_buffer(&w.into_buffer(), Some("portfolio.overshoot."));
-        let events = rec.finish();
-        // t offset by the merge point; sid untouched; no rename.
-        assert!(matches!(
-            &events[1],
-            TraceEvent::Query { t: 104, sid: 3, .. }
-        ));
     }
 
     #[test]

@@ -392,9 +392,6 @@ impl TraceSummary {
     /// Per-source-line attribution totals derived from the `attr.*`
     /// counter family: `loc -> [steps, forks, suspends, queries, nodes,
     /// us]` (the [`names::ATTR_DIMS`] order), sorted by location.
-    /// Counters under a merge rename prefix (overshoot workers) do not
-    /// start with `attr.` and are excluded, so the map reflects the
-    /// canonical winner-ordered totals.
     pub fn attr_locs(&self) -> BTreeMap<String, [u64; 6]> {
         let mut locs: BTreeMap<String, [u64; 6]> = BTreeMap::new();
         for (name, v) in &self.counters {
@@ -747,11 +744,6 @@ mod tests {
         events.push(TraceEvent::Counter {
             name: "attr.main:2.steps".into(),
             value: 3,
-        });
-        // A renamed (overshoot) counter must not pollute the canonical map.
-        events.push(TraceEvent::Counter {
-            name: "o1.attr.main:2.steps".into(),
-            value: 99,
         });
         events.push(TraceEvent::Query {
             t: 5,

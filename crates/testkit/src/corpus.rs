@@ -4,7 +4,7 @@
 //! `tests/differential.rs` pinned the engine↔VM replay contract on five
 //! fixed programs, one per interesting shape (guarded assert, string
 //! copy overflow, divide-by-zero, `%`-expansion overflow, global-state
-//! guard). The corpus runs those same programs under *all four* oracles
+//! guard). The corpus runs those same programs under *all three* oracles
 //! plus the chaos oracle, each with a pinned seed so the log corpora the
 //! statistical stages see are reproducible byte-for-byte.
 

@@ -9,10 +9,9 @@
 //! * [`gen`] mints well-typed minic programs from integer seeds,
 //!   composing the five [`concrete::FaultKind`] classes behind input
 //!   guards;
-//! * [`oracles`] runs four differential/metamorphic oracles per
-//!   program — exhaustive↔guided completeness, model→VM replay,
-//!   portfolio↔sequential identity, and cache-configuration
-//!   invariance;
+//! * [`oracles`] runs three differential/metamorphic oracles per
+//!   program — exhaustive↔guided completeness, model→VM replay, and
+//!   cache-configuration invariance;
 //! * [`chaos`] injects deterministic solver/cache faults and asserts
 //!   the engine degrades gracefully (suspends or exhausts, never
 //!   panics, never reports a wrong fault);

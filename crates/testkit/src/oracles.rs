@@ -1,4 +1,4 @@
-//! The four differential oracles (DESIGN.md §11).
+//! The three differential oracles (DESIGN.md §11).
 //!
 //! Each oracle takes a *program* and a *seed* (driving log minting and
 //! randomized schedules) and returns pass, vacuous-skip, or a failure
@@ -10,8 +10,7 @@
 //! |---|---|
 //! | replay | every solver model the engine reports crashes the VM with the same fault class at the same function |
 //! | completeness | any fault exhaustive search finds on a candidate-covered path, guided search finds within the same budget (paper Fig. 5) |
-//! | portfolio | portfolio execution at 2 and 4 workers reports byte-identical results to the sequential loop |
-//! | cache | shared-verdict caches (off / 1 shard / 8 shards / pre-warmed) never change exploration, only solver work |
+//! | cache | a shared verdict cache (off / empty / pre-warmed) never changes exploration, only solver work |
 
 use crate::gen::FaultClass;
 use concrete::{ExecutionLog, InputMap, InputValue, Vm, VmConfig};
@@ -20,41 +19,33 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sir::Module;
 use solver::{QueryCache, SharedCache};
-use statsym_core::pipeline::{CandidateAttempt, StatSym, StatSymConfig, StatSymReport};
+use statsym_core::pipeline::{StatSym, StatSymConfig};
 use std::sync::Arc;
 use symex::{
     outcome_label, Engine, EngineConfig, EngineReport, EngineStats, FoundVulnerability,
     SchedulerKind,
 };
 
-/// The four differential oracles.
+/// The three differential oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
     /// Solver-model → concrete-VM replay equivalence.
     Replay,
     /// Guided-vs-exhaustive completeness.
     Completeness,
-    /// Portfolio-vs-sequential identity at 1/2/4 workers.
-    Portfolio,
-    /// Cache-on/off and shard-count metamorphic invariance.
+    /// Cache-on/off metamorphic invariance.
     Cache,
 }
 
 impl Oracle {
     /// All oracles, in the order the runner executes them.
-    pub const ALL: [Oracle; 4] = [
-        Oracle::Replay,
-        Oracle::Completeness,
-        Oracle::Portfolio,
-        Oracle::Cache,
-    ];
+    pub const ALL: [Oracle; 3] = [Oracle::Replay, Oracle::Completeness, Oracle::Cache];
 
     /// Stable label for reports and CLI flags.
     pub fn label(self) -> &'static str {
         match self {
             Oracle::Replay => "replay",
             Oracle::Completeness => "completeness",
-            Oracle::Portfolio => "portfolio",
             Oracle::Cache => "cache",
         }
     }
@@ -104,12 +95,10 @@ pub fn budget() -> EngineConfig {
     }
 }
 
-/// The pipeline configuration oracles use: the oracle [`budget`] with
-/// the requested worker count.
-pub fn statsym_config(workers: usize) -> StatSymConfig {
+/// The pipeline configuration oracles use: the oracle [`budget`].
+pub fn statsym_config() -> StatSymConfig {
     StatSymConfig {
         engine: budget(),
-        workers,
         ..StatSymConfig::default()
     }
 }
@@ -119,13 +108,12 @@ pub fn check(oracle: Oracle, program: &Program, seed: u64) -> Result<OracleOutco
     let res = match oracle {
         Oracle::Replay => replay(program, seed),
         Oracle::Completeness => completeness(program, seed),
-        Oracle::Portfolio => portfolio(program, seed),
         Oracle::Cache => cache_metamorphic(program),
     };
     res.map_err(|message| OracleFailure { oracle, message })
 }
 
-/// Runs all four oracles; returns the first failure.
+/// Runs all three oracles; returns the first failure.
 pub fn check_all(program: &Program, seed: u64) -> Result<Vec<OracleOutcome>, OracleFailure> {
     Oracle::ALL
         .iter()
@@ -387,56 +375,6 @@ pub fn compare_engine_reports(
     compare_stats(&a.stats, &b.stats, label)
 }
 
-/// Equality of per-candidate attempt lists (sequential vs portfolio).
-pub fn compare_attempts(
-    seq: &[CandidateAttempt],
-    par: &[CandidateAttempt],
-    label: &str,
-) -> Result<(), String> {
-    if seq.len() != par.len() {
-        return Err(format!(
-            "{label}: attempt count diverged: {} vs {}",
-            seq.len(),
-            par.len()
-        ));
-    }
-    for (s, p) in seq.iter().zip(par) {
-        let at = format!("{label}, attempt {}", s.index);
-        if s.index != p.index || s.path_len != p.path_len || s.found != p.found {
-            return Err(format!("{at}: attempt metadata diverged"));
-        }
-        compare_stats(&s.stats, &p.stats, &at)?;
-    }
-    Ok(())
-}
-
-/// Equality of two pipeline reports (the portfolio-vs-sequential
-/// contract of DESIGN.md §9).
-pub fn compare_pipeline_reports(
-    seq: &StatSymReport,
-    par: &StatSymReport,
-    label: &str,
-) -> Result<(), String> {
-    if seq.candidate_used != par.candidate_used {
-        return Err(format!(
-            "{label}: candidate_used diverged: {:?} vs {:?}",
-            seq.candidate_used, par.candidate_used
-        ));
-    }
-    match (&seq.found, &par.found) {
-        (None, None) => {}
-        (Some(s), Some(p)) => compare_found(s, p).map_err(|e| format!("{label}: {e}"))?,
-        (s, p) => {
-            return Err(format!(
-                "{label}: found mismatch: seq {:?} vs par {:?}",
-                s.as_ref().map(|f| &f.fault),
-                p.as_ref().map(|f| &f.fault)
-            ))
-        }
-    }
-    compare_attempts(&seq.attempts, &par.attempts, label)
-}
-
 // ---------------------------------------------------------------------
 // The oracles
 // ---------------------------------------------------------------------
@@ -509,7 +447,7 @@ fn completeness(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
     };
     let spec = input_spec(program);
     let logs = mint_logs(&module, &spec, seed, Some(&found.inputs));
-    let statsym = StatSym::new(statsym_config(1));
+    let statsym = StatSym::new(statsym_config());
     let analysis = statsym.analyze(&logs);
     if analysis
         .candidates
@@ -539,44 +477,8 @@ fn completeness(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
     Ok(OracleOutcome::Pass)
 }
 
-/// Portfolio-vs-sequential identity at 2 and 4 workers. Candidate lists
-/// with a single path are padded with a duplicate so the portfolio
-/// actually engages (a lone candidate runs the one-worker loop at any
-/// worker count).
-fn portfolio(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
-    let module = lower(program)?;
-    let exhaustive = Engine::new(&module, budget()).run();
-    let spec = input_spec(program);
-    let logs = mint_logs(
-        &module,
-        &spec,
-        seed,
-        exhaustive.outcome.found().map(|f| &f.inputs),
-    );
-    let mut analysis = StatSym::new(statsym_config(1)).analyze(&logs);
-    {
-        let Some(cs) = analysis.candidates.as_mut() else {
-            return Ok(OracleOutcome::Vacuous("analysis yields no candidate paths"));
-        };
-        if cs.paths.is_empty() {
-            return Ok(OracleOutcome::Vacuous("analysis yields no candidate paths"));
-        }
-        if cs.paths.len() < 2 {
-            let dup = cs.paths.clone();
-            cs.paths.extend(dup);
-        }
-    }
-    let seq = StatSym::new(statsym_config(1)).run_with_analysis(&module, analysis.clone());
-    for workers in [2usize, 4] {
-        let par =
-            StatSym::new(statsym_config(workers)).run_with_analysis(&module, analysis.clone());
-        compare_pipeline_reports(&seq, &par, &format!("workers={workers}"))?;
-    }
-    Ok(OracleOutcome::Pass)
-}
-
-/// Metamorphic cache invariance: no cache, a 1-shard cache, an 8-shard
-/// cache, and a pre-warmed cache must all leave exploration untouched.
+/// Metamorphic cache invariance: no cache, an empty cache, and a
+/// pre-warmed cache must all leave exploration untouched.
 fn cache_metamorphic(program: &Program) -> Result<OracleOutcome, String> {
     let module = lower(program)?;
     let run = |cache: Option<Arc<dyn QueryCache + Send + Sync>>| -> EngineReport {
@@ -587,12 +489,10 @@ fn cache_metamorphic(program: &Program) -> Result<OracleOutcome, String> {
         engine.run()
     };
     let base = run(None);
-    let one: Arc<SharedCache> = Arc::new(SharedCache::new(1));
-    let eight: Arc<SharedCache> = Arc::new(SharedCache::new(8));
-    compare_engine_reports(&base, &run(Some(one)), "shards=1")?;
-    compare_engine_reports(&base, &run(Some(eight.clone())), "shards=8")?;
+    let cache: Arc<SharedCache> = Arc::new(SharedCache::new());
+    compare_engine_reports(&base, &run(Some(cache.clone())), "empty")?;
     // Second run against the now-populated cache: verdict hits replace
     // solver search but must not perturb exploration.
-    compare_engine_reports(&base, &run(Some(eight)), "pre-warmed")?;
+    compare_engine_reports(&base, &run(Some(cache)), "pre-warmed")?;
     Ok(OracleOutcome::Pass)
 }

@@ -1,6 +1,6 @@
 //! Seed-range soak driver behind the `statsym-testkit` binary.
 //!
-//! For each seed: generate a program, run the four differential oracles
+//! For each seed: generate a program, run the three differential oracles
 //! and the chaos oracle, and on any violation greedily shrink the
 //! program to a minimal reproducer. Failures carry the seed, the
 //! violated oracle, and the shrunk source, so the fix-reproduce loop is

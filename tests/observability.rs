@@ -1,6 +1,6 @@
 //! Fleet-observability contracts (DESIGN.md §17): the run-history
-//! manifest must be byte-identical no matter how the run was scheduled,
-//! and a crashing engine must still leave a usable diagnostic trail —
+//! manifest must be byte-identical from run to run, and a crashing
+//! engine must still leave a usable diagnostic trail —
 //! a complete crash bundle on disk whose partial trace still parses.
 
 use statsym::concrete::{ExecutionLog, InputValue, VmConfig};
@@ -60,17 +60,6 @@ fn corpus(module: &Module) -> Vec<ExecutionLog> {
     logs
 }
 
-/// Deterministic config: no cancellation races, no shared solver cache,
-/// so worker buffers are scheduling-independent.
-fn config(workers: usize) -> StatSymConfig {
-    StatSymConfig {
-        workers,
-        cancel_on_found: false,
-        share_cache: false,
-        ..StatSymConfig::default()
-    }
-}
-
 fn meta(cfg: &StatSymConfig) -> ManifestMeta {
     ManifestMeta {
         source: "test".to_string(),
@@ -82,38 +71,28 @@ fn meta(cfg: &StatSymConfig) -> ManifestMeta {
 }
 
 /// The identity contract: the manifest a run folds down to is a
-/// property of the *workload*, not of how it was scheduled. Every
-/// portfolio-worker count must render the same bytes — config
-/// fingerprint included, because the fingerprint canonicalizes
-/// scheduling knobs away.
+/// property of the *workload*. A rerun renders the same bytes, config
+/// fingerprint and trace hash included.
 #[test]
-fn manifests_are_byte_identical_across_worker_counts() {
+fn manifests_are_byte_identical_across_runs() {
     let m = module();
     let logs = corpus(&m);
-    let analysis = StatSym::new(config(1)).analyze(&logs);
+    let analysis = StatSym::default().analyze(&logs);
 
-    let manifest_for = |workers: usize| {
-        let cfg = config(workers);
+    let manifest_for = || {
+        let cfg = StatSymConfig::default();
         let meta = meta(&cfg);
         let rec = MemRecorder::new(Clock::steps());
         let _ = StatSym::new(cfg).run_with_analysis_traced(&m, analysis.clone(), &rec);
         RunManifest::from_events(&rec.finish(), &meta).render()
     };
 
-    let baseline = manifest_for(1);
+    let baseline = manifest_for();
     assert!(
         baseline.contains("\"kind\":\"statsym.manifest\""),
         "manifest must carry its kind tag: {baseline}"
     );
-    for workers in [2usize, 4] {
-        assert_eq!(
-            baseline,
-            manifest_for(workers),
-            "manifest must be byte-identical at workers={workers}"
-        );
-    }
-    // Rendering is itself deterministic: same run, same bytes.
-    assert_eq!(baseline, manifest_for(1));
+    assert_eq!(baseline, manifest_for());
 }
 
 /// A forced engine panic (the `--panic-after` chaos knob) must leave
@@ -125,7 +104,7 @@ fn manifests_are_byte_identical_across_worker_counts() {
 fn engine_panic_yields_crash_bundle_and_readable_partial_trace() {
     let m = module();
     let logs = corpus(&m);
-    let analysis = StatSym::new(config(1)).analyze(&logs);
+    let analysis = StatSym::default().analyze(&logs);
 
     let dir = std::env::temp_dir().join(format!("statsym-obs-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -133,12 +112,12 @@ fn engine_panic_yields_crash_bundle_and_readable_partial_trace() {
     let trace_path = dir.join("partial.jsonl");
     std::fs::create_dir_all(&dir).unwrap();
 
-    let mut cfg = config(1);
+    let mut cfg = StatSymConfig::default();
     cfg.engine.panic_after = Some(40);
     let guard = CrashGuard::install(CrashContext {
         dir: crash_dir.to_string_lossy().into_owned(),
         run: "obs-drill".to_string(),
-        reproduce: "statsym-portfolio --workers 1 --panic-after 40".to_string(),
+        reproduce: "table2 --panic-after 40".to_string(),
         config: format!("{cfg:#?}"),
         trace_path: Some(trace_path.to_string_lossy().into_owned()),
         meta: ManifestMeta {

@@ -6,13 +6,12 @@
 //! 1. the pipeline localizes each parser's fault site (function + class);
 //! 2. the winning candidate's rank is pinned per app (ranking
 //!    calibration covers the new families);
-//! 3. the merged telemetry trace is byte-identical across repeated runs
-//!    at 1, 2, and 4 portfolio workers, and the found fault (inputs,
-//!    kind, trace) is identical across worker counts.
+//! 3. the telemetry trace and the found fault (inputs, kind, trace) are
+//!    byte-identical across repeated runs.
 
 use statsym::benchapps::{by_name, generate_corpus, BenchApp, CorpusSpec};
 use statsym::concrete::FaultKind;
-use statsym::core::pipeline::{StatSym, StatSymConfig, StatSymReport};
+use statsym::core::pipeline::{StatSym, StatSymReport};
 use statsym::core::AnalysisReport;
 use statsym::sir::Module;
 use statsym::telemetry::{Clock, FileRecorder, SharedBuf};
@@ -38,25 +37,10 @@ fn analysis_for(app: &BenchApp) -> AnalysisReport {
     analysis
 }
 
-/// Deterministic portfolio config: no cancellation races, no shared
-/// solver cache, so traces are scheduling-independent.
-fn deterministic_config(workers: usize) -> StatSymConfig {
-    StatSymConfig {
-        workers,
-        cancel_on_found: false,
-        share_cache: false,
-        ..StatSymConfig::default()
-    }
-}
-
-fn traced_run(
-    module: &Module,
-    analysis: &AnalysisReport,
-    config: StatSymConfig,
-) -> (Vec<u8>, StatSymReport) {
+fn traced_run(module: &Module, analysis: &AnalysisReport) -> (Vec<u8>, StatSymReport) {
     let buf = SharedBuf::new();
     let rec = FileRecorder::from_writer(Box::new(buf.clone()), Clock::steps());
-    let report = StatSym::new(config).run_with_analysis_traced(module, analysis.clone(), &rec);
+    let report = StatSym::default().run_with_analysis_traced(module, analysis.clone(), &rec);
     rec.finish().unwrap();
     (buf.contents(), report)
 }
@@ -84,7 +68,7 @@ fn pipeline_localizes_every_parser_fault_with_pinned_winner_rank() {
     for (name, fault_func, winner_rank) in CASES {
         let app = by_name(name).unwrap();
         let analysis = analysis_for(&app);
-        let report = StatSym::new(deterministic_config(1)).run_with_analysis(&app.module, analysis);
+        let report = StatSym::default().run_with_analysis(&app.module, analysis);
         let found = report
             .found
             .as_ref()
@@ -110,29 +94,19 @@ fn pipeline_localizes_every_parser_fault_with_pinned_winner_rank() {
 }
 
 #[test]
-fn parser_traces_are_byte_identical_per_worker_count_and_agree_across() {
+fn parser_traces_are_byte_identical_across_runs() {
     for (name, fault_func, _) in CASES {
         let app = by_name(name).unwrap();
         let analysis = analysis_for(&app);
-        let mut baseline: Option<StatSymReport> = None;
-        for workers in [1usize, 2, 4] {
-            let (a, ra) = traced_run(&app.module, &analysis, deterministic_config(workers));
-            let (b, rb) = traced_run(&app.module, &analysis, deterministic_config(workers));
-            assert!(!a.is_empty(), "{name}@{workers}: empty trace");
-            assert_eq!(a, b, "{name}@{workers}: trace not byte-identical");
-            assert_eq!(ra.candidate_used, rb.candidate_used);
-            let fa = ra.found.as_ref().expect("found");
-            assert_eq!(fa.fault.func, fault_func, "{name}@{workers}");
-            match &baseline {
-                None => baseline = Some(ra),
-                Some(base) => {
-                    let bf = base.found.as_ref().unwrap();
-                    assert_eq!(ra.candidate_used, base.candidate_used, "{name}@{workers}");
-                    assert_eq!(fa.inputs, bf.inputs, "{name}@{workers}: inputs");
-                    assert_eq!(fa.fault, bf.fault, "{name}@{workers}: fault");
-                    assert_eq!(fa.trace, bf.trace, "{name}@{workers}: call trace");
-                }
-            }
-        }
+        let (a, ra) = traced_run(&app.module, &analysis);
+        let (b, rb) = traced_run(&app.module, &analysis);
+        assert!(!a.is_empty(), "{name}: empty trace");
+        assert_eq!(a, b, "{name}: trace not byte-identical");
+        assert_eq!(ra.candidate_used, rb.candidate_used, "{name}");
+        let (fa, fb) = (ra.found.as_ref().expect("found"), rb.found.unwrap());
+        assert_eq!(fa.fault.func, fault_func, "{name}");
+        assert_eq!(fa.inputs, fb.inputs, "{name}: inputs");
+        assert_eq!(fa.fault, fb.fault, "{name}: fault");
+        assert_eq!(fa.trace, fb.trace, "{name}: call trace");
     }
 }
