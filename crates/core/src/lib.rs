@@ -15,7 +15,7 @@
 //!    from program entry to the failure point, greedy *detours* to
 //!    high-score predicates off the skeleton, and their ranked joins.
 //! 4. **Statistics-guided symbolic execution** ([`guidance`],
-//!    [`pipeline`], [`portfolio`]) — a `symex::EventHook` implementing
+//!    [`pipeline`]) — a `symex::EventHook` implementing
 //!    the paper's inter-function (τ-hop) and intra-function (predicate
 //!    constraint) guidance, plus the candidate loop that attempts ranked
 //!    candidate paths until the vulnerable path is verified.
@@ -38,13 +38,13 @@
 //! ```
 
 pub mod candidate;
+mod candidate_loop;
 pub mod compound;
 pub mod corpus;
 pub mod detour;
 pub mod guidance;
 pub mod multi;
 pub mod pipeline;
-pub mod portfolio;
 pub mod predicate;
 pub mod skeleton;
 pub mod transition;

@@ -4,10 +4,10 @@
 //! verified.
 
 use crate::candidate::{CandidateConfig, CandidatePath, CandidateSet};
+use crate::candidate_loop::{LoopOutcome, Run};
 use crate::corpus::LogCorpus;
 use crate::detour::{find_detours, DetourConfig};
 use crate::guidance::GuidanceConfig;
-use crate::portfolio::{PortfolioOutcome, Run};
 use crate::predicate::PredicateSet;
 use crate::skeleton::{Skeleton, SkeletonConfig};
 use crate::transition::{MineConfig, TransitionGraph};
@@ -15,7 +15,7 @@ use concrete::{ExecutionLog, Location};
 use sir::Module;
 use solver::{QueryCache, SharedCache, SharedCacheStats};
 use statsym_telemetry::{names, spearman_milli, Recorder, Span, NOOP};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 use symex::{EngineConfig, EngineStats, FoundVulnerability, SchedulerKind};
 
@@ -302,9 +302,8 @@ impl StatSym {
 
         // One verdict memo per run, filled by every attempt in rank
         // order. A lone candidate has nothing to share it with.
-        let memo = (paths.len() > 1)
-            .then(|| Arc::new(SharedCache::new()) as Arc<dyn QueryCache + Send + Sync>);
-        let PortfolioOutcome {
+        let memo = (paths.len() > 1).then(|| Rc::new(SharedCache::new()) as Rc<dyn QueryCache>);
+        let LoopOutcome {
             attempts,
             found,
             candidate_used,

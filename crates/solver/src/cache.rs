@@ -6,11 +6,12 @@
 //! 1. a **private** per-`Solver` map from query fingerprint to the full
 //!    [`SatResult`] (models included);
 //! 2. an optional injected [`QueryCache`] holding *model-free verdicts*
-//!    only, so it can safely be shared across engines: `TermId`/`VarId`
-//!    spaces are per-`TermCtx`, so a `Model` (a `VarId → i64` map) from
-//!    one engine is meaningless — and unsound to reuse — in another.
-//!    The query fingerprint ([`crate::TermCtx::query_fingerprint`]) is
-//!    structural, so fingerprints *do* agree across contexts.
+//!    only, so one instance can serve every engine of a run:
+//!    `TermId`/`VarId` spaces are per-`TermCtx`, so a `Model` (a
+//!    `VarId → i64` map) from one engine is meaningless — and unsound to
+//!    reuse — in another. The query fingerprint
+//!    ([`crate::TermCtx::query_fingerprint`]) is structural, so
+//!    fingerprints *do* agree across contexts.
 //!
 //! Independence slicing uses the same two layers: each
 //! variable-disjoint component is stored under its own fingerprint as
@@ -22,12 +23,13 @@
 //! make one attempt's budget wrinkle another attempt's exploration.
 //!
 //! [`SharedCache`] is the run-scoped implementation: one map with
-//! hit/miss/store counters.
+//! hit/miss/store counters. A run attempts its candidates one after
+//! another on one thread, so the memo is single-owner: engines hold it
+//! through an `Rc` and it mutates through `&self` with `RefCell`/`Cell`.
 
 use crate::solve::SatResult;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A satisfiability verdict safe to share across engines: no model, and
 /// never `Unknown`.
@@ -53,7 +55,7 @@ impl CachedVerdict {
 /// A model-free verdict store keyed by structural query fingerprint.
 ///
 /// Implementations take `&self` so a single instance can be consulted
-/// from many solvers (behind an `Arc`).
+/// from every solver of a run (behind an `Rc`).
 pub trait QueryCache {
     /// Looks up a previously published verdict.
     fn lookup(&self, key: u64) -> Option<CachedVerdict>;
@@ -62,19 +64,9 @@ pub trait QueryCache {
     /// entry (e.g. under memory pressure); the cache is advisory.
     fn publish(&self, key: u64, verdict: CachedVerdict);
 
-    /// Number of cached entries.
-    fn entries(&self) -> usize;
-
-    /// Traffic counters, readable through a trait object so callers
-    /// holding an `Arc<dyn QueryCache>` (e.g. the candidate loop, or a
-    /// fault-injection wrapper) can still report cache stats.
-    /// Implementations without counters report entries only.
-    fn stats(&self) -> SharedCacheStats {
-        SharedCacheStats {
-            entries: self.entries() as u64,
-            ..SharedCacheStats::default()
-        }
-    }
+    /// Traffic counters and entry count, readable through a trait
+    /// object so the candidate loop can report the memo's stats.
+    fn stats(&self) -> SharedCacheStats;
 }
 
 /// Counters describing shared-cache traffic.
@@ -91,14 +83,13 @@ pub struct SharedCacheStats {
 }
 
 /// The run's verdict memo: one map from query fingerprint to verdict,
-/// shared by every candidate attempt of a run (behind an `Arc`, so the
-/// map sits behind a `Mutex`).
+/// shared by every candidate attempt of a run.
 #[derive(Debug, Default)]
 pub struct SharedCache {
-    map: Mutex<HashMap<u64, CachedVerdict>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
+    map: RefCell<HashMap<u64, CachedVerdict>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    stores: Cell<u64>,
 }
 
 impl SharedCache {
@@ -106,43 +97,30 @@ impl SharedCache {
     pub fn new() -> SharedCache {
         SharedCache::default()
     }
-
-    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<u64, CachedVerdict>> {
-        self.map.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Snapshot of the traffic counters.
-    pub fn stats(&self) -> SharedCacheStats {
-        SharedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            entries: self.entries() as u64,
-        }
-    }
 }
 
 impl QueryCache for SharedCache {
     fn lookup(&self, key: u64) -> Option<CachedVerdict> {
-        let hit = self.map().get(&key).copied();
+        let hit = self.map.borrow().get(&key).copied();
         match hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.hits.set(self.hits.get() + 1),
+            None => self.misses.set(self.misses.get() + 1),
+        }
         hit
     }
 
     fn publish(&self, key: u64, verdict: CachedVerdict) {
-        self.map().insert(key, verdict);
-        self.stores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn entries(&self) -> usize {
-        self.map().len()
+        self.map.borrow_mut().insert(key, verdict);
+        self.stores.set(self.stores.get() + 1);
     }
 
     fn stats(&self) -> SharedCacheStats {
-        SharedCache::stats(self)
+        SharedCacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            stores: self.stores.get(),
+            entries: self.map.borrow().len() as u64,
+        }
     }
 }
 

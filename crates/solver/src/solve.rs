@@ -5,6 +5,7 @@ use crate::interval::Interval;
 use crate::partition::{Component, Partition};
 use crate::term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Resource limits for one `check` call.
@@ -166,7 +167,7 @@ pub struct Solver {
     /// sub-µs queries (cache hits) still add up.
     query_ns: u64,
     cache: HashMap<u64, SatResult>,
-    shared: Option<Arc<dyn QueryCache + Send + Sync>>,
+    shared: Option<Rc<dyn QueryCache>>,
     prov: Prov,
 }
 
@@ -212,7 +213,7 @@ impl Solver {
     /// Injects a shared verdict cache, consulted on private-cache misses
     /// and fed every definitive local result. See [`crate::cache`] for
     /// the soundness rules (model-free verdicts only, never `Unknown`).
-    pub fn set_query_cache(&mut self, cache: Arc<dyn QueryCache + Send + Sync>) {
+    pub fn set_query_cache(&mut self, cache: Rc<dyn QueryCache>) {
         self.shared = Some(cache);
     }
 
@@ -556,52 +557,48 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// Lo-first splitting: try the smallest value of the branch
+    /// variable, else the rest of its domain. Complete, and reaches a
+    /// model in O(#vars) nodes on the byte-constraint chains symbolic
+    /// string exploration emits. Only the point branch recurses (it
+    /// fixes one more variable, so the depth is bounded by the variable
+    /// count); the rest branch loops, since a wide domain can be split
+    /// up to the node budget.
     fn search(&mut self, mut domains: Domains) -> Option<Model> {
-        self.nodes += 1;
-        if self.nodes > self.config.max_nodes {
-            self.budget_hit = true;
-            return None;
-        }
-        if let PropOutcome::Contradiction = self.propagate(&mut domains) {
-            return None;
-        }
-        // Pick the unfixed variable with the smallest domain.
-        let branch_var = domains
-            .iter()
-            .filter(|(_, d)| !d.is_point())
-            .min_by_key(|(v, d)| (d.width(), v.0))
-            .map(|(v, d)| (*v, *d));
-        let Some((var, dom)) = branch_var else {
-            // All variables fixed: verify concretely (propagation over
-            // div/rem is conservative, so this check is load-bearing).
-            let model = Model {
-                values: domains.iter().map(|(v, d)| (*v, d.lo)).collect(),
-            };
-            return model.satisfies(self.ctx, self.constraints).then_some(model);
-        };
-        // Lo-first splitting: try the smallest value, else the rest of
-        // the domain. Complete, and reaches a model in O(#vars) nodes on
-        // the byte-constraint chains symbolic string exploration emits.
-        for (i, part) in [
-            Interval::point(dom.lo),
-            Interval::new(dom.lo.saturating_add(1), dom.hi),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                self.backtracks += 1;
+        loop {
+            self.nodes += 1;
+            if self.nodes > self.config.max_nodes {
+                self.budget_hit = true;
+                return None;
             }
-            let mut next = domains.clone();
-            next.insert(var, part);
-            if let Some(m) = self.search(next) {
+            if let PropOutcome::Contradiction = self.propagate(&mut domains) {
+                return None;
+            }
+            // Pick the unfixed variable with the smallest domain.
+            let branch_var = domains
+                .iter()
+                .filter(|(_, d)| !d.is_point())
+                .min_by_key(|(v, d)| (d.width(), v.0))
+                .map(|(v, d)| (*v, *d));
+            let Some((var, dom)) = branch_var else {
+                // All variables fixed: verify concretely (propagation over
+                // div/rem is conservative, so this check is load-bearing).
+                let model = Model {
+                    values: domains.iter().map(|(v, d)| (*v, d.lo)).collect(),
+                };
+                return model.satisfies(self.ctx, self.constraints).then_some(model);
+            };
+            let mut point = domains.clone();
+            point.insert(var, Interval::point(dom.lo));
+            if let Some(m) = self.search(point) {
                 return Some(m);
             }
             if self.budget_hit {
                 return None;
             }
+            self.backtracks += 1;
+            domains.insert(var, Interval::new(dom.lo.saturating_add(1), dom.hi));
         }
-        None
     }
 
     /// Revises all constraints until fixpoint (or the round bound).
@@ -952,18 +949,32 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_reports_unknown() {
-        // x * y == large prime-ish over huge domains, with a 1-node budget.
-        let mut ctx = TermCtx::new();
-        let x = ctx.new_var("x", 2, 1_000_000_000);
-        let y = ctx.new_var("y", 2, 1_000_000_000);
-        let prod = ctx.mul(x, y);
-        let target = ctx.int(999_999_937);
-        let mut solver = Solver::with_config(SolverConfig {
-            max_nodes: 1,
-            ..SolverConfig::default()
-        });
-        let r = solver.check(&ctx, &[Constraint::new(CmpOp::Eq, prod, target)]);
-        assert_eq!(r, SatResult::Unknown);
+        // x * y == large prime-ish over huge domains: no narrowing
+        // applies, so the search splits the rest of a domain until the
+        // node budget runs out. The default budget must not grow the
+        // stack with it: run on a 2 MiB thread (cargo test's default).
+        let exhaust = |max_nodes: u64| {
+            let mut ctx = TermCtx::new();
+            let x = ctx.new_var("x", 2, 1_000_000_000);
+            let y = ctx.new_var("y", 2, 1_000_000_000);
+            let prod = ctx.mul(x, y);
+            let target = ctx.int(999_999_937);
+            let mut solver = Solver::with_config(SolverConfig {
+                max_nodes,
+                ..SolverConfig::default()
+            });
+            let r = solver.check(&ctx, &[Constraint::new(CmpOp::Eq, prod, target)]);
+            (r, solver.stats().nodes)
+        };
+        for max_nodes in [1, SolverConfig::default().max_nodes] {
+            let outcome = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || exhaust(max_nodes))
+                .expect("spawn the search thread")
+                .join()
+                .expect("search thread panicked");
+            assert_eq!(outcome, (SatResult::Unknown, max_nodes + 1));
+        }
     }
 
     #[test]
@@ -1093,7 +1104,6 @@ mod tests {
     #[test]
     fn shared_cache_answers_unsat_across_solvers() {
         use crate::cache::SharedCache;
-        use std::sync::Arc;
         let mut ctx = TermCtx::new();
         let x = ctx.new_var("x", 0, 255);
         let c5 = ctx.int(5);
@@ -1102,7 +1112,7 @@ mod tests {
             Constraint::new(CmpOp::Lt, x, c5),
             Constraint::new(CmpOp::Lt, c10, x),
         ];
-        let shared: Arc<SharedCache> = Arc::new(SharedCache::new());
+        let shared: Rc<SharedCache> = Rc::new(SharedCache::new());
         let mut a = Solver::default();
         a.set_query_cache(shared.clone());
         assert_eq!(a.check(&ctx, &cs), SatResult::Unsat);
@@ -1128,12 +1138,11 @@ mod tests {
     #[test]
     fn shared_sat_hit_is_model_free_only() {
         use crate::cache::SharedCache;
-        use std::sync::Arc;
         let mut ctx = TermCtx::new();
         let x = ctx.new_var("x", 0, 255);
         let c5 = ctx.int(5);
         let cs = [Constraint::new(CmpOp::Eq, x, c5)];
-        let shared: Arc<SharedCache> = Arc::new(SharedCache::new());
+        let shared: Rc<SharedCache> = Rc::new(SharedCache::new());
         let mut a = Solver::default();
         a.set_query_cache(shared.clone());
         assert!(a.check_sat(&ctx, &cs).is_sat());
@@ -1162,13 +1171,12 @@ mod tests {
     #[test]
     fn unknown_results_are_not_shared() {
         use crate::cache::SharedCache;
-        use std::sync::Arc;
         let mut ctx = TermCtx::new();
         let x = ctx.new_var("x", 2, 1_000_000_000);
         let y = ctx.new_var("y", 2, 1_000_000_000);
         let prod = ctx.mul(x, y);
         let target = ctx.int(999_999_937);
-        let shared: Arc<SharedCache> = Arc::new(SharedCache::new());
+        let shared: Rc<SharedCache> = Rc::new(SharedCache::new());
         let mut solver = Solver::with_config(SolverConfig {
             max_nodes: 1,
             ..SolverConfig::default()
@@ -1176,7 +1184,40 @@ mod tests {
         solver.set_query_cache(shared.clone());
         let r = solver.check(&ctx, &[Constraint::new(CmpOp::Eq, prod, target)]);
         assert_eq!(r, SatResult::Unknown);
-        assert_eq!(shared.entries(), 0, "Unknown must not be published");
+        assert_eq!(shared.stats().entries, 0, "Unknown must not be published");
+    }
+
+    #[test]
+    fn clone_copies_private_state_and_shares_the_memo() {
+        use crate::cache::SharedCache;
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 255);
+        let c5 = ctx.int(5);
+        let c10 = ctx.int(10);
+        let unsat_q = [
+            Constraint::new(CmpOp::Lt, x, c5),
+            Constraint::new(CmpOp::Lt, c10, x),
+        ];
+        let sat_q = [Constraint::new(CmpOp::Eq, x, c10)];
+        let shared: Rc<SharedCache> = Rc::new(SharedCache::new());
+        let mut original = Solver::default();
+        original.set_query_cache(shared.clone());
+        assert_eq!(original.check(&ctx, &unsat_q), SatResult::Unsat);
+
+        // The clone starts from the original's private cache and stats.
+        let mut copy = original.clone();
+        assert_eq!(copy.stats(), original.stats());
+        assert_eq!(copy.cache_len(), 1);
+        assert_eq!(copy.check(&ctx, &unsat_q), SatResult::Unsat);
+        assert_eq!(copy.stats().cache_hits, 1);
+        assert_eq!(original.stats().cache_hits, 0, "stats are copied");
+
+        // A verdict published through the clone hits from the original.
+        assert!(copy.check_sat(&ctx, &sat_q).is_sat());
+        assert_eq!(original.cache_len(), 1, "private caches are copied");
+        assert!(original.check_sat(&ctx, &sat_q).is_sat());
+        assert_eq!(original.stats().shared_hits, 1);
+        assert_eq!(shared.stats().stores, 2);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Interned term DAG and constraint atoms.
 
 use crate::interval::Interval;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Id of an interned term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -180,7 +179,7 @@ impl Fold {
 
 /// One interned term: the term, its structural hash and its variable
 /// set (sorted, deduplicated), all computed once at intern time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     term: Term,
     hash: u64,
@@ -214,18 +213,22 @@ fn union_vars(a: &Arc<[VarId]>, b: &Arc<[VarId]>) -> Arc<[VarId]> {
     }
 }
 
-/// The append-only term store shared by every handle cloned from one
-/// root context. All published state lives behind one mutex; readers
-/// never take it on the hot path because each handle keeps a flat local
-/// copy of the prefix it has seen (ids are dense and never reassigned,
-/// so a stale copy is simply a shorter prefix of the same data).
+/// The interning context: an append-only arena of terms and variable
+/// metadata, owned by one engine (or one test) and passed by reference.
+/// Forked states only hold `TermId`s; ids are dense and never reassigned.
+/// Separately constructed contexts have unrelated id spaces.
+///
+/// Every interned term carries a precomputed *structural* hash
+/// ([`TermCtx::term_hash`]): variables hash by (name, declared domain)
+/// rather than by `VarId`, so hashes agree across independently built
+/// contexts that intern structurally identical terms — the property the
+/// run's verdict memo relies on, since each candidate attempt builds its
+/// own context. Hashes are computed incrementally at intern time
+/// (children are already interned), so fingerprinting a query is
+/// allocation- and traversal-free. Each term's variable set
+/// ([`TermCtx::vars_of`]) is computed at intern time too.
 #[derive(Debug, Default)]
-struct Store {
-    tail: Mutex<StoreTail>,
-}
-
-#[derive(Debug, Default)]
-struct StoreTail {
+pub struct TermCtx {
     /// One entry per id, in interning order.
     terms: Vec<Entry>,
     intern: HashMap<Term, TermId>,
@@ -234,206 +237,49 @@ struct StoreTail {
     var_hashes: Vec<u64>,
 }
 
-/// The per-handle snapshot of the store prefix, plus a private intern
-/// memo so repeat constructions skip the store lock entirely.
-#[derive(Debug, Default)]
-struct LocalView {
-    terms: Vec<Entry>,
-    vars: Vec<VarInfo>,
-    var_hashes: Vec<u64>,
-    memo: HashMap<Term, TermId>,
-}
-
-/// The interning context: owns all terms and variable metadata.
-///
-/// Append-only: the symbolic executor shares one `TermCtx` across all of
-/// its states; forked states only hold `TermId`s.
-///
-/// A `TermCtx` is a cheap *handle* over a shared, thread-safe store:
-/// `clone()` yields a second handle onto the same term/variable id
-/// space, so worker threads of one engine can intern concurrently and
-/// exchange bare `TermId`s. Reads stay lock-free via a per-handle flat
-/// snapshot that is refreshed from the store only when an id past the
-/// snapshot is dereferenced; only interning a term the handle has not
-/// seen takes the store lock. `TermCtx::new()` (and `default()`) still
-/// create a fresh, fully independent store, preserving the historical
-/// property that separately constructed contexts have unrelated id
-/// spaces.
-///
-/// Every interned term carries a precomputed *structural* hash
-/// ([`TermCtx::term_hash`]): variables hash by (name, declared domain)
-/// rather than by `VarId`, so hashes agree across independently built
-/// contexts that intern structurally identical terms — the property the
-/// cross-engine shared solver cache relies on. Hashes are computed
-/// incrementally at intern time (children are already interned), so
-/// fingerprinting a query is allocation- and traversal-free. Each term's
-/// variable set ([`TermCtx::vars_of`]) is computed at intern time too.
-#[derive(Debug)]
-pub struct TermCtx {
-    store: Arc<Store>,
-    local: RefCell<LocalView>,
-}
-
-impl Default for TermCtx {
-    fn default() -> TermCtx {
-        TermCtx::new()
-    }
-}
-
-impl Clone for TermCtx {
-    /// A second handle onto the *same* store (shared id space), with its
-    /// own snapshot and intern memo.
-    fn clone(&self) -> TermCtx {
-        let l = self.local.borrow();
-        TermCtx {
-            store: Arc::clone(&self.store),
-            local: RefCell::new(LocalView {
-                terms: l.terms.clone(),
-                vars: l.vars.clone(),
-                var_hashes: l.var_hashes.clone(),
-                memo: l.memo.clone(),
-            }),
-        }
-    }
-}
-
 impl TermCtx {
-    /// Creates an empty context backed by a fresh store.
+    /// Creates an empty context.
     pub fn new() -> TermCtx {
-        TermCtx {
-            store: Arc::new(Store::default()),
-            local: RefCell::new(LocalView::default()),
-        }
-    }
-
-    /// Copies everything the store has published past this handle's
-    /// snapshot into the local flat views.
-    #[cold]
-    fn refresh(&self) {
-        let tail = self.store.tail.lock().unwrap_or_else(|e| e.into_inner());
-        let mut l = self.local.borrow_mut();
-        if l.terms.len() < tail.terms.len() {
-            let from = l.terms.len();
-            l.terms.extend_from_slice(&tail.terms[from..]);
-        }
-        if l.vars.len() < tail.vars.len() {
-            let from = l.vars.len();
-            l.vars.extend_from_slice(&tail.vars[from..]);
-            l.var_hashes.extend_from_slice(&tail.var_hashes[from..]);
-        }
-    }
-
-    /// Number of interned terms (across all handles of this store).
-    pub fn term_count(&self) -> usize {
-        self.refresh();
-        self.local.borrow().terms.len()
-    }
-
-    /// Number of variables (across all handles of this store).
-    pub fn var_count(&self) -> usize {
-        self.refresh();
-        self.local.borrow().vars.len()
+        TermCtx::default()
     }
 
     /// The term behind an id.
     #[inline]
     pub fn term(&self, id: TermId) -> Term {
-        let i = id.index();
-        {
-            let l = self.local.borrow();
-            if i < l.terms.len() {
-                return l.terms[i].term;
-            }
-        }
-        self.refresh();
-        self.local.borrow().terms[i].term
+        self.terms[id.index()].term
     }
 
-    /// Variable metadata (owned; the handle snapshot may grow under it).
-    pub fn var_info(&self, v: VarId) -> VarInfo {
-        let i = v.index();
-        {
-            let l = self.local.borrow();
-            if i < l.vars.len() {
-                return l.vars[i].clone();
-            }
-        }
-        self.refresh();
-        self.local.borrow().vars[i].clone()
+    /// Variable metadata.
+    pub fn var_info(&self, v: VarId) -> &VarInfo {
+        &self.vars[v.index()]
     }
 
-    /// Declared domain of a variable — the hot-path subset of
-    /// [`TermCtx::var_info`] (no `String` clone).
+    /// Declared domain of a variable.
     #[inline]
     pub fn var_domain(&self, v: VarId) -> Interval {
-        let i = v.index();
-        {
-            let l = self.local.borrow();
-            if i < l.vars.len() {
-                return l.vars[i].domain;
-            }
-        }
-        self.refresh();
-        self.local.borrow().vars[i].domain
-    }
-
-    #[inline]
-    fn var_hash(&self, v: VarId) -> u64 {
-        let i = v.index();
-        {
-            let l = self.local.borrow();
-            if i < l.var_hashes.len() {
-                return l.var_hashes[i];
-            }
-        }
-        self.refresh();
-        self.local.borrow().var_hashes[i]
+        self.vars[v.index()].domain
     }
 
     /// All variables appearing in `t`, sorted and deduplicated. The set
     /// is computed once when `t` is interned, so this is a lookup.
     #[inline]
     pub fn vars_of(&self, t: TermId) -> Arc<[VarId]> {
-        let i = t.index();
-        {
-            let l = self.local.borrow();
-            if i < l.terms.len() {
-                return Arc::clone(&l.terms[i].vars);
-            }
-        }
-        self.refresh();
-        Arc::clone(&self.local.borrow().terms[i].vars)
+        Arc::clone(&self.terms[t.index()].vars)
     }
 
     fn intern(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.local.get_mut().memo.get(&t) {
+        if let Some(&id) = self.intern.get(&t) {
             return id;
         }
-        // Hash before taking the store lock: children are interned, so
-        // this only reads (and possibly refreshes) the local snapshot.
         let hash = self.structural_hash(t);
         let vars = self.term_vars(t);
-        let id = {
-            let mut tail = self.store.tail.lock().unwrap_or_else(|e| e.into_inner());
-            match tail.intern.get(&t) {
-                Some(&id) => id,
-                None => {
-                    let id = TermId(tail.terms.len() as u32);
-                    tail.terms.push(Entry {
-                        term: t,
-                        hash,
-                        vars,
-                    });
-                    tail.intern.insert(t, id);
-                    id
-                }
-            }
-        };
-        let l = self.local.get_mut();
-        l.memo.insert(t, id);
-        if id.index() >= l.terms.len() {
-            self.refresh();
-        }
+        let id = TermId(self.terms.len() as u32);
+        self.terms.push(Entry {
+            term: t,
+            hash,
+            vars,
+        });
+        self.intern.insert(t, id);
         id
     }
 
@@ -441,7 +287,7 @@ impl TermCtx {
     fn structural_hash(&self, t: Term) -> u64 {
         match t {
             Term::Const(v) => mix64(0x01u64 ^ (v as u64)),
-            Term::Var(v) => self.var_hash(v),
+            Term::Var(v) => self.var_hashes[v.index()],
             Term::Add(a, b) => combine2(0x03, self.term_hash(a), self.term_hash(b)),
             Term::Sub(a, b) => combine2(0x04, self.term_hash(a), self.term_hash(b)),
             Term::Mul(a, b) => combine2(0x05, self.term_hash(a), self.term_hash(b)),
@@ -470,15 +316,7 @@ impl TermCtx {
     /// collisions), even across different `TermCtx` instances.
     #[inline]
     pub fn term_hash(&self, t: TermId) -> u64 {
-        let i = t.index();
-        {
-            let l = self.local.borrow();
-            if i < l.terms.len() {
-                return l.terms[i].hash;
-            }
-        }
-        self.refresh();
-        self.local.borrow().terms[i].hash
+        self.terms[t.index()].hash
     }
 
     /// Structural hash of one constraint atom.
@@ -518,16 +356,12 @@ impl TermCtx {
             lo as u64,
             hi as u64,
         );
-        let v = {
-            let mut tail = self.store.tail.lock().unwrap_or_else(|e| e.into_inner());
-            let v = VarId(tail.vars.len() as u32);
-            tail.vars.push(VarInfo {
-                name,
-                domain: Interval::new(lo, hi),
-            });
-            tail.var_hashes.push(h);
-            v
-        };
+        let v = VarId(self.vars.len() as u32);
+        self.vars.push(VarInfo {
+            name,
+            domain: Interval::new(lo, hi),
+        });
+        self.var_hashes.push(h);
         self.intern(Term::Var(v))
     }
 
@@ -614,7 +448,7 @@ impl TermCtx {
     pub fn render(&self, t: TermId) -> String {
         match self.term(t) {
             Term::Const(v) => v.to_string(),
-            Term::Var(v) => self.var_info(v).name,
+            Term::Var(v) => self.var_info(v).name.clone(),
             Term::Add(a, b) => format!("({} + {})", self.render(a), self.render(b)),
             Term::Sub(a, b) => format!("({} - {})", self.render(a), self.render(b)),
             Term::Mul(a, b) => format!("({} * {})", self.render(a), self.render(b)),
@@ -770,58 +604,5 @@ mod tests {
         assert_eq!(ctx.render(t), "(x + 1)");
         let c = Constraint::new(CmpOp::Le, t, one);
         assert_eq!(ctx.render_constraint(&c), "(x + 1) <= 1");
-    }
-
-    #[test]
-    fn cloned_handles_share_one_id_space() {
-        let mut a = TermCtx::new();
-        let x = a.new_var("x", 0, 10);
-        let mut b = a.clone();
-        // Interning through either handle lands in the same store, so
-        // structurally equal terms agree on ids across handles.
-        let one_b = b.int(1);
-        let one_a = a.int(1);
-        assert_eq!(one_a, one_b);
-        let sum_b = b.add(x, one_b);
-        let sum_a = a.add(x, one_a);
-        assert_eq!(sum_a, sum_b);
-        assert_eq!(a.term_count(), b.term_count());
-        // Terms created through one handle are readable through another.
-        let y = b.new_var("y", -5, 5);
-        assert_eq!(a.render(y), "y");
-        assert_eq!(a.var_domain(a.vars_of(y)[0]), Interval::new(-5, 5));
-    }
-
-    #[test]
-    fn concurrent_interning_is_consistent() {
-        let mut root = TermCtx::new();
-        let x = root.new_var("x", 0, 100);
-        let handles: Vec<TermCtx> = (0..4).map(|_| root.clone()).collect();
-        let ids: Vec<Vec<TermId>> = std::thread::scope(|s| {
-            handles
-                .into_iter()
-                .map(|mut h| {
-                    s.spawn(move || {
-                        (0..64)
-                            .map(|i| {
-                                let c = h.int(i % 16 + 1);
-                                h.add(x, c)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().unwrap())
-                .collect()
-        });
-        // Every thread must agree on the id of each structurally equal
-        // term, and the root handle must be able to read all of them.
-        for row in &ids[1..] {
-            assert_eq!(row, &ids[0]);
-        }
-        for &id in &ids[0] {
-            assert!(matches!(root.term(id), Term::Add(_, _)));
-        }
     }
 }

@@ -13,7 +13,7 @@ use solver::{Constraint, QueryCache, SatResult, Solver, SolverConfig, SolverStat
 use statsym_telemetry::{lineage_op, names, ClockMode, FieldValue, Recorder, NOOP};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A cooperative per-run resource budget in deterministic units:
@@ -272,7 +272,7 @@ impl<'m> Engine<'m> {
     /// definitive Sat/Unsat verdicts cross engine boundaries while
     /// models stay local, keeping exploration identical to an unshared
     /// run.
-    pub fn set_shared_cache(&mut self, cache: Arc<dyn QueryCache + Send + Sync>) {
+    pub fn set_shared_cache(&mut self, cache: Rc<dyn QueryCache>) {
         self.solver.set_query_cache(cache);
     }
 
@@ -509,7 +509,6 @@ impl<'m> Engine<'m> {
             let pr = env.hook.priority(&init.meta, init.depth);
             sched.push(init, pr);
             note_peaks!();
-            let _ = &covered;
 
             'outer: loop {
                 // Budget checks.

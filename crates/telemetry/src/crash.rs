@@ -17,6 +17,8 @@ use crate::manifest::{ManifestMeta, RunManifest};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+// `std::panic::set_hook` needs `Send + Sync` state: any thread may panic.
+#[allow(clippy::disallowed_types)]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -99,11 +101,13 @@ fn write_text(path: &Path, text: &str) -> io::Result<()> {
 /// stacking guards (tests, nested tools) degrades gracefully: each
 /// guard only fires for its own armed window.
 #[derive(Debug)]
+#[allow(clippy::disallowed_types)] // panic-hook state, see the imports
 pub struct CrashGuard {
     armed: Arc<AtomicBool>,
     ctx: Arc<std::sync::Mutex<CrashContext>>,
 }
 
+#[allow(clippy::disallowed_types)] // panic-hook state, see the imports
 impl CrashGuard {
     /// Installs the chained panic hook and arms it with `ctx`.
     pub fn install(ctx: CrashContext) -> CrashGuard {

@@ -26,8 +26,8 @@ use minic::ast::Program;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use solver::{CachedVerdict, QueryCache, SharedCache, SharedCacheStats, SolverConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 use symex::{Engine, EngineConfig};
 
 /// A deterministic, seed-derived fault-injection plan.
@@ -93,33 +93,33 @@ pub struct ChaosStats {
 /// A [`QueryCache`] wrapper that injects deterministic spurious misses
 /// and dropped publishes per [`ChaosSchedule`].
 pub struct ChaosCache {
-    inner: Arc<dyn QueryCache + Send + Sync>,
+    inner: Rc<dyn QueryCache>,
     schedule: ChaosSchedule,
-    injected_misses: AtomicU64,
-    dropped_publishes: AtomicU64,
+    injected_misses: Cell<u64>,
+    dropped_publishes: Cell<u64>,
 }
 
 impl ChaosCache {
     /// Wraps `inner` under `schedule`.
-    pub fn new(inner: Arc<dyn QueryCache + Send + Sync>, schedule: ChaosSchedule) -> ChaosCache {
+    pub fn new(inner: Rc<dyn QueryCache>, schedule: ChaosSchedule) -> ChaosCache {
         ChaosCache {
             inner,
             schedule,
-            injected_misses: AtomicU64::new(0),
-            dropped_publishes: AtomicU64::new(0),
+            injected_misses: Cell::new(0),
+            dropped_publishes: Cell::new(0),
         }
     }
 
     /// Injection counters so far.
     pub fn chaos_stats(&self) -> ChaosStats {
         ChaosStats {
-            injected_misses: self.injected_misses.load(Ordering::Relaxed),
-            dropped_publishes: self.dropped_publishes.load(Ordering::Relaxed),
+            injected_misses: self.injected_misses.get(),
+            dropped_publishes: self.dropped_publishes.get(),
         }
     }
 
     /// Pure per-key decision in `[0, 1)`: SplitMix64 of (seed, key,
-    /// salt). Thread- and order-independent.
+    /// salt). Order-independent.
     fn roll(&self, key: u64, salt: u64) -> f64 {
         let mut z = self
             .schedule
@@ -137,7 +137,7 @@ impl ChaosCache {
 impl QueryCache for ChaosCache {
     fn lookup(&self, key: u64) -> Option<CachedVerdict> {
         if self.roll(key, 1) < self.schedule.miss_rate {
-            self.injected_misses.fetch_add(1, Ordering::Relaxed);
+            self.injected_misses.set(self.injected_misses.get() + 1);
             return None;
         }
         self.inner.lookup(key)
@@ -145,14 +145,10 @@ impl QueryCache for ChaosCache {
 
     fn publish(&self, key: u64, verdict: CachedVerdict) {
         if self.roll(key, 2) < self.schedule.drop_rate {
-            self.dropped_publishes.fetch_add(1, Ordering::Relaxed);
+            self.dropped_publishes.set(self.dropped_publishes.get() + 1);
             return;
         }
         self.inner.publish(key, verdict);
-    }
-
-    fn entries(&self) -> usize {
-        self.inner.entries()
     }
 
     fn stats(&self) -> SharedCacheStats {
@@ -202,8 +198,8 @@ pub fn check_chaos(program: &Program, seed: u64) -> Result<OracleOutcome, String
     // exactly what it reports with no cache: injected misses and
     // dropped publishes only cost solver work.
     let cached = {
-        let chaos_cache: Arc<dyn QueryCache + Send + Sync> =
-            Arc::new(ChaosCache::new(Arc::new(SharedCache::new()), schedule));
+        let chaos_cache: Rc<dyn QueryCache> =
+            Rc::new(ChaosCache::new(Rc::new(SharedCache::new()), schedule));
         let mut eng = Engine::new(&module, chaos_engine);
         eng.set_shared_cache(chaos_cache);
         eng.run()

@@ -20,7 +20,7 @@ use rand::{RngExt, SeedableRng};
 use sir::Module;
 use solver::{QueryCache, SharedCache};
 use statsym_core::pipeline::{StatSym, StatSymConfig};
-use std::sync::Arc;
+use std::rc::Rc;
 use symex::{
     outcome_label, Engine, EngineConfig, EngineReport, EngineStats, FoundVulnerability,
     SchedulerKind,
@@ -481,7 +481,7 @@ fn completeness(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
 /// pre-warmed cache must all leave exploration untouched.
 fn cache_metamorphic(program: &Program) -> Result<OracleOutcome, String> {
     let module = lower(program)?;
-    let run = |cache: Option<Arc<dyn QueryCache + Send + Sync>>| -> EngineReport {
+    let run = |cache: Option<Rc<dyn QueryCache>>| -> EngineReport {
         let mut engine = Engine::new(&module, budget());
         if let Some(c) = cache {
             engine.set_shared_cache(c);
@@ -489,7 +489,7 @@ fn cache_metamorphic(program: &Program) -> Result<OracleOutcome, String> {
         engine.run()
     };
     let base = run(None);
-    let cache: Arc<SharedCache> = Arc::new(SharedCache::new());
+    let cache: Rc<SharedCache> = Rc::new(SharedCache::new());
     compare_engine_reports(&base, &run(Some(cache.clone())), "empty")?;
     // Second run against the now-populated cache: verdict hits replace
     // solver search but must not perturb exploration.
