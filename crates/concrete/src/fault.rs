@@ -8,6 +8,10 @@ use std::fmt;
 /// truncation/overflow ASAN-style check at the allocation site.
 pub const MAX_ALLOC: i64 = 4096;
 
+/// Deepest call stack either VM runs: a call made with this many frames
+/// live raises [`FaultKind::StackOverflow`] (runaway recursion).
+pub const MAX_CALL_DEPTH: usize = 256;
+
 /// The vulnerability classes the VM detects, mirroring the paper's
 /// benchmark bug classes (buffer overruns, assertion violations, integer
 /// handling errors).
@@ -32,7 +36,7 @@ pub enum FaultKind {
     AssertFailed,
     /// Division or remainder by zero.
     DivByZero,
-    /// Call depth exceeded the configured limit (runaway recursion).
+    /// Call depth reached [`MAX_CALL_DEPTH`] (runaway recursion).
     StackOverflow,
     /// `alloc(n)` requested a size outside `[0, MAX_ALLOC]` — the
     /// integer-overflow/truncation-feeding-an-allocation class.

@@ -5,7 +5,9 @@
 //! The VM detects the paper's vulnerability classes at runtime — stack
 //! buffer overflows ([`FaultKind::BufferOverflow`]), assertion failures,
 //! string out-of-bounds reads, and division by zero — and reports the
-//! *fault point* (function + source span).
+//! *fault point* (function + source span). It is the concrete domain of
+//! [`interp`], the one interpreter of SIR semantics, which the symbolic
+//! executor instantiates over solver terms.
 //!
 //! The [`monitor`] module implements the paper's instrumentation model:
 //! at every function entry and exit it records global variables, function
@@ -42,6 +44,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod interp;
 pub mod logfile;
 pub mod monitor;
 pub mod records;
@@ -50,10 +53,10 @@ pub mod value;
 pub mod vm;
 
 pub use event::{FnEvent, Location, Measure, VarId, VarRole};
-pub use fault::{Fault, FaultKind, MAX_ALLOC};
+pub use fault::{Fault, FaultKind, MAX_ALLOC, MAX_CALL_DEPTH};
 pub use logfile::{parse_log, write_log, ParseLogError};
 pub use monitor::{ExecutionLog, Monitor, Verdict};
 pub use records::{Record, Records, Site, SiteTable};
 pub use runner::{run_logged, run_logged_traced, run_logged_with, LoggedRun};
-pub use value::{InputValue, Value};
+pub use value::{InputValue, Val, Value};
 pub use vm::{ExecHook, InputMap, NoHook, Outcome, RunResult, Vm, VmConfig, VmError};

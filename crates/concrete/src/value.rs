@@ -1,38 +1,38 @@
-//! Runtime values for the concrete VM.
+//! Runtime values, generic over the value domain.
 
 use std::fmt;
 use std::rc::Rc;
 
-/// A concrete runtime value.
+/// A runtime value over a value domain: integers `I`, booleans `B` and
+/// strings `S`. The concrete VM instantiates it as [`Value`]; the
+/// symbolic executor over solver terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// 64-bit signed integer (also bytes/chars).
-    Int(i64),
+pub enum Val<I, B, S> {
+    /// Integer (also bytes/chars).
+    Int(I),
     /// Boolean.
-    Bool(bool),
+    Bool(B),
     /// Immutable byte string (cheaply clonable).
-    Str(Rc<[u8]>),
+    Str(S),
     /// Reference to a mutable buffer in the run's heap.
     Buf(usize),
     /// Result of a void call; never read.
     Unit,
 }
 
-impl Value {
-    /// Makes a string value from bytes.
-    pub fn str_from(bytes: impl Into<Vec<u8>>) -> Value {
-        Value::Str(bytes.into().into())
-    }
+/// A concrete runtime value.
+pub type Value = Val<i64, bool, Rc<[u8]>>;
 
+impl<I: Copy + fmt::Debug, B: Copy + fmt::Debug, S: fmt::Debug> Val<I, B, S> {
     /// The integer payload.
     ///
     /// # Panics
     ///
     /// Panics if the value is not an `Int` (the type checker rules this
     /// out for well-typed programs).
-    pub fn as_int(&self) -> i64 {
+    pub fn as_int(&self) -> I {
         match self {
-            Value::Int(v) => *v,
+            Val::Int(v) => *v,
             other => panic!("expected int value, found {other:?}"),
         }
     }
@@ -42,9 +42,9 @@ impl Value {
     /// # Panics
     ///
     /// Panics if the value is not a `Bool`.
-    pub fn as_bool(&self) -> bool {
+    pub fn as_bool(&self) -> B {
         match self {
-            Value::Bool(b) => *b,
+            Val::Bool(b) => *b,
             other => panic!("expected bool value, found {other:?}"),
         }
     }
@@ -54,9 +54,9 @@ impl Value {
     /// # Panics
     ///
     /// Panics if the value is not a `Str`.
-    pub fn as_str_bytes(&self) -> &[u8] {
+    pub fn as_str(&self) -> &S {
         match self {
-            Value::Str(s) => s,
+            Val::Str(s) => s,
             other => panic!("expected str value, found {other:?}"),
         }
     }
@@ -68,9 +68,16 @@ impl Value {
     /// Panics if the value is not a `Buf`.
     pub fn as_buf(&self) -> usize {
         match self {
-            Value::Buf(b) => *b,
+            Val::Buf(b) => *b,
             other => panic!("expected buf value, found {other:?}"),
         }
+    }
+}
+
+impl Value {
+    /// Makes a string value from bytes.
+    pub fn str_from(bytes: impl Into<Vec<u8>>) -> Value {
+        Value::Str(bytes.into().into())
     }
 
     /// The numeric view the program monitor logs: ints as themselves,
@@ -132,7 +139,7 @@ mod tests {
     fn accessors_roundtrip() {
         assert_eq!(Value::Int(7).as_int(), 7);
         assert!(Value::Bool(true).as_bool());
-        assert_eq!(Value::str_from(*b"xy").as_str_bytes(), b"xy");
+        assert_eq!(&**Value::str_from(*b"xy").as_str(), b"xy");
         assert_eq!(Value::Buf(5).as_buf(), 5);
     }
 

@@ -1,28 +1,25 @@
 //! The concrete SIR virtual machine.
 
-use crate::fault::{Fault, FaultKind, MAX_ALLOC};
+use crate::fault::Fault;
+use crate::interp::{self, Domain, Machine};
 use crate::value::{InputValue, Value};
-use minic::BinOp;
-use sir::{
-    BlockId, ConstValue, FuncBody, FuncId, GlobalDef, InputKind, Inst, Module, Reg, Terminator,
-};
+use sir::{FuncBody, FuncId, GlobalDef, InputId, InputKind, Module, Reg};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow::{self, Break, Continue};
+use std::rc::Rc;
 
 /// VM resource limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmConfig {
     /// Maximum instructions executed before the run is cut off.
     pub max_steps: u64,
-    /// Maximum call depth before a [`FaultKind::StackOverflow`].
-    pub max_call_depth: usize,
 }
 
 impl Default for VmConfig {
     fn default() -> Self {
         VmConfig {
             max_steps: 5_000_000,
-            max_call_depth: 512,
         }
     }
 }
@@ -148,15 +145,6 @@ pub struct Vm<'m> {
     config: VmConfig,
 }
 
-struct Frame {
-    func: FuncId,
-    block: BlockId,
-    idx: usize,
-    regs: Vec<Value>,
-    /// Where the caller wants the return value.
-    ret_dst: Option<Reg>,
-}
-
 impl<'m> Vm<'m> {
     /// Creates a VM for `module` with the given limits.
     pub fn new(module: &'m Module, config: VmConfig) -> Self {
@@ -187,422 +175,135 @@ impl<'m> Vm<'m> {
         inputs: &InputMap,
         hook: &mut dyn ExecHook,
     ) -> Result<RunResult, VmError> {
-        Interp {
-            module: self.module,
-            config: self.config,
+        let module = self.module;
+        let mut d = Concrete {
+            module,
             inputs,
             hook,
-            globals: self
-                .module
-                .globals
-                .iter()
-                .map(|g| const_value(&g.init))
-                .collect(),
-            heap: Vec::new(),
-            stack: Vec::new(),
-            steps: 0,
             output: Vec::new(),
-        }
-        .run()
-    }
-}
-
-fn const_value(c: &ConstValue) -> Value {
-    match c {
-        ConstValue::Int(v) => Value::Int(*v),
-        ConstValue::Bool(b) => Value::Bool(*b),
-        ConstValue::Str(s) => Value::str_from(s.as_bytes().to_vec()),
-    }
-}
-
-/// One heap allocation: its bytes, a liveness flag, and whether it was
-/// produced by `alloc` (dynamic) rather than a sized stack declaration.
-/// Dynamic cells get the stricter off-by-one bounds classification and
-/// participate in the use-after-free liveness protocol.
-struct HeapCell {
-    data: Vec<u8>,
-    live: bool,
-    dynamic: bool,
-}
-
-struct Interp<'m, 'h> {
-    module: &'m Module,
-    config: VmConfig,
-    inputs: &'m InputMap,
-    hook: &'h mut dyn ExecHook,
-    globals: Vec<Value>,
-    heap: Vec<HeapCell>,
-    stack: Vec<Frame>,
-    steps: u64,
-    output: Vec<String>,
-}
-
-/// Control-flow signal from executing one instruction or terminator.
-enum Flow {
-    Continue,
-    Halt(Outcome),
-}
-
-impl<'m, 'h> Interp<'m, 'h> {
-    fn run(mut self) -> Result<RunResult, VmError> {
-        let main_id = self.module.main;
-        self.hook.on_start(self.module);
-        let main = self.module.func(main_id);
-        let args: Vec<Value> = main.params.iter().map(|(_, ty)| default_for(*ty)).collect();
-        self.push_frame(main_id, args, None);
-
+        };
+        d.hook.on_start(module);
+        let (mut m, args) = interp::boot(&mut d, module);
+        let _ = d.enter(&mut m, module.main, &args); // never stops
+        let mut steps = 0;
         let outcome = loop {
-            if self.steps >= self.config.max_steps {
+            if steps >= self.config.max_steps {
                 break Outcome::StepLimit;
             }
-            self.steps += 1;
-            match self.step() {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Halt(outcome)) => break outcome,
-                Err(e) => return Err(e),
+            steps += 1;
+            if let Break(out) = interp::step(&mut d, module, &mut m) {
+                break out?;
             }
         };
         Ok(RunResult {
             outcome,
-            steps: self.steps,
-            output: self.output,
+            steps,
+            output: d.output,
         })
     }
+}
 
-    fn push_frame(&mut self, func: FuncId, args: Vec<Value>, ret_dst: Option<Reg>) {
+/// The concrete domain: every value is known, so no decision forks.
+struct Concrete<'m, 'h> {
+    module: &'m Module,
+    inputs: &'m InputMap,
+    hook: &'h mut dyn ExecHook,
+    output: Vec<String>,
+}
+
+impl Domain for Concrete<'_, '_> {
+    type Int = i64;
+    type Bool = bool;
+    type Str = Rc<[u8]>;
+    type State = Machine<i64, bool, Rc<[u8]>>;
+    type Out = Result<Outcome, VmError>;
+
+    fn machine(st: &Self::State) -> &Self::State {
+        st
+    }
+    fn machine_mut(st: &mut Self::State) -> &mut Self::State {
+        st
+    }
+
+    fn int(&mut self, v: i64) -> i64 {
+        v
+    }
+    fn known_int(&self, v: i64) -> Option<i64> {
+        Some(v)
+    }
+    fn bool(b: bool) -> bool {
+        b
+    }
+    fn known_bool(b: bool) -> Option<bool> {
+        Some(b)
+    }
+    fn str_lit(&mut self, bytes: &[u8]) -> Rc<[u8]> {
+        bytes.into()
+    }
+    fn str_cap(s: &Rc<[u8]>) -> usize {
+        s.len()
+    }
+    fn str_byte(&mut self, s: &Rc<[u8]>, i: usize) -> i64 {
+        s.get(i).map_or(0, |&b| i64::from(b))
+    }
+    fn not(b: bool) -> bool {
+        !b
+    }
+
+    fn input(&mut self, id: InputId) -> ControlFlow<Self::Out, Value> {
+        let def = &self.module.inputs[id.index()];
+        let v = match (def.kind, self.inputs.get(&def.name)) {
+            (_, None) => Err(VmError::MissingInput(def.name.clone())),
+            (InputKind::Int, Some(InputValue::Int(v))) => Ok(Value::Int(*v)),
+            (InputKind::Str { cap }, Some(InputValue::Str(bytes))) => {
+                // A bounded read.
+                Ok(Value::Str(bytes[..bytes.len().min(cap as usize)].into()))
+            }
+            _ => Err(VmError::WrongInputKind(def.name.clone())),
+        };
+        match v {
+            Ok(v) => Continue(v),
+            Err(e) => Break(Err(e)),
+        }
+    }
+    fn print(&mut self, m: &Self::State, args: &[Reg]) {
+        let line: Vec<String> = args.iter().map(|r| m.reg(*r).to_string()).collect();
+        self.output.push(line.join(" "));
+    }
+    fn enter(
+        &mut self,
+        st: &mut Self::State,
+        func: FuncId,
+        args: &[Value],
+    ) -> ControlFlow<Self::Out> {
         let body = self.module.func(func);
-        let mut regs = vec![Value::Unit; body.num_regs as usize];
-        for (i, a) in args.iter().enumerate() {
-            regs[i] = a.clone();
-        }
         self.hook
-            .on_enter(func, body, &args, &self.module.globals, &self.globals);
-        self.stack.push(Frame {
-            func,
-            block: body.entry(),
-            idx: 0,
-            regs,
-            ret_dst,
-        });
+            .on_enter(func, body, args, &self.module.globals, &st.globals);
+        Continue(())
     }
-
-    /// Resolves a register holding a buffer handle to a *live* heap cell
-    /// index. `None` means the access is a use-after-free-class fault:
-    /// a freed cell, an unbound dynamic `buf` local (register still holds
-    /// its `Unit` default), or the never-allocated parameter sentinel.
-    fn live_handle(&self, r: Reg) -> Option<usize> {
-        match self.reg(r) {
-            Value::Buf(id) if *id < self.heap.len() && self.heap[*id].live => Some(*id),
-            _ => None,
-        }
+    fn leave(
+        &mut self,
+        st: &mut Self::State,
+        func: FuncId,
+        ret: Option<&Value>,
+    ) -> ControlFlow<Self::Out> {
+        let body = self.module.func(func);
+        self.hook
+            .on_exit(func, body, ret, &self.module.globals, &st.globals);
+        Continue(())
     }
-
-    fn fault(&self, kind: FaultKind, span: minic::Span) -> Flow {
-        let func = self
-            .stack
-            .last()
-            .map(|f| self.module.func(f.func).name.clone())
-            .unwrap_or_default();
-        Flow::Halt(Outcome::Fault(Fault { kind, func, span }))
+    fn fault(&mut self, _: &mut Self::State, fault: Fault) -> Self::Out {
+        Ok(Outcome::Fault(fault))
     }
-
-    fn step(&mut self) -> Result<Flow, VmError> {
-        let frame = self.stack.last().expect("non-empty stack while running");
-        let body = self.module.func(frame.func);
-        let block = &body.blocks[frame.block.index()];
-
-        if frame.idx < block.insts.len() {
-            let (inst, span) = &block.insts[frame.idx];
-            let inst = inst.clone();
-            let span = *span;
-            self.stack.last_mut().unwrap().idx += 1;
-            self.exec_inst(inst, span)
-        } else {
-            let (term, span) = &block.term;
-            let term = term.clone();
-            let span = *span;
-            Ok(self.exec_term(term, span))
-        }
+    fn exit(&mut self, _: &mut Self::State, code: Option<i64>) -> Self::Out {
+        Ok(Outcome::Exit(code.unwrap_or(0)))
     }
-
-    fn reg(&self, r: Reg) -> &Value {
-        &self.stack.last().unwrap().regs[r.index()]
-    }
-
-    fn set_reg(&mut self, r: Reg, v: Value) {
-        self.stack.last_mut().unwrap().regs[r.index()] = v;
-    }
-
-    fn exec_inst(&mut self, inst: Inst, span: minic::Span) -> Result<Flow, VmError> {
-        match inst {
-            Inst::Const { dst, value } => {
-                self.set_reg(dst, const_value(&value));
-            }
-            Inst::Move { dst, src } => {
-                let v = self.reg(src).clone();
-                self.set_reg(dst, v);
-            }
-            Inst::Bin { op, dst, a, b } => {
-                let va = self.reg(a).clone();
-                let vb = self.reg(b).clone();
-                match bin_op(op, &va, &vb) {
-                    Some(v) => self.set_reg(dst, v),
-                    None => return Ok(self.fault(FaultKind::DivByZero, span)),
-                }
-            }
-            Inst::Not { dst, src } => {
-                let v = !self.reg(src).as_bool();
-                self.set_reg(dst, Value::Bool(v));
-            }
-            Inst::Neg { dst, src } => {
-                let v = self.reg(src).as_int().wrapping_neg();
-                self.set_reg(dst, Value::Int(v));
-            }
-            Inst::LoadGlobal { dst, global } => {
-                let v = self.globals[global.index()].clone();
-                self.set_reg(dst, v);
-            }
-            Inst::StoreGlobal { global, src } => {
-                self.globals[global.index()] = self.reg(src).clone();
-            }
-            Inst::Call { dst, func, args } => {
-                if self.stack.len() >= self.config.max_call_depth {
-                    return Ok(self.fault(FaultKind::StackOverflow, span));
-                }
-                let argv: Vec<Value> = args.iter().map(|r| self.reg(*r).clone()).collect();
-                self.push_frame(func, argv, dst);
-            }
-            Inst::AllocBuf { dst, cap } => {
-                let id = self.heap.len();
-                self.heap.push(HeapCell {
-                    data: vec![0u8; cap as usize],
-                    live: true,
-                    dynamic: false,
-                });
-                self.set_reg(dst, Value::Buf(id));
-            }
-            Inst::Alloc { dst, size } => {
-                let n = self.reg(size).as_int();
-                if !(0..=MAX_ALLOC).contains(&n) {
-                    return Ok(self.fault(FaultKind::AllocOverflow { req: n }, span));
-                }
-                let id = self.heap.len();
-                self.heap.push(HeapCell {
-                    data: vec![0u8; n as usize],
-                    live: true,
-                    dynamic: true,
-                });
-                self.set_reg(dst, Value::Buf(id));
-            }
-            Inst::Free { buf } => {
-                // Freeing a dead, unbound, or stack buffer is itself a
-                // heap-lifetime fault (double free / invalid free).
-                let Some(id) = self.live_handle(buf) else {
-                    return Ok(self.fault(FaultKind::UseAfterFree, span));
-                };
-                if !self.heap[id].dynamic {
-                    return Ok(self.fault(FaultKind::UseAfterFree, span));
-                }
-                self.heap[id].live = false;
-            }
-            Inst::BufSet { buf, idx, val } => {
-                let Some(id) = self.live_handle(buf) else {
-                    return Ok(self.fault(FaultKind::UseAfterFree, span));
-                };
-                let i = self.reg(idx).as_int();
-                let v = self.reg(val).as_int();
-                let cell = &mut self.heap[id];
-                if i < 0 || i as usize >= cell.data.len() {
-                    let cap = cell.data.len() as u32;
-                    if cell.dynamic && i == cap as i64 {
-                        return Ok(self.fault(FaultKind::OffByOne { cap }, span));
-                    }
-                    return Ok(self.fault(FaultKind::BufferOverflow { cap, idx: i }, span));
-                }
-                cell.data[i as usize] = v as u8;
-            }
-            Inst::BufGet { dst, buf, idx } => {
-                let Some(id) = self.live_handle(buf) else {
-                    return Ok(self.fault(FaultKind::UseAfterFree, span));
-                };
-                let i = self.reg(idx).as_int();
-                let cell = &self.heap[id];
-                if i < 0 || i as usize >= cell.data.len() {
-                    let cap = cell.data.len() as u32;
-                    if cell.dynamic && i == cap as i64 {
-                        return Ok(self.fault(FaultKind::OffByOne { cap }, span));
-                    }
-                    return Ok(self.fault(FaultKind::BufferOverflow { cap, idx: i }, span));
-                }
-                let v = cell.data[i as usize] as i64;
-                self.set_reg(dst, Value::Int(v));
-            }
-            Inst::BufCap { dst, buf } => {
-                let Some(id) = self.live_handle(buf) else {
-                    return Ok(self.fault(FaultKind::UseAfterFree, span));
-                };
-                let cap = self.heap[id].data.len() as i64;
-                self.set_reg(dst, Value::Int(cap));
-            }
-            Inst::Format { fmt } => {
-                let bytes = self.reg(fmt).as_str_bytes();
-                if let Some(pos) = bytes.iter().position(|&b| b == b'%') {
-                    return Ok(self.fault(FaultKind::FormatString { idx: pos as i64 }, span));
-                }
-            }
-            Inst::StrAt { dst, s, idx } => {
-                let i = self.reg(idx).as_int();
-                let bytes = self.reg(s).as_str_bytes();
-                let len = bytes.len();
-                if i < 0 || i as usize > len {
-                    return Ok(self.fault(
-                        FaultKind::StringOob {
-                            len: len as u32,
-                            idx: i,
-                        },
-                        span,
-                    ));
-                }
-                let v = if (i as usize) == len {
-                    0 // NUL terminator
-                } else {
-                    bytes[i as usize] as i64
-                };
-                self.set_reg(dst, Value::Int(v));
-            }
-            Inst::StrLen { dst, s } => {
-                let len = self.reg(s).as_str_bytes().len() as i64;
-                self.set_reg(dst, Value::Int(len));
-            }
-            Inst::Input { dst, input } => {
-                let def = &self.module.inputs[input.index()];
-                let provided = self
-                    .inputs
-                    .get(&def.name)
-                    .ok_or_else(|| VmError::MissingInput(def.name.clone()))?;
-                let v = match (def.kind, provided) {
-                    (InputKind::Int, InputValue::Int(v)) => Value::Int(*v),
-                    (InputKind::Str { cap }, InputValue::Str(bytes)) => {
-                        let mut b = bytes.clone();
-                        b.truncate(cap as usize); // bounded read
-                        Value::str_from(b)
-                    }
-                    _ => return Err(VmError::WrongInputKind(def.name.clone())),
-                };
-                self.set_reg(dst, v);
-            }
-            Inst::Print { args } => {
-                let line: Vec<String> = args.iter().map(|r| self.reg(*r).to_string()).collect();
-                self.output.push(line.join(" "));
-            }
-            Inst::Exit { code } => {
-                let c = self.reg(code).as_int();
-                return Ok(Flow::Halt(Outcome::Exit(c)));
-            }
-            Inst::Assert { cond } => {
-                if !self.reg(cond).as_bool() {
-                    return Ok(self.fault(FaultKind::AssertFailed, span));
-                }
-            }
-        }
-        Ok(Flow::Continue)
-    }
-
-    fn exec_term(&mut self, term: Terminator, _span: minic::Span) -> Flow {
-        match term {
-            Terminator::Jump(b) => {
-                let frame = self.stack.last_mut().unwrap();
-                frame.block = b;
-                frame.idx = 0;
-                Flow::Continue
-            }
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let taken = self.reg(cond).as_bool();
-                let frame = self.stack.last_mut().unwrap();
-                frame.block = if taken { then_bb } else { else_bb };
-                frame.idx = 0;
-                Flow::Continue
-            }
-            Terminator::Return(r) => {
-                let frame = self.stack.last().unwrap();
-                let ret = r.map(|r| frame.regs[r.index()].clone());
-                let body = self.module.func(frame.func);
-                self.hook.on_exit(
-                    frame.func,
-                    body,
-                    ret.as_ref(),
-                    &self.module.globals,
-                    &self.globals,
-                );
-                let ret_dst = frame.ret_dst;
-                self.stack.pop();
-                match self.stack.last_mut() {
-                    None => {
-                        let code = match ret {
-                            Some(Value::Int(v)) => v,
-                            _ => 0,
-                        };
-                        Flow::Halt(Outcome::Exit(code))
-                    }
-                    Some(caller) => {
-                        if let (Some(dst), Some(v)) = (ret_dst, ret) {
-                            caller.regs[dst.index()] = v;
-                        }
-                        Flow::Continue
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn default_for(ty: minic::Type) -> Value {
-    match ty {
-        minic::Type::Int => Value::Int(0),
-        minic::Type::Bool => Value::Bool(false),
-        minic::Type::Str => Value::str_from(Vec::new()),
-        minic::Type::Buf(_) => Value::Buf(usize::MAX), // never allocated; unused by benchmarks
-    }
-}
-
-/// Evaluates a binary operation; `None` signals division by zero.
-fn bin_op(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
-    use BinOp::*;
-    Some(match (op, a, b) {
-        (Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(*y)),
-        (Sub, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_sub(*y)),
-        (Mul, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(*y)),
-        (Div, Value::Int(x), Value::Int(y)) => {
-            if *y == 0 {
-                return None;
-            }
-            Value::Int(x.wrapping_div(*y))
-        }
-        (Rem, Value::Int(x), Value::Int(y)) => {
-            if *y == 0 {
-                return None;
-            }
-            Value::Int(x.wrapping_rem(*y))
-        }
-        (Eq, Value::Int(x), Value::Int(y)) => Value::Bool(x == y),
-        (Ne, Value::Int(x), Value::Int(y)) => Value::Bool(x != y),
-        (Eq, Value::Bool(x), Value::Bool(y)) => Value::Bool(x == y),
-        (Ne, Value::Bool(x), Value::Bool(y)) => Value::Bool(x != y),
-        (Lt, Value::Int(x), Value::Int(y)) => Value::Bool(x < y),
-        (Le, Value::Int(x), Value::Int(y)) => Value::Bool(x <= y),
-        (Gt, Value::Int(x), Value::Int(y)) => Value::Bool(x > y),
-        (Ge, Value::Int(x), Value::Int(y)) => Value::Bool(x >= y),
-        _ => panic!("ill-typed bin op {op:?} on {a:?}, {b:?} (checker should prevent)"),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
 
     fn run_src(src: &str, inputs: &[(&str, InputValue)]) -> RunResult {
         let p = minic::parse_program(src).unwrap();
@@ -770,6 +471,24 @@ mod tests {
     }
 
     #[test]
+    fn len_stops_at_first_nul() {
+        let r = run_src(
+            r#"fn main() -> int { let s: str = input_str("s", 8); return len(s); }"#,
+            &[("s", InputValue::Str(b"ab\0%".to_vec()))],
+        );
+        assert_eq!(r.outcome, Outcome::Exit(2));
+    }
+
+    #[test]
+    fn format_scan_stops_at_first_nul() {
+        let r = run_src(
+            r#"fn main() -> int { let s: str = input_str("s", 8); format(s); return 7; }"#,
+            &[("s", InputValue::Str(b"ab\0%".to_vec()))],
+        );
+        assert_eq!(r.outcome, Outcome::Exit(7));
+    }
+
+    #[test]
     fn string_iteration_stops_at_nul() {
         let r = run_src(
             r#"fn main() -> int {
@@ -834,13 +553,7 @@ mod tests {
     fn infinite_loop_hits_step_limit() {
         let p = minic::parse_program("fn main() { while (true) { print(1); } }").unwrap();
         let m = sir::lower(&p).unwrap();
-        let vm = Vm::new(
-            &m,
-            VmConfig {
-                max_steps: 1000,
-                ..VmConfig::default()
-            },
-        );
+        let vm = Vm::new(&m, VmConfig { max_steps: 1000 });
         let r = vm.run(&InputMap::new()).unwrap();
         assert_eq!(r.outcome, Outcome::StepLimit);
     }

@@ -270,10 +270,12 @@ pub enum Builtin {
     /// `char_at(s: str, i: int) -> int` — byte at index `i`; index `len(s)`
     /// yields the NUL terminator (0); beyond that is an out-of-bounds fault.
     CharAt,
-    /// `buf_set(b: buf, i: int, v: int)` — write byte; out-of-capacity is a
-    /// buffer-overflow fault (the paper's vulnerability class).
+    /// `buf_set(b: buf, i: int, v: int)` — store the `int` `v` in cell
+    /// `i`; out-of-capacity is a buffer-overflow fault (the paper's
+    /// vulnerability class).
     BufSet,
-    /// `buf_get(b: buf, i: int) -> int` — read byte; bounds-checked.
+    /// `buf_get(b: buf, i: int) -> int` — the `int` last stored in cell
+    /// `i` (0 if none); bounds-checked.
     BufGet,
     /// `buf_cap(b: buf) -> int` — buffer capacity.
     BufCap,

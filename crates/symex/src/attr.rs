@@ -175,7 +175,7 @@ impl StepAttr {
 /// instruction, or of the block terminator once the instruction index
 /// has run past the block body.
 fn loc_key(module: &Module, state: &State) -> (u32, u32) {
-    match state.frames.last() {
+    match state.mach.frames.last() {
         Some(f) => {
             let func = module.func(f.func);
             let block = &func.blocks[f.block.index()];

@@ -67,8 +67,6 @@ pub struct EngineConfig {
     /// `budget_exceeded` disposition so operators can tell an admission
     /// cut from genuine exhaustion.
     pub budget: Budget,
-    /// Call-depth limit per state.
-    pub max_call_depth: usize,
     /// Limits for the underlying constraint solver.
     pub solver: SolverConfig,
     /// Emit per-state lineage events (fork/suspend/resume/terminal
@@ -114,7 +112,6 @@ impl Default for EngineConfig {
             time_budget: None,
             max_steps: 200_000_000,
             budget: Budget::default(),
-            max_call_depth: 256,
             solver: SolverConfig::default(),
             lineage: false,
             state_workers: 0,
@@ -364,7 +361,6 @@ impl<'m> Engine<'m> {
         let mut next_id: u64 = 0;
         let mut live_mem: usize = 0;
         let mut mem_by_state: HashMap<u64, usize> = HashMap::new();
-        let max_call_depth = self.config.max_call_depth;
         let suppressed = self.suppressed.clone();
         // Coverage-optimized search: blocks ever executed by any state.
         let coverage_mode = matches!(self.config.scheduler, SchedulerKind::Coverage);
@@ -415,7 +411,6 @@ impl<'m> Engine<'m> {
                 hook: self.hook.as_mut(),
                 stats: &mut stats.exec,
                 rec,
-                max_call_depth,
                 next_state_id: &mut next_id,
                 lineage: &mut lineage,
             };
@@ -609,7 +604,7 @@ impl<'m> Engine<'m> {
                         StepResult::Continue(s) => {
                             state = s;
                             if coverage_mode {
-                                if let Some(f) = state.frames.last() {
+                                if let Some(f) = state.mach.frames.last() {
                                     covered.insert((f.func.0, f.block.0));
                                 }
                             }
@@ -634,7 +629,7 @@ impl<'m> Engine<'m> {
                                     live_mem += est;
                                     mem_by_state.insert(child.state.id, est);
                                     let pr = if coverage_mode {
-                                        let f = child.state.frame();
+                                        let f = child.state.mach.frame();
                                         if covered.contains(&(f.func.0, f.block.0)) {
                                             1_000_000 + child.state.depth as i64
                                         } else {

@@ -1,16 +1,19 @@
-//! Symbolic instruction stepping: forking, fault detection, guidance
-//! application, and concretization.
+//! The symbolic domain of the shared SIR interpreter
+//! ([`concrete::interp`]): solver terms, forking, guidance application,
+//! and concretization.
 
 use crate::hook::{EventCtx, EventHook};
 use crate::lineage::{state_loc, Lineage, WorkSnapshot};
-use crate::state::{Frame, State};
-use crate::value::{BoolVal, SymBuf, SymStr, SymValue};
-use concrete::{Fault, FaultKind, Location, MAX_ALLOC};
+use crate::state::{State, SymMachine};
+use crate::value::{BoolVal, SymStr, SymValue};
+use concrete::interp::{self, Domain, Range};
+use concrete::{Fault, FaultKind, Location};
 use minic::{BinOp, Span};
-use sir::{ConstValue, FuncId, InputId, InputKind, Inst, Module, Reg, Terminator};
+use sir::{FuncId, InputId, InputKind, Module, Reg};
 use solver::{CmpOp, Constraint, Partition, SatResult, Segment, Solver, TermCtx, TermId};
 use statsym_telemetry::{lineage_op, names, FieldValue, Recorder};
 use std::collections::HashMap;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
 /// Mutable engine context threaded through stepping.
@@ -23,7 +26,6 @@ pub(crate) struct ExecEnv<'e> {
     pub hook: &'e mut dyn EventHook,
     pub stats: &'e mut ExecStats,
     pub rec: &'e dyn Recorder,
-    pub max_call_depth: usize,
     pub next_state_id: &'e mut u64,
     pub lineage: &'e mut Lineage,
 }
@@ -167,12 +169,8 @@ impl<'e> ExecEnv<'e> {
         None
     }
 
-    fn fault(&self, state: &State, kind: FaultKind, span: Span) -> Fault {
-        Fault {
-            kind,
-            func: self.module.func(state.frame().func).name.clone(),
-            span,
-        }
+    fn fault_of(&self, state: &State, kind: FaultKind, span: Span) -> Fault {
+        state.mach.fault(self.module, kind, span)
     }
 
     /// Runs the guidance hook for a function-boundary event. Returns
@@ -184,10 +182,10 @@ impl<'e> ExecEnv<'e> {
         params: &[(String, minic::Type)],
         args: &[SymValue],
         ret: Option<&SymValue>,
-    ) -> Option<StepResult> {
+    ) -> ControlFlow<StepResult> {
         state.trace = state.trace.push(loc.clone());
         if state.guidance_off {
-            return None;
+            return Continue(());
         }
         let result = {
             let ev = EventCtx {
@@ -196,7 +194,7 @@ impl<'e> ExecEnv<'e> {
                 args,
                 ret,
                 global_defs: &self.module.globals,
-                globals: &state.globals,
+                globals: &state.mach.globals,
             };
             self.hook.on_event(&ev, &mut state.meta, self.ctx)
         };
@@ -214,13 +212,13 @@ impl<'e> ExecEnv<'e> {
                 self.rec
                     .observe(names::SYMEX_HOP_DIVERGENCE, state.meta.hops as u64);
                 self.lineage_event(lineage_op::SUSPEND_PREDICATE, state, None);
-                Some(StepResult::Suspend(std::mem::replace(state, dummy_state())))
+                Break(StepResult::Suspend(std::mem::take(state)))
             } else {
                 self.note_candidate_node(matched, &loc, conj, "kill");
                 self.stats.pruned += 1;
                 self.rec.counter_add(names::SYMEX_KILL, 1);
                 self.lineage_event(lineage_op::KILL, state, None);
-                Some(StepResult::Kill)
+                Break(StepResult::Kill)
             };
         }
         self.note_candidate_node(matched, &loc, conj, "ok");
@@ -230,871 +228,442 @@ impl<'e> ExecEnv<'e> {
             self.rec
                 .observe(names::SYMEX_HOP_DIVERGENCE, state.meta.hops as u64);
             self.lineage_event(lineage_op::SUSPEND_TAU, state, None);
-            return Some(StepResult::Suspend(std::mem::replace(state, dummy_state())));
+            return Break(StepResult::Suspend(std::mem::take(state)));
         }
-        None
+        Continue(())
     }
 }
 
-/// Placeholder used when a step consumes the state by value.
-fn dummy_state() -> State {
-    State {
-        id: u64::MAX,
-        frames: Vec::new(),
-        globals: Vec::new(),
-        heap: Vec::new(),
-        cond: crate::state::PathCond::new(),
-        trace: crate::state::TraceList::default(),
-        depth: 0,
-        meta: crate::state::StateMeta::default(),
-        guidance_off: false,
+/// The atom behind a boolean the interpreter could not resolve.
+fn atom(c: BoolVal) -> Constraint {
+    match c {
+        BoolVal::Atom(a) => a,
+        BoolVal::Const(_) => unreachable!("known booleans never fork"),
     }
 }
 
 /// Builds the initial state entering `main`.
 pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
-    let main_id = env.module.main;
-    let main = env.module.func(main_id);
-    let globals: Vec<SymValue> = env
-        .module
-        .globals
-        .iter()
-        .map(|g| const_sym(env.ctx, &g.init))
-        .collect();
+    let module = env.module;
+    let (mach, args) = interp::boot(env, module);
     let mut state = State {
-        id: 0,
-        frames: Vec::new(),
-        globals,
-        heap: Vec::new(),
-        cond: crate::state::PathCond::new(),
-        trace: crate::state::TraceList::default(),
-        depth: 0,
-        meta: crate::state::StateMeta::default(),
-        guidance_off: false,
+        mach,
+        ..State::default()
     };
-    let args: Vec<SymValue> = main
-        .params
-        .iter()
-        .map(|(_, ty)| default_sym(env.ctx, *ty))
-        .collect();
-    push_frame(env.module, &mut state, main_id, args.clone(), None);
     // The root lineage node must exist before the main():enter event
     // below, which may itself emit a suspend transition for it.
     env.lineage_event(lineage_op::ROOT, &state, None);
     // Deliver the main():enter event (guidance may constrain globals or
     // advance candidate-path progress). A suspend decision here is
     // ignored — the initial state must run.
-    let params = main.params.clone();
-    match env.apply_event(
-        &mut state,
-        Location::enter(main.name.as_str()),
-        &params,
-        &args,
-        None,
-    ) {
-        Some(StepResult::Suspend(s)) => s,
+    match env.enter(&mut state, module.main, &args) {
+        Break(StepResult::Suspend(s)) => s,
         _ => state,
     }
-}
-
-fn const_sym(ctx: &mut TermCtx, c: &ConstValue) -> SymValue {
-    match c {
-        ConstValue::Int(v) => SymValue::Int(ctx.int(*v)),
-        ConstValue::Bool(b) => SymValue::Bool(BoolVal::Const(*b)),
-        ConstValue::Str(s) => SymValue::Str(SymStr::concrete(ctx, s.as_bytes())),
-    }
-}
-
-fn default_sym(ctx: &mut TermCtx, ty: minic::Type) -> SymValue {
-    match ty {
-        minic::Type::Int => SymValue::Int(ctx.int(0)),
-        minic::Type::Bool => SymValue::Bool(BoolVal::Const(false)),
-        minic::Type::Str => SymValue::Str(SymStr::concrete(ctx, b"")),
-        minic::Type::Buf(_) => SymValue::Unit,
-    }
-}
-
-fn push_frame(
-    module: &Module,
-    state: &mut State,
-    func: FuncId,
-    args: Vec<SymValue>,
-    ret_dst: Option<Reg>,
-) {
-    let body = module.func(func);
-    let mut regs = vec![SymValue::Unit; body.num_regs as usize];
-    for (i, a) in args.into_iter().enumerate() {
-        regs[i] = a;
-    }
-    state.frames.push(Frame {
-        func,
-        block: body.entry(),
-        idx: 0,
-        regs,
-        ret_dst,
-    });
 }
 
 /// Executes one instruction (or terminator) of `state`.
 pub(crate) fn step(env: &mut ExecEnv<'_>, mut state: State) -> StepResult {
     env.stats.steps += 1;
-    let frame = state.frame();
-    let body = env.module.func(frame.func);
-    let block = &body.blocks[frame.block.index()];
-
-    if frame.idx < block.insts.len() {
-        let (inst, span) = block.insts[frame.idx].clone();
-        state.frame_mut().idx += 1;
-        exec_inst(env, state, inst, span)
-    } else {
-        let (term, span) = block.term.clone();
-        exec_term(env, state, term, span)
+    let module = env.module;
+    match interp::step(env, module, &mut state) {
+        Continue(()) => StepResult::Continue(state),
+        Break(out) => out,
     }
 }
 
-fn reg(state: &State, r: Reg) -> &SymValue {
-    &state.frame().regs[r.index()]
-}
+/// The symbolic domain: solver terms, forking at every decision on a
+/// symbolic value.
+impl Domain for ExecEnv<'_> {
+    type Int = TermId;
+    type Bool = BoolVal;
+    type Str = SymStr;
+    type State = State;
+    type Out = StepResult;
 
-fn set_reg(state: &mut State, r: Reg, v: SymValue) {
-    state.frame_mut().regs[r.index()] = v;
-}
-
-fn exec_inst(env: &mut ExecEnv<'_>, mut state: State, inst: Inst, span: Span) -> StepResult {
-    match inst {
-        Inst::Const { dst, value } => {
-            let v = const_sym(env.ctx, &value);
-            set_reg(&mut state, dst, v);
-            StepResult::Continue(state)
-        }
-        Inst::Move { dst, src } => {
-            let v = reg(&state, src).clone();
-            set_reg(&mut state, dst, v);
-            StepResult::Continue(state)
-        }
-        Inst::Bin { op, dst, a, b } => exec_bin(env, state, op, dst, a, b, span),
-        Inst::Not { dst, src } => {
-            let v = reg(&state, src).as_bool().not();
-            set_reg(&mut state, dst, SymValue::Bool(v));
-            StepResult::Continue(state)
-        }
-        Inst::Neg { dst, src } => {
-            let t = reg(&state, src).as_int();
-            let v = env.ctx.neg(t);
-            set_reg(&mut state, dst, SymValue::Int(v));
-            StepResult::Continue(state)
-        }
-        Inst::LoadGlobal { dst, global } => {
-            let v = state.globals[global.index()].clone();
-            set_reg(&mut state, dst, v);
-            StepResult::Continue(state)
-        }
-        Inst::StoreGlobal { global, src } => {
-            state.globals[global.index()] = reg(&state, src).clone();
-            StepResult::Continue(state)
-        }
-        Inst::Call { dst, func, args } => {
-            if state.frames.len() >= env.max_call_depth {
-                let fault = env.fault(&state, FaultKind::StackOverflow, span);
-                return StepResult::Fault(state, fault);
-            }
-            let argv: Vec<SymValue> = args.iter().map(|r| reg(&state, *r).clone()).collect();
-            push_frame(env.module, &mut state, func, argv.clone(), dst);
-            let body = env.module.func(func);
-            let name = body.name.clone();
-            let params = body.params.clone();
-            if let Some(outcome) =
-                env.apply_event(&mut state, Location::enter(name), &params, &argv, None)
-            {
-                return outcome;
-            }
-            StepResult::Continue(state)
-        }
-        Inst::AllocBuf { dst, cap } => {
-            let zero = env.ctx.int(0);
-            let id = state.heap.len();
-            state.heap.push(SymBuf::stack(vec![zero; cap as usize]));
-            set_reg(&mut state, dst, SymValue::Buf(id));
-            StepResult::Continue(state)
-        }
-        Inst::Alloc { dst, size } => exec_alloc(env, state, dst, size, span),
-        Inst::Free { buf } => match live_buf(&state, buf) {
-            Err(kind) => {
-                let fault = env.fault(&state, kind, span);
-                StepResult::Fault(state, fault)
-            }
-            Ok(bid) if !state.heap[bid].dynamic => {
-                // Freeing a stack buffer is an invalid free.
-                let fault = env.fault(&state, FaultKind::UseAfterFree, span);
-                StepResult::Fault(state, fault)
-            }
-            Ok(bid) => {
-                state.heap[bid].live = false;
-                StepResult::Continue(state)
-            }
-        },
-        Inst::Format { fmt } => exec_format(env, state, fmt, span),
-        Inst::BufSet { buf, idx, val } => {
-            let bid = match live_buf(&state, buf) {
-                Ok(bid) => bid,
-                Err(kind) => {
-                    let fault = env.fault(&state, kind, span);
-                    return StepResult::Fault(state, fault);
-                }
-            };
-            let cap = state.heap[bid].cells.len();
-            let dynamic = state.heap[bid].dynamic;
-            let idx_t = reg(&state, idx).as_int();
-            let val_t = reg(&state, val).as_int();
-            bounds_checked_access(env, state, idx_t, cap, dynamic, span, move |state, i| {
-                state.heap[bid].cells[i] = val_t;
-            })
-        }
-        Inst::BufGet { dst, buf, idx } => {
-            let bid = match live_buf(&state, buf) {
-                Ok(bid) => bid,
-                Err(kind) => {
-                    let fault = env.fault(&state, kind, span);
-                    return StepResult::Fault(state, fault);
-                }
-            };
-            let cap = state.heap[bid].cells.len();
-            let dynamic = state.heap[bid].dynamic;
-            let idx_t = reg(&state, idx).as_int();
-            bounds_checked_access(env, state, idx_t, cap, dynamic, span, move |state, i| {
-                let cell = state.heap[bid].cells[i];
-                set_reg(state, dst, SymValue::Int(cell));
-            })
-        }
-        Inst::BufCap { dst, buf } => {
-            let bid = match live_buf(&state, buf) {
-                Ok(bid) => bid,
-                Err(kind) => {
-                    let fault = env.fault(&state, kind, span);
-                    return StepResult::Fault(state, fault);
-                }
-            };
-            let cap = state.heap[bid].cells.len() as i64;
-            let t = env.ctx.int(cap);
-            set_reg(&mut state, dst, SymValue::Int(t));
-            StepResult::Continue(state)
-        }
-        Inst::StrAt { dst, s, idx } => {
-            let sym = reg(&state, s).as_str().clone();
-            let cap = sym.cap();
-            let idx_t = reg(&state, idx).as_int();
-            // Valid indices are [0, cap]: index cap reads the guaranteed
-            // NUL terminator. (Reads between an earlier NUL and cap read
-            // allocated bytes — defined, as in C.)
-            bounds_checked_access_incl(env, state, idx_t, cap, span, move |env2, state, i| {
-                let byte = sym.byte_at(env2, i);
-                set_reg(state, dst, SymValue::Int(byte));
-            })
-        }
-        Inst::StrLen { dst, s } => exec_strlen(env, state, dst, s),
-        Inst::Input { dst, input } => {
-            let v = input_value(env, input);
-            set_reg(&mut state, dst, v);
-            StepResult::Continue(state)
-        }
-        Inst::Print { .. } => StepResult::Continue(state),
-        Inst::Exit { .. } => StepResult::Exit(state),
-        Inst::Assert { cond } => {
-            let c = reg(&state, cond).as_bool();
-            match c {
-                BoolVal::Const(true) => StepResult::Continue(state),
-                BoolVal::Const(false) => {
-                    let fault = env.fault(&state, FaultKind::AssertFailed, span);
-                    StepResult::Fault(state, fault)
-                }
-                BoolVal::Atom(atom) => {
-                    env.stats.forks += 1;
-                    let mut children = Vec::new();
-                    // Failing side.
-                    let mut bad = state.clone();
-                    bad.id = env.fresh_id();
-                    bad.cond.push_hard(env.ctx, atom.negate());
-                    bad.depth += 1;
-                    if env.feasible(bad.cond.hard()) {
-                        let fault = env.fault(&bad, FaultKind::AssertFailed, span);
-                        children.push(ForkChild {
-                            state: bad,
-                            disposition: Disposition::Fault(fault),
-                        });
-                    } else {
-                        env.stats.pruned += 1;
-                    }
-                    // Passing side.
-                    let mut ok = state;
-                    ok.cond.push_hard(env.ctx, atom);
-                    ok.depth += 1;
-                    match env.classify(&ok) {
-                        Some(d) => children.push(ForkChild {
-                            state: ok,
-                            disposition: d,
-                        }),
-                        None => env.stats.pruned += 1,
-                    }
-                    StepResult::Fork(children)
-                }
-            }
-        }
+    fn machine(st: &State) -> &SymMachine {
+        &st.mach
     }
-}
-
-fn exec_bin(
-    env: &mut ExecEnv<'_>,
-    mut state: State,
-    op: BinOp,
-    dst: Reg,
-    a: Reg,
-    b: Reg,
-    span: Span,
-) -> StepResult {
-    use BinOp::*;
-    match op {
-        Add | Sub | Mul => {
-            let (ta, tb) = (reg(&state, a).as_int(), reg(&state, b).as_int());
-            let t = match op {
-                Add => env.ctx.add(ta, tb),
-                Sub => env.ctx.sub(ta, tb),
-                _ => env.ctx.mul(ta, tb),
-            };
-            set_reg(&mut state, dst, SymValue::Int(t));
-            StepResult::Continue(state)
-        }
-        Div | Rem => {
-            let (ta, tb) = (reg(&state, a).as_int(), reg(&state, b).as_int());
-            if env.ctx.as_const(tb) == Some(0) {
-                let fault = env.fault(&state, FaultKind::DivByZero, span);
-                return StepResult::Fault(state, fault);
-            }
-            let zero = env.ctx.int(0);
-            let div_zero = Constraint::new(CmpOp::Eq, tb, zero);
-            if env.ctx.as_const(tb).is_none() {
-                // Divisor is symbolic: fork a fault child if it can be 0.
-                let query = state.cond.all().with(env.ctx, Segment::Extra, div_zero);
-                if env.feasible(&query) {
-                    env.stats.forks += 1;
-                    let mut children = Vec::new();
-                    let mut bad = state.clone();
-                    bad.id = env.fresh_id();
-                    bad.cond.push_hard(env.ctx, div_zero);
-                    bad.depth += 1;
-                    let fault = env.fault(&bad, FaultKind::DivByZero, span);
-                    children.push(ForkChild {
-                        state: bad,
-                        disposition: Disposition::Fault(fault),
-                    });
-                    let mut ok = state;
-                    ok.cond.push_hard(env.ctx, div_zero.negate());
-                    ok.depth += 1;
-                    let t = if op == Div {
-                        env.ctx.div(ta, tb)
-                    } else {
-                        env.ctx.rem(ta, tb)
-                    };
-                    set_reg(&mut ok, dst, SymValue::Int(t));
-                    match env.classify(&ok) {
-                        Some(d) => children.push(ForkChild {
-                            state: ok,
-                            disposition: d,
-                        }),
-                        None => env.stats.pruned += 1,
-                    }
-                    return StepResult::Fork(children);
-                }
-            }
-            let t = if op == Div {
-                env.ctx.div(ta, tb)
-            } else {
-                env.ctx.rem(ta, tb)
-            };
-            set_reg(&mut state, dst, SymValue::Int(t));
-            StepResult::Continue(state)
-        }
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            let bv = match (reg(&state, a).clone(), reg(&state, b).clone()) {
-                (SymValue::Bool(x), SymValue::Bool(y)) => bool_eq(op, x, y),
-                (va, vb) => {
-                    let (ta, tb) = (va.as_int(), vb.as_int());
-                    int_cmp(env.ctx, op, ta, tb)
-                }
-            };
-            set_reg(&mut state, dst, SymValue::Bool(bv));
-            StepResult::Continue(state)
-        }
-        And | Or => unreachable!("&&/|| are lowered to control flow"),
-    }
-}
-
-/// `Eq`/`Ne` over booleans. At most one side may be symbolic (MiniC has
-/// no way to produce two independent symbolic bools in one comparison
-/// without a branch in between, which normalizes one side).
-fn bool_eq(op: BinOp, x: BoolVal, y: BoolVal) -> BoolVal {
-    let negate = matches!(op, BinOp::Ne);
-    let v = match (x, y) {
-        (BoolVal::Const(a), BoolVal::Const(b)) => BoolVal::Const(a == b),
-        (BoolVal::Const(true), other) | (other, BoolVal::Const(true)) => other,
-        (BoolVal::Const(false), other) | (other, BoolVal::Const(false)) => other.not(),
-        (BoolVal::Atom(a), BoolVal::Atom(b)) if a == b => BoolVal::Const(true),
-        _ => panic!("comparison of two distinct symbolic booleans is unsupported"),
-    };
-    if negate {
-        v.not()
-    } else {
-        v
-    }
-}
-
-fn int_cmp(ctx: &mut TermCtx, op: BinOp, a: TermId, b: TermId) -> BoolVal {
-    if let (Some(x), Some(y)) = (ctx.as_const(a), ctx.as_const(b)) {
-        let r = match op {
-            BinOp::Eq => x == y,
-            BinOp::Ne => x != y,
-            BinOp::Lt => x < y,
-            BinOp::Le => x <= y,
-            BinOp::Gt => x > y,
-            BinOp::Ge => x >= y,
-            _ => unreachable!(),
-        };
-        return BoolVal::Const(r);
-    }
-    let c = match op {
-        BinOp::Eq => Constraint::new(CmpOp::Eq, a, b),
-        BinOp::Ne => Constraint::new(CmpOp::Ne, a, b),
-        BinOp::Lt => Constraint::new(CmpOp::Lt, a, b),
-        BinOp::Le => Constraint::new(CmpOp::Le, a, b),
-        BinOp::Gt => Constraint::new(CmpOp::Lt, b, a),
-        BinOp::Ge => Constraint::new(CmpOp::Le, b, a),
-        _ => unreachable!(),
-    };
-    BoolVal::Atom(c)
-}
-
-/// Shared bounds-check logic for buffer reads/writes: valid range is
-/// `[0, cap)`. Concrete indices resolve directly; symbolic indices fork
-/// fault children for each feasible violation and concretize the
-/// in-range access.
-fn bounds_checked_access(
-    env: &mut ExecEnv<'_>,
-    state: State,
-    idx_t: TermId,
-    cap: usize,
-    dynamic: bool,
-    span: Span,
-    apply: impl FnOnce(&mut State, usize),
-) -> StepResult {
-    bounds_checked_common(
-        env,
-        state,
-        idx_t,
-        cap as i64,
-        false,
-        dynamic,
-        span,
-        move |_, state, i| apply(state, i),
-    )
-}
-
-/// Like [`bounds_checked_access`] but the valid range is `[0, cap]`
-/// (string reads may touch the NUL terminator at `cap`).
-fn bounds_checked_access_incl(
-    env: &mut ExecEnv<'_>,
-    state: State,
-    idx_t: TermId,
-    cap: usize,
-    span: Span,
-    apply: impl FnOnce(&mut TermCtx, &mut State, usize),
-) -> StepResult {
-    bounds_checked_common(env, state, idx_t, cap as i64, true, false, span, apply)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bounds_checked_common(
-    env: &mut ExecEnv<'_>,
-    mut state: State,
-    idx_t: TermId,
-    cap: i64,
-    inclusive: bool,
-    dynamic: bool,
-    span: Span,
-    apply: impl FnOnce(&mut TermCtx, &mut State, usize),
-) -> StepResult {
-    let in_range = |i: i64| i >= 0 && (i < cap || (inclusive && i == cap));
-    if let Some(i) = env.ctx.as_const(idx_t) {
-        if in_range(i) {
-            apply(env.ctx, &mut state, i as usize);
-            return StepResult::Continue(state);
-        }
-        let kind = oob_kind(cap, i, inclusive, dynamic);
-        let fault = env.fault(&state, kind, span);
-        return StepResult::Fault(state, fault);
+    fn machine_mut(st: &mut State) -> &mut SymMachine {
+        &mut st.mach
     }
 
-    // Symbolic index.
-    env.stats.forks += 1;
-    let zero = env.ctx.int(0);
-    let cap_t = env.ctx.int(cap);
-    let mut children = Vec::new();
+    fn int(&mut self, v: i64) -> TermId {
+        self.ctx.int(v)
+    }
+    fn known_int(&self, v: TermId) -> Option<i64> {
+        self.ctx.as_const(v)
+    }
+    fn bool(b: bool) -> BoolVal {
+        BoolVal::Const(b)
+    }
+    fn known_bool(b: BoolVal) -> Option<bool> {
+        b.as_const()
+    }
+    fn str_lit(&mut self, bytes: &[u8]) -> SymStr {
+        SymStr::concrete(self.ctx, bytes)
+    }
+    fn str_cap(s: &SymStr) -> usize {
+        s.cap()
+    }
+    fn str_byte(&mut self, s: &SymStr, i: usize) -> TermId {
+        s.byte_at(self.ctx, i)
+    }
+    fn arith(&mut self, op: BinOp, a: TermId, b: TermId) -> TermId {
+        match op {
+            BinOp::Add => self.ctx.add(a, b),
+            BinOp::Sub => self.ctx.sub(a, b),
+            BinOp::Mul => self.ctx.mul(a, b),
+            BinOp::Div => self.ctx.div(a, b),
+            BinOp::Rem => self.ctx.rem(a, b),
+            _ => unreachable!("{op:?} is not arithmetic"),
+        }
+    }
+    fn cmp(&mut self, op: BinOp, a: TermId, b: TermId) -> BoolVal {
+        BoolVal::Atom(match op {
+            BinOp::Eq => Constraint::new(CmpOp::Eq, a, b),
+            BinOp::Ne => Constraint::new(CmpOp::Ne, a, b),
+            BinOp::Lt => Constraint::new(CmpOp::Lt, a, b),
+            BinOp::Le => Constraint::new(CmpOp::Le, a, b),
+            BinOp::Gt => Constraint::new(CmpOp::Lt, b, a),
+            BinOp::Ge => Constraint::new(CmpOp::Le, b, a),
+            _ => unreachable!("{op:?} is not a comparison"),
+        })
+    }
+    fn not(b: BoolVal) -> BoolVal {
+        b.not()
+    }
+    fn neg(&mut self, a: TermId) -> TermId {
+        self.ctx.neg(a)
+    }
 
-    // Fault child: idx beyond the upper bound.
-    let too_big = if inclusive {
-        Constraint::new(CmpOp::Lt, cap_t, idx_t)
-    } else {
-        Constraint::new(CmpOp::Le, cap_t, idx_t)
-    };
-    // Fault child: negative idx.
-    let negative = Constraint::new(CmpOp::Lt, idx_t, zero);
-    for violation in [too_big, negative] {
+    fn fork_branch(
+        &mut self,
+        st: &mut State,
+        c: BoolVal,
+        mut k: impl FnMut(&mut State, bool),
+    ) -> StepResult {
+        let atom = atom(c);
+        let state = std::mem::take(st);
+        self.stats.forks += 1;
+        let mut children = Vec::new();
+        for (taken, constraint) in [(true, atom), (false, atom.negate())] {
+            let mut child = state.clone();
+            child.id = self.fresh_id();
+            child.cond.push_hard(self.ctx, constraint);
+            child.depth += 1;
+            k(&mut child, taken);
+            match self.classify(&child) {
+                Some(d) => children.push(ForkChild {
+                    state: child,
+                    disposition: d,
+                }),
+                None => self.stats.pruned += 1,
+            }
+        }
+        StepResult::Fork(children)
+    }
+
+    fn fork_assert(&mut self, st: &mut State, c: BoolVal, span: Span) -> StepResult {
+        let atom = atom(c);
+        let state = std::mem::take(st);
+        self.stats.forks += 1;
+        let mut children = Vec::new();
+        // Failing side.
         let mut bad = state.clone();
-        bad.id = env.fresh_id();
-        bad.cond.push_hard(env.ctx, violation);
+        bad.id = self.fresh_id();
+        bad.cond.push_hard(self.ctx, atom.negate());
         bad.depth += 1;
-        if env.feasible(bad.cond.hard()) {
-            // Resolve a concrete violating index for the report.
-            let model_idx =
-                match env
-                    .solver
-                    .check_at(env.ctx, bad.cond.hard(), env.rec, "fault_model")
-                {
-                    SatResult::Sat(m) => m.value_of(idx_t, env.ctx).unwrap_or(cap),
-                    _ => cap,
-                };
-            let kind = oob_kind(cap, model_idx, inclusive, dynamic);
-            let fault = env.fault(&bad, kind, span);
+        if self.feasible(bad.cond.hard()) {
+            let fault = self.fault_of(&bad, FaultKind::AssertFailed, span);
             children.push(ForkChild {
                 state: bad,
                 disposition: Disposition::Fault(fault),
             });
         } else {
-            env.stats.pruned += 1;
+            self.stats.pruned += 1;
         }
-    }
-
-    // In-range child, concretized.
-    let lower = Constraint::new(CmpOp::Le, zero, idx_t);
-    let upper = if inclusive {
-        Constraint::new(CmpOp::Le, idx_t, cap_t)
-    } else {
-        Constraint::new(CmpOp::Lt, idx_t, cap_t)
-    };
-    let mut ok = state;
-    ok.cond.push_hard(env.ctx, lower);
-    ok.cond.push_hard(env.ctx, upper);
-    ok.depth += 1;
-    match env
-        .solver
-        .check_at(env.ctx, ok.cond.all(), env.rec, "concretize")
-    {
-        SatResult::Sat(model) => {
-            let i = model.value_of(idx_t, env.ctx).unwrap_or(0).clamp(0, cap);
-            let point = env.ctx.int(i);
-            ok.cond
-                .push_hard(env.ctx, Constraint::new(CmpOp::Eq, idx_t, point));
-            env.stats.concretizations += 1;
-            apply(env.ctx, &mut ok, i as usize);
-            children.push(ForkChild {
+        // Passing side.
+        let mut ok = state;
+        ok.cond.push_hard(self.ctx, atom);
+        ok.depth += 1;
+        match self.classify(&ok) {
+            Some(d) => children.push(ForkChild {
                 state: ok,
-                disposition: Disposition::Active,
-            });
+                disposition: d,
+            }),
+            None => self.stats.pruned += 1,
         }
-        SatResult::Unsat => {
-            // Possibly only soft constraints block it.
-            if let Some(Disposition::Suspended) = env.classify(&ok) {
-                children.push(ForkChild {
-                    state: ok,
-                    disposition: Disposition::Suspended,
-                });
-            } else {
-                env.stats.pruned += 1;
-            }
-        }
-        SatResult::Unknown => {
-            // Cannot concretize without a model; drop conservatively.
-            env.stats.pruned += 1;
-        }
-    }
-    StepResult::Fork(children)
-}
-
-fn oob_kind(cap: i64, idx: i64, inclusive: bool, dynamic: bool) -> FaultKind {
-    if inclusive {
-        FaultKind::StringOob {
-            len: cap as u32,
-            idx,
-        }
-    } else if dynamic && idx == cap {
-        // Dynamic buffers classify the `idx == cap` fencepost as the
-        // off-by-one class, matching the concrete VM.
-        FaultKind::OffByOne { cap: cap as u32 }
-    } else {
-        FaultKind::BufferOverflow {
-            cap: cap as u32,
-            idx,
-        }
-    }
-}
-
-/// Resolves a buffer register to a live heap id. `Err` carries the
-/// fault to raise: unbound or stale handles (registers still holding
-/// their `Unit` default, or ids whose cell was freed) are the
-/// use-after-free class, matching the concrete VM's handle protocol.
-fn live_buf(state: &State, r: Reg) -> Result<usize, FaultKind> {
-    match reg(state, r) {
-        SymValue::Buf(id) if *id < state.heap.len() && state.heap[*id].live => Ok(*id),
-        _ => Err(FaultKind::UseAfterFree),
-    }
-}
-
-/// `alloc(n)`: sizes in `[0, MAX_ALLOC]` produce a live dynamic buffer;
-/// anything else is the allocation-overflow fault. A symbolic size forks
-/// fault children for each feasible violation (mirroring
-/// [`bounds_checked_common`]) and concretizes the in-range allocation so
-/// the heap shape stays a single deterministic point per path.
-fn exec_alloc(
-    env: &mut ExecEnv<'_>,
-    mut state: State,
-    dst: Reg,
-    size: Reg,
-    span: Span,
-) -> StepResult {
-    let size_t = reg(&state, size).as_int();
-    let zero = env.ctx.int(0);
-    let alloc_cells = |env: &mut ExecEnv<'_>, state: &mut State, n: i64| {
-        let z = env.ctx.int(0);
-        let id = state.heap.len();
-        state.heap.push(SymBuf::dynamic(vec![z; n as usize]));
-        set_reg(state, dst, SymValue::Buf(id));
-    };
-
-    if let Some(n) = env.ctx.as_const(size_t) {
-        if !(0..=MAX_ALLOC).contains(&n) {
-            let fault = env.fault(&state, FaultKind::AllocOverflow { req: n }, span);
-            return StepResult::Fault(state, fault);
-        }
-        alloc_cells(env, &mut state, n);
-        return StepResult::Continue(state);
+        StepResult::Fork(children)
     }
 
-    // Symbolic request size.
-    env.stats.forks += 1;
-    let max_t = env.ctx.int(MAX_ALLOC);
-    let mut children = Vec::new();
-
-    let too_big = Constraint::new(CmpOp::Lt, max_t, size_t);
-    let negative = Constraint::new(CmpOp::Lt, size_t, zero);
-    for (violation, fallback) in [(too_big, MAX_ALLOC + 1), (negative, -1)] {
+    fn guard_divisor(
+        &mut self,
+        st: &mut State,
+        tb: TermId,
+        span: Span,
+        k: impl FnOnce(&mut Self, &mut State),
+    ) -> ControlFlow<StepResult> {
+        let zero = self.ctx.int(0);
+        let div_zero = Constraint::new(CmpOp::Eq, tb, zero);
+        if self.ctx.as_const(tb).is_some() {
+            return Continue(());
+        }
+        // Divisor is symbolic: fork a fault child if it can be 0.
+        let query = st.cond.all().with(self.ctx, Segment::Extra, div_zero);
+        if !self.feasible(&query) {
+            return Continue(());
+        }
+        let state = std::mem::take(st);
+        self.stats.forks += 1;
+        let mut children = Vec::new();
         let mut bad = state.clone();
-        bad.id = env.fresh_id();
-        bad.cond.push_hard(env.ctx, violation);
+        bad.id = self.fresh_id();
+        bad.cond.push_hard(self.ctx, div_zero);
         bad.depth += 1;
-        if env.feasible(bad.cond.hard()) {
-            let req = match env
-                .solver
-                .check_at(env.ctx, bad.cond.hard(), env.rec, "fault_model")
-            {
-                SatResult::Sat(m) => m.value_of(size_t, env.ctx).unwrap_or(fallback),
-                _ => fallback,
-            };
-            let fault = env.fault(&bad, FaultKind::AllocOverflow { req }, span);
-            children.push(ForkChild {
-                state: bad,
-                disposition: Disposition::Fault(fault),
-            });
-        } else {
-            env.stats.pruned += 1;
-        }
-    }
-
-    // In-range child, concretized to one allocation size.
-    let lower = Constraint::new(CmpOp::Le, zero, size_t);
-    let upper = Constraint::new(CmpOp::Le, size_t, max_t);
-    let mut ok = state;
-    ok.cond.push_hard(env.ctx, lower);
-    ok.cond.push_hard(env.ctx, upper);
-    ok.depth += 1;
-    match env
-        .solver
-        .check_at(env.ctx, ok.cond.all(), env.rec, "concretize")
-    {
-        SatResult::Sat(model) => {
-            let n = model
-                .value_of(size_t, env.ctx)
-                .unwrap_or(0)
-                .clamp(0, MAX_ALLOC);
-            let point = env.ctx.int(n);
-            ok.cond
-                .push_hard(env.ctx, Constraint::new(CmpOp::Eq, size_t, point));
-            env.stats.concretizations += 1;
-            alloc_cells(env, &mut ok, n);
-            children.push(ForkChild {
+        let fault = self.fault_of(&bad, FaultKind::DivByZero, span);
+        children.push(ForkChild {
+            state: bad,
+            disposition: Disposition::Fault(fault),
+        });
+        let mut ok = state;
+        ok.cond.push_hard(self.ctx, div_zero.negate());
+        ok.depth += 1;
+        k(self, &mut ok);
+        match self.classify(&ok) {
+            Some(d) => children.push(ForkChild {
                 state: ok,
-                disposition: Disposition::Active,
-            });
+                disposition: d,
+            }),
+            None => self.stats.pruned += 1,
         }
-        SatResult::Unsat => {
-            if let Some(Disposition::Suspended) = env.classify(&ok) {
-                children.push(ForkChild {
-                    state: ok,
-                    disposition: Disposition::Suspended,
-                });
-            } else {
-                env.stats.pruned += 1;
-            }
-        }
-        SatResult::Unknown => {
-            env.stats.pruned += 1;
-        }
+        Break(StepResult::Fork(children))
     }
-    StepResult::Fork(children)
-}
 
-/// The `format(s)` taint sink: a `%` byte anywhere before the NUL
-/// terminator is the format-string fault. A symbolic string fans out
-/// over the first `%`-or-NUL position like [`exec_strlen`]: at each
-/// offset `k` the prefix pins bytes `0..k` to non-NUL non-`%`, the fault
-/// child pins `s[k] == '%'`, and the clean child pins `s[k] == 0`.
-fn exec_format(env: &mut ExecEnv<'_>, state: State, fmt: Reg, span: Span) -> StepResult {
-    let sym = reg(&state, fmt).as_str().clone();
-    // Fully concrete fast path.
-    if let Some(scan) = concrete_format_scan(env.ctx, &sym) {
-        return match scan {
-            Some(pos) => {
-                let kind = FaultKind::FormatString { idx: pos as i64 };
-                let fault = env.fault(&state, kind, span);
-                StepResult::Fault(state, fault)
-            }
-            None => StepResult::Continue(state),
+    /// Forks a fault child for each feasible violation and concretizes
+    /// the in-range value, so an index or a heap shape stays a single
+    /// deterministic point per path.
+    fn fork_range(
+        &mut self,
+        st: &mut State,
+        t: TermId,
+        range: Range<impl Fn(i64) -> FaultKind>,
+        span: Span,
+        apply: impl FnOnce(&mut Self, &mut State, i64),
+    ) -> StepResult {
+        let state = std::mem::take(st);
+        self.stats.forks += 1;
+        let zero = self.ctx.int(0);
+        let hi_t = self.ctx.int(range.hi);
+        let mut children = Vec::new();
+
+        // Fault children: above the upper bound, then negative.
+        let too_big = if range.inclusive {
+            Constraint::new(CmpOp::Lt, hi_t, t)
+        } else {
+            Constraint::new(CmpOp::Le, hi_t, t)
         };
-    }
-
-    env.stats.forks += 1;
-    let zero = env.ctx.int(0);
-    let pct = env.ctx.int(i64::from(b'%'));
-    let mut children = Vec::new();
-    let mut prefix = state.cond.clone();
-    for k in 0..=sym.cap() {
-        if k < sym.cap() {
-            // Fault child: first interesting byte is a `%` at offset k.
+        let negative = Constraint::new(CmpOp::Lt, t, zero);
+        for (violation, fallback) in [too_big, negative].into_iter().zip(range.fallback) {
             let mut bad = state.clone();
-            bad.id = env.fresh_id();
+            bad.id = self.fresh_id();
+            bad.cond.push_hard(self.ctx, violation);
             bad.depth += 1;
-            bad.cond = prefix.with_hard(env.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], pct));
-            if env.feasible(bad.cond.hard()) {
-                let fault = env.fault(&bad, FaultKind::FormatString { idx: k as i64 }, span);
+            if self.feasible(bad.cond.hard()) {
+                // Resolve a concrete violating value for the report.
+                let witness =
+                    match self
+                        .solver
+                        .check_at(self.ctx, bad.cond.hard(), self.rec, "fault_model")
+                    {
+                        SatResult::Sat(m) => m.value_of(t, self.ctx).unwrap_or(fallback),
+                        _ => fallback,
+                    };
+                let fault = self.fault_of(&bad, (range.kind)(witness), span);
                 children.push(ForkChild {
                     state: bad,
                     disposition: Disposition::Fault(fault),
                 });
             } else {
-                env.stats.pruned += 1;
+                self.stats.pruned += 1;
             }
         }
-        // Clean child: the string ends at offset k, no `%` seen.
-        let mut ok = state.clone();
-        ok.id = env.fresh_id();
+
+        // In-range child, concretized.
+        let lower = Constraint::new(CmpOp::Le, zero, t);
+        let upper = if range.inclusive {
+            Constraint::new(CmpOp::Le, t, hi_t)
+        } else {
+            Constraint::new(CmpOp::Lt, t, hi_t)
+        };
+        let mut ok = state;
+        ok.cond.push_hard(self.ctx, lower);
+        ok.cond.push_hard(self.ctx, upper);
         ok.depth += 1;
-        ok.cond = if k < sym.cap() {
-            prefix.with_hard(env.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], zero))
-        } else {
-            prefix.clone()
-        };
-        match env.classify(&ok) {
-            Some(d) => children.push(ForkChild {
-                state: ok,
-                disposition: d,
-            }),
-            None => env.stats.pruned += 1,
-        }
-        if k < sym.cap() {
-            prefix.push_hard(env.ctx, Constraint::new(CmpOp::Ne, sym.bytes[k], zero));
-            prefix.push_hard(env.ctx, Constraint::new(CmpOp::Ne, sym.bytes[k], pct));
-        }
-    }
-    StepResult::Fork(children)
-}
-
-/// Concrete `%`-scan: `None` if any byte before the terminator is
-/// symbolic, otherwise `Some(Some(pos))` for the first `%` before the
-/// NUL or `Some(None)` for a clean string.
-fn concrete_format_scan(ctx: &TermCtx, s: &SymStr) -> Option<Option<usize>> {
-    for (i, &b) in s.bytes.iter().enumerate() {
-        match ctx.as_const(b) {
-            Some(0) => return Some(None),
-            Some(v) if v == i64::from(b'%') => return Some(Some(i)),
-            Some(_) => {}
-            None => return None,
-        }
-    }
-    Some(None)
-}
-
-/// `strlen` over a possibly-symbolic string: forks one child per
-/// feasible first-NUL position — the paper's loop-iteration explosion in
-/// its most concentrated form.
-fn exec_strlen(env: &mut ExecEnv<'_>, state: State, dst: Reg, s: Reg) -> StepResult {
-    let sym = reg(&state, s).as_str().clone();
-    // Fully concrete fast path.
-    if let Some(len) = concrete_strlen(env.ctx, &sym) {
-        let mut st = state;
-        let t = env.ctx.int(len as i64);
-        set_reg(&mut st, dst, SymValue::Int(t));
-        return StepResult::Continue(st);
-    }
-
-    env.stats.strlen_forks += 1;
-    env.stats.forks += 1;
-    let zero = env.ctx.int(0);
-    let mut children = Vec::new();
-    let mut prefix = state.cond.clone();
-    for len in 0..=sym.cap() {
-        let mut child = state.clone();
-        child.id = env.fresh_id();
-        child.depth += 1;
-        child.cond = if len < sym.cap() {
-            prefix.with_hard(env.ctx, Constraint::new(CmpOp::Eq, sym.bytes[len], zero))
-        } else {
-            prefix.clone()
-        };
-        match env.classify(&child) {
-            Some(d) => {
-                let t = env.ctx.int(len as i64);
-                set_reg(&mut child, dst, SymValue::Int(t));
+        match self
+            .solver
+            .check_at(self.ctx, ok.cond.all(), self.rec, "concretize")
+        {
+            SatResult::Sat(model) => {
+                let v = model.value_of(t, self.ctx).unwrap_or(0).clamp(0, range.hi);
+                let point = self.ctx.int(v);
+                ok.cond
+                    .push_hard(self.ctx, Constraint::new(CmpOp::Eq, t, point));
+                self.stats.concretizations += 1;
+                apply(self, &mut ok, v);
                 children.push(ForkChild {
-                    state: child,
-                    disposition: d,
+                    state: ok,
+                    disposition: Disposition::Active,
                 });
             }
-            None => env.stats.pruned += 1,
+            SatResult::Unsat => {
+                // Possibly only soft constraints block it.
+                if let Some(Disposition::Suspended) = self.classify(&ok) {
+                    children.push(ForkChild {
+                        state: ok,
+                        disposition: Disposition::Suspended,
+                    });
+                } else {
+                    self.stats.pruned += 1;
+                }
+            }
+            SatResult::Unknown => {
+                // Cannot concretize without a model; drop conservatively.
+                self.stats.pruned += 1;
+            }
         }
-        if len < sym.cap() {
-            prefix.push_hard(env.ctx, Constraint::new(CmpOp::Ne, sym.bytes[len], zero));
-        }
+        StepResult::Fork(children)
     }
-    StepResult::Fork(children)
-}
 
-fn concrete_strlen(ctx: &TermCtx, s: &SymStr) -> Option<usize> {
-    let mut len = 0;
-    for &b in s.bytes.iter() {
-        match ctx.as_const(b) {
-            Some(0) => return Some(len),
-            Some(_) => len += 1,
-            None => return None,
+    /// Forks one child per feasible first-NUL position — the paper's
+    /// loop-iteration explosion in its most concentrated form.
+    fn fork_strlen(
+        &mut self,
+        st: &mut State,
+        sym: &SymStr,
+        mut k: impl FnMut(&mut Self, &mut State, usize),
+    ) -> StepResult {
+        let state = std::mem::take(st);
+        self.stats.strlen_forks += 1;
+        self.stats.forks += 1;
+        let zero = self.ctx.int(0);
+        let mut children = Vec::new();
+        let mut prefix = state.cond.clone();
+        for len in 0..=sym.cap() {
+            let mut child = state.clone();
+            child.id = self.fresh_id();
+            child.depth += 1;
+            child.cond = if len < sym.cap() {
+                prefix.with_hard(self.ctx, Constraint::new(CmpOp::Eq, sym.bytes[len], zero))
+            } else {
+                prefix.clone()
+            };
+            match self.classify(&child) {
+                Some(d) => {
+                    k(self, &mut child, len);
+                    children.push(ForkChild {
+                        state: child,
+                        disposition: d,
+                    });
+                }
+                None => self.stats.pruned += 1,
+            }
+            if len < sym.cap() {
+                prefix.push_hard(self.ctx, Constraint::new(CmpOp::Ne, sym.bytes[len], zero));
+            }
         }
+        StepResult::Fork(children)
     }
-    Some(len)
-}
 
-fn input_value(env: &mut ExecEnv<'_>, input: InputId) -> SymValue {
-    if let Some(v) = env.inputs.get(&input) {
-        return v.clone();
+    /// Fans out over the first `%`-or-NUL position like
+    /// [`Domain::fork_strlen`]: at each offset `k` the prefix pins bytes
+    /// `0..k` to non-NUL non-`%`, the fault child pins `s[k] == '%'`, and
+    /// the clean child pins `s[k] == 0`.
+    fn fork_format(&mut self, st: &mut State, sym: &SymStr, span: Span) -> StepResult {
+        let state = std::mem::take(st);
+        self.stats.forks += 1;
+        let zero = self.ctx.int(0);
+        let pct = self.ctx.int(i64::from(b'%'));
+        let mut children = Vec::new();
+        let mut prefix = state.cond.clone();
+        for k in 0..=sym.cap() {
+            if k < sym.cap() {
+                // Fault child: first interesting byte is a `%` at offset k.
+                let mut bad = state.clone();
+                bad.id = self.fresh_id();
+                bad.depth += 1;
+                bad.cond =
+                    prefix.with_hard(self.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], pct));
+                if self.feasible(bad.cond.hard()) {
+                    let kind = FaultKind::FormatString { idx: k as i64 };
+                    let fault = self.fault_of(&bad, kind, span);
+                    children.push(ForkChild {
+                        state: bad,
+                        disposition: Disposition::Fault(fault),
+                    });
+                } else {
+                    self.stats.pruned += 1;
+                }
+            }
+            // Clean child: the string ends at offset k, no `%` seen.
+            let mut ok = state.clone();
+            ok.id = self.fresh_id();
+            ok.depth += 1;
+            ok.cond = if k < sym.cap() {
+                prefix.with_hard(self.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], zero))
+            } else {
+                prefix.clone()
+            };
+            match self.classify(&ok) {
+                Some(d) => children.push(ForkChild {
+                    state: ok,
+                    disposition: d,
+                }),
+                None => self.stats.pruned += 1,
+            }
+            if k < sym.cap() {
+                prefix.push_hard(self.ctx, Constraint::new(CmpOp::Ne, sym.bytes[k], zero));
+                prefix.push_hard(self.ctx, Constraint::new(CmpOp::Ne, sym.bytes[k], pct));
+            }
+        }
+        StepResult::Fork(children)
     }
-    let def = &env.module.inputs[input.index()];
-    let v = make_input_sym(env.ctx, def);
-    env.inputs.insert(input, v.clone());
-    v
+
+    fn input(&mut self, id: InputId) -> ControlFlow<StepResult, SymValue> {
+        if let Some(v) = self.inputs.get(&id) {
+            return Continue(v.clone());
+        }
+        let def = &self.module.inputs[id.index()];
+        let v = make_input_sym(self.ctx, def);
+        self.inputs.insert(id, v.clone());
+        Continue(v)
+    }
+    fn print(&mut self, _: &SymMachine, _: &[Reg]) {}
+    fn enter(
+        &mut self,
+        st: &mut State,
+        func: FuncId,
+        args: &[SymValue],
+    ) -> ControlFlow<StepResult> {
+        let body = self.module.func(func);
+        let loc = Location::enter(body.name.as_str());
+        self.apply_event(st, loc, &body.params, args, None)
+    }
+    fn leave(
+        &mut self,
+        st: &mut State,
+        func: FuncId,
+        ret: Option<&SymValue>,
+    ) -> ControlFlow<StepResult> {
+        let loc = Location::leave(self.module.func(func).name.as_str());
+        self.apply_event(st, loc, &[], &[], ret)
+    }
+    fn fault(&mut self, st: &mut State, fault: Fault) -> StepResult {
+        StepResult::Fault(std::mem::take(st), fault)
+    }
+    fn exit(&mut self, st: &mut State, _: Option<TermId>) -> StepResult {
+        StepResult::Exit(std::mem::take(st))
+    }
 }
 
 /// Builds the fresh symbolic value for one input definition.
@@ -1111,77 +680,6 @@ fn make_input_sym(ctx: &mut TermCtx, def: &sir::InputDef) -> SymValue {
             SymValue::Str(SymStr {
                 bytes: Arc::new(bytes),
             })
-        }
-    }
-}
-
-fn exec_term(env: &mut ExecEnv<'_>, mut state: State, term: Terminator, span: Span) -> StepResult {
-    match term {
-        Terminator::Jump(b) => {
-            let f = state.frame_mut();
-            f.block = b;
-            f.idx = 0;
-            StepResult::Continue(state)
-        }
-        Terminator::Branch {
-            cond,
-            then_bb,
-            else_bb,
-        } => {
-            let c = reg(&state, cond).as_bool();
-            match c {
-                BoolVal::Const(taken) => {
-                    let f = state.frame_mut();
-                    f.block = if taken { then_bb } else { else_bb };
-                    f.idx = 0;
-                    StepResult::Continue(state)
-                }
-                BoolVal::Atom(atom) => {
-                    env.stats.forks += 1;
-                    let mut children = Vec::new();
-                    for (target, constraint) in [(then_bb, atom), (else_bb, atom.negate())] {
-                        let mut child = state.clone();
-                        child.id = env.fresh_id();
-                        child.cond.push_hard(env.ctx, constraint);
-                        child.depth += 1;
-                        {
-                            let f = child.frame_mut();
-                            f.block = target;
-                            f.idx = 0;
-                        }
-                        match env.classify(&child) {
-                            Some(d) => children.push(ForkChild {
-                                state: child,
-                                disposition: d,
-                            }),
-                            None => env.stats.pruned += 1,
-                        }
-                    }
-                    StepResult::Fork(children)
-                }
-            }
-        }
-        Terminator::Return(r) => {
-            let _ = span;
-            let ret = r.map(|r| reg(&state, r).clone());
-            let body = env.module.func(state.frame().func);
-            let name = body.name.clone();
-            if let Some(outcome) =
-                env.apply_event(&mut state, Location::leave(name), &[], &[], ret.as_ref())
-            {
-                return outcome;
-            }
-            let ret_dst = state.frame().ret_dst;
-            state.frames.pop();
-            match state.frames.last_mut() {
-                None => StepResult::Exit(state),
-                Some(caller) => {
-                    if let (Some(dst), Some(v)) = (ret_dst, ret) {
-                        caller.regs[dst.index()] = v;
-                    }
-                    StepResult::Continue(state)
-                }
-            }
         }
     }
 }

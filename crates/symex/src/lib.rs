@@ -1,6 +1,7 @@
 //! Symbolic execution engine over SIR — the KLEE-equivalent substrate.
 //!
-//! The engine interprets SIR symbolically: program inputs become solver
+//! The engine interprets SIR symbolically, as the symbolic domain of the
+//! shared interpreter `concrete::interp`: program inputs become solver
 //! variables, branches on symbolic conditions fork states, and faults
 //! (buffer overflows, assertion failures, division by zero) terminate
 //! exploration with a complete vulnerable path, its constraints, and a

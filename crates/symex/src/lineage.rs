@@ -139,7 +139,7 @@ impl Lineage {
 /// `exit` once the call stack has fully unwound (terminal `exit` events
 /// fire after the last `Return` pops the final frame).
 pub(crate) fn state_loc(module: &Module, state: &State) -> String {
-    match state.frames.last() {
+    match state.mach.frames.last() {
         Some(f) => format!("{}:b{}", module.func(f.func).name, f.block.index()),
         None => "exit".to_string(),
     }

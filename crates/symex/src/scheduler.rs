@@ -187,19 +187,11 @@ impl Scheduler for PriorityScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{PathCond, StateMeta, TraceList};
 
     fn mk_state(id: u64) -> State {
         State {
             id,
-            frames: Vec::new(),
-            globals: Vec::new(),
-            heap: Vec::new(),
-            cond: PathCond::new(),
-            trace: TraceList::default(),
-            depth: 0,
-            meta: StateMeta::default(),
-            guidance_off: false,
+            ..State::default()
         }
     }
 

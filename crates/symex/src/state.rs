@@ -1,9 +1,8 @@
 //! Symbolic execution states.
 
-use crate::value::{SymBuf, SymValue};
+use crate::value::{BoolVal, SymStr, SymValue};
 use concrete::Location;
-use sir::{BlockId, FuncId, Reg};
-use solver::{Constraint, Partition, Segment, TermCtx};
+use solver::{Constraint, Partition, Segment, TermCtx, TermId};
 use std::sync::Arc;
 
 /// A state's path condition: the hard constraints (branch decisions
@@ -130,20 +129,8 @@ impl TraceList {
     }
 }
 
-/// One stack frame of a symbolic state.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// The function being executed.
-    pub func: FuncId,
-    /// Current basic block.
-    pub block: BlockId,
-    /// Next instruction index within the block.
-    pub idx: usize,
-    /// Register file.
-    pub regs: Vec<SymValue>,
-    /// Caller register receiving the return value.
-    pub ret_dst: Option<Reg>,
-}
+/// A symbolic state's memory: call stack, globals and buffer heap.
+pub type SymMachine = concrete::interp::Machine<TermId, BoolVal, SymStr>;
 
 /// Guidance bookkeeping attached to each state by the statistics-guided
 /// scheduler (paper §V-C): progress along the candidate path and the
@@ -157,16 +144,13 @@ pub struct StateMeta {
 }
 
 /// A symbolic execution state: one explored path prefix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct State {
     /// Unique id (assigned at fork, deterministic).
     pub id: u64,
-    /// Call stack.
-    pub frames: Vec<Frame>,
-    /// Global variable values.
-    pub globals: Vec<SymValue>,
-    /// Buffer heap (cloned on fork; buffers are mutable).
-    pub heap: Vec<SymBuf>,
+    /// Call stack, globals and buffer heap (cloned on fork; buffers are
+    /// mutable).
+    pub mach: SymMachine,
     /// Path condition: hard constraints (branch decisions taken) plus
     /// soft constraints injected by statistical guidance. Violating soft
     /// constraints suspends a state instead of killing it (paper
@@ -185,37 +169,28 @@ pub struct State {
 }
 
 impl State {
-    /// The active frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state has terminated (empty stack).
-    pub fn frame(&self) -> &Frame {
-        self.frames.last().expect("state has an active frame")
-    }
-
-    /// The active frame, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state has terminated (empty stack).
-    pub fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("state has an active frame")
-    }
-
     /// Approximate resident size in bytes, used for the engine's memory
     /// budget (the paper's KLEE runs fail by exhausting memory).
     pub fn est_bytes(&self) -> usize {
-        let regs: usize = self
+        let m = &self.mach;
+        let regs: usize = m
             .frames
             .iter()
-            .map(|f| 64 + f.regs.iter().map(SymValue::est_bytes).sum::<usize>())
+            .map(|f| 64 + f.regs.iter().map(value_bytes).sum::<usize>())
             .sum();
-        let heap: usize = self.heap.iter().map(|b| 16 + b.cells.len() * 4).sum();
-        let globals: usize = self.globals.iter().map(SymValue::est_bytes).sum();
+        let heap: usize = m.heap.iter().map(|b| 16 + b.cells.len() * 4).sum();
+        let globals: usize = m.globals.iter().map(value_bytes).sum();
         // Persistent lists are shared; attribute one node to this state.
         let conds = 48 + self.cond.hard_len() * 2 + self.cond.soft_len() * 2;
         regs + heap + globals + conds + 128
+    }
+}
+
+/// Rough size of a value in bytes for the engine's memory model.
+fn value_bytes(v: &SymValue) -> usize {
+    match v {
+        SymValue::Str(s) => 16 + s.bytes.len() * 4 / 8, // Rc-shared: amortized
+        _ => 16,
     }
 }
 

@@ -77,112 +77,13 @@ impl SymStr {
     }
 }
 
-/// A symbolic buffer: fixed capacity, mutable byte cells, plus the heap
-/// lifetime metadata the use-after-free / off-by-one checks need.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SymBuf {
-    /// Cell terms; length is the capacity.
-    pub cells: Vec<TermId>,
-    /// False once `free` released the cell; any later access faults.
-    pub live: bool,
-    /// True for `alloc`-produced buffers. Dynamic buffers classify an
-    /// access at exactly `cap` as [`concrete::FaultKind::OffByOne`];
-    /// stack buffers keep the legacy overflow classification.
-    pub dynamic: bool,
-}
-
-impl SymBuf {
-    /// A live stack (fixed-capacity) buffer.
-    pub fn stack(cells: Vec<TermId>) -> SymBuf {
-        SymBuf {
-            cells,
-            live: true,
-            dynamic: false,
-        }
-    }
-
-    /// A live dynamic (`alloc`-produced) buffer.
-    pub fn dynamic(cells: Vec<TermId>) -> SymBuf {
-        SymBuf {
-            cells,
-            live: true,
-            dynamic: true,
-        }
-    }
-}
+/// A symbolic buffer: fixed capacity, mutable cells holding `int`
+/// terms, plus the heap lifetime metadata the use-after-free /
+/// off-by-one checks need.
+pub type SymBuf = concrete::interp::HeapCell<TermId>;
 
 /// A symbolic value held in a register or global.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SymValue {
-    /// An integer term (constants are interned terms too).
-    Int(TermId),
-    /// A boolean.
-    Bool(BoolVal),
-    /// A string.
-    Str(SymStr),
-    /// Reference into the state's buffer heap.
-    Buf(usize),
-    /// Result of a void call; never read.
-    Unit,
-}
-
-impl SymValue {
-    /// Integer term payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-`Int` values (ruled out by the type checker).
-    pub fn as_int(&self) -> TermId {
-        match self {
-            SymValue::Int(t) => *t,
-            other => panic!("expected int value, found {other:?}"),
-        }
-    }
-
-    /// Boolean payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-`Bool` values.
-    pub fn as_bool(&self) -> BoolVal {
-        match self {
-            SymValue::Bool(b) => *b,
-            other => panic!("expected bool value, found {other:?}"),
-        }
-    }
-
-    /// String payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-`Str` values.
-    pub fn as_str(&self) -> &SymStr {
-        match self {
-            SymValue::Str(s) => s,
-            other => panic!("expected str value, found {other:?}"),
-        }
-    }
-
-    /// Buffer id payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-`Buf` values.
-    pub fn as_buf(&self) -> usize {
-        match self {
-            SymValue::Buf(b) => *b,
-            other => panic!("expected buf value, found {other:?}"),
-        }
-    }
-
-    /// Rough size in bytes for the engine's memory model.
-    pub fn est_bytes(&self) -> usize {
-        match self {
-            SymValue::Str(s) => 16 + s.bytes.len() * 4 / 8, // Rc-shared: amortized
-            _ => 16,
-        }
-    }
-}
+pub type SymValue = concrete::Val<TermId, BoolVal, SymStr>;
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@
 //! orders — chaos runs stay reproducible from the seed.
 
 use crate::gen::FaultClass;
-use crate::oracles::{budget, compare_engine_reports, OracleOutcome};
+use crate::oracles::{budget, compare_engine_reports};
 use concrete::{Vm, VmConfig};
 use minic::ast::Program;
 use rand::rngs::StdRng;
@@ -165,9 +165,16 @@ impl QueryCache for ChaosCache {
 ///    same class at the same site (never a *wrong* fault);
 /// 3. the same engine over a [`ChaosCache`]-wrapped shared cache
 ///    reports exactly what it reports with no cache.
-pub fn check_chaos(program: &Program, seed: u64) -> Result<OracleOutcome, String> {
+///
+/// Returns what leg 3 injected, so a soak can confirm it injected at
+/// all.
+pub fn check_chaos(program: &Program, seed: u64) -> Result<ChaosStats, String> {
+    check_schedule(program, ChaosSchedule::derive(seed))
+}
+
+/// [`check_chaos`] under an explicit schedule.
+pub fn check_schedule(program: &Program, schedule: ChaosSchedule) -> Result<ChaosStats, String> {
     let module = sir::lower(program).map_err(|e| format!("lowering failed: {e}"))?;
-    let schedule = ChaosSchedule::derive(seed);
     let chaos_engine = schedule.engine_config(budget());
 
     // 1+2: a plain engine under budget chaos terminates and never
@@ -197,18 +204,46 @@ pub fn check_chaos(program: &Program, seed: u64) -> Result<OracleOutcome, String
     // 3: the same engine over a chaos-wrapped shared cache reports
     // exactly what it reports with no cache: injected misses and
     // dropped publishes only cost solver work.
-    let cached = {
-        let chaos_cache: Rc<dyn QueryCache> =
-            Rc::new(ChaosCache::new(Rc::new(SharedCache::new()), schedule));
-        let mut eng = Engine::new(&module, chaos_engine);
-        eng.set_shared_cache(chaos_cache);
-        eng.run()
-    };
+    let chaos_cache = Rc::new(ChaosCache::new(Rc::new(SharedCache::new()), schedule));
+    let mut eng = Engine::new(&module, chaos_engine);
+    eng.set_shared_cache(chaos_cache.clone());
+    let cached = eng.run();
     compare_engine_reports(
         &report,
         &cached,
         &format!("chaos engine+cache {schedule:?}"),
     )?;
 
-    Ok(OracleOutcome::Pass)
+    Ok(chaos_cache.chaos_stats())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn schedule(rate: f64) -> ChaosSchedule {
+        ChaosSchedule {
+            seed: 1,
+            miss_rate: rate,
+            drop_rate: rate,
+            starve_solver: false,
+            tiny_steps: false,
+        }
+    }
+
+    #[test]
+    fn cache_leg_injects_exactly_what_the_schedule_asks() {
+        let program = minic::parse_program(
+            r#"fn main() {
+                let n: int = input_int("n");
+                if (n > 5) { if (n < 10) { assert(n != 7); } }
+            }"#,
+        )
+        .unwrap();
+        let all = check_schedule(&program, schedule(1.0)).unwrap();
+        assert!(all.injected_misses > 0, "{all:?}");
+        assert!(all.dropped_publishes > 0, "{all:?}");
+        let none = check_schedule(&program, schedule(0.0)).unwrap();
+        assert_eq!(none, ChaosStats::default());
+    }
 }

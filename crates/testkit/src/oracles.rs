@@ -83,13 +83,11 @@ impl std::fmt::Display for OracleFailure {
 }
 
 /// The engine budget oracles run generated programs under: generous
-/// for their size, deterministic (no wall-clock cutoff), and with a
-/// call-depth cap small enough that recursion templates fault quickly.
+/// for their size and deterministic (no wall-clock cutoff).
 pub fn budget() -> EngineConfig {
     EngineConfig {
         scheduler: SchedulerKind::Bfs,
         max_steps: 150_000,
-        max_call_depth: 24,
         time_budget: None,
         ..EngineConfig::default()
     }

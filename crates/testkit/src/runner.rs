@@ -6,7 +6,7 @@
 //! violated oracle, and the shrunk source, so the fix-reproduce loop is
 //! `statsym-testkit --seeds N..N+1`.
 
-use crate::chaos::check_chaos;
+use crate::chaos::{check_chaos, ChaosStats};
 use crate::gen::{generate, FaultClass};
 use crate::oracles::{budget, check, check_all, OracleOutcome};
 use crate::shrink::shrink;
@@ -92,6 +92,8 @@ pub struct RunnerReport {
     pub passes: u64,
     /// Oracle checks that were vacuous for their program.
     pub vacuous: u64,
+    /// Faults the chaos oracle's cache leg injected, summed over seeds.
+    pub chaos: ChaosStats,
     /// Shrunk violations.
     pub failures: Vec<SeedFailure>,
 }
@@ -112,6 +114,11 @@ impl std::fmt::Display for RunnerReport {
             self.passes,
             self.vacuous,
             self.failures.len()
+        )?;
+        writeln!(
+            f,
+            "chaos: {} injected miss(es), {} dropped publish(es)",
+            self.chaos.injected_misses, self.chaos.dropped_publishes
         )?;
         for failure in &self.failures {
             writeln!(f)?;
@@ -217,8 +224,11 @@ pub fn run_seeds(config: &RunnerConfig) -> RunnerReport {
 
         if config.chaos {
             match check_chaos(&g.program, seed) {
-                Ok(OracleOutcome::Pass) => report.passes += 1,
-                Ok(OracleOutcome::Vacuous(_)) => report.vacuous += 1,
+                Ok(injected) => {
+                    report.passes += 1;
+                    report.chaos.injected_misses += injected.injected_misses;
+                    report.chaos.dropped_publishes += injected.dropped_publishes;
+                }
                 Err(message) => {
                     record_failure(&mut report, &g.program, seed, "chaos", message, &mut |q| {
                         check_chaos(q, seed).is_err()

@@ -72,6 +72,47 @@ const PROGRAMS: &[(&str, &str)] = &[
         }
         "#,
     ),
+    (
+        "int_cell_equality",
+        r#"
+        fn main() {
+            let n: int = input_int("n");
+            let b: buf[4];
+            buf_set(b, 0, n);
+            if (buf_get(b, 0) == 300) { assert(false); }
+        }
+        "#,
+    ),
+    (
+        "int_cell_sign",
+        r#"
+        fn main() {
+            let n: int = input_int("n");
+            let b: buf[4];
+            buf_set(b, 0, n);
+            if (buf_get(b, 0) < 0) { assert(false); }
+        }
+        "#,
+    ),
+    (
+        "bounded_deep_recursion",
+        r#"
+        fn r(n: int) -> int { if (n <= 0) { return 0; } return r(n - 1) + 1; }
+        fn main() { let n: int = input_int("n"); if (n > 290 && n < 300) { r(n); } }
+        "#,
+    ),
+    (
+        "symbolic_bool_equality",
+        r#"
+        fn main() {
+            let x: int = input_int("x");
+            let y: int = input_int("y");
+            let a: bool = x > 3;
+            let b: bool = y > 4;
+            if (a == b) { assert(x < 100); }
+        }
+        "#,
+    ),
 ];
 
 fn fault_class(kind: &FaultKind) -> &'static str {
