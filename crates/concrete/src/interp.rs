@@ -18,17 +18,18 @@ use sir::{BlockId, ConstValue, FuncId, InputId, Inst, Module, Reg, Terminator};
 use std::fmt::Debug;
 use std::ops::ControlFlow::{self, Break, Continue};
 
-/// One stack frame.
-#[derive(Debug, Clone)]
-pub struct Frame<V> {
+/// One stack frame. Its registers live in [`Machine::regs`], from
+/// `base` up to the next frame's `base` (or the end of the stack).
+#[derive(Debug, Clone, Copy)]
+pub struct Frame {
     /// The function being executed.
     pub func: FuncId,
     /// Current basic block.
     pub block: BlockId,
     /// Next instruction index within the block.
     pub idx: usize,
-    /// Register file.
-    pub regs: Vec<V>,
+    /// Index of the frame's register 0 in [`Machine::regs`].
+    pub base: usize,
     /// Caller register receiving the return value.
     pub ret_dst: Option<Reg>,
 }
@@ -71,7 +72,10 @@ impl<I> HeapCell<I> {
 #[derive(Debug, Clone)]
 pub struct Machine<I, B, S> {
     /// Call stack; the last frame is active.
-    pub frames: Vec<Frame<Val<I, B, S>>>,
+    pub frames: Vec<Frame>,
+    /// Every frame's registers back to back: one register stack that a
+    /// call grows and a return truncates.
+    pub regs: Vec<Val<I, B, S>>,
     /// Global variable values, parallel to the module's globals.
     pub globals: Vec<Val<I, B, S>>,
     /// Buffer heap, indexed by [`Val::Buf`] handles.
@@ -82,6 +86,7 @@ impl<I, B, S> Default for Machine<I, B, S> {
     fn default() -> Self {
         Machine {
             frames: Vec::new(),
+            regs: Vec::new(),
             globals: Vec::new(),
             heap: Vec::new(),
         }
@@ -99,7 +104,8 @@ impl<I: Copy + Debug, B: Copy + Debug, S: Clone + Debug> Machine<I, B, S> {
     /// # Panics
     ///
     /// Panics once the program has returned from `main`.
-    pub fn frame(&self) -> &Frame<Val<I, B, S>> {
+    #[inline]
+    pub fn frame(&self) -> &Frame {
         self.frames.last().expect("machine has an active frame")
     }
 
@@ -108,18 +114,29 @@ impl<I: Copy + Debug, B: Copy + Debug, S: Clone + Debug> Machine<I, B, S> {
     /// # Panics
     ///
     /// Panics once the program has returned from `main`.
-    pub fn frame_mut(&mut self) -> &mut Frame<Val<I, B, S>> {
+    #[inline]
+    pub fn frame_mut(&mut self) -> &mut Frame {
         self.frames.last_mut().expect("machine has an active frame")
     }
 
     /// Register `r` of the active frame.
+    #[inline]
     pub fn reg(&self, r: Reg) -> &Val<I, B, S> {
-        &self.frame().regs[r.index()]
+        &self.regs[self.frame().base + r.index()]
     }
 
     /// Sets register `r` of the active frame.
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, v: Val<I, B, S>) {
-        self.frame_mut().regs[r.index()] = v;
+        let i = self.frame().base + r.index();
+        self.regs[i] = v;
+    }
+
+    /// The active frame's first `n` registers: its arguments, right
+    /// after the call.
+    pub fn args(&self, n: usize) -> &[Val<I, B, S>] {
+        let base = self.frame().base;
+        &self.regs[base..base + n]
     }
 
     /// Resolves a register holding a buffer handle to a *live* heap
@@ -142,21 +159,21 @@ impl<I: Copy + Debug, B: Copy + Debug, S: Clone + Debug> Machine<I, B, S> {
         }
     }
 
-    fn push_frame(
-        &mut self,
-        module: &Module,
-        func: FuncId,
-        args: &[Val<I, B, S>],
-        ret_dst: Option<Reg>,
-    ) {
+    /// Pushes a frame for `func` on top of the register stack and copies
+    /// the caller's registers `args` into its first registers.
+    fn push_frame(&mut self, module: &Module, func: FuncId, args: &[Reg], ret_dst: Option<Reg>) {
         let body = module.func(func);
-        let mut regs = vec![Val::Unit; body.num_regs as usize];
-        regs[..args.len()].clone_from_slice(args);
+        let caller = self.frames.last().map_or(0, |f| f.base);
+        let base = self.regs.len();
+        self.regs.resize(base + body.num_regs as usize, Val::Unit);
+        for (i, r) in args.iter().enumerate() {
+            self.regs[base + i] = self.regs[caller + r.index()].clone();
+        }
         self.frames.push(Frame {
             func,
             block: body.entry(),
             idx: 0,
-            regs,
+            base,
             ret_dst,
         });
     }
@@ -190,13 +207,10 @@ pub trait Domain: Sized {
     fn input(&mut self, id: InputId) -> ControlFlow<Self::Out, ValueOf<Self>>;
     /// `print(args)`.
     fn print(&mut self, m: &MachineOf<Self>, args: &[Reg]);
-    /// The enter event of `func`, after its frame is pushed.
-    fn enter(
-        &mut self,
-        st: &mut Self::State,
-        func: FuncId,
-        args: &[ValueOf<Self>],
-    ) -> ControlFlow<Self::Out>;
+    /// The enter event of `func`, after its frame is pushed: its
+    /// arguments are the new frame's first `argc` registers
+    /// ([`Machine::args`]).
+    fn enter(&mut self, st: &mut Self::State, func: FuncId, argc: usize) -> ControlFlow<Self::Out>;
     /// The leave event of `func`, before its frame is popped.
     fn leave(
         &mut self,
@@ -294,14 +308,15 @@ pub trait Domain: Sized {
     }
 }
 
+#[cold]
 fn unknown() -> ! {
     unreachable!("an unknown value in a domain that knows every value")
 }
 
 /// The machine entering `main`: globals at their initializers and one
-/// frame for `main` with default arguments, which are returned too for
-/// the caller's enter event.
-pub fn boot<D: Domain>(d: &mut D, module: &Module) -> (MachineOf<D>, Vec<ValueOf<D>>) {
+/// frame for `main` with default arguments. The caller delivers `main`'s
+/// enter event.
+pub fn boot<D: Domain>(d: &mut D, module: &Module) -> MachineOf<D> {
     let globals = module
         .globals
         .iter()
@@ -311,19 +326,16 @@ pub fn boot<D: Domain>(d: &mut D, module: &Module) -> (MachineOf<D>, Vec<ValueOf
         globals,
         ..Machine::default()
     };
-    let main = module.func(module.main);
-    let args: Vec<_> = main
-        .params
-        .iter()
-        .map(|(_, ty)| match ty {
+    m.push_frame(module, module.main, &[], None);
+    for (i, (_, ty)) in module.func(module.main).params.iter().enumerate() {
+        m.regs[i] = match ty {
             minic::Type::Int => Val::Int(d.int(0)),
             minic::Type::Bool => Val::Bool(D::bool(false)),
             minic::Type::Str => Val::Str(d.str_lit(b"")),
             minic::Type::Buf(_) => Val::Unit,
-        })
-        .collect();
-    m.push_frame(module, module.main, &args, None);
-    (m, args)
+        };
+    }
+    m
 }
 
 /// The valid range `[0, hi)` (`[0, hi]` when `inclusive`) of an index
@@ -343,6 +355,7 @@ pub struct Range<K> {
 /// An access within `cap` elements; `inclusive` for a string read, which
 /// may touch the NUL terminator at `cap`. On a dynamic buffer the
 /// `idx == cap` fencepost is the off-by-one class.
+#[inline]
 fn access(cap: usize, inclusive: bool, dynamic: bool) -> Range<impl Fn(i64) -> FaultKind> {
     let hi = cap as i64;
     let kind = move |idx| match (inclusive, dynamic && idx == hi) {
@@ -366,6 +379,7 @@ fn access(cap: usize, inclusive: bool, dynamic: bool) -> Range<impl Fn(i64) -> F
 
 /// Executes one instruction (or the block terminator) of `st`.
 /// `Continue` means the path advanced in place.
+#[inline]
 pub fn step<D: Domain>(d: &mut D, module: &Module, st: &mut D::State) -> ControlFlow<D::Out> {
     let frame = D::machine_mut(st).frame_mut();
     let block = &module.func(frame.func).blocks[frame.block.index()];
@@ -378,6 +392,7 @@ pub fn step<D: Domain>(d: &mut D, module: &Module, st: &mut D::State) -> Control
     }
 }
 
+#[inline]
 fn const_value<D: Domain>(d: &mut D, c: &ConstValue) -> ValueOf<D> {
     match c {
         ConstValue::Int(v) => Val::Int(d.int(*v)),
@@ -386,16 +401,19 @@ fn const_value<D: Domain>(d: &mut D, c: &ConstValue) -> ValueOf<D> {
     }
 }
 
+#[inline]
 fn set<D: Domain>(st: &mut D::State, r: Reg, v: ValueOf<D>) {
     D::machine_mut(st).set_reg(r, v);
 }
 
+#[inline]
 fn goto<D: Domain>(st: &mut D::State, b: BlockId) {
     let f = D::machine_mut(st).frame_mut();
     f.block = b;
     f.idx = 0;
 }
 
+#[inline]
 fn fault<D: Domain>(
     d: &mut D,
     module: &Module,
@@ -407,6 +425,7 @@ fn fault<D: Domain>(
     Break(d.fault(st, f))
 }
 
+#[inline]
 fn exec_inst<D: Domain>(
     d: &mut D,
     module: &Module,
@@ -452,9 +471,8 @@ fn exec_inst<D: Domain>(
             if m.frames.len() >= MAX_CALL_DEPTH {
                 return fault(d, module, st, FaultKind::StackOverflow, span);
             }
-            let argv: Vec<_> = args.iter().map(|r| m.reg(*r).clone()).collect();
-            m.push_frame(module, func, &argv, dst);
-            return d.enter(st, func, &argv);
+            m.push_frame(module, func, args, dst);
+            return d.enter(st, func, args.len());
         }
         Inst::AllocBuf { dst, cap } => {
             let zero = d.int(0);
@@ -528,10 +546,10 @@ fn exec_inst<D: Domain>(
             };
         }
         Inst::StrAt { dst, s, idx } => {
-            let (s, i) = (m.reg(s).as_str().clone(), m.reg(idx).as_int());
-            let range = access(D::str_cap(&s), true, false);
+            let (cap, i) = (D::str_cap(m.reg(s).as_str()), m.reg(idx).as_int());
+            let range = access(cap, true, false);
             return in_range(d, module, st, i, range, span, move |d, st, i| {
-                let b = d.str_byte(&s, i as usize);
+                let b = d.str_byte(D::machine(st).reg(s).as_str(), i as usize);
                 set::<D>(st, dst, Val::Int(b));
             });
         }
@@ -568,6 +586,7 @@ fn exec_inst<D: Domain>(
 }
 
 #[allow(clippy::too_many_arguments)]
+#[inline]
 fn exec_bin<D: Domain>(
     d: &mut D,
     module: &Module,
@@ -632,6 +651,7 @@ fn exec_bin<D: Domain>(
 }
 
 /// Runs `apply` at `v` if it lies in `range`, else faults.
+#[inline]
 fn in_range<D: Domain>(
     d: &mut D,
     module: &Module,
@@ -653,6 +673,7 @@ fn in_range<D: Domain>(
 
 /// `a op b` on integers: wrapping arithmetic (`Div`/`Rem` by a divisor
 /// checked non-zero) and comparisons.
+#[inline]
 fn int_op<D: Domain>(d: &mut D, op: BinOp, a: D::Int, b: D::Int) -> ValueOf<D> {
     use BinOp::*;
     let Some((x, y)) = d.known_int(a).zip(d.known_int(b)) else {
@@ -681,6 +702,7 @@ fn int_op<D: Domain>(d: &mut D, op: BinOp, a: D::Int, b: D::Int) -> ValueOf<D> {
 /// ends at its first NUL: `Some((i, hit))` is the index of the first
 /// byte that is NUL or `stop` (`cap` when there is none), with `hit`
 /// true when it is `stop`. `None` when an unknown byte comes first.
+#[inline]
 fn scan<D: Domain>(d: &mut D, s: &D::Str, stop: u8) -> Option<(usize, bool)> {
     for i in 0..D::str_cap(s) {
         let b = d.str_byte(s, i);
@@ -693,6 +715,7 @@ fn scan<D: Domain>(d: &mut D, s: &D::Str, stop: u8) -> Option<(usize, bool)> {
     Some((D::str_cap(s), false))
 }
 
+#[inline]
 fn exec_term<D: Domain>(d: &mut D, st: &mut D::State, term: &Terminator) -> ControlFlow<D::Out> {
     match *term {
         Terminator::Jump(b) => goto::<D>(st, b),
@@ -718,20 +741,17 @@ fn exec_term<D: Domain>(d: &mut D, st: &mut D::State, term: &Terminator) -> Cont
             let func = m.frame().func;
             d.leave(st, func, ret.as_ref())?;
             let m = D::machine_mut(st);
-            let ret_dst = m.frames.pop().expect("returning frame").ret_dst;
-            match m.frames.last_mut() {
-                None => {
-                    let code = match ret {
-                        Some(Val::Int(v)) => Some(v),
-                        _ => None,
-                    };
-                    return Break(d.exit(st, code));
-                }
-                Some(caller) => {
-                    if let (Some(dst), Some(v)) = (ret_dst, ret) {
-                        caller.regs[dst.index()] = v;
-                    }
-                }
+            let done = m.frames.pop().expect("returning frame");
+            m.regs.truncate(done.base);
+            if m.frames.is_empty() {
+                let code = match ret {
+                    Some(Val::Int(v)) => Some(v),
+                    _ => None,
+                };
+                return Break(d.exit(st, code));
+            }
+            if let (Some(dst), Some(v)) = (done.ret_dst, ret) {
+                m.set_reg(dst, v);
             }
         }
     }

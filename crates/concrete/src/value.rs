@@ -30,6 +30,7 @@ impl<I: Copy + fmt::Debug, B: Copy + fmt::Debug, S: fmt::Debug> Val<I, B, S> {
     ///
     /// Panics if the value is not an `Int` (the type checker rules this
     /// out for well-typed programs).
+    #[inline]
     pub fn as_int(&self) -> I {
         match self {
             Val::Int(v) => *v,
@@ -42,6 +43,7 @@ impl<I: Copy + fmt::Debug, B: Copy + fmt::Debug, S: fmt::Debug> Val<I, B, S> {
     /// # Panics
     ///
     /// Panics if the value is not a `Bool`.
+    #[inline]
     pub fn as_bool(&self) -> B {
         match self {
             Val::Bool(b) => *b,
@@ -54,6 +56,7 @@ impl<I: Copy + fmt::Debug, B: Copy + fmt::Debug, S: fmt::Debug> Val<I, B, S> {
     /// # Panics
     ///
     /// Panics if the value is not a `Str`.
+    #[inline]
     pub fn as_str(&self) -> &S {
         match self {
             Val::Str(s) => s,

@@ -183,8 +183,9 @@ impl<'m> Vm<'m> {
             output: Vec::new(),
         };
         d.hook.on_start(module);
-        let (mut m, args) = interp::boot(&mut d, module);
-        let _ = d.enter(&mut m, module.main, &args); // never stops
+        let mut m = interp::boot(&mut d, module);
+        let argc = module.func(module.main).params.len();
+        let _ = d.enter(&mut m, module.main, argc); // never stops
         let mut steps = 0;
         let outcome = loop {
             if steps >= self.config.max_steps {
@@ -218,38 +219,49 @@ impl Domain for Concrete<'_, '_> {
     type State = Machine<i64, bool, Rc<[u8]>>;
     type Out = Result<Outcome, VmError>;
 
+    #[inline]
     fn machine(st: &Self::State) -> &Self::State {
         st
     }
+    #[inline]
     fn machine_mut(st: &mut Self::State) -> &mut Self::State {
         st
     }
 
+    #[inline]
     fn int(&mut self, v: i64) -> i64 {
         v
     }
+    #[inline]
     fn known_int(&self, v: i64) -> Option<i64> {
         Some(v)
     }
+    #[inline]
     fn bool(b: bool) -> bool {
         b
     }
+    #[inline]
     fn known_bool(b: bool) -> Option<bool> {
         Some(b)
     }
+    #[inline]
     fn str_lit(&mut self, bytes: &[u8]) -> Rc<[u8]> {
         bytes.into()
     }
+    #[inline]
     fn str_cap(s: &Rc<[u8]>) -> usize {
         s.len()
     }
+    #[inline]
     fn str_byte(&mut self, s: &Rc<[u8]>, i: usize) -> i64 {
         s.get(i).map_or(0, |&b| i64::from(b))
     }
+    #[inline]
     fn not(b: bool) -> bool {
         !b
     }
 
+    #[inline]
     fn input(&mut self, id: InputId) -> ControlFlow<Self::Out, Value> {
         let def = &self.module.inputs[id.index()];
         let v = match (def.kind, self.inputs.get(&def.name)) {
@@ -266,21 +278,20 @@ impl Domain for Concrete<'_, '_> {
             Err(e) => Break(Err(e)),
         }
     }
+    #[inline]
     fn print(&mut self, m: &Self::State, args: &[Reg]) {
         let line: Vec<String> = args.iter().map(|r| m.reg(*r).to_string()).collect();
         self.output.push(line.join(" "));
     }
-    fn enter(
-        &mut self,
-        st: &mut Self::State,
-        func: FuncId,
-        args: &[Value],
-    ) -> ControlFlow<Self::Out> {
+    #[inline]
+    fn enter(&mut self, st: &mut Self::State, func: FuncId, argc: usize) -> ControlFlow<Self::Out> {
         let body = self.module.func(func);
+        let args = st.args(argc);
         self.hook
             .on_enter(func, body, args, &self.module.globals, &st.globals);
         Continue(())
     }
+    #[inline]
     fn leave(
         &mut self,
         st: &mut Self::State,
@@ -292,9 +303,11 @@ impl Domain for Concrete<'_, '_> {
             .on_exit(func, body, ret, &self.module.globals, &st.globals);
         Continue(())
     }
+    #[inline]
     fn fault(&mut self, _: &mut Self::State, fault: Fault) -> Self::Out {
         Ok(Outcome::Fault(fault))
     }
+    #[inline]
     fn exit(&mut self, _: &mut Self::State, code: Option<i64>) -> Self::Out {
         Ok(Outcome::Exit(code.unwrap_or(0)))
     }
@@ -546,6 +559,21 @@ mod tests {
             "fn loopy(x: int) -> int { return loopy(x + 1); } fn main() -> int { return loopy(0); }",
             &[],
         );
+        assert_eq!(r.outcome.fault().unwrap().kind, FaultKind::StackOverflow);
+    }
+
+    #[test]
+    fn call_depth_limit_is_exact() {
+        use crate::fault::MAX_CALL_DEPTH;
+        // `r(n)` is `n` frames deep on top of `main`'s.
+        let src = r#"
+            fn r(n: int) -> int { if (n <= 1) { return 1; } return r(n - 1) + 1; }
+            fn main() -> int { return r(input_int("n")); }
+        "#;
+        let deepest = MAX_CALL_DEPTH as i64 - 1;
+        let r = run_src(src, &[("n", InputValue::Int(deepest))]);
+        assert_eq!(r.outcome, Outcome::Exit(deepest));
+        let r = run_src(src, &[("n", InputValue::Int(deepest + 1))]);
         assert_eq!(r.outcome.fault().unwrap().kind, FaultKind::StackOverflow);
     }
 

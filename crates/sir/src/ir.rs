@@ -11,6 +11,7 @@ macro_rules! id_type {
 
         impl $name {
             /// The id as a usize index.
+            #[inline]
             pub fn index(self) -> usize {
                 self.0 as usize
             }
@@ -308,6 +309,7 @@ impl Module {
     /// # Panics
     ///
     /// Panics if `id` is out of range (module ids are never forged).
+    #[inline]
     pub fn func(&self, id: FuncId) -> &FuncBody {
         &self.funcs[id.index()]
     }

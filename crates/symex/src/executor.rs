@@ -245,9 +245,8 @@ fn atom(c: BoolVal) -> Constraint {
 /// Builds the initial state entering `main`.
 pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
     let module = env.module;
-    let (mach, args) = interp::boot(env, module);
     let mut state = State {
-        mach,
+        mach: interp::boot(env, module),
         ..State::default()
     };
     // The root lineage node must exist before the main():enter event
@@ -256,7 +255,8 @@ pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
     // Deliver the main():enter event (guidance may constrain globals or
     // advance candidate-path progress). A suspend decision here is
     // ignored — the initial state must run.
-    match env.enter(&mut state, module.main, &args) {
+    let argc = module.func(module.main).params.len();
+    match env.enter(&mut state, module.main, argc) {
         Break(StepResult::Suspend(s)) => s,
         _ => state,
     }
@@ -639,15 +639,11 @@ impl Domain for ExecEnv<'_> {
         Continue(v)
     }
     fn print(&mut self, _: &SymMachine, _: &[Reg]) {}
-    fn enter(
-        &mut self,
-        st: &mut State,
-        func: FuncId,
-        args: &[SymValue],
-    ) -> ControlFlow<StepResult> {
+    fn enter(&mut self, st: &mut State, func: FuncId, argc: usize) -> ControlFlow<StepResult> {
         let body = self.module.func(func);
         let loc = Location::enter(body.name.as_str());
-        self.apply_event(st, loc, &body.params, args, None)
+        let args = st.mach.args(argc).to_vec();
+        self.apply_event(st, loc, &body.params, &args, None)
     }
     fn leave(
         &mut self,
@@ -656,7 +652,15 @@ impl Domain for ExecEnv<'_> {
         ret: Option<&SymValue>,
     ) -> ControlFlow<StepResult> {
         let loc = Location::leave(self.module.func(func).name.as_str());
-        self.apply_event(st, loc, &[], &[], ret)
+        // A state suspended here resumes by re-running its `Return`,
+        // which records this event again: it keeps the trace it had
+        // before the event.
+        let before = st.trace.clone();
+        let mut out = self.apply_event(st, loc, &[], &[], ret);
+        if let Break(StepResult::Suspend(s)) = &mut out {
+            s.trace = before;
+        }
+        out
     }
     fn fault(&mut self, st: &mut State, fault: Fault) -> StepResult {
         StepResult::Fault(std::mem::take(st), fault)

@@ -173,11 +173,7 @@ impl State {
     /// budget (the paper's KLEE runs fail by exhausting memory).
     pub fn est_bytes(&self) -> usize {
         let m = &self.mach;
-        let regs: usize = m
-            .frames
-            .iter()
-            .map(|f| 64 + f.regs.iter().map(value_bytes).sum::<usize>())
-            .sum();
+        let regs = 64 * m.frames.len() + m.regs.iter().map(value_bytes).sum::<usize>();
         let heap: usize = m.heap.iter().map(|b| 16 + b.cells.len() * 4).sum();
         let globals: usize = m.globals.iter().map(value_bytes).sum();
         // Persistent lists are shared; attribute one node to this state.
@@ -309,6 +305,42 @@ mod tests {
         assert_eq!(v[0], Location::enter("main"));
         assert_eq!(v[2], Location::leave("f"));
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn est_bytes_charges_each_frame_and_its_registers() {
+        use concrete::interp::{Frame, HeapCell};
+        use sir::{BlockId, FuncId};
+        let mut ctx = TermCtx::new();
+        let (zero, s) = (ctx.int(0), SymStr::concrete(&mut ctx, b"abcdefgh"));
+        let frame = |base| Frame {
+            func: FuncId(0),
+            block: BlockId(0),
+            idx: 0,
+            base,
+            ret_dst: None,
+        };
+        let state = State {
+            mach: SymMachine {
+                frames: vec![frame(0), frame(2), frame(5)],
+                regs: vec![
+                    SymValue::Int(zero),
+                    SymValue::Unit,
+                    SymValue::Str(s),
+                    SymValue::Int(zero),
+                    SymValue::Bool(BoolVal::Const(true)),
+                    SymValue::Unit,
+                ],
+                globals: vec![SymValue::Int(zero)],
+                heap: vec![HeapCell::stack(vec![zero; 4])],
+            },
+            ..State::default()
+        };
+        // Per frame, 64 plus 16 a value (20 for the 8-byte string):
+        // [Int, Unit] 96, [Str, Int, Bool] 116, [Unit] 80. Then the heap
+        // cell 16 + 4 * 4, one global 16, the empty path condition 48
+        // and the fixed 128.
+        assert_eq!(state.est_bytes(), 96 + 116 + 80 + 32 + 16 + 48 + 128);
     }
 
     #[test]

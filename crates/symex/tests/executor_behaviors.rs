@@ -173,6 +173,56 @@ fn wrong_guidance_degrades_to_pure_search_and_still_finds() {
     );
 }
 
+/// Suspends the first state that reaches `f():leave`.
+struct SuspendAtFirstLeave(bool);
+
+impl EventHook for SuspendAtFirstLeave {
+    fn on_event(
+        &mut self,
+        ev: &EventCtx<'_>,
+        _meta: &mut StateMeta,
+        _ctx: &mut TermCtx,
+    ) -> GuidanceResult {
+        let suspend = !self.0 && ev.loc == &Location::leave("f");
+        self.0 |= suspend;
+        GuidanceResult {
+            suspend,
+            ..GuidanceResult::default()
+        }
+    }
+}
+
+#[test]
+fn a_state_resumed_at_a_leave_event_records_it_once() {
+    // The suspended state resumes by re-running `f`'s return; the event
+    // it was suspended at must not enter its trace twice.
+    let src = r#"
+        fn f(v: int) -> int { return v + 1; }
+        fn main() {
+            let n: int = input_int("n");
+            let r: int = f(n);
+            assert(r != 5);
+        }
+    "#;
+    let module = sir::lower(&minic::parse_program(src).unwrap()).unwrap();
+    let mut engine = Engine::with_hook(
+        &module,
+        EngineConfig::default(),
+        Box::new(SuspendAtFirstLeave(false)),
+    );
+    let report = engine.run();
+    assert_eq!(report.stats.exec.suspended, 1);
+    let found = report.outcome.found().expect("assert violable");
+    assert_eq!(
+        found.trace,
+        [
+            Location::enter("main"),
+            Location::enter("f"),
+            Location::leave("f")
+        ]
+    );
+}
+
 /// Guidance that injects a constraint contradicting the only fault path:
 /// the fault-side states are suspended, resumed with guidance off, and
 /// the fault is still found (soft constraints never cause unsoundness).

@@ -102,6 +102,33 @@ const PROGRAMS: &[(&str, &str)] = &[
         "#,
     ),
     (
+        // One register passed twice: each parameter gets its own copy, so
+        // overwriting one leaves the other and the caller's `x` intact.
+        "one_register_passed_twice",
+        r#"
+        fn g(a: int, b: int) -> int { a = a + 1; b = b * 2; return a + b; }
+        fn main() {
+            let x: int = input_int("x");
+            let r: int = g(x, x);
+            if (r == 3 * x + 1) { assert(x != 7); }
+        }
+        "#,
+    ),
+    (
+        // `g` needs more registers than `f`: its return lands in `f`'s
+        // registers after the stack shrinks back, and `f`'s `a` survives.
+        "return_after_deeper_callee",
+        r#"
+        fn g(b: int) -> int { let t: int = b * 2; let u: int = t + 3; return u - b; }
+        fn f(a: int) -> int { return g(a + 1) + a; }
+        fn main() {
+            let n: int = input_int("n");
+            let r: int = f(n);
+            if (r == 2 * n + 4) { assert(n != 40); }
+        }
+        "#,
+    ),
+    (
         "symbolic_bool_equality",
         r#"
         fn main() {
