@@ -17,7 +17,9 @@
 //!   with `Partition::of` (what the slice entry points cost);
 //! - `check_sat`: `push`, then a model-free `check_sat_at` against a
 //!   solver that has already decided the parent, so only the component
-//!   the new conjunct joins is searched.
+//!   the new conjunct joins is searched;
+//! - `check_at`: the same queries through the model-building
+//!   `check_at`, which also merges every component's model into one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use solver::{CmpOp, Constraint, Partition, Segment, Solver, TermCtx, TermId};
@@ -107,6 +109,16 @@ fn bench_partition(c: &mut Criterion) {
                 for &child in &children {
                     let q = parent.with(&ctx, Segment::Hard, child);
                     let r = solver.check_sat_at(&ctx, &q, &statsym_telemetry::NOOP, "bench");
+                    black_box(r.is_sat());
+                }
+            })
+        });
+        group.bench_function(format!("check_at/{name}/x{CHILDREN}"), |b| {
+            b.iter(|| {
+                let mut solver = warm.clone();
+                for &child in &children {
+                    let q = parent.with(&ctx, Segment::Hard, child);
+                    let r = solver.check_at(&ctx, &q, &statsym_telemetry::NOOP, "bench");
                     black_box(r.is_sat());
                 }
             })

@@ -3,8 +3,8 @@
 //! count the numeric observations per (location, variable).
 
 use concrete::{ExecutionLog, Location, SiteTable, VarId, Verdict};
+use solver::U64Map;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ pub(crate) struct Tally {
     /// Runs in first-seen order.
     runs: Vec<Run>,
     /// Run index by value bits.
-    index: HashMap<u64, usize, BuildHasherDefault<MulShift>>,
+    index: U64Map<usize>,
     /// Bits and run index of the last value counted: repeats skip the
     /// map.
     last: Option<(u64, usize)>,
@@ -94,34 +94,6 @@ impl Tally {
             n_correct: self.n_correct,
             n_faulty: self.n_faulty,
         }
-    }
-}
-
-/// Folded multiply-shift hash of one `u64` (value bits). SipHash costs
-/// more than the rest of the count. It gives no protection against
-/// crafted collisions: a log written to collide slows its corpus build
-/// but cannot change the counts.
-#[derive(Default)]
-struct MulShift(u64);
-
-impl Hasher for MulShift {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        // Both halves of the 128-bit product: integral floats keep
-        // their low bits zero, which a plain multiply would pass on to
-        // the bucket index.
-        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (p >> 64) as u64 ^ p as u64;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -4,7 +4,9 @@
 //! The solver keeps exactly two memo layers:
 //!
 //! 1. a **private** per-`Solver` map from query fingerprint to the full
-//!    [`SatResult`] (models included);
+//!    [`SatResult`] (models included), except that a verdict-only query
+//!    decided by slicing stores its `Sat` without a model: its
+//!    components hold theirs;
 //! 2. an optional injected [`QueryCache`] holding *model-free verdicts*
 //!    only, so one instance can serve every engine of a run:
 //!    `TermId`/`VarId` spaces are per-`TermCtx`, so a `Model` (a
@@ -30,6 +32,40 @@
 use crate::solve::SatResult;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by a `u64` that is already well mixed (a query
+/// fingerprint, a value's bits), hashed with [`MulShift`] instead of
+/// SipHash. Nothing iterates these maps, so their order never leaks.
+pub type U64Map<V> = HashMap<u64, V, BuildHasherDefault<MulShift>>;
+
+/// Folded multiply-shift hash of one `u64`. SipHash costs more than a
+/// memo lookup's other work. It gives no protection against crafted
+/// collisions: colliding keys slow a map down but cannot change what it
+/// holds.
+#[derive(Default)]
+pub struct MulShift(u64);
+
+impl Hasher for MulShift {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        // Both halves of the 128-bit product: integral floats keep
+        // their low bits zero, which a plain multiply would pass on to
+        // the bucket index.
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p >> 64) as u64 ^ p as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A satisfiability verdict safe to share across engines: no model, and
 /// never `Unknown`.
@@ -86,7 +122,7 @@ pub struct SharedCacheStats {
 /// shared by every candidate attempt of a run.
 #[derive(Debug, Default)]
 pub struct SharedCache {
-    map: RefCell<HashMap<u64, CachedVerdict>>,
+    map: RefCell<U64Map<CachedVerdict>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
     stores: Cell<u64>,

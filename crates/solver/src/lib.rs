@@ -44,7 +44,7 @@ pub mod partition;
 pub mod solve;
 pub mod term;
 
-pub use cache::{CachedVerdict, QueryCache, SharedCache, SharedCacheStats};
+pub use cache::{CachedVerdict, QueryCache, SharedCache, SharedCacheStats, U64Map};
 pub use interval::Interval;
 pub use partition::{Component, Partition, Segment};
 pub use solve::{Model, SatResult, Solver, SolverConfig, SolverStats};

@@ -1,6 +1,6 @@
 //! The decision procedure: interval propagation + backtracking search.
 
-use crate::cache::{CachedVerdict, QueryCache};
+use crate::cache::{CachedVerdict, QueryCache, U64Map};
 use crate::interval::Interval;
 use crate::partition::{Component, Partition};
 use crate::term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};
@@ -133,7 +133,8 @@ impl Model {
 /// The answer to a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SatResult {
-    /// Satisfiable, with a verified model.
+    /// Satisfiable, with a verified model; the model is empty in the
+    /// answer to a verdict-only query (see [`Solver::check_sat`]).
     Sat(Model),
     /// Provably unsatisfiable.
     Unsat,
@@ -166,9 +167,44 @@ pub struct Solver {
     /// Running query time in ns; `stats.query_us` is derived from it so
     /// sub-µs queries (cache hits) still add up.
     query_ns: u64,
-    cache: HashMap<u64, SatResult>,
+    cache: U64Map<Memo>,
     shared: Option<Rc<dyn QueryCache>>,
     prov: Prov,
+}
+
+/// One private-cache entry.
+#[derive(Clone)]
+enum Memo {
+    /// A full result, models included.
+    Full(SatResult),
+    /// A `Sat` verdict stored by a verdict-only sliced query, which
+    /// never merged its components' models. Each component is memoised
+    /// with its own model, so a later model query rebuilds the whole
+    /// one without a search (see [`Solver::upgrade`]).
+    Sat,
+}
+
+impl Memo {
+    /// The verdict; `None` for `Unknown`.
+    fn verdict(&self) -> Option<CachedVerdict> {
+        match self {
+            Memo::Full(r) => CachedVerdict::from_result(r),
+            Memo::Sat => Some(CachedVerdict::Sat),
+        }
+    }
+
+    /// The answer to a query that does or does not read the model, if
+    /// this entry holds one. A verdict-only `Sat` answer carries an
+    /// empty model, so no model is cloned for it.
+    fn answer(&self, needs_model: bool) -> Option<SatResult> {
+        match self {
+            Memo::Full(SatResult::Sat(_)) | Memo::Sat if !needs_model => {
+                Some(SatResult::Sat(Model::default()))
+            }
+            Memo::Full(r) => Some(r.clone()),
+            Memo::Sat => None,
+        }
+    }
 }
 
 /// Transient provenance context stamped onto query events (see
@@ -258,8 +294,11 @@ impl Solver {
 
     /// Decides satisfiability only: the caller promises not to read the
     /// model out of a `Sat` answer. This unlocks shared-cache `Sat`
-    /// verdicts (which are model-free by construction); `Sat` results
-    /// answered from the shared cache carry an empty model.
+    /// verdicts (which are model-free by construction) and skips
+    /// building or cloning a model: a `Sat` answered from either cache
+    /// carries an empty model, and so does a `Sat` decided by slicing.
+    /// Work counters and the private cache's size equal
+    /// [`Solver::check`]'s.
     pub fn check_sat(&mut self, ctx: &TermCtx, constraints: &[Constraint]) -> SatResult {
         self.check_sat_traced(ctx, constraints, &statsym_telemetry::NOOP)
     }
@@ -397,7 +436,14 @@ impl Solver {
             return SatResult::Sat(Model::default());
         }
         let key = query.fingerprint();
-        if let Some(hit) = self.cache.get(&key).cloned() {
+        let hit = match self.cache.get(&key) {
+            Some(memo) => match memo.answer(needs_model) {
+                Some(hit) => Some(hit),
+                None => self.upgrade(query.components(), key),
+            },
+            None => None,
+        };
+        if let Some(hit) = hit {
             self.stats.cache_hits += 1;
             self.prov.last_cache = qd::PRIVATE;
             self.count_verdict(&hit);
@@ -412,14 +458,14 @@ impl Solver {
                     self.stats.shared_hits += 1;
                     self.stats.unsat += 1;
                     self.prov.last_cache = qd::SHARED;
-                    self.cache.insert(key, SatResult::Unsat);
+                    self.cache.insert(key, Memo::Full(SatResult::Unsat));
                     return SatResult::Unsat;
                 }
                 Some(CachedVerdict::Sat) if !needs_model => {
                     // Deliberately NOT mirrored into the private cache:
-                    // the private cache stores full results, and a later
-                    // model-needing call must re-solve, not read an
-                    // empty model.
+                    // the components behind it were decided by another
+                    // engine, so nothing here could rebuild its model,
+                    // and a later model-needing call must re-solve.
                     self.stats.shared_hits += 1;
                     self.stats.sat += 1;
                     self.prov.last_cache = qd::SHARED;
@@ -438,12 +484,21 @@ impl Solver {
             }
             comps => {
                 self.prov.last_cache = qd::SLICED;
-                let result = self.check_sliced(ctx, comps);
+                let result = self.check_sliced(ctx, comps, needs_model);
                 debug_assert!(match &result {
-                    SatResult::Sat(m) => m.satisfies(ctx, &query.conjuncts()),
+                    SatResult::Sat(m) if needs_model => m.satisfies(ctx, &query.conjuncts()),
+                    // Verdict-only: each component's own model holds.
+                    SatResult::Sat(_) => comps.iter().all(|c| {
+                        matches!(self.cache.get(&c.fingerprint()),
+                            Some(Memo::Full(SatResult::Sat(m))) if m.satisfies(ctx, c.conjuncts()))
+                    }),
                     _ => true,
                 });
-                self.store(key, &result);
+                let memo = match &result {
+                    SatResult::Sat(_) if !needs_model => Memo::Sat,
+                    r => Memo::Full(r.clone()),
+                };
+                self.store(key, memo);
                 result
             }
         };
@@ -456,7 +511,9 @@ impl Solver {
     /// component's own fingerprint, so sibling queries that extend one
     /// component reuse the others for free. Per-query verdict counters
     /// are NOT touched here — the enclosing query counts once; only work
-    /// counters and `indep_comp_hits` accumulate.
+    /// counters and `indep_comp_hits` accumulate. Only a query that
+    /// `needs_model` merges the component models; a verdict-only `Sat`
+    /// carries an empty one.
     ///
     /// Soundness: components are variable-disjoint, so the conjunction
     /// is satisfiable iff every component is, and the union of the
@@ -464,28 +521,66 @@ impl Solver {
     /// reads variables of its own component). Any unsat component
     /// refutes the whole. An `Unknown` component makes the whole
     /// `Unknown` unless some other component is unsat.
-    fn check_sliced(&mut self, ctx: &TermCtx, comps: &[Arc<Component>]) -> SatResult {
+    fn check_sliced(
+        &mut self,
+        ctx: &TermCtx,
+        comps: &[Arc<Component>],
+        needs_model: bool,
+    ) -> SatResult {
         self.stats.indep_queries += 1;
         self.stats.indep_components += comps.len() as u64;
-        let mut merged: HashMap<VarId, i64> = HashMap::new();
         let mut unknown = false;
         for comp in comps {
             let ck = comp.fingerprint();
-            if self.cache.contains_key(&ck) {
-                self.stats.indep_comp_hits += 1;
-            } else {
-                self.search(ctx, comp, ck);
-            }
-            match &self.cache[&ck] {
-                SatResult::Unsat => return SatResult::Unsat,
-                SatResult::Unknown => unknown = true,
-                SatResult::Sat(m) => merged.extend(&m.values),
+            let verdict = match self.cache.get(&ck) {
+                // Only a whole query is stored model-free, so a component
+                // lacks its model only under a fingerprint collision.
+                Some(memo) if !needs_model || matches!(memo, Memo::Full(_)) => {
+                    self.stats.indep_comp_hits += 1;
+                    memo.verdict()
+                }
+                _ => CachedVerdict::from_result(&self.search(ctx, comp, ck)),
+            };
+            match verdict {
+                Some(CachedVerdict::Unsat) => return SatResult::Unsat,
+                None => unknown = true,
+                Some(CachedVerdict::Sat) => {}
             }
         }
         if unknown {
             return SatResult::Unknown;
         }
-        SatResult::Sat(Model { values: merged })
+        if !needs_model {
+            return SatResult::Sat(Model::default());
+        }
+        SatResult::Sat(
+            self.merged_model(comps)
+                .expect("every component was just memoised with its model"),
+        )
+    }
+
+    /// The union of the components' memoised models, which is a model
+    /// of their conjunction; `None` if some component is not memoised
+    /// `Sat` with its model.
+    fn merged_model(&self, comps: &[Arc<Component>]) -> Option<Model> {
+        let mut values = HashMap::new();
+        for comp in comps {
+            match self.cache.get(&comp.fingerprint()) {
+                Some(Memo::Full(SatResult::Sat(m))) => values.extend(&m.values),
+                _ => return None,
+            }
+        }
+        Some(Model { values })
+    }
+
+    /// Answers a model query whose private entry is a verdict-only
+    /// [`Memo::Sat`]: merges the components' memoised models (no search,
+    /// no counter moves) and upgrades the entry to the full result.
+    /// `None` sends the query down the decision path instead.
+    fn upgrade(&mut self, comps: &[Arc<Component>], key: u64) -> Option<SatResult> {
+        let result = SatResult::Sat(self.merged_model(comps)?);
+        self.cache.insert(key, Memo::Full(result.clone()));
+        Some(result)
     }
 
     /// Runs the whole-conjunction search over one component, accumulates
@@ -504,17 +599,17 @@ impl Solver {
         self.stats.nodes += search.nodes;
         self.stats.propagation_rounds += search.rounds;
         self.stats.backtracks += search.backtracks;
-        self.store(key, &result);
+        self.store(key, Memo::Full(result.clone()));
         result
     }
 
-    /// Memoises `result` under `key` in the private cache and publishes
+    /// Memoises `memo` under `key` in the private cache and publishes
     /// definitive verdicts to the shared cache, if one is attached.
-    fn store(&mut self, key: u64, result: &SatResult) {
-        self.cache.insert(key, result.clone());
-        if let (Some(shared), Some(verdict)) = (&self.shared, CachedVerdict::from_result(result)) {
+    fn store(&mut self, key: u64, memo: Memo) {
+        if let (Some(shared), Some(verdict)) = (&self.shared, memo.verdict()) {
             shared.publish(key, verdict);
         }
+        self.cache.insert(key, memo);
     }
 
     fn count_verdict(&mut self, result: &SatResult) {
@@ -1275,6 +1370,62 @@ mod tests {
         ];
         sliced.check(&ctx, &cs2);
         assert_eq!(sliced.stats().indep_comp_hits, 1, "{:?}", sliced.stats());
+    }
+
+    #[test]
+    fn verdict_only_queries_build_no_model() {
+        use crate::cache::SharedCache;
+        use statsym_telemetry::NOOP;
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 255);
+        let y = ctx.new_var("y", 0, 255);
+        let c5 = ctx.int(5);
+        let c9 = ctx.int(9);
+        let cs = [
+            Constraint::new(CmpOp::Eq, x, c5),
+            Constraint::new(CmpOp::Eq, y, c9),
+        ];
+        let q = Partition::of(&ctx, &cs);
+        assert_eq!(q.components().len(), 2);
+        let memo: Rc<SharedCache> = Rc::new(SharedCache::new());
+        let mut verdicts = Solver::default();
+        verdicts.set_query_cache(memo.clone());
+        let mut models = Solver::default();
+
+        // A verdict-only Sat carries no model, yet the private cache
+        // holds as many entries as after a model query: the two
+        // components and the whole query.
+        let first = verdicts.check_sat_at(&ctx, &q, &NOOP, "feasibility");
+        assert_eq!(first, SatResult::Sat(Model::default()));
+        assert!(models.check_at(&ctx, &q, &NOOP, "model").is_sat());
+        assert_eq!(verdicts.cache_len(), models.cache_len());
+        assert_eq!(verdicts.cache_len(), 3);
+
+        // A repeat is a private hit.
+        assert!(verdicts
+            .check_sat_at(&ctx, &q, &NOOP, "feasibility")
+            .is_sat());
+        assert_eq!(verdicts.stats().cache_hits, 1);
+
+        // A model query then rebuilds the model from the components'
+        // memoised models: a private hit with no search.
+        let nodes = verdicts.stats().nodes;
+        match verdicts.check_at(&ctx, &q, &NOOP, "model") {
+            SatResult::Sat(m) => {
+                assert!(m.satisfies(&ctx, &cs));
+                assert_eq!(m.value_of(x, &ctx), Some(5));
+                assert_eq!(m.value_of(y, &ctx), Some(9));
+            }
+            other => panic!("expected sat, got {other:?}"),
+        }
+        let s = verdicts.stats();
+        assert_eq!(s.nodes, nodes, "no new search nodes");
+        assert_eq!(s.cache_hits, 2);
+        assert_eq!((s.indep_queries, s.indep_comp_hits), (1, 0));
+        assert_eq!(verdicts.cache_len(), 3);
+
+        // The run's memo holds the whole query's verdict.
+        assert_eq!(memo.lookup(q.fingerprint()), Some(CachedVerdict::Sat));
     }
 
     #[test]

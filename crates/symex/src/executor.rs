@@ -344,11 +344,12 @@ impl Domain for ExecEnv<'_> {
         mut k: impl FnMut(&mut State, bool),
     ) -> StepResult {
         let atom = atom(c);
-        let state = std::mem::take(st);
+        let parent = std::mem::take(st);
         self.stats.forks += 1;
         let mut children = Vec::new();
-        for (taken, constraint) in [(true, atom), (false, atom.negate())] {
-            let mut child = state.clone();
+        // Only the taken side clones: the not-taken child is the parent.
+        let sides = [(true, parent.clone(), atom), (false, parent, atom.negate())];
+        for (taken, mut child, constraint) in sides {
             child.id = self.fresh_id();
             child.cond.push_hard(self.ctx, constraint);
             child.depth += 1;
@@ -543,21 +544,26 @@ impl Domain for ExecEnv<'_> {
         sym: &SymStr,
         mut k: impl FnMut(&mut Self, &mut State, usize),
     ) -> StepResult {
-        let state = std::mem::take(st);
+        let mut state = std::mem::take(st);
         self.stats.strlen_forks += 1;
         self.stats.forks += 1;
         let zero = self.ctx.int(0);
         let mut children = Vec::new();
         let mut prefix = state.cond.clone();
         for len in 0..=sym.cap() {
-            let mut child = state.clone();
+            // The last child (no NUL within `cap`) takes the parent and
+            // the prefix itself; the others clone them.
+            let mut child;
+            if len < sym.cap() {
+                child = state.clone();
+                child.cond =
+                    prefix.with_hard(self.ctx, Constraint::new(CmpOp::Eq, sym.bytes[len], zero));
+            } else {
+                child = std::mem::take(&mut state);
+                child.cond = std::mem::take(&mut prefix);
+            }
             child.id = self.fresh_id();
             child.depth += 1;
-            child.cond = if len < sym.cap() {
-                prefix.with_hard(self.ctx, Constraint::new(CmpOp::Eq, sym.bytes[len], zero))
-            } else {
-                prefix.clone()
-            };
             match self.classify(&child) {
                 Some(d) => {
                     k(self, &mut child, len);
@@ -580,7 +586,7 @@ impl Domain for ExecEnv<'_> {
     /// `0..k` to non-NUL non-`%`, the fault child pins `s[k] == '%'`, and
     /// the clean child pins `s[k] == 0`.
     fn fork_format(&mut self, st: &mut State, sym: &SymStr, span: Span) -> StepResult {
-        let state = std::mem::take(st);
+        let mut state = std::mem::take(st);
         self.stats.forks += 1;
         let zero = self.ctx.int(0);
         let pct = self.ctx.int(i64::from(b'%'));
@@ -605,15 +611,20 @@ impl Domain for ExecEnv<'_> {
                     self.stats.pruned += 1;
                 }
             }
-            // Clean child: the string ends at offset k, no `%` seen.
-            let mut ok = state.clone();
+            // Clean child: the string ends at offset k, no `%` seen. The
+            // last one (no NUL within `cap`) takes the parent and the
+            // prefix itself.
+            let mut ok;
+            if k < sym.cap() {
+                ok = state.clone();
+                ok.cond =
+                    prefix.with_hard(self.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], zero));
+            } else {
+                ok = std::mem::take(&mut state);
+                ok.cond = std::mem::take(&mut prefix);
+            }
             ok.id = self.fresh_id();
             ok.depth += 1;
-            ok.cond = if k < sym.cap() {
-                prefix.with_hard(self.ctx, Constraint::new(CmpOp::Eq, sym.bytes[k], zero))
-            } else {
-                prefix.clone()
-            };
             match self.classify(&ok) {
                 Some(d) => children.push(ForkChild {
                     state: ok,

@@ -475,3 +475,50 @@ fn rendered_constraints_are_human_readable() {
         "constraints mention the threshold: {joined}"
     );
 }
+
+#[test]
+fn a_branch_fork_numbers_the_taken_child_first() {
+    // Each side of the branch forks again at its own line, and
+    // provenance stamps every query with the issuing state's id: the
+    // parent forks at line 4, the taken child at line 5, the not-taken
+    // child at line 7.
+    use statsym_telemetry::{Clock, MemRecorder, TraceEvent};
+    let src = r#"
+        fn main() {
+            let x: int = input_int("x");
+            if (x > 10) {
+                if (x > 20) { print(1); }
+            } else {
+                if (x < 0) { print(2); }
+            }
+        }
+    "#;
+    let module = sir::lower(&minic::parse_program(src).unwrap()).unwrap();
+    let rec = MemRecorder::new(Clock::steps());
+    let mut engine = Engine::new(
+        &module,
+        EngineConfig {
+            provenance: true,
+            ..EngineConfig::default()
+        },
+    );
+    engine.set_recorder(&rec);
+    assert!(matches!(engine.run().outcome, RunOutcome::Completed));
+    let sids_at = |line: &str| -> Vec<u64> {
+        let mut sids: Vec<u64> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Query { sid, loc, .. } if loc == line => Some(sid),
+                _ => None,
+            })
+            .collect();
+        sids.dedup();
+        sids
+    };
+    let parent = sids_at("main:4");
+    assert_eq!(parent.len(), 1, "one forking state: {parent:?}");
+    let n = parent[0];
+    assert_eq!(sids_at("main:5"), [n + 1], "taken child");
+    assert_eq!(sids_at("main:7"), [n + 2], "not-taken child");
+}

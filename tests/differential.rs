@@ -140,6 +140,24 @@ const PROGRAMS: &[(&str, &str)] = &[
         }
         "#,
     ),
+    (
+        // The two sides of one symbolic branch write different values
+        // to one buffer cell and one global. Each child owns its
+        // machine, so each side reads back its own writes; a child that
+        // saw its sibling's would fail an assert the VM never fails.
+        "fork_sides_write_apart",
+        r#"
+        global g: int = 0;
+        fn main() {
+            let x: int = input_int("x");
+            let b: buf[2];
+            if (x > 10) { buf_set(b, 0, 1); g = 2; } else { buf_set(b, 0, 3); g = 4; }
+            if (buf_get(b, 0) == 1) { assert(x > 10); } else { assert(x <= 10); }
+            if (g == 2) { assert(x > 10); } else { assert(x <= 10); }
+            if (g + buf_get(b, 0) == 7) { assert(x != 5); }
+        }
+        "#,
+    ),
 ];
 
 fn fault_class(kind: &FaultKind) -> &'static str {
