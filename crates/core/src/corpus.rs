@@ -2,6 +2,7 @@
 //! Figure 5): partition runs into correct and faulty executions and
 //! count the numeric observations per (location, variable).
 
+use crate::transition::Trace;
 use concrete::{ExecutionLog, Location, SiteTable, VarId, Verdict};
 use solver::U64Map;
 use std::collections::{BTreeMap, HashMap};
@@ -106,10 +107,11 @@ pub struct LogCorpus {
     pub n_faulty: usize,
     /// Observations per (location, variable). Deterministically ordered.
     pub observations: BTreeMap<(Location, VarId), Observations>,
-    /// The event traces of faulty runs (for transition mining).
-    pub faulty_traces: Vec<Vec<Location>>,
+    /// The event traces of faulty runs (for transition mining). All
+    /// traces of one corpus share one location table.
+    pub faulty_traces: Vec<Trace>,
     /// The event traces of correct runs.
-    pub correct_traces: Vec<Vec<Location>>,
+    pub correct_traces: Vec<Trace>,
     /// The inferred failure point: the entry of the modal crash function
     /// reported by faulty runs (falling back to the most common final
     /// sampled location when no crash report is available).
@@ -135,11 +137,14 @@ impl LogCorpus {
     /// each site is resolved once for the whole corpus; logs with their
     /// own tables (parsed or hand-built) resolve each of their sites
     /// once per log. Keys are borrowed from the tables and cloned once
-    /// per distinct slot.
+    /// per distinct slot. Traces hold the location ids and share one
+    /// table of the corpus's locations, cloned once per location.
     pub fn build(logs: &[ExecutionLog]) -> LogCorpus {
         let mut corpus = LogCorpus::default();
         let mut index = SiteIndex::default();
-        let mut last_locs: BTreeMap<Location, usize> = BTreeMap::new();
+        let mut faulty_ids = Vec::new();
+        let mut correct_ids = Vec::new();
+        let mut last_locs: BTreeMap<u32, usize> = BTreeMap::new();
         let mut fault_locs: BTreeMap<Location, usize> = BTreeMap::new();
 
         for (run, log) in logs.iter().enumerate() {
@@ -162,24 +167,32 @@ impl LogCorpus {
                 for (&slot, &value) in index.slot_list[slots].iter().zip(vals) {
                     index.slots[slot].2.push(value, faulty);
                 }
-                trace.push(index.locations[loc].clone());
+                trace.push(loc as u32);
             }
             if faulty {
                 corpus.n_faulty += 1;
-                if let Some(last) = trace.last() {
-                    *last_locs.entry(last.clone()).or_default() += 1;
+                if let Some(&last) = trace.last() {
+                    *last_locs.entry(last).or_default() += 1;
                 }
                 if let Some(fault) = &log.fault {
                     *fault_locs
                         .entry(Location::enter(fault.func.as_str()))
                         .or_default() += 1;
                 }
-                corpus.faulty_traces.push(trace);
+                faulty_ids.push(trace);
             } else {
                 corpus.n_correct += 1;
-                corpus.correct_traces.push(trace);
+                correct_ids.push(trace);
             }
         }
+        let table: Arc<[Location]> = index.locations.iter().map(|&loc| loc.clone()).collect();
+        let traces = |ids: Vec<Vec<u32>>| -> Vec<Trace> {
+            ids.into_iter()
+                .map(|ids| Trace::new(table.clone(), ids))
+                .collect()
+        };
+        corpus.faulty_traces = traces(faulty_ids);
+        corpus.correct_traces = traces(correct_ids);
 
         // Prefer the crash report (the observable failure point); fall
         // back to the modal last sampled record.
@@ -190,8 +203,9 @@ impl LogCorpus {
             .or_else(|| {
                 last_locs
                     .into_iter()
-                    .max_by_key(|(loc, n)| (*n, std::cmp::Reverse(loc.clone())))
-                    .map(|(loc, _)| loc)
+                    .map(|(id, n)| (&table[id as usize], n))
+                    .max_by_key(|&(loc, n)| (n, std::cmp::Reverse(loc)))
+                    .map(|(loc, _)| loc.clone())
             });
         corpus.observations = index
             .slots
@@ -208,7 +222,7 @@ impl LogCorpus {
             .filter(|&(_, n)| n > 0)
             .map(|(loc, n)| ((*loc).clone(), n))
             .collect();
-        corpus.locations = index.locations.into_iter().cloned().collect();
+        corpus.locations = table.to_vec();
         corpus.locations.sort();
         corpus
     }
@@ -509,6 +523,51 @@ mod tests {
                 assert_eq!(LogCorpus::build(&own), expected, "{what}");
                 assert_eq!(LogCorpus::build(&mixed), expected, "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn traces_share_one_table_and_replay_their_logs() {
+        // Every trace of a generated corpus indexes the one table, lists
+        // its log's locations in order, and inconclusive logs have none.
+        use benchapps::{all_apps, generate_corpus, CorpusSpec};
+        for app in all_apps() {
+            let spec = CorpusSpec {
+                n_correct: 12,
+                n_faulty: 12,
+                sampling_rate: 0.5,
+                seed: 7,
+            };
+            let mut logs = generate_corpus(&app, spec);
+            for log in logs.iter_mut().step_by(5) {
+                log.verdict = Verdict::Inconclusive;
+            }
+            let corpus = LogCorpus::build(&logs);
+            let kept = |verdict: Verdict| logs.iter().filter(move |l| l.verdict == verdict);
+            let what = app.name;
+            assert_eq!(
+                corpus.faulty_traces.len(),
+                kept(Verdict::Faulty).count(),
+                "{what}"
+            );
+            assert_eq!(
+                corpus.correct_traces.len(),
+                kept(Verdict::Correct).count(),
+                "{what}"
+            );
+            let traces: Vec<&Trace> = corpus
+                .faulty_traces
+                .iter()
+                .chain(&corpus.correct_traces)
+                .collect();
+            let table = &traces[0].table;
+            assert_eq!(table.len(), corpus.locations.len(), "{what}");
+            let logs = kept(Verdict::Faulty).chain(kept(Verdict::Correct));
+            for (trace, log) in traces.iter().zip(logs) {
+                assert!(Arc::ptr_eq(&trace.table, table), "{what}");
+                assert!(trace.iter().eq(log.locations()), "{what}");
+            }
+            assert!(traces.iter().any(|t| t.len() > 1), "{what}");
         }
     }
 

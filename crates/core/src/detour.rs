@@ -154,7 +154,7 @@ pub fn find_detours(
 mod tests {
     use super::*;
     use crate::corpus::LogCorpus;
-    use crate::transition::MineConfig;
+    use crate::transition::{traces_of, MineConfig};
     use concrete::{ExecutionLog, Measure, Records, VarId, VarRole, Verdict};
 
     fn l(name: &str) -> Location {
@@ -184,7 +184,7 @@ mod tests {
     }
 
     fn setup(traces: &[Vec<Location>], hot: &[&str]) -> (TransitionGraph, PredicateSet, Skeleton) {
-        let g = TransitionGraph::mine(traces.iter(), MineConfig::default());
+        let g = TransitionGraph::mine(&traces_of(traces), MineConfig::default());
         let preds = preds_with_hot(hot);
         let sk = Skeleton::build(
             &g,
@@ -229,7 +229,7 @@ mod tests {
             vec![l("b"), l("h"), l("a")],
         ];
         let (g, preds, _) = setup(&[traces[0].clone()], &["h"]);
-        let g2 = TransitionGraph::mine(traces.iter(), MineConfig::default());
+        let g2 = TransitionGraph::mine(&traces_of(&traces), MineConfig::default());
         let sk = Skeleton {
             nodes: vec![l("a"), l("b"), l("fail")],
             avg_score: 0.0,
@@ -249,7 +249,7 @@ mod tests {
             vec![l("a"), l("b"), l("fail")],
             vec![l("a"), l("cold"), l("b"), l("fail")],
         ];
-        let g = TransitionGraph::mine(traces.iter(), MineConfig::default());
+        let g = TransitionGraph::mine(&traces_of(&traces), MineConfig::default());
         let preds = preds_with_hot(&[]);
         let sk = Skeleton {
             nodes: vec![l("a"), l("b"), l("fail")],
@@ -263,7 +263,7 @@ mod tests {
     fn unreachable_targets_skipped() {
         // h is hot but has no rejoin path.
         let traces = [vec![l("a"), l("b"), l("fail")], vec![l("a"), l("h")]];
-        let g = TransitionGraph::mine(traces.iter(), MineConfig::default());
+        let g = TransitionGraph::mine(&traces_of(&traces), MineConfig::default());
         let preds = preds_with_hot(&["h"]);
         let sk = Skeleton {
             nodes: vec![l("a"), l("b"), l("fail")],

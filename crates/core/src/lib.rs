@@ -58,4 +58,4 @@ pub use multi::MultiReport;
 pub use pipeline::{AnalysisReport, StatSym, StatSymConfig, StatSymReport};
 pub use predicate::{PredOp, Predicate, PredicateSet};
 pub use skeleton::Skeleton;
-pub use transition::TransitionGraph;
+pub use transition::{Trace, TransitionGraph};

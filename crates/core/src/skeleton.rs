@@ -179,7 +179,7 @@ fn best_shortest_path(
 mod tests {
     use super::*;
     use crate::corpus::LogCorpus;
-    use crate::transition::MineConfig;
+    use crate::transition::{traces_of, MineConfig};
     use concrete::{ExecutionLog, Measure, Records, VarId, VarRole, Verdict};
 
     fn l(name: &str) -> Location {
@@ -187,7 +187,7 @@ mod tests {
     }
 
     fn graph_of(traces: &[Vec<Location>]) -> TransitionGraph {
-        TransitionGraph::mine(traces.iter(), MineConfig::default())
+        TransitionGraph::mine(&traces_of(traces), MineConfig::default())
     }
 
     /// Builds a predicate set where `hot` locations score 1.0 (perfectly

@@ -11,7 +11,71 @@
 //! a sampled trace. Low-confidence edges are dropped.
 
 use concrete::Location;
-use std::collections::BTreeMap;
+use solver::U64Map;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::Arc;
+
+/// One event trace: a sequence of location ids into a location table.
+/// A [`crate::LogCorpus`] shares one table across all of its traces, so
+/// a record costs four bytes and no reference count.
+#[derive(Clone)]
+pub struct Trace {
+    /// The locations the ids index.
+    pub(crate) table: Arc<[Location]>,
+    /// The trace, one id per record.
+    pub(crate) ids: Vec<u32>,
+}
+
+impl Trace {
+    /// A trace of `ids` into `table`; every id must index `table`.
+    pub(crate) fn new(table: Arc<[Location]>, ids: Vec<u32>) -> Trace {
+        debug_assert!(ids.iter().all(|&id| (id as usize) < table.len()));
+        Trace { table, ids }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the trace has no record.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The locations in trace order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Location> + '_ {
+        self.ids.iter().map(|&id| &self.table[id as usize])
+    }
+
+    /// The last location, if any.
+    pub fn last(&self) -> Option<&Location> {
+        self.ids.last().map(|&id| &self.table[id as usize])
+    }
+}
+
+/// A trace with a table of its own: the locations themselves.
+impl From<Vec<Location>> for Trace {
+    fn from(locations: Vec<Location>) -> Trace {
+        let n = u32::try_from(locations.len()).expect("trace of at most u32::MAX records");
+        Trace::new(locations.into(), (0..n).collect())
+    }
+}
+
+/// Traces are equal when their location sequences are, whatever their
+/// tables.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Trace) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A directed edge with its statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,42 +126,89 @@ impl TransitionGraph {
     /// locations dilute the confidence of their rare-but-real outgoing
     /// transitions below any threshold.)
     pub fn mine<'a>(
-        traces: impl IntoIterator<Item = &'a Vec<Location>>,
+        traces: impl IntoIterator<Item = &'a Trace>,
         config: MineConfig,
     ) -> TransitionGraph {
-        let mut pair_counts: BTreeMap<(Location, Location), usize> = BTreeMap::new();
-        let mut occurrences: BTreeMap<Location, usize> = BTreeMap::new();
-        for trace in traces {
-            let locs: std::collections::BTreeSet<&Location> = trace.iter().collect();
-            for loc in locs {
-                *occurrences.entry(loc.clone()).or_default() += 1;
-            }
-            let pairs: std::collections::BTreeSet<(&Location, &Location)> =
-                trace.windows(2).map(|w| (&w[0], &w[1])).collect();
-            for (a, b) in pairs {
-                *pair_counts.entry((a.clone(), b.clone())).or_default() += 1;
+        // Mine-local node ids: each distinct table (by address) is
+        // mapped once, so traces of one corpus share the mapping.
+        let mut tables: HashMap<*const [Location], Vec<u32>> = HashMap::new();
+        let mut node_ids: HashMap<&'a Location, u32> = HashMap::new();
+        let mut nodes: Vec<&'a Location> = Vec::new();
+        // Per node, and per adjacent pair `(from << 32) | to`: the
+        // number of traces containing it, and the stamp (1-based index)
+        // of the last such trace, so each counts once per trace.
+        let mut occurrences: Vec<(usize, usize)> = Vec::new();
+        let mut pairs: U64Map<(usize, usize)> = U64Map::default();
+        for (stamp, trace) in (1..).zip(traces) {
+            let local = tables.entry(Arc::as_ptr(&trace.table)).or_insert_with(|| {
+                let table: &'a [Location] = &trace.table;
+                table
+                    .iter()
+                    .map(|loc| {
+                        let next = u32::try_from(nodes.len()).expect("at most u32::MAX nodes");
+                        let id = *node_ids.entry(loc).or_insert(next);
+                        if id == next {
+                            nodes.push(loc);
+                            occurrences.push((0, 0));
+                        }
+                        id
+                    })
+                    .collect()
+            });
+            let mut prev: Option<u32> = None;
+            let mut last_pair = None;
+            for &id in &trace.ids {
+                let node = local[id as usize];
+                let occ = &mut occurrences[node as usize];
+                if occ.1 != stamp {
+                    *occ = (occ.0 + 1, stamp);
+                }
+                if let Some(from) = prev {
+                    let pair = u64::from(from) << 32 | u64::from(node);
+                    if last_pair != Some(pair) {
+                        last_pair = Some(pair);
+                        let n = pairs.entry(pair).or_insert((0, 0));
+                        if n.1 != stamp {
+                            *n = (n.0 + 1, stamp);
+                        }
+                    }
+                }
+                prev = Some(node);
             }
         }
-        let mut edges: BTreeMap<Location, Vec<Edge>> = BTreeMap::new();
-        for ((from, to), count) in pair_counts {
-            let o_from = occurrences[&from];
-            let confidence = count as f64 / o_from as f64;
+        let mut out: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
+        for (pair, (count, _)) in pairs {
+            let (from, to) = ((pair >> 32) as usize, pair as u32 as usize);
+            let confidence = count as f64 / occurrences[from].0 as f64;
             if confidence >= config.min_confidence && count >= config.min_support {
-                edges.entry(from).or_default().push(Edge {
-                    to,
+                out[from].push(Edge {
+                    to: nodes[to].clone(),
                     count,
                     confidence,
                 });
             }
         }
-        for out in edges.values_mut() {
-            out.sort_by(|a, b| {
+        let mut edges: BTreeMap<Location, Vec<Edge>> = BTreeMap::new();
+        for (from, mut list) in out.into_iter().enumerate() {
+            if list.is_empty() {
+                continue;
+            }
+            // No two edges of one node share a target, so the order is
+            // total whatever order the pairs came in.
+            list.sort_by(|a, b| {
                 b.confidence
                     .partial_cmp(&a.confidence)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.to.cmp(&b.to))
             });
+            edges.insert(nodes[from].clone(), list);
         }
+        let occurrences = nodes
+            .into_iter()
+            .zip(occurrences)
+            .filter(|&(_, (n, _))| n > 0)
+            .map(|(loc, (n, _))| (loc.clone(), n))
+            .collect();
         TransitionGraph { edges, occurrences }
     }
 
@@ -223,16 +334,23 @@ impl TransitionGraph {
     }
 }
 
+/// Test traces, each with a table of its own.
+#[cfg(test)]
+pub(crate) fn traces_of(rows: &[Vec<Location>]) -> Vec<Trace> {
+    rows.iter().cloned().map(Trace::from).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn l(name: &str) -> Location {
         Location::enter(name)
     }
 
-    fn mine(traces: &[Vec<Location>]) -> TransitionGraph {
-        TransitionGraph::mine(traces.iter(), MineConfig::default())
+    fn mine(rows: &[Vec<Location>]) -> TransitionGraph {
+        TransitionGraph::mine(&traces_of(rows), MineConfig::default())
     }
 
     #[test]
@@ -256,7 +374,7 @@ mod tests {
         let mut traces = vec![vec![l("a"), l("b")]; 99];
         traces.push(vec![l("a"), l("z")]);
         let g = TransitionGraph::mine(
-            traces.iter(),
+            &traces_of(&traces),
             MineConfig {
                 min_confidence: 0.05,
                 min_support: 1,
@@ -297,5 +415,157 @@ mod tests {
         let g = mine(&traces);
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 2); // a->b and b->a
+    }
+
+    /// The set-based counting `mine` replaced, kept as its oracle:
+    /// per trace, the set of its locations and the set of its adjacent
+    /// pairs, keyed by location.
+    fn mine_oracle(traces: &[Trace], config: MineConfig) -> TransitionGraph {
+        use std::collections::BTreeSet;
+        let mut pair_counts: BTreeMap<(Location, Location), usize> = BTreeMap::new();
+        let mut occurrences: BTreeMap<Location, usize> = BTreeMap::new();
+        for trace in traces {
+            let locs: Vec<&Location> = trace.iter().collect();
+            for loc in locs.iter().copied().collect::<BTreeSet<_>>() {
+                *occurrences.entry(loc.clone()).or_default() += 1;
+            }
+            let pairs: BTreeSet<(&Location, &Location)> =
+                locs.windows(2).map(|w| (w[0], w[1])).collect();
+            for (a, b) in pairs {
+                *pair_counts.entry((a.clone(), b.clone())).or_default() += 1;
+            }
+        }
+        let mut edges: BTreeMap<Location, Vec<Edge>> = BTreeMap::new();
+        for ((from, to), count) in pair_counts {
+            let confidence = count as f64 / occurrences[&from] as f64;
+            if confidence >= config.min_confidence && count >= config.min_support {
+                edges.entry(from).or_default().push(Edge {
+                    to,
+                    count,
+                    confidence,
+                });
+            }
+        }
+        for out in edges.values_mut() {
+            out.sort_by(|a, b| {
+                b.confidence
+                    .partial_cmp(&a.confidence)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.to.cmp(&b.to))
+            });
+        }
+        TransitionGraph { edges, occurrences }
+    }
+
+    /// Every observable of `got` equals the oracle's, node by node.
+    fn assert_same_graph(got: &TransitionGraph, want: &TransitionGraph, what: &str) {
+        assert_eq!(got.node_count(), want.node_count(), "{what}");
+        assert_eq!(got.edge_count(), want.edge_count(), "{what}");
+        assert_eq!(got.entry_nodes(), want.entry_nodes(), "{what}");
+        assert_eq!(
+            got.nodes().collect::<Vec<_>>(),
+            want.nodes().collect::<Vec<_>>(),
+            "{what}"
+        );
+        for loc in want.nodes() {
+            assert_eq!(got.occurrences(loc), want.occurrences(loc), "{what}: {loc}");
+            assert_eq!(got.successors(loc), want.successors(loc), "{what}: {loc}");
+        }
+    }
+
+    /// Location `i` of a six-letter alphabet, entries and exits mixed.
+    fn alpha(i: u8) -> Location {
+        let name = ["a", "b", "c", "d", "e", "f"][usize::from(i / 2)];
+        if i.is_multiple_of(2) {
+            Location::enter(name)
+        } else {
+            Location::leave(name)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn id_mining_matches_the_set_oracle(
+            rows in collection::vec(
+                (collection::vec(0u8..12, 0..24), any::<bool>(), 0u8..12),
+                0..12,
+            ),
+            min_confidence in prop_oneof![Just(0.0), Just(0.02), Just(0.3), Just(0.5), Just(1.0)],
+            min_support in 0usize..4,
+        ) {
+            // Shared-table traces index one table holding the alphabet
+            // twice over in a shifted order (so ids differ from
+            // locations and a location has two ids); the others get a
+            // table of their own. A row's third field, repeated, makes
+            // runs of self-loops and repeated pairs more likely.
+            let shared: Arc<[Location]> = (0..24u8).map(|i| alpha((i + 5) % 12)).collect();
+            let id_of = |c: u8, k: usize| -> u32 {
+                let at = (0..24).filter(|&i| (i + 5) % 12 == c).nth(k % 2).unwrap();
+                at as u32
+            };
+            let traces: Vec<Trace> = rows
+                .iter()
+                .map(|(row, share, rep)| {
+                    let mut row = row.clone();
+                    if row.len() > 2 {
+                        let mid = row.len() / 2;
+                        row.splice(mid..mid, [*rep; 3]);
+                    }
+                    if *share {
+                        let ids = row.iter().enumerate().map(|(k, &c)| id_of(c, k)).collect();
+                        Trace::new(shared.clone(), ids)
+                    } else {
+                        Trace::from(row.iter().map(|&c| alpha(c)).collect::<Vec<_>>())
+                    }
+                })
+                .collect();
+            let config = MineConfig { min_confidence, min_support };
+            let got = TransitionGraph::mine(&traces, config);
+            assert_same_graph(&got, &mine_oracle(&traces, config), &format!("{rows:?} {config:?}"));
+        }
+    }
+
+    #[test]
+    fn a_shared_table_mines_like_per_trace_tables() {
+        use benchapps::{all_apps, generate_corpus, CorpusSpec};
+        for app in all_apps() {
+            let spec = CorpusSpec {
+                n_correct: 10,
+                n_faulty: 10,
+                sampling_rate: 0.3,
+                seed: 3,
+            };
+            let corpus = crate::LogCorpus::build(&generate_corpus(&app, spec));
+            let all: Vec<&Trace> = corpus
+                .faulty_traces
+                .iter()
+                .chain(&corpus.correct_traces)
+                .collect();
+            let owned: Vec<Trace> = all
+                .iter()
+                .map(|t| Trace::from(t.iter().cloned().collect::<Vec<_>>()))
+                .collect();
+            let config = MineConfig::default();
+            let want = mine_oracle(&owned, config);
+            assert!(want.edge_count() > 0, "{}", app.name);
+            assert_same_graph(&TransitionGraph::mine(all, config), &want, app.name);
+            assert_same_graph(&TransitionGraph::mine(&owned, config), &want, app.name);
+        }
+    }
+
+    #[test]
+    fn trace_views_its_locations() {
+        let t = Trace::from(vec![l("a"), l("b"), l("a")]);
+        assert_eq!(t.len(), 3);
+        assert!(!t.is_empty());
+        assert_eq!(t.last(), Some(&l("a")));
+        assert_eq!(format!("{t:?}"), format!("{:?}", [l("a"), l("b"), l("a")]));
+        let shared: Arc<[Location]> = vec![l("b"), l("a")].into();
+        assert_eq!(Trace::new(shared, vec![1, 0, 1]), t);
+        assert_ne!(Trace::from(vec![l("a"), l("b")]), t);
+        let empty = Trace::from(Vec::new());
+        assert!(empty.is_empty() && empty.last().is_none());
     }
 }
