@@ -86,7 +86,39 @@ impl StepAttr {
         solver: &mut Solver,
         exec: &ExecStats,
     ) -> PreStep {
-        let key = loc_key(module, state);
+        self.pre_at(loc_key(module, state), module, state, solver, exec)
+    }
+
+    /// Like [`StepAttr::pre_step`], for a solver call made on behalf of
+    /// a state that faulted at source line `line` of its current
+    /// function. A fault child forked by an instruction already sits at
+    /// the next one, so its own position would name the wrong line.
+    pub(crate) fn pre_fault(
+        &mut self,
+        module: &Module,
+        state: &State,
+        line: u32,
+        solver: &mut Solver,
+        exec: &ExecStats,
+    ) -> PreStep {
+        let key = state
+            .mach
+            .frames
+            .last()
+            .map_or(EXIT_KEY, |f| (f.func.0, line));
+        self.pre_at(key, module, state, solver, exec)
+    }
+
+    /// Resolves `key` to its location string, pushes the provenance
+    /// origin and snapshots the work counters.
+    fn pre_at(
+        &mut self,
+        key: (u32, u32),
+        module: &Module,
+        state: &State,
+        solver: &mut Solver,
+        exec: &ExecStats,
+    ) -> PreStep {
         if key != self.cur_key {
             self.cur_key = key;
             self.cur_loc.clear();

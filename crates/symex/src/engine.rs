@@ -476,14 +476,15 @@ impl<'m> Engine<'m> {
             // infeasible): the fault cannot be confirmed and must not be
             // reported with made-up inputs.
             macro_rules! confirm_model {
-                ($state:expr) => {{
+                ($state:expr, $fault:expr) => {{
                     // The confirmation query runs outside step(), so it
                     // gets its own pre/post bracket: the solver work is
                     // billed to (and its provenance stamped with) the
-                    // faulting state's final source location.
-                    let pre = attr
-                        .active()
-                        .then(|| attr.pre_step(env.module, &$state, env.solver, env.stats));
+                    // faulting statement's source line.
+                    let pre = attr.active().then(|| {
+                        let line = $fault.span.line;
+                        attr.pre_fault(env.module, &$state, line, env.solver, env.stats)
+                    });
                     let res = env
                         .solver
                         .check_at(env.ctx, $state.cond.hard(), rec, "report_model");
@@ -669,7 +670,7 @@ impl<'m> Engine<'m> {
                                     in_flight = 1;
                                     in_flight_mem = child.state.est_bytes();
                                     note_peaks!();
-                                    match confirm_model!(child.state) {
+                                    match confirm_model!(child.state, fault) {
                                         Some(model) => {
                                             env.lineage_event(
                                                 lineage_op::FAULT,
@@ -713,7 +714,7 @@ impl<'m> Engine<'m> {
                         in_flight = 1;
                         in_flight_mem = s.est_bytes();
                         note_peaks!();
-                        match confirm_model!(s) {
+                        match confirm_model!(s, fault) {
                             Some(model) => {
                                 env.lineage_event(lineage_op::FAULT, &s, None);
                                 break 'outer LoopEnd::Found(Box::new(s), fault, model);

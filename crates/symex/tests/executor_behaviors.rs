@@ -522,3 +522,49 @@ fn a_branch_fork_numbers_the_taken_child_first() {
     assert_eq!(sids_at("main:5"), [n + 1], "taken child");
     assert_eq!(sids_at("main:7"), [n + 2], "not-taken child");
 }
+
+#[test]
+fn the_fault_model_query_is_stamped_with_the_faulting_line() {
+    // The assert's fault child is forked at line 5 but sits at the
+    // next instruction (the `if`'s join, line 4) when its triggering
+    // model is solved: the `report_model` query must still carry, and
+    // be billed to, the assert's line.
+    use statsym_telemetry::{Clock, MemRecorder, TraceEvent};
+    let src = r#"
+        fn main() {
+            let x: int = input_int("x");
+            if (x > 10) {
+                assert(x != 50);
+            }
+        }
+    "#;
+    let module = sir::lower(&minic::parse_program(src).unwrap()).unwrap();
+    let rec = MemRecorder::new(Clock::steps());
+    let mut engine = Engine::new(
+        &module,
+        EngineConfig {
+            provenance: true,
+            attribution: true,
+            ..EngineConfig::default()
+        },
+    );
+    engine.set_recorder(&rec);
+    let report = engine.run();
+    let RunOutcome::Found(found) = &report.outcome else {
+        panic!("assert fault expected: {:?}", report.outcome);
+    };
+    assert_eq!(found.fault.span.line, 5);
+    let locs: Vec<String> = rec
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Query { loc, site, .. } if site == "report_model" => Some(loc),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(locs, ["main:5"]);
+    // Each fork checks both sides; the model query adds one to the
+    // assert's line, not to the `if`'s.
+    let queries = |line: u32| rec.metrics().counter(&format!("attr.main:{line}.queries"));
+    assert_eq!((queries(4), queries(5)), (Some(2), Some(3)));
+}
