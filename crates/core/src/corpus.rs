@@ -167,7 +167,7 @@ impl LogCorpus {
                 for (&slot, &value) in index.slot_list[slots].iter().zip(vals) {
                     index.slots[slot].2.push(value, faulty);
                 }
-                trace.push(loc as u32);
+                trace.push(u32::try_from(loc).expect("at most u32::MAX locations"));
             }
             if faulty {
                 corpus.n_faulty += 1;
@@ -560,11 +560,11 @@ mod tests {
                 .iter()
                 .chain(&corpus.correct_traces)
                 .collect();
-            let table = &traces[0].table;
+            let table = traces[0].table();
             assert_eq!(table.len(), corpus.locations.len(), "{what}");
             let logs = kept(Verdict::Faulty).chain(kept(Verdict::Correct));
             for (trace, log) in traces.iter().zip(logs) {
-                assert!(Arc::ptr_eq(&trace.table, table), "{what}");
+                assert!(Arc::ptr_eq(trace.table(), table), "{what}");
                 assert!(trace.iter().eq(log.locations()), "{what}");
             }
             assert!(traces.iter().any(|t| t.len() > 1), "{what}");

@@ -22,9 +22,9 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct Trace {
     /// The locations the ids index.
-    pub(crate) table: Arc<[Location]>,
-    /// The trace, one id per record.
-    pub(crate) ids: Vec<u32>,
+    table: Arc<[Location]>,
+    /// The trace, one id per record; each indexes `table`.
+    ids: Vec<u32>,
 }
 
 impl Trace {
@@ -52,6 +52,12 @@ impl Trace {
     /// The last location, if any.
     pub fn last(&self) -> Option<&Location> {
         self.ids.last().map(|&id| &self.table[id as usize])
+    }
+
+    /// The location table the ids index.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> &Arc<[Location]> {
+        &self.table
     }
 }
 
@@ -524,34 +530,6 @@ mod tests {
             let config = MineConfig { min_confidence, min_support };
             let got = TransitionGraph::mine(&traces, config);
             assert_same_graph(&got, &mine_oracle(&traces, config), &format!("{rows:?} {config:?}"));
-        }
-    }
-
-    #[test]
-    fn a_shared_table_mines_like_per_trace_tables() {
-        use benchapps::{all_apps, generate_corpus, CorpusSpec};
-        for app in all_apps() {
-            let spec = CorpusSpec {
-                n_correct: 10,
-                n_faulty: 10,
-                sampling_rate: 0.3,
-                seed: 3,
-            };
-            let corpus = crate::LogCorpus::build(&generate_corpus(&app, spec));
-            let all: Vec<&Trace> = corpus
-                .faulty_traces
-                .iter()
-                .chain(&corpus.correct_traces)
-                .collect();
-            let owned: Vec<Trace> = all
-                .iter()
-                .map(|t| Trace::from(t.iter().cloned().collect::<Vec<_>>()))
-                .collect();
-            let config = MineConfig::default();
-            let want = mine_oracle(&owned, config);
-            assert!(want.edge_count() > 0, "{}", app.name);
-            assert_same_graph(&TransitionGraph::mine(all, config), &want, app.name);
-            assert_same_graph(&TransitionGraph::mine(&owned, config), &want, app.name);
         }
     }
 
