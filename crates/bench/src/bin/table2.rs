@@ -5,8 +5,8 @@
 //! exports a structured JSONL trace of the run (`--clock wall` stamps
 //! it with wall-clock time instead of the deterministic step counter),
 //! `--lineage` records the per-state exploration tree for
-//! `statsym-inspect tree|coverage|flame|watch`, and `--attr` the
-//! per-source-line costs for `hotspots|explain`.
+//! `statsym-inspect tree` and `report`'s coverage section, and `--attr`
+//! the per-source-line costs for `hotspots|calib --rank`.
 
 use bench::{breakdown_table, statsym_config, TraceSink, PAPER_SEED};
 

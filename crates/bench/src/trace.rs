@@ -1,8 +1,8 @@
 //! `--trace <path>` / `--clock steps|wall` support for the bench
 //! binaries: every table/figure binary can export a structured JSONL
 //! trace of the run it just printed. The file is the one trace
-//! transport: it is flushed after every lineage event, so
-//! `statsym-inspect watch` can tail it while the run is still going.
+//! transport: it is flushed after every lineage event, so a crash-cut
+//! `--lineage` trace keeps everything up to its last lineage event.
 //!
 //! With `--clock steps` the trace is stamped with the engine's logical
 //! step counter instead of wall-clock time, making the file
@@ -195,7 +195,7 @@ impl TraceSink {
     /// `base` with the shared engine flags applied: `--lineage`
     /// (exploration-tree events), `--attr` (per-source-line `attr.*`
     /// counters and per-query provenance events, for `statsym-inspect
-    /// hotspots|explain`) and `--panic-after` (the chaos knob).
+    /// hotspots|calib --rank`) and `--panic-after` (the chaos knob).
     pub fn engine_config(&self, base: EngineConfig) -> EngineConfig {
         EngineConfig {
             lineage: self.lineage,

@@ -119,7 +119,7 @@ fn decoy_workload_pins_coverage_and_attribution() {
         .iter()
         .map(|a| (a.rank, a.covered(), a.nodes.len()))
         .collect();
-    assert_eq!(per_rank, [(0, 1, 1), (1, 1, 1), (2, 18, 20)]);
+    assert_eq!(per_rank, [(1, 1, 1), (2, 1, 1), (3, 18, 20)]);
     let (covered, total, _) = coverage::totals(&attempts);
     assert_eq!((covered, total), (20, 22));
     assert!(coverage::gate(&view, 80.0));
@@ -179,7 +179,7 @@ fn removed_flags_fail_loudly() {
 
 #[test]
 fn parser_apps_engage_every_candidate_path_node() {
-    // (app, covered/total nodes of its one attempt, at winner rank 0).
+    // (app, covered/total nodes of its one attempt, at rank 1).
     const CASES: [(&str, usize, usize); 4] = [
         ("http_header", 4, 4),
         ("http_chunked", 4, 4),
@@ -210,7 +210,7 @@ fn parser_apps_engage_every_candidate_path_node() {
         .iter()
         .map(|a| (a.rank, a.covered(), a.nodes.len()))
         .collect();
-    let expected: Vec<(u64, usize, usize)> = CASES.iter().map(|&(_, c, n)| (0, c, n)).collect();
+    let expected: Vec<(u64, usize, usize)> = CASES.iter().map(|&(_, c, n)| (1, c, n)).collect();
     assert_eq!(per_app, expected);
     assert!(coverage::gate(&view, 80.0));
 }

@@ -129,8 +129,8 @@ impl Run<'_> {
 /// candidate (1-based rank, milli-scaled score, path length) next to
 /// what its attempt actually cost (steps, forks, solver search nodes,
 /// and — wall-clock traces only — solver µs) and whether it verified
-/// the fault. Consumed by `statsym-inspect calib`/`explain` and the
-/// JSON report's calibration section.
+/// the fault. Consumed by `statsym-inspect calib` and the run report's
+/// calibration section.
 fn record_calibration(
     rec: &dyn Recorder,
     rank: usize,

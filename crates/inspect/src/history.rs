@@ -1,15 +1,10 @@
-//! `statsym-inspect history`: the run-history archive viewer and
-//! writer.
+//! `statsym-inspect history`: the run-history archive viewer.
 //!
 //! `history <archive>` lists the manifests of a history archive (see
 //! [`statsym_telemetry::manifest`]) in append order, with `--source` /
-//! `--run` filters and a `--limit` tail window. `history add` appends
-//! records without running a workload: either folded from a trace file
-//! (`--from-trace`) or cloned from the archive's own last record, with
-//! `--inflate metric=pct` perturbations — which is how CI injects a
-//! synthetic regression to prove the `trend --gate` job can fail.
+//! `--run` filters and a `--limit` tail window.
 
-use statsym_telemetry::manifest::{self, ManifestMeta, RunManifest};
+use statsym_telemetry::manifest::RunManifest;
 
 /// Row filters for [`list`].
 #[derive(Debug, Default)]
@@ -71,145 +66,6 @@ pub fn list(manifests: &[RunManifest], f: &HistoryFilter) -> String {
     out
 }
 
-/// Options for [`add`].
-#[derive(Debug, Default)]
-pub struct AddOpts {
-    /// Fold the record from this canonical JSONL trace instead of
-    /// cloning the archive's last record.
-    pub from_trace: Option<String>,
-    /// Override the record's `source`.
-    pub source: Option<String>,
-    /// Override the record's `run` name.
-    pub run: Option<String>,
-    /// Override the record's `seed`.
-    pub seed: Option<u64>,
-    /// Override the record's config fingerprint.
-    pub config: Option<String>,
-    /// `(metric, percent)` perturbations: each named counter (or
-    /// `ticks`) grows by `percent`% (negative shrinks). The synthetic-
-    /// regression injector for the CI gate self-test.
-    pub inflate: Vec<(String, i64)>,
-    /// Append the record this many times (archive seeding).
-    pub repeat: usize,
-}
-
-/// Parses one `--inflate metric=pct` argument.
-///
-/// # Errors
-///
-/// Returns a usage message for a missing `=`, a non-numeric percentage,
-/// or a shrink below −100%.
-pub fn parse_inflate(s: &str) -> Result<(String, i64), String> {
-    let (metric, pct) = s
-        .split_once('=')
-        .ok_or_else(|| format!("invalid --inflate `{s}`; expected metric=pct"))?;
-    if metric.is_empty() {
-        return Err(format!("invalid --inflate `{s}`; empty metric name"));
-    }
-    match pct.parse::<i64>() {
-        Ok(p) if p > -100 => Ok((metric.to_string(), p)),
-        Ok(_) => Err(format!(
-            "invalid --inflate `{s}`; cannot shrink below -100%"
-        )),
-        Err(_) => Err(format!(
-            "invalid --inflate `{s}`; percentage must be an integer"
-        )),
-    }
-}
-
-/// Grows `v` by `pct` percent (integer math, saturating at zero).
-fn inflate_value(v: u64, pct: i64) -> u64 {
-    let delta = (v as i128) * (pct as i128) / 100;
-    u64::try_from((v as i128) + delta).unwrap_or(0)
-}
-
-/// Builds the record `add` would append (everything except the archive
-/// write — separated for tests).
-///
-/// # Errors
-///
-/// Returns a rendered error for an unreadable/malformed trace, an empty
-/// archive when cloning, or an `--inflate` metric the record does not
-/// carry (a typo would otherwise silently gate nothing).
-pub fn synthesize(archive: &str, opts: &AddOpts) -> Result<RunManifest, String> {
-    let mut m = match &opts.from_trace {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("{path}: cannot read trace: {e}"))?;
-            let stem = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| "run".to_string(), |s| s.to_string_lossy().into_owned());
-            let meta = ManifestMeta {
-                source: opts.source.clone().unwrap_or_else(|| "bench".to_string()),
-                run: opts.run.clone().unwrap_or(stem),
-                git: manifest::git_rev(),
-                seed: opts.seed.unwrap_or(0),
-                config: opts.config.clone().unwrap_or_default(),
-            };
-            RunManifest::from_trace(&text, &meta)
-                .map_err(|e| format!("{path}:{}: {}", e.line, e.reason))?
-        }
-        None => {
-            let history = manifest::load_history(archive)
-                .map_err(|e| format!("{archive}:{}: {}", e.line, e.reason))?;
-            let mut m = history
-                .last()
-                .cloned()
-                .ok_or_else(|| format!("{archive}: archive is empty; nothing to clone"))?;
-            if let Some(s) = &opts.source {
-                m.source = s.clone();
-            }
-            if let Some(r) = &opts.run {
-                m.run = r.clone();
-            }
-            if let Some(s) = opts.seed {
-                m.seed = s;
-            }
-            if let Some(c) = &opts.config {
-                m.config = c.clone();
-            }
-            m
-        }
-    };
-    for (metric, pct) in &opts.inflate {
-        if metric == "ticks" {
-            m.ticks = inflate_value(m.ticks, *pct);
-        } else if let Some(v) = m.counters.get_mut(metric) {
-            *v = inflate_value(*v, *pct);
-        } else {
-            return Err(format!(
-                "--inflate {metric}: record carries no such counter (have: {})",
-                m.counters
-                    .keys()
-                    .take(8)
-                    .cloned()
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-    }
-    Ok(m)
-}
-
-/// Appends the synthesized record to `archive` `repeat` times and
-/// returns the appended content addresses.
-///
-/// # Errors
-///
-/// Propagates [`synthesize`] failures and archive write errors.
-pub fn add(archive: &str, opts: &AddOpts) -> Result<Vec<String>, String> {
-    let m = synthesize(archive, opts)?;
-    let n = opts.repeat.max(1);
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(
-            manifest::append_manifest(archive, &m)
-                .map_err(|e| format!("{archive}: cannot append manifest: {e}"))?,
-        );
-    }
-    Ok(ids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,13 +86,6 @@ mod tests {
         };
         m.counters.insert("symex.steps".to_string(), steps);
         m
-    }
-
-    fn temp_archive(tag: &str) -> String {
-        let dir =
-            std::env::temp_dir().join(format!("statsym-history-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir.to_string_lossy().into_owned()
     }
 
     #[test]
@@ -268,69 +117,5 @@ mod tests {
         };
         let rows = filter(&ms, &f);
         assert_eq!(rows.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![3, 4]);
-    }
-
-    #[test]
-    fn inflate_parser_accepts_metric_eq_pct() {
-        assert_eq!(
-            parse_inflate("symex.steps=400").unwrap(),
-            ("symex.steps".to_string(), 400)
-        );
-        assert_eq!(
-            parse_inflate("ticks=-50").unwrap(),
-            ("ticks".to_string(), -50)
-        );
-        assert!(parse_inflate("symex.steps").is_err());
-        assert!(parse_inflate("=10").is_err());
-        assert!(parse_inflate("x=ten").is_err());
-        assert!(parse_inflate("x=-100").is_err());
-    }
-
-    #[test]
-    fn add_clones_last_record_applies_inflation_and_repeats() {
-        let archive = temp_archive("add");
-        manifest::append_manifest(&archive, &sample("grep", "bench", 100)).unwrap();
-
-        let opts = AddOpts {
-            inflate: vec![("symex.steps".to_string(), 400)],
-            repeat: 3,
-            ..AddOpts::default()
-        };
-        let ids = add(&archive, &opts).expect("add");
-        assert_eq!(ids.len(), 3);
-        assert!(ids.windows(2).all(|w| w[0] == w[1]));
-
-        let loaded = manifest::load_history(&archive).unwrap();
-        assert_eq!(loaded.len(), 4);
-        assert_eq!(loaded[0].counters["symex.steps"], 100);
-        assert_eq!(loaded[3].counters["symex.steps"], 500, "+400%");
-        let _ = std::fs::remove_dir_all(std::path::Path::new(&archive));
-    }
-
-    #[test]
-    fn add_rejects_unknown_inflate_metric_and_empty_archive() {
-        let archive = temp_archive("reject");
-        let opts = AddOpts::default();
-        assert!(
-            add(&archive, &opts).is_err(),
-            "empty archive: nothing to clone"
-        );
-
-        manifest::append_manifest(&archive, &sample("grep", "bench", 1)).unwrap();
-        let opts = AddOpts {
-            inflate: vec![("no.such.metric".to_string(), 10)],
-            ..AddOpts::default()
-        };
-        let err = add(&archive, &opts).unwrap_err();
-        assert!(err.contains("no such counter"), "{err}");
-        let _ = std::fs::remove_dir_all(std::path::Path::new(&archive));
-    }
-
-    #[test]
-    fn inflate_value_is_integer_exact() {
-        assert_eq!(inflate_value(100, 400), 500);
-        assert_eq!(inflate_value(100, -50), 50);
-        assert_eq!(inflate_value(3, 10), 3, "sub-1% of small values truncates");
-        assert_eq!(inflate_value(0, 500), 0);
     }
 }

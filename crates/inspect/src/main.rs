@@ -3,15 +3,12 @@
 //! Run it without arguments for the command list (`USAGE` below).
 //!
 //! Exit codes: 0 success (and no regressions), 1 `diff` found at least
-//! one regression, `trend --gate` found a windowed regression,
-//! `coverage` fell below `--min`, `calib` fell below `--min-corr`, or
-//! `explain` was asked about a rank the trace does not carry, 2 usage
-//! or parse error.
+//! one regression, `trend --gate` found a windowed regression, `calib`
+//! fell below `--min-corr` or was asked for a `--rank` no run carries,
+//! 2 usage or parse error.
 
 use statsym_inspect::diff::{diff_files, parse_threshold, DiffConfig};
-use statsym_inspect::{
-    calib, coverage, explain, history, hotspots, report, tree, trend, watch, RunView,
-};
+use statsym_inspect::{calib, history, hotspots, report, tree, trend, RunView};
 use statsym_telemetry::manifest;
 
 const USAGE: &str = "\
@@ -24,17 +21,15 @@ commands:
 
   report <trace.jsonl> [--format text|json]
       Render the run report (phases, counters, gauges, histograms,
-      solver callsites by search nodes, and the candidate attempts with
-      the one that bounded the run). --format json emits one
-      machine-readable JSON object with stable key order.
+      calibration per run, solver callsites by search nodes, the
+      candidate attempts with the one that bounded the run, and, for a
+      --lineage trace, each candidate path's node coverage). --format
+      json emits one machine-readable JSON object with stable key order.
   tree <trace.jsonl> [--format text|flame] [--metric solver-nodes|solver-us|steps]
       Render the exploration tree of a --lineage trace: fork structure,
       suspend causes, per-subtree solver rollups. --format flame emits
       collapsed stacks of --metric (default solver-nodes) keyed by fork
       lineage (inferno / speedscope / flamegraph.pl compatible).
-  coverage <trace.jsonl> [--min <pct>]
-      Candidate-path node coverage per rank (reached / conjoined /
-      conflicted / never reached). Exits 1 below the --min floor.
   hotspots <trace.jsonl> [--metric <dim>] [--top <n>] [--min-pct <pct>] [--format text|json|flame]
       Per-source-line cost table from an --attribution trace: steps,
       forks, suspensions, solver queries/nodes/µs billed to the MiniC
@@ -42,23 +37,15 @@ commands:
       (steps, forks, suspends, queries, nodes, us); --min-pct drops
       lines below a share floor; --format flame emits collapsed
       stacks, --format json a stable cmp-gateable object.
-  explain <trace.jsonl> <rank>
-      One ranked candidate end to end: predicted score vs actual cost,
-      its solver queries by callsite and source location, and the last
-      query — where the attempt died or won. Exits 1 when the trace
-      has no record for that rank.
-  calib <trace.jsonl> [--format text|json] [--min-corr <milli>]
+  calib <trace.jsonl> [--format text|json] [--min-corr <milli>] [--rank <n>]
       Predicted-vs-actual ranking calibration per run: score and rank
       next to real attempt cost, the winning rank, and the Spearman
       rank-vs-cost correlation (per-mille). --min-corr exits 1 when a
-      run correlates below the floor (or nothing is gateable).
-  watch <trace.jsonl> [--interval <ms>] [--once] [--no-color]
-      Live dashboard tailing a growing --lineage trace (the recorder
-      flushes after every lineage event); exits when the run's final
-      metrics appear. Polling backs off adaptively while the file is
-      idle. With --once, the trace is parsed strictly (like report)
-      unless --allow-truncated is given. --no-color appends plain
-      frames with no ANSI escapes (CI logs, pipes).
+      run correlates below the floor (or nothing is gateable). --rank
+      follows the candidate at 1-based rank n in each run instead:
+      predicted score vs actual cost, its solver queries by callsite
+      and source location, and the last query — where the attempt died
+      or won. Exits 1 when no run has that rank.
 
   Comparisons and run history:
 
@@ -68,24 +55,16 @@ commands:
   history <archive> [--source <s>] [--run <r>] [--limit <n>]
       List the manifest records of a run-history archive (a directory
       holding history.jsonl, or the file itself) in append order.
-  history add <archive> [--from-trace <trace.jsonl>] [--source <s>] [--run <r>]
-              [--seed <n>] [--config <fp>] [--inflate <metric=pct>]... [--repeat <n>]
-      Append a record without running a workload: folded from a trace,
-      or cloned from the archive's last record. --inflate grows a
-      counter (or `ticks`) by pct% — the synthetic-regression injector
-      the CI gate self-test uses. --repeat appends the record n times.
   trend <archive> [--window <n>] [--sigma <z>] [--min-delta <n>]
-        [--metric <prefix>]... [--source <s>] [--run <r>] [--gate]
+        [--metric <prefix>]... [--source <s>] [--run <r>] [--gate | --first-bad <metric>]
       Windowed drift analysis: the archive's last matching run vs the
       median/MAD of its preceding --window runs (default 8), per
       metric. Increases beyond --sigma (default 3.0) robust deviations
       regress; a zero-spread window regresses on any increase beyond
       --min-delta. With --gate, exits 1 on any regression.
-  regress <archive> <metric> [--window <n>] [--sigma <z>] [--min-delta <n>]
-          [--source <s>] [--run <r>]
-      First-bad-run isolation: baselines <metric> over the earliest
-      --window runs and reports the first run deviating beyond the
-      robust threshold.
+      --first-bad baselines <metric> over the earliest --window runs
+      instead and names the first later run the same test calls a
+      regression.
 ";
 
 fn usage_exit(msg: &str) -> ! {
@@ -102,16 +81,13 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some(
-            cmd @ ("report" | "tree" | "coverage" | "hotspots" | "explain" | "calib" | "watch"),
-        ) => {
+        Some(cmd @ ("report" | "tree" | "hotspots" | "calib")) => {
             let (rest, allow_truncated) = take_flag(&args[1..], "--allow-truncated");
             trace_view(cmd, &rest, allow_truncated)
         }
         Some("diff") => run_diff(&args[1..]),
         Some("history") => run_history(&args[1..]),
         Some("trend") => run_trend(&args[1..]),
-        Some("regress") => run_regress(&args[1..]),
         Some(other) => usage_exit(&format!("unknown command `{other}`")),
         None => usage_exit("missing command"),
     };
@@ -181,25 +157,6 @@ fn trace_view(cmd: &str, args: &[String], allow_truncated: bool) -> i32 {
             print!("{text}");
             0
         }
-        "coverage" => {
-            let mut min = None;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--min" => match it.next().map(|n| n.parse::<f64>()) {
-                        Some(Ok(v)) if (0.0..=100.0).contains(&v) => min = Some(v),
-                        _ => usage_exit("--min requires a percentage in 0..=100"),
-                    },
-                    _ => rest.push(a.clone()),
-                }
-            }
-            let [path] = positional::<1>(
-                &rest,
-                "coverage <trace.jsonl> [--min <pct>] [--allow-truncated]",
-            );
-            let view = load(&path);
-            print!("{}", coverage::coverage(&view, min));
-            i32::from(min.is_some_and(|m| !coverage::gate(&view, m)))
-        }
         "hotspots" => {
             let mut opts = hotspots::Opts::default();
             while let Some(a) = it.next() {
@@ -239,26 +196,10 @@ fn trace_view(cmd: &str, args: &[String], allow_truncated: bool) -> i32 {
             print!("{}", hotspots::hotspots(&load(&path), &opts));
             0
         }
-        "explain" => {
-            let [path, rank] =
-                positional::<2>(args, "explain <trace.jsonl> <rank> [--allow-truncated]");
-            let rank: u64 = rank
-                .parse()
-                .unwrap_or_else(|_| usage_exit("explain requires a numeric 1-based rank"));
-            match explain::explain(&load(&path), rank) {
-                Ok(text) => {
-                    print!("{text}");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
-            }
-        }
         "calib" => {
             let mut json = false;
             let mut min_corr = None;
+            let mut rank = None;
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--format" => json = json_format(it.next()),
@@ -266,43 +207,37 @@ fn trace_view(cmd: &str, args: &[String], allow_truncated: bool) -> i32 {
                         Some(Ok(v)) if (-1000..=1000).contains(&v) => min_corr = Some(v),
                         _ => usage_exit("--min-corr requires a per-mille value in -1000..=1000"),
                     },
+                    "--rank" => match it.next().map(|n| n.parse::<u64>()) {
+                        Some(Ok(n)) if n >= 1 => rank = Some(n),
+                        _ => usage_exit("--rank requires a 1-based rank"),
+                    },
                     _ => rest.push(a.clone()),
                 }
             }
             let [path] = positional::<1>(
                 &rest,
-                "calib <trace.jsonl> [--format text|json] [--min-corr <milli>] [--allow-truncated]",
+                "calib <trace.jsonl> [--format text|json] [--min-corr <milli>] [--rank <n>] \
+                 [--allow-truncated]",
             );
             let view = load(&path);
-            print!("{}", calib::calib(&view, json));
-            match min_corr.map(|m| calib::gate(&view, m)) {
-                Some(Err(e)) => {
+            let shown = match rank {
+                None => Ok(calib::calib(&view, json)),
+                Some(_) if json => usage_exit("--rank renders text only"),
+                Some(n) => calib::rank(&view, n),
+            };
+            let mut code = 0;
+            match shown {
+                Ok(text) => print!("{text}"),
+                Err(e) => {
                     eprintln!("error: {e}");
-                    1
-                }
-                _ => 0,
-            }
-        }
-        "watch" => {
-            let mut interval = 500u64;
-            let mut once = false;
-            let mut no_color = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--interval" => match it.next().map(|n| n.parse::<u64>()) {
-                        Some(Ok(ms)) if ms >= 1 => interval = ms,
-                        _ => usage_exit("--interval requires a positive millisecond count"),
-                    },
-                    "--once" => once = true,
-                    "--no-color" => no_color = true,
-                    _ => rest.push(a.clone()),
+                    code = 1;
                 }
             }
-            let [path] = positional::<1>(
-                &rest,
-                "watch <trace.jsonl> [--interval <ms>] [--once] [--allow-truncated] [--no-color]",
-            );
-            watch::watch(&path, interval, once, allow_truncated, no_color)
+            if let Some(Err(e)) = min_corr.map(|m| calib::gate(&view, m)) {
+                eprintln!("error: {e}");
+                code = 1;
+            }
+            code
         }
         _ => unreachable!("main dispatches only trace commands here"),
     }
@@ -333,8 +268,10 @@ fn load_archive(archive: &str) -> Vec<statsym_telemetry::manifest::RunManifest> 
 }
 
 fn run_history(args: &[String]) -> i32 {
+    // `history add` is not a command; refuse it by name rather than
+    // read an archive called `add`.
     if args.first().map(String::as_str) == Some("add") {
-        return run_history_add(&args[1..]);
+        usage_exit("unknown command `history add`");
     }
     let mut f = history::HistoryFilter::default();
     let mut rest = Vec::new();
@@ -364,66 +301,10 @@ fn run_history(args: &[String]) -> i32 {
     0
 }
 
-fn run_history_add(args: &[String]) -> i32 {
-    let mut opts = history::AddOpts::default();
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--from-trace" => match it.next() {
-                Some(p) => opts.from_trace = Some(p.clone()),
-                None => usage_exit("--from-trace requires a file path"),
-            },
-            "--source" => match it.next() {
-                Some(s) => opts.source = Some(s.clone()),
-                None => usage_exit("--source requires a value"),
-            },
-            "--run" => match it.next() {
-                Some(r) => opts.run = Some(r.clone()),
-                None => usage_exit("--run requires a value"),
-            },
-            "--seed" => match it.next().map(|n| n.parse::<u64>()) {
-                Some(Ok(n)) => opts.seed = Some(n),
-                _ => usage_exit("--seed requires a non-negative integer"),
-            },
-            "--config" => match it.next() {
-                Some(c) => opts.config = Some(c.clone()),
-                None => usage_exit("--config requires a fingerprint"),
-            },
-            "--inflate" => match it.next() {
-                Some(s) => match history::parse_inflate(s) {
-                    Ok(p) => opts.inflate.push(p),
-                    Err(e) => usage_exit(&e),
-                },
-                None => usage_exit("--inflate requires metric=pct"),
-            },
-            "--repeat" => match it.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => opts.repeat = n,
-                _ => usage_exit("--repeat requires a positive integer"),
-            },
-            _ => rest.push(a.clone()),
-        }
-    }
-    let [archive] = positional::<1>(
-        &rest,
-        "history add <archive> [--from-trace <t>] [--source <s>] [--run <r>] \
-         [--seed <n>] [--config <fp>] [--inflate <metric=pct>]... [--repeat <n>]",
-    );
-    match history::add(&archive, &opts) {
-        Ok(ids) => {
-            for id in &ids {
-                println!("appended {id}");
-            }
-            0
-        }
-        Err(e) => fail(&e),
-    }
-}
-
-/// Parses the flags `trend` and `regress` share into a [`trend::TrendOpts`].
-fn trend_opts(args: &[String]) -> (trend::TrendOpts, bool, Vec<String>) {
+fn run_trend(args: &[String]) -> i32 {
     let mut opts = trend::TrendOpts::default();
     let mut gate = false;
+    let mut first_bad = None;
     let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -453,42 +334,31 @@ fn trend_opts(args: &[String]) -> (trend::TrendOpts, bool, Vec<String>) {
                 None => usage_exit("--run requires a value"),
             },
             "--gate" => gate = true,
+            "--first-bad" => match it.next() {
+                Some(m) => first_bad = Some(m.clone()),
+                None => usage_exit("--first-bad requires a metric name"),
+            },
             _ => rest.push(a.clone()),
         }
     }
-    (opts, gate, rest)
-}
-
-fn run_trend(args: &[String]) -> i32 {
-    let (opts, gate, rest) = trend_opts(args);
     let [archive] = positional::<1>(
         &rest,
         "trend <archive> [--window <n>] [--sigma <z>] [--min-delta <n>] \
-         [--metric <prefix>]... [--source <s>] [--run <r>] [--gate]",
+         [--metric <prefix>]... [--source <s>] [--run <r>] [--gate | --first-bad <metric>]",
     );
-    match trend::trend(&load_archive(&archive), &opts) {
-        Ok(r) => {
-            print!("{}", r.rendered);
-            i32::from(gate && r.regressions > 0)
-        }
-        Err(e) => fail(&e),
+    if first_bad.is_some() && (gate || !opts.metrics.is_empty()) {
+        usage_exit("--first-bad takes neither --gate nor --metric");
     }
-}
-
-fn run_regress(args: &[String]) -> i32 {
-    let (opts, gate, rest) = trend_opts(args);
-    if gate {
-        usage_exit("--gate applies to trend, not regress");
-    }
-    let [archive, metric] = positional::<2>(
-        &rest,
-        "regress <archive> <metric> [--window <n>] [--sigma <z>] [--min-delta <n>] \
-         [--source <s>] [--run <r>]",
-    );
-    match trend::regress(&load_archive(&archive), &metric, &opts) {
-        Ok(text) => {
+    let manifests = load_archive(&archive);
+    let shown = match &first_bad {
+        Some(metric) => trend::first_bad(&manifests, metric, &opts).map(|text| (text, 0)),
+        None => trend::trend(&manifests, &opts)
+            .map(|r| (r.rendered, i32::from(gate && r.regressions > 0))),
+    };
+    match shown {
+        Ok((text, code)) => {
             print!("{text}");
-            0
+            code
         }
         Err(e) => fail(&e),
     }

@@ -1,8 +1,9 @@
 //! `statsym-inspect report`: the run report.
 //!
 //! The report is [`TraceSummary::render`] (phases, metrics, query
-//! provenance, calibration) followed by two sections that answer where
-//! the solver work went and which ranked candidate bounded the run.
+//! provenance, calibration) followed by the sections that answer where
+//! the solver work went, which ranked candidate bounded the run, and
+//! how much of each candidate path the executor engaged.
 //! `--format json` prints [`TraceSummary::render_json`] alone.
 //!
 //! * **solver callsites** — the engine tags every solver call with its
@@ -11,14 +12,15 @@
 //!   search-node deltas, and — under a wall clock — query-latency
 //!   histograms (`solver.site.<site>.*`). Sites rank by search nodes
 //!   (the clock-independent work proxy).
-//! * **attempts** — one row per `candidate.attempt` span, the longest
+//! * **attempts** — one row per candidate attempt, the longest
 //!   attempt's share of the summed attempt time, and the steps spent
 //!   outside the winning attempt.
+//! * **candidate-path node coverage** — `--lineage` traces only; see
+//!   [`coverage`].
 
 use std::collections::BTreeMap;
 
-use crate::coverage::attempts;
-use crate::RunView;
+use crate::{coverage, RunView};
 use statsym_telemetry::{names, TraceSummary};
 
 /// Renders the text run report.
@@ -26,6 +28,10 @@ pub fn report(view: &RunView) -> String {
     let mut out = view.summary.render();
     callsites(&view.summary, &mut out);
     attempts_section(view, &mut out);
+    if let Some(section) = coverage::section(view) {
+        out.push('\n');
+        out.push_str(&section);
+    }
     out
 }
 
@@ -101,7 +107,7 @@ fn callsites(s: &TraceSummary, out: &mut String) {
 /// Appends the attempt timeline with the longest attempt and wasted
 /// work; nothing when the trace has no candidate attempts.
 fn attempts_section(view: &RunView, out: &mut String) {
-    let attempts = attempts(&view.events);
+    let attempts = &view.attempts;
     let Some(longest) = attempts.iter().max_by_key(|a| a.ticks) else {
         return;
     };
@@ -110,7 +116,7 @@ fn attempts_section(view: &RunView, out: &mut String) {
         "  {:<6} {:>10} {:>12} {:>7}\n",
         "rank", "steps", "ticks", "found"
     ));
-    for a in &attempts {
+    for a in attempts {
         out.push_str(&format!(
             "  {:<6} {:>10} {:>12} {:>7}\n",
             a.rank,
@@ -242,7 +248,7 @@ mod tests {
         let text = render(rec.finish());
         assert!(text.contains("attempts: 3 attempt(s)\n"), "{text}");
         assert!(
-            text.contains("longest attempt: rank 0 (100 ticks, 50.0% of summed attempt time)"),
+            text.contains("longest attempt: rank 1 (100 ticks, 50.0% of summed attempt time)"),
             "{text}"
         );
         // 100 + 60 + 40 = 200 steps total; the winner used 40.

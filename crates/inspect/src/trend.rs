@@ -1,5 +1,5 @@
-//! `statsym-inspect trend` / `regress`: cross-run analytics over a
-//! manifest archive.
+//! `statsym-inspect trend`: cross-run analytics over a manifest
+//! archive.
 //!
 //! Where `diff` compares a run against one frozen baseline, `trend`
 //! compares the archive's **last** run against a sliding window of its
@@ -12,15 +12,15 @@
 //! deterministic steps-clock runs, where the window is byte-identical —
 //! degenerates to "any increase beyond `--min-delta` regresses".
 //!
-//! `regress` answers the follow-up question: *which run broke it?* It
-//! takes the earliest `--window` runs as the baseline and scans forward
-//! for the first run whose value deviates beyond the same robust
-//! threshold — first-bad-run isolation without a rebuild-and-bisect
-//! loop, because the archive already holds every data point.
+//! `--first-bad <metric>` answers the follow-up question: *which run
+//! broke it?* It takes the earliest `--window` runs as the baseline and
+//! scans forward for the first run the same verdict calls a regression
+//! — first-bad-run isolation without a rebuild-and-bisect loop, because
+//! the archive already holds every data point.
 
 use statsym_telemetry::manifest::RunManifest;
 
-/// Options shared by [`trend`] and [`regress`].
+/// Options shared by [`trend`] and [`first_bad`].
 #[derive(Debug, Clone)]
 pub struct TrendOpts {
     /// Window size: how many preceding runs form the baseline.
@@ -246,15 +246,16 @@ pub fn trend(manifests: &[RunManifest], opts: &TrendOpts) -> Result<TrendReport,
     })
 }
 
-/// Isolates the first archive run whose `metric` deviates beyond the
-/// robust threshold derived from the earliest `--window` runs. Renders
-/// either the first bad run's identity or a no-regression note.
+/// Isolates the first archive run whose `metric` the windowed table's
+/// verdict would call a regression against the earliest `--window`
+/// runs. Renders either the first bad run's identity or a
+/// no-regression note.
 ///
 /// # Errors
 ///
-/// Returns a rendered error when the filters match nothing, the metric
-/// is absent from the baseline, or the baseline is too thin to trust.
-pub fn regress(
+/// Returns a rendered error when the filters match nothing, or the
+/// metric appears in fewer than three baseline runs.
+pub fn first_bad(
     manifests: &[RunManifest],
     metric: &str,
     opts: &TrendOpts,
@@ -263,32 +264,32 @@ pub fn regress(
     if rows.is_empty() {
         return Err("no archive records match the filters".to_string());
     }
-    let baseline: Vec<f64> = rows
+    let split = opts.window.min(rows.len());
+    let baseline: Vec<f64> = rows[..split]
         .iter()
-        .take(opts.window)
         .filter_map(|m| metric_value(m, metric))
         .collect();
     if baseline.len() < MIN_WINDOW {
         return Err(format!(
-            "metric `{metric}` appears in only {} of the first {} run(s); \
+            "metric `{metric}` appears in only {} of the first {split} run(s); \
              need >= {MIN_WINDOW} baseline values",
-            baseline.len(),
-            opts.window.min(rows.len())
+            baseline.len()
         ));
     }
     let (med, mad) = median_mad(&baseline);
-    let threshold = med + (opts.sigma * MAD_SIGMA * mad).max(opts.min_delta);
     let mut out = format!(
-        "regress {metric}: baseline median {} over first {} run(s), threshold {}\n",
+        "first-bad {metric}: baseline median {} mad {} over first {} run(s) (sigma {}, min-delta {})\n",
         fmt(med),
+        fmt(mad),
         baseline.len(),
-        fmt(threshold)
+        opts.sigma,
+        opts.min_delta
     );
-    for (i, m) in rows.iter().enumerate().skip(opts.window.min(rows.len())) {
+    for (i, m) in rows.iter().enumerate().skip(split) {
         let Some(v) = metric_value(m, metric) else {
             continue;
         };
-        if v > threshold {
+        if judge(&baseline, v, opts).0 == Verdict::Regression {
             out.push_str(&format!(
                 "first bad run: #{} id {} run {} git {} — {metric} {} (baseline {})\n",
                 i + 1,
@@ -440,24 +441,24 @@ mod tests {
     }
 
     #[test]
-    fn regress_isolates_the_first_bad_run() {
+    fn first_bad_isolates_the_first_bad_run() {
         // 8 good, then the break, then more bad runs.
         let mut steps: Vec<u64> = vec![100; 8];
         steps.extend([100, 480, 500, 505]);
         let ms = archive(&steps);
-        let out = regress(&ms, "symex.steps", &TrendOpts::default()).unwrap();
+        let out = first_bad(&ms, "symex.steps", &TrendOpts::default()).unwrap();
         assert!(out.contains("first bad run: #10"), "{out}");
         assert!(out.contains("symex.steps 480"), "{out}");
 
         let clean = archive(&[100; 12]);
-        let out = regress(&clean, "symex.steps", &TrendOpts::default()).unwrap();
+        let out = first_bad(&clean, "symex.steps", &TrendOpts::default()).unwrap();
         assert!(out.contains("no run deviates"), "{out}");
     }
 
     #[test]
-    fn regress_rejects_unknown_metric() {
+    fn first_bad_rejects_unknown_metric() {
         let ms = archive(&[100; 10]);
-        let err = regress(&ms, "no.such", &TrendOpts::default()).unwrap_err();
+        let err = first_bad(&ms, "no.such", &TrendOpts::default()).unwrap_err();
         assert!(err.contains("no.such"), "{err}");
     }
 
@@ -471,7 +472,7 @@ mod tests {
             r.rendered
         );
         assert!(r.rendered.contains("ticks"), "{}", r.rendered);
-        let out = regress(&ms, "ticks", &TrendOpts::default()).unwrap();
+        let out = first_bad(&ms, "ticks", &TrendOpts::default()).unwrap();
         assert!(out.contains("no run deviates"), "{out}");
     }
 }

@@ -1,5 +1,6 @@
-//! End-to-end tests of the `statsym-inspect` binary: exit codes, the
-//! golden run report, and the diff gate on trace inputs.
+//! End-to-end tests of the `statsym-inspect` binary: the command set,
+//! exit codes, the golden run report, the calibration view of a
+//! multi-run trace, and the diff and trend gates.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -146,6 +147,17 @@ fn usage_errors_exit_two() {
         &["tree", "x", "--format", "flame", "--metric", "bogus"][..],
         &["tree", "x", "--metric", "steps"][..],
         &["report", "x", "--limit", "1"][..],
+        &["calib", "x", "--rank", "0"][..],
+        &["trend", "x", "--first-bad", "symex.steps", "--gate"][..],
+        &[
+            "trend",
+            "x",
+            "--first-bad",
+            "symex.steps",
+            "--metric",
+            "symex.",
+        ][..],
+        &["trend", "x", "--first-bad"][..],
     ] {
         let out = inspect(args);
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
@@ -273,9 +285,43 @@ fn report_shows_attempts_and_solver_callsites() {
     assert!(out.status.success());
     let text = stdout(&out);
     assert!(text.contains("attempts: 2 attempt(s)\n"), "{text}");
-    assert!(text.contains("longest attempt: rank 0"), "{text}");
+    assert!(text.contains("longest attempt: rank 1"), "{text}");
     assert!(text.contains("feasibility"), "{text}");
     assert!(text.contains("94.0% attributed"), "{text}");
+}
+
+/// Runs the pipeline on the pinned testkit corpus entry `name` into
+/// `rec`, with lineage on and, if asked, query provenance.
+fn pipeline_into(rec: &statsym_telemetry::MemRecorder, name: &str, provenance: bool) {
+    use statsym_core::pipeline::StatSym;
+    use testkit::corpus::CORPUS;
+    use testkit::oracles::{input_spec, mint_logs, statsym_config};
+
+    let entry = CORPUS
+        .iter()
+        .find(|e| e.name == name)
+        .expect("pinned corpus entry");
+    let program = entry.program();
+    let module = sir::lower(&program).expect("corpus entry lowers");
+    let logs = mint_logs(&module, &input_spec(&program), entry.seed, None);
+    let mut config = statsym_config();
+    config.engine.lineage = true;
+    config.engine.provenance = provenance;
+    let statsym = StatSym::new(config);
+    let analysis = statsym.analyze_traced(&logs, rec);
+    let _ = statsym.run_with_analysis_traced(&module, analysis, rec);
+}
+
+/// Records the pipeline runs on `entries`, in order, into one trace
+/// file under `dir`.
+fn pipeline_trace(dir: &Path, file: &str, entries: &[&str], provenance: bool) -> PathBuf {
+    use statsym_telemetry::{render_trace, Clock, MemRecorder};
+
+    let rec = MemRecorder::new(Clock::steps());
+    for name in entries {
+        pipeline_into(&rec, name, provenance);
+    }
+    temp_trace(dir, file, &render_trace(&rec.finish()))
 }
 
 /// Renders a `--lineage` trace from a pinned testkit corpus entry. The
@@ -283,58 +329,38 @@ fn report_shows_attempts_and_solver_callsites() {
 /// coverage golden below is stable without checking in an opaque JSONL
 /// fixture.
 fn lineage_trace(dir: &Path) -> PathBuf {
-    use statsym_core::pipeline::StatSym;
-    use statsym_telemetry::{render_trace, Clock, MemRecorder};
-    use testkit::corpus::CORPUS;
-    use testkit::oracles::{input_spec, mint_logs, statsym_config};
-
-    let entry = CORPUS
-        .iter()
-        .find(|e| e.name == "string_copy_overflow")
-        .expect("pinned corpus entry");
-    let program = entry.program();
-    let module = sir::lower(&program).expect("corpus entry lowers");
-    let logs = mint_logs(&module, &input_spec(&program), entry.seed, None);
-    let mut config = statsym_config();
-    config.engine.lineage = true;
-    let rec = MemRecorder::new(Clock::steps());
-    let statsym = StatSym::new(config);
-    let analysis = statsym.analyze_traced(&logs, &rec);
-    let _ = statsym.run_with_analysis_traced(&module, analysis, &rec);
-    temp_trace(dir, "lineage.jsonl", &render_trace(&rec.finish()))
+    pipeline_trace(dir, "lineage.jsonl", &["string_copy_overflow"], false)
 }
 
 #[test]
-fn coverage_matches_golden_on_pinned_testkit_seed() {
+fn report_coverage_section_matches_golden_on_pinned_testkit_seed() {
     let dir = std::env::temp_dir().join(format!("statsym-inspect-cov-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace = lineage_trace(&dir);
-    let out = inspect(&["coverage", trace.to_str().unwrap()]);
+    let out = inspect(&["report", trace.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let rendered = stdout(&out);
+    let report = stdout(&out);
+    let at = report
+        .find("\ncandidate-path node coverage")
+        .expect("a lineage trace's report has a coverage section");
+    let rendered = &report[at + 1..];
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/coverage.txt");
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden_path, &rendered).unwrap();
+        std::fs::write(&golden_path, rendered).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         return;
     }
     let golden = std::fs::read_to_string(&golden_path).expect("golden file exists");
     assert_eq!(
         rendered, golden,
-        "coverage drifted from tests/golden/coverage.txt; \
+        "the report's coverage section drifted from tests/golden/coverage.txt; \
          re-bless with BLESS=1 cargo test -p statsym-inspect --test cli"
     );
-
-    // The --min gate: trivially satisfied floor passes, impossible
-    // floor fails with exit 1 and a FAIL verdict in the output.
-    let out = inspect(&["coverage", trace.to_str().unwrap(), "--min", "1"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    assert!(stdout(&out).contains("gate: pass"), "{}", stdout(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn tree_and_watch_render_lineage_trace() {
+fn tree_renders_lineage_trace() {
     let dir = std::env::temp_dir().join(format!("statsym-inspect-lin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace = lineage_trace(&dir);
@@ -366,12 +392,6 @@ fn tree_and_watch_render_lineage_trace() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert_ne!(stdout(&out), text);
-
-    let out = inspect(&["watch", trace.to_str().unwrap(), "--once"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("StatSym watch"), "{text}");
-    assert!(text.contains("run complete"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -422,7 +442,7 @@ fn report_format_json_emits_one_stable_object() {
 }
 
 #[test]
-fn hotspots_explain_and_calib_render_fixture() {
+fn hotspots_and_calib_render_fixture() {
     let base = fixture("base.jsonl");
     let path = base.to_str().unwrap();
 
@@ -450,8 +470,8 @@ fn hotspots_explain_and_calib_render_fixture() {
         weight.parse::<u64>().expect("numeric weight");
     }
 
-    // explain: the winning rank-2 candidate, end to end.
-    let out = inspect(&["explain", path, "2"]);
+    // calib --rank: the winning rank-2 candidate, end to end.
+    let out = inspect(&["calib", path, "--rank", "2"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("candidate rank 2 of 2"), "{text}");
@@ -460,10 +480,13 @@ fn hotspots_explain_and_calib_render_fixture() {
         "{text}"
     );
     assert!(text.contains("where the attempt won"), "{text}");
-    // A rank the trace does not carry exits 1 (not a usage error).
-    let out = inspect(&["explain", path, "7"]);
+    // A rank the trace does not carry exits 1 (not a usage error); a
+    // JSON rank block is a usage error.
+    let out = inspect(&["calib", path, "--rank", "7"]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
     assert!(stderr(&out).contains("rank 7"), "{}", stderr(&out));
+    let out = inspect(&["calib", path, "--rank", "2", "--format", "json"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
 
     // calib: table + gates. The fixture anti-correlates (the winner was
     // ranked second and cheaper), so a -1000 floor passes and 0 fails.
@@ -520,11 +543,11 @@ fn malformed_provenance_events_are_rejected() {
 }
 
 #[test]
-fn watch_once_matches_report_on_truncated_traces() {
+fn trace_views_reject_truncated_traces_unless_allowed() {
     let dir = std::env::temp_dir().join(format!("statsym-inspect-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     // A mid-write trace: valid meta line, one calibration record (so
-    // `explain 1` has something to explain), then half an event line.
+    // `calib --rank 1` has something to show), then half an event line.
     let cut = temp_trace(
         &dir,
         "cut.jsonl",
@@ -534,16 +557,14 @@ fn watch_once_matches_report_on_truncated_traces() {
          \"found\":0}}\n{\"k\":\"event\",\"t\":0,\"na",
     );
     let path = cut.to_str().unwrap();
-    let views: [&[&str]; 9] = [
+    let views: [&[&str]; 7] = [
         &["report", path],
         &["report", path, "--format", "json"],
         &["tree", path],
         &["tree", path, "--format", "flame"],
-        &["coverage", path],
         &["hotspots", path],
-        &["explain", path, "1"],
         &["calib", path],
-        &["watch", path, "--once"],
+        &["calib", path, "--rank", "1"],
     ];
 
     // Strict by default: every view rejects the torn tail with exit 2.
@@ -587,5 +608,155 @@ fn deeply_nested_json_is_a_parse_error_not_a_crash() {
         assert_eq!(out.status.code(), Some(2), "args: {args:?}");
         assert!(stderr(&out).contains("nesting"), "{}", stderr(&out));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn command_set_is_pinned() {
+    // The commands USAGE names: lines of the form `  <cmd> <args…>`.
+    let usage = stderr(&inspect(&[]));
+    let commands: Vec<&str> = usage
+        .lines()
+        .filter_map(|line| {
+            let (cmd, args) = line.strip_prefix("  ")?.split_once(' ')?;
+            let named = !cmd.is_empty() && cmd.chars().all(|c| c.is_ascii_lowercase());
+            (named && args.starts_with('<')).then_some(cmd)
+        })
+        .collect();
+    assert_eq!(
+        commands,
+        ["report", "tree", "hotspots", "calib", "diff", "history", "trend"],
+        "{usage}"
+    );
+    // Each dispatches: without arguments it asks for its own.
+    for cmd in &commands {
+        let out = inspect(&[cmd]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(
+            stderr(&out).contains(&format!("expected: {cmd} ")),
+            "{cmd}: {}",
+            stderr(&out)
+        );
+    }
+    // The folded and deleted commands are gone, not aliased.
+    for args in [
+        &["explain", "t.jsonl", "1"][..],
+        &["coverage", "t.jsonl"][..],
+        &["watch", "t.jsonl", "--once"][..],
+        &["regress", "history", "symex.steps"][..],
+        &["history", "add", "history", "--repeat", "9"][..],
+    ] {
+        let out = inspect(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains("unknown command"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+/// `(loc, n, nodes)` rows of a `calib --rank` block's query locations.
+fn location_rows(block: &str) -> Vec<(String, u64, u64)> {
+    let rows = block
+        .split("query locations (by search nodes):\n")
+        .nth(1)
+        .expect("a provenance block lists query locations");
+    rows.lines()
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            let [loc, "n", n, "nodes", nodes] = f[..] else {
+                panic!("location row `{l}`");
+            };
+            (loc.to_string(), n.parse().unwrap(), nodes.parse().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn calib_rank_keeps_each_runs_queries_apart() {
+    let dir = std::env::temp_dir().join(format!("statsym-inspect-runs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    const ENTRIES: [&str; 2] = ["string_copy_overflow", "div_by_zero"];
+    let both = pipeline_trace(&dir, "both.jsonl", &ENTRIES, true);
+
+    let out = inspect(&["calib", both.to_str().unwrap(), "--rank", "1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let blocks: Vec<&str> = text.split("run ").skip(1).collect();
+    assert_eq!(blocks.len(), 2, "one block per run: {text}");
+    for (i, (block, entry)) in blocks.iter().zip(ENTRIES).enumerate() {
+        assert!(
+            block.starts_with(&format!("{} of 2: candidate rank 1 of ", i + 1)),
+            "{block}"
+        );
+        // The block's queries are exactly those of the same pipeline
+        // run recorded alone, so its last query is its own too.
+        let alone = pipeline_trace(&dir, &format!("{entry}.jsonl"), &[entry], true);
+        let out = inspect(&["calib", alone.to_str().unwrap(), "--rank", "1"]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let own = stdout(&out);
+        let body = block.split_once('\n').expect("block header").1;
+        let own_body = own.split_once('\n').expect("block header").1;
+        assert_eq!(body.trim_end(), own_body.trim_end(), "run {}", i + 1);
+        // Its query nodes sum to its own record's solver nodes.
+        let snodes: u64 = body
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("solver nodes"))
+            .expect("solver nodes row")
+            .trim()
+            .parse()
+            .unwrap();
+        let rows = location_rows(body);
+        assert!(!rows.is_empty(), "{body}");
+        assert_eq!(rows.iter().map(|r| r.2).sum::<u64>(), snodes, "{body}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trend_gate_and_first_bad_catch_an_injected_regression() {
+    use statsym_telemetry::manifest::{append_manifest, ManifestMeta, RunManifest};
+
+    let dir = std::env::temp_dir().join(format!("statsym-inspect-trend-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = lineage_trace(&dir);
+    let meta = ManifestMeta {
+        source: "pipeline".to_string(),
+        run: "string_copy_overflow".to_string(),
+        git: "0000000".to_string(),
+        seed: 0,
+        config: String::new(),
+    };
+    let good = RunManifest::from_trace(&std::fs::read_to_string(&trace).unwrap(), &meta)
+        .expect("a pipeline trace folds");
+    let archive = dir.join("history");
+    let archive = archive.to_str().unwrap();
+    // Ten identical runs: the strictest baseline.
+    for _ in 0..10 {
+        append_manifest(archive, &good).unwrap();
+    }
+    let out = inspect(&["trend", archive, "--gate"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+
+    let mut bad = good.clone();
+    let steps = bad
+        .counters
+        .get_mut("symex.steps")
+        .expect("the trace counts symex steps");
+    *steps *= 5; // +400%
+    append_manifest(archive, &bad).unwrap();
+    let out = inspect(&["trend", archive, "--gate"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stdout(&out).contains("REGRESSION"), "{}", stdout(&out));
+
+    let out = inspect(&["trend", archive, "--first-bad", "symex.steps"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("first bad run: #11"),
+        "{}",
+        stdout(&out)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

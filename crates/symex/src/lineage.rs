@@ -5,15 +5,15 @@
 //! trace events: `root` and `fork` introduce tree nodes, `suspend.*` /
 //! `resume` mark guidance decisions, and `exit` / `fault` /
 //! `unconfirmed` / `kill` are terminal dispositions. `statsym-inspect
-//! tree|coverage|flame|watch` reconstruct the exploration tree from
-//! this stream.
+//! tree` reconstructs the exploration tree from this stream, and
+//! `report` its candidate-path coverage.
 //!
 //! Two invariants the emitters uphold (and the strict trace parser
 //! checks):
 //!
 //! * a node is introduced (`root`/`fork`) before any transition names
-//!   it, so a prefix of the stream is always a valid forest — live
-//!   `watch` can re-parse a growing file at any cut point;
+//!   it, so a prefix of the stream is always a valid forest — a
+//!   crash-cut file reads at any cut point;
 //! * trace-level state ids are allocated *at emission* through
 //!   [`Recorder::alloc_state_id`], never taken from the engine's
 //!   internal ids. Engine ids are assigned eagerly at fork sites and

@@ -281,7 +281,7 @@ pub mod lineage_op {
 
 /// The cache-disposition and verdict vocabulary of
 /// [`TraceEvent::Query`], kept in one place so the solver emitter, the
-/// strict parser, and `statsym-inspect explain` cannot drift.
+/// strict parser, and `statsym-inspect calib --rank` cannot drift.
 pub mod query_disposition {
     /// Trivially satisfiable: the constraint set was empty.
     pub const EMPTY: &str = "empty";

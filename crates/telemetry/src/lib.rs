@@ -39,8 +39,8 @@ pub use recorder::{
     NOOP, TRACE_VERSION,
 };
 pub use report::{
-    render_calib_table, spearman_milli, CalibCandidate, HistStat, SpanStat, TraceSummary,
-    REPORT_KIND, REPORT_SCHEMA_VERSION,
+    render_calib_table, spearman_milli, split_runs, CalibCandidate, HistStat, SpanStat,
+    TraceSummary, REPORT_KIND, REPORT_SCHEMA_VERSION,
 };
 
 /// Well-known span and metric names used across the workspace, kept in

@@ -1,7 +1,7 @@
 //! Run manifests: one compact, versioned record per pipeline/bench/
 //! testkit run, appended to a content-addressed JSONL archive
 //! (`results/history/history.jsonl` by convention) so cross-run
-//! analytics (`statsym-inspect history|trend|regress`) can reason about
+//! analytics (`statsym-inspect history|trend`) can reason about
 //! drift instead of single-baseline diffs.
 //!
 //! A manifest folds the run's final metrics — counters, gauges, the

@@ -119,8 +119,9 @@ pub trait Recorder {
     }
 
     /// Emits a state-lineage event. [`FileRecorder`] additionally
-    /// flushes its writer so a growing trace is tailable mid-run
-    /// (`statsym-inspect watch`). Default no-op.
+    /// flushes its writer, which bounds what a crash-cut `--lineage`
+    /// trace loses to the events since its last lineage event. Default
+    /// no-op.
     fn state(&self, ev: &LineageEvent<'_>) {
         let _ = ev;
     }
@@ -392,8 +393,10 @@ impl Recorder for MemRecorder {
 ///
 /// Writes are best-effort while the run is in flight; the first I/O
 /// error is latched and surfaced by [`FileRecorder::finish`]. The
-/// writer is flushed after the meta line and after every lineage event,
-/// so a growing trace is tailable mid-run (`statsym-inspect watch`).
+/// writer is flushed after the meta line and after every lineage event:
+/// the partial trace a crash bundle copies always opens with the meta
+/// line, and a crash-cut `--lineage` trace loses at most the events
+/// since its last lineage event.
 pub struct FileRecorder {
     core: SinkCore,
     out: RefCell<BufWriter<Box<dyn Write>>>,
@@ -522,15 +525,14 @@ impl Recorder for FileRecorder {
 
     fn state(&self, ev: &LineageEvent<'_>) {
         self.write(&self.core.state_event(ev));
-        // Keep tailing consumers current: `statsym-inspect watch` sees a
-        // growing trace mid-run.
+        // Bound what a crash-cut trace loses to the events since the
+        // last lineage event.
         self.flush();
     }
 
     fn query(&self, ev: &QueryEvent<'_>) {
         // No flush: queries are far too frequent for per-event flushing;
-        // a tailing consumer catches up at the next lineage event or at
-        // finish().
+        // they reach the file with the next lineage event or finish().
         self.write(&self.core.query_event(ev));
     }
 
@@ -703,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn file_recorder_flushes_meta_and_lineage_for_tailing_readers() {
+    fn file_recorder_flushes_meta_and_lineage_events() {
         let buf = SharedBuf::new();
         let rec = FileRecorder::from_writer(Box::new(buf.clone()), Clock::steps());
         let meta = "{\"k\":\"meta\",\"clock\":\"steps\",\"version\":1}\n";

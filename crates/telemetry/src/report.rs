@@ -101,7 +101,7 @@ impl HistStat {
 /// candidate next to what the attempt actually cost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CalibCandidate {
-    /// Candidate rank (0 = ranked first).
+    /// Candidate rank (1 = ranked first).
     pub rank: u64,
     /// Statistical score in milli-units (`score * 1000`, truncated).
     pub score_milli: i64,
@@ -160,10 +160,30 @@ impl CalibCandidate {
     }
 }
 
+/// Splits rank-ordered attempt records into pipeline runs. Ranks are
+/// 1-based and strictly increase within one run (candidates are
+/// attempted in rank order), so a record whose rank does not exceed its
+/// predecessor's starts a new run. A single-run trace yields one run.
+/// The run report's calibration section and every `statsym-inspect`
+/// attempt view split runs with it.
+///
+/// ```
+/// use statsym_telemetry::split_runs;
+/// let ranks = [1u64, 2, 1, 1, 2, 3];
+/// let runs: Vec<Vec<u64>> = split_runs(&ranks, |r| *r).map(<[u64]>::to_vec).collect();
+/// assert_eq!(runs, [vec![1, 2], vec![1], vec![1, 2, 3]]);
+/// ```
+pub fn split_runs<T>(records: &[T], rank: impl Fn(&T) -> u64) -> impl Iterator<Item = &[T]> {
+    records.chunk_by(move |a, b| rank(a) < rank(b))
+}
+
 /// Renders calibration records as the predicted-vs-actual table: a
 /// header row, then one fixed-width row per record. The run report and
-/// `statsym-inspect calib` both print it.
-pub fn render_calib_table(out: &mut String, candidates: &[CalibCandidate]) {
+/// `statsym-inspect calib` both print it, one table per run.
+pub fn render_calib_table<'a>(
+    out: &mut String,
+    candidates: impl IntoIterator<Item = &'a CalibCandidate>,
+) {
     out.push_str(&format!(
         "  {:>4}  {:>11}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>5}\n",
         "rank", "score_milli", "path_len", "steps", "forks", "snodes", "solver_us", "found"
@@ -493,7 +513,13 @@ impl TraceSummary {
 
         if !self.calib.is_empty() {
             out.push_str("\ncalibration (predicted vs actual):\n");
-            render_calib_table(&mut out, &self.calib);
+            let runs: Vec<&[CalibCandidate]> = split_runs(&self.calib, |c| c.rank).collect();
+            for (i, run) in runs.iter().enumerate() {
+                if runs.len() > 1 {
+                    out.push_str(&format!("run {}:\n", i + 1));
+                }
+                render_calib_table(&mut out, *run);
+            }
         }
         out
     }
@@ -831,6 +857,23 @@ mod tests {
         assert!(text.contains("solver queries (site / verdict / cache):"));
         assert!(text.contains("feasibility / sat / search"));
         assert!(text.contains("calibration (predicted vs actual):"));
+    }
+
+    #[test]
+    fn calibration_section_renders_one_table_per_run() {
+        let record = |rank: u64| TraceEvent::Event {
+            t: 1,
+            name: "calib.candidate".into(),
+            fields: vec![("rank".into(), FieldValue::Uint(rank))],
+        };
+        let text = TraceSummary::from_events(&[record(1), record(2), record(1)]).render();
+        let section = &text[text.find("calibration (").expect("calibration section")..];
+        assert!(section.contains("\nrun 1:\n  rank"), "{section}");
+        assert!(section.contains("\nrun 2:\n  rank"), "{section}");
+        assert_eq!(section.matches("score_milli").count(), 2, "{section}");
+        // One run: one table, no run headers.
+        let text = TraceSummary::from_events(&[record(1), record(2)]).render();
+        assert!(!text.contains("run 1:"), "{text}");
     }
 
     #[test]
