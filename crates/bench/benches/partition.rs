@@ -13,6 +13,9 @@
 //!
 //! - `push`: clone the parent's carried `Partition` and push the child's
 //!   conjunct (what `PathCond::push_hard` costs a child);
+//! - `fork`: what one branch costs the partition: clone it twice, push
+//!   the conjunct on one child and its negation on the other, then drop
+//!   one child (the executor drops the parent and an infeasible side);
 //! - `repartition`: partition the child's flattened query from scratch
 //!   with `Partition::of` (what the slice entry points cost);
 //! - `check_sat`: `push`, then a model-free `check_sat_at` against a
@@ -85,6 +88,17 @@ fn bench_partition(c: &mut Criterion) {
                     let mut p = parent.clone();
                     p.push(&ctx, Segment::Hard, child);
                     black_box(p.fingerprint());
+                }
+            })
+        });
+        group.bench_function(format!("fork/{name}/x{CHILDREN}"), |b| {
+            b.iter(|| {
+                for &atom in &children {
+                    let (mut taken, mut other) = (parent.clone(), parent.clone());
+                    taken.push(&ctx, Segment::Hard, atom);
+                    other.push(&ctx, Segment::Hard, atom.negate());
+                    drop(other);
+                    black_box(taken.fingerprint());
                 }
             })
         });

@@ -229,7 +229,7 @@ mod tests {
     use crate::candidate::PathNode;
     use concrete::{Location, VarId};
     use solver::{SatResult, Solver};
-    use std::sync::Arc;
+    use std::rc::Rc;
     use symex::SymStr;
 
     fn pred(name: &str, role: VarRole, measure: Measure, op: PredOp, sigma: f64) -> Predicate {
@@ -391,7 +391,7 @@ mod tests {
             .map(|i| ctx.new_var(format!("s[{i}]"), 0, 255))
             .collect();
         let s = SymStr {
-            bytes: Arc::new(bytes.clone()),
+            bytes: Rc::new(bytes.clone()),
         };
         let args = [SymValue::Str(s)];
         let params = [("s".to_string(), minic::Type::Str)];

@@ -14,7 +14,7 @@
 //!   (the clock-independent work proxy).
 //! * **attempts** — one row per candidate attempt, the longest
 //!   attempt's share of the summed attempt time, and the steps spent
-//!   outside the winning attempt.
+//!   outside the winning attempt, per pipeline run.
 //! * **candidate-path node coverage** — `--lineage` traces only; see
 //!   [`coverage`].
 
@@ -104,21 +104,52 @@ fn callsites(s: &TraceSummary, out: &mut String) {
     ));
 }
 
-/// Appends the attempt timeline with the longest attempt and wasted
-/// work; nothing when the trace has no candidate attempts.
+/// Appends the attempt timeline with the longest attempt and each
+/// run's wasted work; nothing when the trace has no candidate attempts.
+/// A trace of several pipeline runs (one per app of a table binary)
+/// keys every line by its run.
 fn attempts_section(view: &RunView, out: &mut String) {
-    let attempts = &view.attempts;
-    let Some(longest) = attempts.iter().max_by_key(|a| a.ticks) else {
+    let runs: Vec<_> = view.runs().collect();
+    let all = || {
+        runs.iter()
+            .enumerate()
+            .flat_map(|(i, run)| run.iter().map(move |a| (i, a)))
+    };
+    let Some((longest_run, longest)) = all().max_by_key(|(_, a)| a.ticks) else {
         return;
     };
-    out.push_str(&format!("\nattempts: {} attempt(s)\n", attempts.len()));
+    let multi = runs.len() > 1;
+    let run = |i: usize| {
+        if multi {
+            format!("run {} ", i + 1)
+        } else {
+            String::new()
+        }
+    };
+    out.push_str(&format!("\nattempts: {} attempt(s)", view.attempts.len()));
+    if multi {
+        out.push_str(&format!(" in {} runs", runs.len()));
+    }
+    out.push('\n');
+    let run_column = |label: String| {
+        if multi {
+            format!("{label:<6}")
+        } else {
+            String::new()
+        }
+    };
     out.push_str(&format!(
-        "  {:<6} {:>10} {:>12} {:>7}\n",
-        "rank", "steps", "ticks", "found"
+        "  {}{:<6} {:>10} {:>12} {:>7}\n",
+        run_column("run".to_string()),
+        "rank",
+        "steps",
+        "ticks",
+        "found"
     ));
-    for a in attempts {
+    for (i, a) in all() {
         out.push_str(&format!(
-            "  {:<6} {:>10} {:>12} {:>7}\n",
+            "  {}{:<6} {:>10} {:>12} {:>7}\n",
+            run_column((i + 1).to_string()),
             a.rank,
             a.steps,
             a.ticks,
@@ -126,19 +157,23 @@ fn attempts_section(view: &RunView, out: &mut String) {
         ));
     }
 
-    let total_ticks: u64 = attempts.iter().map(|a| a.ticks).sum();
-    let total_steps: u64 = attempts.iter().map(|a| a.steps).sum();
-    let useful_steps: u64 = attempts.iter().filter(|a| a.found).map(|a| a.steps).sum();
+    let total_ticks: u64 = view.attempts.iter().map(|a| a.ticks).sum();
     out.push_str(&format!(
-        "  longest attempt: rank {} ({} ticks, {:.1}% of summed attempt time)\n",
+        "  longest attempt: {}rank {} ({} ticks, {:.1}% of summed attempt time)\n",
+        run(longest_run),
         longest.rank,
         longest.ticks,
         percent(longest.ticks, total_ticks),
     ));
-    out.push_str(&format!(
-        "  wasted work: {:.1}% of {total_steps} steps (everything but the winning attempt)\n",
-        percent(total_steps - useful_steps, total_steps)
-    ));
+    for (i, attempts) in runs.iter().enumerate() {
+        let total_steps: u64 = attempts.iter().map(|a| a.steps).sum();
+        let useful_steps: u64 = attempts.iter().filter(|a| a.found).map(|a| a.steps).sum();
+        out.push_str(&format!(
+            "  wasted work: {}{:.1}% of {total_steps} steps (everything but the winning attempt)\n",
+            run(i),
+            percent(total_steps - useful_steps, total_steps)
+        ));
+    }
 }
 
 /// `part` as a percentage of `whole`; 0 when `whole` is 0.
@@ -253,5 +288,32 @@ mod tests {
         );
         // 100 + 60 + 40 = 200 steps total; the winner used 40.
         assert!(text.contains("wasted work: 80.0% of 200 steps"), "{text}");
+    }
+
+    #[test]
+    fn attempts_are_keyed_by_run() {
+        // Two pipeline runs, as a table binary's trace holds one per app.
+        let rec = MemRecorder::new(Clock::steps());
+        for (i, steps, found) in [(0u64, 100u64, false), (1, 40, true)] {
+            record_attempt(&rec, i, steps, found);
+        }
+        for (i, steps, found) in [(0u64, 30u64, false), (1, 150, false), (2, 20, true)] {
+            record_attempt(&rec, i, steps, found);
+        }
+        let text = render(rec.finish());
+        let section = &text[text.find("\nattempts:").expect("an attempts section")..];
+        assert_eq!(
+            section,
+            "\nattempts: 5 attempt(s) in 2 runs\n  \
+             run   rank        steps        ticks   found\n  \
+             1     1             100          100      no\n  \
+             1     2              40           40     yes\n  \
+             2     1              30           30      no\n  \
+             2     2             150          150      no\n  \
+             2     3              20           20     yes\n  \
+             longest attempt: run 2 rank 2 (150 ticks, 44.1% of summed attempt time)\n  \
+             wasted work: run 1 71.4% of 140 steps (everything but the winning attempt)\n  \
+             wasted work: run 2 90.0% of 200 steps (everything but the winning attempt)\n"
+        );
     }
 }

@@ -39,10 +39,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// SipHash. Nothing iterates these maps, so their order never leaks.
 pub type U64Map<V> = HashMap<u64, V, BuildHasherDefault<MulShift>>;
 
-/// Folded multiply-shift hash of one `u64`. SipHash costs more than a
-/// memo lookup's other work. It gives no protection against crafted
-/// collisions: colliding keys slow a map down but cannot change what it
-/// holds.
+/// Folded multiply-shift hash, one 128-bit product per integer written
+/// (the term interner hashes a `Term` as its tag and operands). SipHash
+/// costs more than a memo lookup's other work. It gives no protection
+/// against crafted collisions: colliding keys slow a map down but
+/// cannot change what it holds.
 #[derive(Default)]
 pub struct MulShift(u64);
 
@@ -51,6 +52,16 @@ impl Hasher for MulShift {
         for &b in bytes {
             self.write_u64(u64::from(b));
         }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
     }
 
     #[inline]

@@ -9,11 +9,14 @@
 //!
 //! The symbolic executor's path conditions grow one conjunct at a time
 //! and fork at every branch, so the partition is built by [`Partition::push`]
-//! rather than recomputed per query: a push touches only the components
-//! the new conjunct shares variables with. Components are shared between
-//! forked copies behind `Arc`s and copied on write. Each component keeps
-//! the running fingerprint fold of its conjuncts, and the partition keeps
-//! the fold of the whole query, so fingerprints cost O(1).
+//! rather than recomputed per query. It is persistent: a clone copies
+//! three pointers, and forked copies share every node. A component is a
+//! chain of nodes, one per conjunct, newest first; a push allocates one
+//! component node, for the component its conjunct joins. The conjuncts
+//! of a component are gathered in query order only when the solver
+//! searches it. Each node keeps the running fingerprint fold of its
+//! component, and the partition keeps the fold of the whole query, so
+//! fingerprints cost O(1).
 //!
 //! **Ordering.** A query is the flattened sequence of its hard, soft and
 //! extra conjuncts, in that order, each segment in push order. Every
@@ -23,9 +26,23 @@
 //! from-scratch partition of the flattened query produces. A hard push
 //! after soft pushes therefore sorts before them. The order fixes the
 //! search's propagation order and so its work counters.
+//!
+//! **Lists.** The partition keeps one list per segment, holding the
+//! components whose first conjunct lies in that segment, latest first
+//! position first. A new component starts at the newest position of its
+//! segment, so it goes on the head of its list, and a grown component
+//! keeps its place. A push points the list node of the component it
+//! grows at the new component node, and takes merged components out of
+//! their lists. A list node it changes, or that lies above a change, is
+//! copied if another partition shares it and edited in place if not, so
+//! a push costs the depth of what it touches in list nodes, and a run
+//! of pushes on one partition copies each node once. The executor's
+//! pushes mostly grow the newest component, at the head of its list.
+//! List nodes are kept apart from component nodes so that a copy is
+//! small.
 
 use crate::term::{Constraint, Fold, TermCtx, VarId};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Which part of a query a conjunct belongs to. The flattened query is
 /// every hard conjunct, then every soft one, then every extra one.
@@ -40,30 +57,134 @@ pub enum Segment {
 }
 
 /// A conjunct's position in the flattened query: the segment in the
-/// high 32 bits, the push index within the segment in the low 32.
-type Pos = u64;
+/// high two bits, the push index within the segment below them.
+type Pos = u32;
 
-/// One variable-disjoint component of a [`Partition`].
+/// Bits of a [`Pos`] that hold the push index.
+const INDEX_BITS: u32 = 30;
+
+/// The bit standing for `v` in a variable mask.
+fn bit(v: VarId) -> u64 {
+    1 << (v.0 % 64)
+}
+
+/// The variables of one component, sorted. A component over a single
+/// variable (the common case) holds it inline.
 #[derive(Debug, Clone)]
+enum Vars {
+    /// No variables: constant conjuncts only.
+    None,
+    One(VarId),
+    Many(Rc<Vec<VarId>>),
+}
+
+impl Vars {
+    fn as_slice(&self) -> &[VarId] {
+        match self {
+            Vars::None => &[],
+            Vars::One(v) => std::slice::from_ref(v),
+            Vars::Many(vs) => vs,
+        }
+    }
+
+    fn contains(&self, v: VarId) -> bool {
+        match self {
+            Vars::None => false,
+            Vars::One(x) => *x == v,
+            Vars::Many(vs) => vs.binary_search(&v).is_ok(),
+        }
+    }
+
+    /// [`bit`] of every variable.
+    fn mask(&self) -> u64 {
+        self.as_slice().iter().fold(0, |m, &v| m | bit(v))
+    }
+
+    /// `self` joined with the sorted sets `more`; shares `self` when
+    /// nothing is new.
+    fn union(&self, more: &[&[VarId]]) -> Vars {
+        let mut new = more
+            .iter()
+            .filter(|vs| !vs.iter().all(|&v| self.contains(v)));
+        let mut all = match (self, new.next(), new.next()) {
+            (_, None, _) => return self.clone(),
+            (Vars::None, Some(&[v]), None) => return Vars::One(*v),
+            _ => self.as_slice().to_vec(),
+        };
+        for vs in more {
+            all.extend_from_slice(vs);
+        }
+        all.sort_unstable();
+        all.dedup();
+        match all[..] {
+            [v] => Vars::One(v),
+            _ => Vars::Many(Rc::new(all)),
+        }
+    }
+}
+
+/// What a component node extends.
+#[derive(Debug)]
+enum Older {
+    /// Nothing: the conjunct started the component.
+    None,
+    /// The component before this conjunct joined it.
+    One(Rc<Component>),
+    /// The components this conjunct merged.
+    Many(Rc<Vec<Rc<Component>>>),
+}
+
+/// One variable-disjoint component of a [`Partition`], as of its newest
+/// conjunct.
+#[derive(Debug)]
 pub struct Component {
-    /// Conjuncts in position order.
-    conjuncts: Vec<Constraint>,
-    /// Position of each conjunct, parallel to `conjuncts` (ascending).
-    positions: Vec<Pos>,
-    /// Every variable the conjuncts read, sorted and deduplicated.
-    vars: Vec<VarId>,
+    /// The newest conjunct.
+    c: Constraint,
+    pos: Pos,
+    /// The rest of the component's conjuncts.
+    older: Older,
+    vars: Vars,
     fold: Fold,
 }
 
+/// One node of a segment's component list.
+#[derive(Debug, Clone)]
+struct Node {
+    comp: Rc<Component>,
+    /// The next component of the same list (earlier first position).
+    next: Option<Rc<Node>>,
+    /// [`bit`] of every variable of this component and of every one
+    /// below it in the list, or more: taking a component out of a list
+    /// leaves its bits set above it.
+    list_mask: u64,
+}
+
 impl Component {
-    /// The conjuncts, in query order.
-    pub fn conjuncts(&self) -> &[Constraint] {
-        &self.conjuncts
+    /// The conjuncts, in query order. Gathered from the component's
+    /// nodes on each call.
+    pub fn conjuncts(&self) -> Vec<Constraint> {
+        let mut all = Vec::new();
+        self.gather(&mut all);
+        all.sort_unstable_by_key(|&(p, _)| p);
+        all.into_iter().map(|(_, c)| c).collect()
+    }
+
+    /// Appends every conjunct of the component with its position.
+    fn gather(&self, out: &mut Vec<(Pos, Constraint)>) {
+        let mut stack = vec![self];
+        while let Some(k) = stack.pop() {
+            out.push((k.pos, k.c));
+            match &k.older {
+                Older::None => {}
+                Older::One(o) => stack.push(o),
+                Older::Many(parts) => stack.extend(parts.iter().map(|p| &**p)),
+            }
+        }
     }
 
     /// The variables the conjuncts read, sorted.
     pub(crate) fn vars(&self) -> &[VarId] {
-        &self.vars
+        self.vars.as_slice()
     }
 
     /// The component's query fingerprint: equal to
@@ -71,36 +192,49 @@ impl Component {
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fold.fingerprint()
     }
+}
 
-    fn first(&self) -> Pos {
-        self.positions[0]
-    }
+/// A component the new conjunct shares a variable with: its list and
+/// its depth there.
+struct Hit {
+    list: usize,
+    depth: usize,
+    comp: Rc<Component>,
+}
 
-    fn touches(&self, vars: &[VarId]) -> bool {
-        vars.iter().any(|v| self.vars.binary_search(v).is_ok())
-    }
+/// The components one push touches, in list order. A push usually
+/// touches at most one, which is kept inline.
+#[derive(Default)]
+struct Hits {
+    one: Option<Hit>,
+    more: Vec<Hit>,
+}
 
-    /// Adds one conjunct that shares a variable with this component.
-    fn insert(&mut self, pos: Pos, c: Constraint, h: u64, vars: &[VarId]) {
-        let at = self.positions.partition_point(|&p| p < pos);
-        self.positions.insert(at, pos);
-        self.conjuncts.insert(at, c);
-        for &v in vars {
-            if let Err(at) = self.vars.binary_search(&v) {
-                self.vars.insert(at, v);
-            }
+impl Hits {
+    fn add(&mut self, hit: Hit) {
+        match self.one {
+            None => self.one = Some(hit),
+            Some(_) => self.more.push(hit),
         }
-        self.fold.add(h);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Hit> {
+        self.one.iter().chain(&self.more)
+    }
+
+    fn in_list(&self, list: usize) -> impl Iterator<Item = &Hit> {
+        self.iter().filter(move |hit| hit.list == list)
     }
 }
 
 /// The independence partition of a conjunction, extended one conjunct
-/// at a time. Cloning is O(1); the first push after a clone copies the
-/// component list (not the components).
+/// at a time. Cloning copies three pointers; see the module docs for
+/// what a push costs.
 #[derive(Debug, Clone, Default)]
 pub struct Partition {
-    /// Components ordered by first position.
-    comps: Arc<Vec<Arc<Component>>>,
+    /// Components by the segment of their first conjunct, latest first
+    /// position first.
+    lists: [Option<Rc<Node>>; 3],
     /// Fold of every conjunct: the whole query's fingerprint.
     fold: Fold,
     /// Next push index per segment.
@@ -138,8 +272,18 @@ impl Partition {
     }
 
     /// The components, ordered by the position of their first conjunct.
-    pub fn components(&self) -> &[Arc<Component>] {
-        &self.comps
+    pub fn components(&self) -> Vec<&Component> {
+        let mut out = Vec::new();
+        for list in &self.lists {
+            let from = out.len();
+            let mut cur = list.as_deref();
+            while let Some(node) = cur {
+                out.push(&*node.comp);
+                cur = node.next.as_deref();
+            }
+            out[from..].reverse();
+        }
+        out
     }
 
     /// The whole query's fingerprint: equal to
@@ -151,63 +295,128 @@ impl Partition {
     /// Every conjunct in query order (hard, soft, extra; each segment in
     /// push order).
     pub fn conjuncts(&self) -> Vec<Constraint> {
-        let mut all: Vec<(Pos, Constraint)> = self
-            .comps
-            .iter()
-            .flat_map(|k| k.positions.iter().copied().zip(k.conjuncts.iter().copied()))
-            .collect();
+        let mut all = Vec::with_capacity(self.len());
+        for k in self.components() {
+            k.gather(&mut all);
+        }
         all.sort_unstable_by_key(|&(p, _)| p);
         all.into_iter().map(|(_, c)| c).collect()
     }
 
     /// Appends `c` to segment `seg`, merging every component it shares a
     /// variable with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg` already holds 2^30 conjuncts.
     pub fn push(&mut self, ctx: &TermCtx, seg: Segment, c: Constraint) {
-        let pos = ((seg as u64) << 32) | u64::from(self.next[seg as usize]);
+        let index = self.next[seg as usize];
+        assert!(index < 1 << INDEX_BITS, "too many conjuncts in one segment");
+        let pos = (seg as u32) << INDEX_BITS | index;
         self.next[seg as usize] += 1;
         let h = ctx.constraint_hash(&c);
         self.fold.add(h);
-        let vars = conjunct_vars(ctx, &c);
-        let comps = Arc::make_mut(&mut self.comps);
-        let hits: Vec<usize> = (0..comps.len())
-            .filter(|&i| comps[i].touches(&vars))
-            .collect();
-        let joined = match hits[..] {
-            [i] => {
-                let mut comp = comps.remove(i);
-                Arc::make_mut(&mut comp).insert(pos, c, h, &vars);
-                comp
-            }
-            // A new component, or a merge of every component `c` bridges.
-            _ => {
-                let mut fold = Fold::default();
-                fold.add(h);
-                let mut merged = vec![(pos, c)];
-                let mut all_vars = vars;
-                for &i in hits.iter().rev() {
-                    let part = comps.remove(i);
-                    merged.extend(
-                        part.positions
-                            .iter()
-                            .copied()
-                            .zip(part.conjuncts.iter().copied()),
-                    );
-                    all_vars.extend_from_slice(&part.vars);
-                    fold.merge(part.fold);
+        let cvars = [ctx.vars_of(c.lhs), ctx.vars_of(c.rhs)];
+        let cmask = cvars
+            .iter()
+            .flat_map(|vs| vs.iter())
+            .fold(0, |m, &v| m | bit(v));
+
+        // The components `c` touches. The list masks stop each walk
+        // below the last component that can share a variable with `c`.
+        let mut hits = Hits::default();
+        for (list, head) in self.lists.iter().enumerate() {
+            let (mut cur, mut depth) = (head, 0);
+            while let Some(node) = cur.as_ref().filter(|n| n.list_mask & cmask != 0) {
+                let comp = &node.comp;
+                if cvars
+                    .iter()
+                    .flat_map(|vs| vs.iter())
+                    .any(|&v| comp.vars.contains(v))
+                {
+                    let comp = Rc::clone(comp);
+                    hits.add(Hit { list, depth, comp });
                 }
-                merged.sort_unstable_by_key(|&(p, _)| p);
-                all_vars.sort_unstable();
-                all_vars.dedup();
-                Arc::new(Component {
-                    positions: merged.iter().map(|&(p, _)| p).collect(),
-                    conjuncts: merged.into_iter().map(|(_, c)| c).collect(),
-                    vars: all_vars,
-                    fold,
-                })
+                cur = &node.next;
+                depth += 1;
+            }
+        }
+
+        let mut fold = Fold::default();
+        fold.add(h);
+        let (older, vars) = match &hits {
+            Hits { one: None, .. } => (Older::None, Vars::None.union(&cvars)),
+            Hits {
+                one: Some(hit),
+                more,
+            } if more.is_empty() => {
+                fold.merge(hit.comp.fold);
+                (
+                    Older::One(Rc::clone(&hit.comp)),
+                    hit.comp.vars.union(&cvars),
+                )
+            }
+            _ => {
+                let mut vars = cvars.to_vec();
+                for k in hits.iter().map(|hit| &hit.comp) {
+                    fold.merge(k.fold);
+                    vars.push(k.vars());
+                }
+                let parts = hits.iter().map(|hit| Rc::clone(&hit.comp)).collect();
+                (Older::Many(Rc::new(parts)), Vars::None.union(&vars))
             }
         };
-        let at = comps.partition_point(|k| k.first() < joined.first());
-        comps.insert(at, joined);
+        let joined = Component {
+            c,
+            pos,
+            older,
+            vars,
+            fold,
+        };
+
+        // The joined component starts where its earliest hit did: the
+        // deepest hit of the first list with hits, if that list is not
+        // past `seg`'s. It takes that hit's place; otherwise `c` starts
+        // it and it goes on the head of `seg`'s list.
+        let keep = (0..=seg as usize)
+            .find_map(|list| hits.in_list(list).last().map(|hit| (list, hit.depth)));
+        let mask = joined.vars.mask();
+        let mut joined = Some(joined);
+        for list in 0..self.lists.len() {
+            let mut left = hits.in_list(list).count();
+            let (mut slot, mut depth) = (&mut self.lists[list], 0);
+            while left > 0 {
+                if hits.in_list(list).any(|hit| hit.depth == depth) {
+                    left -= 1;
+                    if keep == Some((list, depth)) {
+                        let node = Rc::make_mut(slot.as_mut().expect("a hit lies here"));
+                        node.comp = Rc::new(joined.take().expect("placed once"));
+                        node.list_mask |= mask;
+                        slot = &mut node.next;
+                    } else {
+                        *slot = slot.as_ref().and_then(|node| node.next.clone());
+                    }
+                } else {
+                    let node = Rc::make_mut(slot.as_mut().expect("a hit lies this deep"));
+                    if keep.is_some_and(|(l, d)| l == list && depth < d) {
+                        node.list_mask |= mask;
+                    }
+                    slot = &mut node.next;
+                }
+                depth += 1;
+            }
+        }
+        if let Some(joined) = joined {
+            let head = &mut self.lists[seg as usize];
+            let next = head.take();
+            let list_mask = mask | next.as_ref().map_or(0, |n| n.list_mask);
+            let comp = Rc::new(joined);
+            *head = Some(Rc::new(Node {
+                comp,
+                next,
+                list_mask,
+            }));
+        }
     }
 
     /// A copy with `c` appended to segment `seg`.
@@ -217,17 +426,6 @@ impl Partition {
         p.push(ctx, seg, c);
         p
     }
-}
-
-/// The sorted variable set of one conjunct.
-fn conjunct_vars(ctx: &TermCtx, c: &Constraint) -> Vec<VarId> {
-    let (l, r) = (ctx.vars_of(c.lhs), ctx.vars_of(c.rhs));
-    let mut vars = Vec::with_capacity(l.len() + r.len());
-    vars.extend_from_slice(&l);
-    vars.extend_from_slice(&r);
-    vars.sort_unstable();
-    vars.dedup();
-    vars
 }
 
 #[cfg(test)]
@@ -430,8 +628,105 @@ mod tests {
         let mut p = Partition::of(&ctx, &[cx, cy, cz]);
         assert_eq!(p.components().len(), 3);
         p.push(&ctx, Segment::Soft, bridge);
-        let layout: Vec<&[Constraint]> = p.components().iter().map(|k| k.conjuncts()).collect();
-        assert_eq!(layout, vec![&[cx, cz, bridge][..], &[cy][..]]);
+        let layout: Vec<Vec<Constraint>> = p.components().iter().map(|k| k.conjuncts()).collect();
+        assert_eq!(layout, vec![vec![cx, cz, bridge], vec![cy]]);
         assert_matches_oracle(&ctx, &p, &[cx, cy, cz, bridge]);
+    }
+
+    /// Forks, pushes on either sibling and sibling drops, interleaved.
+    /// Each op is `(kind, which state, atom)`.
+    fn sibling_ops() -> impl Strategy<Value = Vec<(u8, u8, (u8, u8, i64))>> {
+        collection::vec((0u8..6, any::<u8>(), (0u8..8, 0u8..4, 0i64..16)), 1..60)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn dropped_siblings_leave_survivors_intact(ops in sibling_ops()) {
+            let mut ctx = TermCtx::new();
+            let vars: Vec<TermId> = (0..4).map(|i| ctx.new_var(format!("b{i}"), 0, 255)).collect();
+            let mut states = vec![Sim {
+                hard: Partition::new(),
+                all: Partition::new(),
+                hard_list: Vec::new(),
+                soft_list: Vec::new(),
+            }];
+            for (op, which, spec) in ops {
+                let c = atom(&mut ctx, &vars, spec);
+                let i = which as usize % states.len();
+                match op {
+                    // Fork: both siblings go on, each taking pushes below.
+                    0 | 1 => {
+                        let child = states[i].clone();
+                        states.push(child);
+                    }
+                    // Drop a sibling (never the last state).
+                    2 if states.len() > 1 => {
+                        states.swap_remove(i);
+                    }
+                    // Hard push, as the executor's branch decisions.
+                    2..=4 => {
+                        let s = &mut states[i];
+                        s.hard.push(&ctx, Segment::Hard, c);
+                        s.all.push(&ctx, Segment::Hard, c);
+                        s.hard_list.push(c);
+                    }
+                    // Soft push.
+                    _ => {
+                        let s = &mut states[i];
+                        s.all.push(&ctx, Segment::Soft, c);
+                        s.soft_list.push(c);
+                    }
+                }
+                for s in &states {
+                    assert_matches_oracle(&ctx, &s.hard, &s.hard_list);
+                    assert_matches_oracle(&ctx, &s.all, &s.flat());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_push_on_one_child_leaves_its_sibling_unchanged() {
+        let mut ctx = TermCtx::new();
+        let x = ctx.new_var("x", 0, 9);
+        let y = ctx.new_var("y", 0, 9);
+        let z = ctx.new_var("z", 0, 9);
+        let (k3, k5) = (ctx.int(3), ctx.int(5));
+        let sum = ctx.add(x, z);
+        let cx = Constraint::new(CmpOp::Lt, x, k5);
+        let cy = Constraint::new(CmpOp::Lt, y, k5);
+        let cz = Constraint::new(CmpOp::Lt, z, k5);
+        let mut parent = Partition::of(&ctx, &[cx, cy, cz]);
+        parent.push(&ctx, Segment::Soft, Constraint::new(CmpOp::Ne, y, k3));
+        let snapshot = |p: &Partition| {
+            let comps: Vec<(Vec<Constraint>, u64)> = p
+                .components()
+                .iter()
+                .map(|k| (k.conjuncts(), k.fingerprint()))
+                .collect();
+            let lens = [Segment::Hard, Segment::Soft, Segment::Extra].map(|s| p.segment_len(s));
+            (comps, p.fingerprint(), lens)
+        };
+        // Each push shape: growing the newest component, growing an old
+        // one, a new component, a merge, and a hard conjunct joining the
+        // component that starts in the soft segment.
+        for (seg, c) in [
+            (Segment::Hard, Constraint::new(CmpOp::Ne, z, k3)),
+            (Segment::Hard, Constraint::new(CmpOp::Ne, x, k3)),
+            (Segment::Soft, Constraint::new(CmpOp::Eq, k3, k5)),
+            (Segment::Soft, Constraint::new(CmpOp::Eq, sum, k5)),
+            (Segment::Hard, Constraint::new(CmpOp::Le, k3, y)),
+        ] {
+            let mut left = parent.clone();
+            let right = parent.clone();
+            let before = snapshot(&right);
+            left.push(&ctx, seg, c);
+            assert_ne!(snapshot(&left), before);
+            assert_eq!(snapshot(&right), before, "pushing {c:?} on a sibling");
+            assert_eq!(snapshot(&parent), before);
+            parent = left;
+        }
     }
 }

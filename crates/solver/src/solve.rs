@@ -6,7 +6,6 @@ use crate::partition::{Component, Partition};
 use crate::term::{CmpOp, Constraint, Term, TermCtx, TermId, VarId};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Resource limits for one `check` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,7 +438,7 @@ impl Solver {
         let hit = match self.cache.get(&key) {
             Some(memo) => match memo.answer(needs_model) {
                 Some(hit) => Some(hit),
-                None => self.upgrade(query.components(), key),
+                None => self.upgrade(&query.components(), key),
             },
             None => None,
         };
@@ -477,7 +476,7 @@ impl Solver {
                 Some(CachedVerdict::Sat) | None => self.stats.shared_misses += 1,
             }
         }
-        let result = match query.components() {
+        let result = match &query.components()[..] {
             [whole] => {
                 self.prov.last_cache = qd::SEARCH;
                 self.search(ctx, whole, key)
@@ -490,7 +489,7 @@ impl Solver {
                     // Verdict-only: each component's own model holds.
                     SatResult::Sat(_) => comps.iter().all(|c| {
                         matches!(self.cache.get(&c.fingerprint()),
-                            Some(Memo::Full(SatResult::Sat(m))) if m.satisfies(ctx, c.conjuncts()))
+                            Some(Memo::Full(SatResult::Sat(m))) if m.satisfies(ctx, &c.conjuncts()))
                     }),
                     _ => true,
                 });
@@ -524,7 +523,7 @@ impl Solver {
     fn check_sliced(
         &mut self,
         ctx: &TermCtx,
-        comps: &[Arc<Component>],
+        comps: &[&Component],
         needs_model: bool,
     ) -> SatResult {
         self.stats.indep_queries += 1;
@@ -562,7 +561,7 @@ impl Solver {
     /// The union of the components' memoised models, which is a model
     /// of their conjunction; `None` if some component is not memoised
     /// `Sat` with its model.
-    fn merged_model(&self, comps: &[Arc<Component>]) -> Option<Model> {
+    fn merged_model(&self, comps: &[&Component]) -> Option<Model> {
         let mut values = HashMap::new();
         for comp in comps {
             match self.cache.get(&comp.fingerprint()) {
@@ -577,7 +576,7 @@ impl Solver {
     /// [`Memo::Sat`]: merges the components' memoised models (no search,
     /// no counter moves) and upgrades the entry to the full result.
     /// `None` sends the query down the decision path instead.
-    fn upgrade(&mut self, comps: &[Arc<Component>], key: u64) -> Option<SatResult> {
+    fn upgrade(&mut self, comps: &[&Component], key: u64) -> Option<SatResult> {
         let result = SatResult::Sat(self.merged_model(comps)?);
         self.cache.insert(key, Memo::Full(result.clone()));
         Some(result)
@@ -586,9 +585,10 @@ impl Solver {
     /// Runs the whole-conjunction search over one component, accumulates
     /// its work counters, and stores the result under `key`.
     fn search(&mut self, ctx: &TermCtx, comp: &Component, key: u64) -> SatResult {
+        let constraints = comp.conjuncts();
         let mut search = Search {
             ctx,
-            constraints: comp.conjuncts(),
+            constraints: &constraints,
             config: self.config,
             nodes: 0,
             rounds: 0,

@@ -1,8 +1,10 @@
 //! Interned term DAG and constraint atoms.
 
+use crate::cache::MulShift;
 use crate::interval::Interval;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, OnceLock};
 
 /// Id of an interned term.
@@ -231,7 +233,7 @@ fn union_vars(a: &Arc<[VarId]>, b: &Arc<[VarId]>) -> Arc<[VarId]> {
 pub struct TermCtx {
     /// One entry per id, in interning order.
     terms: Vec<Entry>,
-    intern: HashMap<Term, TermId>,
+    intern: HashMap<Term, TermId, BuildHasherDefault<MulShift>>,
     vars: Vec<VarInfo>,
     /// Structural hash per variable, parallel to `vars`.
     var_hashes: Vec<u64>,
@@ -263,8 +265,8 @@ impl TermCtx {
     /// All variables appearing in `t`, sorted and deduplicated. The set
     /// is computed once when `t` is interned, so this is a lookup.
     #[inline]
-    pub fn vars_of(&self, t: TermId) -> Arc<[VarId]> {
-        Arc::clone(&self.terms[t.index()].vars)
+    pub fn vars_of(&self, t: TermId) -> &[VarId] {
+        &self.terms[t.index()].vars
     }
 
     fn intern(&mut self, t: Term) -> TermId {
@@ -306,8 +308,10 @@ impl TermCtx {
             | Term::Sub(a, b)
             | Term::Mul(a, b)
             | Term::Div(a, b)
-            | Term::Rem(a, b) => union_vars(&self.vars_of(a), &self.vars_of(b)),
-            Term::Neg(a) => self.vars_of(a),
+            | Term::Rem(a, b) => {
+                union_vars(&self.terms[a.index()].vars, &self.terms[b.index()].vars)
+            }
+            Term::Neg(a) => Arc::clone(&self.terms[a.index()].vars),
         }
     }
 

@@ -1,7 +1,9 @@
 //! The symbolic execution engine: scheduling loop, budgets, and results.
 
 use crate::attr::StepAttr;
-use crate::executor::{initial_state, step, Disposition, ExecEnv, ExecStats, StepResult};
+use crate::executor::{
+    func_locations, initial_state, step, Disposition, ExecEnv, ExecStats, StepResult,
+};
 use crate::hook::{EventHook, NoGuidance};
 use crate::lineage::{Lineage, WorkSnapshot};
 use crate::scheduler::{build_scheduler, SchedulerKind};
@@ -360,7 +362,8 @@ impl<'m> Engine<'m> {
         }
         let mut next_id: u64 = 0;
         let mut live_mem: usize = 0;
-        let mut mem_by_state: HashMap<u64, usize> = HashMap::new();
+        let mut mem_by_state: solver::U64Map<usize> = solver::U64Map::default();
+        let locs = func_locations(self.module);
         let suppressed = self.suppressed.clone();
         // Coverage-optimized search: blocks ever executed by any state.
         let coverage_mode = matches!(self.config.scheduler, SchedulerKind::Coverage);
@@ -413,6 +416,7 @@ impl<'m> Engine<'m> {
                 rec,
                 next_state_id: &mut next_id,
                 lineage: &mut lineage,
+                locs: &locs,
             };
 
             // Peaks are updated at *every* state-set mutation (push, pop,
@@ -597,13 +601,12 @@ impl<'m> Engine<'m> {
                     let pre = attr
                         .active()
                         .then(|| attr.pre_step(env.module, &state, env.solver, env.stats));
-                    let res = step(&mut env, state);
+                    let res = step(&mut env, &mut state);
                     if let Some(pre) = pre {
                         attr.post_step(pre, &env.solver.stats(), env.stats);
                     }
                     match res {
-                        StepResult::Continue(s) => {
-                            state = s;
+                        StepResult::Continue => {
                             if coverage_mode {
                                 if let Some(f) = state.mach.frames.last() {
                                     covered.insert((f.func.0, f.block.0));
@@ -618,7 +621,7 @@ impl<'m> Engine<'m> {
                 in_flight = 0;
                 in_flight_mem = 0;
                 match step_end {
-                    StepResult::Continue(_) => unreachable!("inner loop keeps Continue"),
+                    StepResult::Continue => unreachable!("inner loop keeps Continue"),
                     StepResult::Fork(children) => {
                         for child in children {
                             if child.state.id != exec_id {

@@ -14,7 +14,7 @@ use solver::{CmpOp, Constraint, Partition, SatResult, Segment, Solver, TermCtx, 
 use statsym_telemetry::{lineage_op, names, FieldValue, Recorder};
 use std::collections::HashMap;
 use std::ops::ControlFlow::{self, Break, Continue};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Mutable engine context threaded through stepping.
 pub(crate) struct ExecEnv<'e> {
@@ -28,6 +28,24 @@ pub(crate) struct ExecEnv<'e> {
     pub rec: &'e dyn Recorder,
     pub next_state_id: &'e mut u64,
     pub lineage: &'e mut Lineage,
+    /// Entry and exit location of every function, by [`FuncId`].
+    pub locs: &'e [(Location, Location)],
+}
+
+/// The entry and exit location of every function of `module`, indexed
+/// by [`FuncId`]: built once per run, so a boundary event shares its
+/// name instead of allocating one.
+pub(crate) fn func_locations(module: &Module) -> Vec<(Location, Location)> {
+    module
+        .funcs
+        .iter()
+        .map(|f| {
+            (
+                Location::enter(f.name.as_str()),
+                Location::leave(f.name.as_str()),
+            )
+        })
+        .collect()
 }
 
 /// Work counters for the executor.
@@ -69,7 +87,7 @@ pub(crate) struct ForkChild {
 #[derive(Debug)]
 pub(crate) enum StepResult {
     /// The state advanced in place.
-    Continue(State),
+    Continue,
     /// The state split; children are classified individually.
     Fork(Vec<ForkChild>),
     /// The path terminated normally.
@@ -178,7 +196,7 @@ impl<'e> ExecEnv<'e> {
     fn apply_event(
         &mut self,
         state: &mut State,
-        loc: Location,
+        loc: &Location,
         params: &[(String, minic::Type)],
         args: &[SymValue],
         ret: Option<&SymValue>,
@@ -189,7 +207,7 @@ impl<'e> ExecEnv<'e> {
         }
         let result = {
             let ev = EventCtx {
-                loc: &loc,
+                loc,
                 params,
                 args,
                 ret,
@@ -206,7 +224,7 @@ impl<'e> ExecEnv<'e> {
         }
         if injected && !self.feasible(state.cond.all()) {
             return if self.feasible(state.cond.hard()) {
-                self.note_candidate_node(matched, &loc, conj, "conflict");
+                self.note_candidate_node(matched, loc, conj, "conflict");
                 self.stats.suspended += 1;
                 self.rec.counter_add(names::SYMEX_SUSPEND_PREDICATE, 1);
                 self.rec
@@ -214,14 +232,14 @@ impl<'e> ExecEnv<'e> {
                 self.lineage_event(lineage_op::SUSPEND_PREDICATE, state, None);
                 Break(StepResult::Suspend(std::mem::take(state)))
             } else {
-                self.note_candidate_node(matched, &loc, conj, "kill");
+                self.note_candidate_node(matched, loc, conj, "kill");
                 self.stats.pruned += 1;
                 self.rec.counter_add(names::SYMEX_KILL, 1);
                 self.lineage_event(lineage_op::KILL, state, None);
                 Break(StepResult::Kill)
             };
         }
-        self.note_candidate_node(matched, &loc, conj, "ok");
+        self.note_candidate_node(matched, loc, conj, "ok");
         if result.suspend {
             self.stats.suspended += 1;
             self.rec.counter_add(names::SYMEX_SUSPEND_TAU, 1);
@@ -262,12 +280,14 @@ pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
     }
 }
 
-/// Executes one instruction (or terminator) of `state`.
-pub(crate) fn step(env: &mut ExecEnv<'_>, mut state: State) -> StepResult {
+/// Executes one instruction (or terminator) of `state`. Unless the
+/// result is [`StepResult::Continue`], the caller is done with `state`:
+/// a fork, exit, fault or suspension has moved it into the result.
+pub(crate) fn step(env: &mut ExecEnv<'_>, state: &mut State) -> StepResult {
     env.stats.steps += 1;
     let module = env.module;
-    match interp::step(env, module, &mut state) {
-        Continue(()) => StepResult::Continue(state),
+    match interp::step(env, module, state) {
+        Continue(()) => StepResult::Continue,
         Break(out) => out,
     }
 }
@@ -652,7 +672,7 @@ impl Domain for ExecEnv<'_> {
     fn print(&mut self, _: &SymMachine, _: &[Reg]) {}
     fn enter(&mut self, st: &mut State, func: FuncId, argc: usize) -> ControlFlow<StepResult> {
         let body = self.module.func(func);
-        let loc = Location::enter(body.name.as_str());
+        let loc = &self.locs[func.index()].0;
         let args = st.mach.args(argc).to_vec();
         self.apply_event(st, loc, &body.params, &args, None)
     }
@@ -662,7 +682,7 @@ impl Domain for ExecEnv<'_> {
         func: FuncId,
         ret: Option<&SymValue>,
     ) -> ControlFlow<StepResult> {
-        let loc = Location::leave(self.module.func(func).name.as_str());
+        let loc = &self.locs[func.index()].1;
         // A state suspended here resumes by re-running its `Return`,
         // which records this event again: it keeps the trace it had
         // before the event.
@@ -693,7 +713,7 @@ fn make_input_sym(ctx: &mut TermCtx, def: &sir::InputDef) -> SymValue {
                 .map(|i| ctx.new_var(format!("{}[{i}]", def.name), 0, 255))
                 .collect();
             SymValue::Str(SymStr {
-                bytes: Arc::new(bytes),
+                bytes: Rc::new(bytes),
             })
         }
     }

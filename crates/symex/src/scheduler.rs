@@ -136,7 +136,8 @@ impl Scheduler for RandomScheduler {
 
 /// Min-priority scheduler with FIFO tie-breaking; used by the
 /// statistics-guided mode (priority = diverted hops, then negative
-/// candidate-path progress).
+/// candidate-path progress). States are boxed, so a sift moves a key
+/// and a pointer rather than a whole state.
 #[derive(Debug, Default)]
 pub struct PriorityScheduler {
     heap: BinaryHeap<Entry>,
@@ -146,7 +147,7 @@ pub struct PriorityScheduler {
 #[derive(Debug)]
 struct Entry {
     key: Reverse<(i64, u64)>,
-    state: State,
+    state: Box<State>,
 }
 
 impl PartialEq for Entry {
@@ -171,12 +172,12 @@ impl Scheduler for PriorityScheduler {
         self.seq += 1;
         self.heap.push(Entry {
             key: Reverse((priority, self.seq)),
-            state,
+            state: Box::new(state),
         });
     }
 
     fn pop(&mut self) -> Option<State> {
-        self.heap.pop().map(|e| e.state)
+        self.heap.pop().map(|e| *e.state)
     }
 
     fn len(&self) -> usize {

@@ -3,7 +3,7 @@
 use crate::value::{BoolVal, SymStr, SymValue};
 use concrete::Location;
 use solver::{Constraint, Partition, Segment, TermCtx, TermId};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A state's path condition: the hard constraints (branch decisions
 /// taken) and the soft ones injected by statistical guidance, carried as
@@ -83,14 +83,14 @@ impl PathCond {
 /// vulnerable-path report).
 #[derive(Debug, Clone, Default)]
 pub struct TraceList {
-    head: Option<Arc<TraceNode>>,
+    head: Option<Rc<TraceNode>>,
     len: usize,
 }
 
 #[derive(Debug)]
 struct TraceNode {
     loc: Location,
-    parent: Option<Arc<TraceNode>>,
+    parent: Option<Rc<TraceNode>>,
 }
 
 impl TraceList {
@@ -108,7 +108,7 @@ impl TraceList {
     #[must_use]
     pub fn push(&self, loc: Location) -> TraceList {
         TraceList {
-            head: Some(Arc::new(TraceNode {
+            head: Some(Rc::new(TraceNode {
                 loc,
                 parent: self.head.clone(),
             })),

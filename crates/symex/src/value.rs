@@ -1,7 +1,7 @@
 //! Symbolic runtime values.
 
 use solver::{Constraint, TermCtx, TermId};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A symbolic boolean: either a known constant or an atomic comparison
 /// over integer terms. MiniC lowers `&&`/`||` to control flow, so a
@@ -47,14 +47,14 @@ impl BoolVal {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymStr {
     /// Byte cells; index `cap` is an implicit constant 0.
-    pub bytes: Arc<Vec<TermId>>,
+    pub bytes: Rc<Vec<TermId>>,
 }
 
 impl SymStr {
     /// Builds a fully concrete string.
     pub fn concrete(ctx: &mut TermCtx, bytes: &[u8]) -> SymStr {
         SymStr {
-            bytes: Arc::new(bytes.iter().map(|&b| ctx.int(b as i64)).collect()),
+            bytes: Rc::new(bytes.iter().map(|&b| ctx.int(b as i64)).collect()),
         }
     }
 
