@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use statsym_core::transition::MineConfig;
 use statsym_core::{LogCorpus, TransitionGraph};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Timed repetitions of each phase.
 const REPS: usize = 30;
@@ -26,13 +26,6 @@ const RECORDS: usize = 349_352;
 
 /// `(nodes, edges)` of the graph mined from the faulty traces.
 const GRAPH: (usize, usize) = (18, 26);
-
-/// Median and minimum of `times`.
-fn summary(mut times: Vec<Duration>) -> (f64, f64) {
-    times.sort_unstable();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    (ms(times[times.len() / 2]), ms(times[0]))
-}
 
 fn bench_analysis(c: &mut Criterion) {
     let app = benchapps::by_name("grep").expect("benchmark app");
@@ -68,7 +61,8 @@ fn bench_analysis(c: &mut Criterion) {
                 drops.push(start.elapsed());
             }
             for (phase, times) in [("build", builds), ("mine", mines), ("drop", drops)] {
-                let (median, min) = summary(times);
+                let ms = times.iter().map(|d| d.as_secs_f64() * 1e3).collect();
+                let (median, min) = bench::median_min(ms);
                 println!(
                     "analysis grep-1.0/{phase:<6} median {median:>8.3} ms  min {min:>8.3} ms  ({REPS} reps, {records} records)"
                 );

@@ -23,13 +23,33 @@
 //!   the new conjunct joins is searched;
 //! - `check_at`: the same queries through the model-building
 //!   `check_at`, which also merges every component's model into one.
+//!
+//! Each case runs its batch `REPS` times and prints the median and the
+//! fastest batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use solver::{CmpOp, Constraint, Partition, Segment, Solver, TermCtx, TermId};
 use std::hint::black_box;
+use std::time::Instant;
 
 /// Child conjuncts per timed batch.
 const CHILDREN: usize = 1000;
+
+/// Timed batches of each case.
+const REPS: usize = 30;
+
+/// Runs `batch` `REPS` times and prints the median and the fastest time.
+fn time_reps(label: &str, mut batch: impl FnMut()) {
+    let ms = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            batch();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let (median, min) = bench::median_min(ms);
+    println!("partition {label:<30} median {median:>8.3} ms  min {min:>8.3} ms  ({REPS} reps)");
+}
 
 /// One conjunct over component `comp`: a disequality on its first
 /// variable, or (every third conjunct) on the sum of its two variables,
@@ -82,59 +102,70 @@ fn bench_partition(c: &mut Criterion) {
         let mut ctx = TermCtx::new();
         let (parent, flat, children) = shape(&mut ctx, hard, soft, comps);
         assert_eq!(parent.components().len(), comps);
-        group.bench_function(format!("push/{name}/x{CHILDREN}"), |b| {
+        let label = |case: &str| format!("{case}/{name}/x{CHILDREN}");
+        group.bench_function(label("push"), |b| {
             b.iter(|| {
-                for &child in &children {
-                    let mut p = parent.clone();
-                    p.push(&ctx, Segment::Hard, child);
-                    black_box(p.fingerprint());
-                }
+                time_reps(&label("push"), || {
+                    for &child in &children {
+                        let mut p = parent.clone();
+                        p.push(&ctx, Segment::Hard, child);
+                        black_box(p.fingerprint());
+                    }
+                })
             })
         });
-        group.bench_function(format!("fork/{name}/x{CHILDREN}"), |b| {
+        group.bench_function(label("fork"), |b| {
             b.iter(|| {
-                for &atom in &children {
-                    let (mut taken, mut other) = (parent.clone(), parent.clone());
-                    taken.push(&ctx, Segment::Hard, atom);
-                    other.push(&ctx, Segment::Hard, atom.negate());
-                    drop(other);
-                    black_box(taken.fingerprint());
-                }
+                time_reps(&label("fork"), || {
+                    for &atom in &children {
+                        let (mut taken, mut other) = (parent.clone(), parent.clone());
+                        taken.push(&ctx, Segment::Hard, atom);
+                        other.push(&ctx, Segment::Hard, atom.negate());
+                        drop(other);
+                        black_box(taken.fingerprint());
+                    }
+                })
             })
         });
-        group.bench_function(format!("repartition/{name}/x{CHILDREN}"), |b| {
+        group.bench_function(label("repartition"), |b| {
             let mut query = flat.clone();
             b.iter(|| {
-                for &child in &children {
-                    // The hard conjunct sorts before the soft segment.
-                    query.insert(hard, child);
-                    black_box(Partition::of(&ctx, &query).fingerprint());
-                    query.remove(hard);
-                }
+                time_reps(&label("repartition"), || {
+                    for &child in &children {
+                        // The hard conjunct sorts before the soft segment.
+                        query.insert(hard, child);
+                        black_box(Partition::of(&ctx, &query).fingerprint());
+                        query.remove(hard);
+                    }
+                })
             })
         });
         let mut warm = Solver::default();
         assert!(warm
             .check_sat_at(&ctx, &parent, &statsym_telemetry::NOOP, "bench")
             .is_sat());
-        group.bench_function(format!("check_sat/{name}/x{CHILDREN}"), |b| {
+        group.bench_function(label("check_sat"), |b| {
             b.iter(|| {
-                let mut solver = warm.clone();
-                for &child in &children {
-                    let q = parent.with(&ctx, Segment::Hard, child);
-                    let r = solver.check_sat_at(&ctx, &q, &statsym_telemetry::NOOP, "bench");
-                    black_box(r.is_sat());
-                }
+                time_reps(&label("check_sat"), || {
+                    let mut solver = warm.clone();
+                    for &child in &children {
+                        let q = parent.with(&ctx, Segment::Hard, child);
+                        let r = solver.check_sat_at(&ctx, &q, &statsym_telemetry::NOOP, "bench");
+                        black_box(r.is_sat());
+                    }
+                })
             })
         });
-        group.bench_function(format!("check_at/{name}/x{CHILDREN}"), |b| {
+        group.bench_function(label("check_at"), |b| {
             b.iter(|| {
-                let mut solver = warm.clone();
-                for &child in &children {
-                    let q = parent.with(&ctx, Segment::Hard, child);
-                    let r = solver.check_at(&ctx, &q, &statsym_telemetry::NOOP, "bench");
-                    black_box(r.is_sat());
-                }
+                time_reps(&label("check_at"), || {
+                    let mut solver = warm.clone();
+                    for &child in &children {
+                        let q = parent.with(&ctx, Segment::Hard, child);
+                        let r = solver.check_at(&ctx, &q, &statsym_telemetry::NOOP, "bench");
+                        black_box(r.is_sat());
+                    }
+                })
             })
         });
     }

@@ -43,12 +43,6 @@ const ATTEMPTS: [(u64, u64, u64, u64); 3] = [
     (877, 62, 125, 155),
 ];
 
-/// Median and minimum of `xs`.
-fn summary(mut xs: Vec<f64>) -> (f64, f64) {
-    xs.sort_by(f64::total_cmp);
-    (xs[xs.len() / 2], xs[0])
-}
-
 fn bench_symex(c: &mut Criterion) {
     let app = benchapps::by_name("grep").expect("benchmark app");
     let spec = CorpusSpec {
@@ -101,7 +95,7 @@ fn bench_symex(c: &mut Criterion) {
                 .iter()
                 .fold((0, 0), |(s, f), a| (s + a.0, f + a.1));
             for (unit, xs, n) in [("step", per_step, steps), ("fork", per_fork, forks)] {
-                let (median, min) = summary(xs);
+                let (median, min) = bench::median_min(xs);
                 println!(
                     "symex grep-decoys/per-{unit:<4} median {median:>8.1} ns  min {min:>8.1} ns  ({REPS} reps, {n} {unit}s)"
                 );

@@ -5,11 +5,13 @@
 //! app's generator at seed 1 (alternately correct- and fault-biased, as
 //! the corpus generator asks for them), once bare (`NoHook`) and once
 //! under the program monitor at sampling rate 1.0, the paper's full
-//! Fjalar instrumentation. Each case prints its wall time, the total
-//! instructions executed and instructions per second.
+//! Fjalar instrumentation. Each case replays the inputs `REPS` times and
+//! prints the median and the fastest wall time, the instructions per
+//! replay and the median instructions per second.
 //!
-//! The instruction totals are asserted: they depend only on the VM's
-//! semantics, so a change that moves them fails the bench.
+//! The instruction totals are asserted on every repetition: they depend
+//! only on the VM's semantics, so a change that moves them fails the
+//! bench.
 
 use benchapps::BenchApp;
 use concrete::{ExecHook, InputMap, Monitor, NoHook, SiteTable, Vm, VmConfig};
@@ -19,6 +21,9 @@ use rand::SeedableRng;
 use statsym_telemetry::NOOP;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Timed replays of each case.
+const REPS: usize = 15;
 
 /// Inputs replayed per app.
 const RUNS: u64 = 200;
@@ -70,16 +75,22 @@ fn bench_vm(c: &mut Criterion) {
         for (mode, monitored) in [("bare", false), ("monitor", true)] {
             group.bench_function(format!("{name}/{mode}"), |b| {
                 b.iter(|| {
-                    let start = Instant::now();
-                    let steps = replay(&app, &inputs, monitored);
-                    let secs = start.elapsed().as_secs_f64();
-                    assert_eq!(
-                        steps, expected,
-                        "{name}/{mode}: instruction total moved (VM semantics changed)"
-                    );
+                    let mut secs = Vec::with_capacity(REPS);
+                    for _ in 0..REPS {
+                        let start = Instant::now();
+                        let steps = replay(&app, &inputs, monitored);
+                        secs.push(start.elapsed().as_secs_f64());
+                        assert_eq!(
+                            steps, expected,
+                            "{name}/{mode}: instruction total moved (VM semantics changed)"
+                        );
+                    }
+                    let (median, min) = bench::median_min(secs);
                     println!(
-                        "vm {name}/{mode:<8} {secs:>8.4} s {steps:>10} instructions {:>8.1} M instructions/s",
-                        steps as f64 / secs / 1e6
+                        "vm {name}/{mode:<8} median {:>8.3} ms  min {:>8.3} ms  {expected:>10} instructions {:>8.1} M instructions/s  ({REPS} reps)",
+                        median * 1e3,
+                        min * 1e3,
+                        expected as f64 / median / 1e6
                     );
                 })
             });

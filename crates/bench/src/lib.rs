@@ -19,3 +19,14 @@ pub use experiments::{
 };
 pub use format::Table;
 pub use trace::TraceSink;
+
+/// The median (the upper one of an even count) and the minimum of a
+/// bench's repeated samples.
+///
+/// # Panics
+///
+/// Panics when `xs` is empty.
+pub fn median_min(mut xs: Vec<f64>) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0])
+}

@@ -1,15 +1,21 @@
 //! The one interpreter of SIR semantics, generic over a value domain.
 //!
-//! [`step`] executes one instruction or terminator. What a value *is*
-//! comes from the [`Domain`]: the concrete VM ([`crate::vm`]) runs it over
-//! `i64`/`bool`/`Rc<[u8]>` and never forks; the symbolic executor runs it
-//! over solver terms and forks where a decision depends on a symbolic
-//! value. Everything else is written once, here: frames, calls and
-//! returns with the call-depth limit, the heap-liveness gate, bounds
-//! classification, the `[0, MAX_ALLOC]` allocation rule, strings ending
-//! at their first NUL, and the function-boundary events at calls and
-//! returns. So a fault the engine reports replays on the VM under the
-//! same rules.
+//! [`run_block`] is the one driver. It borrows the active block's
+//! instructions once, executes them and then the block's terminator, and
+//! counts one step per instruction and terminator; it returns after a
+//! `Call`, after the terminator, or when the count reaches a limit.
+//! Register accesses go through the active frame's base, which the
+//! [`Machine`] keeps beside the call stack. What a value *is* comes from
+//! the [`Domain`]: the concrete VM ([`crate::vm`]) runs it block after
+//! block over `i64`/`bool`/byte strings and never forks; the symbolic
+//! executor passes a limit one past its count, so it sees every
+//! instruction, and runs over solver terms, forking where a decision
+//! depends on a symbolic value. Everything else is written once, here:
+//! frames, calls and returns with the call-depth limit, the heap-liveness
+//! gate, bounds classification, the `[0, MAX_ALLOC]` allocation rule,
+//! strings ending at their first NUL, and the function-boundary events at
+//! calls and returns. So a fault the engine reports replays on the VM
+//! under the same rules.
 
 use crate::fault::{Fault, FaultKind, MAX_ALLOC, MAX_CALL_DEPTH};
 use crate::value::Val;
@@ -80,6 +86,10 @@ pub struct Machine<I, B, S> {
     pub globals: Vec<Val<I, B, S>>,
     /// Buffer heap, indexed by [`Val::Buf`] handles.
     pub heap: Vec<HeapCell<I>>,
+    /// The active frame's [`Frame::base`], kept here so a register
+    /// access does not go through the call stack: a call sets it and a
+    /// return restores the caller's.
+    base: usize,
 }
 
 impl<I, B, S> Default for Machine<I, B, S> {
@@ -89,6 +99,7 @@ impl<I, B, S> Default for Machine<I, B, S> {
             regs: Vec::new(),
             globals: Vec::new(),
             heap: Vec::new(),
+            base: 0,
         }
     }
 }
@@ -122,21 +133,19 @@ impl<I: Copy + Debug, B: Copy + Debug, S: Clone + Debug> Machine<I, B, S> {
     /// Register `r` of the active frame.
     #[inline]
     pub fn reg(&self, r: Reg) -> &Val<I, B, S> {
-        &self.regs[self.frame().base + r.index()]
+        &self.regs[self.base + r.index()]
     }
 
     /// Sets register `r` of the active frame.
     #[inline]
     pub fn set_reg(&mut self, r: Reg, v: Val<I, B, S>) {
-        let i = self.frame().base + r.index();
-        self.regs[i] = v;
+        self.regs[self.base + r.index()] = v;
     }
 
     /// The active frame's first `n` registers: its arguments, right
     /// after the call.
     pub fn args(&self, n: usize) -> &[Val<I, B, S>] {
-        let base = self.frame().base;
-        &self.regs[base..base + n]
+        &self.regs[self.base..self.base + n]
     }
 
     /// Resolves a register holding a buffer handle to a *live* heap
@@ -163,7 +172,7 @@ impl<I: Copy + Debug, B: Copy + Debug, S: Clone + Debug> Machine<I, B, S> {
     /// the caller's registers `args` into its first registers.
     fn push_frame(&mut self, module: &Module, func: FuncId, args: &[Reg], ret_dst: Option<Reg>) {
         let body = module.func(func);
-        let caller = self.frames.last().map_or(0, |f| f.base);
+        let caller = self.base;
         let base = self.regs.len();
         self.regs.resize(base + body.num_regs as usize, Val::Unit);
         for (i, r) in args.iter().enumerate() {
@@ -176,6 +185,16 @@ impl<I: Copy + Debug, B: Copy + Debug, S: Clone + Debug> Machine<I, B, S> {
             base,
             ret_dst,
         });
+        self.base = base;
+    }
+
+    /// Pops the active frame and its registers; the caller's frame, if
+    /// any, becomes active.
+    fn pop_frame(&mut self) -> Frame {
+        let done = self.frames.pop().expect("returning frame");
+        self.regs.truncate(done.base);
+        self.base = self.frames.last().map_or(0, |f| f.base);
+        done
     }
 }
 
@@ -197,6 +216,10 @@ pub trait Domain: Sized {
     type State;
     /// What a step that stops produces (an outcome, a fork, an error).
     type Out;
+
+    /// The step counter: [`run_block`] adds one before each instruction
+    /// and terminator it executes, and stops when it reaches the limit.
+    fn steps(&mut self) -> &mut u64;
 
     /// The machine inside a state.
     fn machine(st: &Self::State) -> &MachineOf<Self>;
@@ -377,19 +400,52 @@ fn access(cap: usize, inclusive: bool, dynamic: bool) -> Range<impl Fn(i64) -> F
     }
 }
 
-/// Executes one instruction (or the block terminator) of `st`.
-/// `Continue` means the path advanced in place.
+/// Runs the rest of the active block of `st`: its remaining
+/// instructions in order, then its terminator, counting one step before
+/// each. It borrows the block's instructions once. It returns early
+/// after a `Call`, whose callee's frame is then the active one, and
+/// before any instruction or terminator once [`Domain::steps`] has
+/// reached `limit`. `Break` carries what the domain produced when the
+/// path stopped (an outcome, a fork, an error). `Continue` means the
+/// path is still running, so a caller loops until its own limit; a
+/// caller passing one more than the count so far executes exactly one
+/// instruction or terminator.
 #[inline]
-pub fn step<D: Domain>(d: &mut D, module: &Module, st: &mut D::State) -> ControlFlow<D::Out> {
-    let frame = D::machine_mut(st).frame_mut();
-    let block = &module.func(frame.func).blocks[frame.block.index()];
-    match block.insts.get(frame.idx) {
-        Some((inst, span)) => {
-            frame.idx += 1;
-            exec_inst(d, module, st, inst, *span)
+pub fn run_block<D: Domain>(
+    d: &mut D,
+    module: &Module,
+    st: &mut D::State,
+    limit: u64,
+) -> ControlFlow<D::Out> {
+    let &Frame {
+        func, block, idx, ..
+    } = D::machine(st).frame();
+    let block = &module.func(func).blocks[block.index()];
+    for (next, (inst, span)) in (idx + 1..).zip(&block.insts[idx..]) {
+        if !tick(d, limit) {
+            return Continue(());
         }
-        None => exec_term(d, st, &block.term.0),
+        // Advanced before the instruction runs: a call returns to it,
+        // and a fork or a stop inside the instruction clones or keeps it.
+        D::machine_mut(st).frame_mut().idx = next;
+        exec_inst(d, module, st, inst, *span)?;
+        if matches!(inst, Inst::Call { .. }) {
+            return Continue(());
+        }
     }
+    if !tick(d, limit) {
+        return Continue(());
+    }
+    exec_term(d, st, &block.term.0)
+}
+
+/// Counts one step, unless the count has reached `limit`.
+#[inline]
+fn tick<D: Domain>(d: &mut D, limit: u64) -> bool {
+    let steps = d.steps();
+    let go = *steps < limit;
+    *steps += u64::from(go);
+    go
 }
 
 #[inline]
@@ -741,8 +797,7 @@ fn exec_term<D: Domain>(d: &mut D, st: &mut D::State, term: &Terminator) -> Cont
             let func = m.frame().func;
             d.leave(st, func, ret.as_ref())?;
             let m = D::machine_mut(st);
-            let done = m.frames.pop().expect("returning frame");
-            m.regs.truncate(done.base);
+            let done = m.pop_frame();
             if m.frames.is_empty() {
                 let code = match ret {
                     Some(Val::Int(v)) => Some(v),

@@ -2,7 +2,7 @@
 
 use crate::fault::Fault;
 use crate::interp::{self, Domain, Machine};
-use crate::value::{InputValue, Value};
+use crate::value::{Bytes, InputValue, Value};
 use sir::{FuncBody, FuncId, GlobalDef, InputId, InputKind, Module, Reg};
 use std::collections::HashMap;
 use std::fmt;
@@ -175,32 +175,17 @@ impl<'m> Vm<'m> {
         inputs: &InputMap,
         hook: &mut dyn ExecHook,
     ) -> Result<RunResult, VmError> {
-        let module = self.module;
-        let mut d = Concrete {
-            module,
-            inputs,
-            hook,
-            output: Vec::new(),
-        };
-        d.hook.on_start(module);
-        let mut m = interp::boot(&mut d, module);
-        let argc = module.func(module.main).params.len();
-        let _ = d.enter(&mut m, module.main, argc); // never stops
-        let mut steps = 0;
+        let (mut d, mut m) = Concrete::boot(self.module, inputs, hook);
+        let limit = self.config.max_steps;
         let outcome = loop {
-            if steps >= self.config.max_steps {
+            if d.steps >= limit {
                 break Outcome::StepLimit;
             }
-            steps += 1;
-            if let Break(out) = interp::step(&mut d, module, &mut m) {
+            if let Break(out) = interp::run_block(&mut d, self.module, &mut m, limit) {
                 break out?;
             }
         };
-        Ok(RunResult {
-            outcome,
-            steps,
-            output: d.output,
-        })
+        Ok(d.result(outcome))
     }
 }
 
@@ -209,16 +194,53 @@ struct Concrete<'m, 'h> {
     module: &'m Module,
     inputs: &'m InputMap,
     hook: &'h mut dyn ExecHook,
+    steps: u64,
     output: Vec<String>,
+}
+
+impl<'m, 'h> Concrete<'m, 'h> {
+    /// A run of `module` that has just entered `main`: the hook has seen
+    /// the start and `main`'s enter event.
+    fn boot(
+        module: &'m Module,
+        inputs: &'m InputMap,
+        hook: &'h mut dyn ExecHook,
+    ) -> (Self, Machine<i64, bool, Bytes>) {
+        let mut d = Concrete {
+            module,
+            inputs,
+            hook,
+            steps: 0,
+            output: Vec::new(),
+        };
+        d.hook.on_start(module);
+        let mut m = interp::boot(&mut d, module);
+        let argc = module.func(module.main).params.len();
+        let _ = d.enter(&mut m, module.main, argc); // never stops
+        (d, m)
+    }
+
+    /// The run's result once it ended with `outcome`.
+    fn result(self, outcome: Outcome) -> RunResult {
+        RunResult {
+            outcome,
+            steps: self.steps,
+            output: self.output,
+        }
+    }
 }
 
 impl Domain for Concrete<'_, '_> {
     type Int = i64;
     type Bool = bool;
-    type Str = Rc<[u8]>;
-    type State = Machine<i64, bool, Rc<[u8]>>;
+    type Str = Bytes;
+    type State = Machine<i64, bool, Bytes>;
     type Out = Result<Outcome, VmError>;
 
+    #[inline]
+    fn steps(&mut self) -> &mut u64 {
+        &mut self.steps
+    }
     #[inline]
     fn machine(st: &Self::State) -> &Self::State {
         st
@@ -245,15 +267,15 @@ impl Domain for Concrete<'_, '_> {
         Some(b)
     }
     #[inline]
-    fn str_lit(&mut self, bytes: &[u8]) -> Rc<[u8]> {
-        bytes.into()
+    fn str_lit(&mut self, bytes: &[u8]) -> Bytes {
+        Rc::new(bytes.to_vec())
     }
     #[inline]
-    fn str_cap(s: &Rc<[u8]>) -> usize {
+    fn str_cap(s: &Bytes) -> usize {
         s.len()
     }
     #[inline]
-    fn str_byte(&mut self, s: &Rc<[u8]>, i: usize) -> i64 {
+    fn str_byte(&mut self, s: &Bytes, i: usize) -> i64 {
         s.get(i).map_or(0, |&b| i64::from(b))
     }
     #[inline]
@@ -269,7 +291,9 @@ impl Domain for Concrete<'_, '_> {
             (InputKind::Int, Some(InputValue::Int(v))) => Ok(Value::Int(*v)),
             (InputKind::Str { cap }, Some(InputValue::Str(bytes))) => {
                 // A bounded read.
-                Ok(Value::Str(bytes[..bytes.len().min(cap as usize)].into()))
+                Ok(Value::Str(Rc::new(
+                    bytes[..bytes.len().min(cap as usize)].to_vec(),
+                )))
             }
             _ => Err(VmError::WrongInputKind(def.name.clone())),
         };
@@ -575,6 +599,114 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Exit(deepest));
         let r = run_src(src, &[("n", InputValue::Int(deepest + 1))]);
         assert_eq!(r.outcome.fault().unwrap().kind, FaultKind::StackOverflow);
+    }
+
+    /// Records every function-boundary event with its values.
+    #[derive(Default)]
+    struct EventLog(Vec<String>);
+
+    impl ExecHook for EventLog {
+        fn on_enter(
+            &mut self,
+            _: FuncId,
+            f: &FuncBody,
+            args: &[Value],
+            _: &[GlobalDef],
+            g: &[Value],
+        ) {
+            self.0.push(format!("enter {} {args:?} {g:?}", f.name));
+        }
+        fn on_exit(
+            &mut self,
+            _: FuncId,
+            f: &FuncBody,
+            ret: Option<&Value>,
+            _: &[GlobalDef],
+            g: &[Value],
+        ) {
+            self.0.push(format!("leave {} {ret:?} {g:?}", f.name));
+        }
+    }
+
+    /// What comes next at a step-limit cut.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Cut {
+        Call,
+        BlockStart,
+        MidBlock,
+        Terminator,
+    }
+
+    /// Runs `module` one instruction or terminator per driver call (the
+    /// way the symbolic executor drives it), cut off after `max_steps`.
+    /// Also says what the path would have run next when it was cut.
+    fn one_at_a_time(
+        module: &Module,
+        inputs: &InputMap,
+        max_steps: u64,
+        hook: &mut dyn ExecHook,
+    ) -> (RunResult, Option<Cut>) {
+        let (mut d, mut m) = Concrete::boot(module, inputs, hook);
+        loop {
+            if d.steps >= max_steps {
+                let f = m.frame();
+                let insts = &module.func(f.func).blocks[f.block.index()].insts;
+                let cut = match insts.get(f.idx) {
+                    Some((sir::Inst::Call { .. }, _)) => Cut::Call,
+                    Some(_) if f.idx == 0 => Cut::BlockStart,
+                    Some(_) => Cut::MidBlock,
+                    None => Cut::Terminator,
+                };
+                return (d.result(Outcome::StepLimit), Some(cut));
+            }
+            let limit = d.steps + 1;
+            if let Break(out) = interp::run_block(&mut d, module, &mut m, limit) {
+                return (d.result(out.unwrap()), None);
+            }
+            assert_eq!(d.steps, limit, "the driver ran exactly one step");
+        }
+    }
+
+    #[test]
+    fn step_limit_cuts_match_one_step_at_a_time() {
+        let p = minic::parse_program(
+            r#"
+            global total: int = 0;
+            fn leaf(x: int) -> int { total = total + x; return x * 2; }
+            fn mid(x: int) -> int { let y: int = leaf(x); print(y); return leaf(y) + 1; }
+            fn boom(n: int) { let b: buf[2]; buf_set(b, n, 1); }
+            fn main() -> int {
+                let i: int = 0;
+                let acc: int = 0;
+                while (i < 3) { acc = acc + mid(i); i = i + 1; }
+                boom(total);
+                return acc;
+            }
+            "#,
+        )
+        .unwrap();
+        let m = sir::lower(&p).unwrap();
+        let inputs = InputMap::new();
+        let full = Vm::new(&m, VmConfig::default()).run(&inputs).unwrap();
+        let fault = full.outcome.fault().expect("boom overflows its buffer");
+        assert_eq!(fault.func, "boom");
+        let mut cuts = std::collections::HashSet::new();
+        for max_steps in 0..=full.steps {
+            let mut log = EventLog::default();
+            let vm = Vm::new(&m, VmConfig { max_steps });
+            let got = vm.run_hooked(&inputs, &mut log).unwrap();
+            let mut want_log = EventLog::default();
+            let (want, cut) = one_at_a_time(&m, &inputs, max_steps, &mut want_log);
+            assert_eq!(got, want, "max_steps {max_steps}");
+            assert_eq!(log.0, want_log.0, "max_steps {max_steps}");
+            assert_eq!(got.outcome == full.outcome, max_steps == full.steps);
+            cuts.extend(cut);
+        }
+        // The cuts landed before a call, in the middle of a block and
+        // before a terminator.
+        for kind in [Cut::Call, Cut::MidBlock, Cut::Terminator] {
+            assert!(cuts.contains(&kind), "no {kind:?} cut in {cuts:?}");
+        }
     }
 
     #[test]

@@ -280,13 +280,14 @@ pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
     }
 }
 
-/// Executes one instruction (or terminator) of `state`. Unless the
-/// result is [`StepResult::Continue`], the caller is done with `state`:
-/// a fork, exit, fault or suspension has moved it into the result.
+/// Executes one instruction (or terminator) of `state`: the driver's
+/// step limit is one more than the steps so far. Unless the result is
+/// [`StepResult::Continue`], the caller is done with `state`: a fork,
+/// exit, fault or suspension has moved it into the result.
 pub(crate) fn step(env: &mut ExecEnv<'_>, state: &mut State) -> StepResult {
-    env.stats.steps += 1;
     let module = env.module;
-    match interp::step(env, module, state) {
+    let limit = env.stats.steps + 1;
+    match interp::run_block(env, module, state, limit) {
         Continue(()) => StepResult::Continue,
         Break(out) => out,
     }
@@ -301,6 +302,9 @@ impl Domain for ExecEnv<'_> {
     type State = State;
     type Out = StepResult;
 
+    fn steps(&mut self) -> &mut u64 {
+        &mut self.stats.steps
+    }
     fn machine(st: &State) -> &SymMachine {
         &st.mach
     }

@@ -320,20 +320,20 @@ mod tests {
             base,
             ret_dst: None,
         };
+        let mut mach = SymMachine::default();
+        mach.frames = vec![frame(0), frame(2), frame(5)];
+        mach.regs = vec![
+            SymValue::Int(zero),
+            SymValue::Unit,
+            SymValue::Str(s),
+            SymValue::Int(zero),
+            SymValue::Bool(BoolVal::Const(true)),
+            SymValue::Unit,
+        ];
+        mach.globals = vec![SymValue::Int(zero)];
+        mach.heap = vec![HeapCell::stack(vec![zero; 4])];
         let state = State {
-            mach: SymMachine {
-                frames: vec![frame(0), frame(2), frame(5)],
-                regs: vec![
-                    SymValue::Int(zero),
-                    SymValue::Unit,
-                    SymValue::Str(s),
-                    SymValue::Int(zero),
-                    SymValue::Bool(BoolVal::Const(true)),
-                    SymValue::Unit,
-                ],
-                globals: vec![SymValue::Int(zero)],
-                heap: vec![HeapCell::stack(vec![zero; 4])],
-            },
+            mach,
             ..State::default()
         };
         // Per frame, 64 plus 16 a value (20 for the 8-byte string):
