@@ -200,7 +200,6 @@ impl TraceSink {
         EngineConfig {
             lineage: self.lineage,
             attribution: self.attr,
-            provenance: self.attr,
             panic_after: self.panic_after,
             ..base
         }

@@ -55,7 +55,6 @@ fn decoy_config() -> StatSymConfig {
     cfg.engine.max_steps = DECOY_MAX_STEPS;
     cfg.engine.lineage = true;
     cfg.engine.attribution = true;
-    cfg.engine.provenance = true;
     cfg.guidance = GuidanceConfig {
         tau: 1_000_000,
         ..cfg.guidance

@@ -2,7 +2,7 @@
 //!
 //! Each guided attempt leaves one record group in trace order: a
 //! `candidate.attempt` span (with the `candidate.node` events of a
-//! `--lineage` run and the `query` events of a `--provenance` run
+//! `--lineage` run and the `query` events of an `--attr` run
 //! inside it), then its `candidate.result` event, then its
 //! `calib.candidate` record. [`attempts`] folds each group into one
 //! [`Attempt`], and [`runs`] splits them into pipeline runs, so the

@@ -10,7 +10,7 @@
 //!
 //! `--rank <n>` follows the candidate at rank `n` end to end in each
 //! run instead: why it was ranked there (score, path length), what its
-//! attempt cost, and — in a `--provenance` trace — where its solver
+//! attempt cost, and — in an `--attr` trace — where its solver
 //! queries went, ending with the last query, where the attempt died or
 //! won. A query belongs to the attempt whose record next follows it
 //! (the [`attempt`](crate::attempt) model).
@@ -229,7 +229,7 @@ fn rank_block(
         last = Some((loc, site, verdict, cache));
     }
     let Some((loc, site, verdict, cache)) = last else {
-        out.push_str("\nno query provenance for this attempt (recorded without --provenance?)\n");
+        out.push_str("\nno query provenance for this attempt (recorded without --attr?)\n");
         return;
     };
 
@@ -485,5 +485,6 @@ mod tests {
         let view = RunView::from_events(vec![cand(1, 5, false)]);
         let text = rank(&view, 1).unwrap();
         assert!(text.contains("no query provenance"), "{text}");
+        assert!(text.contains("recorded without --attr?"), "{text}");
     }
 }

@@ -1,6 +1,6 @@
 //! `statsym-inspect hotspots`: the per-source-line cost table.
 //!
-//! An `--attribution` trace carries `attr.<func>:<line>.<dim>` counters
+//! An `--attr` trace carries `attr.<func>:<line>.<dim>` counters
 //! billing every executor step, fork, suspension, solver query, search
 //! node, and (wall clock only) solver µs to the MiniC source location
 //! that incurred it. This view folds them into one row per location
@@ -93,9 +93,7 @@ pub fn hotspots(view: &RunView, opts: &Opts) -> String {
         return match opts.format {
             Format::Json => "{\"metric\":\"steps\",\"total\":0,\"locs\":[]}\n".to_string(),
             Format::Flame => String::new(),
-            Format::Text => {
-                "no attr.* counters in trace (recorded without --attribution?)\n".to_string()
-            }
+            Format::Text => "no attr.* counters in trace (recorded without --attr?)\n".to_string(),
         };
     }
 
@@ -267,9 +265,9 @@ mod tests {
 
     #[test]
     fn empty_trace_is_reported_per_format() {
-        assert!(
-            hotspots(&RunView::from_events(Vec::new()), &Opts::default()).contains("no attr.*")
-        );
+        let text = hotspots(&RunView::from_events(Vec::new()), &Opts::default());
+        assert!(text.contains("no attr.*"), "{text}");
+        assert!(text.contains("recorded without --attr?"), "{text}");
         let json = hotspots(
             &RunView::from_events(Vec::new()),
             &Opts {

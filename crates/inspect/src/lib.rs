@@ -15,7 +15,7 @@
 //!   suspend-cause annotations and per-subtree work rollups, or, with
 //!   `--format flame`, the same forest as collapsed stacks.
 //! * [`hotspots`] — the per-source-line cost table from `attr.*`
-//!   attribution counters (`--attribution` traces), with flame-
+//!   attribution counters (`--attr` traces), with flame-
 //!   compatible and cmp-gateable JSON output.
 //! * [`calib`] — the predicted-vs-actual ranking-calibration table per
 //!   run, with a `--min-corr` CI gate on the rank-vs-cost correlation;

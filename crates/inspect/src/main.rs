@@ -31,7 +31,7 @@ commands:
       collapsed stacks of --metric (default solver-nodes) keyed by fork
       lineage (inferno / speedscope / flamegraph.pl compatible).
   hotspots <trace.jsonl> [--metric <dim>] [--top <n>] [--min-pct <pct>] [--format text|json|flame]
-      Per-source-line cost table from an --attribution trace: steps,
+      Per-source-line cost table from an --attr trace: steps,
       forks, suspensions, solver queries/nodes/µs billed to the MiniC
       line that incurred them. --metric picks the ranking dimension
       (steps, forks, suspends, queries, nodes, us); --min-pct drops

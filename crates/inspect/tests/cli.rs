@@ -291,8 +291,9 @@ fn report_shows_attempts_and_solver_callsites() {
 }
 
 /// Runs the pipeline on the pinned testkit corpus entry `name` into
-/// `rec`, with lineage on and, if asked, query provenance.
-fn pipeline_into(rec: &statsym_telemetry::MemRecorder, name: &str, provenance: bool) {
+/// `rec`, with lineage on and, if asked, attribution and query
+/// provenance.
+fn pipeline_into(rec: &statsym_telemetry::MemRecorder, name: &str, attr: bool) {
     use statsym_core::pipeline::StatSym;
     use testkit::corpus::CORPUS;
     use testkit::oracles::{input_spec, mint_logs, statsym_config};
@@ -306,7 +307,7 @@ fn pipeline_into(rec: &statsym_telemetry::MemRecorder, name: &str, provenance: b
     let logs = mint_logs(&module, &input_spec(&program), entry.seed, None);
     let mut config = statsym_config();
     config.engine.lineage = true;
-    config.engine.provenance = provenance;
+    config.engine.attribution = attr;
     let statsym = StatSym::new(config);
     let analysis = statsym.analyze_traced(&logs, rec);
     let _ = statsym.run_with_analysis_traced(&module, analysis, rec);
@@ -314,12 +315,12 @@ fn pipeline_into(rec: &statsym_telemetry::MemRecorder, name: &str, provenance: b
 
 /// Records the pipeline runs on `entries`, in order, into one trace
 /// file under `dir`.
-fn pipeline_trace(dir: &Path, file: &str, entries: &[&str], provenance: bool) -> PathBuf {
+fn pipeline_trace(dir: &Path, file: &str, entries: &[&str], attr: bool) -> PathBuf {
     use statsym_telemetry::{render_trace, Clock, MemRecorder};
 
     let rec = MemRecorder::new(Clock::steps());
     for name in entries {
-        pipeline_into(&rec, name, provenance);
+        pipeline_into(&rec, name, attr);
     }
     temp_trace(dir, file, &render_trace(&rec.finish()))
 }

@@ -288,7 +288,8 @@ impl Solver {
     /// Decides `constraints` (a conjunction) over `ctx`, producing a
     /// verified model when satisfiable.
     pub fn check(&mut self, ctx: &TermCtx, constraints: &[Constraint]) -> SatResult {
-        self.check_traced(ctx, constraints, &statsym_telemetry::NOOP)
+        let query = Partition::of(ctx, constraints);
+        self.dispatch_traced(ctx, &query, &statsym_telemetry::NOOP, true, "check")
     }
 
     /// Decides satisfiability only: the caller promises not to read the
@@ -299,43 +300,22 @@ impl Solver {
     /// Work counters and the private cache's size equal
     /// [`Solver::check`]'s.
     pub fn check_sat(&mut self, ctx: &TermCtx, constraints: &[Constraint]) -> SatResult {
-        self.check_sat_traced(ctx, constraints, &statsym_telemetry::NOOP)
-    }
-
-    /// [`Solver::check`] with per-query latency telemetry: the query's
-    /// wall-clock time lands in the `solver.query_us` histogram (only
-    /// under a wall-clock trace; deterministic traces skip it). Counter
-    /// totals are *not* emitted here — callers snapshot [`Solver::stats`]
-    /// and emit deltas, which keeps counts exactly reconcilable.
-    pub fn check_traced(
-        &mut self,
-        ctx: &TermCtx,
-        constraints: &[Constraint],
-        rec: &dyn statsym_telemetry::Recorder,
-    ) -> SatResult {
         let query = Partition::of(ctx, constraints);
-        self.dispatch_traced(ctx, &query, rec, true, None)
-    }
-
-    /// [`Solver::check_sat`] with per-query latency telemetry.
-    pub fn check_sat_traced(
-        &mut self,
-        ctx: &TermCtx,
-        constraints: &[Constraint],
-        rec: &dyn statsym_telemetry::Recorder,
-    ) -> SatResult {
-        let query = Partition::of(ctx, constraints);
-        self.dispatch_traced(ctx, &query, rec, false, None)
+        self.dispatch_traced(ctx, &query, &statsym_telemetry::NOOP, false, "check")
     }
 
     /// Decides an already partitioned conjunction (the symbolic
     /// executor's carried path condition), tagged with the callsite
-    /// issuing the query. Besides the global latency histogram, the
+    /// issuing the query, with per-query latency telemetry: the query's
+    /// wall-clock time lands in the `solver.query_us` histogram (only
+    /// under a wall-clock trace; deterministic traces skip it), and the
     /// query lands in the per-site hot-spot profile:
     /// `solver.site.<site>.queries` and `.nodes` counters plus a
     /// `.query_us` latency histogram (wall-clock traces only).
-    /// `statsym-inspect report` renders these. Answers, models and
-    /// counters equal [`Solver::check_traced`] on
+    /// `statsym-inspect report` renders these. Counter totals are *not*
+    /// emitted here — callers snapshot [`Solver::stats`] and emit
+    /// deltas, which keeps counts exactly reconcilable. Answers, models
+    /// and counters equal [`Solver::check`] on
     /// [`Partition::conjuncts`].
     pub fn check_at(
         &mut self,
@@ -344,7 +324,7 @@ impl Solver {
         rec: &dyn statsym_telemetry::Recorder,
         site: &'static str,
     ) -> SatResult {
-        self.dispatch_traced(ctx, query, rec, true, Some(site))
+        self.dispatch_traced(ctx, query, rec, true, site)
     }
 
     /// [`Solver::check_at`] without a model: see [`Solver::check_sat`].
@@ -355,7 +335,7 @@ impl Solver {
         rec: &dyn statsym_telemetry::Recorder,
         site: &'static str,
     ) -> SatResult {
-        self.dispatch_traced(ctx, query, rec, false, Some(site))
+        self.dispatch_traced(ctx, query, rec, false, site)
     }
 
     fn dispatch_traced(
@@ -364,7 +344,7 @@ impl Solver {
         query: &Partition,
         rec: &dyn statsym_telemetry::Recorder,
         needs_model: bool,
-        site: Option<&'static str>,
+        site: &'static str,
     ) -> SatResult {
         if !rec.enabled() {
             if self.config.time_queries {
@@ -396,22 +376,20 @@ impl Solver {
                 sid: self.prov.sid,
                 loc: &self.prov.loc,
                 rank: self.prov.rank,
-                site: site.unwrap_or("check"),
+                site,
                 verdict,
                 cache: self.prov.last_cache,
                 nodes: self.stats.nodes - nodes_before,
                 us,
             });
         }
-        if let Some(site) = site {
-            use statsym_telemetry::names::SOLVER_SITE_PREFIX;
-            rec.counter_add(&format!("{SOLVER_SITE_PREFIX}{site}.queries"), 1);
-            rec.counter_add(
-                &format!("{SOLVER_SITE_PREFIX}{site}.nodes"),
-                self.stats.nodes - nodes_before,
-            );
-            rec.observe_wall(&format!("{SOLVER_SITE_PREFIX}{site}.query_us"), elapsed);
-        }
+        use statsym_telemetry::names::SOLVER_SITE_PREFIX;
+        rec.counter_add(&format!("{SOLVER_SITE_PREFIX}{site}.queries"), 1);
+        rec.counter_add(
+            &format!("{SOLVER_SITE_PREFIX}{site}.nodes"),
+            self.stats.nodes - nodes_before,
+        );
+        rec.observe_wall(&format!("{SOLVER_SITE_PREFIX}{site}.query_us"), elapsed);
         result
     }
 
@@ -1109,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn check_traced_matches_check() {
+    fn check_at_matches_check() {
         let mut ctx = TermCtx::new();
         let x = ctx.new_var("x", 0, 9);
         let c5 = ctx.int(5);
@@ -1117,7 +1095,8 @@ mod tests {
         let mut a = Solver::default();
         let mut b = Solver::default();
         let rec = statsym_telemetry::MemRecorder::new(statsym_telemetry::Clock::wall());
-        assert_eq!(a.check(&ctx, &cs), b.check_traced(&ctx, &cs, &rec));
+        let q = Partition::of(&ctx, &cs);
+        assert_eq!(a.check(&ctx, &cs), b.check_at(&ctx, &q, &rec, "check"));
         // Identical work counters; only the traced solver accumulates
         // wall-clock query time, so normalize it out.
         assert_eq!(
@@ -1523,7 +1502,7 @@ mod tests {
         solver.set_query_origin(7, "convert:4");
         solver.check_at(&ctx, &q, &rec, "feasibility");
         solver.check_at(&ctx, &q, &rec, "feasibility");
-        solver.check_traced(&ctx, &[], &rec);
+        solver.check_at(&ctx, &Partition::of(&ctx, &[]), &rec, "check");
         let queries: Vec<_> = rec
             .events()
             .into_iter()
@@ -1555,7 +1534,7 @@ mod tests {
             )
         );
         assert_eq!(queries[1].5, "private");
-        assert_eq!(queries[2].3, "check", "untagged callsite falls back");
+        assert_eq!(queries[2].3, "check", "the callsite tag is carried");
         assert_eq!(queries[2].5, "empty");
         // Every emitted line survives the strict parser.
         for ev in rec.events() {

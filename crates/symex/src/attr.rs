@@ -9,11 +9,11 @@
 //! `attr.<function>:<line>.<dim>` counters. The final counter section
 //! dumps sorted, so per-line totals are byte-identical run to run.
 //!
-//! With [`crate::EngineConfig::provenance`] on, the same pre-step hook
-//! pushes the originating state id and source location into the solver,
-//! which stamps them onto the canonical `query` events it emits.
+//! The same bracket pushes the originating state id and source location
+//! into the solver, which stamps them onto the canonical `query` events
+//! it emits (query provenance).
 
-use crate::executor::ExecStats;
+use crate::executor::{ExecEnv, ExecStats};
 use crate::state::State;
 use sir::Module;
 use solver::{Solver, SolverStats};
@@ -33,9 +33,9 @@ struct Cell {
     us: u64,
 }
 
-/// Pre-step snapshot: the source line about to execute plus the work
-/// counters before the step ran.
-pub(crate) struct PreStep {
+/// Pre-bracket snapshot: the billed source line plus the work counters
+/// before the bracketed work ran.
+struct PreStep {
     key: (u32, u32),
     steps: u64,
     forks: u64,
@@ -44,11 +44,9 @@ pub(crate) struct PreStep {
 }
 
 /// Step-granular cost attribution and solver provenance context. Inert
-/// (the engine skips the per-step hooks entirely) unless at least one
-/// of the two features is enabled.
+/// (brackets run their work bare) unless enabled.
 pub(crate) struct StepAttr {
-    attribution: bool,
-    provenance: bool,
+    on: bool,
     map: HashMap<(u32, u32), Cell>,
     cur_key: (u32, u32),
     cur_loc: String,
@@ -58,59 +56,49 @@ pub(crate) struct StepAttr {
 const EXIT_KEY: (u32, u32) = (u32::MAX, 0);
 
 impl StepAttr {
-    pub(crate) fn new(attribution: bool, provenance: bool) -> StepAttr {
+    pub(crate) fn new(on: bool) -> StepAttr {
         StepAttr {
-            attribution,
-            provenance,
+            on,
             map: HashMap::new(),
             cur_key: (u32::MAX, u32::MAX),
             cur_loc: String::new(),
         }
     }
 
-    /// Whether the per-step hooks need to run at all.
-    pub(crate) fn active(&self) -> bool {
-        self.attribution || self.provenance
-    }
-
-    /// Called immediately before executing one instruction of `state`
-    /// (or before a solver call made on the state's behalf): resolves
-    /// the current source location, pushes the provenance origin into
-    /// the solver, and snapshots the work counters. The location string
-    /// is cached, so consecutive steps on the same line allocate
-    /// nothing.
-    pub(crate) fn pre_step(
+    /// Runs `f` on `env` and `state` inside one attribution bracket: the
+    /// work it does is billed to a source line of `state`, and the
+    /// solver queries it issues carry `state`'s provenance. `line` is
+    /// `None` for the line about to execute (a step), or the faulting
+    /// line of the state's current function (a fault confirmed outside
+    /// the step: a fault child forked by an instruction already sits at
+    /// the next one, so its own position would name the wrong line).
+    pub(crate) fn bracket<'e, R>(
         &mut self,
-        module: &Module,
-        state: &State,
-        solver: &mut Solver,
-        exec: &ExecStats,
-    ) -> PreStep {
-        self.pre_at(loc_key(module, state), module, state, solver, exec)
-    }
-
-    /// Like [`StepAttr::pre_step`], for a solver call made on behalf of
-    /// a state that faulted at source line `line` of its current
-    /// function. A fault child forked by an instruction already sits at
-    /// the next one, so its own position would name the wrong line.
-    pub(crate) fn pre_fault(
-        &mut self,
-        module: &Module,
-        state: &State,
-        line: u32,
-        solver: &mut Solver,
-        exec: &ExecStats,
-    ) -> PreStep {
-        let key = state
-            .mach
-            .frames
-            .last()
-            .map_or(EXIT_KEY, |f| (f.func.0, line));
-        self.pre_at(key, module, state, solver, exec)
+        env: &mut ExecEnv<'e>,
+        state: &mut State,
+        line: Option<u32>,
+        f: impl FnOnce(&mut ExecEnv<'e>, &mut State) -> R,
+    ) -> R {
+        if !self.on {
+            return f(env, state);
+        }
+        let key = match line {
+            None => loc_key(env.module, state),
+            Some(line) => state
+                .mach
+                .frames
+                .last()
+                .map_or(EXIT_KEY, |f| (f.func.0, line)),
+        };
+        let pre = self.pre_at(key, env.module, state, env.solver, env.stats);
+        let out = f(env, state);
+        self.post(pre, &env.solver.stats(), env.stats);
+        out
     }
 
     /// Resolves `key` to its location string, pushes the provenance
-    /// origin and snapshots the work counters.
+    /// origin and snapshots the work counters. The location string is
+    /// cached, so consecutive steps on the same line allocate nothing.
     fn pre_at(
         &mut self,
         key: (u32, u32),
@@ -133,9 +121,7 @@ impl StepAttr {
                 );
             }
         }
-        if self.provenance {
-            solver.set_query_origin(state.id, &self.cur_loc);
-        }
+        solver.set_query_origin(state.id, &self.cur_loc);
         PreStep {
             key,
             steps: exec.steps,
@@ -145,11 +131,8 @@ impl StepAttr {
         }
     }
 
-    /// Bills the work done since `pre` to the pre-step source line.
-    pub(crate) fn post_step(&mut self, pre: PreStep, solver: &SolverStats, exec: &ExecStats) {
-        if !self.attribution {
-            return;
-        }
+    /// Bills the work done since `pre` to its source line.
+    fn post(&mut self, pre: PreStep, solver: &SolverStats, exec: &ExecStats) {
         let cell = self.map.entry(pre.key).or_default();
         cell.steps += exec.steps - pre.steps;
         cell.forks += exec.forks - pre.forks;
@@ -168,7 +151,7 @@ impl StepAttr {
     /// keys are sorted anyway so the call sequence itself is
     /// deterministic.
     pub(crate) fn flush(&mut self, module: &Module, rec: &dyn Recorder) {
-        if !self.attribution || self.map.is_empty() {
+        if self.map.is_empty() {
             return;
         }
         let wall = rec.clock_mode() == ClockMode::Wall;

@@ -1,20 +1,19 @@
 //! The symbolic execution engine: scheduling loop, budgets, and results.
 
 use crate::attr::StepAttr;
-use crate::executor::{
-    func_locations, initial_state, step, Disposition, ExecEnv, ExecStats, StepResult,
-};
+use crate::executor::{func_locations, initial_state, step, ExecEnv, ExecStats, Fate, Successor};
 use crate::hook::{EventHook, NoGuidance};
 use crate::lineage::{Lineage, WorkSnapshot};
-use crate::scheduler::{build_scheduler, SchedulerKind};
+use crate::scheduler::{build_scheduler, Scheduler, SchedulerKind};
 use crate::state::State;
 use crate::value::SymValue;
 use concrete::{Fault, InputValue, Location};
 use sir::{InputId, Module};
 use solver::{Constraint, QueryCache, SatResult, Solver, SolverConfig, SolverStats, TermCtx};
 use statsym_telemetry::{lineage_op, names, ClockMode, FieldValue, Recorder, NOOP};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -86,15 +85,13 @@ pub struct EngineConfig {
     /// Emit source-level cost attribution (`attr.<func>:<line>.<dim>`
     /// counters): every step, fork, suspension, solver query, solver
     /// search node, and (wall-clock traces) solver µs is billed to the
-    /// MiniC source line that caused it. Off by default: the hooks add
-    /// per-step bookkeeping and the counter section grows with program
-    /// size.
-    pub attribution: bool,
-    /// Stamp solver queries with provenance (`query` events carrying
-    /// the originating state id, source location, candidate rank, and
-    /// cache disposition). Off by default: query events are the
+    /// MiniC source line that caused it; and stamp solver queries with
+    /// provenance (`query` events carrying the originating state id,
+    /// source location, candidate rank, and cache disposition). Off by
+    /// default: the hooks add per-step bookkeeping, the counter section
+    /// grows with program size, and query events are the
     /// highest-frequency event family.
-    pub provenance: bool,
+    pub attribution: bool,
     /// Statistical candidate rank carried on provenance `query` events
     /// (1-based; `0` when the run is not a ranked candidate).
     pub candidate_rank: u32,
@@ -118,7 +115,6 @@ impl Default for EngineConfig {
             lineage: false,
             state_workers: 0,
             attribution: false,
-            provenance: false,
             candidate_rank: 0,
             panic_after: None,
         }
@@ -312,18 +308,19 @@ impl<'m> Engine<'m> {
     ///
     /// The one scheduling loop: pop the next state from the scheduler,
     /// step it until it forks, terminates or is suspended by guidance,
-    /// and queue its successors. When only suspended states remain they
-    /// are resumed with guidance off, so the worst case degrades to pure
-    /// symbolic execution.
+    /// and settle each of its successors (`Frontier::settle`). When
+    /// only suspended states remain they are resumed with guidance off,
+    /// so the worst case degrades to pure symbolic execution.
     pub fn run(&mut self) -> EngineReport {
         let start = Instant::now();
+        let config = self.config;
         let rec = self.rec;
         let run_span = rec.span_open(names::ENGINE_RUN);
         let solver_before = self.solver.stats();
         // Lineage deltas are charged from this run's start, not from the
         // solver's birth (the solver may be reused across runs).
         let mut lineage = Lineage::new(
-            self.config.lineage && rec.enabled(),
+            config.lineage && rec.enabled(),
             WorkSnapshot {
                 steps: 0,
                 solver_nodes: solver_before.nodes,
@@ -331,19 +328,13 @@ impl<'m> Engine<'m> {
             },
         );
         let mut last_tick: u64 = 0;
-        // Source-level cost attribution and solver-query provenance.
-        // Both are trace features: without a recorder the per-step
-        // hooks are skipped entirely.
-        let mut attr = StepAttr::new(
-            self.config.attribution && rec.enabled(),
-            self.config.provenance && rec.enabled(),
-        );
-        if self.config.provenance && rec.enabled() {
-            self.solver.set_provenance(self.config.candidate_rank);
+        // Source-level cost attribution and solver-query provenance: a
+        // trace feature, so without a recorder the brackets run bare.
+        let mut attr = StepAttr::new(config.attribution && rec.enabled());
+        if config.attribution && rec.enabled() {
+            self.solver.set_provenance(config.candidate_rank);
         }
         let mut stats = EngineStats::default();
-        let mut sched = build_scheduler(self.config.scheduler);
-        let mut suspended: Vec<State> = Vec::new();
         let mut inputs_map: HashMap<InputId, SymValue> = HashMap::new();
         for (i, def) in self.module.inputs.iter().enumerate() {
             if let Some(v) = self.pinned.get(&def.name) {
@@ -361,45 +352,20 @@ impl<'m> Engine<'m> {
             }
         }
         let mut next_id: u64 = 0;
-        let mut live_mem: usize = 0;
-        let mut mem_by_state: solver::U64Map<usize> = solver::U64Map::default();
         let locs = func_locations(self.module);
-        let suppressed = self.suppressed.clone();
-        // Coverage-optimized search: blocks ever executed by any state.
-        let coverage_mode = matches!(self.config.scheduler, SchedulerKind::Coverage);
-        let mut covered: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        let is_suppressed = |fault: &Fault| {
-            suppressed
-                .iter()
-                .any(|(func, span)| *func == fault.func && *span == fault.span)
-        };
-
-        enum LoopEnd {
-            Found(Box<State>, Fault, solver::Model),
-            Exhausted(ExhaustionReason),
-            Completed,
-        }
-
-        // Faulting paths whose triggering model the solver could not
-        // produce within budget. Reported as suspended work, never as
-        // found vulnerabilities: a Found with fabricated inputs would
-        // not replay concretely.
-        let mut unconfirmed: u64 = 0;
-
-        // The state popped from the scheduler and currently executing:
-        // it is live too, so peak accounting must include it.
-        let mut in_flight: usize = 0;
-        let mut in_flight_mem: usize = 0;
+        let mut front = Frontier::new(config.scheduler, self.suppressed.clone());
 
         // Explicit resource budget, enforced per executed instruction so
-        // the trip point is exact and reproducible. All budget telemetry
-        // is gated on a budget actually being set, so unlimited runs
-        // emit byte-identical traces to builds that predate budgets.
-        let budget = self.config.budget;
+        // the trip point is exact and reproducible.
+        let budget = config.budget;
         let limited = budget.is_limited();
-        let budget_telemetry = limited && rec.enabled();
-        let wall_clock = rec.clock_mode() == ClockMode::Wall;
-        let mut last_budget_note: Option<u64> = None;
+        let mut budget_notes = BudgetNotes {
+            on: limited && rec.enabled(),
+            wall_clock: rec.clock_mode() == ClockMode::Wall,
+            last: None,
+            start,
+            solver_us_base: solver_before.query_us,
+        };
         let det_tripped = |steps: u64, states: u64| {
             budget.max_steps.is_some_and(|m| steps > m)
                 || budget.max_states.is_some_and(|m| states > m)
@@ -419,102 +385,15 @@ impl<'m> Engine<'m> {
                 locs: &locs,
             };
 
-            // Peaks are updated at *every* state-set mutation (push, pop,
-            // fork, suspend, resume) — not just at loop checkpoints — so
-            // a fork burst right before the run ends is still counted.
-            macro_rules! note_peaks {
-                () => {{
-                    let total_mem = live_mem + in_flight_mem + env.solver.cache_len() * 160;
-                    stats.peak_memory = stats.peak_memory.max(total_mem);
-                    stats.peak_live_states = stats
-                        .peak_live_states
-                        .max(sched.len() + suspended.len() + in_flight);
-                }};
-            }
-
-            // Periodic budget progress telemetry, deduplicated by step
-            // count (the step-0 checkpoint re-fires once per popped
-            // state). Wall-clock usage is only reported under a wall
-            // clock, keeping step-clock traces deterministic.
-            macro_rules! budget_note {
-                () => {{
-                    if budget_telemetry && last_budget_note != Some(env.stats.steps) {
-                        last_budget_note = Some(env.stats.steps);
-                        let states = *env.next_state_id + 1;
-                        rec.gauge_max(names::BUDGET_STEPS_USED, env.stats.steps as i64);
-                        rec.gauge_max(names::BUDGET_STATES_USED, states as i64);
-                        if wall_clock {
-                            let solver_us = env
-                                .solver
-                                .stats()
-                                .query_us
-                                .saturating_sub(solver_before.query_us);
-                            let wall_ms = start.elapsed().as_millis() as u64;
-                            rec.gauge_max(names::BUDGET_SOLVER_US_USED, solver_us as i64);
-                            rec.gauge_max(names::BUDGET_WALL_MS_USED, wall_ms as i64);
-                            rec.event(
-                                names::BUDGET_TICK,
-                                &[
-                                    ("steps", FieldValue::from(env.stats.steps)),
-                                    ("states", FieldValue::from(states)),
-                                    ("solver_us", FieldValue::from(solver_us)),
-                                    ("wall_ms", FieldValue::from(wall_ms)),
-                                ],
-                            );
-                        } else {
-                            rec.event(
-                                names::BUDGET_TICK,
-                                &[
-                                    ("steps", FieldValue::from(env.stats.steps)),
-                                    ("states", FieldValue::from(states)),
-                                ],
-                            );
-                        }
-                    }
-                }};
-            }
-
-            // Solves the faulting state's path for a triggering model
-            // *before* committing to a Found outcome. `None` means the
-            // solver budget ran out (or, vacuously, the path turned out
-            // infeasible): the fault cannot be confirmed and must not be
-            // reported with made-up inputs.
-            macro_rules! confirm_model {
-                ($state:expr, $fault:expr) => {{
-                    // The confirmation query runs outside step(), so it
-                    // gets its own pre/post bracket: the solver work is
-                    // billed to (and its provenance stamped with) the
-                    // faulting statement's source line.
-                    let pre = attr.active().then(|| {
-                        let line = $fault.span.line;
-                        attr.pre_fault(env.module, &$state, line, env.solver, env.stats)
-                    });
-                    let res = env
-                        .solver
-                        .check_at(env.ctx, $state.cond.hard(), rec, "report_model");
-                    if let Some(pre) = pre {
-                        attr.post_step(pre, &env.solver.stats(), env.stats);
-                    }
-                    match res {
-                        SatResult::Sat(m) => Some(m),
-                        _ => None,
-                    }
-                }};
-            }
-
-            let init = initial_state(&mut env);
-            let est = init.est_bytes();
-            live_mem += est;
-            mem_by_state.insert(init.id, est);
-            let pr = env.hook.priority(&init.meta, init.depth);
-            sched.push(init, pr);
-            note_peaks!();
+            // The root runs whatever its main():enter event decided; the
+            // decision is narrated all the same.
+            let (root, fate) = initial_state(&mut env);
+            narrate(&mut env, &root, &fate);
+            front.queue(&env, root);
 
             'outer: loop {
-                // Budget checks.
-                rec.tick(env.stats.steps - last_tick);
-                last_tick = env.stats.steps;
-                if let Some(threshold) = self.config.panic_after {
+                tick(rec, &mut last_tick, env.stats.steps);
+                if let Some(threshold) = config.panic_after {
                     if env.stats.steps >= threshold {
                         panic!(
                             "chaos: forced engine panic after {} steps (panic_after={threshold})",
@@ -522,239 +401,75 @@ impl<'m> Engine<'m> {
                         );
                     }
                 }
-                if let Some(tb) = self.config.time_budget {
-                    if start.elapsed() > tb {
-                        break LoopEnd::Exhausted(ExhaustionReason::Time);
-                    }
+                if let Some(reason) = config.rail_hit(start, env.stats.steps) {
+                    break LoopEnd::Exhausted(reason);
                 }
-                if env.stats.steps > self.config.max_steps {
-                    break LoopEnd::Exhausted(ExhaustionReason::Steps);
-                }
-                let total_mem = live_mem + env.solver.cache_len() * 160;
-                note_peaks!();
-                if total_mem > self.config.memory_budget {
+                front.note_peaks(&env);
+                if front.live_mem + env.solver.cache_len() * 160 > config.memory_budget {
                     break LoopEnd::Exhausted(ExhaustionReason::Memory);
                 }
-                if sched.len() + suspended.len() > self.config.max_live_states {
+                if front.sched.len() + front.suspended.len() > config.max_live_states {
                     break LoopEnd::Exhausted(ExhaustionReason::LiveStates);
                 }
 
-                let Some(mut state) = sched.pop() else {
-                    if suspended.is_empty() {
+                let Some(mut state) = front.pop(&env) else {
+                    if front.suspended.is_empty() {
                         break LoopEnd::Completed;
                     }
-                    // Resume suspended states with guidance disabled: the
-                    // worst case degrades to pure symbolic execution.
-                    let resumed = suspended.len() as u64;
-                    for mut s in suspended.drain(..) {
-                        env.lineage_event(lineage_op::RESUME, &s, None);
-                        s.guidance_off = true;
-                        s.cond = s.cond.without_soft();
-                        sched.push(s, i64::MAX);
-                    }
-                    rec.counter_add(names::SYMEX_RESUME, resumed);
-                    note_peaks!();
+                    front.resume_all(&mut env);
                     continue;
                 };
                 rec.counter_add(names::SYMEX_SCHED_PICKS, 1);
-                if let Some(est) = mem_by_state.remove(&state.id) {
-                    live_mem = live_mem.saturating_sub(est);
-                    in_flight_mem = est;
-                } else {
-                    in_flight_mem = state.est_bytes();
-                }
-                in_flight = 1;
-                note_peaks!();
 
                 // Run this state until it forks, terminates, or parks.
                 // Its id is the lineage fork parent for any fresh
-                // children; the continuing fork child keeps this id and
-                // stays the same tree node.
-                let exec_id = state.id;
-                let step_end = loop {
+                // successors; a successor that keeps this id stays the
+                // same tree node.
+                let parent = state.id;
+                let successors = loop {
                     // The budget trips mid-state at an exact instruction
                     // count: the in-flight state gets the terminal
                     // `budget_exceeded` disposition. A run whose final
                     // state completes exactly on budget is reported
                     // Completed — the budget only interrupts pending work.
                     if limited && det_tripped(env.stats.steps, *env.next_state_id + 1) {
-                        rec.tick(env.stats.steps - last_tick);
-                        last_tick = env.stats.steps;
+                        tick(rec, &mut last_tick, env.stats.steps);
                         env.lineage_event(lineage_op::BUDGET_EXCEEDED, &state, None);
                         rec.counter_add(names::BUDGET_EXCEEDED, 1);
-                        budget_note!();
+                        budget_notes.note(&env);
                         break 'outer LoopEnd::Exhausted(ExhaustionReason::Budget);
                     }
                     if env.stats.steps.is_multiple_of(8192) {
-                        rec.tick(env.stats.steps - last_tick);
-                        last_tick = env.stats.steps;
-                        budget_note!();
-                        if let Some(tb) = self.config.time_budget {
-                            if start.elapsed() > tb {
-                                break 'outer LoopEnd::Exhausted(ExhaustionReason::Time);
-                            }
-                        }
-                        if env.stats.steps > self.config.max_steps {
-                            break 'outer LoopEnd::Exhausted(ExhaustionReason::Steps);
+                        tick(rec, &mut last_tick, env.stats.steps);
+                        budget_notes.note(&env);
+                        if let Some(reason) = config.rail_hit(start, env.stats.steps) {
+                            break 'outer LoopEnd::Exhausted(reason);
                         }
                     }
-                    let pre = attr
-                        .active()
-                        .then(|| attr.pre_step(env.module, &state, env.solver, env.stats));
-                    let res = step(&mut env, &mut state);
-                    if let Some(pre) = pre {
-                        attr.post_step(pre, &env.solver.stats(), env.stats);
-                    }
-                    match res {
-                        StepResult::Continue => {
-                            if coverage_mode {
-                                if let Some(f) = state.mach.frames.last() {
-                                    covered.insert((f.func.0, f.block.0));
-                                }
-                            }
-                        }
-                        other => break other,
+                    match attr.bracket(&mut env, &mut state, None, step) {
+                        Continue(()) => front.cover(&state),
+                        Break(successors) => break successors,
                     }
                 };
-                // The popped state was consumed; its successors (if any)
-                // are accounted individually below.
-                in_flight = 0;
-                in_flight_mem = 0;
-                match step_end {
-                    StepResult::Continue => unreachable!("inner loop keeps Continue"),
-                    StepResult::Fork(children) => {
-                        for child in children {
-                            if child.state.id != exec_id {
-                                env.lineage_event(lineage_op::FORK, &child.state, Some(exec_id));
-                            }
-                            match child.disposition {
-                                Disposition::Active => {
-                                    let est = child.state.est_bytes();
-                                    live_mem += est;
-                                    mem_by_state.insert(child.state.id, est);
-                                    let pr = if coverage_mode {
-                                        let f = child.state.mach.frame();
-                                        if covered.contains(&(f.func.0, f.block.0)) {
-                                            1_000_000 + child.state.depth as i64
-                                        } else {
-                                            child.state.depth as i64
-                                        }
-                                    } else {
-                                        env.hook.priority(&child.state.meta, child.state.depth)
-                                    };
-                                    sched.push(child.state, pr);
-                                    note_peaks!();
-                                }
-                                Disposition::Suspended => {
-                                    let est = child.state.est_bytes();
-                                    live_mem += est;
-                                    mem_by_state.insert(child.state.id, est);
-                                    rec.counter_add(names::SYMEX_SUSPEND_BRANCH, 1);
-                                    rec.observe(
-                                        names::SYMEX_HOP_DIVERGENCE,
-                                        child.state.meta.hops as u64,
-                                    );
-                                    env.lineage_event(
-                                        lineage_op::SUSPEND_BRANCH,
-                                        &child.state,
-                                        None,
-                                    );
-                                    suspended.push(child.state);
-                                    note_peaks!();
-                                }
-                                Disposition::Fault(fault) => {
-                                    if is_suppressed(&fault) {
-                                        env.lineage_event(lineage_op::EXIT, &child.state, None);
-                                        stats.paths_completed += 1;
-                                        continue;
-                                    }
-                                    // The faulting state is live until the
-                                    // report is built; count it.
-                                    in_flight = 1;
-                                    in_flight_mem = child.state.est_bytes();
-                                    note_peaks!();
-                                    match confirm_model!(child.state, fault) {
-                                        Some(model) => {
-                                            env.lineage_event(
-                                                lineage_op::FAULT,
-                                                &child.state,
-                                                None,
-                                            );
-                                            break 'outer LoopEnd::Found(
-                                                Box::new(child.state),
-                                                fault,
-                                                model,
-                                            );
-                                        }
-                                        None => {
-                                            env.lineage_event(
-                                                lineage_op::UNCONFIRMED,
-                                                &child.state,
-                                                None,
-                                            );
-                                            in_flight = 0;
-                                            in_flight_mem = 0;
-                                            unconfirmed += 1;
-                                            rec.counter_add(names::SYMEX_UNCONFIRMED, 1);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        continue 'outer;
+                // The popped state was consumed; its successors are
+                // accounted individually.
+                front.in_flight = None;
+                for succ in successors {
+                    if let Break(end) = front.settle(&mut env, &mut attr, succ, parent) {
+                        break 'outer end;
                     }
-                    StepResult::Exit(s) => {
-                        env.lineage_event(lineage_op::EXIT, &s, None);
-                        stats.paths_completed += 1;
-                        continue 'outer;
-                    }
-                    StepResult::Fault(s, fault) => {
-                        if is_suppressed(&fault) {
-                            env.lineage_event(lineage_op::EXIT, &s, None);
-                            stats.paths_completed += 1;
-                            continue 'outer;
-                        }
-                        in_flight = 1;
-                        in_flight_mem = s.est_bytes();
-                        note_peaks!();
-                        match confirm_model!(s, fault) {
-                            Some(model) => {
-                                env.lineage_event(lineage_op::FAULT, &s, None);
-                                break 'outer LoopEnd::Found(Box::new(s), fault, model);
-                            }
-                            None => {
-                                env.lineage_event(lineage_op::UNCONFIRMED, &s, None);
-                                in_flight = 0;
-                                in_flight_mem = 0;
-                                unconfirmed += 1;
-                                rec.counter_add(names::SYMEX_UNCONFIRMED, 1);
-                                continue 'outer;
-                            }
-                        }
-                    }
-                    StepResult::Suspend(s) => {
-                        let est = s.est_bytes();
-                        live_mem += est;
-                        mem_by_state.insert(s.id, est);
-                        suspended.push(s);
-                        note_peaks!();
-                        continue 'outer;
-                    }
-                    StepResult::Kill => continue 'outer,
                 }
             }
         };
 
-        // The budget-note dedupe marker is last written on trip paths
-        // that immediately leave the loop.
-        let _ = last_budget_note;
         stats.states_created = next_id + 1;
-        stats.left_suspended = suspended.len() as u64 + unconfirmed;
-        stats.paths_explored = stats.paths_completed
-            + stats.exec.pruned
-            + sched.len() as u64
-            + suspended.len() as u64
-            + unconfirmed;
+        stats.paths_completed = front.paths_completed;
+        stats.peak_memory = front.peak_memory;
+        stats.peak_live_states = front.peak_live_states;
+        let pending = front.sched.len() as u64;
+        let parked = front.suspended.len() as u64 + front.unconfirmed;
+        stats.left_suspended = parked;
+        stats.paths_explored = stats.paths_completed + stats.exec.pruned + pending + parked;
         let outcome = match end {
             LoopEnd::Found(state, fault, model) => {
                 stats.paths_explored += 1;
@@ -825,6 +540,280 @@ impl<'m> Engine<'m> {
             inputs,
             depth: state.depth,
         }
+    }
+}
+
+/// How the scheduling loop ended.
+enum LoopEnd {
+    Found(Box<State>, Fault, solver::Model),
+    Exhausted(ExhaustionReason),
+    Completed,
+}
+
+/// Advances the step clock to `now` executed instructions.
+fn tick(rec: &dyn Recorder, last: &mut u64, now: u64) {
+    rec.tick(now - *last);
+    *last = now;
+}
+
+/// Budget progress telemetry: `budget.*` usage gauges and a
+/// `budget.tick` event at each step-clock checkpoint. On only when a
+/// [`Budget`] is set and a recorder is attached, so unlimited runs emit
+/// byte-identical traces to builds that predate budgets.
+struct BudgetNotes {
+    on: bool,
+    /// Wall-clock usage is reported only under a wall clock, keeping
+    /// step-clock traces deterministic.
+    wall_clock: bool,
+    /// Step count of the last note: the step-0 checkpoint re-fires once
+    /// per popped state, and is reported once.
+    last: Option<u64>,
+    start: Instant,
+    /// Solver µs spent before this run (a reused solver's).
+    solver_us_base: u64,
+}
+
+impl BudgetNotes {
+    fn note(&mut self, env: &ExecEnv<'_>) {
+        let steps = env.stats.steps;
+        if !self.on || self.last == Some(steps) {
+            return;
+        }
+        self.last = Some(steps);
+        let states = *env.next_state_id + 1;
+        let mut usage = vec![
+            ("steps", names::BUDGET_STEPS_USED, steps),
+            ("states", names::BUDGET_STATES_USED, states),
+        ];
+        if self.wall_clock {
+            let solver_us = env
+                .solver
+                .stats()
+                .query_us
+                .saturating_sub(self.solver_us_base);
+            let wall_ms = self.start.elapsed().as_millis() as u64;
+            usage.push(("solver_us", names::BUDGET_SOLVER_US_USED, solver_us));
+            usage.push(("wall_ms", names::BUDGET_WALL_MS_USED, wall_ms));
+        }
+        let mut fields = Vec::with_capacity(usage.len());
+        for (field, gauge, used) in usage {
+            env.rec.gauge_max(gauge, used as i64);
+            fields.push((field, FieldValue::from(used)));
+        }
+        env.rec.event(names::BUDGET_TICK, &fields);
+    }
+}
+
+impl EngineConfig {
+    /// The engine safety rail (wall-clock budget, then step cap) a run
+    /// at `steps` executed instructions has crossed, if any.
+    fn rail_hit(&self, start: Instant, steps: u64) -> Option<ExhaustionReason> {
+        if self.time_budget.is_some_and(|tb| start.elapsed() > tb) {
+            return Some(ExhaustionReason::Time);
+        }
+        (steps > self.max_steps).then_some(ExhaustionReason::Steps)
+    }
+}
+
+/// Narrates a fate that needs no confirmation: a parked state's
+/// `symex.suspend.<cause>` counter, hop-divergence observation and
+/// `suspend.<cause>` lineage event, a killed state's `symex.kill`
+/// counter and `kill` event, or an exit's `exit` event.
+fn narrate(env: &mut ExecEnv<'_>, state: &State, fate: &Fate) {
+    let op = match fate {
+        Fate::Suspended(cause) => {
+            let (counter, op) = cause.names();
+            env.rec.counter_add(counter, 1);
+            env.rec
+                .observe(names::SYMEX_HOP_DIVERGENCE, state.meta.hops as u64);
+            op
+        }
+        Fate::Killed => {
+            env.rec.counter_add(names::SYMEX_KILL, 1);
+            lineage_op::KILL
+        }
+        Fate::Exit => lineage_op::EXIT,
+        Fate::Active | Fate::Fault(_) => return,
+    };
+    env.lineage_event(op, state, None);
+}
+
+/// The run's states between steps — queued, parked and in flight — and
+/// the accounting that follows them.
+struct Frontier {
+    sched: Box<dyn Scheduler>,
+    suspended: Vec<State>,
+    /// Modeled bytes of every queued or parked state, by id.
+    mem_by_state: solver::U64Map<usize>,
+    live_mem: usize,
+    /// Modeled bytes of the state popped and executing, or of a faulting
+    /// state awaiting its report: it is live too, so peak accounting
+    /// must include it.
+    in_flight: Option<usize>,
+    peak_memory: usize,
+    peak_live_states: usize,
+    paths_completed: u64,
+    /// Faulting paths whose triggering model the solver could not
+    /// produce within budget. Reported as suspended work, never as
+    /// found vulnerabilities: a Found with fabricated inputs would not
+    /// replay concretely.
+    unconfirmed: u64,
+    /// Coverage-optimized search only: blocks ever executed by any
+    /// state.
+    covered: Option<HashSet<(u32, u32)>>,
+    suppressed: Vec<(String, minic::Span)>,
+}
+
+impl Frontier {
+    fn new(kind: SchedulerKind, suppressed: Vec<(String, minic::Span)>) -> Frontier {
+        Frontier {
+            sched: build_scheduler(kind),
+            suspended: Vec::new(),
+            mem_by_state: solver::U64Map::default(),
+            live_mem: 0,
+            in_flight: None,
+            peak_memory: 0,
+            peak_live_states: 0,
+            paths_completed: 0,
+            unconfirmed: 0,
+            covered: matches!(kind, SchedulerKind::Coverage).then(HashSet::new),
+            suppressed,
+        }
+    }
+
+    /// Peaks are updated at *every* state-set mutation (push, pop, fork,
+    /// suspend, resume) — not just at loop checkpoints — so a fork burst
+    /// right before the run ends is still counted.
+    fn note_peaks(&mut self, env: &ExecEnv<'_>) {
+        let in_flight = self.in_flight.unwrap_or(0);
+        let total_mem = self.live_mem + in_flight + env.solver.cache_len() * 160;
+        self.peak_memory = self.peak_memory.max(total_mem);
+        let live = self.sched.len() + self.suspended.len() + usize::from(self.in_flight.is_some());
+        self.peak_live_states = self.peak_live_states.max(live);
+    }
+
+    /// Charges a queued or parked state's modeled bytes.
+    fn admit(&mut self, state: &State) {
+        let est = state.est_bytes();
+        self.live_mem += est;
+        self.mem_by_state.insert(state.id, est);
+    }
+
+    fn queue(&mut self, env: &ExecEnv<'_>, state: State) {
+        let pr = match &self.covered {
+            Some(covered) => {
+                let f = state.mach.frame();
+                if covered.contains(&(f.func.0, f.block.0)) {
+                    1_000_000 + state.depth as i64
+                } else {
+                    state.depth as i64
+                }
+            }
+            None => env.hook.priority(&state.meta, state.depth),
+        };
+        self.admit(&state);
+        self.sched.push(state, pr);
+        self.note_peaks(env);
+    }
+
+    /// Pops the next state to run; it is in flight until it is settled.
+    fn pop(&mut self, env: &ExecEnv<'_>) -> Option<State> {
+        let state = self.sched.pop()?;
+        let est = match self.mem_by_state.remove(&state.id) {
+            Some(est) => {
+                self.live_mem = self.live_mem.saturating_sub(est);
+                est
+            }
+            None => state.est_bytes(),
+        };
+        self.in_flight = Some(est);
+        self.note_peaks(env);
+        Some(state)
+    }
+
+    /// Records the block a state just stepped into (coverage search).
+    fn cover(&mut self, state: &State) {
+        if let (Some(covered), Some(f)) = (&mut self.covered, state.mach.frames.last()) {
+            covered.insert((f.func.0, f.block.0));
+        }
+    }
+
+    /// Resumes every suspended state with guidance disabled: the worst
+    /// case degrades to pure symbolic execution.
+    fn resume_all(&mut self, env: &mut ExecEnv<'_>) {
+        let resumed = self.suspended.len() as u64;
+        for mut s in self.suspended.drain(..) {
+            env.lineage_event(lineage_op::RESUME, &s, None);
+            s.guidance_off = true;
+            s.cond = s.cond.without_soft();
+            self.sched.push(s, i64::MAX);
+        }
+        env.rec.counter_add(names::SYMEX_RESUME, resumed);
+        self.note_peaks(env);
+    }
+
+    /// Settles one successor of a step: the one place a state's fate is
+    /// acted on. A fresh id (one that is not the stepped state's
+    /// `parent` id) first gets its `fork` lineage event; then the state
+    /// is queued with its priority, parked, dropped, counted as a
+    /// completed path, or its fault's model is confirmed. A fault at a
+    /// suppressed site is an ordinary exit. `Break` ends the run with
+    /// the confirmed fault.
+    fn settle(
+        &mut self,
+        env: &mut ExecEnv<'_>,
+        attr: &mut StepAttr,
+        (mut state, mut fate): Successor,
+        parent: u64,
+    ) -> ControlFlow<LoopEnd> {
+        if state.id != parent {
+            env.lineage_event(lineage_op::FORK, &state, Some(parent));
+        }
+        if let Fate::Fault(fault) = &fate {
+            if self
+                .suppressed
+                .iter()
+                .any(|(func, span)| *func == fault.func && *span == fault.span)
+            {
+                fate = Fate::Exit;
+            }
+        }
+        narrate(env, &state, &fate);
+        match fate {
+            Fate::Active => self.queue(env, state),
+            Fate::Suspended(_) => {
+                self.admit(&state);
+                self.suspended.push(state);
+                self.note_peaks(env);
+            }
+            Fate::Killed => {}
+            Fate::Exit => self.paths_completed += 1,
+            Fate::Fault(fault) => {
+                // The faulting state is live until the report is built.
+                self.in_flight = Some(state.est_bytes());
+                self.note_peaks(env);
+                // Solve the path for a triggering model *before*
+                // committing to a Found outcome, billed to (and stamped
+                // with) the faulting statement's source line. No model
+                // (the solver budget ran out, or vacuously the path is
+                // infeasible) means the fault cannot be confirmed and
+                // must not be reported with made-up inputs.
+                let confirmed = attr.bracket(env, &mut state, Some(fault.span.line), |env, s| {
+                    env.solver
+                        .check_at(env.ctx, s.cond.hard(), env.rec, "report_model")
+                });
+                let SatResult::Sat(model) = confirmed else {
+                    env.lineage_event(lineage_op::UNCONFIRMED, &state, None);
+                    self.in_flight = None;
+                    self.unconfirmed += 1;
+                    env.rec.counter_add(names::SYMEX_UNCONFIRMED, 1);
+                    return Continue(());
+                };
+                env.lineage_event(lineage_op::FAULT, &state, None);
+                return Break(LoopEnd::Found(Box::new(state), fault, model));
+            }
+        }
+        Continue(())
     }
 }
 
@@ -1525,7 +1514,7 @@ mod tests {
     #[test]
     fn provenance_stamps_queries_with_rank_and_location() {
         let cfg = EngineConfig {
-            provenance: true,
+            attribution: true,
             candidate_rank: 3,
             ..EngineConfig::default()
         };

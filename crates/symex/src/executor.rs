@@ -57,7 +57,9 @@ pub struct ExecStats {
     pub forks: u64,
     /// Children discarded as infeasible.
     pub pruned: u64,
-    /// Children parked because they conflict with guidance.
+    /// States guidance parked at a function-boundary event: τ and
+    /// predicate suspensions. Fork children born suspended are not
+    /// counted here; they are the `symex.suspend.branch` counter.
     pub suspended: u64,
     /// Symbolic indices pinned to a concrete model value.
     pub concretizations: u64,
@@ -65,40 +67,53 @@ pub struct ExecStats {
     pub strlen_forks: u64,
 }
 
-/// What became of one fork child.
+/// Why a state was parked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cause {
+    /// The hook's τ hop budget ran out.
+    Tau,
+    /// An injected candidate predicate conflicts with the hard path.
+    Predicate,
+    /// A fork child is feasible on its hard constraints only.
+    Branch,
+}
+
+impl Cause {
+    /// The `symex.suspend.<cause>` counter and `suspend.<cause>` lineage
+    /// op of this cause.
+    pub(crate) fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Cause::Tau => (names::SYMEX_SUSPEND_TAU, lineage_op::SUSPEND_TAU),
+            Cause::Predicate => (
+                names::SYMEX_SUSPEND_PREDICATE,
+                lineage_op::SUSPEND_PREDICATE,
+            ),
+            Cause::Branch => (names::SYMEX_SUSPEND_BRANCH, lineage_op::SUSPEND_BRANCH),
+        }
+    }
+}
+
+/// What becomes of one successor of a step.
 #[derive(Debug)]
-pub(crate) enum Disposition {
+pub(crate) enum Fate {
     /// Keep exploring.
     Active,
-    /// Conflicts with soft guidance constraints; park it.
-    Suspended,
-    /// The child reaches a fault (feasible on its hard constraints).
+    /// Park it until no active state is left.
+    Suspended(Cause),
+    /// Drop it: an injected predicate left its hard path infeasible.
+    Killed,
+    /// The path terminated normally.
+    Exit,
+    /// The path reaches a fault (feasible on its hard constraints).
     Fault(Fault),
 }
 
-/// One fork child plus its classification.
-#[derive(Debug)]
-pub(crate) struct ForkChild {
-    pub state: State,
-    pub disposition: Disposition,
-}
+/// One successor state of a step plus its fate.
+pub(crate) type Successor = (State, Fate);
 
-/// Result of stepping a state by one instruction or terminator.
-#[derive(Debug)]
-pub(crate) enum StepResult {
-    /// The state advanced in place.
-    Continue,
-    /// The state split; children are classified individually.
-    Fork(Vec<ForkChild>),
-    /// The path terminated normally.
-    Exit(State),
-    /// The path reached a fault.
-    Fault(State, Fault),
-    /// Guidance asked to park the state.
-    Suspend(State),
-    /// The state became infeasible (e.g. guidance injection contradicts
-    /// the hard path); it is dropped.
-    Kill,
+/// `st` itself as its step's one successor.
+fn only(st: &mut State, fate: Fate) -> Vec<Successor> {
+    vec![(std::mem::take(st), fate)]
 }
 
 impl<'e> ExecEnv<'e> {
@@ -165,7 +180,7 @@ impl<'e> ExecEnv<'e> {
     }
 
     /// Feasibility of a conjunction; `Unknown` counts as feasible.
-    /// Model-free (`check_sat_traced`), so shared-cache `Sat` verdicts
+    /// Model-free ([`Solver::check_sat_at`]), so shared-cache `Sat` verdicts
     /// can answer it — `Sat` and `Unknown` are interchangeable here,
     /// which is what makes verdict sharing exploration-invariant.
     fn feasible(&mut self, query: &Partition) -> bool {
@@ -177,12 +192,12 @@ impl<'e> ExecEnv<'e> {
 
     /// Classifies a candidate child: active, suspended (violates soft
     /// constraints only), or pruned (`None`).
-    fn classify(&mut self, state: &State) -> Option<Disposition> {
+    fn classify(&mut self, state: &State) -> Option<Fate> {
         if self.feasible(state.cond.all()) {
-            return Some(Disposition::Active);
+            return Some(Fate::Active);
         }
         if state.cond.soft_len() > 0 && self.feasible(state.cond.hard()) {
-            return Some(Disposition::Suspended);
+            return Some(Fate::Suspended(Cause::Branch));
         }
         None
     }
@@ -191,8 +206,9 @@ impl<'e> ExecEnv<'e> {
         state.mach.fault(self.module, kind, span)
     }
 
-    /// Runs the guidance hook for a function-boundary event. Returns
-    /// `Some(result)` when the event decides the state's fate.
+    /// Runs the guidance hook for a function-boundary event. Breaks with
+    /// the state as its own one successor when the event parks or kills
+    /// it; the engine narrates that fate.
     fn apply_event(
         &mut self,
         state: &mut State,
@@ -200,7 +216,7 @@ impl<'e> ExecEnv<'e> {
         params: &[(String, minic::Type)],
         args: &[SymValue],
         ret: Option<&SymValue>,
-    ) -> ControlFlow<StepResult> {
+    ) -> ControlFlow<Vec<Successor>> {
         state.trace = state.trace.push(loc.clone());
         if state.guidance_off {
             return Continue(());
@@ -222,33 +238,25 @@ impl<'e> ExecEnv<'e> {
         for c in result.constraints {
             state.cond.push_soft(self.ctx, c);
         }
-        if injected && !self.feasible(state.cond.all()) {
-            return if self.feasible(state.cond.hard()) {
+        let fate = if injected && !self.feasible(state.cond.all()) {
+            if self.feasible(state.cond.hard()) {
                 self.note_candidate_node(matched, loc, conj, "conflict");
                 self.stats.suspended += 1;
-                self.rec.counter_add(names::SYMEX_SUSPEND_PREDICATE, 1);
-                self.rec
-                    .observe(names::SYMEX_HOP_DIVERGENCE, state.meta.hops as u64);
-                self.lineage_event(lineage_op::SUSPEND_PREDICATE, state, None);
-                Break(StepResult::Suspend(std::mem::take(state)))
+                Fate::Suspended(Cause::Predicate)
             } else {
                 self.note_candidate_node(matched, loc, conj, "kill");
                 self.stats.pruned += 1;
-                self.rec.counter_add(names::SYMEX_KILL, 1);
-                self.lineage_event(lineage_op::KILL, state, None);
-                Break(StepResult::Kill)
-            };
-        }
-        self.note_candidate_node(matched, loc, conj, "ok");
-        if result.suspend {
+                Fate::Killed
+            }
+        } else {
+            self.note_candidate_node(matched, loc, conj, "ok");
+            if !result.suspend {
+                return Continue(());
+            }
             self.stats.suspended += 1;
-            self.rec.counter_add(names::SYMEX_SUSPEND_TAU, 1);
-            self.rec
-                .observe(names::SYMEX_HOP_DIVERGENCE, state.meta.hops as u64);
-            self.lineage_event(lineage_op::SUSPEND_TAU, state, None);
-            return Break(StepResult::Suspend(std::mem::take(state)));
-        }
-        Continue(())
+            Fate::Suspended(Cause::Tau)
+        };
+        Break(only(state, fate))
     }
 }
 
@@ -260,37 +268,34 @@ fn atom(c: BoolVal) -> Constraint {
     }
 }
 
-/// Builds the initial state entering `main`.
-pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
+/// Builds the initial state entering `main`, with the fate its
+/// `main():enter` event decided (guidance may constrain globals or
+/// advance candidate-path progress there). The engine narrates that
+/// fate and runs the root regardless.
+pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> Successor {
     let module = env.module;
     let mut state = State {
         mach: interp::boot(env, module),
         ..State::default()
     };
     // The root lineage node must exist before the main():enter event
-    // below, which may itself emit a suspend transition for it.
+    // below decides a fate for it.
     env.lineage_event(lineage_op::ROOT, &state, None);
-    // Deliver the main():enter event (guidance may constrain globals or
-    // advance candidate-path progress). A suspend decision here is
-    // ignored — the initial state must run.
     let argc = module.func(module.main).params.len();
     match env.enter(&mut state, module.main, argc) {
-        Break(StepResult::Suspend(s)) => s,
-        _ => state,
+        Break(mut decided) => decided.pop().expect("the event's own state"),
+        Continue(()) => (state, Fate::Active),
     }
 }
 
 /// Executes one instruction (or terminator) of `state`: the driver's
-/// step limit is one more than the steps so far. Unless the result is
-/// [`StepResult::Continue`], the caller is done with `state`: a fork,
-/// exit, fault or suspension has moved it into the result.
-pub(crate) fn step(env: &mut ExecEnv<'_>, state: &mut State) -> StepResult {
+/// step limit is one more than the steps so far. On `Break` the caller
+/// is done with `state`: a fork, exit, fault, suspension or kill has
+/// moved it into the successor list.
+pub(crate) fn step(env: &mut ExecEnv<'_>, state: &mut State) -> ControlFlow<Vec<Successor>> {
     let module = env.module;
     let limit = env.stats.steps + 1;
-    match interp::run_block(env, module, state, limit) {
-        Continue(()) => StepResult::Continue,
-        Break(out) => out,
-    }
+    interp::run_block(env, module, state, limit)
 }
 
 /// The symbolic domain: solver terms, forking at every decision on a
@@ -300,7 +305,7 @@ impl Domain for ExecEnv<'_> {
     type Bool = BoolVal;
     type Str = SymStr;
     type State = State;
-    type Out = StepResult;
+    type Out = Vec<Successor>;
 
     fn steps(&mut self) -> &mut u64 {
         &mut self.stats.steps
@@ -366,7 +371,7 @@ impl Domain for ExecEnv<'_> {
         st: &mut State,
         c: BoolVal,
         mut k: impl FnMut(&mut State, bool),
-    ) -> StepResult {
+    ) -> Vec<Successor> {
         let atom = atom(c);
         let parent = std::mem::take(st);
         self.stats.forks += 1;
@@ -379,17 +384,14 @@ impl Domain for ExecEnv<'_> {
             child.depth += 1;
             k(&mut child, taken);
             match self.classify(&child) {
-                Some(d) => children.push(ForkChild {
-                    state: child,
-                    disposition: d,
-                }),
+                Some(d) => children.push((child, d)),
                 None => self.stats.pruned += 1,
             }
         }
-        StepResult::Fork(children)
+        children
     }
 
-    fn fork_assert(&mut self, st: &mut State, c: BoolVal, span: Span) -> StepResult {
+    fn fork_assert(&mut self, st: &mut State, c: BoolVal, span: Span) -> Vec<Successor> {
         let atom = atom(c);
         let state = std::mem::take(st);
         self.stats.forks += 1;
@@ -401,10 +403,7 @@ impl Domain for ExecEnv<'_> {
         bad.depth += 1;
         if self.feasible(bad.cond.hard()) {
             let fault = self.fault_of(&bad, FaultKind::AssertFailed, span);
-            children.push(ForkChild {
-                state: bad,
-                disposition: Disposition::Fault(fault),
-            });
+            children.push((bad, Fate::Fault(fault)));
         } else {
             self.stats.pruned += 1;
         }
@@ -413,13 +412,10 @@ impl Domain for ExecEnv<'_> {
         ok.cond.push_hard(self.ctx, atom);
         ok.depth += 1;
         match self.classify(&ok) {
-            Some(d) => children.push(ForkChild {
-                state: ok,
-                disposition: d,
-            }),
+            Some(d) => children.push((ok, d)),
             None => self.stats.pruned += 1,
         }
-        StepResult::Fork(children)
+        children
     }
 
     fn guard_divisor(
@@ -428,7 +424,7 @@ impl Domain for ExecEnv<'_> {
         tb: TermId,
         span: Span,
         k: impl FnOnce(&mut Self, &mut State),
-    ) -> ControlFlow<StepResult> {
+    ) -> ControlFlow<Vec<Successor>> {
         let zero = self.ctx.int(0);
         let div_zero = Constraint::new(CmpOp::Eq, tb, zero);
         if self.ctx.as_const(tb).is_some() {
@@ -447,22 +443,16 @@ impl Domain for ExecEnv<'_> {
         bad.cond.push_hard(self.ctx, div_zero);
         bad.depth += 1;
         let fault = self.fault_of(&bad, FaultKind::DivByZero, span);
-        children.push(ForkChild {
-            state: bad,
-            disposition: Disposition::Fault(fault),
-        });
+        children.push((bad, Fate::Fault(fault)));
         let mut ok = state;
         ok.cond.push_hard(self.ctx, div_zero.negate());
         ok.depth += 1;
         k(self, &mut ok);
         match self.classify(&ok) {
-            Some(d) => children.push(ForkChild {
-                state: ok,
-                disposition: d,
-            }),
+            Some(d) => children.push((ok, d)),
             None => self.stats.pruned += 1,
         }
-        Break(StepResult::Fork(children))
+        Break(children)
     }
 
     /// Forks a fault child for each feasible violation and concretizes
@@ -475,7 +465,7 @@ impl Domain for ExecEnv<'_> {
         range: Range<impl Fn(i64) -> FaultKind>,
         span: Span,
         apply: impl FnOnce(&mut Self, &mut State, i64),
-    ) -> StepResult {
+    ) -> Vec<Successor> {
         let state = std::mem::take(st);
         self.stats.forks += 1;
         let zero = self.ctx.int(0);
@@ -505,10 +495,7 @@ impl Domain for ExecEnv<'_> {
                         _ => fallback,
                     };
                 let fault = self.fault_of(&bad, (range.kind)(witness), span);
-                children.push(ForkChild {
-                    state: bad,
-                    disposition: Disposition::Fault(fault),
-                });
+                children.push((bad, Fate::Fault(fault)));
             } else {
                 self.stats.pruned += 1;
             }
@@ -536,18 +523,12 @@ impl Domain for ExecEnv<'_> {
                     .push_hard(self.ctx, Constraint::new(CmpOp::Eq, t, point));
                 self.stats.concretizations += 1;
                 apply(self, &mut ok, v);
-                children.push(ForkChild {
-                    state: ok,
-                    disposition: Disposition::Active,
-                });
+                children.push((ok, Fate::Active));
             }
             SatResult::Unsat => {
                 // Possibly only soft constraints block it.
-                if let Some(Disposition::Suspended) = self.classify(&ok) {
-                    children.push(ForkChild {
-                        state: ok,
-                        disposition: Disposition::Suspended,
-                    });
+                if let Some(fate @ Fate::Suspended(_)) = self.classify(&ok) {
+                    children.push((ok, fate));
                 } else {
                     self.stats.pruned += 1;
                 }
@@ -557,7 +538,7 @@ impl Domain for ExecEnv<'_> {
                 self.stats.pruned += 1;
             }
         }
-        StepResult::Fork(children)
+        children
     }
 
     /// Forks one child per feasible first-NUL position — the paper's
@@ -567,7 +548,7 @@ impl Domain for ExecEnv<'_> {
         st: &mut State,
         sym: &SymStr,
         mut k: impl FnMut(&mut Self, &mut State, usize),
-    ) -> StepResult {
+    ) -> Vec<Successor> {
         let mut state = std::mem::take(st);
         self.stats.strlen_forks += 1;
         self.stats.forks += 1;
@@ -591,10 +572,7 @@ impl Domain for ExecEnv<'_> {
             match self.classify(&child) {
                 Some(d) => {
                     k(self, &mut child, len);
-                    children.push(ForkChild {
-                        state: child,
-                        disposition: d,
-                    });
+                    children.push((child, d));
                 }
                 None => self.stats.pruned += 1,
             }
@@ -602,14 +580,14 @@ impl Domain for ExecEnv<'_> {
                 prefix.push_hard(self.ctx, Constraint::new(CmpOp::Ne, sym.bytes[len], zero));
             }
         }
-        StepResult::Fork(children)
+        children
     }
 
     /// Fans out over the first `%`-or-NUL position like
     /// [`Domain::fork_strlen`]: at each offset `k` the prefix pins bytes
     /// `0..k` to non-NUL non-`%`, the fault child pins `s[k] == '%'`, and
     /// the clean child pins `s[k] == 0`.
-    fn fork_format(&mut self, st: &mut State, sym: &SymStr, span: Span) -> StepResult {
+    fn fork_format(&mut self, st: &mut State, sym: &SymStr, span: Span) -> Vec<Successor> {
         let mut state = std::mem::take(st);
         self.stats.forks += 1;
         let zero = self.ctx.int(0);
@@ -627,10 +605,7 @@ impl Domain for ExecEnv<'_> {
                 if self.feasible(bad.cond.hard()) {
                     let kind = FaultKind::FormatString { idx: k as i64 };
                     let fault = self.fault_of(&bad, kind, span);
-                    children.push(ForkChild {
-                        state: bad,
-                        disposition: Disposition::Fault(fault),
-                    });
+                    children.push((bad, Fate::Fault(fault)));
                 } else {
                     self.stats.pruned += 1;
                 }
@@ -650,10 +625,7 @@ impl Domain for ExecEnv<'_> {
             ok.id = self.fresh_id();
             ok.depth += 1;
             match self.classify(&ok) {
-                Some(d) => children.push(ForkChild {
-                    state: ok,
-                    disposition: d,
-                }),
+                Some(d) => children.push((ok, d)),
                 None => self.stats.pruned += 1,
             }
             if k < sym.cap() {
@@ -661,10 +633,10 @@ impl Domain for ExecEnv<'_> {
                 prefix.push_hard(self.ctx, Constraint::new(CmpOp::Ne, sym.bytes[k], pct));
             }
         }
-        StepResult::Fork(children)
+        children
     }
 
-    fn input(&mut self, id: InputId) -> ControlFlow<StepResult, SymValue> {
+    fn input(&mut self, id: InputId) -> ControlFlow<Vec<Successor>, SymValue> {
         if let Some(v) = self.inputs.get(&id) {
             return Continue(v.clone());
         }
@@ -674,7 +646,7 @@ impl Domain for ExecEnv<'_> {
         Continue(v)
     }
     fn print(&mut self, _: &SymMachine, _: &[Reg]) {}
-    fn enter(&mut self, st: &mut State, func: FuncId, argc: usize) -> ControlFlow<StepResult> {
+    fn enter(&mut self, st: &mut State, func: FuncId, argc: usize) -> ControlFlow<Vec<Successor>> {
         let body = self.module.func(func);
         let loc = &self.locs[func.index()].0;
         let args = st.mach.args(argc).to_vec();
@@ -685,23 +657,23 @@ impl Domain for ExecEnv<'_> {
         st: &mut State,
         func: FuncId,
         ret: Option<&SymValue>,
-    ) -> ControlFlow<StepResult> {
+    ) -> ControlFlow<Vec<Successor>> {
         let loc = &self.locs[func.index()].1;
-        // A state suspended here resumes by re-running its `Return`,
-        // which records this event again: it keeps the trace it had
-        // before the event.
+        // A state parked here resumes by re-running its `Return`,
+        // which records this event again: a state this event decides a
+        // fate for keeps the trace it had before the event.
         let before = st.trace.clone();
         let mut out = self.apply_event(st, loc, &[], &[], ret);
-        if let Break(StepResult::Suspend(s)) = &mut out {
-            s.trace = before;
+        if let Break(decided) = &mut out {
+            decided[0].0.trace = before;
         }
         out
     }
-    fn fault(&mut self, st: &mut State, fault: Fault) -> StepResult {
-        StepResult::Fault(std::mem::take(st), fault)
+    fn fault(&mut self, st: &mut State, fault: Fault) -> Vec<Successor> {
+        only(st, Fate::Fault(fault))
     }
-    fn exit(&mut self, st: &mut State, _: Option<TermId>) -> StepResult {
-        StepResult::Exit(std::mem::take(st))
+    fn exit(&mut self, st: &mut State, _: Option<TermId>) -> Vec<Successor> {
+        only(st, Fate::Exit)
     }
 }
 

@@ -4,9 +4,12 @@
 //! life of every state it ever schedules as a stream of compact `state`
 //! trace events: `root` and `fork` introduce tree nodes, `suspend.*` /
 //! `resume` mark guidance decisions, and `exit` / `fault` /
-//! `unconfirmed` / `kill` are terminal dispositions. `statsym-inspect
-//! tree` reconstructs the exploration tree from this stream, and
-//! `report` its candidate-path coverage.
+//! `unconfirmed` / `kill` are terminal dispositions. The fate of every
+//! successor of a step is narrated in one place, the engine's
+//! `Frontier::settle`; only `root`, `resume` and `budget_exceeded` are
+//! emitted elsewhere. `statsym-inspect tree` reconstructs the
+//! exploration tree from this stream, and `report` its candidate-path
+//! coverage.
 //!
 //! Two invariants the emitters uphold (and the strict trace parser
 //! checks):

@@ -498,7 +498,7 @@ fn a_branch_fork_numbers_the_taken_child_first() {
     let mut engine = Engine::new(
         &module,
         EngineConfig {
-            provenance: true,
+            attribution: true,
             ..EngineConfig::default()
         },
     );
@@ -543,7 +543,6 @@ fn the_fault_model_query_is_stamped_with_the_faulting_line() {
     let mut engine = Engine::new(
         &module,
         EngineConfig {
-            provenance: true,
             attribution: true,
             ..EngineConfig::default()
         },

@@ -51,7 +51,6 @@ fn fork_heavy_loop_pins_slicing_work_and_trace() {
     let config = EngineConfig {
         lineage: true,
         attribution: true,
-        provenance: true,
         ..EngineConfig::default()
     };
     let (trace, report) = traced_run(&module, config);

@@ -13,6 +13,11 @@
 # quartiles, the change median, the pairs the change won (strictly
 # better in the metric's direction), and whether the median gap is in
 # the better direction and larger than the base interquartile range.
+# Every run appends its manifest to the working tree's run-history
+# archive (e2ebench/out/history; a base run's record is moved there from
+# the worktree's own archive), and each manifest records its side's
+# revision (STATSYM_GIT_REV): the base's short sha, and for the working
+# tree HEAD's short sha plus "-dirty" when it has uncommitted changes.
 # Runs go offline; the worktree is removed on exit.
 set -euo pipefail
 
@@ -29,6 +34,8 @@ done
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 sha=$(git -C "$root" rev-parse --short "$rev^{commit}")
+head=$(git -C "$root" rev-parse --short HEAD)
+[ -z "$(git -C "$root" status --porcelain)" ] || head="$head-dirty"
 work=$(mktemp -d)
 cleanup() {
   git -C "$root" worktree remove --force "$work/base" 2>/dev/null || true
@@ -43,9 +50,10 @@ side() {
   local which=$1 cmd=$2
   shift 2
   if [ "$which" = base ]; then
-    CARGO_TARGET_DIR="$work/target" cargo "$cmd" --manifest-path "$work/base/e2ebench/Cargo.toml" "$@"
+    STATSYM_GIT_REV=$sha CARGO_TARGET_DIR="$work/target" \
+      cargo "$cmd" --manifest-path "$work/base/e2ebench/Cargo.toml" "$@"
   else
-    cargo "$cmd" --manifest-path "$root/e2ebench/Cargo.toml" "$@"
+    STATSYM_GIT_REV=$head cargo "$cmd" --manifest-path "$root/e2ebench/Cargo.toml" "$@"
   fi
 }
 
@@ -65,6 +73,12 @@ run() {
     exit 1
   fi
   tail -n 1 <<<"$out" >>"$work/$which.jsonl"
+  if [ "$which" = base ]; then
+    local from="$work/base/e2ebench/out/history/history.jsonl"
+    mkdir -p "$root/e2ebench/out/history"
+    cat "$from" >>"$root/e2ebench/out/history/history.jsonl"
+    rm "$from"
+  fi
 }
 
 for ((i = 1; i <= pairs; i++)); do
@@ -78,7 +92,7 @@ for ((i = 1; i <= pairs; i++)); do
   fi
 done
 
-echo "ab: $workload, base $rev ($sha) vs working tree, seed $seed, --seconds $seconds, $pairs pair(s)"
+echo "ab: $workload, base $rev ($sha) vs working tree ($head), seed $seed, --seconds $seconds, $pairs pair(s)"
 jq -r -n \
   --slurpfile metrics <(jq '.end_to_end' "$root/BENCHMARK.json") \
   --slurpfile base "$work/base.jsonl" \
