@@ -57,9 +57,9 @@ pub fn fnv64_hex(bytes: &[u8]) -> String {
 }
 
 /// Best-effort git revision of the working tree: `STATSYM_GIT_REV` if
-/// set, else the commit `.git/HEAD` resolves to (truncated to 12 hex
-/// chars), else `"unknown"`. Never errors — a manifest without a
-/// revision is still a manifest.
+/// set, else the commit the repository in the working directory has at
+/// `HEAD` (see [`git_rev_at`]), else `"unknown"`. Never errors — a
+/// manifest without a revision is still a manifest.
 pub fn git_rev() -> String {
     if let Ok(rev) = std::env::var("STATSYM_GIT_REV") {
         let rev = rev.trim().to_string();
@@ -67,23 +67,48 @@ pub fn git_rev() -> String {
             return rev;
         }
     }
-    let head = match std::fs::read_to_string(".git/HEAD") {
-        Ok(h) => h,
-        Err(_) => return "unknown".to_string(),
+    git_rev_at(Path::new(".")).unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The commit `HEAD` resolves to in the checkout at `dir`, truncated to
+/// 12 hex chars. In a `git worktree`, `.git` is a file naming the
+/// worktree's own git directory (`gitdir: <path>`), whose `commondir`
+/// names the directory holding the shared refs. A ref is looked up as
+/// a loose file in the worktree's directory, then in the common one,
+/// then in the common `packed-refs`.
+pub fn git_rev_at(dir: &Path) -> Option<String> {
+    let dot_git = dir.join(".git");
+    let git_dir = if dot_git.is_file() {
+        let link = std::fs::read_to_string(&dot_git).ok()?;
+        dir.join(link.trim().strip_prefix("gitdir:")?.trim())
+    } else {
+        dot_git
     };
+    let common = match std::fs::read_to_string(git_dir.join("commondir")) {
+        Ok(rel) => git_dir.join(rel.trim()),
+        Err(_) => git_dir.clone(),
+    };
+    let head = std::fs::read_to_string(git_dir.join("HEAD")).ok()?;
     let head = head.trim();
     let hash = match head.strip_prefix("ref: ") {
-        Some(r) => match std::fs::read_to_string(Path::new(".git").join(r.trim())) {
-            Ok(h) => h.trim().to_string(),
-            Err(_) => return "unknown".to_string(),
-        },
+        Some(name) => [&git_dir, &common]
+            .iter()
+            .find_map(|d| std::fs::read_to_string(d.join(name.trim())).ok())
+            .map(|h| h.trim().to_string())
+            .or_else(|| packed_ref(&common, name.trim()))?,
         None => head.to_string(),
     };
-    if hash.len() >= 12 && hash.bytes().all(|b| b.is_ascii_hexdigit()) {
-        hash[..12].to_string()
-    } else {
-        "unknown".to_string()
-    }
+    (hash.len() >= 12 && hash.bytes().all(|b| b.is_ascii_hexdigit()))
+        .then(|| hash[..12].to_string())
+}
+
+/// The commit `packed-refs` in `common` records for the ref `name`.
+fn packed_ref(common: &Path, name: &str) -> Option<String> {
+    let packed = std::fs::read_to_string(common.join("packed-refs")).ok()?;
+    packed.lines().find_map(|line| {
+        let (hash, r) = line.split_once(' ')?;
+        (r.trim() == name && !hash.starts_with(['#', '^'])).then(|| hash.to_string())
+    })
 }
 
 /// Caller-provided identity metadata for a manifest: everything the
@@ -475,6 +500,46 @@ pub fn load_history(dir_or_file: &str) -> Result<Vec<RunManifest>, ParseError> {
 mod tests {
     use super::*;
     use crate::{names, Clock, MemRecorder, Recorder};
+
+    #[test]
+    fn git_rev_follows_worktrees_and_packed_refs() {
+        const MAIN: &str = "0123456789abcdef0123456789abcdef01234567";
+        const TOPIC: &str = "fedcba9876543210fedcba9876543210fedcba98";
+        let root = std::env::temp_dir().join(format!("statsym-gitrev-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        // A repository whose `main` is a loose ref and whose `topic`
+        // lives only in packed-refs (with a peeled-tag line after it).
+        write("repo/.git/HEAD", "ref: refs/heads/main\n");
+        write("repo/.git/refs/heads/main", &format!("{MAIN}\n"));
+        write(
+            "repo/.git/packed-refs",
+            &format!(
+                "# pack-refs with: peeled fully-peeled sorted\n{TOPIC} refs/heads/topic\n^{MAIN}\n"
+            ),
+        );
+        assert_eq!(git_rev_at(&root.join("repo")).as_deref(), Some(&MAIN[..12]));
+        // A worktree on `topic`, linked by a relative gitdir; and one
+        // with a detached HEAD, linked by an absolute one.
+        write("repo/.git/worktrees/wt/HEAD", "ref: refs/heads/topic\n");
+        write("repo/.git/worktrees/wt/commondir", "../..\n");
+        write("wt/.git", "gitdir: ../repo/.git/worktrees/wt\n");
+        assert_eq!(git_rev_at(&root.join("wt")).as_deref(), Some(&TOPIC[..12]));
+        write("repo/.git/worktrees/det/HEAD", &format!("{TOPIC}\n"));
+        write("repo/.git/worktrees/det/commondir", "../..\n");
+        let gitdir = root.join("repo/.git/worktrees/det");
+        write("det/.git", &format!("gitdir: {}\n", gitdir.display()));
+        assert_eq!(git_rev_at(&root.join("det")).as_deref(), Some(&TOPIC[..12]));
+        // A ref found nowhere, and no repository at all.
+        write("repo/.git/HEAD", "ref: refs/heads/gone\n");
+        assert_eq!(git_rev_at(&root.join("repo")), None);
+        assert_eq!(git_rev_at(&root.join("nowhere")), None);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
     fn sample_meta() -> ManifestMeta {
         ManifestMeta {
