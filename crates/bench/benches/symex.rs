@@ -18,7 +18,9 @@
 //!
 //! Each attempt's steps, forks, states created and solver queries are
 //! asserted: they depend only on the pipeline's semantics, so a change
-//! that moves them fails the bench.
+//! that moves them fails the bench. So are its solver search nodes,
+//! which show the solver work a change cuts: the second decoy's
+//! queries are answered from the verdicts the first one published.
 
 use bench::experiments::{decoy, DECOY_MAX_STEPS};
 use benchapps::{generate_corpus, CorpusSpec};
@@ -35,12 +37,12 @@ const REPS: usize = 15;
 /// runs.
 const JOB_SEED: u64 = 3_246_858_695_411_730_098;
 
-/// `(steps, forks, states created, solver queries)` of each attempt, in
-/// rank order: the two decoys, then the real candidate.
-const ATTEMPTS: [(u64, u64, u64, u64); 3] = [
-    (60_005, 4_000, 8_001, 9_319),
-    (60_005, 4_000, 8_001, 9_319),
-    (877, 62, 125, 155),
+/// `(steps, forks, states created, solver queries, solver nodes)` of
+/// each attempt, in rank order: the two decoys, then the real candidate.
+const ATTEMPTS: [(u64, u64, u64, u64, u64); 3] = [
+    (60_005, 4_000, 8_001, 9_319, 208),
+    (60_005, 4_000, 8_001, 9_319, 0),
+    (877, 62, 125, 155, 315),
 ];
 
 fn bench_symex(c: &mut Criterion) {
@@ -77,12 +79,14 @@ fn bench_symex(c: &mut Criterion) {
                     &NOOP,
                 );
                 assert!(report.found.is_some(), "the real candidate verifies");
-                let counts: Vec<(u64, u64, u64, u64)> = report
+                let counts: Vec<(u64, u64, u64, u64, u64)> = report
                     .attempts
                     .iter()
                     .map(|a| {
                         let s = &a.stats;
-                        (s.exec.steps, s.exec.forks, s.states_created, s.solver.queries)
+                        let sv = &s.solver;
+                        let (steps, forks) = (s.exec.steps, s.exec.forks);
+                        (steps, forks, s.states_created, sv.queries, sv.nodes)
                     })
                     .collect();
                 assert_eq!(counts, ATTEMPTS, "attempt work counts moved");

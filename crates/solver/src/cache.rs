@@ -3,10 +3,8 @@
 //!
 //! The solver keeps exactly two memo layers:
 //!
-//! 1. a **private** per-`Solver` map from query fingerprint to the full
-//!    [`SatResult`] (models included), except that a verdict-only query
-//!    decided by slicing stores its `Sat` without a model: its
-//!    components hold theirs;
+//! 1. a **private** per-`Solver` map from query or component
+//!    fingerprint to the full [`SatResult`] (models included);
 //! 2. an optional injected [`QueryCache`] holding *model-free verdicts*
 //!    only, so one instance can serve every engine of a run:
 //!    `TermId`/`VarId` spaces are per-`TermCtx`, so a `Model` (a
@@ -16,9 +14,13 @@
 //!    fingerprints *do* agree across contexts.
 //!
 //! Independence slicing uses the same two layers: each
-//! variable-disjoint component is stored under its own fingerprint as
-//! well as the whole query's, so a later query that shares a component
-//! finds it in the private cache without a fresh search.
+//! variable-disjoint component is stored and published under its own
+//! fingerprint. A verdict-only query decides only the components its
+//! partition marks undecided, each through the private layer and then
+//! the shared one, and stores nothing under the whole query's
+//! fingerprint; so the shared layer answers a component any attempt of
+//! the run has decided. A model query also stores and looks up the
+//! whole query.
 //!
 //! `Unknown` results are never published: they encode a local budget
 //! exhaustion, not a fact about the constraints, and sharing them could

@@ -10,7 +10,9 @@
 //!    components that share no variables and decide each one separately,
 //!    memoised under its own fingerprint (KLEE's default optimisation).
 //!    A [`Partition`] carries the split incrementally, so a path
-//!    condition that grows by one conjunct is never re-partitioned;
+//!    condition that grows by one conjunct is never re-partitioned, and
+//!    records which components are still undecided, so a feasibility
+//!    query decides only what the new conjunct changed;
 //! 2. **Interval (bounds) propagation** — HC4-style revise over the term
 //!    DAG until fixpoint, which alone decides the vast majority of the
 //!    byte/threshold constraints symbolic string exploration generates;
