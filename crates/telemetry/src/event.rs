@@ -283,13 +283,15 @@ pub mod lineage_op {
 /// [`TraceEvent::Query`], kept in one place so the solver emitter, the
 /// strict parser, and `statsym-inspect calib --rank` cannot drift.
 pub mod query_disposition {
-    /// Trivially satisfiable: the constraint set was empty.
+    /// Trivially satisfiable: the constraint set was empty, or a
+    /// verdict-only query had no undecided component left.
     pub const EMPTY: &str = "empty";
     /// Answered by the solver's private per-engine query cache.
     pub const PRIVATE: &str = "private";
     /// Answered by the run's verdict memo (shared by every attempt).
     pub const SHARED: &str = "shared";
-    /// Solved by independence slicing into ≥ 2 components.
+    /// Solved by deciding ≥ 2 components separately (independence
+    /// slicing).
     pub const SLICED: &str = "sliced";
     /// Solved by a full constraint-graph search (every cache missed).
     pub const SEARCH: &str = "search";
