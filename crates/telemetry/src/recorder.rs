@@ -599,7 +599,7 @@ impl Write for SharedBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::parse_trace;
+    use crate::event::{parse_trace_strict, parse_trace_truncated};
 
     #[test]
     fn noop_recorder_is_disabled_and_null() {
@@ -681,7 +681,7 @@ mod tests {
         rec.finish().unwrap();
 
         let text = String::from_utf8(buf.contents()).unwrap();
-        let events = parse_trace(&text).unwrap();
+        let events = parse_trace_strict(&text).unwrap();
         assert_eq!(events.len(), 5);
         assert!(matches!(events[0], TraceEvent::Meta { .. }));
         assert!(matches!(
@@ -717,7 +717,7 @@ mod tests {
         rec.state(&root_lineage());
         let text = String::from_utf8(buf.contents()).unwrap();
         assert_eq!(text.lines().count(), 3, "{text}");
-        assert!(parse_trace(&text).is_ok(), "{text}");
+        assert!(parse_trace_truncated(&text).is_ok(), "{text}");
         rec.span_close(s);
         rec.finish().unwrap();
     }

@@ -3,8 +3,8 @@
 //! original bytes exactly (emit → parse → re-emit is the identity).
 
 use statsym_telemetry::{
-    parse_trace, render_trace, Clock, FieldValue, FileRecorder, MemRecorder, Recorder, SharedBuf,
-    TraceEvent,
+    parse_trace_strict, render_trace, Clock, FieldValue, FileRecorder, MemRecorder, Recorder,
+    SharedBuf, TraceEvent,
 };
 
 /// Drives a recorder through every event kind the instrumentation
@@ -42,7 +42,7 @@ fn file_trace_reemits_byte_identical() {
     rec.finish().unwrap();
 
     let original = String::from_utf8(buf.contents()).unwrap();
-    let events = parse_trace(&original).expect("trace must parse");
+    let events = parse_trace_strict(&original).expect("trace must parse");
     let reemitted = render_trace(&events);
     assert_eq!(
         reemitted, original,
@@ -50,7 +50,7 @@ fn file_trace_reemits_byte_identical() {
     );
 
     // And a second parse of the re-emitted text yields equal events.
-    assert_eq!(parse_trace(&reemitted).unwrap(), events);
+    assert_eq!(parse_trace_strict(&reemitted).unwrap(), events);
 }
 
 #[test]
@@ -63,7 +63,7 @@ fn mem_and_file_recorders_agree_under_steps_clock() {
     let file = FileRecorder::from_writer(Box::new(buf.clone()), Clock::steps());
     exercise(&file);
     file.finish().unwrap();
-    let file_events = parse_trace(&String::from_utf8(buf.contents()).unwrap()).unwrap();
+    let file_events = parse_trace_strict(&String::from_utf8(buf.contents()).unwrap()).unwrap();
 
     assert_eq!(mem_events, file_events);
 }
@@ -87,7 +87,7 @@ fn trace_starts_with_meta_and_ends_with_metrics() {
     let rec = FileRecorder::from_writer(Box::new(buf.clone()), Clock::steps());
     exercise(&rec);
     rec.finish().unwrap();
-    let events = parse_trace(&String::from_utf8(buf.contents()).unwrap()).unwrap();
+    let events = parse_trace_strict(&String::from_utf8(buf.contents()).unwrap()).unwrap();
 
     assert!(matches!(
         &events[0],

@@ -7,7 +7,7 @@
 
 use statsym::concrete::run_logged_traced;
 use statsym::core::pipeline::StatSym;
-use statsym::telemetry::{parse_trace, Clock, FileRecorder, TraceSummary};
+use statsym::telemetry::{parse_trace_strict, Clock, FileRecorder, TraceSummary};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The miniature polymorph from the pipeline tests: option-handling
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Round trip: parse the JSONL trace and render the run report.
     let text = std::fs::read_to_string(&path)?;
-    let events = parse_trace(&text)?;
+    let events = parse_trace_strict(&text)?;
     let summary = TraceSummary::from_events(&events);
     println!("{}", summary.render());
 

@@ -12,7 +12,8 @@ use statsym::concrete::{run_logged_traced, ExecutionLog, InputValue, VmConfig};
 use statsym::core::pipeline::{StatSym, StatSymReport};
 use statsym::sir::Module;
 use statsym::telemetry::{
-    names, parse_trace, Clock, FileRecorder, Recorder, SharedBuf, TraceEvent, TraceSummary, NOOP,
+    names, parse_trace_strict, Clock, FileRecorder, Recorder, SharedBuf, TraceEvent, TraceSummary,
+    NOOP,
 };
 
 /// The miniature polymorph from the pipeline tests: option-handling
@@ -88,7 +89,7 @@ fn trace_counters_reconcile_with_report() {
     assert!(report.found.is_some(), "pipeline finds the overflow");
 
     let text = String::from_utf8(bytes).unwrap();
-    let events = parse_trace(&text).expect("trace parses");
+    let events = parse_trace_strict(&text).expect("trace parses");
 
     // Engine counters: the trace accumulates per-run EngineStats across
     // candidate attempts, so sums must match exactly.
@@ -191,7 +192,7 @@ fn trace_reemits_byte_identical_after_parse() {
     let logs = corpus(&m, &NOOP);
     let (bytes, _) = traced_run(&m, &logs);
     let text = String::from_utf8(bytes).unwrap();
-    let events = parse_trace(&text).unwrap();
+    let events = parse_trace_strict(&text).unwrap();
     let reemitted: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
     assert_eq!(text, reemitted);
 }
@@ -201,7 +202,7 @@ fn run_report_matches_golden_file() {
     let m = module();
     let logs = corpus(&m, &NOOP);
     let (bytes, _) = traced_run(&m, &logs);
-    let events = parse_trace(&String::from_utf8(bytes).unwrap()).unwrap();
+    let events = parse_trace_strict(&String::from_utf8(bytes).unwrap()).unwrap();
     let rendered = TraceSummary::from_events(&events).render();
     let golden = include_str!("golden/trace_report.txt");
     if std::env::var_os("BLESS").is_some() {
