@@ -150,8 +150,8 @@ pub fn breakdown_table(rate: f64, title: &str, config: StatSymConfig, rec: &dyn 
     table
 }
 
-/// Per-candidate step budget for runs with [`decoy`] candidates: a
-/// decoy exhausts it, the real winner does not.
+/// Per-candidate step cap (`EngineConfig::max_steps`) for runs with
+/// [`decoy`] candidates: a decoy exhausts it, the real winner does not.
 pub const DECOY_MAX_STEPS: u64 = 60_000;
 
 /// A hopeless candidate to rank ahead of the real ones. Its single node

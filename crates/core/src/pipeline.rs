@@ -649,21 +649,17 @@ mod tests {
         use statsym_telemetry::{
             lineage_op, parse_trace_strict, render_trace, Clock, MemRecorder, TraceEvent,
         };
-        use symex::Budget;
 
         let m = module();
         let logs = gen_logs(&m, 30, 1.0, 7);
         // The real candidate needs 91 steps on this fixture: a 60-step
-        // budget kills every attempt mid-state, so no candidate wins and
-        // every rank runs to its (deterministic) budget trip.
+        // cap kills every attempt mid-state, so no candidate wins and
+        // every rank runs to its (deterministic) cut.
         let base = StatSymConfig::default();
         let cfg = StatSymConfig {
             engine: EngineConfig {
                 lineage: true,
-                budget: Budget {
-                    max_steps: Some(60),
-                    ..Budget::default()
-                },
+                max_steps: 60,
                 ..base.engine
             },
             ..base
@@ -699,7 +695,7 @@ mod tests {
             "budget.exceeded counter reconciles with attempts"
         );
 
-        // A budget trip is pinned to an exact instruction count, so a
+        // A cut is pinned to an exact instruction count, so a
         // rerun reproduces the trace byte for byte.
         assert_eq!(seq, record().1, "budget-killed trace must be stable");
     }

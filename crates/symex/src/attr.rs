@@ -65,6 +65,12 @@ impl StepAttr {
         }
     }
 
+    /// Whether attribution is on. A bracket bills its work to one source
+    /// line, so the engine then steps one instruction per bracket.
+    pub(crate) fn on(&self) -> bool {
+        self.on
+    }
+
     /// Runs `f` on `env` and `state` inside one attribution bracket: the
     /// work it does is billed to a source line of `state`, and the
     /// solver queries it issues carry `state`'s provenance. `line` is

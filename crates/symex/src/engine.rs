@@ -1,51 +1,23 @@
-//! The symbolic execution engine: scheduling loop, budgets, and results.
+//! The symbolic execution engine: scheduling loop, run limits, and results.
 
 use crate::attr::StepAttr;
-use crate::executor::{func_locations, initial_state, step, ExecEnv, ExecStats, Fate, Successor};
+use crate::executor::{func_locations, initial_state, ExecEnv, ExecStats, Fate, Successor};
 use crate::hook::{EventHook, NoGuidance};
 use crate::lineage::{Lineage, WorkSnapshot};
 use crate::scheduler::{build_scheduler, Scheduler, SchedulerKind};
 use crate::state::State;
 use crate::value::SymValue;
-use concrete::{Fault, InputValue, Location};
+use concrete::{interp, Fault, InputValue, Location};
 use sir::{InputId, Module};
 use solver::{Constraint, QueryCache, SatResult, Solver, SolverConfig, SolverStats, TermCtx};
-use statsym_telemetry::{lineage_op, names, ClockMode, FieldValue, Recorder, NOOP};
+use statsym_telemetry::{lineage_op, names, FieldValue, Recorder, NOOP};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// A cooperative per-run resource budget in deterministic units:
-/// executed instructions and created states, both checked after every
-/// executed instruction. `None` fields are unlimited; the default is
-/// fully unlimited, so attaching a `Budget` never changes a run that
-/// stays under it. Because both dimensions are counted, not timed, a
-/// budget-limited run under the step-count clock still produces
-/// byte-identical traces run to run. The one wall-clock limit
-/// is [`EngineConfig::time_budget`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Budget {
-    /// Executor instructions this run may retire.
-    pub max_steps: Option<u64>,
-    /// States this run may ever create.
-    pub max_states: Option<u64>,
-}
-
-impl Budget {
-    /// A fully unlimited budget (the default).
-    pub fn unlimited() -> Budget {
-        Budget::default()
-    }
-
-    /// Whether any dimension is limited.
-    pub fn is_limited(&self) -> bool {
-        self.max_steps.is_some() || self.max_states.is_some()
-    }
-}
-
-/// Engine resource budgets and policy.
+/// Engine run limits and policy.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// State selection policy of the scheduling loop: which pending
@@ -58,16 +30,14 @@ pub struct EngineConfig {
     /// cache. Exceeding it reproduces the paper's KLEE out-of-memory
     /// failures (Table IV).
     pub memory_budget: usize,
-    /// Wall-clock budget.
+    /// Wall-clock budget, checked at each scheduling decision and every
+    /// 8 192 steps.
     pub time_budget: Option<Duration>,
-    /// Total instruction budget.
+    /// Step cap: a run retires at most this many instructions. A run
+    /// that finishes all its work within the cap is
+    /// [`RunOutcome::Completed`]; one cut at the cap with a state in
+    /// flight is exhausted ([`ExhaustionReason::Steps`]).
     pub max_steps: u64,
-    /// Cooperative resource budget for this run. Unlimited by default;
-    /// unlike `max_steps`/`time_budget` (engine safety rails with fixed
-    /// defaults), a tripped [`Budget`] is reported as its own
-    /// `budget_exceeded` disposition so operators can tell an admission
-    /// cut from genuine exhaustion.
-    pub budget: Budget,
     /// Limits for the underlying constraint solver.
     pub solver: SolverConfig,
     /// Emit per-state lineage events (fork/suspend/resume/terminal
@@ -110,7 +80,6 @@ impl Default for EngineConfig {
             memory_budget: 512 << 20,
             time_budget: None,
             max_steps: 200_000_000,
-            budget: Budget::default(),
             solver: SolverConfig::default(),
             lineage: false,
             state_workers: 0,
@@ -128,12 +97,10 @@ pub enum ExhaustionReason {
     Memory,
     /// Wall-clock budget exceeded.
     Time,
-    /// Instruction budget exceeded.
+    /// Step cap reached with work left.
     Steps,
     /// Live-state cap exceeded.
     LiveStates,
-    /// The run's explicit [`Budget`] tripped.
-    Budget,
 }
 
 impl fmt::Display for ExhaustionReason {
@@ -143,7 +110,6 @@ impl fmt::Display for ExhaustionReason {
             ExhaustionReason::Time => f.write_str("timeout"),
             ExhaustionReason::Steps => f.write_str("step budget exhausted"),
             ExhaustionReason::LiveStates => f.write_str("too many live states"),
-            ExhaustionReason::Budget => f.write_str("resource budget exceeded"),
         }
     }
 }
@@ -173,7 +139,7 @@ pub struct FoundVulnerability {
 pub enum RunOutcome {
     /// A vulnerable path was found.
     Found(Box<FoundVulnerability>),
-    /// A budget ran out first.
+    /// A run limit tripped first.
     Exhausted(ExhaustionReason),
     /// Every path was explored without finding a fault.
     Completed,
@@ -304,7 +270,7 @@ impl<'m> Engine<'m> {
         &self.ctx
     }
 
-    /// Explores the program until a fault is found or a budget runs out.
+    /// Explores the program until a fault is found or a run limit trips.
     ///
     /// The one scheduling loop: pop the next state from the scheduler,
     /// step it until it forks, terminates or is suspended by guidance,
@@ -355,25 +321,12 @@ impl<'m> Engine<'m> {
         let locs = func_locations(self.module);
         let mut front = Frontier::new(config.scheduler, self.suppressed.clone());
 
-        // Explicit resource budget, enforced per executed instruction so
-        // the trip point is exact and reproducible.
-        let budget = config.budget;
-        let limited = budget.is_limited();
-        let mut budget_notes = BudgetNotes {
-            on: limited && rec.enabled(),
-            wall_clock: rec.clock_mode() == ClockMode::Wall,
-            last: None,
-            start,
-            solver_us_base: solver_before.query_us,
-        };
-        let det_tripped = |steps: u64, states: u64| {
-            budget.max_steps.is_some_and(|m| steps > m)
-                || budget.max_states.is_some_and(|m| states > m)
-        };
+        let module = self.module;
+        let time_up = || config.time_budget.is_some_and(|tb| start.elapsed() > tb);
 
         let end = {
             let mut env = ExecEnv {
-                module: self.module,
+                module,
                 ctx: &mut self.ctx,
                 solver: &mut self.solver,
                 inputs: &mut inputs_map,
@@ -398,8 +351,8 @@ impl<'m> Engine<'m> {
                         );
                     }
                 }
-                if let Some(reason) = config.rail_hit(start, env.stats.steps) {
-                    break LoopEnd::Exhausted(reason);
+                if time_up() {
+                    break LoopEnd::Exhausted(ExhaustionReason::Time);
                 }
                 front.note_peaks(&env);
                 if front.live_mem + env.solver.cache_len() * 160 > config.memory_budget {
@@ -418,34 +371,48 @@ impl<'m> Engine<'m> {
                 };
                 rec.counter_add(names::SYMEX_SCHED_PICKS, 1);
 
-                // Run this state until it forks, terminates, or parks.
-                // Its id is the lineage fork parent for any fresh
-                // successors; a successor that keeps this id stays the
-                // same tree node.
+                // Run this state until it forks, terminates, or parks:
+                // a block per driver call, or one instruction when
+                // attribution bills each one to its source line. Its id
+                // is the lineage fork parent for any fresh successors; a
+                // successor that keeps this id stays the same tree node.
                 let parent = state.id;
+                let popped_at = env.stats.steps;
                 let successors = loop {
-                    // The budget trips mid-state at an exact instruction
-                    // count: the in-flight state gets the terminal
-                    // `budget_exceeded` disposition. A run whose final
-                    // state completes exactly on budget is reported
-                    // Completed — the budget only interrupts pending work.
-                    if limited && det_tripped(env.stats.steps, *env.next_state_id + 1) {
-                        tick(rec, &mut last_tick, env.stats.steps);
+                    let steps = env.stats.steps;
+                    let checkpoint = steps.is_multiple_of(CHECKPOINT);
+                    if checkpoint {
+                        tick(rec, &mut last_tick, steps);
+                    }
+                    let cut = if checkpoint && time_up() {
+                        Some(ExhaustionReason::Time)
+                    } else {
+                        (steps >= config.max_steps).then_some(ExhaustionReason::Steps)
+                    };
+                    if let Some(reason) = cut {
+                        // A cap ends the run with this state in flight.
+                        tick(rec, &mut last_tick, steps);
                         env.lineage_event(lineage_op::BUDGET_EXCEEDED, &state, None);
                         rec.counter_add(names::BUDGET_EXCEEDED, 1);
-                        budget_notes.note(&env);
-                        break 'outer LoopEnd::Exhausted(ExhaustionReason::Budget);
+                        break 'outer LoopEnd::Cut(reason);
                     }
-                    if env.stats.steps.is_multiple_of(8192) {
-                        tick(rec, &mut last_tick, env.stats.steps);
-                        budget_notes.note(&env);
-                        if let Some(reason) = config.rail_hit(start, env.stats.steps) {
-                            break 'outer LoopEnd::Exhausted(reason);
-                        }
+                    let limit = if attr.on() {
+                        steps + 1
+                    } else {
+                        config.max_steps.min((steps / CHECKPOINT + 1) * CHECKPOINT)
+                    };
+                    let f = state.mach.frame();
+                    let block = (f.func.0, f.block.0);
+                    let ran = attr.bracket(&mut env, &mut state, None, |env, s| {
+                        interp::run_block(env, module, s, limit)
+                    });
+                    // Coverage search counts the block of every step but
+                    // the popped state's first.
+                    if env.stats.steps > popped_at + 1 {
+                        front.cover(block);
                     }
-                    match attr.bracket(&mut env, &mut state, None, step) {
-                        Continue(()) => front.cover(&state),
-                        Break(successors) => break successors,
+                    if let Break(successors) = ran {
+                        break successors;
                     }
                 };
                 // The popped state was consumed; its successors are
@@ -471,6 +438,10 @@ impl<'m> Engine<'m> {
             LoopEnd::Found(state, fault, model) => {
                 stats.paths_explored += 1;
                 RunOutcome::Found(Box::new(self.report(*state, fault, model, &inputs_map)))
+            }
+            LoopEnd::Cut(r) => {
+                stats.paths_explored += 1;
+                RunOutcome::Exhausted(r)
             }
             LoopEnd::Exhausted(r) => RunOutcome::Exhausted(r),
             LoopEnd::Completed => RunOutcome::Completed,
@@ -543,73 +514,22 @@ impl<'m> Engine<'m> {
 /// How the scheduling loop ended.
 enum LoopEnd {
     Found(Box<State>, Fault, solver::Model),
+    /// A cap tripped with a state in flight; that state counts as
+    /// pending.
+    Cut(ExhaustionReason),
+    /// A limit tripped between states.
     Exhausted(ExhaustionReason),
     Completed,
 }
+
+/// Step-clock checkpoint cadence: the clock advances and the wall-clock
+/// budget is checked every this many steps within a state's run.
+const CHECKPOINT: u64 = 8192;
 
 /// Advances the step clock to `now` executed instructions.
 fn tick(rec: &dyn Recorder, last: &mut u64, now: u64) {
     rec.tick(now - *last);
     *last = now;
-}
-
-/// Budget progress telemetry: `budget.*` usage gauges and a
-/// `budget.tick` event at each step-clock checkpoint. On only when a
-/// [`Budget`] is set and a recorder is attached, so unlimited runs emit
-/// byte-identical traces to builds that predate budgets.
-struct BudgetNotes {
-    on: bool,
-    /// Wall-clock usage is reported only under a wall clock, keeping
-    /// step-clock traces deterministic.
-    wall_clock: bool,
-    /// Step count of the last note: the step-0 checkpoint re-fires once
-    /// per popped state, and is reported once.
-    last: Option<u64>,
-    start: Instant,
-    /// Solver µs spent before this run (a reused solver's).
-    solver_us_base: u64,
-}
-
-impl BudgetNotes {
-    fn note(&mut self, env: &ExecEnv<'_>) {
-        let steps = env.stats.steps;
-        if !self.on || self.last == Some(steps) {
-            return;
-        }
-        self.last = Some(steps);
-        let states = *env.next_state_id + 1;
-        let mut usage = vec![
-            ("steps", names::BUDGET_STEPS_USED, steps),
-            ("states", names::BUDGET_STATES_USED, states),
-        ];
-        if self.wall_clock {
-            let solver_us = env
-                .solver
-                .stats()
-                .query_us
-                .saturating_sub(self.solver_us_base);
-            let wall_ms = self.start.elapsed().as_millis() as u64;
-            usage.push(("solver_us", names::BUDGET_SOLVER_US_USED, solver_us));
-            usage.push(("wall_ms", names::BUDGET_WALL_MS_USED, wall_ms));
-        }
-        let mut fields = Vec::with_capacity(usage.len());
-        for (field, gauge, used) in usage {
-            env.rec.gauge_max(gauge, used as i64);
-            fields.push((field, FieldValue::from(used)));
-        }
-        env.rec.event(names::BUDGET_TICK, &fields);
-    }
-}
-
-impl EngineConfig {
-    /// The engine safety rail (wall-clock budget, then step cap) a run
-    /// at `steps` executed instructions has crossed, if any.
-    fn rail_hit(&self, start: Instant, steps: u64) -> Option<ExhaustionReason> {
-        if self.time_budget.is_some_and(|tb| start.elapsed() > tb) {
-            return Some(ExhaustionReason::Time);
-        }
-        (steps > self.max_steps).then_some(ExhaustionReason::Steps)
-    }
 }
 
 /// The run's states between steps — queued, parked and in flight — and
@@ -698,10 +618,10 @@ impl Frontier {
         Some(state)
     }
 
-    /// Records the block a state just stepped into (coverage search).
-    fn cover(&mut self, state: &State) {
-        if let (Some(covered), Some(f)) = (&mut self.covered, state.mach.frames.last()) {
-            covered.insert((f.func.0, f.block.0));
+    /// Records a block some state executed in (coverage search).
+    fn cover(&mut self, block: (u32, u32)) {
+        if let Some(covered) = &mut self.covered {
+            covered.insert(block);
         }
     }
 
@@ -806,7 +726,6 @@ pub fn outcome_label(outcome: &RunOutcome) -> &'static str {
         RunOutcome::Exhausted(ExhaustionReason::Time) => "exhausted_time",
         RunOutcome::Exhausted(ExhaustionReason::Memory) => "exhausted_memory",
         RunOutcome::Exhausted(ExhaustionReason::LiveStates) => "exhausted_live_states",
-        RunOutcome::Exhausted(ExhaustionReason::Budget) => "budget_exceeded",
     }
 }
 
@@ -920,6 +839,7 @@ pub fn record_run_telemetry(
 mod tests {
     use super::*;
     use concrete::{FaultKind, Vm, VmConfig};
+    use statsym_telemetry::render_trace;
 
     fn engine_run(src: &str, config: EngineConfig) -> (EngineReport, sir::Module) {
         let p = minic::parse_program(src).unwrap();
@@ -1133,25 +1053,13 @@ mod tests {
         assert_eq!(replay.outcome.fault().unwrap().kind, FaultKind::DivByZero);
     }
 
-    #[test]
-    fn step_budget_exhaustion() {
-        let cfg = EngineConfig {
-            max_steps: 100,
-            ..EngineConfig::default()
-        };
-        let (r, _) = engine_run(
-            "fn main() { let i: int = 0; while (i < 100000) { i = i + 1; } }",
-            cfg,
-        );
-        assert!(matches!(
-            r.outcome,
-            RunOutcome::Exhausted(ExhaustionReason::Steps)
-        ));
-    }
-
-    // Shared driver for the budget tests: records a lineage trace of a
-    // budget-limited run and returns (report, trace events).
-    fn budget_run(src: &str, budget: Budget) -> (EngineReport, Vec<statsym_telemetry::TraceEvent>) {
+    // Shared driver for the run-limit tests: records a step-clock
+    // lineage trace of a run under `config` and returns (report, trace
+    // events).
+    fn limited_run(
+        src: &str,
+        config: EngineConfig,
+    ) -> (EngineReport, Vec<statsym_telemetry::TraceEvent>) {
         use statsym_telemetry::{Clock, MemRecorder};
         let p = minic::parse_program(src).unwrap();
         let m = sir::lower(&p).unwrap();
@@ -1160,9 +1068,8 @@ mod tests {
             let mut eng = Engine::new(
                 &m,
                 EngineConfig {
-                    budget,
                     lineage: true,
-                    ..EngineConfig::default()
+                    ..config
                 },
             );
             eng.set_recorder(&rec);
@@ -1171,21 +1078,27 @@ mod tests {
         (report, rec.finish())
     }
 
+    fn capped(max_steps: u64) -> EngineConfig {
+        EngineConfig {
+            max_steps,
+            ..EngineConfig::default()
+        }
+    }
+
     const LONG_LOOP: &str = "fn main() { let i: int = 0; while (i < 100000) { i = i + 1; } }";
 
     #[test]
-    fn step_budget_trips_as_budget_exceeded_with_full_telemetry() {
+    fn step_cap_cuts_the_state_in_flight_with_full_telemetry() {
         use statsym_telemetry::TraceEvent;
-        let budget = Budget {
-            max_steps: Some(100),
-            ..Budget::default()
-        };
-        let (r, events) = budget_run(LONG_LOOP, budget);
+        let (r, events) = limited_run(LONG_LOOP, capped(100));
         assert!(matches!(
             r.outcome,
-            RunOutcome::Exhausted(ExhaustionReason::Budget)
+            RunOutcome::Exhausted(ExhaustionReason::Steps)
         ));
-        assert_eq!(outcome_label(&r.outcome), "budget_exceeded");
+        assert_eq!(outcome_label(&r.outcome), "exhausted_steps");
+        // The cap is exact, and the cut state counts as pending.
+        assert_eq!(r.stats.exec.steps, 100);
+        assert_eq!(r.stats.paths_explored, 1);
         // The in-flight state carries the terminal disposition.
         assert!(
             events.iter().any(|e| matches!(
@@ -1194,37 +1107,14 @@ mod tests {
             )),
             "lineage budget_exceeded disposition expected"
         );
-        // Trip counter and usage gauges are materialized.
         assert!(events.iter().any(|e| matches!(
             e,
             TraceEvent::Counter { name, value: 1 } if name == names::BUDGET_EXCEEDED
         )));
-        let steps_used = events
-            .iter()
-            .find_map(|e| match e {
-                TraceEvent::Gauge { name, value } if name == names::BUDGET_STEPS_USED => {
-                    Some(*value)
-                }
-                _ => None,
-            })
-            .expect("budget.steps_used gauge present");
-        assert!(steps_used > 100, "gauge reflects usage, got {steps_used}");
-        // Periodic progress events use deterministic fields only under
-        // the step clock.
-        let tick_fields: Vec<&str> = events
-            .iter()
-            .find_map(|e| match e {
-                TraceEvent::Event { name, fields, .. } if name == names::BUDGET_TICK => {
-                    Some(fields.iter().map(|(k, _)| k.as_str()).collect())
-                }
-                _ => None,
-            })
-            .expect("budget.tick event present");
-        assert_eq!(tick_fields, ["steps", "states"]);
     }
 
     #[test]
-    fn state_budget_trips_on_fork_heavy_program() {
+    fn live_state_cap_trips_on_fork_heavy_program() {
         let src = r#"
             fn main() -> int {
                 let s: str = input_str("s", 6);
@@ -1232,48 +1122,104 @@ mod tests {
                 return len(s) + len(t);
             }
         "#;
-        let budget = Budget {
-            max_states: Some(4),
-            ..Budget::default()
+        let cfg = EngineConfig {
+            max_live_states: 4,
+            ..EngineConfig::default()
         };
-        let (r, events) = budget_run(src, budget);
+        let (r, events) = limited_run(src, cfg);
         assert!(matches!(
             r.outcome,
-            RunOutcome::Exhausted(ExhaustionReason::Budget)
+            RunOutcome::Exhausted(ExhaustionReason::LiveStates)
         ));
-        assert!(r.stats.states_created > 4);
-        assert!(events.iter().any(|e| matches!(
-            e,
-            statsym_telemetry::TraceEvent::State { op, .. } if op == lineage_op::BUDGET_EXCEEDED
-        )));
+        assert_eq!(outcome_label(&r.outcome), "exhausted_live_states");
+        assert!(r.stats.peak_live_states > 4);
+        // The cap trips between states: no state is cut.
+        assert!(!render_trace(&events).contains("budget"));
     }
 
     #[test]
-    fn budget_limited_runs_are_deterministic() {
-        use statsym_telemetry::render_trace;
-        let budget = Budget {
-            max_steps: Some(1000),
-            max_states: Some(100),
-        };
-        let (r1, ev1) = budget_run(LONG_LOOP, budget);
-        let (r2, ev2) = budget_run(LONG_LOOP, budget);
+    fn step_capped_runs_are_deterministic() {
+        let (r1, ev1) = limited_run(LONG_LOOP, capped(1000));
+        let (r2, ev2) = limited_run(LONG_LOOP, capped(1000));
         assert!(matches!(
             r1.outcome,
-            RunOutcome::Exhausted(ExhaustionReason::Budget)
+            RunOutcome::Exhausted(ExhaustionReason::Steps)
         ));
+        assert_eq!(r1.stats.exec.steps, 1000);
         assert_eq!(r1.stats.exec.steps, r2.stats.exec.steps);
         assert_eq!(render_trace(&ev1), render_trace(&ev2));
     }
 
     #[test]
-    fn unlimited_budget_emits_no_budget_telemetry() {
-        let (r, events) = budget_run(LONG_LOOP, Budget::unlimited());
+    fn runs_within_the_step_cap_emit_no_budget_telemetry() {
+        let (full, events) = limited_run(LONG_LOOP, EngineConfig::default());
+        assert!(matches!(full.outcome, RunOutcome::Completed));
+        assert!(!render_trace(&events).contains("budget"));
+        // A run that finishes its work exactly at the cap completes.
+        let (r, events) = limited_run(LONG_LOOP, capped(full.stats.exec.steps));
         assert!(matches!(r.outcome, RunOutcome::Completed));
-        let trace = statsym_telemetry::render_trace(&events);
-        assert!(
-            !trace.contains("budget"),
-            "default-budget traces must be free of budget.* telemetry"
-        );
+        assert_eq!(r.stats.exec.steps, full.stats.exec.steps);
+        assert!(!render_trace(&events).contains("budget"));
+    }
+
+    #[test]
+    fn step_cap_cuts_match_one_instruction_at_a_time() {
+        use statsym_telemetry::TraceEvent;
+        // A call, a fork on a symbolic branch and a loop.
+        let src = r#"
+            fn bump(x: int) -> int { return x + 1; }
+            fn main() -> int {
+                let n: int = input_int("n");
+                let i: int = 0;
+                let acc: int = 0;
+                while (i < 4) {
+                    if (n > i) { acc = bump(acc); i = i + 1; } else { i = i + 2; }
+                }
+                return acc;
+            }
+        "#;
+        // Block stepping (attribution off) or one instruction per driver
+        // call (attribution on): what the run's counts and lineage show.
+        let run = |scheduler: SchedulerKind, max_steps: u64, attribution: bool| {
+            let (r, events) = limited_run(
+                src,
+                EngineConfig {
+                    scheduler,
+                    attribution,
+                    ..capped(max_steps)
+                },
+            );
+            let states: Vec<TraceEvent> = events
+                .into_iter()
+                .filter(|e| matches!(e, TraceEvent::State { .. }))
+                .collect();
+            let s = r.stats;
+            let counts = (
+                s.exec.steps,
+                s.exec.forks,
+                s.paths_explored,
+                s.states_created,
+            );
+            (outcome_label(&r.outcome), counts, states)
+        };
+        // Coverage search also reads which blocks the stepping visited.
+        for scheduler in [SchedulerKind::Bfs, SchedulerKind::Coverage] {
+            let (label, full, _) = run(scheduler, u64::MAX, false);
+            assert_eq!(label, "completed");
+            assert!(full.1 >= 2, "the program forks, got {full:?}");
+            let full_steps = full.0;
+            for n in 0..=full_steps {
+                let blocks = run(scheduler, n, false);
+                let one = run(scheduler, n, true);
+                assert_eq!(blocks, one, "{scheduler:?}, max_steps {n}");
+                let (label, counts, _) = blocks;
+                assert_eq!(
+                    counts.0, n,
+                    "{scheduler:?}, max_steps {n}: the cap is exact"
+                );
+                assert_eq!(label == "completed", n == full_steps, "max_steps {n}");
+            }
+        }
     }
 
     #[test]

@@ -296,16 +296,6 @@ pub(crate) fn initial_state(env: &mut ExecEnv<'_>) -> State {
     }
 }
 
-/// Executes one instruction (or terminator) of `state`: the driver's
-/// step limit is one more than the steps so far. On `Break` the caller
-/// is done with `state`: a fork, exit, fault, suspension or kill has
-/// moved it into the successor list.
-pub(crate) fn step(env: &mut ExecEnv<'_>, state: &mut State) -> ControlFlow<Vec<Successor>> {
-    let module = env.module;
-    let limit = env.stats.steps + 1;
-    interp::run_block(env, module, state, limit)
-}
-
 /// The symbolic domain: solver terms, forking at every decision on a
 /// symbolic value.
 impl Domain for ExecEnv<'_> {

@@ -47,7 +47,7 @@ pub mod state;
 pub mod value;
 
 pub use engine::{
-    outcome_label, record_run_telemetry, Budget, Engine, EngineConfig, EngineReport, EngineStats,
+    outcome_label, record_run_telemetry, Engine, EngineConfig, EngineReport, EngineStats,
     ExhaustionReason, FoundVulnerability, RunOutcome,
 };
 pub use executor::ExecStats;

@@ -6,8 +6,9 @@
 //! `resume` mark guidance decisions, and `exit` / `fault` /
 //! `unconfirmed` / `kill` are terminal dispositions. The fate of every
 //! successor of a step is narrated in one place, the engine's
-//! `Frontier::settle`; only `root`, `resume` and `budget_exceeded` are
-//! emitted elsewhere. `statsym-inspect tree` reconstructs the
+//! `Frontier::settle`; only `root`, `resume` and `budget_exceeded` (the
+//! state in flight when the step cap or the wall clock cuts the run)
+//! are emitted elsewhere. `statsym-inspect tree` reconstructs the
 //! exploration tree from this stream, and `report` its candidate-path
 //! coverage.
 //!

@@ -147,8 +147,9 @@ pub struct RunManifest {
     pub ticks: u64,
     /// Winning candidate rank (1-based); `0` when no candidate won.
     pub winner_rank: u64,
-    /// Budget disposition: `none` (no budget configured), `within`,
-    /// `exceeded`, or `crashed` (crash-bundle manifests).
+    /// Budget disposition: `exceeded` (a run limit cut a state in
+    /// flight), `none`, or `crashed` (crash-bundle manifests). Archives
+    /// written before the step cap became exact may also say `within`.
     pub budget: String,
     /// Content hash of the scheduling-independent canonical trace lines.
     pub trace: String,
@@ -169,7 +170,7 @@ impl RunManifest {
     /// Counters/gauges fold from the trace's final metric events with
     /// [`SCHEDULING_PREFIXES`] excluded; the winner rank comes from the
     /// `calib.winner_rank` gauge; the budget disposition from the
-    /// `budget.*` metric family; the trace hash from the canonical
+    /// `budget.exceeded` counter; the trace hash from the canonical
     /// renders of every scheduling-independent line.
     pub fn from_events(events: &[TraceEvent], meta: &ManifestMeta) -> RunManifest {
         let summary = TraceSummary::from_events(events);
@@ -192,12 +193,6 @@ impl RunManifest {
             .unwrap_or(0);
         let budget = if counters.get(crate::names::BUDGET_EXCEEDED).copied() > Some(0) {
             "exceeded"
-        } else if counters
-            .keys()
-            .chain(gauges.keys())
-            .any(|k| k.starts_with("budget."))
-        {
-            "within"
         } else {
             "none"
         };
@@ -652,10 +647,16 @@ mod tests {
         let m = RunManifest::from_events(&rec.finish(), &sample_meta());
         assert_eq!(m.budget, "exceeded");
 
-        let rec = MemRecorder::new(Clock::steps());
-        rec.gauge_max("budget.steps_remaining", 50);
-        let m = RunManifest::from_events(&rec.finish(), &sample_meta());
-        assert_eq!(m.budget, "within");
+        let m =
+            RunManifest::from_events(&MemRecorder::new(Clock::steps()).finish(), &sample_meta());
+        assert_eq!(m.budget, "none");
+
+        // Older archives carry `within`; they still load.
+        let old = RunManifest {
+            budget: "within".to_string(),
+            ..m
+        };
+        assert_eq!(RunManifest::parse_line(&old.render(), 1).unwrap(), old);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub struct ChaosSchedule {
     /// Starve the solver: `max_nodes` so small most branch queries
     /// return `Unknown` (the decision procedure's timeout analogue).
     pub starve_solver: bool,
-    /// Starve the engine: a step budget far below what exploration
-    /// needs, forcing `Exhausted(Steps)`.
+    /// Starve the engine: a step cap far below what exploration needs,
+    /// which cuts a state in flight (`Exhausted(Steps)`).
     pub tiny_steps: bool,
 }
 
