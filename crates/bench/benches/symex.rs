@@ -5,10 +5,11 @@
 //! `--seed 1`: the `grep` corpus at sampling rate 0.3 (100 correct and
 //! 100 faulty runs), its analysis, and two [`decoy`] candidates ranked
 //! ahead of the real ones, under the workload's configuration (one
-//! thread, a 60 000-step budget per candidate, τ = 10^6). Each of `REPS`
+//! thread, a 60 000-step cap per candidate, τ = 10^6). Each of `REPS`
 //! repetitions runs the job's three attempts through the pipeline: the
-//! two decoys exhaust their budgets forking over the sub-threshold input
-//! space, then the real candidate verifies the overflow.
+//! two decoys fork over the sub-threshold input space until the exact
+//! step cap cuts each at 60 000 steps, then the real candidate verifies
+//! the overflow.
 //!
 //! Per repetition, the attempts' summed wall time is divided by their
 //! summed steps and by their summed forks; the bench prints the median
@@ -40,8 +41,8 @@ const JOB_SEED: u64 = 3_246_858_695_411_730_098;
 /// `(steps, forks, states created, solver queries, solver nodes)` of
 /// each attempt, in rank order: the two decoys, then the real candidate.
 const ATTEMPTS: [(u64, u64, u64, u64, u64); 3] = [
-    (60_005, 4_000, 8_001, 9_319, 208),
-    (60_005, 4_000, 8_001, 9_319, 0),
+    (60_000, 4_000, 8_001, 9_319, 208),
+    (60_000, 4_000, 8_001, 9_319, 0),
     (877, 62, 125, 155, 315),
 ];
 
