@@ -10,8 +10,11 @@
 //! The record total and the mined graph's node and edge counts are
 //! asserted: they depend only on the corpus generator and on the
 //! analysis' semantics, so a change that moves them fails the bench.
+//! So is the value column: every log's values are integers, so every
+//! log must keep its narrow `i32` column, 4 bytes per value.
 
 use benchapps::{generate_corpus, CorpusSpec};
+use concrete::Values;
 use criterion::{criterion_group, criterion_main, Criterion};
 use statsym_core::transition::MineConfig;
 use statsym_core::{LogCorpus, TransitionGraph};
@@ -23,6 +26,9 @@ const REPS: usize = 30;
 
 /// Records in the corpus' logs.
 const RECORDS: usize = 349_352;
+
+/// Values in the corpus' logs.
+const VALUES: usize = 2_595_256;
 
 /// `(nodes, edges)` of the graph mined from the faulty traces.
 const GRAPH: (usize, usize) = (18, 26);
@@ -38,6 +44,14 @@ fn bench_analysis(c: &mut Criterion) {
     let logs = generate_corpus(&app, spec);
     let records: usize = logs.iter().map(|l| l.records.len()).sum();
     assert_eq!(records, RECORDS, "record total moved (corpus changed)");
+    let bytes: usize = logs
+        .iter()
+        .map(|l| match l.records.values() {
+            Values::Narrow(ns) => size_of_val(ns),
+            Values::Wide(vs) => panic!("a wide value column ({} values)", vs.len()),
+        })
+        .sum();
+    assert_eq!(bytes, 4 * VALUES, "value bytes moved");
     c.bench_function("analysis/grep-1.0", |b| {
         b.iter(|| {
             let (mut builds, mut mines, mut drops) = (Vec::new(), Vec::new(), Vec::new());

@@ -56,7 +56,7 @@ pub use event::{FnEvent, Location, Measure, VarId, VarRole};
 pub use fault::{Fault, FaultKind, MAX_ALLOC, MAX_CALL_DEPTH};
 pub use logfile::{parse_log, write_log, ParseLogError};
 pub use monitor::{ExecutionLog, Monitor, Verdict};
-pub use records::{Record, Records, Site, SiteTable};
+pub use records::{Record, Records, Site, SiteTable, Values};
 pub use runner::{run_logged, run_logged_traced, run_logged_with, LoggedRun};
 pub use value::{InputValue, Val, Value};
 pub use vm::{ExecHook, InputMap, NoHook, Outcome, RunResult, Vm, VmConfig, VmError};

@@ -230,7 +230,7 @@ fn parse_var(s: &str) -> Option<VarId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::Records;
+    use crate::records::{Records, Values};
     use proptest::prelude::*;
 
     fn sample_log() -> ExecutionLog {
@@ -323,7 +323,7 @@ mod tests {
     fn negative_and_fractional_values_roundtrip() {
         let log = sample_log_with(-12.5);
         let parsed = parse_log(&write_log(&log)).unwrap();
-        assert_eq!(parsed.records.values()[0], -12.5);
+        assert_eq!(parsed.records.values().get(0), Some(-12.5));
         assert_eq!(parsed, log);
     }
 
@@ -482,12 +482,44 @@ mod tests {
         }
 
         #[test]
+        fn promoted_logs_roundtrip_bit_exact(
+            ints in collection::vec(-1000i32..1000, 0..30),
+            misfit in prop_oneof![
+                prop_oneof![Just(-0.0), Just(0.5), Just(-2.5e9), Just(3e9), Just(1e300), Just(-1e-300)],
+                (-1000i64..1000).prop_map(|v| v as f64 / 8.0 + 1.0 / 1024.0),
+            ],
+            at in any::<usize>(),
+        ) {
+            let log = |values: &[f64]| ExecutionLog {
+                records: Records::from_rows(values.iter().map(|&v| {
+                    let x = VarId::new("x", VarRole::Global, Measure::Value);
+                    (Location::enter("f"), vec![(x, v)])
+                })),
+                verdict: Verdict::Faulty,
+                fault: None,
+            };
+            let bits = |l: &ExecutionLog| -> Vec<u64> {
+                l.records.values().iter().map(f64::to_bits).collect()
+            };
+            let mut values: Vec<f64> = ints.into_iter().map(f64::from).collect();
+            let narrow = parse_log(&write_log(&log(&values))).unwrap();
+            prop_assert!(matches!(narrow.records.values(), Values::Narrow(_)));
+            values.insert(at % (values.len() + 1), misfit);
+            let promoted = log(&values);
+            prop_assert!(matches!(promoted.records.values(), Values::Wide(_)));
+            let parsed = parse_log(&write_log(&promoted)).unwrap();
+            prop_assert!(matches!(parsed.records.values(), Values::Wide(_)));
+            prop_assert_eq!(bits(&parsed), bits(&promoted));
+            prop_assert_eq!(&parsed, &promoted);
+        }
+
+        #[test]
         fn arbitrary_text_parses_or_errors_without_panicking(
             lines in collection::vec(line(), 0..12),
         ) {
             let text = lines.join("\n");
             match parse_log(&text) {
-                Ok(log) => prop_assert!(log.records.values().iter().all(|v| v.is_finite())),
+                Ok(log) => prop_assert!(log.records.values().iter().all(f64::is_finite)),
                 Err(e) => prop_assert!(e.line <= lines.len()),
             }
         }
@@ -499,7 +531,7 @@ mod tests {
             match parse_log(&text) {
                 Ok(log) => {
                     prop_assert!(finite, "{value} accepted");
-                    prop_assert_eq!(log.records.values()[0], value.parse::<f64>().unwrap());
+                    prop_assert_eq!(log.records.values().get(0), value.parse::<f64>().ok());
                 }
                 Err(e) => {
                     prop_assert!(!finite, "{value} rejected");

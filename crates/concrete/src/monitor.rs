@@ -8,11 +8,12 @@
 //!
 //! Records are columnar ([`Records`]): the monitor pushes the site id of
 //! the function boundary (`2 * FuncId` on entry, `+ 1` on exit, see
-//! [`SiteTable::of`]) and the numeric values, and nothing else.
+//! [`SiteTable::of`]) and the numeric values, and nothing else. The
+//! values stay 4-byte `i32`s while every value of the run fits one.
 
 use crate::event::Location;
 use crate::fault::Fault;
-use crate::records::{Records, SiteTable};
+use crate::records::{Column, Records, SiteTable};
 use crate::value::Value;
 use crate::vm::ExecHook;
 use rand::rngs::StdRng;
@@ -81,7 +82,7 @@ pub struct Monitor<'r> {
     /// Each kept record's site id.
     sites: Vec<u32>,
     /// Each kept record's values, back to back.
-    values: Vec<f64>,
+    values: Column,
     rec: &'r dyn Recorder,
     /// Records kept and dropped, added to `rec` once, on drop.
     sampled: u64,
@@ -125,7 +126,7 @@ impl<'r> Monitor<'r> {
             rng: StdRng::seed_from_u64(seed),
             table,
             sites: Vec::new(),
-            values: Vec::new(),
+            values: Column::default(),
             rec,
             sampled: 0,
             dropped: 0,

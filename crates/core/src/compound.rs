@@ -147,7 +147,8 @@ fn joint_score(logs: &[ExecutionLog], loc: &Location, a: &Predicate, b: &Predica
                 continue;
             };
             counts[class].1 += 1;
-            if eval(a, rec.values[ia]) && eval(b, rec.values[ib]) {
+            let value = |i| rec.values.get(i).expect("a column of the record's site");
+            if eval(a, value(ia)) && eval(b, value(ib)) {
                 counts[class].0 += 1;
             }
         }

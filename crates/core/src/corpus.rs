@@ -1,9 +1,14 @@
 //! Log corpus preprocessing (algorithm steps (a)–(b) in the paper's
 //! Figure 5): partition runs into correct and faulty executions and
 //! count the numeric observations per (location, variable).
+//!
+//! Each slot counts into a `Tally`: integral values in a dense window
+//! of per-integer counts, everything else in a hash map by bits. A
+//! log's value column is read at its own width (`i32` while narrow,
+//! `f64` once widened) by one counting loop generic over the two.
 
 use crate::transition::Trace;
-use concrete::{ExecutionLog, Location, SiteTable, VarId, Verdict};
+use concrete::{ExecutionLog, Location, SiteTable, Values, VarId, Verdict};
 use solver::U64Map;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -35,19 +40,35 @@ pub struct Observations {
     pub n_faulty: usize,
 }
 
+/// Window cells allowed per distinct value of a slot: a window grows
+/// only while it stays within this many cells per distinct value.
+const CELLS_PER_VALUE: u128 = 8;
+
 /// Counts the values of one slot as they stream in, then yields its
 /// sorted [`Observations`].
+///
+/// Integral values are counted in a dense window: one (correct, faulty)
+/// cell per integer of a contiguous range, so a count is an index and
+/// an add. A value outside the window grows it to cover the value if
+/// the grown window is at least twice as long and holds at most
+/// `CELLS_PER_VALUE` cells per distinct value the slot has seen;
+/// otherwise the value goes to a hash map by its bits, as do fractional
+/// and infinite values. So the window stays within a constant factor of
+/// the slot's distinct values, and its growth copies each cell O(1)
+/// times amortized. `finish` sorts the window's and the map's runs
+/// together and merges a value counted in both (the window can grow
+/// over a value the map already holds).
 #[derive(Default)]
 pub(crate) struct Tally {
-    /// Runs in first-seen order.
-    runs: Vec<Run>,
-    /// Run index by value bits.
-    index: U64Map<usize>,
-    /// Bits and run index of the last value counted: repeats skip the
-    /// map.
-    last: Option<(u64, usize)>,
-    n_correct: usize,
-    n_faulty: usize,
+    /// The integer of `window[0]`.
+    lo: i64,
+    /// Counts of `lo + i` at `window[i]`, indexed by class (correct 0,
+    /// faulty 1).
+    window: Vec<[usize; 2]>,
+    /// Distinct values in the window.
+    dense: usize,
+    /// Counts of the other values by bits.
+    sparse: U64Map<[usize; 2]>,
 }
 
 impl Tally {
@@ -55,45 +76,101 @@ impl Tally {
     /// `+0.0`.
     #[inline]
     pub(crate) fn push(&mut self, value: f64, faulty: bool) {
-        if value.is_nan() {
-            return;
+        // -2^63 <= value < 2^63, so `as` is exact for an integral value.
+        const BOUND: f64 = 9_223_372_036_854_775_808.0;
+        if value.fract() == 0.0 && (-BOUND..BOUND).contains(&value) {
+            self.push_integer(value as i64, faulty);
+        } else if !value.is_nan() {
+            self.push_sparse(value.to_bits(), faulty);
         }
-        let value = if value == 0.0 { 0.0 } else { value };
-        let bits = value.to_bits();
-        let at = match self.last {
-            Some((last, at)) if last == bits => at,
-            _ => {
-                let next = self.runs.len();
-                let at = *self.index.entry(bits).or_insert(next);
-                if at == next {
-                    self.runs.push(Run {
-                        value,
-                        correct: 0,
-                        faulty: 0,
-                    });
-                }
-                self.last = Some((bits, at));
-                at
+    }
+
+    /// Counts an integer that converts to `f64` exactly.
+    #[inline]
+    fn push_integer(&mut self, value: i64, faulty: bool) {
+        let at = (value as u64).wrapping_sub(self.lo as u64);
+        if at < self.window.len() as u64 {
+            let cell = &mut self.window[at as usize];
+            if *cell == [0; 2] {
+                self.dense += 1;
             }
-        };
-        let run = &mut self.runs[at];
-        if faulty {
-            run.faulty += 1;
-            self.n_faulty += 1;
+            cell[usize::from(faulty)] += 1;
+        } else if self.grow(value) {
+            self.push_integer(value, faulty);
         } else {
-            run.correct += 1;
-            self.n_correct += 1;
+            self.push_sparse((value as f64).to_bits(), faulty);
         }
+    }
+
+    /// Counts a value outside the window by its bits (never those of
+    /// `-0.0`, which is integral).
+    fn push_sparse(&mut self, bits: u64, faulty: bool) {
+        self.sparse.entry(bits).or_default()[usize::from(faulty)] += 1;
+    }
+
+    /// Grows the window to cover `value`, to at least twice its length,
+    /// if that stays within `CELLS_PER_VALUE` cells per distinct value
+    /// (`value` included). False if it would not.
+    #[cold]
+    fn grow(&mut self, value: i64) -> bool {
+        let v = i128::from(value);
+        let lo = if self.window.is_empty() {
+            v
+        } else {
+            i128::from(self.lo)
+        };
+        let len = self.window.len() as i128;
+        let (new_lo, new_hi) = if v < lo {
+            ((lo - len).min(v).max(i128::from(i64::MIN)), lo + len)
+        } else {
+            (lo, (lo + 2 * len).max(v + 1).min(i128::from(i64::MAX) + 1))
+        };
+        let distinct = (self.dense + self.sparse.len() + 1) as u128;
+        let new_len = (new_hi - new_lo) as u128;
+        if new_len > CELLS_PER_VALUE * distinct {
+            return false;
+        }
+        let mut window = vec![[0; 2]; new_len as usize];
+        let at = (lo - new_lo) as usize;
+        window[at..at + self.window.len()].copy_from_slice(&self.window);
+        self.window = window;
+        self.lo = new_lo as i64;
+        true
     }
 
     /// The counted observations, runs sorted by value.
     pub(crate) fn finish(self) -> Observations {
-        let mut runs = self.runs;
-        runs.sort_unstable_by(|a, b| a.value.total_cmp(&b.value));
+        let run = |value: f64, [correct, faulty]: [usize; 2]| Run {
+            value,
+            correct,
+            faulty,
+        };
+        let mut runs = Vec::with_capacity(self.dense + self.sparse.len());
+        for (i, &cell) in self.window.iter().enumerate() {
+            if cell != [0; 2] {
+                runs.push(run(self.lo.wrapping_add(i as i64) as f64, cell));
+            }
+        }
+        if !self.sparse.is_empty() {
+            runs.extend(
+                self.sparse
+                    .into_iter()
+                    .map(|(bits, cell)| run(f64::from_bits(bits), cell)),
+            );
+            runs.sort_unstable_by(|a, b| a.value.total_cmp(&b.value));
+            runs.dedup_by(|later, kept| {
+                let same = later.value == kept.value;
+                if same {
+                    kept.correct += later.correct;
+                    kept.faulty += later.faulty;
+                }
+                same
+            });
+        }
         Observations {
+            n_correct: runs.iter().map(|r| r.correct).sum(),
+            n_faulty: runs.iter().map(|r| r.faulty).sum(),
             runs,
-            n_correct: self.n_correct,
-            n_faulty: self.n_faulty,
         }
     }
 }
@@ -133,7 +210,8 @@ impl LogCorpus {
     /// Each (site table, site) pair is resolved once to its location and
     /// the (location, variable) slots of its variables; every record
     /// then counts its values straight into those slots, and no value
-    /// is stored. Logs from one corpus generation share one table, so
+    /// is stored. A narrow column is counted as `i32`s, with no `f64`
+    /// conversion. Logs from one corpus generation share one table, so
     /// each site is resolved once for the whole corpus; logs with their
     /// own tables (parsed or hand-built) resolve each of their sites
     /// once per log. Keys are borrowed from the tables and cloned once
@@ -154,21 +232,11 @@ impl LogCorpus {
                 Verdict::Inconclusive => continue,
             };
             let table = index.table(log.records.table());
-            let mut values = log.records.values();
-            let mut trace = Vec::with_capacity(log.records.len());
-            for &site in log.records.site_ids() {
-                let (loc, slots) = index.site(table, site);
-                if faulty && index.last_run[loc] != Some(run) {
-                    index.last_run[loc] = Some(run);
-                    index.faulty_presence[loc] += 1;
-                }
-                let (vals, rest) = values.split_at(slots.len());
-                values = rest;
-                for (&slot, &value) in index.slot_list[slots].iter().zip(vals) {
-                    index.slots[slot].2.push(value, faulty);
-                }
-                trace.push(u32::try_from(loc).expect("at most u32::MAX locations"));
-            }
+            let sites = log.records.site_ids();
+            let trace = match log.records.values() {
+                Values::Narrow(values) => index.count(table, sites, values, run, faulty),
+                Values::Wide(values) => index.count(table, sites, values, run, faulty),
+            };
             if faulty {
                 corpus.n_faulty += 1;
                 if let Some(&last) = trace.last() {
@@ -238,6 +306,27 @@ impl LogCorpus {
     }
 }
 
+/// An element of a value column: `i32` in a narrow one, `f64` in a
+/// wide one.
+trait Sample: Copy {
+    /// Counts the value in `tally`.
+    fn tally(self, tally: &mut Tally, faulty: bool);
+}
+
+impl Sample for i32 {
+    #[inline]
+    fn tally(self, tally: &mut Tally, faulty: bool) {
+        tally.push_integer(i64::from(self), faulty);
+    }
+}
+
+impl Sample for f64 {
+    #[inline]
+    fn tally(self, tally: &mut Tally, faulty: bool) {
+        tally.push(self, faulty);
+    }
+}
+
 /// A site resolved for one corpus build: its location id and the range
 /// of `SiteIndex::slot_list` holding the slot of each of its variables.
 type Resolved = (usize, Range<usize>);
@@ -277,6 +366,34 @@ impl<'a> SiteIndex<'a> {
         id
     }
 
+    /// Counts the values of log `run`, whose records sit at `sites` of
+    /// table `table` and carry `values`, into their slots, and returns
+    /// its trace of location ids.
+    fn count<T: Sample>(
+        &mut self,
+        table: usize,
+        sites: &[u32],
+        mut values: &[T],
+        run: usize,
+        faulty: bool,
+    ) -> Vec<u32> {
+        let mut trace = Vec::with_capacity(sites.len());
+        for &site in sites {
+            let (loc, slots) = self.site(table, site);
+            if faulty && self.last_run[loc] != Some(run) {
+                self.last_run[loc] = Some(run);
+                self.faulty_presence[loc] += 1;
+            }
+            let (vals, rest) = values.split_at(slots.len());
+            values = rest;
+            for (&slot, &value) in self.slot_list[slots].iter().zip(vals) {
+                value.tally(&mut self.slots[slot].2, faulty);
+            }
+            trace.push(u32::try_from(loc).expect("at most u32::MAX locations"));
+        }
+        trace
+    }
+
     /// Site `site` of table `table`: its location id and slot range,
     /// interning its location and slots on first sight.
     fn site(&mut self, table: usize, site: u32) -> Resolved {
@@ -311,6 +428,7 @@ impl<'a> SiteIndex<'a> {
 mod tests {
     use super::*;
     use concrete::{Measure, Records, VarRole};
+    use proptest::prelude::*;
 
     type Row = (Location, Vec<(VarId, f64)>);
 
@@ -667,6 +785,128 @@ mod tests {
                     assert_eq!((obs.n_correct, obs.n_faulty), (c, f), "{at}");
                 }
             }
+        }
+    }
+
+    /// One observation for [`Tally`]: a value and its class, pushed as
+    /// an `i32` of a narrow column when `narrow` (the value then fits).
+    #[derive(Debug, Clone, Copy)]
+    struct Obs {
+        value: f64,
+        faulty: bool,
+        narrow: bool,
+    }
+
+    /// Streams of observations shaped to exercise the window: dense
+    /// runs, walks that grow it down and up, sparse wide ranges,
+    /// negatives, values near `i64::MIN`/`MAX`, and the values that
+    /// are not integers.
+    fn stream() -> impl Strategy<Value = Vec<Obs>> {
+        // 2^63: the first integer past i64::MAX, and the step of f64
+        // just below it.
+        const TOP: f64 = 9_223_372_036_854_775_808.0;
+        let dense = (-5000i64..5000, collection::vec(0i64..40, 1..60))
+            .prop_map(|(base, offs)| offs.into_iter().map(|o| (base + o) as f64).collect());
+        let walk =
+            (-5000i64..5000, collection::vec(-4i64..=4, 1..80)).prop_map(|(start, steps)| {
+                let mut at = start;
+                steps
+                    .into_iter()
+                    .map(|d| {
+                        at += d;
+                        at as f64
+                    })
+                    .collect()
+            });
+        let wide = collection::vec(
+            prop_oneof![
+                any::<i32>().prop_map(f64::from),
+                any::<i64>().prop_map(|v| v as f64),
+                (-1_000_000i64..0).prop_map(|v| v as f64),
+            ],
+            1..20,
+        );
+        let edges = collection::vec(
+            prop_oneof![
+                (0i64..4).prop_map(|k| -TOP + 2048.0 * k as f64),
+                (1i64..4).prop_map(|k| TOP - 1024.0 * k as f64),
+                Just(TOP),
+                Just(-TOP * 2.0),
+                (-3i64..=3).prop_map(|k| 9_007_199_254_740_992.0 + k as f64),
+                (-3i64..=3).prop_map(|k| -9_007_199_254_740_992.0 + k as f64),
+            ],
+            1..10,
+        );
+        let odd = collection::vec(
+            prop_oneof![
+                Just(-0.0),
+                Just(0.0),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                (-1000i64..1000).prop_map(|v| v as f64 / 4.0),
+            ],
+            1..10,
+        );
+        let part = prop_oneof![dense, walk, wide, edges, odd];
+        (
+            collection::vec(part, 1..5),
+            collection::vec(any::<u8>(), 64),
+        )
+            .prop_map(|(parts, flags)| {
+                parts
+                    .into_iter()
+                    .flatten()
+                    .zip(flags.into_iter().cycle())
+                    .map(|(value, flag)| Obs {
+                        value,
+                        faulty: flag & 1 == 1,
+                        narrow: flag & 2 == 2
+                            && f64::from(value as i32).to_bits() == value.to_bits(),
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn tally_matches_a_map_oracle(obs in stream()) {
+            let mut tally = Tally::default();
+            let mut oracle: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
+            for &Obs { value, faulty, narrow } in &obs {
+                if narrow {
+                    (value as i32).tally(&mut tally, faulty);
+                } else {
+                    value.tally(&mut tally, faulty);
+                }
+                if value.is_nan() {
+                    continue;
+                }
+                let bits = (if value == 0.0 { 0.0 } else { value }).to_bits();
+                let n = oracle.entry(bits).or_default();
+                if faulty {
+                    n.1 += 1;
+                } else {
+                    n.0 += 1;
+                }
+            }
+            let got = tally.finish();
+            prop_assert!(
+                got.runs.windows(2).all(|w| w[0].value < w[1].value),
+                "runs not strictly ascending: {:?}",
+                got.runs
+            );
+            let counts: BTreeMap<u64, (usize, usize)> = got
+                .runs
+                .iter()
+                .map(|r| (r.value.to_bits(), (r.correct, r.faulty)))
+                .collect();
+            prop_assert_eq!(counts.len(), got.runs.len());
+            prop_assert_eq!(&counts, &oracle);
+            let (c, f) = oracle.values().fold((0, 0), |(c, f), n| (c + n.0, f + n.1));
+            prop_assert_eq!((got.n_correct, got.n_faulty), (c, f));
         }
     }
 }

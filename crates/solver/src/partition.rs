@@ -310,11 +310,25 @@ impl Partition {
     }
 
     /// The partition of `constraints`, all in the hard segment, in order.
+    /// Every component is undecided, so the list is set once, after the
+    /// pushes.
     pub fn of(ctx: &TermCtx, constraints: &[Constraint]) -> Partition {
         let mut p = Partition::new();
         for &c in constraints {
-            p.push(ctx, Segment::Hard, c);
+            p.place(ctx, Segment::Hard, c);
         }
+        let mut ks = Vec::new();
+        let mut cur = p.lists[Segment::Hard as usize].as_deref();
+        while let Some(node) = cur {
+            ks.push(Rc::clone(&node.comp));
+            cur = node.next.as_deref();
+        }
+        ks.reverse();
+        p.undecided = match ks.len() {
+            0 => Undecided::None,
+            1 => Undecided::One(ks.pop().expect("one component")),
+            _ => Undecided::Many(Rc::new(ks)),
+        };
         p
     }
 
@@ -389,6 +403,13 @@ impl Partition {
     ///
     /// Panics if `seg` already holds 2^30 conjuncts.
     pub fn push(&mut self, ctx: &TermCtx, seg: Segment, c: Constraint) {
+        let (hits, joined) = self.place(ctx, seg, c);
+        self.undecided.join(&hits, &joined);
+    }
+
+    /// [`Partition::push`] without the undecided list: returns the
+    /// components `c` touched and the one it joined them into.
+    fn place(&mut self, ctx: &TermCtx, seg: Segment, c: Constraint) -> (Hits, Rc<Component>) {
         let index = self.next[seg as usize];
         assert!(index < 1 << INDEX_BITS, "too many conjuncts in one segment");
         let pos = (seg as u32) << INDEX_BITS | index;
@@ -454,7 +475,7 @@ impl Partition {
             vars,
             fold,
         });
-        self.undecided.join(&hits, &joined);
+        let placed = Rc::clone(&joined);
 
         // The joined component starts where its earliest hit did: the
         // deepest hit of the first list with hits, if that list is not
@@ -498,6 +519,7 @@ impl Partition {
                 list_mask,
             }));
         }
+        (hits, placed)
     }
 
     /// A copy with `c` appended to segment `seg`.
